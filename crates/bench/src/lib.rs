@@ -1,8 +1,9 @@
 //! Shared helpers for the reproduction bench harness.
 //!
 //! Every bench target in this crate regenerates one table or figure of the
-//! paper (or one ablation from `DESIGN.md`) and prints the same rows/series
-//! the paper reports. The heavy lifting lives in `vanet-scenarios` behind
+//! paper (or one ablation: batched REQUESTs, cooperator selection, AP-side
+//! retransmission, each described in its `ablation_*` target) and prints
+//! the same rows/series the paper reports. The heavy lifting lives in `vanet-scenarios` behind
 //! the unified `Scenario` API; this crate only provides the common
 //! plumbing: round-count selection, shared experiment execution and a tiny
 //! wall-clock timer so each bench also reports how long the regeneration

@@ -1,10 +1,12 @@
 //! Determinism regression suite for the hot-path optimization.
 //!
 //! `tests/golden/` (repo root) holds exports recorded from the
-//! pre-optimization tree (commit `de0003f`) — see its README for the exact
-//! recording commands. The optimized hot path (scratch buffers, shared
-//! frames, the dense node table, the link-state memo) must reproduce every
-//! one of them byte for byte, at any thread count. A legitimate
+//! pre-optimization tree (commit `de0003f`), plus a grid-city campaign
+//! recorded before the link memo went per-node (commit `48dbaaa`) — see its
+//! README for the exact recording commands. The optimized hot path (scratch
+//! buffers, shared frames, the dense node table, the link-state memo, the
+//! saturated PER) must reproduce every one of them byte for byte, at any
+//! thread count. A legitimate
 //! semantics-changing PR re-records the snapshots and says so in its
 //! description.
 
@@ -110,6 +112,36 @@ fn highway_scenario_export_matches_the_golden() {
         "1",
     ]);
     assert_matches_golden(&csv, "highway_speed_r2.csv", "scenario run highway");
+}
+
+#[test]
+fn grid_city_campaign_export_matches_the_golden() {
+    // Unlike the urban and highway goldens, where a moving car sits on
+    // every link, a grid-city world has links that outlive other nodes'
+    // moves: AP↔AP pairs and cars that are parked or not yet started. The
+    // pair cache serves those across mobility ticks, so this export pins
+    // its per-node invalidation rule.
+    let csv = run_stdout(&[
+        "campaign",
+        "run",
+        "--generator",
+        "grid-city",
+        "--blocks_x",
+        "4",
+        "--blocks_y",
+        "4",
+        "--n_cars",
+        "8",
+        "--n_aps",
+        "2,4",
+        "--rounds",
+        "1",
+        "--workers",
+        "1",
+        "--seed",
+        "0x20081cdc",
+    ]);
+    assert_matches_golden(&csv, "grid_city_campaign_r1.csv", "campaign run grid-city");
 }
 
 #[test]

@@ -14,9 +14,10 @@
 //! *starts*, a frame only collides with transmissions that started earlier
 //! and are still on the air; a later-starting transmission does not
 //! retroactively corrupt it. Under DCF carrier sensing later senders defer,
-//! so this asymmetry only matters for hidden terminals — acceptable for the
-//! street-scale scenarios reproduced here and documented as a simulator
-//! simplification in `DESIGN.md`.
+//! so this asymmetry only matters for hidden terminals. That is a deliberate
+//! simplification, acceptable for the street-scale scenarios reproduced
+//! here, where carrier sensing is modelled globally (see
+//! [`Medium::busy_until`]) and no sender is hidden from another.
 
 use serde::{Deserialize, Serialize};
 use sim_core::{SimDuration, SimTime, StreamRng};
@@ -182,6 +183,9 @@ struct NodeEntry {
     /// of *registered* nodes, so sparse or large raw ids cost nothing
     /// beyond their `slots` entry.
     compact_slot: u32,
+    /// The medium's position epoch when this node last moved (or was
+    /// registered). Cached links of this node computed before it are stale.
+    moved_at: u64,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -193,11 +197,12 @@ struct ActiveTx {
 }
 
 /// One slot of the dense per-pair link cache: the deterministic
-/// [`LinkState`] of a (transmitter, receiver) pair, valid while the medium's
-/// position epoch has not advanced past `epoch`.
+/// [`LinkState`] of a (transmitter, receiver) pair, valid until one of its
+/// two endpoints moves.
 #[derive(Debug, Clone, Copy)]
 struct LinkCacheEntry {
-    /// Position epoch the state was computed at; 0 is never current.
+    /// Position epoch the state was computed at. The entry is current while
+    /// it is at least both endpoints' `moved_at`; 0 is never current.
     epoch: u64,
     state: LinkState,
 }
@@ -222,10 +227,11 @@ impl LinkCacheEntry {
 /// Node state lives in a dense slot table indexed by the raw [`NodeId`]
 /// value (scenario ids are small consecutive integers), and the
 /// deterministic part of every link — path loss, obstacle blockage,
-/// shadowing — is memoized per (tx, rx) pair for as long as no node moves
-/// (positions only change at mobility ticks). Only the per-frame fast-fading
-/// and reception draws touch the RNG, in exactly the order the unmemoized
-/// path would, so results are bit-identical with the cache on.
+/// shadowing — is memoized per (tx, rx) pair for as long as neither of its
+/// endpoints moves (positions only change at mobility ticks, and APs and
+/// parked cars never move). Only the per-frame fast-fading and reception
+/// draws touch the RNG, in exactly the order the unmemoized path would, so
+/// results are bit-identical with the cache on.
 #[derive(Debug)]
 pub struct Medium {
     config: MediumConfig,
@@ -237,8 +243,9 @@ pub struct Medium {
     ids: Vec<NodeId>,
     active: Vec<ActiveTx>,
     stats: MediumStats,
-    /// Bumped whenever any registered node actually moves; cache entries
-    /// from older epochs are lazily recomputed.
+    /// Bumped whenever any registered node actually moves; the mover
+    /// records the new value as its `moved_at`, so only the cached links of
+    /// that node turn stale and are lazily recomputed.
     position_epoch: u64,
     /// Dense pair cache over *registered* nodes, built lazily at the first
     /// link query after a registration: `n = ids.len()` and the slot of a
@@ -298,7 +305,12 @@ impl Medium {
         }
         assert!(self.slots[idx].is_none(), "node {id} registered twice");
         let compact_slot = u32::try_from(self.ids.len()).expect("node count fits u32");
-        self.slots[idx] = Some(NodeEntry { class, position: Point::ORIGIN, compact_slot });
+        self.slots[idx] = Some(NodeEntry {
+            class,
+            position: Point::ORIGIN,
+            compact_slot,
+            moved_at: self.position_epoch,
+        });
         let pos = self.ids.binary_search(&id).expect_err("slot was empty");
         self.ids.insert(pos, id);
         // The pair cache is rebuilt lazily at the next link query (see
@@ -320,19 +332,20 @@ impl Medium {
             .unwrap_or_else(|| panic!("unknown node {id}"));
         if entry.position != position {
             entry.position = position;
-            // Any cached pair may involve this node; one epoch bump lazily
-            // invalidates the whole cache. Stationary updates (APs re-pushed
-            // every tick) keep the cache warm.
+            // Stamping the mover with a fresh epoch lazily invalidates
+            // exactly its own cached links. Stationary updates (APs and
+            // parked cars re-pushed every tick) keep theirs warm.
             if !self.skip_epoch_bump {
                 self.position_epoch += 1;
+                entry.moved_at = self.position_epoch;
             }
         }
     }
 
     /// Fault-injection knob for the invariant test suite: when set, position
-    /// changes no longer bump the cache epoch, so the pair cache serves
-    /// stale link states — exactly the bug class the sampled cache audits
-    /// (and `carq-cli verify`) must catch. Never set outside tests.
+    /// changes no longer bump the mover's cache epoch, so the pair cache
+    /// serves stale link states — exactly the bug class the sampled cache
+    /// audits (and `carq-cli verify`) must catch. Never set outside tests.
     #[doc(hidden)]
     pub fn debug_skip_epoch_bump(&mut self, skip: bool) {
         self.skip_epoch_bump = skip;
@@ -393,17 +406,17 @@ impl Medium {
         }
     }
 
-    /// The memoized deterministic link state of the (src, rx) pair at the
-    /// nodes' current positions.
     /// Largest node count the O(n^2) pair cache is kept for (1024 nodes =
     /// 1M entries, ~50 MB). Beyond it every link is computed directly —
     /// bit-identical, just without the memo — instead of letting the cache
     /// grow quadratically into gigabytes.
     const MAX_CACHED_NODES: usize = 1_024;
 
-    /// Returns the link state plus whether it was served from the pair
-    /// cache (`true`) or computed from scratch (`false`) — the hit flag
-    /// feeds the traced cached-vs-sampled budget split.
+    /// The memoized deterministic link state of the (src, rx) pair at the
+    /// nodes' current positions. Returns the link state plus whether it was
+    /// served from the pair cache (`true`) or computed from scratch
+    /// (`false`) — the hit flag feeds the traced cached-vs-sampled budget
+    /// split.
     fn link_state_cached(&mut self, src: NodeId, rx: NodeId) -> (LinkState, bool) {
         let s = self.slots[src.index()].expect("link endpoints are registered");
         let r = self.slots[rx.index()].expect("link endpoints are registered");
@@ -420,7 +433,7 @@ impl Medium {
         }
         let idx = s.compact_slot as usize * n + r.compact_slot as usize;
         let cached = self.link_cache[idx];
-        if cached.epoch == self.position_epoch {
+        if cached.epoch >= s.moved_at.max(r.moved_at) {
             return (cached.state, true);
         }
         let state = self.channel_for(s.class, r.class).link_state(s.position, r.position);
@@ -806,30 +819,38 @@ mod tests {
         /// sequences identical to the clone-per-receiver reference
         /// implementation — across random topologies, mobility ticks and
         /// overlapping transmission schedules on one shared RNG stream.
+        /// Each tick moves a random subset of the nodes (two APs among
+        /// them), so cached links of standing pairs outlive other nodes'
+        /// moves, and a stale per-node epoch would diverge here.
         #[test]
         fn prop_transmit_matches_clone_per_receiver_reference(
             seed in 0u64..500,
-            n_nodes in 2usize..6,
-            steps in proptest::collection::vec((0u64..40, 0u32..6, 0.0f64..400.0), 1..25),
+            n_nodes in 2usize..7,
+            steps in proptest::collection::vec(
+                (0u64..40, 0u32..7, 0.0f64..400.0, 0u32..128),
+                1..25,
+            ),
         ) {
             let config = MediumConfig::urban_testbed();
             let mut fast = Medium::new(config.clone());
             let mut reference = reference::RefMedium::new(config);
             for i in 0..n_nodes {
                 let class =
-                    if i == 0 { RadioClass::AccessPoint } else { RadioClass::Vehicle };
-                fast.register_node(NodeId::new(i as u32), class);
-                reference
-                    .nodes
-                    .insert(NodeId::new(i as u32), (class, Point::ORIGIN));
+                    if i < 2 { RadioClass::AccessPoint } else { RadioClass::Vehicle };
+                let id = NodeId::new(i as u32);
+                let pos = Point::new(i as f64 * 25.0, 0.0);
+                fast.register_node(id, class);
+                fast.update_position(id, pos);
+                reference.nodes.insert(id, (class, pos));
             }
             let mut rng_fast = StreamRng::derive(seed, "prop-medium");
             let mut rng_ref = StreamRng::derive(seed, "prop-medium");
             let mut now = SimTime::ZERO;
-            for (advance_ms, src_raw, x) in steps {
+            for (advance_ms, src_raw, x, movers) in steps {
                 now += SimDuration::from_millis(advance_ms);
-                // Move every node (a mobility tick), invalidating the cache.
-                for i in 0..n_nodes {
+                // A mobility tick: the nodes whose bit is set in `movers`
+                // move, the rest stand still.
+                for i in (0..n_nodes).filter(|i| movers & (1 << i) != 0) {
                     let pos = Point::new(x + i as f64 * 17.0, (i as f64) * 3.0);
                     fast.update_position(NodeId::new(i as u32), pos);
                     reference.nodes.get_mut(&NodeId::new(i as u32)).unwrap().1 = pos;
@@ -898,6 +919,53 @@ mod tests {
         // hit; 78 hits sample at least one audit, and all must pass.
         assert!(audits >= 1, "expected sampled cache audits");
         assert!(records.iter().all(|r| !matches!(r, TraceRecord::CacheAudit { ok: false, .. })));
+    }
+
+    #[test]
+    fn a_cached_link_stays_cached_until_one_of_its_own_endpoints_moves() {
+        use vanet_trace::VecSink;
+        let (ap0, ap1, car) = (NodeId::new(0), NodeId::new(1), NodeId::new(2));
+        let mut medium = Medium::new(MediumConfig::urban_testbed());
+        medium.register_node(ap0, RadioClass::AccessPoint);
+        medium.register_node(ap1, RadioClass::AccessPoint);
+        medium.register_node(car, RadioClass::Vehicle);
+        medium.update_position(ap0, Point::new(0.0, 18.0));
+        medium.update_position(ap1, Point::new(120.0, 18.0));
+        medium.update_position(car, Point::new(30.0, 0.0));
+        let mut rng = StreamRng::derive(13, "m");
+        let mut scratch = Vec::new();
+        let mut i = 0u64;
+        // One AP0 broadcast; the `cached` flag of each receiver's delivery.
+        let mut send = |medium: &mut Medium| {
+            i += 1;
+            let mut sink = VecSink::new();
+            let frame = Frame::new(ap0, Destination::Broadcast, 500, i);
+            let now = SimTime::from_millis(i * 100);
+            medium.transmit_into_traced(
+                now,
+                &frame,
+                DataRate::Mbps1,
+                &mut rng,
+                &mut scratch,
+                &mut sink,
+            );
+            let cached = |node: NodeId| {
+                sink.records().iter().find_map(|r| match *r {
+                    TraceRecord::Delivery { rx, cached, .. } if rx == node.as_u32() => Some(cached),
+                    _ => None,
+                })
+            };
+            (cached(ap1), cached(car))
+        };
+        assert_eq!(send(&mut medium), (Some(false), Some(false)), "a cold cache computes");
+        assert_eq!(send(&mut medium), (Some(true), Some(true)), "nothing moved");
+        medium.update_position(car, Point::new(45.0, 0.0));
+        assert_eq!(send(&mut medium), (Some(true), Some(false)), "only the car's link is stale");
+        assert_eq!(send(&mut medium), (Some(true), Some(true)));
+        medium.update_position(ap1, Point::new(125.0, 18.0));
+        assert_eq!(send(&mut medium), (Some(false), Some(true)), "an AP endpoint moved");
+        medium.update_position(ap0, Point::new(5.0, 18.0));
+        assert_eq!(send(&mut medium), (Some(false), Some(false)), "the transmitter moved");
     }
 
     #[test]

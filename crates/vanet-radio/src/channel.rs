@@ -4,8 +4,8 @@
 //! Two channel implementations are provided:
 //!
 //! * [`RadioChannel`] — the physical model. Combines a [`PathLossModel`],
-//!   a spatially correlated shadowing field, optional Rayleigh fast fading
-//!   and a thermal-noise floor, then maps the resulting SNR through the
+//!   a spatially correlated shadowing field, per-frame fast fading and a
+//!   thermal-noise floor, then maps the resulting SNR through the
 //!   [`crate::per`] curves. This is the model used to reproduce the paper's
 //!   urban testbed.
 //! * [`EmpiricalProfile`] — a distance-binned reception-probability table,
@@ -18,7 +18,7 @@ use sim_core::StreamRng;
 use vanet_geo::Point;
 
 use crate::datarate::DataRate;
-use crate::fading::FadingKind;
+use crate::fading::{FadingKind, ResolvedFading};
 use crate::obstacles::ObstacleMap;
 use crate::pathloss::{LogDistance, PathLossModel};
 use crate::per::packet_error_rate;
@@ -137,7 +137,7 @@ impl RadioConfig {
     /// antenna (12 dB penetration + cabling loss folded into the path loss),
     /// street-canyon path loss, σ = 4 dB shadowing and Rician fast fading.
     /// Calibrated so that the coverage window and loss rates match the
-    /// paper's Table 1 (see `EXPERIMENTS.md`).
+    /// paper's Table 1 (see "Table 1" in `docs/REPRODUCING.md`).
     pub fn urban_2_4ghz() -> Self {
         RadioConfig {
             tx_power_dbm: 14.0,
@@ -303,13 +303,16 @@ impl SpatialField {
 pub struct RadioChannel {
     config: RadioConfig,
     field: SpatialField,
+    /// `config.fading` with its constants resolved at construction.
+    fading: ResolvedFading,
 }
 
 impl RadioChannel {
     /// Creates a channel from its configuration.
     pub fn new(config: RadioConfig) -> Self {
         let field = SpatialField::new(config.shadowing_seed, config.shadowing_decorrelation_m, 24);
-        RadioChannel { config, field }
+        let fading = config.fading.resolve();
+        RadioChannel { config, field, fading }
     }
 
     /// The configuration this channel was built from.
@@ -346,7 +349,7 @@ impl RadioChannel {
         rate: DataRate,
         rng: &mut StreamRng,
     ) -> ReceptionVerdict {
-        let fading = self.config.fading.sample_db(rng);
+        let fading = self.fading.sample_db(rng);
         let snr_db = state.budget.snr_db + state.shadowing_db + fading;
         let per = packet_error_rate(snr_db, bits, rate);
         let success_probability = 1.0 - per;

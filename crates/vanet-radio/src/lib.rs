@@ -9,8 +9,8 @@
 //!
 //! * [`DataRate`] and frame airtime — 802.11b/g rates with preamble overhead.
 //! * [`pathloss`] — free-space, log-distance and two-ray ground models.
-//! * [`fading`] — log-normal shadowing (spatially coherent per link) and
-//!   Rayleigh-style fast fading.
+//! * [`fading`] — per-frame Rayleigh or Rician fast fading, resolved once
+//!   per channel.
 //! * [`per`] — SNR → bit-error-rate → packet-error-rate curves for the
 //!   DSSS/CCK and OFDM modulations used by 802.11b/g.
 //! * [`channel`] — the composite [`channel::RadioChannel`], which combines
@@ -56,7 +56,7 @@ pub use channel::{
     ReceptionVerdict,
 };
 pub use datarate::{DataRate, FrameTiming};
-pub use fading::{FadingKind, FadingModel, NoFading, RayleighFading, RicianFading, Shadowing};
+pub use fading::FadingKind;
 pub use obstacles::{Building, ObstacleMap};
 pub use pathloss::{FreeSpace, LogDistance, PathLossModel, TwoRayGround};
 pub use per::{packet_error_rate, snr_to_ber, Modulation};

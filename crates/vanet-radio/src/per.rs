@@ -89,8 +89,37 @@ pub fn snr_to_ber(snr_db: f64, modulation: Modulation) -> f64 {
     ber.clamp(0.0, 0.5)
 }
 
+/// Realised SNR (dB) from which DBPSK's PER formula returns exactly 0.0.
+///
+/// At 6 dB, Eb/N0 = 11 · 10^0.6 ≈ 43.8, so BER = ½·e^(−43.8) ≈ 4.8·10⁻²⁰,
+/// below 2⁻⁵⁴ (≈ 5.6·10⁻¹⁷), half the spacing of the doubles just under 1.
+/// `1 − BER` therefore rounds to exactly 1.0, its logarithm is 0 and the PER
+/// is 0.0 for every frame length. Higher SNRs only shrink the BER. The
+/// formula itself reaches 0.0 from about 5.24 dB, so the bound has margin.
+const DBPSK_CLEAN_SNR_DB: f64 = 6.0;
+
+/// Realised SNR (dB) at or below which DBPSK's PER formula returns exactly
+/// 1.0 for frames of at least [`DBPSK_LOST_MIN_BITS`] bits.
+///
+/// At −10 dB, Eb/N0 = 1.1 and BER = ½·e^(−1.1) ≈ 0.166, so
+/// bits · ln(1 − BER) ≤ 256 · (−0.182) ≈ −46.6 ≤ −40. The success
+/// probability e^(−40) ≈ 4.2·10⁻¹⁸ is below 2⁻⁵⁴, so `1 − success` rounds
+/// to exactly 1.0. Lower SNRs and longer frames only make the logarithm more
+/// negative. At 256 bits the formula itself reaches 1.0 from about
+/// −9.27 dB, so the bound has margin.
+const DBPSK_LOST_SNR_DB: f64 = -10.0;
+
+/// The shortest frame (bits) [`DBPSK_LOST_SNR_DB`] is proven for.
+const DBPSK_LOST_MIN_BITS: u64 = 256;
+
 /// Packet error rate for a frame of `bits` bits at `snr_db`, assuming
 /// independent bit errors.
+///
+/// Where the formula provably returns exactly 0.0 or 1.0, that value is
+/// returned without evaluating it: DBPSK at a realised SNR of at least
+/// 6 dB (0.0), or of at most −10 dB for frames of at least 256 bits (1.0).
+/// The result is bit-identical either way, and every other input takes the
+/// formula.
 ///
 /// # Examples
 ///
@@ -103,11 +132,25 @@ pub fn snr_to_ber(snr_db: f64, modulation: Modulation) -> f64 {
 /// assert!(packet_error_rate(-10.0, 8_000, DataRate::Mbps1) > 0.99);
 /// ```
 pub fn packet_error_rate(snr_db: f64, bits: u64, rate: DataRate) -> f64 {
-    let ber = snr_to_ber(snr_db, Modulation::for_rate(rate));
+    let modulation = Modulation::for_rate(rate);
+    if modulation == Modulation::Dbpsk {
+        // Comparisons are false for NaN, which takes the formula.
+        if snr_db >= DBPSK_CLEAN_SNR_DB {
+            return 0.0;
+        }
+        if snr_db <= DBPSK_LOST_SNR_DB && bits >= DBPSK_LOST_MIN_BITS {
+            return 1.0;
+        }
+    }
+    per_formula(snr_db, bits, modulation)
+}
+
+/// `1 − (1 − BER)^bits`, computed stably in log space.
+fn per_formula(snr_db: f64, bits: u64, modulation: Modulation) -> f64 {
+    let ber = snr_to_ber(snr_db, modulation);
     if ber <= 0.0 {
         return 0.0;
     }
-    // 1 - (1-ber)^bits computed stably in log space.
     let log_success = bits as f64 * (1.0 - ber).ln();
     (1.0 - log_success.exp()).clamp(0.0, 1.0)
 }
@@ -158,6 +201,46 @@ mod tests {
         assert_eq!(Modulation::for_rate(DataRate::Mbps1), Modulation::Dbpsk);
         assert_eq!(Modulation::for_rate(DataRate::Mbps11), Modulation::Cck);
         assert_eq!(Modulation::for_rate(DataRate::Mbps54), Modulation::OfdmHigh);
+    }
+
+    #[test]
+    fn saturated_per_is_bit_identical_to_the_formula() {
+        // Realised SNRs: a coarse sweep over [−400, 200] dB, a fine one
+        // around each saturation bound, the bounds ±1e-12 and their
+        // neighbouring doubles, and the non-finite values.
+        let mut snrs: Vec<f64> = (0..=30_000).map(|i| -400.0 + f64::from(i) * 0.02).collect();
+        for (lo, hi) in [(-10.5, -9.0), (5.0, 6.5)] {
+            let steps = ((hi - lo) / 1e-4) as i32;
+            snrs.extend((0..=steps).map(|i| lo + f64::from(i) * 1e-4));
+        }
+        for bound in [DBPSK_LOST_SNR_DB, DBPSK_CLEAN_SNR_DB] {
+            let neighbours = [bound.to_bits() - 1, bound.to_bits() + 1].map(f64::from_bits);
+            snrs.extend([bound, bound - 1e-12, bound + 1e-12]);
+            snrs.extend(neighbours);
+        }
+        snrs.extend([f64::NEG_INFINITY, f64::INFINITY, f64::NAN, 0.0, -0.0, f64::MIN, f64::MAX]);
+        // Frame lengths around the 256-bit minimum of the loss bound (at −10 dB
+        // the formula saturates from about 206 bits), and typical to huge
+        // frames.
+        let bits =
+            [0, 1, 2, 100, 200, 205, 255, 256, 257, 1_000, 4_000, 8_000, 12_000, 65_535, 1_000_000];
+        let mut checked = 0u64;
+        let mut mismatches = Vec::new();
+        for rate in DataRate::all() {
+            let modulation = Modulation::for_rate(rate);
+            for &b in &bits {
+                for &snr in &snrs {
+                    let got = packet_error_rate(snr, b, rate);
+                    let want = per_formula(snr, b, modulation);
+                    checked += 1;
+                    if got.to_bits() != want.to_bits() && mismatches.len() < 8 {
+                        mismatches.push((rate, b, snr, got, want));
+                    }
+                }
+            }
+        }
+        assert!(mismatches.is_empty(), "{checked} points, mismatches: {mismatches:?}");
+        assert!(checked > 7_000_000, "grid too sparse: {checked} points");
     }
 
     #[test]
