@@ -130,7 +130,7 @@ pub struct CarqNode {
     /// Own-flow packets received directly from the AP.
     direct: ReceptionMap,
     /// Own-flow packets recovered via cooperation.
-    recovered: BTreeSet<SeqNo>,
+    recovered: ReceptionMap,
     /// Packets held for the original packet payloads we might have to resend.
     coop_buffer: CoopBuffer,
     cooperators: CooperatorTable,
@@ -166,7 +166,7 @@ impl CarqNode {
             phase: Phase::Idle,
             started: false,
             direct: ReceptionMap::new(),
-            recovered: BTreeSet::new(),
+            recovered: ReceptionMap::new(),
             last_ap_packet_at: None,
             ap_timeout_armed: false,
             planner: None,
@@ -229,14 +229,14 @@ impl CarqNode {
 
     /// Own-flow packets recovered via cooperation.
     pub fn recovered_seqs(&self) -> impl Iterator<Item = SeqNo> + '_ {
-        self.recovered.iter().copied()
+        self.recovered.iter()
     }
 
     /// The reception state after cooperation: direct receptions plus
     /// cooperative recoveries.
     pub fn after_coop_map(&self) -> ReceptionMap {
         let mut map = self.direct.clone();
-        map.extend(self.recovered.iter().copied());
+        map.union_with(&self.recovered);
         map
     }
 
@@ -400,7 +400,7 @@ impl CarqNode {
         let packet = coop.packet;
         if packet.destination == self.id {
             self.stats.coop_data_received += 1;
-            if self.direct.contains(packet.seq) || !self.recovered.insert(packet.seq) {
+            if self.direct.contains(packet.seq) || !self.recovered.mark_received(packet.seq) {
                 self.stats.duplicates_ignored += 1;
             } else {
                 self.stats.recovered_via_coop += 1;
@@ -448,7 +448,9 @@ impl CarqNode {
                     self.stats.coded_decode_failures += 1;
                     continue;
                 }
-                if self.direct.contains(component.seq) || !self.recovered.insert(component.seq) {
+                if self.direct.contains(component.seq)
+                    || !self.recovered.mark_received(component.seq)
+                {
                     self.stats.duplicates_ignored += 1;
                 } else {
                     self.stats.recovered_via_coop += 1;
@@ -480,7 +482,7 @@ impl CarqNode {
     /// buffered for the peer it is addressed to.
     fn can_decode(&self, other: &DataPacket) -> bool {
         if other.destination == self.id {
-            self.direct.contains(other.seq) || self.recovered.contains(&other.seq)
+            self.direct.contains(other.seq) || self.recovered.contains(other.seq)
         } else {
             self.coop_buffer.holds(other.destination, other.seq)
         }
@@ -580,7 +582,7 @@ impl CarqNode {
     fn enter_cooperative_phase(&mut self) -> Vec<Action> {
         self.coop_epoch += 1;
         let mut missing = self.direct.missing();
-        missing.retain(|s| !self.recovered.contains(s));
+        missing.retain(|s| !self.recovered.contains(*s));
         if missing.is_empty() {
             self.phase = Phase::Idle;
             return Vec::new();

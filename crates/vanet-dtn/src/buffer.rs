@@ -8,7 +8,7 @@
 //! * every car keeps a [`CoopBuffer`] with the packets it has overheard that
 //!   are addressed to the cars that listed it as a cooperator.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 use vanet_mac::NodeId;
@@ -30,23 +30,38 @@ use crate::packet::{DataPacket, SeqNo};
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ReceptionMap {
-    received: BTreeSet<SeqNo>,
+    /// Strictly ascending: each received sequence number once, lowest
+    /// first. Packets mostly arrive in order, so marking one is usually a
+    /// push, and a whole map is one allocation.
+    received: Vec<SeqNo>,
 }
 
 impl ReceptionMap {
     /// Creates an empty map.
-    pub fn new() -> Self {
-        ReceptionMap::default()
+    pub const fn new() -> Self {
+        ReceptionMap { received: Vec::new() }
     }
 
     /// Marks `seq` as received. Returns `true` if it was not already present.
     pub fn mark_received(&mut self, seq: SeqNo) -> bool {
-        self.received.insert(seq)
+        match self.received.last() {
+            Some(last) if *last >= seq => match self.received.binary_search(&seq) {
+                Ok(_) => false,
+                Err(at) => {
+                    self.received.insert(at, seq);
+                    true
+                }
+            },
+            _ => {
+                self.received.push(seq);
+                true
+            }
+        }
     }
 
     /// Whether `seq` has been received.
     pub fn contains(&self, seq: SeqNo) -> bool {
-        self.received.contains(&seq)
+        self.received.binary_search(&seq).is_ok()
     }
 
     /// Number of distinct sequence numbers received.
@@ -61,34 +76,28 @@ impl ReceptionMap {
 
     /// The lowest sequence number received, if any.
     pub fn first(&self) -> Option<SeqNo> {
-        self.received.iter().next().copied()
+        self.received.first().copied()
     }
 
     /// The highest sequence number received, if any.
     pub fn last(&self) -> Option<SeqNo> {
-        self.received.iter().next_back().copied()
+        self.received.last().copied()
     }
 
     /// The sequence numbers missing between the first and the last received —
     /// the recovery target of the Cooperative-ARQ phase ("recover all packets
     /// from the first to the last received from the AP").
     pub fn missing(&self) -> Vec<SeqNo> {
-        match (self.first(), self.last()) {
-            (Some(first), Some(last)) => {
-                first.range_to_inclusive(last).filter(|s| !self.received.contains(s)).collect()
-            }
-            _ => Vec::new(),
+        let mut missing = Vec::with_capacity(self.missing_count());
+        for pair in self.received.windows(2) {
+            missing.extend((pair[0].value() + 1..pair[1].value()).map(SeqNo::new));
         }
+        missing
     }
 
     /// Number of missing sequence numbers between first and last received.
     pub fn missing_count(&self) -> usize {
-        match (self.first(), self.last()) {
-            (Some(first), Some(last)) => {
-                (last.value() - first.value() + 1) as usize - self.received.len()
-            }
-            _ => 0,
-        }
+        self.span_len() - self.received.len()
     }
 
     /// The span (first..=last) length, i.e. how many packets the AP sent to
@@ -106,21 +115,61 @@ impl ReceptionMap {
         self.received.iter().copied()
     }
 
+    /// Adds every sequence number `other` holds: one pass over the two
+    /// ascending runs, or an append when `other` starts past this map's end.
+    pub fn union_with(&mut self, other: &ReceptionMap) {
+        let (ours, theirs) = (&self.received, &other.received);
+        match (ours.last(), theirs.first()) {
+            (Some(last), Some(first)) if last >= first => {
+                let mut merged = Vec::with_capacity(ours.len() + theirs.len());
+                let (mut a, mut b) = (ours.as_slice(), theirs.as_slice());
+                while let (Some(&x), Some(&y)) = (a.first(), b.first()) {
+                    merged.push(x.min(y));
+                    if x <= y {
+                        a = &a[1..];
+                    }
+                    if y <= x {
+                        b = &b[1..];
+                    }
+                }
+                merged.extend_from_slice(a);
+                merged.extend_from_slice(b);
+                self.received = merged;
+            }
+            _ => self.received.extend_from_slice(theirs),
+        }
+    }
+
     /// Removes everything (e.g. when a new AP session starts).
     pub fn clear(&mut self) {
         self.received.clear();
+    }
+
+    /// Re-establishes the ascending, duplicate-free order after raw pushes
+    /// past the first `kept` entries, which are already in order. Sorts
+    /// only when the pushes broke it.
+    fn restore_order(&mut self, kept: usize) {
+        let pushed = &self.received[kept.saturating_sub(1)..];
+        if !pushed.windows(2).all(|pair| pair[0] < pair[1]) {
+            self.received.sort_unstable();
+            self.received.dedup();
+        }
     }
 }
 
 impl FromIterator<SeqNo> for ReceptionMap {
     fn from_iter<I: IntoIterator<Item = SeqNo>>(iter: I) -> Self {
-        ReceptionMap { received: iter.into_iter().collect() }
+        let mut map = ReceptionMap { received: iter.into_iter().collect() };
+        map.restore_order(0);
+        map
     }
 }
 
 impl Extend<SeqNo> for ReceptionMap {
     fn extend<I: IntoIterator<Item = SeqNo>>(&mut self, iter: I) {
+        let kept = self.received.len();
         self.received.extend(iter);
+        self.restore_order(kept);
     }
 }
 
@@ -235,6 +284,7 @@ mod tests {
     use super::*;
     use proptest::prelude::{prop_assert, prop_assert_eq, proptest};
     use sim_core::SimTime;
+    use std::collections::BTreeSet;
 
     fn pkt(dst: u32, seq: u32) -> DataPacket {
         DataPacket::new(NodeId::new(dst), SeqNo::new(seq), 1_000, SimTime::ZERO)
@@ -272,6 +322,108 @@ mod tests {
         extended.extend([SeqNo::new(7)]);
         assert_eq!(extended.missing(), vec![SeqNo::new(5), SeqNo::new(6)]);
         assert_eq!(map.iter().count(), 5);
+    }
+
+    /// Checks every observable of `map` against the `BTreeSet` reference.
+    fn assert_matches_reference(map: &ReceptionMap, reference: &BTreeSet<SeqNo>, step: usize) {
+        let seqs: Vec<SeqNo> = reference.iter().copied().collect();
+        assert_eq!(map.iter().collect::<Vec<_>>(), seqs, "iter after step {step}");
+        assert_eq!(map.first(), reference.first().copied(), "first after step {step}");
+        assert_eq!(map.last(), reference.last().copied(), "last after step {step}");
+        assert_eq!(map.received_count(), reference.len(), "count after step {step}");
+        assert_eq!(map.is_empty(), reference.is_empty(), "is_empty after step {step}");
+        let (span, missing): (usize, Vec<SeqNo>) = match (seqs.first(), seqs.last()) {
+            (Some(first), Some(last)) => (
+                (last.value() - first.value() + 1) as usize,
+                first.range_to_inclusive(*last).filter(|s| !reference.contains(s)).collect(),
+            ),
+            _ => (0, Vec::new()),
+        };
+        assert_eq!(map.span_len(), span, "span_len after step {step}");
+        assert_eq!(map.missing_count(), missing.len(), "missing_count after step {step}");
+        assert_eq!(map.missing(), missing, "missing after step {step}");
+        let top = seqs.last().map_or(0, |s| s.value() + 2);
+        for s in 0..=top {
+            let seq = SeqNo::new(s);
+            assert_eq!(
+                map.contains(seq),
+                reference.contains(&seq),
+                "contains({s}) after step {step}"
+            );
+        }
+        // Equal to the same set built in either order, and to no other.
+        assert_eq!(*map, seqs.iter().copied().collect::<ReceptionMap>(), "step {step}");
+        assert_eq!(*map, seqs.iter().rev().copied().collect::<ReceptionMap>(), "step {step}");
+        let mut grown = map.clone();
+        grown.mark_received(SeqNo::new(top + 1));
+        assert_ne!(*map, grown, "step {step}");
+    }
+
+    proptest! {
+        /// Model-based: random in-order appends, out-of-order inserts,
+        /// duplicates, `extend`, unsorted `from_iter`, `union_with` and
+        /// `clear`, applied to a `ReceptionMap` and to a `BTreeSet<SeqNo>`
+        /// reference, agree on every observable after every operation.
+        #[test]
+        fn prop_reception_map_matches_a_btreeset(
+            ops in proptest::collection::vec((0u32..10, 0u32..400, 0u32..400), 1..120),
+        ) {
+            let mut map = ReceptionMap::new();
+            let mut reference = BTreeSet::new();
+            for (step, &(op, a, b)) in ops.iter().enumerate() {
+                let next = map.last().map_or(a % 8, |s| s.value() + 1 + a % 3);
+                match op {
+                    0..=2 => {
+                        let seq = SeqNo::new(next);
+                        prop_assert_eq!(map.mark_received(seq), reference.insert(seq));
+                    }
+                    3 => {
+                        let seq = SeqNo::new(a % 300);
+                        prop_assert_eq!(map.mark_received(seq), reference.insert(seq));
+                    }
+                    4 => {
+                        if let Some(held) = reference.iter().nth(b as usize % reference.len().max(1)) {
+                            prop_assert!(!map.mark_received(*held), "duplicate accepted");
+                        }
+                    }
+                    5 => {
+                        // An ascending run, past the end or from anywhere.
+                        let start = if a % 2 == 0 { next } else { a % 300 };
+                        let run: Vec<SeqNo> = (start..start + b % 20).map(SeqNo::new).collect();
+                        map.extend(run.iter().copied());
+                        reference.extend(run);
+                    }
+                    6 => {
+                        let unsorted = [a % 300, b % 300, a % 300, (a + b) % 300, next];
+                        map.extend(unsorted.map(SeqNo::new));
+                        reference.extend(unsorted.map(SeqNo::new));
+                    }
+                    7 => {
+                        let unsorted = [b % 300, a % 300, b % 300, (a * 7) % 300];
+                        map = unsorted.into_iter().map(SeqNo::new).collect();
+                        reference = unsorted.into_iter().map(SeqNo::new).collect();
+                    }
+                    8 => {
+                        // Every other number from this map's last, or from anywhere.
+                        let start = if a % 2 == 0 { map.last().map_or(0, SeqNo::value) } else { b % 300 };
+                        let other: ReceptionMap =
+                            (0..b % 30).map(|i| SeqNo::new(start + 2 * i)).collect();
+                        map.union_with(&other);
+                        reference.extend(other.iter());
+                    }
+                    _ => {
+                        if a % 4 == 0 {
+                            map.clear();
+                            reference.clear();
+                        } else {
+                            prop_assert!(map.mark_received(SeqNo::new(next)));
+                            reference.insert(SeqNo::new(next));
+                        }
+                    }
+                }
+                assert_matches_reference(&map, &reference, step);
+            }
+        }
     }
 
     #[test]

@@ -55,7 +55,7 @@ impl JointReceptionOracle {
     /// Merges a whole reception map for an observer (overwrites nothing,
     /// only adds).
     pub fn observe_map(&mut self, observer: NodeId, map: &ReceptionMap) {
-        self.per_observer.entry(observer).or_default().extend(map.iter());
+        self.per_observer.entry(observer).or_default().union_with(map);
     }
 
     /// Whether at least one observer received `seq`.
@@ -70,7 +70,11 @@ impl JointReceptionOracle {
 
     /// The union reception map across all observers.
     pub fn union(&self) -> ReceptionMap {
-        self.per_observer.values().flat_map(ReceptionMap::iter).collect()
+        let mut union = ReceptionMap::new();
+        for map in self.per_observer.values() {
+            union.union_with(map);
+        }
+        union
     }
 
     /// The set of observers that have reported at least one reception.

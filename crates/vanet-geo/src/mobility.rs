@@ -221,21 +221,13 @@ impl PathMobility {
     /// distance after `k` full steps does not depend on the query time and
     /// the memoized prefix in `self.progress` continues where the previous
     /// query stopped — bit-identical to integrating from scratch.
+    /// `countdown` gives the step count and the trailing `dt` in closed form.
     pub fn distance_at(&self, t: SimTime) -> f64 {
         let elapsed = t.saturating_since(self.start_time).as_secs_f64();
         if self.corner_speed_factor >= 0.999 || self.corner_influence_m <= 0.0 {
             return self.start_offset_m + self.nominal_speed * elapsed;
         }
-        let step = 0.1;
-        // Replicate the reference countdown without evaluating the speed
-        // profile: full steps subtract exactly `step`, reproducing the
-        // trailing fractional `dt` bit for bit.
-        let mut remaining = elapsed;
-        let mut full_steps: u64 = 0;
-        while remaining > step {
-            remaining -= step;
-            full_steps += 1;
-        }
+        let (full_steps, remaining) = countdown(elapsed);
         let (stored_steps, stored_dist) = self.progress.get();
         // A query before the memoized point (e.g. a `speed_at` probe)
         // replays from the start and keeps the longer stored prefix.
@@ -245,7 +237,7 @@ impl PathMobility {
             (0, self.start_offset_m)
         };
         for _ in done..full_steps {
-            dist += self.effective_speed_at_distance(dist) * step;
+            dist += self.effective_speed_at_distance(dist) * STEP_S;
         }
         if full_steps >= stored_steps {
             self.progress.set((full_steps, dist));
@@ -268,6 +260,54 @@ impl PathMobility {
             self.nominal_speed
         }
     }
+}
+
+/// The integration step of [`PathMobility::distance_at`], in seconds.
+const STEP_S: f64 = 0.1;
+
+/// The `(n, r)` the reference countdown `r = elapsed; n = 0; while r > 0.1
+/// { r -= 0.1; n += 1 }` ends with, bit for bit, in O(log elapsed) instead
+/// of O(elapsed / 0.1 s).
+///
+/// Inside a binade [2^e, 2^(e+1)) every double is a multiple of the ulp
+/// 2^(e−52), and 0.1 is C·2⁻⁵⁶ with C = `0x19_9999_9999_999A`. A subtraction
+/// whose exact result stays in the binade is rounded to a multiple of that
+/// ulp, so it removes exactly round(C / 2^(e+4)) ulps whatever the
+/// significand, and a run of such steps is one multiply-subtract on the
+/// integer significand. C is twice an odd number, so C / 2^(e+4) is an odd
+/// half only for e = −2: in [0.25, 0.5) the rounding is a tie that depends
+/// on the significand's parity. That binade, everything below it, and each
+/// step that leaves a binade take the plain floating-point step.
+///
+/// `elapsed` comes from a [`SimTime`], so it is below 2^35 s, where a step
+/// still removes more than 2^14 ulps.
+fn countdown(elapsed: f64) -> (u64, f64) {
+    const C: u64 = 0x0019_9999_9999_999A;
+    const HIDDEN: u64 = 1 << 52;
+    let mut r = elapsed;
+    let mut n: u64 = 0;
+    while r > STEP_S {
+        let bits = r.to_bits();
+        // r > 0.1, so r is a positive normal double.
+        let e = ((bits >> 52) & 0x7ff) as i32 - 1023;
+        if e >= -1 {
+            let shift = (e + 4) as u32;
+            // C / 2^shift is never an integer here: a step stays in the
+            // binade while the ulps above 2^e exceed its integer part.
+            let floor = C >> shift;
+            let per_step = (C + (1 << (shift - 1))) >> shift;
+            let above = bits & (HIDDEN - 1);
+            if above > floor {
+                let steps = (above - floor - 1) / per_step + 1;
+                n += steps;
+                r = f64::from_bits((bits & !(HIDDEN - 1)) | (above - steps * per_step));
+            }
+        }
+        // The step out of this binade (or any step below 0.5).
+        r -= STEP_S;
+        n += 1;
+    }
+    (n, r)
 }
 
 /// Distance between two arc-length positions, respecting wrap-around on loops.
@@ -494,6 +534,53 @@ mod tests {
                 .with_corner_slowdown(0.45, 15.0);
             assert_eq!(warm.distance_at(t), fresh.distance_at(t), "at {t:?}");
             assert_eq!(warm.position_at(t), fresh.position_at(t), "at {t:?}");
+        }
+    }
+
+    /// The countdown `countdown` replaces, kept as its reference.
+    fn loop_countdown(elapsed: f64) -> (u64, f64) {
+        let mut remaining = elapsed;
+        let mut full_steps: u64 = 0;
+        while remaining > STEP_S {
+            remaining -= STEP_S;
+            full_steps += 1;
+        }
+        (full_steps, remaining)
+    }
+
+    fn assert_countdown_exact(elapsed: f64) {
+        let (n, r) = countdown(elapsed);
+        let (want_n, want_r) = loop_countdown(elapsed);
+        assert!(
+            n == want_n && r.to_bits() == want_r.to_bits(),
+            "countdown({elapsed:e} = {:#x}) = ({n}, {r:e}), the loop gives ({want_n}, {want_r:e})",
+            elapsed.to_bits()
+        );
+    }
+
+    #[test]
+    fn countdown_matches_the_loop_bit_for_bit() {
+        // The 100 ms grid of mobility ticks, out to 2,000 s.
+        for k in 0..=20_000u64 {
+            assert_countdown_exact(SimTime::from_nanos(k * 100_000_000).as_secs_f64());
+        }
+        // An odd-nanosecond grid, out to 2,100 s.
+        for k in 0..=6_000u64 {
+            assert_countdown_exact(SimTime::from_nanos(k * 350_000_001).as_secs_f64());
+        }
+        // Random doubles in [0, 3,000) s.
+        let mut rng = StreamRng::derive(0x0C0D, "countdown");
+        for _ in 0..4_000 {
+            assert_countdown_exact(rng.uniform(0.0, 3_000.0));
+        }
+        // ±3 ulps around every power of two from 2^-6 to 2^12: the binade
+        // edges, the tie binade [0.25, 0.5) and the first binade the closed
+        // form takes.
+        for e in -6..=12 {
+            let bits = 2f64.powi(e).to_bits();
+            for ulps in 0..=6 {
+                assert_countdown_exact(f64::from_bits(bits + ulps - 3));
+            }
         }
     }
 

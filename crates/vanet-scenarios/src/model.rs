@@ -382,8 +382,9 @@ impl<S: TraceSink> VanetModel<S> {
         );
         self.delivery_scratch = deliveries;
         // Idealised loss feedback for the AP-side retransmission baseline: the
-        // AP learns about a loss if the destination was close enough to have
-        // NACKed it (median SNR above the carrier-sense floor).
+        // AP learns about a lost delivery to the destination when the SNR
+        // realised for that delivery was above -5 dB (a fixed threshold, not
+        // the medium's -3 dB carrier-sense floor).
         if matches!(
             self.aps[ap_index].app.config().policy,
             ApSchedulingPolicy::RetransmitUnacked { .. }

@@ -134,9 +134,16 @@ impl<'a> Reader<'a> {
 
     fn seqs(&mut self) -> Result<Vec<SeqNo>, CodecError> {
         let len = self.len(4)?;
-        (0..len).map(|_| Ok(SeqNo::new(self.u32()?))).collect()
+        let mut seqs = Vec::with_capacity(len);
+        for _ in 0..len {
+            seqs.push(SeqNo::new(self.u32()?));
+        }
+        Ok(seqs)
     }
 
+    /// Reads a reception map. An encoder writes it ascending, and then the
+    /// decoded list becomes the map as it is; any other order is accepted
+    /// and sorted, duplicates dropped.
     fn map(&mut self) -> Result<ReceptionMap, CodecError> {
         Ok(self.seqs()?.into_iter().collect())
     }
@@ -244,6 +251,35 @@ mod tests {
         assert_eq!(report, decoded);
         // Encoding is a pure function: same report, same bytes.
         assert_eq!(bytes, decoded.to_bytes());
+    }
+
+    #[test]
+    fn non_canonical_maps_decode_to_the_set_they_list() {
+        let list = |seqs: &[u32]| {
+            let mut out = Vec::new();
+            put_seqs(&mut out, seqs.iter().copied().map(SeqNo::new));
+            out
+        };
+        // The sample with the destination's map {3, 5, 7}, whose encoding
+        // is then rewritten as [7, 3, 3, 5]: out of order, with a duplicate.
+        let mut canonical = sample();
+        canonical.result.flows[0]
+            .received_by
+            .insert(NodeId::new(1), [3u32, 5, 7].into_iter().map(SeqNo::new).collect());
+        let bytes = canonical.to_bytes();
+        let sorted = list(&[3, 5, 7]);
+        let at: Vec<usize> =
+            (0..bytes.len()).filter(|i| bytes[*i..].starts_with(&sorted)).collect();
+        assert_eq!(at.len(), 1, "the map's encoding occurs once");
+        let mut listed = bytes[..at[0]].to_vec();
+        listed.extend(list(&[7, 3, 3, 5]));
+        listed.extend_from_slice(&bytes[at[0] + sorted.len()..]);
+
+        let decoded = RoundReport::from_bytes(&listed).unwrap();
+        let direct: Vec<u32> = decoded.result.flows[0].direct().iter().map(SeqNo::value).collect();
+        assert_eq!(direct, vec![3, 5, 7]);
+        assert_eq!(decoded, canonical);
+        assert_eq!(decoded.to_bytes(), bytes, "re-encodes canonically");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
-use vanet_dtn::{JointReceptionOracle, ReceptionMap, SeqNo};
+use vanet_dtn::{ReceptionMap, SeqNo};
 use vanet_mac::NodeId;
 
 /// Everything the evaluation needs to know about one flow (the packets
@@ -26,8 +26,9 @@ pub struct FlowObservation {
 impl FlowObservation {
     /// The destination's own direct receptions (empty map if it received
     /// nothing).
-    pub fn direct(&self) -> ReceptionMap {
-        self.received_by.get(&self.destination).cloned().unwrap_or_default()
+    pub fn direct(&self) -> &ReceptionMap {
+        static NOTHING: ReceptionMap = ReceptionMap::new();
+        self.received_by.get(&self.destination).unwrap_or(&NOTHING)
     }
 
     /// The packet window the paper evaluates: from the first to the last
@@ -62,11 +63,11 @@ impl FlowObservation {
 
     /// The joint ("virtual car") reception across all observers.
     pub fn joint(&self) -> ReceptionMap {
-        let mut oracle = JointReceptionOracle::new();
-        for (observer, map) in &self.received_by {
-            oracle.observe_map(*observer, map);
+        let mut joint = ReceptionMap::new();
+        for map in self.received_by.values() {
+            joint.union_with(map);
         }
-        oracle.union()
+        joint
     }
 
     /// How many of the packets that were recoverable (some observer had them)

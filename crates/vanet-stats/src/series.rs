@@ -9,10 +9,13 @@
 //! the flow that *any* car received in that round, which is how the testbed's
 //! post-processing lines up rounds of slightly different length.
 
+use std::borrow::Cow;
+
 use serde::{Deserialize, Serialize};
+use vanet_dtn::ReceptionMap;
 use vanet_mac::NodeId;
 
-use crate::observation::RoundResult;
+use crate::observation::{FlowObservation, RoundResult};
 
 /// One point of a reception-probability series.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -38,30 +41,35 @@ enum Window {
     Destination,
 }
 
-/// Internal helper: accumulates hit counts per aligned packet index.
-fn accumulate(
-    rounds: &[RoundResult],
+/// Internal helper: accumulates hit counts per aligned packet index. A
+/// packet of the window is a hit when the map `held` picks for its flow
+/// holds it; a flow for which `held` picks nothing contributes no samples.
+fn accumulate<'r>(
+    rounds: &'r [RoundResult],
     flow_dst: NodeId,
     window: Window,
-    mut hit: impl FnMut(&crate::observation::FlowObservation, u32) -> Option<bool>,
+    held: impl Fn(&'r FlowObservation) -> Option<Cow<'r, ReceptionMap>>,
 ) -> Vec<SeriesPoint> {
     let mut hits: Vec<(u32, u32)> = Vec::new(); // (hit count, sample count) per index
     for round in rounds {
         let Some(flow) = round.flow_for(flow_dst) else { continue };
+        let joint;
         let map = match window {
-            Window::Joint => flow.joint(),
+            Window::Joint => {
+                joint = flow.joint();
+                &joint
+            }
             Window::Destination => flow.direct(),
         };
-        let Some(origin) = map.first() else { continue };
-        let Some(last) = map.last() else { continue };
+        let (Some(origin), Some(last)) = (map.first(), map.last()) else { continue };
+        let Some(held) = held(flow) else { continue };
         for seq in origin.range_to_inclusive(last) {
             let index = (seq.value() - origin.value()) as usize;
-            let Some(was_hit) = hit(flow, seq.value()) else { continue };
             if hits.len() <= index {
                 hits.resize(index + 1, (0, 0));
             }
             hits[index].1 += 1;
-            if was_hit {
+            if held.contains(seq) {
                 hits[index].0 += 1;
             }
         }
@@ -85,9 +93,8 @@ pub fn reception_series(
     flow_dst: NodeId,
     observer: NodeId,
 ) -> Vec<SeriesPoint> {
-    accumulate(rounds, flow_dst, Window::Joint, |flow, seq| {
-        let map = flow.received_by.get(&observer)?;
-        Some(map.contains(vanet_dtn::SeqNo::new(seq)))
+    accumulate(rounds, flow_dst, Window::Joint, |flow| {
+        flow.received_by.get(&observer).map(Cow::Borrowed)
     })
 }
 
@@ -96,9 +103,7 @@ pub fn reception_series(
 /// destination's own reception window — the packets the protocol tries to
 /// repair ("from the first to the last received from the AP", §3.3).
 pub fn recovery_series(rounds: &[RoundResult], flow_dst: NodeId) -> Vec<SeriesPoint> {
-    accumulate(rounds, flow_dst, Window::Destination, |flow, seq| {
-        Some(flow.after_coop.contains(vanet_dtn::SeqNo::new(seq)))
-    })
+    accumulate(rounds, flow_dst, Window::Destination, |flow| Some(Cow::Borrowed(&flow.after_coop)))
 }
 
 /// Figures 6–8 ("Joint Rx" curve): probability that at least one car received
@@ -107,17 +112,14 @@ pub fn recovery_series(rounds: &[RoundResult], flow_dst: NodeId) -> Vec<SeriesPo
 /// [`recovery_series`] — near-coincidence of the two curves is the paper's
 /// optimality claim).
 pub fn joint_series(rounds: &[RoundResult], flow_dst: NodeId) -> Vec<SeriesPoint> {
-    accumulate(rounds, flow_dst, Window::Destination, |flow, seq| {
-        Some(flow.joint().contains(vanet_dtn::SeqNo::new(seq)))
-    })
+    accumulate(rounds, flow_dst, Window::Destination, |flow| Some(Cow::Owned(flow.joint())))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observation::FlowObservation;
     use std::collections::BTreeMap;
-    use vanet_dtn::{ReceptionMap, SeqNo};
+    use vanet_dtn::SeqNo;
 
     /// Two observers: car 1 (destination) receives the first half, car 2 the
     /// second half; cooperation recovers everything car 2 had.
