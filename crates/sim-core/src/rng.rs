@@ -30,10 +30,15 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// FNV-1a's output is pinned forever, which everything durable keys on:
 /// RNG stream labels here, schema fingerprints in `vanet-scenarios`, and
 /// journal checksums in `vanet-cache`. One shared implementation keeps
-/// those from drifting apart.
+/// those from drifting apart: [`fnv1a64_chain`] folds one buffer into a
+/// state, and [`fnv1a64_chain4`] is the same hash over four buffers at
+/// once, for callers that check many records.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     fnv1a64_chain(0xcbf2_9ce4_8422_2325, bytes)
 }
+
+/// FNV-1a's 64-bit prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
 /// Folds more bytes into an FNV-1a state — lets one hash span several
 /// buffers without concatenating them.
@@ -41,9 +46,58 @@ pub fn fnv1a64_chain(state: u64, bytes: &[u8]) -> u64 {
     let mut hash = state;
     for b in bytes {
         hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+        hash = hash.wrapping_mul(FNV_PRIME);
     }
     hash
+}
+
+/// One FNV-1a step of a lane: xor in a byte, multiply by the prime.
+#[inline(always)]
+fn fnv1a64_step(hash: u64, byte: u8) -> u64 {
+    (hash ^ u64::from(byte)).wrapping_mul(FNV_PRIME)
+}
+
+/// Folds four buffers into four FNV-1a states, faster than one at a time:
+/// lane `i` returns exactly `fnv1a64_chain(states[i], inputs[i])`.
+///
+/// Each FNV-1a step depends on the one before, so one chain runs at the
+/// multiplier's latency, one byte per multiply. Four independent chains
+/// advanced in lockstep keep four multiplies in flight: about four times
+/// the serial rate, where eight lanes measured no faster than four. The
+/// lanes share the loop over their common length; the longer lanes then
+/// finish two at a time, the longest two together, and the last bytes of
+/// each serially.
+pub fn fnv1a64_chain4(states: [u64; 4], inputs: [&[u8]; 4]) -> [u64; 4] {
+    let common = inputs.iter().map(|bytes| bytes.len()).min().unwrap_or(0);
+    let [a, b, c, d] = inputs.map(|bytes| &bytes[..common]);
+    let [mut h0, mut h1, mut h2, mut h3] = states;
+    for (((&x0, &x1), &x2), &x3) in a.iter().zip(b).zip(c).zip(d) {
+        h0 = fnv1a64_step(h0, x0);
+        h1 = fnv1a64_step(h1, x1);
+        h2 = fnv1a64_step(h2, x2);
+        h3 = fnv1a64_step(h3, x3);
+    }
+    let mut hashes = [h0, h1, h2, h3];
+    let tails = inputs.map(|bytes| &bytes[common..]);
+    let mut order = [0, 1, 2, 3];
+    order.sort_unstable_by_key(|&lane| std::cmp::Reverse(tails[lane].len()));
+    for pair in order.chunks_exact(2) {
+        let (i, j) = (pair[0], pair[1]);
+        [hashes[i], hashes[j]] = fnv1a64_chain2([hashes[i], hashes[j]], [tails[i], tails[j]]);
+    }
+    hashes
+}
+
+/// [`fnv1a64_chain4`]'s two-lane finish: lockstep over the common length,
+/// then each tail serially.
+fn fnv1a64_chain2(states: [u64; 2], inputs: [&[u8]; 2]) -> [u64; 2] {
+    let common = inputs[0].len().min(inputs[1].len());
+    let [mut h0, mut h1] = states;
+    for (&x0, &x1) in inputs[0][..common].iter().zip(&inputs[1][..common]) {
+        h0 = fnv1a64_step(h0, x0);
+        h1 = fnv1a64_step(h1, x1);
+    }
+    [fnv1a64_chain(h0, &inputs[0][common..]), fnv1a64_chain(h1, &inputs[1][common..])]
 }
 
 /// FNV-1a hash of a label, used to turn stream names into seed material.
@@ -303,7 +357,79 @@ mod tests {
         assert_eq!(r0a.label(), "rounds#0");
     }
 
+    /// The reference [`fnv1a64_chain4`] must equal: four serial chains.
+    fn serial_lanes(states: [u64; 4], inputs: [&[u8]; 4]) -> [u64; 4] {
+        std::array::from_fn(|lane| fnv1a64_chain(states[lane], inputs[lane]))
+    }
+
+    /// `len` bytes and a start state drawn from `seed`.
+    fn lane(seed: u64, len: usize) -> (u64, Vec<u8>) {
+        let mut state = seed;
+        let start = splitmix64(&mut state);
+        (start, (0..len).map(|_| splitmix64(&mut state) as u8).collect())
+    }
+
+    #[test]
+    fn lanes_reproduce_the_pinned_journal_vectors() {
+        // The values `vanet-cache` pins because journals on disk hold them.
+        let basis = 0xcbf2_9ce4_8422_2325;
+        let (empty, a) = (0xcbf2_9ce4_8422_2325, 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64_chain4([basis; 4], [b"", b"a", b"", b"a"]), [empty, a, empty, a]);
+        assert_eq!(fnv1a64_chain4([basis; 4], [b"a"; 4]), [a; 4]);
+        assert_eq!(fnv1a64_chain4([basis; 4], [b""; 4]), [empty; 4]);
+    }
+
+    #[test]
+    fn lanes_equal_the_chain_for_empty_long_and_equal_lanes() {
+        let lanes: Vec<(u64, Vec<u8>)> = [0, 600, 1, 599, 300, 300, 300, 300]
+            .iter()
+            .enumerate()
+            .map(|(i, &len)| lane(i as u64, len))
+            .collect();
+        let check = |picks: [usize; 4]| {
+            let states = picks.map(|i| lanes[i].0);
+            let inputs = picks.map(|i| &lanes[i].1[..]);
+            assert_eq!(fnv1a64_chain4(states, inputs), serial_lanes(states, inputs), "{picks:?}");
+        };
+        check([0, 0, 0, 0]); // all empty
+        check([4, 5, 6, 7]); // equal lengths
+        for long in 0..4 {
+            // One long lane among empty ones, then among short ones.
+            let mut picks = [0; 4];
+            picks[long] = 1;
+            check(picks);
+            picks = [2; 4];
+            picks[long] = 1;
+            check(picks);
+        }
+        check([1, 3, 0, 2]); // two long lanes, one short, one empty
+    }
+
     proptest! {
+        #[test]
+        fn prop_lanes_equal_the_chain(
+            lens in (0usize..601, 0usize..601, 0usize..601, 0usize..601),
+            shape in 0u8..4,
+            seed in 0u64..u64::MAX,
+        ) {
+            let (l0, l1, l2, l3) = lens;
+            let lens = match shape {
+                0 => [l0, l1, l2, l3],          // independent lengths
+                1 => [0; 4],                    // all empty
+                2 => {
+                    // one long lane, the others short
+                    let mut lens = [l1 % 8, l2 % 8, l3 % 8, l0 % 8];
+                    lens[l0 % 4] = 600;
+                    lens
+                }
+                _ => [l0; 4],                   // equal lengths
+            };
+            let lanes: [(u64, Vec<u8>); 4] = std::array::from_fn(|i| lane(seed ^ i as u64, lens[i]));
+            let states = lanes.each_ref().map(|(state, _)| *state);
+            let inputs = lanes.each_ref().map(|(_, bytes)| &bytes[..]);
+            prop_assert!(fnv1a64_chain4(states, inputs) == serial_lanes(states, inputs), "lens {lens:?}");
+        }
+
         #[test]
         fn prop_uniform_within_bounds(low in -1e6f64..1e6, width in 1e-3f64..1e6, seed in 0u64..1000) {
             let mut rng = StreamRng::derive(seed, "uniform");

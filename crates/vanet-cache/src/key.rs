@@ -5,7 +5,7 @@ use std::fmt;
 // The journal's record checksum: FNV-1a, the workspace's one specified hash
 // (shared via `sim-core` so durable-format implementations cannot drift).
 // It guards against torn writes and bit rot, not adversaries.
-pub(crate) use sim_core::{fnv1a64, fnv1a64_chain};
+pub(crate) use sim_core::{fnv1a64, fnv1a64_chain4};
 
 /// The content address of one round's report:
 /// `(scenario, schema fingerprint, canonical configuration, round, round seed)`.

@@ -30,9 +30,9 @@
 //!   digests in a second codec over the same journal.
 //! * [`merge_into`] — unions any set of shard journals of one codec
 //!   (produced by `vanet-fleet` workers, possibly on other machines) into
-//!   one store: records re-validated on ingest, duplicates skipped,
-//!   conflicts last-write-wins, torn shard tails dropped — summarised in a
-//!   [`MergeReport`].
+//!   one store: records re-validated on ingest and appended as read,
+//!   duplicates skipped, conflicts last-write-wins, torn shard tails
+//!   dropped — summarised in a [`MergeReport`].
 //! * [`clear`] — removes a directory's round journal, reporting the bytes
 //!   freed.
 //!

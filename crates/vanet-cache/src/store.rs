@@ -64,7 +64,7 @@ use std::sync::{Mutex, MutexGuard};
 
 use vanet_stats::RoundReport;
 
-use crate::key::{fnv1a64, fnv1a64_chain, CacheKey};
+use crate::key::{fnv1a64, fnv1a64_chain4, CacheKey};
 
 /// One journal format: what a [`Journal`] needs to know about the values
 /// it stores. Implementors are marker types such as [`RoundCodec`].
@@ -356,33 +356,72 @@ impl<C: RecordCodec> fmt::Debug for Journal<C> {
     }
 }
 
-/// Encodes one journal record: header, checksum, key, payload.
-fn encode_record<C: RecordCodec>(key: &str, value: &C::Value) -> Vec<u8> {
-    let key_bytes = key.as_bytes();
-    let payload = C::encode(value);
-    let checksum = fnv1a64_chain(fnv1a64(key_bytes), &payload);
-    let mut record = Vec::with_capacity(RECORD_HEADER_LEN + key_bytes.len() + payload.len());
-    record.extend_from_slice(&(key_bytes.len() as u32).to_le_bytes());
-    record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    record.extend_from_slice(&checksum.to_le_bytes());
-    record.extend_from_slice(key_bytes);
-    record.extend_from_slice(&payload);
-    record
+/// Records framed ahead and checksummed together by one
+/// [`fnv1a64_chain4`] call: a replay's and a compaction's batch.
+const LANES: usize = 4;
+
+/// Where a record's parts lie in a journal image, and the checksum its
+/// header holds.
+#[derive(Debug, Clone, Copy, Default)]
+struct Frame {
+    start: usize,
+    key_end: usize,
+    end: usize,
+    checksum: u64,
 }
 
-/// The key and payload of the record starting at `pos`, and where it ends;
-/// `None` if it is incomplete or fails its checksum (the journal is torn
-/// at `pos`).
-fn parse_record(buf: &[u8], pos: usize) -> Option<(&[u8], &[u8], usize)> {
+/// Frames the record starting at `pos` from its header's lengths alone;
+/// `None` if the header or the bytes it promises run past the end of
+/// `buf` (the journal is torn at `pos`). The checksum is not verified.
+fn frame(buf: &[u8], pos: usize) -> Option<Frame> {
     let header = buf.get(pos..pos.checked_add(RECORD_HEADER_LEN)?)?;
     let key_len = u32::from_le_bytes(header[0..4].try_into().ok()?) as usize;
     let payload_len = u32::from_le_bytes(header[4..8].try_into().ok()?) as usize;
     let checksum = u64::from_le_bytes(header[8..16].try_into().ok()?);
     let key_end = (pos + RECORD_HEADER_LEN).checked_add(key_len)?;
     let end = key_end.checked_add(payload_len)?;
-    let key = buf.get(pos + RECORD_HEADER_LEN..key_end)?;
-    let payload = buf.get(key_end..end)?;
-    (fnv1a64_chain(fnv1a64(key), payload) == checksum).then_some((key, payload, end))
+    (end <= buf.len()).then_some(Frame { start: pos, key_end, end, checksum })
+}
+
+/// The checksums of up to [`LANES`] framed records of `buf`, computed in
+/// one [`fnv1a64_chain4`] call: FNV-1a over each record's key, then its
+/// payload (the bytes after its header).
+fn checksums(buf: &[u8], frames: &[Frame]) -> [u64; LANES] {
+    let bodies = std::array::from_fn(|lane| {
+        frames.get(lane).map_or(&[][..], |f| &buf[f.start + RECORD_HEADER_LEN..f.end])
+    });
+    fnv1a64_chain4([fnv1a64(&[]); LANES], bodies)
+}
+
+/// Appends one record for `key` and the encoded `payload` to `out`, with
+/// its checksum field left zero for [`seal`]. Returns its frame.
+fn push_record(out: &mut Vec<u8>, key: &str, payload: &[u8]) -> Frame {
+    let start = out.len();
+    out.reserve(RECORD_HEADER_LEN + key.len() + payload.len());
+    out.extend_from_slice(&(key.len() as u32).to_le_bytes());
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&[0; 8]);
+    out.extend_from_slice(key.as_bytes());
+    out.extend_from_slice(payload);
+    Frame { start, key_end: start + RECORD_HEADER_LEN + key.len(), end: out.len(), checksum: 0 }
+}
+
+/// Writes the checksums of up to [`LANES`] pushed records into their
+/// headers.
+fn seal(buf: &mut [u8], frames: &[Frame]) {
+    for (frame, checksum) in frames.iter().zip(checksums(buf, frames)) {
+        buf[frame.start + 8..frame.start + RECORD_HEADER_LEN]
+            .copy_from_slice(&checksum.to_le_bytes());
+    }
+}
+
+/// Encodes one journal record: header, checksum, key, payload. Alone in
+/// its batch, the record is hashed serially.
+fn encode_record<C: RecordCodec>(key: &str, value: &C::Value) -> Vec<u8> {
+    let mut record = Vec::new();
+    let frame = push_record(&mut record, key, &C::encode(value));
+    seal(&mut record, &[frame]);
+    record
 }
 
 /// Refuses a journal image whose head is neither the codec's magic nor a
@@ -399,26 +438,50 @@ pub(crate) fn check_header<C: RecordCodec>(path: &Path, buf: &[u8]) -> Result<()
 }
 
 /// Replays the records of a journal image whose header [`check_header`]
-/// accepted, handing each decoded `(key, value, record_len)` to `record`.
-/// Returns the length of the prefix that parsed cleanly — anything beyond
-/// it is a torn or corrupt tail. An image shorter than the magic has no
-/// clean prefix at all.
+/// accepted, handing each verified record's key, decoded value and bytes
+/// (header included, exactly as read) to `record`, in journal order.
+/// Returns the length of the prefix that replayed cleanly: it ends at the
+/// first record that is incomplete, fails its checksum, has a non-UTF-8
+/// key or does not decode, and nothing from that record on is delivered.
+/// An image shorter than the magic has no clean prefix at all.
+///
+/// Records are framed [`LANES`] ahead from their headers and their
+/// checksums verified in one [`fnv1a64_chain4`] call, so every byte is
+/// hashed once, four records at a time.
 pub(crate) fn replay<C: RecordCodec>(
     buf: &[u8],
-    mut record: impl FnMut(&str, C::Value, u64),
+    mut record: impl FnMut(&str, C::Value, &[u8]),
 ) -> usize {
     if buf.len() < C::MAGIC.len() {
         return 0;
     }
     let mut pos = C::MAGIC.len();
-    while let Some((key, payload, end)) = parse_record(buf, pos) {
-        let (Ok(key), Some(value)) = (std::str::from_utf8(key), C::decode(payload)) else {
-            break;
-        };
-        record(key, value, (end - pos) as u64);
-        pos = end;
+    loop {
+        let mut frames = [Frame::default(); LANES];
+        let mut framed = 0;
+        let mut next = pos;
+        while framed < LANES {
+            let Some(frame) = frame(buf, next) else { break };
+            next = frame.end;
+            frames[framed] = frame;
+            framed += 1;
+        }
+        let frames = &frames[..framed];
+        for (frame, checksum) in frames.iter().zip(checksums(buf, frames)) {
+            if checksum != frame.checksum {
+                return frame.start;
+            }
+            let key = std::str::from_utf8(&buf[frame.start + RECORD_HEADER_LEN..frame.key_end]);
+            let (Ok(key), Some(value)) = (key, C::decode(&buf[frame.key_end..frame.end])) else {
+                return frame.start;
+            };
+            record(key, value, &buf[frame.start..frame.end]);
+        }
+        if framed < LANES {
+            return next;
+        }
+        pos = next;
     }
-    pos
 }
 
 /// Checks a journal image's header and replays it into an index. Returns
@@ -428,8 +491,8 @@ pub(crate) fn replay<C: RecordCodec>(
 fn load<C: RecordCodec>(path: &Path, buf: &[u8]) -> Result<(Index<C::Value>, usize), CacheError> {
     check_header::<C>(path, buf)?;
     let mut index = BTreeMap::new();
-    let valid_len = replay::<C>(buf, |key, value, record_len| {
-        index.insert(key.to_string(), IndexEntry { value, record_len });
+    let valid_len = replay::<C>(buf, |key, value, record| {
+        index.insert(key.to_string(), IndexEntry { value, record_len: record.len() as u64 });
     });
     Ok((index, valid_len))
 }
@@ -562,31 +625,40 @@ impl<C: RecordCodec> Journal<C> {
         if inner.index.contains_key(key.as_str()) {
             return Ok(false);
         }
-        self.append_record(&mut inner, key.as_str(), value.clone())?;
+        let record = encode_record::<C>(key.as_str(), value);
+        self.append_record(&mut inner, key.as_str(), value.clone(), record)?;
         Ok(true)
     }
 
-    /// Appends `value` under the raw canonical `key` with
-    /// **last-write-wins** semantics — the merge layer's ingest path. An
-    /// identical existing entry writes nothing; a *differing* one is
-    /// superseded (new record appended, index entry replaced; the old
+    /// Appends a record another journal of this codec holds under the raw
+    /// canonical `key` with **last-write-wins** semantics — the merge
+    /// layer's ingest path. `value` is the record's decoded value and
+    /// `record` its verified bytes, which are appended as read. An
+    /// identical existing value writes nothing; a *differing* one is
+    /// superseded (the record appended, the index entry replaced; the old
     /// record becomes dead bytes a [`compact`] reclaims).
     ///
     /// [`compact`]: Journal::compact
-    pub(crate) fn ingest(&self, key: &str, value: C::Value) -> Result<IngestOutcome, CacheError> {
+    pub(crate) fn ingest(
+        &self,
+        key: &str,
+        value: C::Value,
+        record: &[u8],
+    ) -> Result<IngestOutcome, CacheError> {
         let mut inner = self.inner();
         let outcome = match inner.index.get(key) {
             Some(existing) if existing.value == value => return Ok(IngestOutcome::Duplicate),
             Some(_) => IngestOutcome::Superseded,
             None => IngestOutcome::Inserted,
         };
-        self.append_record(&mut inner, key, value)?;
+        self.append_record(&mut inner, key, value, record.to_vec())?;
         Ok(outcome)
     }
 
-    /// The shared append path of [`put`] and [`ingest`]: encodes, writes in
-    /// one `write_all` (rolling back to the last good record on error), and
-    /// updates the index.
+    /// The shared append path of [`put`] and [`ingest`]: writes `record`
+    /// (the journal record of `key` and `value`) in one `write_all`,
+    /// rolling back to the last good record on error, and updates the
+    /// index.
     ///
     /// [`put`]: Journal::put
     /// [`ingest`]: Journal::ingest
@@ -595,8 +667,8 @@ impl<C: RecordCodec> Journal<C> {
         inner: &mut Inner<C::Value>,
         key: &str,
         value: C::Value,
+        mut record: Vec<u8>,
     ) -> Result<(), CacheError> {
-        let mut record = encode_record::<C>(key, &value);
         let good = inner.file_bytes;
         let Some(file) = inner.file.as_mut() else {
             return Err(CacheError::new(&self.path, "opened read-only; cannot append"));
@@ -648,8 +720,18 @@ impl<C: RecordCodec> Journal<C> {
             C::MAGIC.len() + inner.index.values().map(|e| e.record_len as usize).sum::<usize>(),
         );
         bytes.extend_from_slice(C::MAGIC);
-        for (key, entry) in &inner.index {
-            bytes.extend_from_slice(&encode_record::<C>(key, &entry.value));
+        let mut entries = inner.index.iter();
+        loop {
+            let mut frames = [Frame::default(); LANES];
+            let mut batched = 0;
+            for (frame, (key, entry)) in frames.iter_mut().zip(&mut entries) {
+                *frame = push_record(&mut bytes, key, &C::encode(&entry.value));
+                batched += 1;
+            }
+            if batched == 0 {
+                break;
+            }
+            seal(&mut bytes, &frames[..batched]);
         }
         // Write the replacement through a handle we keep: after the atomic
         // rename that same handle *is* the journal (the fd follows the
@@ -889,9 +971,13 @@ mod tests {
     fn ingest_distinguishes_insert_duplicate_and_supersede() {
         let dir = temp_dir("ingest");
         let cache = SweepCache::open(&dir).unwrap();
-        assert_eq!(cache.ingest(key(0).as_str(), report(0)).unwrap(), IngestOutcome::Inserted);
-        assert_eq!(cache.ingest(key(0).as_str(), report(0)).unwrap(), IngestOutcome::Duplicate);
-        assert_eq!(cache.ingest(key(0).as_str(), report(9)).unwrap(), IngestOutcome::Superseded);
+        let ingest = |i: u32| {
+            let record = encode_record::<RoundCodec>(key(0).as_str(), &report(i));
+            cache.ingest(key(0).as_str(), report(i), &record).unwrap()
+        };
+        assert_eq!(ingest(0), IngestOutcome::Inserted);
+        assert_eq!(ingest(0), IngestOutcome::Duplicate);
+        assert_eq!(ingest(9), IngestOutcome::Superseded);
         assert_eq!(cache.get(&key(0)), Some(report(9)), "last write wins");
         assert!(cache.stats().reclaimable_bytes() > 0, "the superseded record is dead bytes");
         drop(cache);
@@ -904,13 +990,13 @@ mod tests {
     #[test]
     fn records_that_overrun_the_buffer_are_torn() {
         let record = encode_record::<RoundCodec>(key(0).as_str(), &report(0));
-        assert_eq!(parse_record(&record, 0).map(|(_, _, end)| end), Some(record.len()));
+        assert_eq!(frame(&record, 0).map(|f| f.end), Some(record.len()));
         for cut in 0..record.len() {
-            assert!(parse_record(&record[..cut], 0).is_none(), "cut at {cut}");
+            assert!(frame(&record[..cut], 0).is_none(), "cut at {cut}");
         }
         // Length fields far beyond the buffer read as a tear, not a panic.
         let mut huge = record.clone();
         huge[..8].copy_from_slice(&[0xFF; 8]);
-        assert!(parse_record(&huge, 0).is_none());
+        assert!(frame(&huge, 0).is_none());
     }
 }

@@ -132,13 +132,15 @@ impl<'a> Reader<'a> {
         Ok(len)
     }
 
+    /// Reads a sequence-number list in bulk: [`Reader::len`] has checked
+    /// that its `len * 4` bytes remain, so they are taken at once.
     fn seqs(&mut self) -> Result<Vec<SeqNo>, CodecError> {
         let len = self.len(4)?;
-        let mut seqs = Vec::with_capacity(len);
-        for _ in 0..len {
-            seqs.push(SeqNo::new(self.u32()?));
-        }
-        Ok(seqs)
+        let bytes = self.take(len * 4)?;
+        Ok(bytes
+            .chunks_exact(4)
+            .map(|b| SeqNo::new(u32::from_le_bytes(b.try_into().expect("4 bytes"))))
+            .collect())
     }
 
     /// Reads a reception map. An encoder writes it ascending, and then the

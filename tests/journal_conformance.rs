@@ -149,19 +149,88 @@ fn torn_tail_is_dropped_and_truncated<C: Sample>() {
     remove(&[&dir]);
 }
 
-fn bit_rot_cuts_the_journal_there<C: Sample>() {
-    let dir = filled::<C>("bitrot", 0..3);
-    let path = dir.join(C::FILE);
-    // Flip one byte in the middle record.
-    let mut bytes = std::fs::read(&path).unwrap();
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0xFF;
-    std::fs::write(&path, &bytes).unwrap();
+/// Ways a whole record goes bad in place.
+#[derive(Debug, Clone, Copy)]
+enum Rot {
+    /// One payload byte flipped: the checksum no longer matches.
+    PayloadByte,
+    /// One byte of the stored checksum flipped.
+    ChecksumByte,
+    /// One byte appended to the payload, with the lengths and the checksum
+    /// rewritten to match: the record verifies, but no codec decodes it.
+    Undecodable,
+}
 
-    let recovered = Journal::<C>::open(&dir).unwrap();
-    assert_eq!(recovered.len(), 1, "everything from the corrupt record on is dropped");
-    assert_eq!(recovered.get(&key(0)), Some(C::sample(0)));
-    assert!(recovered.stats().recovered_bytes > 0);
+/// The journal image `pristine` with record `k` spoiled by `rot`; records
+/// start at `boundaries[..]`, and the last boundary is the image's end.
+fn rot_record(pristine: &[u8], boundaries: &[u64], k: usize, rot: Rot) -> Vec<u8> {
+    let (start, end) = (boundaries[k] as usize, boundaries[k + 1] as usize);
+    let key_len = u32::from_le_bytes(pristine[start..start + 4].try_into().unwrap()) as usize;
+    let payload_start = start + 16 + key_len;
+    let mut bytes = pristine.to_vec();
+    match rot {
+        Rot::PayloadByte => bytes[(payload_start + end) / 2] ^= 0xFF,
+        Rot::ChecksumByte => bytes[start + 8] ^= 0xFF,
+        Rot::Undecodable => {
+            let body = [&pristine[start + 16..end], &[0]].concat();
+            let payload_len = (end - payload_start + 1) as u32;
+            let mut record = pristine[start..start + 4].to_vec();
+            record.extend_from_slice(&payload_len.to_le_bytes());
+            record.extend_from_slice(&fnv1a64(&body).to_le_bytes());
+            record.extend_from_slice(&body);
+            bytes.splice(start..end, record);
+        }
+    }
+    bytes
+}
+
+/// A replay checks records in batches, so the stop rule is pinned across
+/// batch boundaries: nine records are two full batches of four and one
+/// more. Whichever record k rots, and however, an open keeps exactly the k
+/// records before it and reports every byte from k on as recovered, and a
+/// merge of the same file ingests those k and drops the same bytes.
+fn bit_rot_cuts_the_journal_there<C: Sample>() {
+    let dir = temp_dir("bitrot");
+    let path = dir.join(C::FILE);
+    let journal = Journal::<C>::open(&dir).unwrap();
+    let mut boundaries = vec![file_len(&path)];
+    for i in 0..9 {
+        journal.put(&key(i), &C::sample(i)).unwrap();
+        boundaries.push(file_len(&path));
+    }
+    drop(journal);
+    let pristine = std::fs::read(&path).unwrap();
+
+    for k in 0..9 {
+        for rot in [Rot::PayloadByte, Rot::ChecksumByte, Rot::Undecodable] {
+            let case = format!("record {k}, {rot:?}");
+            let rotten = rot_record(&pristine, &boundaries, k, rot);
+            let torn = rotten.len() as u64 - boundaries[k];
+            // A fresh file each time: see the kill-at-every-offset test.
+            std::fs::remove_file(&path).unwrap();
+            std::fs::write(&path, &rotten).unwrap();
+
+            // Merge first: a merge reads its source without repairing it.
+            let dest_dir = temp_dir("bitrot-dest");
+            let dest = Journal::<C>::open(&dest_dir).unwrap();
+            let merged = merge_into(&dest, &[&path]).unwrap();
+            assert_eq!((merged.records_ingested, merged.torn_bytes_dropped), (k, torn), "{case}");
+            assert_eq!(dest.len(), k, "{case}");
+            drop(dest);
+            remove(&[&dest_dir]);
+
+            let recovered = Journal::<C>::open(&dir).unwrap();
+            assert_eq!(
+                recovered.len(),
+                k,
+                "{case}: everything from the rotten record on is dropped"
+            );
+            for i in 0..k as u32 {
+                assert_eq!(recovered.get(&key(i)), Some(C::sample(i)), "{case}");
+            }
+            assert_eq!(recovered.stats().recovered_bytes, torn, "{case}");
+        }
+    }
     remove(&[&dir]);
 }
 
