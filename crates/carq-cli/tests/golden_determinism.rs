@@ -9,6 +9,10 @@
 //! thread count. A legitimate
 //! semantics-changing PR re-records the snapshots and says so in its
 //! description.
+//!
+//! `strategy_compare_r1.csv` was recorded later, at commit `67181a4`: the
+//! preset the warm-journal benchmark serves, one aggregated row per recovery
+//! strategy.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -96,6 +100,32 @@ fn sweep_exports_match_the_goldens_at_any_thread_count() {
         "json",
     ]);
     assert_matches_golden(&json, "urban_platoon_r1.json", "sweep run JSON export");
+}
+
+#[test]
+fn strategy_compare_export_matches_the_golden() {
+    // The preset the warm-journal benchmark serves: all four recovery
+    // strategies, so this export also pins each strategy's aggregated row
+    // (Table 1's loss columns and the recovery efficiency).
+    for threads in ["1", "8"] {
+        let csv = run_stdout(&[
+            "sweep",
+            "run",
+            "--preset",
+            "strategy-compare",
+            "--rounds",
+            "1",
+            "--threads",
+            threads,
+            "--seed",
+            "0xbeef",
+        ]);
+        assert_matches_golden(
+            &csv,
+            "strategy_compare_r1.csv",
+            &format!("strategy-compare at {threads} thread(s)"),
+        );
+    }
 }
 
 #[test]

@@ -115,6 +115,14 @@ impl ReceptionMap {
         self.received.iter().copied()
     }
 
+    /// The received sequence numbers in `first..=last`, ascending: a
+    /// sub-slice found by two binary searches. Empty when nothing received
+    /// falls in the range, or when `first > last`.
+    pub fn within(&self, first: SeqNo, last: SeqNo) -> &[SeqNo] {
+        let tail = &self.received[self.received.partition_point(|s| *s < first)..];
+        &tail[..tail.partition_point(|s| *s <= last)]
+    }
+
     /// Adds every sequence number `other` holds: one pass over the two
     /// ascending runs, or an append when `other` starts past this map's end.
     pub fn union_with(&mut self, other: &ReceptionMap) {
@@ -314,6 +322,24 @@ mod tests {
     }
 
     #[test]
+    fn within_is_the_inclusive_sub_slice() {
+        let map: ReceptionMap = [2u32, 3, 6, 9].into_iter().map(SeqNo::new).collect();
+        let within = |first: u32, last: u32| -> Vec<u32> {
+            map.within(SeqNo::new(first), SeqNo::new(last)).iter().map(|s| s.value()).collect()
+        };
+        assert_eq!(within(2, 9), vec![2, 3, 6, 9], "both bounds are inclusive");
+        assert_eq!(within(0, u32::MAX), vec![2, 3, 6, 9]);
+        assert_eq!(within(3, 6), vec![3, 6]);
+        assert_eq!(within(4, 8), vec![6]);
+        assert_eq!(within(6, 6), vec![6], "first == last on a held number");
+        assert_eq!(within(7, 7), Vec::<u32>::new(), "first == last on a gap");
+        assert_eq!(within(0, 1), Vec::<u32>::new(), "a window before the map");
+        assert_eq!(within(10, u32::MAX), Vec::<u32>::new(), "a window past the map");
+        assert_eq!(within(9, 2), Vec::<u32>::new(), "an inverted window");
+        assert!(ReceptionMap::new().within(SeqNo::new(0), SeqNo::new(5)).is_empty());
+    }
+
+    #[test]
     fn reception_map_collects_from_iterator() {
         let map: ReceptionMap = (0..5u32).map(SeqNo::new).collect();
         assert_eq!(map.received_count(), 5);
@@ -349,6 +375,18 @@ mod tests {
                 map.contains(seq),
                 reference.contains(&seq),
                 "contains({s}) after step {step}"
+            );
+        }
+        for (lo, hi) in [(0, top), (top / 3, top / 2), (top / 2, top / 2), (top, 0)] {
+            let expected: Vec<SeqNo> = if lo <= hi {
+                reference.range(SeqNo::new(lo)..=SeqNo::new(hi)).copied().collect()
+            } else {
+                Vec::new()
+            };
+            assert_eq!(
+                map.within(SeqNo::new(lo), SeqNo::new(hi)),
+                expected.as_slice(),
+                "within({lo}, {hi}) after step {step}"
             );
         }
         // Equal to the same set built in either order, and to no other.

@@ -16,10 +16,10 @@ use vanet_geo::PathMobility;
 use vanet_mac::NodeId;
 use vanet_radio::DataRate;
 use vanet_scenarios::{
-    LossSamples, ModelConfig, Param, ParamError, ParamSchema, ParamSpec, Scenario, ScenarioRun,
+    urban_summary, ModelConfig, Param, ParamError, ParamSchema, ParamSpec, Scenario, ScenarioRun,
     SweepPoint, VanetModel,
 };
-use vanet_stats::{mean, PointSummary, RoundReport};
+use vanet_stats::{PointSummary, RoundReport};
 use vanet_trace::{NoTrace, TraceRecord, TraceSink, VecSink};
 
 use carq::CarqConfig;
@@ -310,21 +310,7 @@ impl ScenarioRun for GeneratedRun {
     }
 
     fn aggregate(&self, rounds: &[RoundReport]) -> PointSummary {
-        let mut losses = LossSamples::default();
-        let mut efficiency = Vec::new();
-        for report in rounds {
-            losses.absorb(&report.result);
-            for car in report.result.cars() {
-                if let Some(flow) = report.result.flow_for(car) {
-                    efficiency.push(flow.recovery_efficiency());
-                }
-            }
-        }
-        let mut metrics = losses.metrics();
-        metrics.push(("recovery_efficiency_mean", mean(&efficiency)));
-        metrics.push(("requests_sent", vanet_stats::counter_total(rounds, "requests_sent")));
-        metrics.push(("coop_data_sent", vanet_stats::counter_total(rounds, "coop_data_sent")));
-        PointSummary { metrics }
+        urban_summary(rounds)
     }
 }
 

@@ -63,6 +63,8 @@ pub use model::{ModelConfig, NodeStatsSnapshot, VanetModel};
 pub use multi_ap::{MultiApConfig, MultiApOutcome, MultiApRun, MultiApScenario};
 pub use params::{Param, ParamValue, SweepPoint};
 pub use registry::ScenarioRegistry;
-pub use scenario::{round_seed, run_point, run_rounds, LossSamples, Scenario, ScenarioRun};
+pub use scenario::{
+    round_seed, run_point, run_rounds, urban_summary, LossSamples, Scenario, ScenarioRun,
+};
 pub use schema::{ParamError, ParamKind, ParamSchema, ParamSpec};
 pub use urban::{UrbanConfig, UrbanRun, UrbanScenario};

@@ -20,7 +20,7 @@
 
 use rand::RngCore as _;
 use sim_core::StreamRng;
-use vanet_stats::{PointSummary, RoundReport};
+use vanet_stats::{FlowCounts, PointSummary, RoundReport};
 use vanet_trace::TraceRecord;
 
 use crate::params::SweepPoint;
@@ -170,14 +170,20 @@ impl LossSamples {
     pub fn absorb(&mut self, round: &vanet_stats::RoundResult) {
         for car in round.cars() {
             let Some(flow) = round.flow_for(car) else { continue };
-            let tx = flow.tx_by_ap_in_window();
-            if tx == 0 {
-                continue;
-            }
-            self.window.push(tx as f64);
-            self.before_pct.push(flow.lost_before_coop() as f64 / tx as f64 * 100.0);
-            self.after_pct.push(flow.lost_after_coop() as f64 / tx as f64 * 100.0);
+            self.push(&flow.counts());
         }
+    }
+
+    /// Folds one flow's counts into the pooled samples (skipped when its
+    /// window is empty).
+    fn push(&mut self, counts: &FlowCounts) {
+        let tx = counts.tx_in_window;
+        if tx == 0 {
+            return;
+        }
+        self.window.push(tx as f64);
+        self.before_pct.push(counts.lost_before_coop as f64 / tx as f64 * 100.0);
+        self.after_pct.push(counts.lost_after_coop as f64 / tx as f64 * 100.0);
     }
 
     /// The pooled metrics: mean window size, mean loss before/after
@@ -193,6 +199,28 @@ impl LossSamples {
             ("loss_after_pct_max", after.max),
         ]
     }
+}
+
+/// The metric row of the urban-style scenarios (the built-in `urban` and
+/// `vanet-gen`'s generated worlds): the [`LossSamples`] metrics, the mean
+/// recovery efficiency over every flow, and the `requests_sent` and
+/// `coop_data_sent` totals. Each flow is counted once.
+pub fn urban_summary(rounds: &[RoundReport]) -> PointSummary {
+    let mut losses = LossSamples::default();
+    let mut efficiency = Vec::new();
+    for report in rounds {
+        for car in report.result.cars() {
+            let Some(flow) = report.result.flow_for(car) else { continue };
+            let counts = flow.counts();
+            losses.push(&counts);
+            efficiency.push(counts.recovery_efficiency());
+        }
+    }
+    let mut metrics = losses.metrics();
+    metrics.push(("recovery_efficiency_mean", vanet_stats::mean(&efficiency)));
+    metrics.push(("requests_sent", vanet_stats::counter_total(rounds, "requests_sent")));
+    metrics.push(("coop_data_sent", vanet_stats::counter_total(rounds, "coop_data_sent")));
+    PointSummary { metrics }
 }
 
 #[cfg(test)]

@@ -21,12 +21,12 @@ use vanet_geo::{
 };
 use vanet_mac::{MediumConfig, NodeId};
 use vanet_radio::{Building, DataRate, ObstacleMap};
-use vanet_stats::{mean, PointSummary, RoundReport};
+use vanet_stats::{PointSummary, RoundReport};
 use vanet_trace::{NoTrace, TraceRecord, TraceSink, VecSink};
 
 use crate::model::{ModelConfig, VanetModel};
 use crate::params::{Param, ParamValue, SweepPoint};
-use crate::scenario::{LossSamples, Scenario, ScenarioRun};
+use crate::scenario::{urban_summary, Scenario, ScenarioRun};
 use crate::schema::{ParamError, ParamSchema, ParamSpec};
 
 use carq::CarqConfig;
@@ -450,21 +450,7 @@ impl ScenarioRun for UrbanRun {
     }
 
     fn aggregate(&self, rounds: &[RoundReport]) -> PointSummary {
-        let mut losses = LossSamples::default();
-        let mut efficiency = Vec::new();
-        for report in rounds {
-            losses.absorb(&report.result);
-            for car in report.result.cars() {
-                if let Some(flow) = report.result.flow_for(car) {
-                    efficiency.push(flow.recovery_efficiency());
-                }
-            }
-        }
-        let mut metrics = losses.metrics();
-        metrics.push(("recovery_efficiency_mean", mean(&efficiency)));
-        metrics.push(("requests_sent", vanet_stats::counter_total(rounds, "requests_sent")));
-        metrics.push(("coop_data_sent", vanet_stats::counter_total(rounds, "coop_data_sent")));
-        PointSummary { metrics }
+        urban_summary(rounds)
     }
 }
 

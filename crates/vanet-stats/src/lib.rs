@@ -69,7 +69,7 @@ pub mod table;
 pub use codec::CodecError;
 pub use distribution::{Bucket, Distribution};
 pub use export::{render_series_csv, render_table1, series_to_rows, CellValue, RecordTable};
-pub use observation::{FlowObservation, RoundResult};
+pub use observation::{FlowCounts, FlowObservation, RoundResult};
 pub use report::{counter_total, into_round_results, PointSummary, RoundReport};
 pub use series::{joint_series, reception_series, recovery_series, SeriesPoint};
 pub use summary::{mean, percentile, std_dev, Percentiles, Summary};

@@ -12,7 +12,7 @@
 use std::borrow::Cow;
 
 use serde::{Deserialize, Serialize};
-use vanet_dtn::ReceptionMap;
+use vanet_dtn::{ReceptionMap, SeqNo};
 use vanet_mac::NodeId;
 
 use crate::observation::{FlowObservation, RoundResult};
@@ -41,9 +41,19 @@ enum Window {
     Destination,
 }
 
+/// The first and last packet any observer received: the bounds of the
+/// joint map, without building it.
+fn joint_window(flow: &FlowObservation) -> Option<(SeqNo, SeqNo)> {
+    let first = flow.received_by.values().filter_map(ReceptionMap::first).min()?;
+    let last = flow.received_by.values().filter_map(ReceptionMap::last).max()?;
+    Some((first, last))
+}
+
 /// Internal helper: accumulates hit counts per aligned packet index. A
 /// packet of the window is a hit when the map `held` picks for its flow
 /// holds it; a flow for which `held` picks nothing contributes no samples.
+/// Every index of the window gains a sample; the held packets within it,
+/// one walk over an ascending slice, gain a hit each.
 fn accumulate<'r>(
     rounds: &'r [RoundResult],
     flow_dst: NodeId,
@@ -53,25 +63,21 @@ fn accumulate<'r>(
     let mut hits: Vec<(u32, u32)> = Vec::new(); // (hit count, sample count) per index
     for round in rounds {
         let Some(flow) = round.flow_for(flow_dst) else { continue };
-        let joint;
-        let map = match window {
-            Window::Joint => {
-                joint = flow.joint();
-                &joint
-            }
-            Window::Destination => flow.direct(),
+        let bounds = match window {
+            Window::Joint => joint_window(flow),
+            Window::Destination => flow.window(),
         };
-        let (Some(origin), Some(last)) = (map.first(), map.last()) else { continue };
+        let Some((origin, last)) = bounds else { continue };
         let Some(held) = held(flow) else { continue };
-        for seq in origin.range_to_inclusive(last) {
-            let index = (seq.value() - origin.value()) as usize;
-            if hits.len() <= index {
-                hits.resize(index + 1, (0, 0));
-            }
-            hits[index].1 += 1;
-            if held.contains(seq) {
-                hits[index].0 += 1;
-            }
+        let span = (last.value() - origin.value()) as usize + 1;
+        if hits.len() < span {
+            hits.resize(span, (0, 0));
+        }
+        for (_, samples) in &mut hits[..span] {
+            *samples += 1;
+        }
+        for seq in held.within(origin, last) {
+            hits[(seq.value() - origin.value()) as usize].0 += 1;
         }
     }
     hits.into_iter()
@@ -119,7 +125,6 @@ pub fn joint_series(rounds: &[RoundResult], flow_dst: NodeId) -> Vec<SeriesPoint
 mod tests {
     use super::*;
     use std::collections::BTreeMap;
-    use vanet_dtn::SeqNo;
 
     /// Two observers: car 1 (destination) receives the first half, car 2 the
     /// second half; cooperation recovers everything car 2 had.

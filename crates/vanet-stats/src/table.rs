@@ -52,15 +52,16 @@ pub fn table1(rounds: &[RoundResult]) -> Vec<Table1Row> {
             let mut pct_after = Vec::new();
             for round in rounds {
                 let Some(flow) = round.flow_for(car) else { continue };
-                let window_tx = flow.tx_by_ap_in_window();
+                let counts = flow.counts();
+                let window_tx = counts.tx_in_window;
                 if window_tx == 0 {
                     continue;
                 }
                 tx.push(window_tx as f64);
-                before.push(flow.lost_before_coop() as f64);
-                after.push(flow.lost_after_coop() as f64);
-                pct_before.push(flow.lost_before_coop() as f64 / window_tx as f64 * 100.0);
-                pct_after.push(flow.lost_after_coop() as f64 / window_tx as f64 * 100.0);
+                before.push(counts.lost_before_coop as f64);
+                after.push(counts.lost_after_coop as f64);
+                pct_before.push(counts.lost_before_coop as f64 / window_tx as f64 * 100.0);
+                pct_after.push(counts.lost_after_coop as f64 / window_tx as f64 * 100.0);
             }
             Table1Row {
                 car,
