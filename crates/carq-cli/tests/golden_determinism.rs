@@ -12,7 +12,9 @@
 //!
 //! `strategy_compare_r1.csv` was recorded later, at commit `67181a4`: the
 //! preset the warm-journal benchmark serves, one aggregated row per recovery
-//! strategy.
+//! strategy. `multi_ap_r8.csv` and `highway_flow_campaign_r1.csv` were
+//! recorded at commit `195769c`, the last state before the shadowing field's
+//! waves went to the vector cosine kernel.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -172,6 +174,49 @@ fn grid_city_campaign_export_matches_the_golden() {
         "0x20081cdc",
     ]);
     assert_matches_golden(&csv, "grid_city_campaign_r1.csv", "campaign run grid-city");
+}
+
+#[test]
+fn multi_ap_scenario_export_matches_the_golden() {
+    // The one golden multi-AP world: cars download through several APs with
+    // and without cooperation, so its shadowing field is sampled along a
+    // longer route than the urban testbed's.
+    let csv = run_stdout(&[
+        "scenario",
+        "run",
+        "multi-ap",
+        "--rounds",
+        "8",
+        "--cooperation",
+        "true,false",
+        "--threads",
+        "1",
+        "--seed",
+        "0xbeef",
+    ]);
+    assert_matches_golden(&csv, "multi_ap_r8.csv", "scenario run multi-ap");
+}
+
+#[test]
+fn highway_flow_campaign_export_matches_the_golden() {
+    // A 10 km road gives the largest shadowing-field arguments of any
+    // shipped world (about 10^4 rad), so this export pins the vector
+    // cosine kernel far from the origin.
+    let csv = run_stdout(&[
+        "campaign",
+        "run",
+        "--generator",
+        "highway-flow",
+        "--road_length_m",
+        "600,10000",
+        "--rounds",
+        "1",
+        "--workers",
+        "1",
+        "--seed",
+        "0x20081cdc",
+    ]);
+    assert_matches_golden(&csv, "highway_flow_campaign_r1.csv", "campaign run highway-flow");
 }
 
 #[test]

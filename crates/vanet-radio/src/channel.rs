@@ -17,6 +17,7 @@ use serde::{Deserialize, Serialize};
 use sim_core::StreamRng;
 use vanet_geo::Point;
 
+use crate::cosine::VectorCosine;
 use crate::datarate::DataRate;
 use crate::fading::{FadingKind, ResolvedFading};
 use crate::obstacles::ObstacleMap;
@@ -254,46 +255,67 @@ impl RadioConfig {
     }
 }
 
+/// The number of plane waves in the shadowing field.
+const WAVES: usize = 24;
+
 /// A deterministic, spatially correlated Gaussian field used for shadowing.
 ///
-/// The field is a sum of `K` cosine plane waves with random directions and
-/// phases; by the central limit theorem the marginal distribution is close to
-/// Gaussian with unit variance, and the correlation length is set by the
-/// wavelength of the waves. Because the field is a pure function of position
-/// it needs no mutable state: the same (tx, rx) pair always sees the same
-/// shadowing value, which is exactly how real shadowing behaves on the
+/// The field is a sum of [`WAVES`] cosine plane waves with random directions
+/// and phases; by the central limit theorem the marginal distribution is
+/// close to Gaussian with unit variance, and the correlation length is set by
+/// the wavelength of the waves. Because the field is a pure function of
+/// position it needs no mutable state: the same (tx, rx) pair always sees the
+/// same shadowing value, which is exactly how real shadowing behaves on the
 /// timescale of one experiment round.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct SpatialField {
-    waves: Vec<(f64, f64, f64)>, // (kx, ky, phase)
+    kx: [f64; WAVES],
+    ky: [f64; WAVES],
+    phase: [f64; WAVES],
     amplitude: f64,
+    /// The vector cosine kernel, where this host runs it.
+    vector: Option<VectorCosine>,
 }
 
 impl SpatialField {
-    fn new(seed: u64, correlation_m: f64, count: usize) -> Self {
+    fn new(seed: u64, correlation_m: f64) -> Self {
         let mut rng = StreamRng::derive(seed, "radio.shadowing-field");
         let k_mag = std::f64::consts::TAU / correlation_m.max(1e-3);
-        let waves = (0..count)
-            .map(|_| {
-                let theta = rng.uniform(0.0, std::f64::consts::TAU);
-                let phase = rng.uniform(0.0, std::f64::consts::TAU);
-                // Spread wave numbers around k_mag for a smoother spectrum.
-                let k = k_mag * rng.uniform(0.5, 1.5);
-                (k * theta.cos(), k * theta.sin(), phase)
-            })
-            .collect::<Vec<_>>();
-        // Sum of `count` unit cosines has variance count/2; normalise to 1.
-        let amplitude = (2.0 / count as f64).sqrt();
-        SpatialField { waves, amplitude }
+        let (mut kx, mut ky, mut phase) = ([0.0; WAVES], [0.0; WAVES], [0.0; WAVES]);
+        for i in 0..WAVES {
+            let theta = rng.uniform(0.0, std::f64::consts::TAU);
+            phase[i] = rng.uniform(0.0, std::f64::consts::TAU);
+            // Spread wave numbers around k_mag for a smoother spectrum.
+            let k = k_mag * rng.uniform(0.5, 1.5);
+            kx[i] = k * theta.cos();
+            ky[i] = k * theta.sin();
+        }
+        // Sum of `WAVES` unit cosines has variance WAVES/2; normalise to 1.
+        let amplitude = (2.0 / WAVES as f64).sqrt();
+        SpatialField { kx, ky, phase, amplitude, vector: VectorCosine::detect() }
     }
 
-    /// Field value (unit variance, zero mean) at `p`.
+    /// Field value (unit variance, zero mean) at `p`: the same bits whether
+    /// the vector kernel or the scalar expression evaluates the waves.
     fn value_at(&self, p: Point) -> f64 {
+        let Some(kernel) = self.vector else {
+            return self.scalar_value_at(p);
+        };
+        let mut cosines = [0.0; WAVES];
+        kernel.wave_cosines(&self.kx, &self.ky, &self.phase, p, &mut cosines);
+        self.amplitude * cosines.into_iter().sum::<f64>()
+    }
+
+    /// [`SpatialField::value_at`] with one `f64::cos` per wave: the path of
+    /// hosts without the vector kernel, and the tests' oracle.
+    fn scalar_value_at(&self, p: Point) -> f64 {
         self.amplitude
             * self
-                .waves
+                .kx
                 .iter()
-                .map(|(kx, ky, phase)| (kx * p.x + ky * p.y + phase).cos())
+                .zip(&self.ky)
+                .zip(&self.phase)
+                .map(|((kx, ky), phase)| (kx * p.x + ky * p.y + phase).cos())
                 .sum::<f64>()
     }
 }
@@ -310,7 +332,7 @@ pub struct RadioChannel {
 impl RadioChannel {
     /// Creates a channel from its configuration.
     pub fn new(config: RadioConfig) -> Self {
-        let field = SpatialField::new(config.shadowing_seed, config.shadowing_decorrelation_m, 24);
+        let field = SpatialField::new(config.shadowing_seed, config.shadowing_decorrelation_m);
         let fading = config.fading.resolve();
         RadioChannel { config, field, fading }
     }
@@ -540,7 +562,7 @@ mod tests {
 
     #[test]
     fn shadowing_field_is_deterministic_and_roughly_unit_variance() {
-        let field = SpatialField::new(7, 20.0, 24);
+        let field = SpatialField::new(7, 20.0);
         let a = field.value_at(Point::new(12.0, 34.0));
         let b = field.value_at(Point::new(12.0, 34.0));
         assert_eq!(a, b);
@@ -556,6 +578,56 @@ mod tests {
         let var = sum_sq / n as f64 - mean * mean;
         assert!(mean.abs() < 0.15, "mean {mean}");
         assert!((var - 1.0).abs() < 0.35, "variance {var}");
+    }
+
+    #[test]
+    fn field_values_match_the_scalar_expression_bit_for_bit() {
+        // 10^5 probes per decorrelation length of the shipped channels, over
+        // four seeds, at positions up to ±12 km (wave arguments to ~10^4 rad).
+        for correlation_m in [15.0, 25.0, 50.0] {
+            for seed in [0x5eed, 0xcafe, 0xbeef, 7] {
+                let field = SpatialField::new(seed, correlation_m);
+                let mut rng = StreamRng::derive(seed, "field-probes");
+                for _ in 0..25_000 {
+                    let p = Point::new(rng.uniform(-12e3, 12e3), rng.uniform(-12e3, 12e3));
+                    let (got, want) = (field.value_at(p), field.scalar_value_at(p));
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "{correlation_m} m, seed {seed}, {p:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_vector_kernel_is_taken_where_the_cpu_supports_it() {
+        let field = SpatialField::new(0x5eed, 25.0);
+        #[cfg(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu"))]
+        assert_eq!(
+            field.vector.is_some(),
+            std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("fma"),
+        );
+        let Some(kernel) = field.vector else {
+            eprintln!("no vector kernel on this host: the scalar path is the only path");
+            return;
+        };
+        // Urban-shaped arguments: link_state's probe points over a square
+        // kilometre around the testbed's AP.
+        let mut rng = StreamRng::derive(1, "urban-probes");
+        let (probes, mut fallbacks) = (20_000, 0);
+        for _ in 0..probes {
+            let p = Point::new(rng.uniform(-500.0, 500.0), rng.uniform(-500.0, 500.0));
+            let mut cosines = [0.0; WAVES];
+            fallbacks += kernel
+                .wave_cosines(&field.kx, &field.ky, &field.phase, p, &mut cosines)
+                .count_ones();
+        }
+        let share = f64::from(fallbacks) / (probes * WAVES) as f64;
+        eprintln!("fallback share on urban-shaped arguments: {share:.4}");
+        assert!(share < 0.1, "fallback share {share}");
     }
 
     #[test]

@@ -39,12 +39,23 @@
 //! // well-defined probability.
 //! assert!((0.0..=1.0).contains(&verdict.success_probability));
 //! ```
+//!
+//! ## Unsafe code
+//!
+//! The crate denies `unsafe` code with one exception: the call into the
+//! shadowing field's AVX2/FMA cosine kernel, a `#[target_feature]` function
+//! that may run only on a CPU with those features. The call is made only
+//! through a value that exists once `is_x86_feature_detected!` has reported
+//! `avx2` and `fma`, checked once per channel when its field is built. The
+//! kernel returns the bits `f64::cos` returns, so results do not depend on
+//! which path a host takes (see `docs/PERFORMANCE.md`).
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod channel;
+mod cosine;
 pub mod datarate;
 pub mod fading;
 pub mod obstacles;

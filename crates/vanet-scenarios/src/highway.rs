@@ -447,9 +447,9 @@ mod tests {
     fn single_pass_produces_a_window_with_losses() {
         let run = HighwayRun::new(HighwayConfig::drive_thru_reference().with_passes(1));
         let report = run.run_round(0, 3);
-        let flow = report.result.flow_for(NodeId::new(1)).unwrap();
-        assert!(flow.tx_by_ap_in_window() > 10, "window {}", flow.tx_by_ap_in_window());
-        assert!(flow.lost_before_coop() > 0);
+        let counts = report.result.flow_for(NodeId::new(1)).unwrap().counts();
+        assert!(counts.tx_in_window > 10, "window {}", counts.tx_in_window);
+        assert!(counts.lost_before_coop > 0);
     }
 
     #[test]

@@ -631,9 +631,9 @@ mod tests {
         let round = model.round_result();
         assert_eq!(round.cars(), vec![NodeId::new(1), NodeId::new(2)]);
         for car in [NodeId::new(1), NodeId::new(2)] {
-            let flow = round.flow_for(car).expect("flow exists");
-            assert!(flow.tx_by_ap_in_window() > 20, "car {car} window too small");
-            assert_eq!(flow.lost_before_coop(), 0, "ideal medium loses nothing");
+            let counts = round.flow_for(car).expect("flow exists").counts();
+            assert!(counts.tx_in_window > 20, "car {car} window too small");
+            assert_eq!(counts.lost_before_coop, 0, "ideal medium loses nothing");
         }
         assert!(model.medium_stats().frames_sent > 100);
     }
@@ -662,7 +662,7 @@ mod tests {
         }
         // Data still flows and is recorded for the baseline statistics.
         let round = model.round_result();
-        assert!(round.flow_for(NodeId::new(1)).unwrap().tx_by_ap_in_window() > 0);
+        assert!(round.flow_for(NodeId::new(1)).unwrap().counts().tx_in_window > 0);
     }
 
     #[test]

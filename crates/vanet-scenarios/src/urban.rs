@@ -473,13 +473,13 @@ mod tests {
             "AP alone sends ~15 frames/s"
         );
         for car in report.result.cars() {
-            let flow = report.result.flow_for(car).unwrap();
+            let counts = report.result.flow_for(car).unwrap().counts();
             assert!(
-                flow.tx_by_ap_in_window() > 40,
+                counts.tx_in_window > 40,
                 "car {car} saw only {} packets in its window",
-                flow.tx_by_ap_in_window()
+                counts.tx_in_window
             );
-            assert!(flow.lost_before_coop() > 0, "urban channel should lose packets");
+            assert!(counts.lost_before_coop > 0, "urban channel should lose packets");
         }
     }
 
@@ -490,9 +490,9 @@ mod tests {
         let mut total_before = 0usize;
         let mut total_after = 0usize;
         for car in report.result.cars() {
-            let flow = report.result.flow_for(car).unwrap();
-            total_before += flow.lost_before_coop();
-            total_after += flow.lost_after_coop();
+            let counts = report.result.flow_for(car).unwrap().counts();
+            total_before += counts.lost_before_coop;
+            total_after += counts.lost_after_coop;
         }
         assert!(
             total_after < total_before,
@@ -533,8 +533,8 @@ mod tests {
         assert_eq!(summary.get("coop_data_sent"), Some(0.0));
         // Losses before and after coincide in the baseline.
         for car in reports[0].result.cars() {
-            let flow = reports[0].result.flow_for(car).unwrap();
-            assert_eq!(flow.lost_before_coop(), flow.lost_after_coop());
+            let counts = reports[0].result.flow_for(car).unwrap().counts();
+            assert_eq!(counts.lost_before_coop, counts.lost_after_coop);
         }
     }
 

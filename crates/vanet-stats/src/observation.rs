@@ -112,22 +112,6 @@ impl FlowObservation {
         counts
     }
 
-    /// Number of packets the AP transmitted to this car within the car's own
-    /// reception window — the paper's "Tx by the AP" column.
-    pub fn tx_by_ap_in_window(&self) -> usize {
-        self.counts().tx_in_window
-    }
-
-    /// Packets lost before cooperation (within the window).
-    pub fn lost_before_coop(&self) -> usize {
-        self.counts().lost_before_coop
-    }
-
-    /// Packets still lost after cooperation (within the window).
-    pub fn lost_after_coop(&self) -> usize {
-        self.counts().lost_after_coop
-    }
-
     /// The joint ("virtual car") reception across all observers.
     pub fn joint(&self) -> ReceptionMap {
         let mut joint = ReceptionMap::new();
@@ -135,14 +119,6 @@ impl FlowObservation {
             joint.union_with(map);
         }
         joint
-    }
-
-    /// How many of the packets that were recoverable (some observer had them)
-    /// within the window the destination actually ended up holding.
-    /// The paper calls the protocol "almost optimal" because this ratio is
-    /// close to 1.
-    pub fn recovery_efficiency(&self) -> f64 {
-        self.counts().recovery_efficiency()
     }
 }
 
@@ -355,11 +331,11 @@ mod tests {
                 prop_assert_eq!(obs.dense_counts(first, last), expected);
                 prop_assert_eq!(obs.sparse_counts(first, last), expected);
             }
-            prop_assert_eq!(obs.tx_by_ap_in_window(), oracle::tx_by_ap_in_window(&obs));
-            prop_assert_eq!(obs.lost_before_coop(), oracle::lost_before_coop(&obs));
-            prop_assert_eq!(obs.lost_after_coop(), oracle::lost_after_coop(&obs));
+            prop_assert_eq!(obs.counts().tx_in_window, oracle::tx_by_ap_in_window(&obs));
+            prop_assert_eq!(obs.counts().lost_before_coop, oracle::lost_before_coop(&obs));
+            prop_assert_eq!(obs.counts().lost_after_coop, oracle::lost_after_coop(&obs));
             prop_assert_eq!(
-                obs.recovery_efficiency().to_bits(),
+                obs.counts().recovery_efficiency().to_bits(),
                 oracle::recovery(&obs).2.to_bits()
             );
         }
@@ -421,9 +397,9 @@ mod tests {
     fn window_and_tx_counts() {
         let mut obs = sample();
         assert_eq!(obs.window(), Some((SeqNo::new(2), SeqNo::new(7))));
-        assert_eq!(obs.tx_by_ap_in_window(), 6);
-        assert_eq!(obs.lost_before_coop(), 2); // 5 and 6
-        assert_eq!(obs.lost_after_coop(), 0);
+        assert_eq!(obs.counts().tx_in_window, 6);
+        assert_eq!(obs.counts().lost_before_coop, 2); // 5 and 6
+        assert_eq!(obs.counts().lost_after_coop, 0);
         assert_eq!(obs.direct().received_count(), 4);
         let plain = FlowCounts {
             tx_in_window: 6,
@@ -453,12 +429,12 @@ mod tests {
     #[test]
     fn recovery_efficiency_is_one_when_everything_recoverable_is_recovered() {
         let obs = sample();
-        assert_eq!(obs.recovery_efficiency(), 1.0);
+        assert_eq!(obs.counts().recovery_efficiency(), 1.0);
         // Remove a recovered packet: efficiency drops below 1.
         let mut partial = obs.clone();
         partial.after_coop = [2u32, 3, 4, 5, 7].into_iter().map(SeqNo::new).collect();
-        assert!(partial.recovery_efficiency() < 1.0);
-        assert!(partial.recovery_efficiency() > 0.7);
+        assert!(partial.counts().recovery_efficiency() < 1.0);
+        assert!(partial.counts().recovery_efficiency() > 0.7);
     }
 
     #[test]
@@ -470,10 +446,10 @@ mod tests {
             after_coop: ReceptionMap::new(),
         };
         assert_eq!(obs.window(), None);
-        assert_eq!(obs.tx_by_ap_in_window(), 0);
-        assert_eq!(obs.lost_before_coop(), 0);
-        assert_eq!(obs.lost_after_coop(), 0);
-        assert_eq!(obs.recovery_efficiency(), 1.0);
+        assert_eq!(obs.counts().tx_in_window, 0);
+        assert_eq!(obs.counts().lost_before_coop, 0);
+        assert_eq!(obs.counts().lost_after_coop, 0);
+        assert_eq!(obs.counts().recovery_efficiency(), 1.0);
     }
 
     #[test]

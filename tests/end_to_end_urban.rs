@@ -135,8 +135,8 @@ fn no_cooperation_baseline_matches_direct_reception() {
     assert_eq!(counter_total(&reports, "coop_data_sent"), 0.0);
     for report in &reports {
         for car in report.result.cars() {
-            let flow = report.result.flow_for(car).unwrap();
-            assert_eq!(flow.lost_before_coop(), flow.lost_after_coop());
+            let counts = report.result.flow_for(car).unwrap().counts();
+            assert_eq!(counts.lost_before_coop, counts.lost_after_coop);
         }
     }
 }
