@@ -400,12 +400,6 @@ fn scenario_list() -> Result<(), String> {
     Ok(())
 }
 
-fn lookup<'r>(registry: &'r ScenarioRegistry, name: &str) -> Result<&'r dyn Scenario, String> {
-    registry.get(name).ok_or_else(|| {
-        format!("unknown scenario `{name}` (known: {})", registry.names().join(", "))
-    })
-}
-
 fn scenario_describe(name: &str) -> Result<(), String> {
     let registry = ScenarioRegistry::builtin();
     // A generated scenario file resolves too; its richer rendering (identity,
@@ -483,7 +477,9 @@ fn scenario_spec(
 
 fn scenario_run(name: &str, opts: &Options) -> Result<(), String> {
     let registry = ScenarioRegistry::builtin();
-    let scenario = lookup(&registry, name)?;
+    // A generated scenario file runs too, sweeping its runtime schema.
+    let source = crate::gen_cmd::resolve_scenario(&registry, name)?;
+    let scenario = source.scenario(&registry);
     let vocabulary = vocabulary(&registry, scenario);
     let mut known: Vec<&str> = vec!["seed", "threads", "format", "out", "cache"];
     known.extend(vocabulary.iter().map(|(p, _)| p.key()));

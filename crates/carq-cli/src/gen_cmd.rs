@@ -4,8 +4,8 @@
 //! canonical params, gen seed)`; the `VANETGEN1` files `gen emit` writes
 //! store only that identity and regenerate the world bit-for-bit on load.
 //! The shared [`resolve_scenario`] helper lets `scenario describe`,
-//! `verify` and `trace` accept either a registered scenario name or a
-//! path to such a file.
+//! `scenario run`, `verify` and `trace` accept either a registered scenario
+//! name or a path to such a file.
 
 use std::path::Path;
 
@@ -38,9 +38,9 @@ impl ScenarioSource {
     }
 }
 
-/// Resolves a scenario reference for `scenario describe`, `verify` and
-/// `trace`: a registered name wins; anything else is read as a `VANETGEN1`
-/// scenario file (see `carq-cli gen emit`).
+/// Resolves a scenario reference for `scenario describe`, `scenario run`,
+/// `verify` and `trace`: a registered name wins; anything else is read as a
+/// `VANETGEN1` scenario file (see `carq-cli gen emit`).
 pub fn resolve_scenario(
     registry: &ScenarioRegistry,
     reference: &str,

@@ -170,6 +170,9 @@ impl StreamRng {
 
     /// Draws a standard normal (mean 0, variance 1) variate using the
     /// Box–Muller transform. Avoids a dependency on `rand_distr`.
+    ///
+    /// Consumes exactly two uniforms (one 64-bit word each), so
+    /// [`StreamRng::skip`]`(2)` leaves the stream where this call does.
     pub fn standard_normal(&mut self) -> f64 {
         // Draw u1 in (0, 1] to keep ln() finite.
         let u1: f64 = 1.0 - self.rng.gen::<f64>();
@@ -183,6 +186,7 @@ impl StreamRng {
     }
 
     /// Draws an exponential variate with the given rate parameter `lambda`.
+    /// Consumes exactly one uniform.
     ///
     /// # Panics
     ///
@@ -194,9 +198,23 @@ impl StreamRng {
     }
 
     /// Bernoulli draw with success probability `p` (clamped to `[0,1]`).
+    /// Consumes exactly one uniform, whatever `p` is.
     pub fn chance(&mut self, p: f64) -> bool {
         let p = p.clamp(0.0, 1.0);
         self.rng.gen::<f64>() < p
+    }
+
+    /// Advances the stream past `uniforms` uniform draws without using
+    /// them: one 64-bit word each, as [`StreamRng::chance`] and the
+    /// uniforms inside [`StreamRng::standard_normal`] and
+    /// [`StreamRng::exponential`] consume. A caller that knows a draw's
+    /// result cannot matter skips it instead of transforming it, and every
+    /// later draw stays where it was.
+    #[inline]
+    pub fn skip(&mut self, uniforms: usize) {
+        for _ in 0..uniforms {
+            self.rng.next_u64();
+        }
     }
 
     /// Uniform draw in `[low, high)`.
@@ -344,6 +362,32 @@ mod tests {
         assert!(rng.chance(1.0));
         assert!(!rng.chance(-5.0));
         assert!(rng.chance(7.0));
+    }
+
+    #[test]
+    fn draws_consume_the_documented_number_of_uniforms() {
+        // (draw, uniforms it consumes): the counts `skip` callers rely on.
+        type Draw = fn(&mut StreamRng);
+        let draws: [(Draw, usize); 5] = [
+            (|rng| _ = rng.standard_normal(), 2),
+            (|rng| _ = rng.exponential(1.0), 1),
+            (|rng| _ = rng.chance(0.0), 1),
+            (|rng| _ = rng.chance(0.5), 1),
+            (|rng| _ = rng.chance(1.0), 1),
+        ];
+        for (i, (draw, uniforms)) in draws.into_iter().enumerate() {
+            for seed in 0..64 {
+                let mut drawn = StreamRng::derive(seed, "draw-counts");
+                let mut skipped = drawn.clone();
+                draw(&mut drawn);
+                skipped.skip(uniforms);
+                assert_eq!(drawn.next_u64(), skipped.next_u64(), "draw {i}, seed {seed}");
+            }
+        }
+        let mut none = StreamRng::derive(1, "draw-counts");
+        let mut untouched = none.clone();
+        none.skip(0);
+        assert_eq!(none.next_u64(), untouched.next_u64());
     }
 
     #[test]

@@ -22,7 +22,10 @@
 use serde::{Deserialize, Serialize};
 use sim_core::{SimDuration, SimTime, StreamRng};
 use vanet_geo::Point;
-use vanet_radio::{ChannelModel, DataRate, FrameTiming, LinkState, RadioChannel, RadioConfig};
+use vanet_radio::{
+    ChannelModel, DataRate, FrameTiming, LinkBudget, LinkState, RadioChannel, RadioConfig,
+    ReceptionVerdict,
+};
 use vanet_trace::{NoTrace, TraceRecord, TraceSink};
 
 use crate::address::NodeId;
@@ -129,7 +132,10 @@ pub struct Delivery {
     pub at: SimTime,
     /// Whether and why the frame was (not) received.
     pub outcome: DeliveryOutcome,
-    /// Realised SNR at this receiver in dB.
+    /// Realised SNR at this receiver in dB. For a certain loss (see
+    /// [`Medium::transmit_into`]) it is the ceiling instead, the highest SNR
+    /// any fading draw could have realised: at most −10 dB, and at least the
+    /// realised SNR, which is not evaluated.
     pub snr_db: f64,
 }
 
@@ -196,30 +202,44 @@ struct ActiveTx {
     end: SimTime,
 }
 
-/// One slot of the dense per-pair link cache: the deterministic
-/// [`LinkState`] of a (transmitter, receiver) pair, valid until one of its
-/// two endpoints moves.
+/// One slot of the dense per-pair link cache: the deterministic part of a
+/// (transmitter, receiver) link, valid until one of its two endpoints
+/// moves. The budget is computed when the entry is; the shadowing only when
+/// a verdict first needs it, since a link the budget alone settles as a
+/// certain loss never does.
 #[derive(Debug, Clone, Copy)]
 struct LinkCacheEntry {
-    /// Position epoch the state was computed at. The entry is current while
+    /// Position epoch the entry was computed at. The entry is current while
     /// it is at least both endpoints' `moved_at`; 0 is never current.
     epoch: u64,
-    state: LinkState,
+    budget: LinkBudget,
+    /// The link's shadowing, once evaluated.
+    shadowing_db: Option<f64>,
 }
 
 impl LinkCacheEntry {
     const INVALID: LinkCacheEntry = LinkCacheEntry {
         epoch: 0,
-        state: LinkState {
-            budget: vanet_radio::LinkBudget {
-                distance_m: 0.0,
-                path_loss_db: 0.0,
-                rx_power_dbm: 0.0,
-                snr_db: 0.0,
-            },
-            shadowing_db: 0.0,
-        },
+        budget: LinkBudget { distance_m: 0.0, path_loss_db: 0.0, rx_power_dbm: 0.0, snr_db: 0.0 },
+        shadowing_db: None,
     };
+}
+
+/// A link as the pair cache served it, with what evaluating the rest of it
+/// needs.
+#[derive(Debug, Clone, Copy)]
+struct CachedLink {
+    budget: LinkBudget,
+    /// The shadowing, once the cache holds it.
+    shadowing_db: Option<f64>,
+    /// Whether the budget came from the cache.
+    hit: bool,
+    /// The entry's index in the cache; `None` when the cache is off.
+    slot: Option<usize>,
+    /// The transmitter's and the receiver's current positions and classes.
+    tx: Point,
+    rx: Point,
+    classes: (RadioClass, RadioClass),
 }
 
 /// The shared broadcast medium.
@@ -314,7 +334,7 @@ impl Medium {
         let pos = self.ids.binary_search(&id).expect_err("slot was empty");
         self.ids.insert(pos, id);
         // The pair cache is rebuilt lazily at the next link query (see
-        // `link_state_cached`), so registering N nodes costs O(N) total
+        // `link_budget_cached`), so registering N nodes costs O(N) total
         // instead of re-zeroing an n^2 table per registration.
         self.link_cache.clear();
     }
@@ -412,18 +432,29 @@ impl Medium {
     /// grow quadratically into gigabytes.
     const MAX_CACHED_NODES: usize = 1_024;
 
-    /// The memoized deterministic link state of the (src, rx) pair at the
-    /// nodes' current positions. Returns the link state plus whether it was
-    /// served from the pair cache (`true`) or computed from scratch
-    /// (`false`) — the hit flag feeds the traced cached-vs-sampled budget
-    /// split.
-    fn link_state_cached(&mut self, src: NodeId, rx: NodeId) -> (LinkState, bool) {
+    /// The memoized link budget of the (src, rx) pair at the nodes' current
+    /// positions, with the shadowing if the cache holds it. The hit flag
+    /// (the budget was served from the pair cache, not computed) feeds the
+    /// traced cached-vs-sampled split; filling in the shadowing later does
+    /// not change it.
+    fn link_budget_cached(&mut self, src: NodeId, rx: NodeId) -> CachedLink {
         let s = self.slots[src.index()].expect("link endpoints are registered");
         let r = self.slots[rx.index()].expect("link endpoints are registered");
+        // The budget is filled in below, from the cache or computed.
+        let mut link = CachedLink {
+            budget: LinkCacheEntry::INVALID.budget,
+            shadowing_db: None,
+            hit: false,
+            slot: None,
+            tx: s.position,
+            rx: r.position,
+            classes: (s.class, r.class),
+        };
         let n = self.ids.len();
         if n > Self::MAX_CACHED_NODES {
             self.link_cache = Vec::new();
-            return (self.channel_for(s.class, r.class).link_state(s.position, r.position), false);
+            link.budget = self.link_channel(&link).link_budget(s.position, r.position);
+            return link;
         }
         if self.link_cache.len() != n * n {
             // First link query since a registration: (re)build the pair
@@ -432,13 +463,72 @@ impl Medium {
             self.link_cache.resize(n * n, LinkCacheEntry::INVALID);
         }
         let idx = s.compact_slot as usize * n + r.compact_slot as usize;
+        link.slot = Some(idx);
         let cached = self.link_cache[idx];
         if cached.epoch >= s.moved_at.max(r.moved_at) {
-            return (cached.state, true);
+            return CachedLink {
+                budget: cached.budget,
+                shadowing_db: cached.shadowing_db,
+                hit: true,
+                ..link
+            };
         }
-        let state = self.channel_for(s.class, r.class).link_state(s.position, r.position);
-        self.link_cache[idx] = LinkCacheEntry { epoch: self.position_epoch, state };
-        (state, false)
+        link.budget = self.link_channel(&link).link_budget(s.position, r.position);
+        self.link_cache[idx] =
+            LinkCacheEntry { epoch: self.position_epoch, budget: link.budget, shadowing_db: None };
+        link
+    }
+
+    /// The channel a link takes.
+    fn link_channel(&self, link: &CachedLink) -> &RadioChannel {
+        self.channel_for(link.classes.0, link.classes.1)
+    }
+
+    /// The shadowing of a link [`Medium::link_budget_cached`] served:
+    /// evaluated at the positions its budget was computed at unless already
+    /// held, then kept in the cache entry.
+    fn shadowing_of(&mut self, link: &mut CachedLink) -> f64 {
+        if let Some(shadowing_db) = link.shadowing_db {
+            return shadowing_db;
+        }
+        let shadowing_db = self.link_channel(link).shadowing_db(link.tx, link.rx);
+        if let Some(idx) = link.slot {
+            self.link_cache[idx].shadowing_db = Some(shadowing_db);
+        }
+        link.shadowing_db = Some(shadowing_db);
+        shadowing_db
+    }
+
+    /// The certain-loss rule for one verdict over `link` (see
+    /// [`Medium::transmit_into`]): the ceiling when the budget plus the
+    /// field's largest shadowing settles the link, else when the budget
+    /// plus the link's own shadowing (evaluated only now, if not yet) does.
+    fn certain_loss(&mut self, link: &mut CachedLink, bits: u64, rate: DataRate) -> Option<f64> {
+        let channel = self.link_channel(link);
+        let budget_snr_db = link.budget.snr_db;
+        let settled = channel.certain_loss_ceiling(
+            budget_snr_db + channel.shadowing_ceiling_db(),
+            bits,
+            rate,
+        );
+        if settled.is_some() {
+            return settled;
+        }
+        let shadowing_db = self.shadowing_of(link);
+        self.link_channel(link).certain_loss_ceiling(budget_snr_db + shadowing_db, bits, rate)
+    }
+
+    /// Samples one frame over `link`, its shadowing evaluated if not yet.
+    fn sample(
+        &mut self,
+        link: &mut CachedLink,
+        bits: u64,
+        rate: DataRate,
+        rng: &mut StreamRng,
+    ) -> ReceptionVerdict {
+        let shadowing_db = self.shadowing_of(link);
+        let state = LinkState { budget: link.budget, shadowing_db };
+        self.link_channel(link).sample_from_state(&state, bits, rate, rng)
     }
 
     /// The link state computed from scratch at the nodes' current positions,
@@ -455,6 +545,17 @@ impl Medium {
     /// buffer every time and the hot path never allocates). The caller keeps
     /// the frame and is responsible for scheduling the deliveries as events
     /// at their `at` timestamps.
+    ///
+    /// A verdict is a *certain loss* when the receiver's channel settles it
+    /// before any draw ([`RadioChannel::certain_loss_ceiling`]): first from
+    /// the link budget plus the field's largest shadowing, before the
+    /// shadowing is evaluated, then from the budget plus the link's own
+    /// shadowing. A certain loss skips its draws
+    /// ([`RadioChannel::skip_sample`]) instead of evaluating the fading,
+    /// and reports the ceiling as its [`Delivery::snr_db`]. The ceiling
+    /// depends only on positions and configuration, so deliveries, draws
+    /// and statistics are the same whether the pair cache held the
+    /// shadowing or not, and whether the transmission is traced or not.
     ///
     /// # Panics
     ///
@@ -480,7 +581,10 @@ impl Medium {
     /// [`TraceRecord::TxStart`], one [`TraceRecord::Delivery`] per receiver
     /// carrying the cached-vs-sampled link split, and sampled
     /// [`TraceRecord::CacheAudit`]s that recompute a cached link state from
-    /// scratch (RNG-free) and compare.
+    /// scratch (RNG-free) and compare. A traced certain loss still samples
+    /// its fading, with the very draws the skip passes over, so that its
+    /// delivery record carries the realised SNR; its [`Delivery`] carries
+    /// the ceiling, as untraced.
     ///
     /// With the default [`NoTrace`] sink every emission block is guarded by
     /// the compile-time-`false` `S::ENABLED` and this monomorphizes to
@@ -516,6 +620,7 @@ impl Medium {
 
         deliveries.clear();
         deliveries.reserve(self.ids.len().saturating_sub(1));
+        let bits = frame.total_bits();
         // Index loop (not iterator) so the cache lookups can borrow mutably;
         // `ids` is ascending, preserving the deterministic receiver order.
         for i in 0..self.ids.len() {
@@ -523,31 +628,38 @@ impl Medium {
             if rx_id == src {
                 continue;
             }
-            let (state, cached) = self.link_state_cached(src, rx_id);
-            if S::ENABLED && cached {
+            let mut link = self.link_budget_cached(src, rx_id);
+            if S::ENABLED && link.hit {
                 self.audit_counter += 1;
                 if self.audit_counter.is_multiple_of(Self::CACHE_AUDIT_INTERVAL) {
+                    let shadowing_db = self.shadowing_of(&mut link);
                     let recomputed = self.link_state_direct(src, rx_id);
                     sink.record(TraceRecord::CacheAudit {
                         at: now,
                         tx: src.as_u32(),
                         rx: rx_id.as_u32(),
-                        ok: recomputed == state,
+                        ok: recomputed == LinkState { budget: link.budget, shadowing_db },
                     });
                 }
             }
-            let rx_class = self.slots[rx_id.index()].expect("registered").class;
-            let verdict = self.channel_for(src_entry.class, rx_class).sample_from_state(
-                &state,
-                frame.total_bits(),
-                rate,
-                rng,
+            // A traced verdict is sampled before the rule runs, certain loss
+            // or not, so that its record carries the realised SNR.
+            let mut verdict =
+                if S::ENABLED { Some(self.sample(&mut link, bits, rate, rng)) } else { None };
+            let ceiling = self.certain_loss(&mut link, bits, rate);
+            if verdict.is_none() {
+                if ceiling.is_some() {
+                    self.link_channel(&link).skip_sample(rng);
+                } else {
+                    verdict = Some(self.sample(&mut link, bits, rate, rng));
+                }
+            }
+            debug_assert!(
+                ceiling.is_none_or(|c| verdict.is_none_or(|v| !v.received && v.snr_db <= c))
             );
-            let mut outcome = if verdict.received {
-                DeliveryOutcome::Received
-            } else {
-                DeliveryOutcome::LostChannel
-            };
+            let received = verdict.is_some_and(|v| v.received);
+            let mut outcome =
+                if received { DeliveryOutcome::Received } else { DeliveryOutcome::LostChannel };
             if outcome == DeliveryOutcome::Received && self.collides_at(rx_id, src, now) {
                 outcome = DeliveryOutcome::LostCollision;
             }
@@ -557,16 +669,18 @@ impl Medium {
                 DeliveryOutcome::LostCollision => self.stats.deliveries_lost_collision += 1,
             }
             if S::ENABLED {
+                let verdict = verdict.expect("traced verdicts sample");
                 sink.record(TraceRecord::Delivery {
                     at: now,
                     tx: src.as_u32(),
                     rx: rx_id.as_u32(),
                     received: outcome.is_received(),
-                    cached,
+                    cached: link.hit,
                     snr_db: verdict.snr_db,
                 });
             }
-            deliveries.push(Delivery { node: rx_id, at: ends_at, outcome, snr_db: verdict.snr_db });
+            let snr_db = ceiling.or(verdict.map(|v| v.snr_db)).expect("sampled or certain");
+            deliveries.push(Delivery { node: rx_id, at: ends_at, outcome, snr_db });
         }
 
         self.active.push(ActiveTx {
@@ -609,7 +723,7 @@ impl Medium {
             // position; an interferer that moved mid-flight (a mobility tick
             // landed during its airtime) is computed directly.
             let snr_db = if self.slots[tx.src.index()].expect("registered").position == tx.src_pos {
-                self.link_state_cached(tx.src, rx_id).0.budget.snr_db
+                self.link_budget_cached(tx.src, rx_id).budget.snr_db
             } else {
                 let rx = self.slots[rx_id.index()].expect("registered");
                 self.channel_for(tx.src_class, rx.class).link_budget(tx.src_pos, rx.position).snr_db
@@ -626,6 +740,7 @@ impl Medium {
 mod tests {
     use super::*;
     use crate::address::Destination;
+    use rand::RngCore;
     use std::collections::BTreeMap;
 
     fn ideal_medium_with_nodes(n_vehicles: u32) -> Medium {
@@ -674,6 +789,86 @@ mod tests {
             }
         }
         assert!(lost > 90, "expected heavy losses at 500 m, lost {lost}");
+    }
+
+    #[test]
+    fn certain_losses_skip_their_draws_and_report_their_ceiling() {
+        use vanet_trace::VecSink;
+        let (ap, far, out) = (NodeId::new(0), NodeId::new(1), NodeId::new(2));
+        let build = || {
+            let mut medium = Medium::new(MediumConfig::urban_testbed());
+            medium.register_node(ap, RadioClass::AccessPoint);
+            medium.register_node(far, RadioClass::Vehicle);
+            medium.register_node(out, RadioClass::Vehicle);
+            medium.update_position(ap, Point::new(0.0, 18.0));
+            // 3 km out the budget alone settles the AP link; 1 km out the
+            // link's own shadowing does.
+            medium.update_position(far, Point::new(3_000.0, 0.0));
+            medium.update_position(out, Point::new(1_000.0, 0.0));
+            medium
+        };
+        let (mut plain, mut traced) = (build(), build());
+        let channel = RadioChannel::new(MediumConfig::urban_testbed().ap_vehicle);
+        let link = |node: NodeId| {
+            channel.link_state(Point::new(0.0, 18.0), plain.position_of(node).unwrap())
+        };
+        let (far_link, out_link) = (link(far), link(out));
+        let bits = Frame::new(ap, Destination::Broadcast, 500, ()).total_bits();
+        let far_ceiling =
+            far_link.budget.snr_db + channel.shadowing_ceiling_db() + channel.fading_ceiling_db();
+        assert!(vanet_radio::is_certain_loss(far_ceiling, bits, DataRate::Mbps1));
+        let out_budget_level =
+            out_link.budget.snr_db + channel.shadowing_ceiling_db() + channel.fading_ceiling_db();
+        assert!(!vanet_radio::is_certain_loss(out_budget_level, bits, DataRate::Mbps1));
+        let out_ceiling =
+            out_link.budget.snr_db + out_link.shadowing_db + channel.fading_ceiling_db();
+        assert!(vanet_radio::is_certain_loss(out_ceiling, bits, DataRate::Mbps1));
+
+        let mut rng = StreamRng::derive(14, "m");
+        let mut rng_traced = rng.clone();
+        let mut skipped = rng.clone();
+        let mut sink = VecSink::new();
+        let mut scratch = Vec::new();
+        for i in 0..20u64 {
+            let frame = Frame::new(ap, Destination::Broadcast, 500, i);
+            let now = SimTime::from_millis(i * 100);
+            let result = plain.transmit(now, &frame, DataRate::Mbps1, &mut rng);
+            traced.transmit_into_traced(
+                now,
+                &frame,
+                DataRate::Mbps1,
+                &mut rng_traced,
+                &mut scratch,
+                &mut sink,
+            );
+            assert_eq!(scratch, result.deliveries);
+            assert_eq!(result.deliveries[0].snr_db.to_bits(), far_ceiling.to_bits());
+            assert_eq!(result.deliveries[1].snr_db.to_bits(), out_ceiling.to_bits());
+            assert!(result.deliveries.iter().all(|d| d.outcome == DeliveryOutcome::LostChannel));
+            // Two Rician samples: four uniforms and a Bernoulli each.
+            skipped.skip(10);
+        }
+        let next = skipped.next_u64();
+        assert_eq!(rng.next_u64(), next);
+        assert_eq!(rng_traced.next_u64(), next);
+        assert_eq!(plain.stats(), traced.stats());
+        // Traced records carry the realised SNR, at most the ceiling.
+        for record in sink.records() {
+            if let TraceRecord::Delivery { rx, snr_db, .. } = *record {
+                let ceiling = if rx == far.as_u32() { far_ceiling } else { out_ceiling };
+                assert!(snr_db < ceiling, "{snr_db} vs {ceiling}");
+            }
+        }
+        // Untraced, the far link's shadowing was never evaluated; the
+        // other link's was, and the cache kept it.
+        let n = plain.ids.len();
+        let slot = |medium: &Medium, node: NodeId| {
+            let (s, r) = (medium.entry(ap).unwrap(), medium.entry(node).unwrap());
+            medium.link_cache[s.compact_slot as usize * n + r.compact_slot as usize].shadowing_db
+        };
+        assert_eq!(slot(&plain, far), None);
+        assert_eq!(slot(&plain, out).map(f64::to_bits), Some(out_link.shadowing_db.to_bits()));
+        assert_eq!(slot(&traced, far).map(f64::to_bits), Some(far_link.shadowing_db.to_bits()));
     }
 
     #[test]
@@ -744,6 +939,10 @@ mod tests {
     mod reference {
         use super::*;
 
+        /// Receiver, frame end, outcome, the delivered frame, the realised
+        /// SNR and the certain-loss ceiling, if any.
+        pub type RefDelivery<P> = (NodeId, SimTime, DeliveryOutcome, Frame<P>, f64, Option<f64>);
+
         pub struct RefMedium {
             pub config: MediumConfig,
             pub ap_vehicle: RadioChannel,
@@ -771,13 +970,15 @@ mod tests {
                 }
             }
 
+            /// Each delivery's realised SNR comes with the certain-loss
+            /// ceiling of the reference's own link, where the rule applies.
             pub fn transmit<P: Clone>(
                 &mut self,
                 now: SimTime,
                 frame: Frame<P>,
                 rate: DataRate,
                 rng: &mut StreamRng,
-            ) -> Vec<(NodeId, SimTime, DeliveryOutcome, Frame<P>, f64)> {
+            ) -> Vec<RefDelivery<P>> {
                 let (src_class, src_pos) = self.nodes[&frame.src];
                 self.active.retain(|(_, _, _, end)| *end > now);
                 let airtime = self.config.timing.airtime(frame.total_bits(), rate);
@@ -787,8 +988,22 @@ mod tests {
                     self.nodes.iter().filter(|(id, _)| **id != frame.src)
                 {
                     let channel = self.channel_for(src_class, rx_class);
-                    let verdict =
-                        channel.sample_reception(src_pos, rx_pos, frame.total_bits(), rate, rng);
+                    let bits = frame.total_bits();
+                    let link = channel.link_state(src_pos, rx_pos);
+                    let ceiling = channel
+                        .certain_loss_ceiling(
+                            link.budget.snr_db + channel.shadowing_ceiling_db(),
+                            bits,
+                            rate,
+                        )
+                        .or_else(|| {
+                            channel.certain_loss_ceiling(
+                                link.budget.snr_db + link.shadowing_db,
+                                bits,
+                                rate,
+                            )
+                        });
+                    let verdict = channel.sample_reception(src_pos, rx_pos, bits, rate, rng);
                     let mut outcome = if verdict.received {
                         DeliveryOutcome::Received
                     } else {
@@ -806,7 +1021,14 @@ mod tests {
                             outcome = DeliveryOutcome::LostCollision;
                         }
                     }
-                    deliveries.push((rx_id, ends_at, outcome, frame.clone(), verdict.snr_db));
+                    deliveries.push((
+                        rx_id,
+                        ends_at,
+                        outcome,
+                        frame.clone(),
+                        verdict.snr_db,
+                        ceiling,
+                    ));
                 }
                 self.active.push((frame.src, src_pos, src_class, ends_at));
                 deliveries
@@ -822,56 +1044,104 @@ mod tests {
         /// Each tick moves a random subset of the nodes (two APs among
         /// them), so cached links of standing pairs outlive other nodes'
         /// moves, and a stale per-node epoch would diverge here.
+        ///
+        /// Every field matches exactly except the SNR of a certain loss,
+        /// which must be the ceiling recomputed from the reference's own
+        /// link and at least the SNR the reference realised. A traced copy
+        /// of the medium must deliver exactly what the untraced one does,
+        /// leave the stream and the statistics where it does, and record
+        /// the reference's realised SNRs bit for bit.
         #[test]
         fn prop_transmit_matches_clone_per_receiver_reference(
             seed in 0u64..500,
             n_nodes in 2usize..7,
             steps in proptest::collection::vec(
-                (0u64..40, 0u32..7, 0.0f64..400.0, 0u32..128),
+                (0u64..40, 0u32..7, (0.0f64..400.0, 0u8..4), 0u32..128),
                 1..25,
             ),
         ) {
+            use vanet_trace::VecSink;
             let config = MediumConfig::urban_testbed();
             let mut fast = Medium::new(config.clone());
+            let mut traced = Medium::new(config.clone());
             let mut reference = reference::RefMedium::new(config);
             for i in 0..n_nodes {
                 let class =
                     if i < 2 { RadioClass::AccessPoint } else { RadioClass::Vehicle };
                 let id = NodeId::new(i as u32);
                 let pos = Point::new(i as f64 * 25.0, 0.0);
-                fast.register_node(id, class);
-                fast.update_position(id, pos);
+                for medium in [&mut fast, &mut traced] {
+                    medium.register_node(id, class);
+                    medium.update_position(id, pos);
+                }
                 reference.nodes.insert(id, (class, pos));
             }
             let mut rng_fast = StreamRng::derive(seed, "prop-medium");
+            let mut rng_traced = StreamRng::derive(seed, "prop-medium");
             let mut rng_ref = StreamRng::derive(seed, "prop-medium");
+            let mut traced_deliveries = Vec::new();
             let mut now = SimTime::ZERO;
-            for (advance_ms, src_raw, x, movers) in steps {
+            for (advance_ms, src_raw, (x, reach), movers) in steps {
                 now += SimDuration::from_millis(advance_ms);
+                // One tick in four moves its movers up to 3.2 km out, where
+                // AP links are certain losses on their budget alone.
+                let x = if reach == 0 { 8.0 * x } else { x };
                 // A mobility tick: the nodes whose bit is set in `movers`
                 // move, the rest stand still.
                 for i in (0..n_nodes).filter(|i| movers & (1 << i) != 0) {
                     let pos = Point::new(x + i as f64 * 17.0, (i as f64) * 3.0);
                     fast.update_position(NodeId::new(i as u32), pos);
+                    traced.update_position(NodeId::new(i as u32), pos);
                     reference.nodes.get_mut(&NodeId::new(i as u32)).unwrap().1 = pos;
                 }
                 let src = NodeId::new(src_raw % n_nodes as u32);
                 let frame = Frame::new(src, Destination::Broadcast, 500, src_raw);
                 let got = fast.transmit(now, &frame, DataRate::Mbps1, &mut rng_fast);
+                let mut sink = VecSink::new();
+                traced.transmit_into_traced(
+                    now,
+                    &frame,
+                    DataRate::Mbps1,
+                    &mut rng_traced,
+                    &mut traced_deliveries,
+                    &mut sink,
+                );
                 let want = reference.transmit(now, frame.clone(), DataRate::Mbps1, &mut rng_ref);
                 proptest::prop_assert_eq!(got.deliveries.len(), want.len());
-                for (d, (node, at, outcome, w_frame, snr)) in
-                    got.deliveries.iter().zip(&want)
+                proptest::prop_assert_eq!(&traced_deliveries, &got.deliveries);
+                let recorded: Vec<f64> = sink
+                    .records()
+                    .iter()
+                    .filter_map(|r| match *r {
+                        TraceRecord::Delivery { snr_db, .. } => Some(snr_db),
+                        _ => None,
+                    })
+                    .collect();
+                proptest::prop_assert_eq!(recorded.len(), want.len());
+                for ((d, (node, at, outcome, w_frame, snr, ceiling)), traced_snr) in
+                    got.deliveries.iter().zip(&want).zip(&recorded)
                 {
                     proptest::prop_assert_eq!(d.node, *node);
                     proptest::prop_assert_eq!(d.at, *at);
                     proptest::prop_assert_eq!(d.outcome, *outcome);
-                    proptest::prop_assert_eq!(d.snr_db, *snr);
+                    match ceiling {
+                        Some(ceiling) => {
+                            proptest::prop_assert_eq!(d.outcome, DeliveryOutcome::LostChannel);
+                            proptest::prop_assert_eq!(d.snr_db.to_bits(), ceiling.to_bits());
+                            proptest::prop_assert!(*snr <= *ceiling, "{} above {}", snr, ceiling);
+                        }
+                        None => proptest::prop_assert_eq!(d.snr_db.to_bits(), snr.to_bits()),
+                    }
+                    proptest::prop_assert_eq!(traced_snr.to_bits(), snr.to_bits());
                     // The shared frame the caller keeps is what the
                     // reference delivered to every receiver.
                     proptest::prop_assert_eq!(&frame, w_frame);
                 }
+                proptest::prop_assert_eq!(traced.stats(), fast.stats());
             }
+            let next = rng_fast.next_u64();
+            proptest::prop_assert_eq!(rng_traced.next_u64(), next);
+            proptest::prop_assert_eq!(rng_ref.next_u64(), next);
         }
     }
 

@@ -22,7 +22,7 @@ use crate::datarate::DataRate;
 use crate::fading::{FadingKind, ResolvedFading};
 use crate::obstacles::ObstacleMap;
 use crate::pathloss::{LogDistance, PathLossModel};
-use crate::per::packet_error_rate;
+use crate::per::{is_certain_loss, packet_error_rate};
 
 /// The deterministic part of a link: received power and SNR before any
 /// random shadowing or fading is applied.
@@ -306,6 +306,15 @@ impl SpatialField {
         self.amplitude * cosines.into_iter().sum::<f64>()
     }
 
+    /// The largest magnitude [`SpatialField::value_at`] can return:
+    /// `amplitude · 24`. Each cosine is at most 1 in magnitude, so every
+    /// partial sum of the waves is at most its (exactly representable)
+    /// count of terms, which rounding cannot pass; rounding the product by
+    /// the amplitude is monotone.
+    fn ceiling(&self) -> f64 {
+        self.amplitude * WAVES as f64
+    }
+
     /// [`SpatialField::value_at`] with one `f64::cos` per wave: the path of
     /// hosts without the vector kernel, and the tests' oracle.
     fn scalar_value_at(&self, p: Point) -> f64 {
@@ -327,6 +336,10 @@ pub struct RadioChannel {
     field: SpatialField,
     /// `config.fading` with its constants resolved at construction.
     fading: ResolvedFading,
+    /// [`RadioChannel::shadowing_ceiling_db`], resolved at construction.
+    shadowing_ceiling_db: f64,
+    /// [`RadioChannel::fading_ceiling_db`], resolved at construction.
+    fading_ceiling_db: f64,
 }
 
 impl RadioChannel {
@@ -334,7 +347,12 @@ impl RadioChannel {
     pub fn new(config: RadioConfig) -> Self {
         let field = SpatialField::new(config.shadowing_seed, config.shadowing_decorrelation_m);
         let fading = config.fading.resolve();
-        RadioChannel { config, field, fading }
+        let sigma = config.shadowing_sigma_db;
+        // `shadowing_db` multiplies the field's value by σ, and rounding that
+        // product is monotone too.
+        let shadowing_ceiling_db = if sigma <= 0.0 { 0.0 } else { sigma * field.ceiling() };
+        let fading_ceiling_db = fading.ceiling_db();
+        RadioChannel { config, field, fading, shadowing_ceiling_db, fading_ceiling_db }
     }
 
     /// The configuration this channel was built from.
@@ -342,7 +360,56 @@ impl RadioChannel {
         &self.config
     }
 
-    fn shadowing_db(&self, tx: Point, rx: Point) -> f64 {
+    /// The largest shadowing (dB) the field can add to any link:
+    /// σ · amplitude · 24, 27.71 dB at σ = 4 dB (0 without shadowing). No
+    /// [`LinkState::shadowing_db`] exceeds it.
+    #[inline]
+    pub fn shadowing_ceiling_db(&self) -> f64 {
+        self.shadowing_ceiling_db
+    }
+
+    /// An upper bound of every fast-fading gain (dB) a frame can draw, within
+    /// 10⁻⁶ dB of the largest: the draws at their extremes (the smallest
+    /// uniform a transform takes the logarithm of, 2⁻⁵³, and a Box–Muller
+    /// cosine of ±1). 13.10 dB for Rician K = 6 dB, 15.65 dB for Rayleigh,
+    /// 0 without fading.
+    #[inline]
+    pub fn fading_ceiling_db(&self) -> f64 {
+        self.fading_ceiling_db
+    }
+
+    /// The certain-loss rule for a frame of `bits` bits at `rate` over a
+    /// link whose SNR before fading (the budget's SNR plus the shadowing,
+    /// summed in that order) is at most `snr_db`. Returns the ceiling
+    /// `snr_db + fading_ceiling_db()` when it is a certain loss
+    /// ([`is_certain_loss`]), `None` otherwise.
+    ///
+    /// Rounding is monotone, so every SNR [`RadioChannel::sample_from_state`]
+    /// can realise over such a link is at most the ceiling. Then the PER is
+    /// exactly 1.0, the success probability exactly 0.0, and the frame is
+    /// lost whatever the RNG draws: [`RadioChannel::skip_sample`] may stand
+    /// in for the sample. Passing `budget.snr_db + shadowing_ceiling_db()`
+    /// settles a link before its shadowing is evaluated.
+    #[inline]
+    pub fn certain_loss_ceiling(&self, snr_db: f64, bits: u64, rate: DataRate) -> Option<f64> {
+        let ceiling = snr_db + self.fading_ceiling_db;
+        is_certain_loss(ceiling, bits, rate).then_some(ceiling)
+    }
+
+    /// Advances `rng` past exactly the draws
+    /// [`RadioChannel::sample_from_state`] makes (the fading's uniforms:
+    /// 4 for Rician, 1 for Rayleigh, 0 without fading; then the reception
+    /// Bernoulli) without evaluating them: the sample of a certain loss,
+    /// whose outcome is known.
+    #[inline]
+    pub fn skip_sample(&self, rng: &mut StreamRng) {
+        rng.skip(self.fading.uniforms() + 1);
+    }
+
+    /// The shadowing realisation (dB) at the (tx, rx) position pair: the
+    /// [`LinkState::shadowing_db`] of [`RadioChannel::link_state`], for
+    /// callers that evaluate it only when they need it.
+    pub fn shadowing_db(&self, tx: Point, rx: Point) -> f64 {
         if self.config.shadowing_sigma_db <= 0.0 {
             return 0.0;
         }
@@ -364,6 +431,7 @@ impl RadioChannel {
     /// random variates [`ChannelModel::sample_reception`] would (fast fading,
     /// then the reception Bernoulli), in the same order, so interleaving
     /// cached and uncached sampling on one RNG stream is bit-identical.
+    /// [`RadioChannel::skip_sample`] makes the same draws.
     pub fn sample_from_state(
         &self,
         state: &LinkState,
@@ -648,6 +716,85 @@ mod tests {
         }
     }
 
+    /// A link state whose SNR before fading is about `pre_db`, split between
+    /// the budget and `shadowing_db`.
+    fn state_with(pre_db: f64, shadowing_db: f64) -> LinkState {
+        let snr_db = pre_db - shadowing_db;
+        let budget = LinkBudget { distance_m: 1.0, path_loss_db: 0.0, rx_power_dbm: 0.0, snr_db };
+        LinkState { budget, shadowing_db }
+    }
+
+    #[test]
+    fn skipping_a_sample_consumes_exactly_its_draws() {
+        let kinds = [
+            FadingKind::None,
+            FadingKind::Rayleigh,
+            FadingKind::Rician { k_db: 6.0 },
+            FadingKind::Rician { k_db: -3.0 },
+        ];
+        for kind in kinds {
+            let ch = RadioChannel::new(RadioConfig::urban_2_4ghz().with_fading(kind));
+            for (i, pre_db) in [-40.0, -12.0, 0.0, 20.0].into_iter().enumerate() {
+                let state = state_with(pre_db, 3.5);
+                let mut sampled = StreamRng::derive(i as u64, "skip");
+                let mut skipped = sampled.clone();
+                for _ in 0..500 {
+                    ch.sample_from_state(&state, 8_000, DataRate::Mbps1, &mut sampled);
+                    ch.skip_sample(&mut skipped);
+                }
+                assert_eq!(
+                    sampled.standard_normal().to_bits(),
+                    skipped.standard_normal().to_bits(),
+                    "{kind:?} at {pre_db} dB"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_channel_ceilings_bound_the_field_and_the_fading() {
+        for (config, sigma, fading) in [
+            (RadioConfig::urban_2_4ghz(), 4.0, 13.10),
+            (RadioConfig::urban_vehicle_to_vehicle(), 4.0, 13.10),
+            (RadioConfig::highway_2_4ghz(), 4.0, 15.65),
+        ] {
+            let ch = RadioChannel::new(config);
+            assert!((ch.fading_ceiling_db() - fading).abs() < 0.005, "{}", ch.fading_ceiling_db());
+            let ceiling = ch.shadowing_ceiling_db();
+            // The extreme realisation: every wave's cosine at 1, summed as
+            // the field sums them.
+            let extreme = sigma * (ch.field.amplitude * [1.0f64; WAVES].into_iter().sum::<f64>());
+            assert!(extreme <= ceiling && ceiling - extreme < 0.05, "{ceiling} vs {extreme}");
+            assert!((ceiling - 27.71).abs() < 0.005, "ceiling {ceiling}");
+            let mut rng = StreamRng::derive(16, "shadowing-probes");
+            for _ in 0..20_000 {
+                let tx = Point::new(rng.uniform(-2e3, 2e3), rng.uniform(-2e3, 2e3));
+                let rx = Point::new(rng.uniform(-2e3, 2e3), rng.uniform(-2e3, 2e3));
+                let shadowing = ch.shadowing_db(tx, rx);
+                assert!(shadowing.abs() <= ceiling, "{shadowing} at {tx:?} -> {rx:?}");
+                assert_eq!(shadowing.to_bits(), ch.link_state(tx, rx).shadowing_db.to_bits());
+            }
+        }
+        let flat = RadioChannel::new(RadioConfig::ideal());
+        assert_eq!(flat.shadowing_ceiling_db(), 0.0);
+        assert_eq!(flat.fading_ceiling_db(), 0.0);
+    }
+
+    #[test]
+    fn certain_losses_need_dbpsk_long_frames_and_a_low_ceiling() {
+        let ch = RadioChannel::new(RadioConfig::urban_2_4ghz());
+        let fading = ch.fading_ceiling_db();
+        let at_bound = -10.0 - fading;
+        assert_eq!(
+            ch.certain_loss_ceiling(at_bound - 1.0, 256, DataRate::Mbps1),
+            Some(at_bound - 1.0 + fading)
+        );
+        assert!(ch.certain_loss_ceiling(at_bound + 0.01, 8_000, DataRate::Mbps1).is_none());
+        assert!(ch.certain_loss_ceiling(at_bound - 1.0, 255, DataRate::Mbps1).is_none());
+        assert!(ch.certain_loss_ceiling(at_bound - 1.0, 8_000, DataRate::Mbps2).is_none());
+        assert!(ch.certain_loss_ceiling(f64::NAN, 8_000, DataRate::Mbps1).is_none());
+    }
+
     #[test]
     fn empirical_profile_interpolates() {
         let p = EmpiricalProfile::drive_thru();
@@ -682,6 +829,43 @@ mod tests {
             let closer = ch.link_budget(Point::ORIGIN, Point::new(d / 2.0, 0.0));
             let here = ch.link_budget(Point::ORIGIN, Point::new(d, 0.0));
             prop_assert!(closer.snr_db >= here.snr_db);
+        }
+
+        /// Every certain loss is lost on the exact path too: over random
+        /// link states (SNR before fading −45 to +5 dB) of the urban Rician
+        /// and highway Rayleigh channels, at the rule's budget level (the
+        /// field's ceiling) and at the link's own shadowing, each sample is
+        /// lost with success probability 0.0 and a realised SNR at most the
+        /// ceiling, and skipping the samples leaves the stream where they do.
+        #[test]
+        fn prop_certain_losses_are_lost_on_the_exact_path(
+            pre_db in -45.0f64..5.0,
+            shadowing_db in -25.0f64..25.0,
+            bits in 200u64..12_000,
+            highway in 0u8..2,
+            seed in 0u64..1_000,
+        ) {
+            let config =
+                if highway == 1 { RadioConfig::highway_2_4ghz() } else { RadioConfig::urban_2_4ghz() };
+            let ch = RadioChannel::new(config);
+            let state = state_with(pre_db, shadowing_db);
+            let budget_level = state.budget.snr_db + ch.shadowing_ceiling_db();
+            let link_level = state.budget.snr_db + state.shadowing_db;
+            for snr_db in [budget_level, link_level] {
+                let Some(ceiling) = ch.certain_loss_ceiling(snr_db, bits, DataRate::Mbps1) else {
+                    continue;
+                };
+                let mut sampled = StreamRng::derive(seed, "certain-loss");
+                let mut skipped = sampled.clone();
+                for _ in 0..256 {
+                    let v = ch.sample_from_state(&state, bits, DataRate::Mbps1, &mut sampled);
+                    prop_assert!(!v.received);
+                    prop_assert!(v.success_probability == 0.0, "{v:?}");
+                    prop_assert!(v.snr_db <= ceiling, "{} above {ceiling}", v.snr_db);
+                    ch.skip_sample(&mut skipped);
+                }
+                prop_assert!(sampled.standard_normal().to_bits() == skipped.standard_normal().to_bits());
+            }
         }
 
         /// The empirical profile respects its break-point envelope.

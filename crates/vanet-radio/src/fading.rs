@@ -65,6 +65,17 @@ pub(crate) enum ResolvedFading {
     Rician { los: f64, sigma: f64 },
 }
 
+/// The smallest `u` the RNG's transforms take a logarithm of: they draw
+/// `u = 1 − U` with `U` a multiple of 2⁻⁵³ below 1, so `u ≥ 2⁻⁵³`.
+const SMALLEST_U: f64 = 1.0 / (1u64 << 53) as f64;
+
+/// What [`ResolvedFading::ceiling_db`] adds to the gain of the extreme
+/// draws. The chain from the draws to the gain (`ln`, `sqrt`, `cos`, the
+/// products, the sum of squares and `log10`) rounds a few times, each
+/// within an ulp, which moves the gain by about 10⁻¹⁴ dB; the margin is
+/// 10⁸ times that.
+const CEILING_MARGIN_DB: f64 = 1e-6;
+
 impl ResolvedFading {
     /// Samples one frame's fading gain in dB. Rayleigh draws one
     /// exponential variate, Rician two standard normals (real part first);
@@ -72,14 +83,57 @@ impl ResolvedFading {
     pub(crate) fn sample_db(self, rng: &mut StreamRng) -> f64 {
         match self {
             ResolvedFading::None => 0.0,
-            ResolvedFading::Rayleigh => 10.0 * rng.exponential(1.0).max(1e-6).log10(),
+            ResolvedFading::Rayleigh => rayleigh_db(rng.exponential(1.0)),
             ResolvedFading::Rician { los, sigma } => {
-                let re = los + sigma * rng.standard_normal();
-                let im = sigma * rng.standard_normal();
-                10.0 * (re * re + im * im).max(1e-9).log10()
+                let re = rng.standard_normal();
+                let im = rng.standard_normal();
+                rician_db(los, sigma, re, im)
             }
         }
     }
+
+    /// The uniforms one [`ResolvedFading::sample_db`] consumes: two per
+    /// standard normal, one per exponential.
+    pub(crate) fn uniforms(self) -> usize {
+        match self {
+            ResolvedFading::None => 0,
+            ResolvedFading::Rayleigh => 1,
+            ResolvedFading::Rician { .. } => 4,
+        }
+    }
+
+    /// An upper bound of every gain (dB) [`ResolvedFading::sample_db`] can
+    /// return, within [`CEILING_MARGIN_DB`] of the largest.
+    ///
+    /// Both transforms take the logarithm of a `u ≥ 2⁻⁵³`
+    /// ([`SMALLEST_U`]). An exponential is therefore at most
+    /// `−ln 2⁻⁵³ = 53 ln 2 ≈ 36.74` (15.65 dB for Rayleigh), and a
+    /// Box–Muller normal at most `√(−2 ln 2⁻⁵³) ≈ 8.57` in magnitude, its
+    /// cosine being at most 1. The Rician power `(los + σ·n₁)² + (σ·n₂)²`
+    /// grows with `|n₂|` and, since `los > 0`, is largest at `n₁ = +8.57`:
+    /// 13.10 dB at K = 6 dB. No fading is exactly 0 dB.
+    pub(crate) fn ceiling_db(self) -> f64 {
+        match self {
+            ResolvedFading::None => 0.0,
+            ResolvedFading::Rayleigh => rayleigh_db(-SMALLEST_U.ln()) + CEILING_MARGIN_DB,
+            ResolvedFading::Rician { los, sigma } => {
+                let largest = (-2.0 * SMALLEST_U.ln()).sqrt();
+                rician_db(los, sigma, largest, largest) + CEILING_MARGIN_DB
+            }
+        }
+    }
+}
+
+/// The Rayleigh gain (dB) of an exponential power draw.
+fn rayleigh_db(power: f64) -> f64 {
+    10.0 * power.max(1e-6).log10()
+}
+
+/// The Rician gain (dB) of two standard normal draws, real part first.
+fn rician_db(los: f64, sigma: f64, normal_re: f64, normal_im: f64) -> f64 {
+    let re = los + sigma * normal_re;
+    let im = sigma * normal_im;
+    10.0 * (re * re + im * im).max(1e-9).log10()
 }
 
 #[cfg(test)]
@@ -141,6 +195,67 @@ mod tests {
         let low_k = deep(0.0, &mut rng);
         let high_k = deep(10.0, &mut rng);
         assert!(high_k < low_k, "K=10 dB ({high_k}) must fade less than K=0 dB ({low_k})");
+    }
+
+    /// The gains of the extreme draws, evaluated as `sample_db` would:
+    /// `u = 2⁻⁵³` with the Box–Muller cosine at ±1.
+    fn extreme_gains(fading: ResolvedFading) -> Vec<f64> {
+        let u = 1.0 / (1u64 << 53) as f64;
+        match fading {
+            ResolvedFading::None => vec![0.0],
+            ResolvedFading::Rayleigh => vec![10.0 * (-u.ln() / 1.0).max(1e-6).log10()],
+            ResolvedFading::Rician { los, sigma } => {
+                let radius = (-2.0 * u.ln()).sqrt();
+                let mut gains = Vec::new();
+                for cos_re in [1.0, -1.0] {
+                    for cos_im in [1.0, -1.0] {
+                        let re = los + sigma * (radius * cos_re);
+                        let im = sigma * (radius * cos_im);
+                        gains.push(10.0 * (re * re + im * im).max(1e-9).log10());
+                    }
+                }
+                gains
+            }
+        }
+    }
+
+    #[test]
+    fn ceilings_bound_the_extreme_draws_within_a_twentieth_of_a_db() {
+        let shipped = [
+            (FadingKind::None, 0.0),
+            (FadingKind::Rayleigh, 15.65),
+            (FadingKind::Rician { k_db: 6.0 }, 13.10),
+        ];
+        for (kind, rounded) in shipped {
+            let fading = kind.resolve();
+            let ceiling = fading.ceiling_db();
+            let extreme = extreme_gains(fading).into_iter().fold(f64::NEG_INFINITY, f64::max);
+            assert!(extreme <= ceiling, "{kind:?}: extreme {extreme} above ceiling {ceiling}");
+            assert!(ceiling - extreme < 0.05, "{kind:?}: ceiling {ceiling}, extreme {extreme}");
+            assert!((ceiling - rounded).abs() < 0.005, "{kind:?}: ceiling {ceiling}");
+        }
+        for k_db in [-3.0, 0.0, 4.0, 10.0, 25.0] {
+            let fading = rician(k_db);
+            let ceiling = fading.ceiling_db();
+            for extreme in extreme_gains(fading) {
+                assert!(extreme <= ceiling, "K = {k_db} dB: {extreme} above {ceiling}");
+            }
+        }
+    }
+
+    #[test]
+    fn sampled_gains_stay_below_the_ceiling_and_draw_the_counted_uniforms() {
+        for fading in [ResolvedFading::None, RAYLEIGH, rician(6.0), rician(0.0)] {
+            let ceiling = fading.ceiling_db();
+            let mut rng = StreamRng::derive(15, "ceiling");
+            let mut skipped = rng.clone();
+            for _ in 0..20_000 {
+                let gain = fading.sample_db(&mut rng);
+                assert!(gain <= ceiling, "{fading:?}: {gain} above {ceiling}");
+                skipped.skip(fading.uniforms());
+            }
+            assert_eq!(rng.standard_normal().to_bits(), skipped.standard_normal().to_bits());
+        }
     }
 
     #[test]

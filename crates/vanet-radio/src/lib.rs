@@ -12,10 +12,13 @@
 //! * [`fading`] — per-frame Rayleigh or Rician fast fading, resolved once
 //!   per channel.
 //! * [`per`] — SNR → bit-error-rate → packet-error-rate curves for the
-//!   DSSS/CCK and OFDM modulations used by 802.11b/g.
+//!   DSSS/CCK and OFDM modulations used by 802.11b/g, and the certain-loss
+//!   predicate where the PER is exactly 1.
 //! * [`channel`] — the composite [`channel::RadioChannel`], which combines
 //!   path loss, shadowing, fading and thermal noise into a single
-//!   "was this frame received?" sampling interface, plus
+//!   "was this frame received?" sampling interface (with the ceilings of
+//!   its shadowing and fading, which settle certain losses before any
+//!   draw), plus
 //!   [`channel::EmpiricalProfile`] for distance-binned loss curves measured
 //!   in drive-thru studies (reference \[1\] of the paper).
 //!
@@ -70,7 +73,7 @@ pub use datarate::{DataRate, FrameTiming};
 pub use fading::FadingKind;
 pub use obstacles::{Building, ObstacleMap};
 pub use pathloss::{FreeSpace, LogDistance, PathLossModel, TwoRayGround};
-pub use per::{packet_error_rate, snr_to_ber, Modulation};
+pub use per::{is_certain_loss, packet_error_rate, snr_to_ber, Modulation};
 
 /// Converts a linear power ratio to decibels.
 ///

@@ -112,13 +112,27 @@ const DBPSK_LOST_SNR_DB: f64 = -10.0;
 /// The shortest frame (bits) [`DBPSK_LOST_SNR_DB`] is proven for.
 const DBPSK_LOST_MIN_BITS: u64 = 256;
 
+/// Whether a frame of `bits` bits at `rate` is lost for certain at a
+/// realised SNR of `snr_db`: DBPSK, at least 256 bits, at most −10 dB.
+/// There [`packet_error_rate`] is exactly 1.0, so the success probability
+/// is exactly 0.0 and a reception draw against it fails whatever it draws.
+/// The rule holds at every SNR at or below one where it holds, which is
+/// what lets a caller apply it to an upper bound of the realised SNR.
+/// NaN is never a certain loss.
+#[inline]
+pub fn is_certain_loss(snr_db: f64, bits: u64, rate: DataRate) -> bool {
+    Modulation::for_rate(rate) == Modulation::Dbpsk
+        && snr_db <= DBPSK_LOST_SNR_DB
+        && bits >= DBPSK_LOST_MIN_BITS
+}
+
 /// Packet error rate for a frame of `bits` bits at `snr_db`, assuming
 /// independent bit errors.
 ///
 /// Where the formula provably returns exactly 0.0 or 1.0, that value is
 /// returned without evaluating it: DBPSK at a realised SNR of at least
-/// 6 dB (0.0), or of at most −10 dB for frames of at least 256 bits (1.0).
-/// The result is bit-identical either way, and every other input takes the
+/// 6 dB (0.0), or a certain loss (1.0; see [`is_certain_loss`]). The
+/// result is bit-identical either way, and every other input takes the
 /// formula.
 ///
 /// # Examples
@@ -132,15 +146,13 @@ const DBPSK_LOST_MIN_BITS: u64 = 256;
 /// assert!(packet_error_rate(-10.0, 8_000, DataRate::Mbps1) > 0.99);
 /// ```
 pub fn packet_error_rate(snr_db: f64, bits: u64, rate: DataRate) -> f64 {
+    if is_certain_loss(snr_db, bits, rate) {
+        return 1.0;
+    }
     let modulation = Modulation::for_rate(rate);
-    if modulation == Modulation::Dbpsk {
-        // Comparisons are false for NaN, which takes the formula.
-        if snr_db >= DBPSK_CLEAN_SNR_DB {
-            return 0.0;
-        }
-        if snr_db <= DBPSK_LOST_SNR_DB && bits >= DBPSK_LOST_MIN_BITS {
-            return 1.0;
-        }
+    // Comparisons are false for NaN, which takes the formula.
+    if modulation == Modulation::Dbpsk && snr_db >= DBPSK_CLEAN_SNR_DB {
+        return 0.0;
     }
     per_formula(snr_db, bits, modulation)
 }

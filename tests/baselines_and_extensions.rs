@@ -11,7 +11,7 @@ use carq_repro::scenarios::highway::HighwayScenario;
 use carq_repro::scenarios::multi_ap::{MultiApConfig, MultiApScenario};
 use carq_repro::scenarios::urban::{UrbanConfig, UrbanRun};
 use carq_repro::scenarios::{run_point, run_rounds, Param, ParamValue, SweepPoint};
-use carq_repro::stats::{into_round_results, table1, PointSummary};
+use carq_repro::stats::{into_round_results, render_table1, table1, PointSummary};
 
 /// The AP-side retransmission baseline trades fresh-data goodput for loss
 /// reduction: it must lose less than the no-retransmission baseline but send
@@ -43,6 +43,39 @@ fn ap_retransmissions_trade_goodput_for_reliability() {
         re_tx < fresh_tx,
         "retransmissions consume slots that fresh data would have used ({re_tx:.1} !< {fresh_tx:.1})"
     );
+}
+
+/// Table 1 of the AP-side retransmission baseline: the paper testbed
+/// without cooperation, half of the AP's slots spent on retransmissions,
+/// 3 rounds at seed 31 (the configuration of the test above).
+fn ap_retransmit_table1() -> String {
+    let mut config = UrbanConfig::paper_testbed().with_rounds(3).without_cooperation();
+    config.ap_policy = ApSchedulingPolicy::RetransmitUnacked { retransmit_ratio: 0.5 };
+    let reports = run_rounds(&UrbanRun::new(config), 31, 2);
+    render_table1(&table1(&into_round_results(reports)))
+}
+
+const AP_RETRANSMIT_GOLDEN: &str =
+    concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/ap_retransmit_r3.txt");
+
+/// The AP's idealised loss feedback (`!received && snr_db > -5.0`) is the
+/// only reader of a lost delivery's SNR, so the baseline's rendered Table 1
+/// is pinned byte for byte.
+#[test]
+fn ap_retransmit_table1_matches_its_golden() {
+    let golden = std::fs::read_to_string(AP_RETRANSMIT_GOLDEN).expect("golden is readable");
+    let rendered = ap_retransmit_table1();
+    assert!(
+        rendered == golden,
+        "diverged from the golden:\n--- golden\n{golden}--- got\n{rendered}"
+    );
+}
+
+/// Re-records the golden above; see `tests/golden/README.md`.
+#[test]
+#[ignore = "writes tests/golden/ap_retransmit_r3.txt"]
+fn record_ap_retransmit_golden() {
+    std::fs::write(AP_RETRANSMIT_GOLDEN, ap_retransmit_table1()).expect("golden is writable");
 }
 
 /// Epidemic anti-entropy pushes every packet the peer is missing, whoever it
