@@ -911,10 +911,8 @@ fn urban_rounds(opts: &Options, default_rounds: u32) -> Result<Vec<RoundResult>,
     }
     let scenario = UrbanScenario::paper_testbed();
     let point = SweepPoint::new(vec![(Param::Rounds, ParamValue::Int(u64::from(rounds)))]);
-    let threads =
-        std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1);
     let (reports, _) =
-        run_point(&scenario, &point, parse_seed(opts)?, threads).map_err(|e| e.to_string())?;
+        run_point(&scenario, &point, parse_seed(opts)?, 0).map_err(|e| e.to_string())?;
     Ok(into_round_results(reports))
 }
 

@@ -147,12 +147,7 @@ pub(crate) fn arm_worker_faults(opts: &Options, default_worker: u32) -> Result<(
 
 /// Splits the thread budget across the workers that will actually spawn.
 fn per_worker_threads(threads: usize, to_spawn: usize) -> usize {
-    let budget = if threads == 0 {
-        std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
-    } else {
-        threads
-    };
-    budget.div_ceil(to_spawn.max(1)).max(1)
+    vanet_scenarios::worker_threads(threads).div_ceil(to_spawn.max(1)).max(1)
 }
 
 /// One shard the supervisor will run as a worker process.

@@ -14,7 +14,10 @@
 //! preset the warm-journal benchmark serves, one aggregated row per recovery
 //! strategy. `multi_ap_r8.csv` and `highway_flow_campaign_r1.csv` were
 //! recorded at commit `195769c`, the last state before the shadowing field's
-//! waves went to the vector cosine kernel.
+//! waves went to the vector cosine kernel. The three analysis tables
+//! (`*_latency_r1.csv`, `*_occupancy_r1.csv`) were recorded at commit
+//! `6ee535a`, the last state in which the analysis engine had a round loop
+//! and table renderer of its own.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -28,16 +31,19 @@ fn golden(name: &str) -> Vec<u8> {
     std::fs::read(&path).unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()))
 }
 
-/// Runs the real binary and returns stdout, panicking on failure.
-fn run_stdout(args: &[&str]) -> Vec<u8> {
+/// Runs the real binary and returns stdout and stderr, panicking on
+/// failure.
+fn run_output(args: &[&str]) -> (Vec<u8>, String) {
     let out =
         Command::new(env!("CARGO_BIN_EXE_carq-cli")).args(args).output().expect("carq-cli spawns");
-    assert!(
-        out.status.success(),
-        "carq-cli {args:?} failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    out.stdout
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(out.status.success(), "carq-cli {args:?} failed: {stderr}");
+    (out.stdout, stderr)
+}
+
+/// Runs the real binary and returns stdout, panicking on failure.
+fn run_stdout(args: &[&str]) -> Vec<u8> {
+    run_output(args).0
 }
 
 fn assert_matches_golden(actual: &[u8], name: &str, context: &str) {
@@ -264,4 +270,41 @@ fn explicit_default_strategy_reproduces_the_pre_strategy_golden() {
         "highway_speed_r2.csv",
         "scenario run highway with explicit --strategy coop-arq",
     );
+}
+
+#[test]
+fn analysis_tables_match_their_goldens_cold_warm_and_at_any_thread_count() {
+    // The per-point analysis tables: identity and parameter columns as the
+    // sweep export renders them, then the pooled latency or occupancy
+    // cells. multiap-blocks is a settle-capable download whose `rounds`
+    // column reads 40 on every row: analysis never settles.
+    let cases = [
+        ("latency", "strategy-compare", "strategy_compare_latency_r1.csv"),
+        ("occupancy", "strategy-compare", "strategy_compare_occupancy_r1.csv"),
+        ("latency", "multiap-blocks", "multiap_blocks_latency_r1.csv"),
+    ];
+    for (metric, preset, name) in cases {
+        let dir = std::env::temp_dir()
+            .join(format!("carq-golden-analysis-{metric}-{preset}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let cache = dir.to_str().expect("a UTF-8 temp path");
+        let base = ["analyze", metric, "--preset", preset, "--rounds", "1", "--seed", "0xbeef"];
+        let run = |threads: &str, cached: bool| {
+            let mut args = base.to_vec();
+            args.extend(["--threads", threads]);
+            if cached {
+                args.extend(["--cache", cache]);
+            }
+            run_output(&args)
+        };
+        let context = format!("analyze {metric} --preset {preset}");
+        assert_matches_golden(&run("1", false).0, name, &context);
+        // A cold fill at 8 threads, then a warm 1-thread pass served
+        // entirely from the digest journal.
+        assert_matches_golden(&run("8", true).0, name, &format!("{context}, cold"));
+        let (warm, stderr) = run("1", true);
+        assert!(stderr.contains("analyze: 0 round(s) simulated"), "{context}, warm: {stderr}");
+        assert_matches_golden(&warm, name, &format!("{context}, warm"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

@@ -1,111 +1,70 @@
 //! The parallel analysis executor: traces every round of a sweep plan and
 //! folds each round's record stream into a [`RoundDigest`].
 //!
-//! The engine deliberately reuses the sweep's addressing layer
-//! ([`vanet_sweep::plan`]): the same points, the same content-addressed
-//! seeds, the same cache keys. Analysing `strategy-compare` therefore
-//! walks the *exact* rounds `carq-cli sweep --preset strategy-compare`
-//! would run — and when an [`AnalysisStore`] is attached, a re-run of an
-//! identical spec re-simulates nothing (the digests come back from the
-//! journal), while tables stay byte-identical at any thread count by the
-//! same slot-assembly argument the sweep engine makes.
-//!
-//! One deliberate difference from the sweep executor: analysis runs **all**
-//! of a run's rounds, ignoring `ScenarioRun::is_settled`. Settling is a
-//! statistics shortcut ("the aggregate won't change"); a latency
-//! distribution, by contrast, is defined over every round the scenario
-//! declares, and truncating it would bias the tail percentiles.
+//! The engine is the sweep's own point executor ([`vanet_sweep::walk_points`])
+//! over the digest journal: the same points, the same content-addressed
+//! seeds, the same cache keys. Analysing `strategy-compare` therefore walks
+//! the *exact* rounds `carq-cli sweep --preset strategy-compare` would run —
+//! and when an [`AnalysisStore`] is attached, a re-run of an identical spec
+//! re-simulates nothing (the digests come back from the journal), while
+//! tables stay byte-identical at any thread count by the same
+//! slot-assembly argument the sweep engine makes.
 
 use std::collections::BTreeMap;
-use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use vanet_scenarios::{round_seed, Scenario};
+use vanet_scenarios::{worker_threads, Scenario, ScenarioRun};
 use vanet_stats::{CellValue, Percentiles, RecordTable};
-use vanet_sweep::{Param, ParamValue, SweepError, SweepPlan, SweepPoint, SweepSpec};
+use vanet_sweep::{
+    point_table, walk_points, PointWork, SweepError, SweepPlan, SweepPoint, SweepSpec,
+};
 
 use crate::digest::RoundDigest;
 use crate::occupancy::OccupancyReport;
 use crate::store::AnalysisStore;
 
-/// Why an analysis could not run.
+/// The analysis instance of the point executor: every round traced and
+/// digested, each point's digests kept in round order.
+///
+/// Unlike the sweep, analysis never settles (the [`PointWork::settled`]
+/// default). Settling is a statistics shortcut ("the aggregate won't
+/// change"); a latency distribution, by contrast, is defined over every
+/// round the scenario declares, and truncating it would bias the tail
+/// percentiles.
+struct Digests;
+
+impl PointWork for Digests {
+    type Product = RoundDigest;
+    type Fold = Vec<RoundDigest>;
+
+    fn produce(&self, run: &dyn ScenarioRun, round: u32, seed: u64) -> RoundDigest {
+        let (_report, records) = run.run_round_traced(round, seed);
+        RoundDigest::compute(round, seed, &records)
+    }
+
+    fn fold(&self, _run: &dyn ScenarioRun, digests: Vec<RoundDigest>) -> Vec<RoundDigest> {
+        digests
+    }
+}
+
+/// The work-sharing parallel analysis executor: the sweep's point executor
+/// with a digest journal attached instead of a round cache.
 #[derive(Debug)]
-pub enum AnalysisError {
-    /// Planning the sweep failed (empty spec or schema violation).
-    Sweep(SweepError),
-    /// The attached digest journal failed while the analysis ran.
-    Store(String),
-}
-
-impl fmt::Display for AnalysisError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AnalysisError::Sweep(e) => write!(f, "{e}"),
-            AnalysisError::Store(message) => f.write_str(message),
-        }
-    }
-}
-
-impl std::error::Error for AnalysisError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            AnalysisError::Sweep(e) => Some(e),
-            AnalysisError::Store(_) => None,
-        }
-    }
-}
-
-impl From<SweepError> for AnalysisError {
-    fn from(e: SweepError) -> Self {
-        AnalysisError::Sweep(e)
-    }
-}
-
-/// The work-sharing parallel analysis executor. Mirrors
-/// [`vanet_sweep::SweepEngine`]'s structure: workers pull `(point, round)`
-/// items from a shared queue, results land in their item's slot, so tables
-/// are byte-identical at any thread count.
 pub struct AnalysisEngine {
     threads: usize,
-    allow_unknown: bool,
     store: Option<Arc<Mutex<AnalysisStore>>>,
-}
-
-impl fmt::Debug for AnalysisEngine {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("AnalysisEngine")
-            .field("threads", &self.threads)
-            .field("allow_unknown", &self.allow_unknown)
-            .field("store", &self.store.as_ref().map(|_| "<attached>"))
-            .finish()
-    }
 }
 
 impl AnalysisEngine {
     /// Creates an engine running `threads` workers; `0` means one per
     /// available CPU.
     pub fn new(threads: usize) -> Self {
-        let threads = if threads == 0 {
-            std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
-        } else {
-            threads
-        };
-        AnalysisEngine { threads, allow_unknown: false, store: None }
-    }
-
-    /// Silently drops sweep parameters the scenario's schema does not
-    /// declare instead of failing validation (the sweep engine's escape
-    /// hatch, mirrored).
-    #[must_use]
-    pub fn with_allow_unknown(mut self, allow: bool) -> Self {
-        self.allow_unknown = allow;
-        self
+        AnalysisEngine { threads: worker_threads(threads), store: None }
     }
 
     /// Attaches a persistent digest journal: rounds whose digest is already
     /// stored are served from it without simulating, fresh digests are
-    /// written back as they are computed.
+    /// written back wave by wave.
     #[must_use]
     pub fn with_store(mut self, store: Arc<Mutex<AnalysisStore>>) -> Self {
         self.store = Some(store);
@@ -121,88 +80,29 @@ impl AnalysisEngine {
     ///
     /// # Errors
     ///
-    /// [`AnalysisError::Sweep`] when the spec is empty or a point fails
-    /// schema validation; [`AnalysisError::Store`] when the attached
-    /// journal fails to persist a digest.
+    /// [`SweepError::EmptySweep`] or [`SweepError::Param`] when the spec is
+    /// empty or a point fails schema validation; [`SweepError::Cache`] when
+    /// the attached journal fails to persist a digest.
     pub fn run(
         &self,
         scenario: &dyn Scenario,
         spec: &SweepSpec,
-    ) -> Result<AnalysisResult, AnalysisError> {
-        let plan = vanet_sweep::plan(scenario, spec, self.allow_unknown)?;
-
-        // Flatten to (point, round) items; every round analyses (no settle
-        // shortcut — see the module doc).
-        let items: Vec<(usize, u32)> = plan
-            .runs
-            .iter()
-            .enumerate()
-            .flat_map(|(index, run)| (0..run.rounds()).map(move |round| (index, round)))
-            .collect();
-
-        let next = AtomicUsize::new(0);
-        let simulated_total = AtomicUsize::new(0);
-        let cached_total = AtomicUsize::new(0);
-        let store_failure: Mutex<Option<String>> = Mutex::new(None);
-        let slots: Vec<Mutex<Option<RoundDigest>>> =
-            items.iter().map(|_| Mutex::new(None)).collect();
-
-        std::thread::scope(|scope| {
-            for _ in 0..self.threads.min(items.len()).max(1) {
-                scope.spawn(|| loop {
-                    let slot = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(index, round)) = items.get(slot) else { break };
-                    let seed = round_seed(plan.seeds[index], round);
-                    let key = plan.cache_key(scenario.name(), index, round, seed);
-                    if let Some(store) = &self.store {
-                        let hit = store.lock().expect("analysis store poisoned").get(&key);
-                        if let Some(digest) = hit {
-                            cached_total.fetch_add(1, Ordering::Relaxed);
-                            *slots[slot].lock().expect("analysis slot poisoned") = Some(digest);
-                            continue;
-                        }
-                    }
-                    let (_report, records) = plan.runs[index].run_round_traced(round, seed);
-                    let digest = RoundDigest::compute(round, seed, &records);
-                    simulated_total.fetch_add(1, Ordering::Relaxed);
-                    if let Some(store) = &self.store {
-                        let put = store.lock().expect("analysis store poisoned").put(&key, &digest);
-                        if let Err(e) = put {
-                            let mut failure =
-                                store_failure.lock().expect("store failure slot poisoned");
-                            failure.get_or_insert(e.to_string());
-                            break;
-                        }
-                    }
-                    *slots[slot].lock().expect("analysis slot poisoned") = Some(digest);
-                });
-            }
-        });
-
-        if let Some(message) = store_failure.into_inner().expect("store failure slot poisoned") {
-            return Err(AnalysisError::Store(message));
-        }
-
-        // Group the flat slots back into per-point round vectors, in order.
-        let mut analyses: Vec<Vec<RoundDigest>> = plan.runs.iter().map(|_| Vec::new()).collect();
-        for (&(index, _), slot) in items.iter().zip(slots) {
-            let digest = slot
-                .into_inner()
-                .expect("analysis slot poisoned")
-                .expect("every item was executed");
-            analyses[index].push(digest);
-        }
-
+    ) -> Result<AnalysisResult, SweepError> {
+        let plan = vanet_sweep::plan(scenario, spec, false)?;
+        // The journal's `get` and `put` take `&self`; the lock only holds
+        // other users of the shared handle off for the run.
+        let store = self.store.as_ref().map(|store| store.lock().expect("analysis store poisoned"));
+        let walked = walk_points(scenario.name(), &plan, self.threads, store.as_deref(), &Digests)?;
         let SweepPlan { points, seeds, .. } = plan;
         Ok(AnalysisResult {
             scenario: scenario.name().to_string(),
             master_seed: spec.master_seed,
             threads: self.threads,
-            rounds_simulated: simulated_total.into_inner(),
-            rounds_cached: cached_total.into_inner(),
+            rounds_simulated: walked.rounds_simulated,
+            rounds_cached: walked.rounds_cached,
             points,
             seeds,
-            analyses,
+            analyses: walked.folds,
         })
     }
 }
@@ -236,20 +136,6 @@ pub struct AnalysisResult {
     pub analyses: Vec<Vec<RoundDigest>>,
 }
 
-/// The union of parameters over all points, in first-seen order (the
-/// column-alignment rule `SweepResult::to_table` uses).
-fn param_union(points: &[SweepPoint]) -> Vec<Param> {
-    let mut params: Vec<Param> = Vec::new();
-    for point in points {
-        for (param, _) in point.assignments() {
-            if !params.contains(param) {
-                params.push(*param);
-            }
-        }
-    }
-    params
-}
-
 impl AnalysisResult {
     /// Number of points.
     pub fn len(&self) -> usize {
@@ -261,32 +147,6 @@ impl AnalysisResult {
         self.points.is_empty()
     }
 
-    /// The shared row prefix: identity and parameter columns.
-    fn prefix_columns(&self, params: &[Param]) -> Vec<String> {
-        let mut columns: Vec<String> = vec!["scenario".into(), "point".into(), "seed".into()];
-        columns.extend(params.iter().map(|p| p.key().to_string()));
-        columns
-    }
-
-    fn prefix_row(&self, index: usize, params: &[Param]) -> Vec<CellValue> {
-        // Seeds render as hex text, exactly as sweep exports do: they can
-        // exceed `i64::MAX`, which the integer cell type saturates at.
-        let mut row: Vec<CellValue> = vec![
-            self.scenario.as_str().into(),
-            index.into(),
-            format!("{:#018x}", self.seeds[index]).into(),
-        ];
-        for param in params {
-            row.push(match self.points[index].get(*param) {
-                Some(ParamValue::Float(x)) => CellValue::Float(x),
-                Some(ParamValue::Int(x)) => x.into(),
-                Some(value) => value.to_string().into(),
-                None => "".into(),
-            });
-        }
-        row
-    }
-
     /// The recovery-latency table: one row per point with the pooled
     /// request-to-repair distribution of all its rounds — sample counts,
     /// the unmatched tail and the percentile spread in milliseconds.
@@ -294,15 +154,10 @@ impl AnalysisResult {
     /// lossless channel, or a strategy that never repairs): an empty cell
     /// is honest where a fabricated `0.0` would read as "instant repair".
     pub fn latency_table(&self) -> RecordTable {
-        let params = param_union(&self.points);
-        let mut columns = self.prefix_columns(&params);
-        columns.extend(
-            ["rounds", "opened", "matched", "unmatched", "p50_ms", "p90_ms", "p99_ms", "max_ms"]
-                .map(String::from),
-        );
-        let mut table = RecordTable::new(columns);
-        for (index, rounds) in self.analyses.iter().enumerate() {
-            let mut row = self.prefix_row(index, &params);
+        let columns =
+            ["rounds", "opened", "matched", "unmatched", "p50_ms", "p90_ms", "p99_ms", "max_ms"];
+        point_table(&self.scenario, &self.points, &self.seeds, &columns, |index, row| {
+            let rounds = &self.analyses[index];
             let samples_ms: Vec<f64> = rounds
                 .iter()
                 .flat_map(|d| d.latency.samples_ns.iter().map(|&ns| ns as f64 / 1_000_000.0))
@@ -319,24 +174,17 @@ impl AnalysisResult {
                 let p = Percentiles::of(&samples_ms);
                 row.extend([p.p50, p.p90, p.p99, p.max].map(CellValue::Float));
             }
-            table.push_row(row);
-        }
-        table
+        })
     }
 
     /// The medium-occupancy table: one row per point with the pooled
     /// airtime profile of all its rounds (rounds are disjoint timelines, so
     /// spans, airtimes and collision windows add).
     pub fn occupancy_table(&self) -> RecordTable {
-        let params = param_union(&self.points);
-        let mut columns = self.prefix_columns(&params);
-        columns.extend(
-            ["rounds", "tx", "collisions", "airtime_ms", "busy_pct", "top_node", "top_share_pct"]
-                .map(String::from),
-        );
-        let mut table = RecordTable::new(columns);
-        for (index, rounds) in self.analyses.iter().enumerate() {
-            let mut row = self.prefix_row(index, &params);
+        let columns =
+            ["rounds", "tx", "collisions", "airtime_ms", "busy_pct", "top_node", "top_share_pct"];
+        point_table(&self.scenario, &self.points, &self.seeds, &columns, |index, row| {
+            let rounds = &self.analyses[index];
             let mut per_node: BTreeMap<u32, u64> = BTreeMap::new();
             let mut pooled = OccupancyReport::default();
             for digest in rounds {
@@ -365,9 +213,7 @@ impl AnalysisResult {
                     row.extend([CellValue::from(""), CellValue::from("")]);
                 }
             }
-            table.push_row(row);
-        }
-        table
+        })
     }
 }
 
@@ -375,8 +221,10 @@ impl AnalysisResult {
 mod tests {
     use super::*;
     use sim_core::SimTime;
-    use vanet_scenarios::{ParamError, ParamSchema, ParamSpec, ScenarioRun};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use vanet_scenarios::{ParamError, ParamSchema, ParamSpec};
     use vanet_stats::{PointSummary, RoundReport, RoundResult};
+    use vanet_sweep::{Param, ParamValue};
     use vanet_trace::TraceRecord;
 
     /// A fake traced scenario: each round emits a deterministic recovery
@@ -541,7 +389,7 @@ mod tests {
     fn empty_spec_is_a_sweep_error() {
         let err =
             AnalysisEngine::new(1).run(&TracedScenario::new(), &SweepSpec::new(1)).unwrap_err();
-        assert!(matches!(err, AnalysisError::Sweep(SweepError::EmptySweep)), "{err}");
+        assert_eq!(err, SweepError::EmptySweep);
         assert!(err.to_string().contains("empty sweep"));
     }
 
@@ -550,7 +398,7 @@ mod tests {
         assert!(AnalysisEngine::new(0).threads() >= 1);
         assert_eq!(AnalysisEngine::new(3).threads(), 3);
         assert!(AnalysisEngine::default().threads() >= 1);
-        let debug = format!("{:?}", AnalysisEngine::new(2).with_allow_unknown(true));
-        assert!(debug.contains("allow_unknown: true"), "{debug}");
+        let debug = format!("{:?}", AnalysisEngine::new(2));
+        assert!(debug.contains("threads: 2"), "{debug}");
     }
 }

@@ -20,10 +20,12 @@
 //! * [`store`] — the [`AnalysisStore`] digest journal (`CARQANA1`), the
 //!   [`DigestCodec`] instance of `vanet_cache::Journal`: analysing an
 //!   already-analysed plan re-simulates nothing;
-//! * [`engine`] — the [`AnalysisEngine`] parallel executor, which walks the
-//!   *same* validated, content-addressed [`vanet_sweep::plan`] a sweep
-//!   would, so analyses share the sweep's seeds and reproduce its rounds
-//!   bit for bit at any thread count.
+//! * [`engine`] — the [`AnalysisEngine`]: the sweep's own point executor
+//!   ([`vanet_sweep::walk_points`]) over the *same* validated,
+//!   content-addressed [`vanet_sweep::plan`] a sweep would, keeping each
+//!   point's digests instead of folding them — so analyses share the
+//!   sweep's seeds, cache keys and round walk, and reproduce its rounds bit
+//!   for bit at any thread count.
 //!
 //! Everything here is **observation only**: analyses consume records, never
 //! influence a simulation, and every output is a pure function of the
@@ -52,7 +54,7 @@ pub mod timeline;
 
 pub use diff::{diff, DiffReport, Divergence};
 pub use digest::RoundDigest;
-pub use engine::{AnalysisEngine, AnalysisError, AnalysisResult};
+pub use engine::{AnalysisEngine, AnalysisResult};
 pub use latency::{recovery_latency, LatencyAnalyzer, LatencyReport};
 pub use occupancy::{medium_occupancy, OccupancyAnalyzer, OccupancyReport};
 pub use store::{AnalysisStore, DigestCodec};

@@ -36,11 +36,10 @@
 //! * [`clear`] — removes a directory's round journal, reporting the bytes
 //!   freed.
 //!
-//! The sweep engine in `vanet-sweep` threads a `SweepCache` through its
-//! round dispatch: before each wave it partitions rounds into cached vs.
-//! missing, simulates only the delta, and writes the fresh reports back.
-//! Exports are byte-identical whether results came from cache or fresh
-//! simulation, at any thread count.
+//! The point executor in `vanet-sweep` threads a journal through its round
+//! walk: it serves the cached rounds, simulates only the delta, and writes
+//! the fresh records back wave by wave. Exports are byte-identical whether
+//! results came from cache or fresh simulation, at any thread count.
 //!
 //! ## Example
 //!

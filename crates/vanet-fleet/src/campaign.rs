@@ -24,14 +24,14 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use vanet_cache::{CacheKey, SweepCache};
+use vanet_cache::SweepCache;
 use vanet_gen::{instantiate_with, GenGrid, GenIdentity, GenValue, Generator};
-use vanet_scenarios::{round_seed, Param, ParamValue, Scenario, SweepPoint};
+use vanet_scenarios::{Param, ParamValue, Scenario, SweepPoint};
 use vanet_stats::{CellValue, RecordTable};
-use vanet_sweep::{point_seed, SweepEngine, SweepSpec};
+use vanet_sweep::{would_simulate, SweepEngine, SweepSpec};
 
-use crate::plan::FleetError;
-use crate::worker::ShardOutcome;
+use crate::plan::{FleetError, WorkUnit};
+use crate::worker::{sweep_plan_of, ShardOutcome, Units};
 
 /// First line of every campaign shard file; bump on layout changes.
 pub const CAMPAIGN_MAGIC: &str = "VANETCAMP1";
@@ -363,10 +363,8 @@ pub fn execute_campaign_shard(
 /// covers and the ones still needing work — the campaign counterpart of
 /// [`split_covered_units`](crate::worker::split_covered_units), used by
 /// `carq-cli campaign run` so a warm re-run spawns no worker for a
-/// scenario whose every round is already in the merged journal. Generated
-/// runs have a fixed round budget (no settle shortcut), so coverage is a
-/// plain all-rounds-present check against the engine's content-addressed
-/// keys.
+/// scenario the merged journal covers. Each scenario is a full-budget unit
+/// asked through the same coverage probe ([`would_simulate`]).
 ///
 /// # Errors
 ///
@@ -375,24 +373,16 @@ pub fn split_covered_scenarios(
     shard: &CampaignShard,
     cache: &SweepCache,
 ) -> Result<(Vec<GenIdentity>, usize), FleetError> {
-    let point = shard.point();
+    let unit = [WorkUnit { point: shard.point(), round_range: None }];
     let mut remaining = Vec::new();
     let mut covered = 0usize;
     for identity in &shard.scenarios {
         let scenario = regenerate(identity)?;
-        let schema = scenario.schema();
-        let fingerprint = schema.fingerprint();
-        let run = scenario.configure(&point).map_err(|e| FleetError::Sweep(e.to_string()))?;
-        let canonical = schema.canonical_config(&point);
-        let base_seed = point_seed(shard.master_seed, &canonical);
-        let all_cached = (0..run.rounds()).all(|round| {
-            let seed = round_seed(base_seed, round);
-            cache.contains(&CacheKey::new(scenario.name(), fingerprint, &canonical, round, seed))
-        });
-        if all_cached {
-            covered += 1;
-        } else {
+        let plan = sweep_plan_of(&scenario, shard.master_seed, &unit)?;
+        if would_simulate(scenario.name(), &plan, 0, cache, &Units(&unit)) {
             remaining.push(identity.clone());
+        } else {
+            covered += 1;
         }
     }
     Ok((remaining, covered))

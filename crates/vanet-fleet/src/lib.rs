@@ -11,11 +11,15 @@
 //!   [`encode`](Shard::encode)s to a self-describing text file a worker on
 //!   any machine can execute — preset, round budget, master seed, and
 //!   points in the lossless canonical value encoding.
-//! * [`execute_shard`] / [`execute_units`] — the worker: full-budget units
-//!   reuse `SweepEngine::with_cache` against the shard's own journal
-//!   (resuming if the worker was killed), round-range units run the purity
-//!   contract directly. Either way the journal records are byte-identical
-//!   to a monolithic run's, because every seed is content-addressed.
+//! * [`execute_shard`] / [`execute_units`] — the worker: every unit walks
+//!   through the sweep's point executor (`vanet_sweep::walk_points`)
+//!   against the shard's own journal, resuming if the worker was killed;
+//!   full-budget units settle like a sweep, round-range units walk just
+//!   their range. Either way the journal records are byte-identical to a
+//!   monolithic run's, because every seed is content-addressed. The
+//!   warm-re-run pre-filters ([`split_covered_units`],
+//!   [`split_covered_scenarios`]) ask the executor's coverage probe
+//!   whether a unit's walk would simulate anything.
 //! * the merge half lives in `vanet-cache` ([`merge_into`], re-exported
 //!   here): union any set of shard
 //!   journals — local worker output or journals shipped from other

@@ -1,22 +1,25 @@
 //! Executing one shard against its own shard journal.
 //!
-//! A worker is deliberately thin: full-budget units run through the very
-//! same [`SweepEngine::with_cache`] path a monolithic sweep uses (settle
-//! checks, intra-point round parallelism, wave-by-wave write-back
-//! included), and round-range units run the purity contract directly —
-//! `run_round(round, round_seed(point_seed, round))` — against the same
-//! content-addressed [`CacheKey`]s the engine would derive. Either way the
-//! records landing in the shard journal are byte-identical to the ones the
-//! unsharded sweep would have written, which is what makes
+//! A worker is deliberately thin: every unit is a point walked by the
+//! sweep's own point executor ([`walk_points`]) against the shard journal,
+//! under the same content-addressed keys and with the same wave-by-wave
+//! write-back. A full-budget unit walks its whole budget and settles like a
+//! sweep; a round-range unit walks only its range and ignores settling.
+//! Either way the records landing in the shard journal are byte-identical
+//! to the ones the unsharded sweep would have written, which is what makes
 //! [`merge_into`](vanet_cache::merge_into) + a final warm engine pass
-//! reproduce the monolithic export exactly.
+//! reproduce the monolithic export exactly. The warm-re-run pre-filters ask
+//! the executor's coverage probe ([`would_simulate`]) the same question
+//! about the same walk.
 
+use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 
-use vanet_cache::{CacheKey, SweepCache};
-use vanet_scenarios::{round_seed, Scenario};
-use vanet_sweep::{point_seed, SweepEngine, SweepSpec};
+use vanet_cache::SweepCache;
+use vanet_scenarios::{Scenario, ScenarioRun};
+use vanet_stats::RoundReport;
+use vanet_sweep::{walk_points, would_simulate, PointWork, SweepPlan, SweepSpec};
 
 use crate::plan::{FleetError, Shard, WorkUnit};
 
@@ -32,10 +35,50 @@ pub struct ShardOutcome {
     pub rounds_cached: usize,
 }
 
+/// The fleet's point work over a list of units, point `i` of the plan
+/// being unit `i`. Nothing folds: the shard journal is the output.
+pub(crate) struct Units<'a>(pub(crate) &'a [WorkUnit]);
+
+impl PointWork for Units<'_> {
+    type Product = RoundReport;
+    type Fold = ();
+
+    fn rounds(&self, index: usize, run: &dyn ScenarioRun) -> Range<u32> {
+        match self.0[index].round_range {
+            // A range can overshoot a budget that shrank since planning;
+            // clamp rather than simulate rounds the sweep will never ask for.
+            Some((start, end)) => start..end.min(run.rounds()),
+            None => 0..run.rounds(),
+        }
+    }
+
+    /// Range units ignore settling: a slice from mid-budget cannot judge it.
+    fn settled(&self, index: usize, run: &dyn ScenarioRun, so_far: &[RoundReport]) -> bool {
+        self.0[index].round_range.is_none() && run.is_settled(so_far)
+    }
+
+    fn produce(&self, run: &dyn ScenarioRun, round: u32, seed: u64) -> RoundReport {
+        run.run_round(round, seed)
+    }
+
+    fn fold(&self, _run: &dyn ScenarioRun, _reports: Vec<RoundReport>) {}
+}
+
+/// Plans `units`' points as one spec, so each unit's run, seed and cache
+/// keys are the ones the sweep derives.
+pub(crate) fn sweep_plan_of(
+    scenario: &dyn Scenario,
+    master_seed: u64,
+    units: &[WorkUnit],
+) -> Result<SweepPlan, FleetError> {
+    let spec =
+        units.iter().fold(SweepSpec::new(master_seed), |spec, unit| spec.point(unit.point.clone()));
+    vanet_sweep::plan(scenario, &spec, false).map_err(|e| FleetError::Sweep(e.to_string()))
+}
+
 /// Executes `shard` against the journal in `cache_dir`, rebuilding the
-/// scenario from the shard's preset. `threads` drives the engine for
-/// full-budget units (0 = all cores); an empty shard is a successful
-/// no-op.
+/// scenario from the shard's preset. `threads` drives the executor (0 =
+/// all cores); an empty shard is a successful no-op.
 ///
 /// # Errors
 ///
@@ -55,7 +98,8 @@ pub fn execute_shard(
 /// The scenario-generic execution core behind [`execute_shard`] (and the
 /// determinism test suite, which drives it with cheap synthetic
 /// scenarios). Results go into `cache` only — a shard has no export of its
-/// own; exports come from the merged cache.
+/// own; exports come from the merged cache. A re-run of a killed worker
+/// resumes from the journal, losing at most one wave per in-flight unit.
 pub fn execute_units(
     scenario: &dyn Scenario,
     master_seed: u64,
@@ -63,70 +107,33 @@ pub fn execute_units(
     cache: &Arc<SweepCache>,
     threads: usize,
 ) -> Result<ShardOutcome, FleetError> {
-    let mut outcome = ShardOutcome { units: units.len(), ..ShardOutcome::default() };
-
-    // Full-budget units run as one engine sweep: the engine's own
-    // cached-vs-missing partitioning makes a re-run of a killed worker
-    // resume from its shard journal.
-    let full: Vec<&WorkUnit> = units.iter().filter(|u| u.round_range.is_none()).collect();
-    if !full.is_empty() {
-        let mut spec = SweepSpec::new(master_seed);
-        for unit in full {
-            spec = spec.point(unit.point.clone());
-        }
-        let result = SweepEngine::new(threads)
-            .with_cache(Arc::clone(cache))
-            .run(scenario, &spec)
-            .map_err(|e| FleetError::Sweep(e.to_string()))?;
-        outcome.rounds_simulated += result.rounds_simulated;
-        outcome.rounds_cached += result.rounds_cached;
+    if units.is_empty() {
+        return Ok(ShardOutcome::default());
     }
-
-    // Round-range units run the purity contract directly, one round at a
-    // time: `run_round` is a pure function of `(configuration, round,
-    // seed)`, so no wave machinery is needed to start mid-budget.
-    let schema = scenario.schema();
-    let fingerprint = schema.fingerprint();
-    for unit in units {
-        let Some((start, end)) = unit.round_range else { continue };
-        let run = scenario
-            .configure(&unit.point)
-            .map_err(|e| FleetError::Sweep(format!("{} : {e}", unit.point.label())))?;
-        let canonical = schema.canonical_config(&unit.point);
-        let base_seed = point_seed(master_seed, &canonical);
-        // A range can overshoot a budget that shrank since planning; clamp
-        // rather than simulate rounds the sweep will never ask for.
-        for round in start..end.min(run.rounds()) {
-            let seed = round_seed(base_seed, round);
-            let key = CacheKey::new(scenario.name(), fingerprint, &canonical, round, seed);
-            if cache.contains(&key) {
-                outcome.rounds_cached += 1;
-                vanet_faults::round_done();
-                continue;
-            }
-            vanet_faults::round_start();
-            let report = run.run_round(round, seed);
-            cache.put(&key, &report).map_err(|e| FleetError::Cache(e.to_string()))?;
-            vanet_faults::round_done();
-            outcome.rounds_simulated += 1;
-        }
-    }
-    Ok(outcome)
+    // Full-budget units walk before round ranges, which fixes the order a
+    // 1-thread worker appends its records in.
+    let (full, ranged): (Vec<&WorkUnit>, Vec<&WorkUnit>) =
+        units.iter().partition(|unit| unit.round_range.is_none());
+    let ordered: Vec<WorkUnit> = full.into_iter().chain(ranged).cloned().collect();
+    let plan = sweep_plan_of(scenario, master_seed, &ordered)?;
+    let walked = walk_points(scenario.name(), &plan, threads, Some(&**cache), &Units(&ordered))
+        .map_err(|e| FleetError::Sweep(e.to_string()))?;
+    Ok(ShardOutcome {
+        units: units.len(),
+        rounds_simulated: walked.rounds_simulated,
+        rounds_cached: walked.rounds_cached,
+    })
 }
 
 /// Partitions `units` into the ones `cache` already fully covers and the
 /// ones still needing work, for warm-re-run pre-filtering: a `fleet run`
 /// whose merged cache already holds every round of a unit spawns no worker
-/// for it. A full-budget unit is covered when every round of its budget is
-/// cached **or** a cached prefix already satisfies
-/// [`ScenarioRun::is_settled`](vanet_scenarios::ScenarioRun::is_settled);
-/// a round-range unit is covered when every round of its (budget-clamped)
-/// range is cached.
-///
-/// The settle check here matches the engine's cached-prefix check: both are
-/// per-round, so a settle-capable (multi-AP) unit marked covered has its
-/// final pass served entirely from cache, stopping exactly at the settle
-/// point with zero rounds simulated — no overshoot, no wasted work.
+/// for it. A unit is covered when walking it against `cache` would simulate
+/// nothing ([`would_simulate`]): a full-budget unit when its cached prefix
+/// reaches the end of its budget or settles first, a round-range unit when
+/// every round of its (budget-clamped) range is cached. A settle-capable
+/// (multi-AP) unit marked covered therefore has its final pass served
+/// entirely from cache, stopping exactly at the settle point.
 ///
 /// # Errors
 ///
@@ -137,65 +144,16 @@ pub fn split_covered_units(
     units: Vec<WorkUnit>,
     cache: &SweepCache,
 ) -> Result<(Vec<WorkUnit>, usize), FleetError> {
-    let schema = scenario.schema();
-    let fingerprint = schema.fingerprint();
-    let mut remaining = Vec::new();
-    let mut covered = 0usize;
-    for unit in units {
-        let run = scenario
-            .configure(&unit.point)
-            .map_err(|e| FleetError::Sweep(format!("{} : {e}", unit.point.label())))?;
-        let canonical = schema.canonical_config(&unit.point);
-        let base_seed = point_seed(master_seed, &canonical);
-        let key = |round: u32| {
-            CacheKey::new(
-                scenario.name(),
-                fingerprint,
-                &canonical,
-                round,
-                round_seed(base_seed, round),
-            )
-        };
-        let is_covered = match unit.round_range {
-            Some((start, end)) => {
-                (start..end.min(run.rounds())).all(|round| cache.contains(&key(round)))
-            }
-            None => {
-                // Clone-free fast path for the common warm case: every
-                // budgeted round cached means covered, whether or not the
-                // run would have settled earlier.
-                if (0..run.rounds()).all(|round| cache.contains(&key(round))) {
-                    true
-                } else {
-                    // A round is missing, but the unit may still be covered
-                    // if the run settles before reaching it — replay the
-                    // cached prefix (this is the only path that clones
-                    // reports out of the journal).
-                    let mut reports = Vec::new();
-                    let mut all_cached = true;
-                    for round in 0..run.rounds() {
-                        if !reports.is_empty() && run.is_settled(&reports) {
-                            break;
-                        }
-                        match cache.get(&key(round)) {
-                            Some(report) => reports.push(report),
-                            None => {
-                                all_cached = false;
-                                break;
-                            }
-                        }
-                    }
-                    all_cached
-                }
-            }
-        };
-        if is_covered {
-            covered += 1;
-        } else {
-            remaining.push(unit);
-        }
+    if units.is_empty() {
+        return Ok((units, 0));
     }
-    Ok((remaining, covered))
+    let plan = sweep_plan_of(scenario, master_seed, &units)?;
+    let pending: Vec<bool> = (0..units.len())
+        .map(|index| would_simulate(scenario.name(), &plan, index, cache, &Units(&units)))
+        .collect();
+    let covered = pending.iter().filter(|&&pending| !pending).count();
+    let remaining = units.into_iter().zip(pending).filter_map(|(unit, p)| p.then_some(unit));
+    Ok((remaining.collect(), covered))
 }
 
 #[cfg(test)]
@@ -204,7 +162,8 @@ mod tests {
     use crate::plan::ShardPlan;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use vanet_sweep::presets;
+    use vanet_scenarios::round_seed;
+    use vanet_sweep::{presets, SweepEngine};
 
     fn temp_dir(tag: &str) -> PathBuf {
         static COUNTER: AtomicUsize = AtomicUsize::new(0);
@@ -296,6 +255,46 @@ mod tests {
             split_covered_units(scenario.as_ref(), 0xC0FFEE, range_units, &cache).unwrap();
         assert_eq!((remaining.len(), covered), (0, 48), "24 points x 2 one-round ranges");
 
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn settle_capable_units_are_covered_by_their_settled_prefix() {
+        // A 40-block multi-AP download settles before its 12-visit budget.
+        // A full-budget unit is covered by exactly the prefix a cold
+        // 1-thread run simulated; range units ignore settling.
+        use vanet_scenarios::{Param, ParamValue, ScenarioRegistry, SweepPoint};
+        let registry = ScenarioRegistry::builtin();
+        let scenario = registry.get("multiap").expect("built-in scenario");
+        let point = SweepPoint::new(vec![
+            (Param::FileBlocks, ParamValue::Int(40)),
+            (Param::Rounds, ParamValue::Int(12)),
+        ]);
+        let spec = SweepSpec::new(0x5E771E).point(point.clone());
+        let dir = temp_dir("settle");
+        let cache = Arc::new(SweepCache::open(&dir).unwrap());
+        let cold = SweepEngine::new(1).with_cache(Arc::clone(&cache)).run(scenario, &spec).unwrap();
+        let settled = cold.rounds_simulated;
+        assert!((1..12).contains(&settled), "the download settles early, after {settled}");
+        assert_eq!(cache.len(), settled, "the journal holds the settled prefix");
+
+        let full = WorkUnit { point: point.clone(), round_range: None };
+        let covered = |unit: &WorkUnit| {
+            let (remaining, covered) =
+                split_covered_units(scenario, 0x5E771E, vec![unit.clone()], &cache).unwrap();
+            assert_eq!(remaining.len() + covered, 1);
+            covered == 1
+        };
+        assert!(covered(&full), "the settled prefix covers the whole budget");
+        let settled = settled as u32;
+        assert!(covered(&WorkUnit { point: point.clone(), round_range: Some((0, settled)) }));
+        let past = WorkUnit { point: point.clone(), round_range: Some((settled, 12)) };
+        assert!(!covered(&past), "range units ignore settling");
+
+        let plan = vanet_sweep::plan(scenario, &spec, false).unwrap();
+        let first = plan.cache_key(scenario.name(), 0, 0, round_seed(plan.seeds[0], 0));
+        assert!(cache.forget(&first));
+        assert!(!covered(&full), "a missing round 0 precedes any settle");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -64,7 +64,8 @@ pub use multi_ap::{MultiApConfig, MultiApOutcome, MultiApRun, MultiApScenario};
 pub use params::{Param, ParamValue, SweepPoint};
 pub use registry::ScenarioRegistry;
 pub use scenario::{
-    round_seed, run_point, run_rounds, urban_summary, LossSamples, Scenario, ScenarioRun,
+    round_seed, run_point, run_rounds, served_prefix, urban_summary, walk_rounds, worker_threads,
+    LossSamples, Scenario, ScenarioRun,
 };
 pub use schema::{ParamError, ParamKind, ParamSchema, ParamSpec};
 pub use urban::{UrbanConfig, UrbanRun, UrbanScenario};

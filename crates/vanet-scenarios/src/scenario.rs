@@ -9,14 +9,19 @@
 //!   from `seed`; no interior mutability observable across rounds) and an
 //!   `aggregate` that folds the per-round [`RoundReport`]s into the
 //!   [`PointSummary`] metric row.
-//! * [`run_rounds`] — the shared executor: derives per-round seeds with
-//!   [`round_seed`] and runs rounds in parallel waves, producing results
-//!   that are byte-identical at any thread count.
+//! * [`walk_rounds`] — the one round walker every executor runs on: it
+//!   derives per-round seeds with [`round_seed`], serves what a caller's
+//!   lookup holds, produces the rest in parallel waves and hands fresh
+//!   products to a caller's store, byte-identically at any thread count.
+//!   [`run_rounds`] is the walk with nothing to serve or store.
 //!
 //! The purity contract is what buys intra-point parallelism: because a
 //! round is a function of `(configuration, round, seed)` alone, rounds can
 //! execute shuffled, interleaved or on any number of threads without
 //! changing a single exported byte.
+
+use std::convert::Infallible;
+use std::ops::Range;
 
 use rand::RngCore as _;
 use sim_core::StreamRng;
@@ -90,50 +95,151 @@ pub trait ScenarioRun: Send + Sync {
 /// (`"scenario.round"`) and its per-round substream, so round seeds are a
 /// pure function of `(base_seed, round)` — independent of execution order
 /// and thread placement — and uncorrelated across rounds. Inside a sweep the
-/// base seed is itself derived from `(master seed, point index)`, completing
-/// the `(master seed, point index, round)` chain.
+/// base seed is itself derived from `(master seed, canonical
+/// configuration)` (`vanet_sweep::point_seed`), completing the
+/// `(master seed, canonical configuration, round)` chain.
 pub fn round_seed(base_seed: u64, round: u32) -> u64 {
     StreamRng::derive(base_seed, "scenario.round").substream(u64::from(round)).next_u64()
+}
+
+/// Resolves a worker count: `0` means one per available CPU.
+pub fn worker_threads(threads: usize) -> usize {
+    match threads {
+        0 => std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1),
+        threads => threads,
+    }
+}
+
+/// The one round walker: walks rounds `rounds` of a run whose round seeds
+/// derive from `base_seed`, serving what `lookup` holds, making the rest
+/// with `produce` and handing every fresh product to `store`. The product
+/// is the caller's: a [`RoundReport`], or a digest of a traced round.
+///
+/// * Hits are served one round at a time until the first miss, with a
+///   `settled` check before each, so a settling run served from a journal
+///   stops exactly at its settle point.
+/// * From the first miss on, rounds go in waves of `threads` (`0` = one per
+///   available CPU): a wave's misses are produced in parallel and its hits
+///   served, and its fresh products are stored, in round order, when the
+///   wave ends — so a walk killed mid-run loses at most one wave. `settled`
+///   is asked between waves only, so a settling run may overshoot its
+///   settle point by less than a wave; trimming mid-wave would make the
+///   produced round set depend on thread timing.
+///
+/// `settled` sees the products so far (never none), in round order. The
+/// fault layer's round hooks belong to the caller's `lookup` and `produce`
+/// (`vanet_sweep::walk_points` fires them), since this crate sits below it.
+///
+/// Returns the products in round order and how many of them were produced
+/// fresh, or the first `store` error.
+pub fn walk_rounds<P: Send, E>(
+    rounds: Range<u32>,
+    base_seed: u64,
+    threads: usize,
+    settled: &dyn Fn(&[P]) -> bool,
+    lookup: &dyn Fn(u32, u64) -> Option<P>,
+    produce: &(dyn Fn(u32, u64) -> P + Sync),
+    store: &mut dyn FnMut(u32, u64, &P) -> Result<(), E>,
+) -> Result<(Vec<P>, usize), E> {
+    let threads = u32::try_from(worker_threads(threads)).unwrap_or(u32::MAX);
+    let (mut products, _) = served_prefix(rounds.clone(), base_seed, settled, lookup);
+    let mut fresh = 0;
+    let mut next = rounds.start + products.len() as u32;
+    while next < rounds.end && !is_settled(settled, &products) {
+        let end = next.saturating_add(threads).min(rounds.end);
+        let wave: Vec<(u32, u64, Option<P>)> = (next..end)
+            .map(|round| {
+                let seed = round_seed(base_seed, round);
+                (round, seed, lookup(round, seed))
+            })
+            .collect();
+        let missing: Vec<(u32, u64)> = wave
+            .iter()
+            .filter(|(.., hit)| hit.is_none())
+            .map(|&(round, seed, _)| (round, seed))
+            .collect();
+        let mut made = produce_all(&missing, produce).into_iter();
+        products
+            .extend(wave.into_iter().map(|(.., hit)| {
+                hit.unwrap_or_else(|| made.next().expect("one product per miss"))
+            }));
+        for &(round, seed) in &missing {
+            store(round, seed, &products[(round - rounds.start) as usize])?;
+        }
+        fresh += missing.len();
+        next = end;
+    }
+    Ok((products, fresh))
+}
+
+/// The hits at the front of `rounds`, served one round at a time with a
+/// `settled` check before each — [`walk_rounds`]' first phase — and
+/// whether the walk would go on to produce a round. The second half is a
+/// coverage probe: a walk against the same lookup produces nothing exactly
+/// when it is `false`.
+pub fn served_prefix<P>(
+    rounds: Range<u32>,
+    base_seed: u64,
+    settled: &dyn Fn(&[P]) -> bool,
+    lookup: &dyn Fn(u32, u64) -> Option<P>,
+) -> (Vec<P>, bool) {
+    let mut served = Vec::with_capacity(rounds.len());
+    for round in rounds.clone() {
+        if is_settled(settled, &served) {
+            break;
+        }
+        match lookup(round, round_seed(base_seed, round)) {
+            Some(hit) => served.push(hit),
+            None => break,
+        }
+    }
+    let pending =
+        rounds.start + (served.len() as u32) < rounds.end && !is_settled(settled, &served);
+    (served, pending)
+}
+
+fn is_settled<P>(settled: &dyn Fn(&[P]) -> bool, so_far: &[P]) -> bool {
+    !so_far.is_empty() && settled(so_far)
+}
+
+/// Produces the `missing` rounds of a wave, in parallel when several miss.
+fn produce_all<P: Send>(
+    missing: &[(u32, u64)],
+    produce: &(dyn Fn(u32, u64) -> P + Sync),
+) -> Vec<P> {
+    if missing.len() <= 1 {
+        return missing.iter().map(|&(round, seed)| produce(round, seed)).collect();
+    }
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = missing
+            .iter()
+            .map(|&(round, seed)| scope.spawn(move || produce(round, seed)))
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("round worker panicked")).collect()
+    })
 }
 
 /// Runs a configured scenario's rounds — in parallel when `threads > 1` —
 /// and returns their reports in round order. `threads == 0` means one
 /// worker per available CPU, like `SweepEngine::new` in `vanet-sweep`.
 ///
-/// Rounds execute in waves of `threads`; between waves the executor asks
+/// This is [`walk_rounds`] with nothing to serve or store: rounds execute
+/// in waves of `threads`, and between waves the walk asks
 /// [`ScenarioRun::is_settled`] whether the remaining rounds still matter.
 /// Because every round seeds from [`round_seed`] alone and `aggregate`
 /// ignores trailing reports, the resulting [`PointSummary`] — and any CSV
 /// or JSON derived from it — is byte-identical at any thread count.
 pub fn run_rounds(run: &dyn ScenarioRun, base_seed: u64, threads: usize) -> Vec<RoundReport> {
-    let total = run.rounds();
-    let threads = if threads == 0 {
-        std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
-    } else {
-        threads
-    } as u32;
-    let mut reports: Vec<RoundReport> = Vec::with_capacity(total as usize);
-    let mut next = 0u32;
-    while next < total {
-        if !reports.is_empty() && run.is_settled(&reports) {
-            break;
-        }
-        let end = next.saturating_add(threads).min(total);
-        if end - next == 1 {
-            reports.push(run.run_round(next, round_seed(base_seed, next)));
-        } else {
-            let wave: Vec<RoundReport> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (next..end)
-                    .map(|round| {
-                        scope.spawn(move || run.run_round(round, round_seed(base_seed, round)))
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("round worker panicked")).collect()
-            });
-            reports.extend(wave);
-        }
-        next = end;
-    }
+    let walked = walk_rounds(
+        0..run.rounds(),
+        base_seed,
+        threads,
+        &|so_far| run.is_settled(so_far),
+        &|_, _| None,
+        &|round, seed| run.run_round(round, seed),
+        &mut |_, _, _| Ok::<(), Infallible>(()),
+    );
+    let Ok((reports, _)) = walked;
     reports
 }
 
@@ -304,16 +410,16 @@ mod tests {
         assert_eq!(serial.aggregate(&serial_reports), wide.aggregate(&wide_reports));
     }
 
-    /// PIN: while *simulating*, `run_rounds` checks [`ScenarioRun::is_settled`]
+    /// PIN: while *simulating*, the walker checks [`ScenarioRun::is_settled`]
     /// only between waves, so a settling run overshoots the settle point up
     /// to the next wave boundary — never further. This is deliberate:
     /// trimming mid-wave would need either speculative cancellation or a
     /// settle probe inside the wave, and both would make the executed round
     /// set depend on thread timing, breaking the byte-identical-at-any-
-    /// thread-count contract. (The cached path in `vanet-sweep` replays
-    /// round-by-round and already stops exactly at the settle point — see
-    /// ROADMAP's settle caveat.) The aggregate ignores the overshoot, so
-    /// only wasted work is at stake, bounded by one wave.
+    /// thread-count contract. (Served hits go round by round and stop
+    /// exactly at the settle point — see ROADMAP's settle caveat.) The
+    /// aggregate ignores the overshoot, so only wasted work is at stake,
+    /// bounded by one wave.
     #[test]
     fn simulating_settle_overshoot_stops_at_the_next_wave_boundary() {
         for (threads, expected) in [(1, 3), (2, 4), (3, 3), (4, 4), (5, 5), (8, 8), (64, 40)] {
@@ -325,6 +431,106 @@ mod tests {
             // The bound itself: never a full wave past the settle point.
             assert!(calls < 3 + threads.max(1), "threads {threads} ran {calls} rounds");
         }
+    }
+
+    #[test]
+    fn wave_width_saturates_instead_of_wrapping() {
+        // 2^32 threads truncated to a `u32` would be a zero-width wave
+        // that never advances. One round runs inline: no thread starts.
+        let threads = usize::try_from(1u64 << 32).unwrap_or(usize::MAX);
+        assert_eq!(run_rounds(&FakeRun::new(1), 9, threads).len(), 1);
+    }
+
+    /// A settle-capable run: done once three reports are in.
+    struct SettlingRun {
+        simulated: AtomicUsize,
+    }
+
+    impl ScenarioRun for SettlingRun {
+        fn rounds(&self) -> u32 {
+            40
+        }
+
+        fn run_round(&self, round: u32, seed: u64) -> RoundReport {
+            self.simulated.fetch_add(1, Ordering::Relaxed);
+            RoundReport::new(round, seed, vanet_stats::RoundResult::default())
+                .with_counter("value", 1.0)
+        }
+
+        fn aggregate(&self, rounds: &[RoundReport]) -> PointSummary {
+            let total: f64 = rounds.iter().take(3).filter_map(|r| r.counter("value")).sum();
+            PointSummary { metrics: vec![("total", total)] }
+        }
+
+        fn is_settled(&self, rounds_so_far: &[RoundReport]) -> bool {
+            rounds_so_far.len() >= 3
+        }
+    }
+
+    /// Walks `run` from seed 7 on `threads`, serving what `lookup` holds
+    /// and counting the stores.
+    fn walk_settling(
+        run: &SettlingRun,
+        threads: usize,
+        lookup: &dyn Fn(u32, u64) -> Option<RoundReport>,
+    ) -> (Vec<RoundReport>, usize, usize) {
+        let mut stored = 0usize;
+        let (reports, fresh) = walk_rounds(
+            0..run.rounds(),
+            7,
+            threads,
+            &|so_far| run.is_settled(so_far),
+            lookup,
+            &|round, seed| run.run_round(round, seed),
+            &mut |_, _, _| {
+                stored += 1;
+                Ok::<(), Infallible>(())
+            },
+        )
+        .unwrap();
+        (reports, fresh, stored)
+    }
+
+    #[test]
+    fn fully_cached_settling_run_stops_exactly_at_the_settle_point() {
+        let run = SettlingRun { simulated: AtomicUsize::new(0) };
+        let lookup = |round: u32, seed: u64| {
+            Some(
+                RoundReport::new(round, seed, vanet_stats::RoundResult::default())
+                    .with_counter("value", 1.0),
+            )
+        };
+        let (reports, fresh, stored) = walk_settling(&run, 8, &lookup);
+        // A fully cached wave would overshoot to 8 reports; the served
+        // prefix honours the settle point exactly.
+        assert_eq!(reports.len(), 3, "cached prefix must not overshoot the settle point");
+        assert_eq!(fresh, 0);
+        assert_eq!(run.simulated.load(Ordering::Relaxed), 0);
+        assert_eq!(stored, 0, "cached rounds are never re-stored");
+        // The coverage probe agrees: nothing would be produced.
+        let settled = |so_far: &[RoundReport]| run.is_settled(so_far);
+        assert!(!served_prefix(0..40, 7, &settled, &lookup).1);
+    }
+
+    #[test]
+    fn partially_cached_settling_run_keeps_the_summary() {
+        // Cache covers only round 0: the prefix serves it, then the wave
+        // machinery simulates from round 1 and may overshoot by at most one
+        // wave — which `aggregate` ignores by contract.
+        let run = SettlingRun { simulated: AtomicUsize::new(0) };
+        let lookup = |round: u32, seed: u64| {
+            (round == 0).then(|| {
+                RoundReport::new(round, seed, vanet_stats::RoundResult::default())
+                    .with_counter("value", 1.0)
+            })
+        };
+        let (reports, fresh, stored) = walk_settling(&run, 4, &lookup);
+        assert!((3..=5).contains(&reports.len()), "got {} reports", reports.len());
+        assert_eq!(fresh, reports.len() - 1);
+        assert_eq!(stored, fresh, "every fresh round is stored");
+        assert_eq!(run.aggregate(&reports).metrics, vec![("total", 3.0)]);
+        let settled = |so_far: &[RoundReport]| run.is_settled(so_far);
+        assert!(served_prefix(0..40, 7, &settled, &lookup).1, "round 1 would be produced");
     }
 
     #[test]

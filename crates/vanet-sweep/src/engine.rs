@@ -1,14 +1,17 @@
-//! The parallel sweep executor and its result type.
+//! The point executor every engine runs on, the sweep engine and its
+//! result type.
 
 use std::fmt;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use rand::RngCore as _;
 use sim_core::StreamRng;
-use vanet_cache::{CacheKey, SweepCache};
-use vanet_scenarios::{round_seed, ParamError, Scenario, ScenarioRun};
+use vanet_cache::{CacheError, CacheKey, Journal, RecordCodec, SweepCache};
+use vanet_scenarios::{served_prefix, walk_rounds, worker_threads};
+use vanet_scenarios::{ParamError, Scenario, ScenarioRun};
 use vanet_stats::{CellValue, PointSummary, RecordTable, RoundReport};
 
 use crate::spec::{SweepPoint, SweepSpec};
@@ -48,7 +51,8 @@ pub enum SweepError {
         /// The underlying schema error (which names the scenario).
         source: ParamError,
     },
-    /// The round cache failed while the sweep ran (write-back I/O error).
+    /// A journal failed while the sweep or analysis ran (write-back I/O
+    /// error).
     Cache {
         /// The scenario whose sweep hit the failure.
         scenario: String,
@@ -129,8 +133,9 @@ impl SweepPlan {
         self.points.is_empty()
     }
 
-    /// The cache key addressing round `round` of point `index`, identical
-    /// to the key the sweep executor would use for that round.
+    /// The cache key addressing round `round` of point `index`: the one
+    /// place a round's key is derived, so every executor, probe and journal
+    /// writer addresses the same entries.
     pub fn cache_key(&self, scenario: &str, index: usize, round: u32, round_seed: u64) -> CacheKey {
         CacheKey::new(scenario, self.fingerprint, &self.canonicals[index], round, round_seed)
     }
@@ -179,18 +184,204 @@ pub fn plan(
     Ok(SweepPlan { points, canonicals, seeds, runs, fingerprint })
 }
 
-/// The work-sharing parallel sweep executor.
+/// The instance-specific half of [`walk_points`]: which rounds a point
+/// walks, when it may stop early, what a fresh round yields and what a
+/// walked point folds into. The sweep folds each point's reports into its
+/// metric row, the analysis engine in `vanet-analysis` keeps each point's
+/// digests, and a fleet worker keeps nothing (its journal is the output).
+pub trait PointWork: Sync {
+    /// What one round yields: its report, or a digest of its trace.
+    type Product: Send;
+    /// What one walked point folds into.
+    type Fold: Send;
+
+    /// The rounds point `index` walks; by default its whole budget.
+    fn rounds(&self, index: usize, run: &dyn ScenarioRun) -> Range<u32> {
+        let _ = index;
+        0..run.rounds()
+    }
+
+    /// Whether the products of point `index`'s rounds so far (never none)
+    /// settle it; by default never.
+    fn settled(&self, index: usize, run: &dyn ScenarioRun, so_far: &[Self::Product]) -> bool {
+        let _ = (index, run, so_far);
+        false
+    }
+
+    /// Yields round `round` fresh from its seed.
+    fn produce(&self, run: &dyn ScenarioRun, round: u32, seed: u64) -> Self::Product;
+
+    /// Folds a walked point's products, in round order.
+    fn fold(&self, run: &dyn ScenarioRun, products: Vec<Self::Product>) -> Self::Fold;
+}
+
+/// What [`walk_points`] returns.
+#[derive(Debug)]
+pub struct Walked<T> {
+    /// Each point's fold, in expansion order.
+    pub folds: Vec<T>,
+    /// Rounds produced fresh.
+    pub rounds_simulated: usize,
+    /// Rounds served from the journal.
+    pub rounds_cached: usize,
+}
+
+/// The point executor behind every engine: walks each point of `plan`
+/// through [`walk_rounds`] against `journal` and folds it with `work`.
 ///
-/// The engine parallelises at two levels from one thread budget. Workers
-/// pull point indices from a shared queue (an atomic counter), so load
-/// balances dynamically across points regardless of how uneven the
-/// per-point cost is; when the sweep has fewer points than threads, the
-/// leftover budget goes **inside** each point, running its rounds in
-/// parallel waves (see [`vanet_scenarios::run_rounds`]). Results land in
-/// their point's slot, so the output order is the spec's expansion order,
-/// not completion order — and because every round's seed is a pure function
-/// of `(master seed, point index, round)`, exports are byte-identical at
-/// any thread count.
+/// Workers pull point indices from a shared counter, so load balances
+/// across points however uneven their cost; when the plan has fewer points
+/// than `threads` (`0` = one per available CPU), the leftover budget goes
+/// inside each point as the walker's wave width. A point folds as soon as
+/// its walk ends, into its own slot, so the output is in expansion order
+/// whatever the completion order.
+///
+/// Rounds are served from the journal under [`SweepPlan::cache_key`], and
+/// fresh ones written back wave by wave. The fault layer's hooks fire
+/// here: [`vanet_faults::round_start`] before every fresh round,
+/// [`vanet_faults::round_done`] after every round served or produced.
+///
+/// # Errors
+///
+/// [`SweepError::Cache`] when the journal fails to persist a fresh product.
+pub fn walk_points<W: PointWork, C: RecordCodec<Value = W::Product>>(
+    scenario: &str,
+    plan: &SweepPlan,
+    threads: usize,
+    journal: Option<&Journal<C>>,
+    work: &W,
+) -> Result<Walked<W::Fold>, SweepError> {
+    // Split the thread budget: as many point workers as there are points
+    // to keep busy, the rest of the budget parallelising rounds within
+    // each point. The ceiling division hands the remainder to the round
+    // level (5 points on 8 threads → 2 round workers each, briefly 10 live
+    // threads) rather than leaving it idle. The split affects wall-clock
+    // only — never results.
+    let threads = worker_threads(threads);
+    let outer = threads.min(plan.len()).max(1);
+    let inner = threads.div_ceil(outer);
+    let next = AtomicUsize::new(0);
+    let simulated = AtomicUsize::new(0);
+    let served = AtomicUsize::new(0);
+    let failure: Mutex<Option<CacheError>> = Mutex::new(None);
+    let slots: Vec<Mutex<Option<W::Fold>>> = plan.runs.iter().map(|_| Mutex::new(None)).collect();
+
+    std::thread::scope(|scope| {
+        for _ in 0..outer {
+            scope.spawn(|| loop {
+                let index = next.fetch_add(1, Ordering::Relaxed);
+                let Some(run) = plan.runs.get(index) else { break };
+                let run = run.as_ref();
+                let key = |round, seed| plan.cache_key(scenario, index, round, seed);
+                let walked = walk_rounds(
+                    work.rounds(index, run),
+                    plan.seeds[index],
+                    inner,
+                    &|so_far| work.settled(index, run, so_far),
+                    &|round, seed| {
+                        let hit = journal?.get(&key(round, seed));
+                        if hit.is_some() {
+                            vanet_faults::round_done();
+                        }
+                        hit
+                    },
+                    &|round, seed| {
+                        vanet_faults::round_start();
+                        let product = work.produce(run, round, seed);
+                        vanet_faults::round_done();
+                        product
+                    },
+                    // A failed append must surface: a "resumable" run that
+                    // silently persisted nothing is worse than an error.
+                    &mut |round, seed, product| match journal {
+                        Some(journal) => journal.put(&key(round, seed), product).map(drop),
+                        None => Ok(()),
+                    },
+                );
+                match walked {
+                    Ok((products, fresh)) => {
+                        simulated.fetch_add(fresh, Ordering::Relaxed);
+                        served.fetch_add(products.len() - fresh, Ordering::Relaxed);
+                        let fold = work.fold(run, products);
+                        *slots[index].lock().expect("point slot poisoned") = Some(fold);
+                    }
+                    Err(e) => {
+                        failure.lock().expect("failure slot poisoned").get_or_insert(e);
+                        break;
+                    }
+                }
+            });
+        }
+    });
+
+    if let Some(e) = failure.into_inner().expect("failure slot poisoned") {
+        return Err(SweepError::Cache { scenario: scenario.to_string(), message: e.to_string() });
+    }
+    let folds = slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner().expect("point slot poisoned").expect("every point was walked")
+        })
+        .collect();
+    Ok(Walked {
+        folds,
+        rounds_simulated: simulated.into_inner(),
+        rounds_cached: served.into_inner(),
+    })
+}
+
+/// Whether [`walk_points`] with `work` against `journal` would simulate any
+/// round of point `index` — the coverage probe behind warm-re-run
+/// pre-filtering. It serves and simulates nothing.
+pub fn would_simulate<W: PointWork, C: RecordCodec<Value = W::Product>>(
+    scenario: &str,
+    plan: &SweepPlan,
+    index: usize,
+    journal: &Journal<C>,
+    work: &W,
+) -> bool {
+    let run = plan.runs[index].as_ref();
+    let (_, pending) = served_prefix(
+        work.rounds(index, run),
+        plan.seeds[index],
+        &|so_far| work.settled(index, run, so_far),
+        &|round, seed| journal.get(&plan.cache_key(scenario, index, round, seed)),
+    );
+    pending
+}
+
+/// The sweep's point work: whole budgets, settling, each point folded into
+/// its metric row as soon as its walk ends (so a worker holds one point's
+/// reports at a time).
+struct Aggregate;
+
+impl PointWork for Aggregate {
+    type Product = RoundReport;
+    type Fold = PointSummary;
+
+    fn settled(&self, _index: usize, run: &dyn ScenarioRun, so_far: &[RoundReport]) -> bool {
+        run.is_settled(so_far)
+    }
+
+    fn produce(&self, run: &dyn ScenarioRun, round: u32, seed: u64) -> RoundReport {
+        run.run_round(round, seed)
+    }
+
+    fn fold(&self, run: &dyn ScenarioRun, reports: Vec<RoundReport>) -> PointSummary {
+        run.aggregate(&reports)
+    }
+}
+
+/// The work-sharing parallel sweep executor: [`walk_points`] over the round
+/// cache, folding each point with [`ScenarioRun::aggregate`].
+///
+/// The engine parallelises at two levels from one thread budget: across
+/// points, and, when the sweep has fewer points than threads, across the
+/// rounds **inside** each point (see [`vanet_scenarios::walk_rounds`]).
+/// Results land in their point's slot, so the output order is the spec's
+/// expansion order, not completion order — and because every round's seed
+/// is a pure function of `(master seed, canonical configuration, round)`,
+/// exports are byte-identical at any thread count.
 #[derive(Debug, Clone)]
 pub struct SweepEngine {
     threads: usize,
@@ -202,12 +393,7 @@ impl SweepEngine {
     /// Creates an engine running `threads` workers; `0` means one per
     /// available CPU.
     pub fn new(threads: usize) -> Self {
-        let threads = if threads == 0 {
-            std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
-        } else {
-            threads
-        };
-        SweepEngine { threads, allow_unknown: false, cache: None }
+        SweepEngine { threads: worker_threads(threads), allow_unknown: false, cache: None }
     }
 
     /// Silently drops sweep parameters the scenario's schema does not
@@ -219,13 +405,13 @@ impl SweepEngine {
         self
     }
 
-    /// Attaches a persistent round cache. Before each round wave the engine
-    /// partitions the wave into cached-vs-missing, simulates only the
-    /// missing rounds, and writes the fresh reports back wave by wave — so
-    /// re-running an identical spec simulates nothing, a widened grid or
-    /// raised round budget simulates only the delta, and a killed sweep
-    /// resumes, losing at most one in-flight wave per point. Exports
-    /// are byte-identical with and without the cache, at any thread count.
+    /// Attaches a persistent round cache: cached rounds are served, only
+    /// the missing ones simulate, and fresh reports are written back wave
+    /// by wave — so re-running an identical spec simulates nothing, a
+    /// widened grid or raised round budget simulates only the delta, and a
+    /// killed sweep resumes, losing at most one in-flight wave per point.
+    /// Exports are byte-identical with and without the cache, at any thread
+    /// count.
     #[must_use]
     pub fn with_cache(mut self, cache: Arc<SweepCache>) -> Self {
         self.cache = Some(cache);
@@ -235,16 +421,6 @@ impl SweepEngine {
     /// The worker count this engine uses.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Whether unknown parameters are dropped instead of rejected.
-    pub fn allow_unknown(&self) -> bool {
-        self.allow_unknown
-    }
-
-    /// The attached round cache, if any.
-    pub fn cache(&self) -> Option<&SweepCache> {
-        self.cache.as_deref()
     }
 
     /// Runs every point of `spec` through `scenario` and collects the
@@ -270,101 +446,11 @@ impl SweepEngine {
         scenario: &dyn Scenario,
         spec: &SweepSpec,
     ) -> Result<SweepResult, SweepError> {
-        let SweepPlan { points, canonicals, seeds, runs, fingerprint } =
-            plan(scenario, spec, self.allow_unknown)?;
-
-        // Split the thread budget: as many point workers as there are
-        // points to keep busy, the rest of the budget parallelising rounds
-        // within each point. The ceiling division hands the remainder to
-        // the round level (5 points on 8 threads → 2 round workers each,
-        // briefly 10 live threads) rather than leaving it idle. The split
-        // affects wall-clock only — never results.
-        let outer = self.threads.min(points.len()).max(1);
-        let inner = self.threads.div_ceil(outer);
-
+        let plan = plan(scenario, spec, self.allow_unknown)?;
         let started = Instant::now();
-        let next = AtomicUsize::new(0);
-        let simulated_total = AtomicUsize::new(0);
-        let cached_total = AtomicUsize::new(0);
-        let cache_failure: Mutex<Option<String>> = Mutex::new(None);
-        let slots: Vec<Mutex<Option<PointSummary>>> =
-            points.iter().map(|_| Mutex::new(None)).collect();
-
-        std::thread::scope(|scope| {
-            for _ in 0..outer {
-                scope.spawn(|| loop {
-                    let index = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(run) = runs.get(index) else { break };
-                    let outcome = match &self.cache {
-                        // One executor for both paths: the uncached run is a
-                        // cached run whose lookups always miss, so the two
-                        // cannot drift apart and exports are byte-identical
-                        // by construction.
-                        None => run_rounds_cached(
-                            run.as_ref(),
-                            seeds[index],
-                            inner,
-                            &|_, _| None,
-                            &mut |_, _| Ok(()),
-                        ),
-                        Some(cache) => {
-                            let key = |round: u32, round_seed: u64| {
-                                CacheKey::new(
-                                    scenario.name(),
-                                    fingerprint,
-                                    &canonicals[index],
-                                    round,
-                                    round_seed,
-                                )
-                            };
-                            run_rounds_cached(
-                                run.as_ref(),
-                                seeds[index],
-                                inner,
-                                &|round, seed| cache.get(&key(round, seed)),
-                                // Fresh reports persist wave by wave, so a
-                                // kill mid-point loses at most one wave.
-                                // Results stand either way; a failed append
-                                // must still surface (a "resumable" sweep
-                                // that silently persisted nothing is worse
-                                // than an error).
-                                &mut |round, report| {
-                                    cache
-                                        .put(&key(round, report.seed), report)
-                                        .map(|_| ())
-                                        .map_err(|e| e.to_string())
-                                },
-                            )
-                        }
-                    };
-                    let (reports, fresh) = match outcome {
-                        Ok(outcome) => outcome,
-                        Err(message) => {
-                            let mut failure =
-                                cache_failure.lock().expect("cache failure slot poisoned");
-                            failure.get_or_insert(message);
-                            break;
-                        }
-                    };
-                    simulated_total.fetch_add(fresh, Ordering::Relaxed);
-                    cached_total.fetch_add(reports.len() - fresh, Ordering::Relaxed);
-                    let summary = run.aggregate(&reports);
-                    *slots[index].lock().expect("sweep slot poisoned") = Some(summary);
-                });
-            }
-        });
-
-        if let Some(message) = cache_failure.into_inner().expect("cache failure slot poisoned") {
-            return Err(SweepError::Cache { scenario: scenario.name().to_string(), message });
-        }
-
-        let summaries: Vec<PointSummary> = slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner().expect("sweep slot poisoned").expect("every point was executed")
-            })
-            .collect();
-
+        let walked =
+            walk_points(scenario.name(), &plan, self.threads, self.cache.as_deref(), &Aggregate)?;
+        let summaries = walked.folds;
         let reference = summaries[0].names();
         for (i, summary) in summaries.iter().enumerate() {
             assert_eq!(
@@ -374,13 +460,14 @@ impl SweepEngine {
             );
         }
 
+        let SweepPlan { points, seeds, .. } = plan;
         Ok(SweepResult {
             scenario: scenario.name().to_string(),
             master_seed: spec.master_seed,
             threads: self.threads,
             elapsed: started.elapsed(),
-            rounds_simulated: simulated_total.into_inner(),
-            rounds_cached: cached_total.into_inner(),
+            rounds_simulated: walked.rounds_simulated,
+            rounds_cached: walked.rounds_cached,
             points,
             seeds,
             summaries,
@@ -392,99 +479,6 @@ impl Default for SweepEngine {
     fn default() -> Self {
         SweepEngine::new(0)
     }
-}
-
-/// The engine's round executor, mirroring [`vanet_scenarios::run_rounds`]'s
-/// wave structure and settle checks: each wave is first partitioned through
-/// `lookup`, only the missing rounds simulate (in parallel when several
-/// miss), and every fresh report is handed to `store` before the next wave
-/// starts — so a killed sweep loses at most one wave of work per in-flight
-/// point. Returns the reports in round order plus the count of rounds that
-/// were actually simulated, or the first `store` error.
-///
-/// Cached rounds cost no simulation, so the executor first drains the
-/// cached prefix one round at a time with a settle check between rounds.
-/// A settle-capable run served entirely from cache (a fleet's final pass
-/// over covered units, say) therefore stops *exactly* at its settle point
-/// instead of overshooting by up to a wave of cached reports; only once a
-/// round misses does the wave machinery — and its coarser between-wave
-/// settle granularity, the price of parallelism — take over.
-///
-/// The engine runs its cache-less sweeps through this same function with an
-/// always-miss `lookup` (every round simulates, `store` is a no-op), which
-/// is what makes "exports are byte-identical with and without the cache"
-/// true by construction: because a cached report is — by the purity
-/// contract and the cache key — identical to what re-simulation would
-/// produce, hit/miss partitioning cannot change the report sequence.
-fn run_rounds_cached(
-    run: &dyn ScenarioRun,
-    base_seed: u64,
-    threads: usize,
-    lookup: &(dyn Fn(u32, u64) -> Option<RoundReport> + Sync),
-    store: &mut dyn FnMut(u32, &RoundReport) -> Result<(), String>,
-) -> Result<(Vec<RoundReport>, usize), String> {
-    let total = run.rounds();
-    let threads = threads.max(1) as u32;
-    let mut reports: Vec<RoundReport> = Vec::with_capacity(total as usize);
-    let mut fresh = 0usize;
-    let mut next = 0u32;
-    // Serve the cached prefix round by round so settle checks run at the
-    // finest possible granularity while no simulation is pending.
-    while next < total {
-        if !reports.is_empty() && run.is_settled(&reports) {
-            return Ok((reports, fresh));
-        }
-        match lookup(next, round_seed(base_seed, next)) {
-            Some(report) => {
-                reports.push(report);
-                next += 1;
-                vanet_faults::round_done();
-            }
-            None => break,
-        }
-    }
-    while next < total {
-        if !reports.is_empty() && run.is_settled(&reports) {
-            break;
-        }
-        let end = next.saturating_add(threads).min(total);
-        let mut wave: Vec<Option<RoundReport>> =
-            (next..end).map(|round| lookup(round, round_seed(base_seed, round))).collect();
-        let missing: Vec<u32> =
-            (next..end).filter(|round| wave[(round - next) as usize].is_none()).collect();
-        if missing.len() == 1 {
-            let round = missing[0];
-            vanet_faults::round_start();
-            wave[(round - next) as usize] =
-                Some(run.run_round(round, round_seed(base_seed, round)));
-            vanet_faults::round_done();
-        } else if !missing.is_empty() {
-            let simulated: Vec<(u32, RoundReport)> = std::thread::scope(|scope| {
-                let handles: Vec<_> = missing
-                    .iter()
-                    .map(|&round| {
-                        scope.spawn(move || {
-                            vanet_faults::round_start();
-                            let report = run.run_round(round, round_seed(base_seed, round));
-                            vanet_faults::round_done();
-                            (round, report)
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("round worker panicked")).collect()
-            });
-            for (round, report) in simulated {
-                wave[(round - next) as usize] = Some(report);
-            }
-        }
-        fresh += missing.len();
-        reports.extend(wave.into_iter().map(|slot| slot.expect("wave fully resolved")));
-        for round in missing {
-            store(round, &reports[round as usize])?;
-        }
-        next = end;
-    }
-    Ok((reports, fresh))
 }
 
 /// The outcome of a sweep: the expanded points, their derived seeds and
@@ -539,55 +533,15 @@ impl SweepResult {
 
     /// Converts the result into a [`RecordTable`]: one row per point with
     /// `scenario`, `point`, `seed`, one column per swept parameter, and one
-    /// column per metric.
+    /// column per metric (see [`point_table`]).
     ///
     /// Wall-clock data (`elapsed`, `threads`) deliberately stays out of the
     /// table so exports are reproducible byte for byte.
     pub fn to_table(&self) -> RecordTable {
-        let mut columns: Vec<String> = vec!["scenario".into(), "point".into(), "seed".into()];
-        // The union of parameters over all points, in first-seen order, so
-        // explicit extra points that assign fewer parameters still align.
-        let mut params: Vec<crate::Param> = Vec::new();
-        for point in &self.points {
-            for (param, _) in point.assignments() {
-                if !params.contains(param) {
-                    params.push(*param);
-                }
-            }
-        }
-        columns.extend(params.iter().map(|p| p.key().to_string()));
-        columns.extend(
-            self.summaries
-                .first()
-                .map(PointSummary::names)
-                .unwrap_or_default()
-                .iter()
-                .map(|name| (*name).to_string()),
-        );
-
-        let mut table = RecordTable::new(columns);
-        for (index, (point, summary)) in self.points.iter().zip(&self.summaries).enumerate() {
-            // Seeds render as hex text: they can exceed `i64::MAX`, which
-            // the integer cell type would saturate (and collide) at.
-            let mut row: Vec<CellValue> = vec![
-                self.scenario.as_str().into(),
-                index.into(),
-                format!("{:#018x}", self.seeds[index]).into(),
-            ];
-            for param in &params {
-                row.push(match point.get(*param) {
-                    Some(crate::ParamValue::Float(x)) => CellValue::Float(x),
-                    Some(crate::ParamValue::Int(x)) => x.into(),
-                    Some(value) => value.to_string().into(),
-                    None => "".into(),
-                });
-            }
-            for (_, value) in &summary.metrics {
-                row.push(CellValue::Float(*value));
-            }
-            table.push_row(row);
-        }
-        table
+        let metrics = self.summaries.first().map(PointSummary::names).unwrap_or_default();
+        point_table(&self.scenario, &self.points, &self.seeds, &metrics, |index, row| {
+            row.extend(self.summaries[index].metrics.iter().map(|&(_, x)| CellValue::Float(x)));
+        })
     }
 
     /// Renders the result as CSV.
@@ -599,6 +553,52 @@ impl SweepResult {
     pub fn to_json(&self) -> String {
         self.to_table().to_json()
     }
+}
+
+/// The layout every per-point export shares: one row per point with
+/// `scenario`, `point`, `seed`, one column per swept parameter, then one
+/// column per name in `metrics`, whose cells `cells(index, row)` appends.
+///
+/// The parameter columns are the union over all points in first-seen
+/// order, so explicit extra points that assign fewer parameters still
+/// align (their missing cells stay empty). Seeds render as hex text: they
+/// can exceed `i64::MAX`, which the integer cell type would saturate (and
+/// collide) at.
+pub fn point_table(
+    scenario: &str,
+    points: &[SweepPoint],
+    seeds: &[u64],
+    metrics: &[&str],
+    mut cells: impl FnMut(usize, &mut Vec<CellValue>),
+) -> RecordTable {
+    let mut params: Vec<crate::Param> = Vec::new();
+    for point in points {
+        for (param, _) in point.assignments() {
+            if !params.contains(param) {
+                params.push(*param);
+            }
+        }
+    }
+    let mut columns: Vec<String> = vec!["scenario".into(), "point".into(), "seed".into()];
+    columns.extend(params.iter().map(|p| p.key().to_string()));
+    columns.extend(metrics.iter().map(|name| (*name).to_string()));
+
+    let mut table = RecordTable::new(columns);
+    for (index, point) in points.iter().enumerate() {
+        let mut row: Vec<CellValue> =
+            vec![scenario.into(), index.into(), format!("{:#018x}", seeds[index]).into()];
+        for param in &params {
+            row.push(match point.get(*param) {
+                Some(crate::ParamValue::Float(x)) => CellValue::Float(x),
+                Some(crate::ParamValue::Int(x)) => x.into(),
+                Some(value) => value.to_string().into(),
+                None => "".into(),
+            });
+        }
+        cells(index, &mut row);
+        table.push_row(row);
+    }
+    table
 }
 
 #[cfg(test)]
@@ -721,8 +721,6 @@ mod tests {
         assert!(SweepEngine::new(0).threads() >= 1);
         assert_eq!(SweepEngine::new(3).threads(), 3);
         assert!(SweepEngine::default().threads() >= 1);
-        assert!(!SweepEngine::new(1).allow_unknown());
-        assert!(SweepEngine::new(1).with_allow_unknown(true).allow_unknown());
     }
 
     #[test]
@@ -974,73 +972,6 @@ mod tests {
         fn aggregate(&self, _rounds: &[RoundReport]) -> PointSummary {
             PointSummary { metrics: vec![(if self.n == 1 { "a" } else { "b" }, 0.0)] }
         }
-    }
-
-    /// A settle-capable run: done once three reports are in.
-    struct SettlingRun {
-        simulated: AtomicUsize,
-    }
-
-    impl ScenarioRun for SettlingRun {
-        fn rounds(&self) -> u32 {
-            40
-        }
-
-        fn run_round(&self, round: u32, seed: u64) -> RoundReport {
-            self.simulated.fetch_add(1, Ordering::Relaxed);
-            RoundReport::new(round, seed, vanet_stats::RoundResult::default())
-                .with_counter("value", 1.0)
-        }
-
-        fn aggregate(&self, rounds: &[RoundReport]) -> PointSummary {
-            let total: f64 = rounds.iter().take(3).filter_map(|r| r.counter("value")).sum();
-            PointSummary { metrics: vec![("total", total)] }
-        }
-
-        fn is_settled(&self, rounds_so_far: &[RoundReport]) -> bool {
-            rounds_so_far.len() >= 3
-        }
-    }
-
-    #[test]
-    fn fully_cached_settling_run_stops_exactly_at_the_settle_point() {
-        let run = SettlingRun { simulated: AtomicUsize::new(0) };
-        let lookup = |round: u32, seed: u64| {
-            Some(
-                RoundReport::new(round, seed, vanet_stats::RoundResult::default())
-                    .with_counter("value", 1.0),
-            )
-        };
-        let mut stored = 0usize;
-        let (reports, fresh) = run_rounds_cached(&run, 7, 8, &lookup, &mut |_, _| {
-            stored += 1;
-            Ok(())
-        })
-        .unwrap();
-        // Previously a fully cached wave overshot to 8 reports; now the
-        // cached prefix honours the settle point exactly.
-        assert_eq!(reports.len(), 3, "cached prefix must not overshoot the settle point");
-        assert_eq!(fresh, 0);
-        assert_eq!(run.simulated.load(Ordering::Relaxed), 0);
-        assert_eq!(stored, 0, "cached rounds are never re-stored");
-    }
-
-    #[test]
-    fn partially_cached_settling_run_keeps_the_summary() {
-        // Cache covers only round 0: the prefix serves it, then the wave
-        // machinery simulates from round 1 and may overshoot by at most one
-        // wave — which `aggregate` ignores by contract.
-        let run = SettlingRun { simulated: AtomicUsize::new(0) };
-        let lookup = |round: u32, seed: u64| {
-            (round == 0).then(|| {
-                RoundReport::new(round, seed, vanet_stats::RoundResult::default())
-                    .with_counter("value", 1.0)
-            })
-        };
-        let (reports, fresh) = run_rounds_cached(&run, 7, 4, &lookup, &mut |_, _| Ok(())).unwrap();
-        assert!((3..=5).contains(&reports.len()), "got {} reports", reports.len());
-        assert_eq!(fresh, reports.len() - 1);
-        assert_eq!(run.aggregate(&reports).metrics, vec![("total", 3.0)]);
     }
 
     #[test]

@@ -8,23 +8,29 @@
 //!
 //! * [`SweepSpec`] — a declarative parameter grid (cartesian axes plus
 //!   explicit extra points) expanded in a stable, thread-independent order;
-//! * [`SweepEngine`] — the two-level parallel executor: points run on a
-//!   work-sharing pool, and leftover thread budget parallelises the rounds
-//!   *within* each point. Every point is validated against the scenario's
-//!   typed [`ParamSchema`] before anything
-//!   runs; unknown parameters are an error unless
-//!   [`SweepEngine::with_allow_unknown`] opts out;
+//! * [`walk_points`] — the point executor every engine runs on: points run
+//!   on a work-sharing pool, leftover thread budget parallelises the rounds
+//!   *within* each point, and each point's rounds go through
+//!   `vanet-scenarios`' one round walker ([`vanet_scenarios::walk_rounds`])
+//!   against an optional journal of any codec, keyed by
+//!   [`SweepPlan::cache_key`]. A [`PointWork`] says what a round yields,
+//!   when a point settles and what it folds into; [`would_simulate`] asks,
+//!   without running anything, whether a point's walk would simulate;
+//! * [`SweepEngine`] — the sweep's instance of it, folding each point with
+//!   `aggregate`. Every point is validated against the scenario's typed
+//!   [`ParamSchema`] before anything runs; unknown parameters are an error
+//!   unless [`SweepEngine::with_allow_unknown`] opts out;
 //! * [`SweepResult`] — per-point metric rows that flow into `vanet-stats`
-//!   ([`vanet_stats::RecordTable`]) and export as CSV or JSON, plus the
+//!   ([`vanet_stats::RecordTable`], in the [`point_table`] layout the
+//!   analysis tables share) and export as CSV or JSON, plus the
 //!   `rounds_simulated` / `rounds_cached` provenance counters;
 //! * [`presets`] — the named sweep catalogue `carq-cli sweep list` shows;
 //! * an optional, persistent **round cache**
 //!   ([`SweepEngine::with_cache`], backed by [`vanet_cache::SweepCache`]):
-//!   before each round wave the engine partitions rounds into
-//!   cached-vs-missing, simulates only the delta and writes fresh reports
-//!   back — so re-running an identical spec simulates nothing, a widened
-//!   grid or raised `--rounds` simulates only the new work, and a killed
-//!   sweep resumes instead of restarting.
+//!   cached rounds are served, only the missing ones simulate, and fresh
+//!   reports are written back wave by wave — so re-running an identical
+//!   spec simulates nothing, a widened grid or raised `--rounds` simulates
+//!   only the new work, and a killed sweep resumes instead of restarting.
 //!
 //! ## Determinism and seed derivation
 //!
@@ -104,7 +110,10 @@ pub mod engine;
 pub mod presets;
 pub mod spec;
 
-pub use engine::{plan, point_seed, SweepEngine, SweepError, SweepPlan, SweepResult};
+pub use engine::{
+    plan, point_seed, point_table, walk_points, would_simulate, PointWork, SweepEngine, SweepError,
+    SweepPlan, SweepResult, Walked,
+};
 pub use spec::{Axis, Param, ParamValue, SweepPoint, SweepSpec};
 // The persistent round store behind `SweepEngine::with_cache`, re-exported
 // so downstream code can drive cached sweeps from this crate alone.
