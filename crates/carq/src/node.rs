@@ -271,17 +271,19 @@ impl CarqNode {
     // Indications
     // ------------------------------------------------------------------
 
-    /// Handles a received frame. `snr_db` is the measured signal quality of
-    /// the reception (used by signal-based cooperator selection).
+    /// Handles a received frame. `snr_db` measures the signal quality of
+    /// the reception (dB) when called: only a HELLO's handler calls it
+    /// (signal-based cooperator selection), so a caller may leave the SNR
+    /// unevaluated until then.
     pub fn handle_frame(
         &mut self,
         now: SimTime,
         frame: &Frame<CarqMessage>,
-        snr_db: f64,
+        snr_db: impl FnOnce() -> f64,
     ) -> Vec<Action> {
         match &frame.payload {
             CarqMessage::Data(packet) => self.handle_data(now, *packet),
-            CarqMessage::Hello(hello) => self.handle_hello(hello, snr_db),
+            CarqMessage::Hello(hello) => self.handle_hello(hello, snr_db()),
             CarqMessage::Request(request) => self.handle_request(request),
             CarqMessage::CoopData(coop) => self.handle_coop_data(*coop),
             CarqMessage::CodedData(coded) => self.handle_coded_data(*coded),
@@ -712,7 +714,7 @@ mod tests {
         // Car 1 lists us at the requested position; pad the list with dummies.
         let mut list: Vec<u32> = (100..100 + order_in_car1_list).collect();
         list.push(id);
-        let _ = node.handle_frame(SimTime::ZERO, &hello_frame(1, &list), SNR);
+        let _ = node.handle_frame(SimTime::ZERO, &hello_frame(1, &list), || SNR);
         assert_eq!(node.cooperatees().order_for(NodeId::new(1)), Some(order_in_car1_list));
         node
     }
@@ -743,8 +745,8 @@ mod tests {
     fn hello_timer_broadcasts_current_cooperator_list() {
         let mut node = CarqNode::new(NodeId::new(1), CarqConfig::paper_prototype());
         node.start(SimTime::ZERO);
-        let _ = node.handle_frame(SimTime::ZERO, &hello_frame(2, &[]), SNR);
-        let _ = node.handle_frame(SimTime::ZERO, &hello_frame(3, &[]), SNR);
+        let _ = node.handle_frame(SimTime::ZERO, &hello_frame(2, &[]), || SNR);
+        let _ = node.handle_frame(SimTime::ZERO, &hello_frame(3, &[]), || SNR);
         let actions = node.handle_timer(SimTime::from_secs(1), TimerKind::Hello);
         let messages = sends(&actions);
         assert_eq!(messages.len(), 1);
@@ -766,12 +768,12 @@ mod tests {
         let mut node = CarqNode::new(NodeId::new(1), CarqConfig::paper_prototype());
         node.start(SimTime::ZERO);
         assert_eq!(node.phase(), Phase::Idle);
-        let actions = node.handle_frame(SimTime::from_secs(10), &data_frame(0, 1, 0), SNR);
+        let actions = node.handle_frame(SimTime::from_secs(10), &data_frame(0, 1, 0), || SNR);
         assert_eq!(node.phase(), Phase::Reception);
         assert!(timers(&actions).contains(&TimerKind::ApTimeout));
         assert_eq!(node.stats().data_received_direct, 1);
         // A duplicate of the same packet is ignored.
-        let _ = node.handle_frame(SimTime::from_secs(10), &data_frame(0, 1, 0), SNR);
+        let _ = node.handle_frame(SimTime::from_secs(10), &data_frame(0, 1, 0), || SNR);
         assert_eq!(node.stats().data_received_direct, 1);
         assert_eq!(node.stats().duplicates_ignored, 1);
     }
@@ -781,11 +783,11 @@ mod tests {
         let mut node = CarqNode::new(NodeId::new(2), CarqConfig::paper_prototype());
         node.start(SimTime::ZERO);
         // Not yet a cooperator of car 1: overheard data is NOT buffered.
-        let _ = node.handle_frame(SimTime::ZERO, &data_frame(0, 1, 0), SNR);
+        let _ = node.handle_frame(SimTime::ZERO, &data_frame(0, 1, 0), || SNR);
         assert_eq!(node.coop_buffer().len(), 0);
         // Car 1's HELLO lists us → we must start buffering its packets.
-        let _ = node.handle_frame(SimTime::ZERO, &hello_frame(1, &[2]), SNR);
-        let _ = node.handle_frame(SimTime::ZERO, &data_frame(0, 1, 1), SNR);
+        let _ = node.handle_frame(SimTime::ZERO, &hello_frame(1, &[2]), || SNR);
+        let _ = node.handle_frame(SimTime::ZERO, &data_frame(0, 1, 1), || SNR);
         assert_eq!(node.coop_buffer().len(), 1);
         assert!(node.coop_buffer().holds(NodeId::new(1), SeqNo::new(1)));
         assert_eq!(node.stats().packets_buffered_for_peers, 1);
@@ -796,9 +798,9 @@ mod tests {
         let mut node = CarqNode::new(NodeId::new(1), CarqConfig::paper_prototype());
         node.start(SimTime::ZERO);
         let t0 = SimTime::from_secs(0);
-        let _ = node.handle_frame(t0, &data_frame(0, 1, 0), SNR);
+        let _ = node.handle_frame(t0, &data_frame(0, 1, 0), || SNR);
         // More data arrives at t=3 s; the watchdog armed for t=5 s must re-arm.
-        let _ = node.handle_frame(SimTime::from_secs(3), &data_frame(0, 1, 1), SNR);
+        let _ = node.handle_frame(SimTime::from_secs(3), &data_frame(0, 1, 1), || SNR);
         let actions = node.handle_timer(SimTime::from_secs(5), TimerKind::ApTimeout);
         assert_eq!(node.phase(), Phase::Reception);
         match &actions[0] {
@@ -814,7 +816,8 @@ mod tests {
         let mut node = CarqNode::new(NodeId::new(1), CarqConfig::paper_prototype());
         node.start(SimTime::ZERO);
         for seq in 0..5 {
-            let _ = node.handle_frame(SimTime::from_secs(seq as u64), &data_frame(0, 1, seq), SNR);
+            let _ =
+                node.handle_frame(SimTime::from_secs(seq as u64), &data_frame(0, 1, seq), || SNR);
         }
         let actions = node.handle_timer(SimTime::from_secs(20), TimerKind::ApTimeout);
         assert_eq!(node.phase(), Phase::Idle);
@@ -827,10 +830,10 @@ mod tests {
         let mut node = CarqNode::new(NodeId::new(1), CarqConfig::paper_prototype());
         node.start(SimTime::ZERO);
         // Hear a neighbour so the cooperator count is non-zero.
-        let _ = node.handle_frame(SimTime::ZERO, &hello_frame(2, &[]), SNR);
+        let _ = node.handle_frame(SimTime::ZERO, &hello_frame(2, &[]), || SNR);
         // Receive 0 and 3; 1 and 2 are missing.
-        let _ = node.handle_frame(SimTime::from_secs(0), &data_frame(0, 1, 0), SNR);
-        let _ = node.handle_frame(SimTime::from_secs(1), &data_frame(0, 1, 3), SNR);
+        let _ = node.handle_frame(SimTime::from_secs(0), &data_frame(0, 1, 0), || SNR);
+        let _ = node.handle_frame(SimTime::from_secs(1), &data_frame(0, 1, 3), || SNR);
         let actions = node.handle_timer(SimTime::from_secs(10), TimerKind::ApTimeout);
         assert_eq!(node.phase(), Phase::CooperativeArq);
         let messages = sends(&actions);
@@ -852,8 +855,8 @@ mod tests {
     fn request_cycle_walks_the_missing_list_and_stops_when_fruitless() {
         let mut node = CarqNode::new(NodeId::new(1), CarqConfig::paper_prototype());
         node.start(SimTime::ZERO);
-        let _ = node.handle_frame(SimTime::from_secs(0), &data_frame(0, 1, 0), SNR);
-        let _ = node.handle_frame(SimTime::from_secs(1), &data_frame(0, 1, 3), SNR);
+        let _ = node.handle_frame(SimTime::from_secs(0), &data_frame(0, 1, 0), || SNR);
+        let _ = node.handle_frame(SimTime::from_secs(1), &data_frame(0, 1, 3), || SNR);
         let mut actions = node.handle_timer(SimTime::from_secs(10), TimerKind::ApTimeout);
         let mut requested = Vec::new();
         let mut guard = 0;
@@ -881,10 +884,10 @@ mod tests {
     fn cooperator_answers_request_after_its_assigned_backoff() {
         let mut node = cooperator_of_car1(2, 1);
         // Overhear the packet car 1 will be missing.
-        let _ = node.handle_frame(SimTime::ZERO, &data_frame(0, 1, 7), SNR);
+        let _ = node.handle_frame(SimTime::ZERO, &data_frame(0, 1, 7), || SNR);
         assert!(node.coop_buffer().holds(NodeId::new(1), SeqNo::new(7)));
         // Car 1 requests it (it has 2 cooperators).
-        let actions = node.handle_frame(SimTime::from_secs(60), &request_frame(1, &[7], 2), SNR);
+        let actions = node.handle_frame(SimTime::from_secs(60), &request_frame(1, &[7], 2), || SNR);
         let timer_list = timers(&actions);
         assert_eq!(timer_list.len(), 1);
         let TimerKind::CoopResponse { peer, seq } = timer_list[0] else {
@@ -919,11 +922,11 @@ mod tests {
         let mut first = cooperator_of_car1(2, 0);
         let mut second = cooperator_of_car1(3, 1);
         for node in [&mut first, &mut second] {
-            let _ = node.handle_frame(SimTime::ZERO, &data_frame(0, 1, 7), SNR);
+            let _ = node.handle_frame(SimTime::ZERO, &data_frame(0, 1, 7), || SNR);
         }
         let delay_of = |node: &mut CarqNode| {
             let actions =
-                node.handle_frame(SimTime::from_secs(60), &request_frame(1, &[7], 2), SNR);
+                node.handle_frame(SimTime::from_secs(60), &request_frame(1, &[7], 2), || SNR);
             match actions
                 .iter()
                 .find(|a| {
@@ -944,8 +947,8 @@ mod tests {
         node.start(SimTime::ZERO);
         // It overheard the packet but car 1 never listed it as a cooperator,
         // and without that listing it never even buffers car 1's packets.
-        let _ = node.handle_frame(SimTime::ZERO, &data_frame(0, 1, 7), SNR);
-        let actions = node.handle_frame(SimTime::from_secs(60), &request_frame(1, &[7], 2), SNR);
+        let _ = node.handle_frame(SimTime::ZERO, &data_frame(0, 1, 7), || SNR);
+        let actions = node.handle_frame(SimTime::from_secs(60), &request_frame(1, &[7], 2), || SNR);
         assert!(actions.is_empty());
         assert_eq!(node.stats().requests_received, 1);
     }
@@ -953,11 +956,11 @@ mod tests {
     #[test]
     fn overhearing_another_cooperators_answer_suppresses_our_own() {
         let mut node = cooperator_of_car1(3, 1);
-        let _ = node.handle_frame(SimTime::ZERO, &data_frame(0, 1, 7), SNR);
-        let actions = node.handle_frame(SimTime::from_secs(60), &request_frame(1, &[7], 2), SNR);
+        let _ = node.handle_frame(SimTime::ZERO, &data_frame(0, 1, 7), || SNR);
+        let actions = node.handle_frame(SimTime::from_secs(60), &request_frame(1, &[7], 2), || SNR);
         let timer = timers(&actions)[0];
         // Before our backoff expires, cooperator 2 serves the packet.
-        let _ = node.handle_frame(SimTime::from_secs(60), &coop_data_frame(2, 1, 7), SNR);
+        let _ = node.handle_frame(SimTime::from_secs(60), &coop_data_frame(2, 1, 7), || SNR);
         let actions = node.handle_timer(SimTime::from_secs(61), timer);
         assert!(sends(&actions).is_empty(), "the suppressed response must not be sent");
         assert_eq!(node.stats().coop_data_sent, 0);
@@ -967,11 +970,11 @@ mod tests {
     #[test]
     fn repeated_request_after_failed_service_is_answered_again() {
         let mut node = cooperator_of_car1(2, 0);
-        let _ = node.handle_frame(SimTime::ZERO, &data_frame(0, 1, 7), SNR);
+        let _ = node.handle_frame(SimTime::ZERO, &data_frame(0, 1, 7), || SNR);
         // We overhear another cooperator serving seq 7...
-        let _ = node.handle_frame(SimTime::from_secs(60), &coop_data_frame(3, 1, 7), SNR);
+        let _ = node.handle_frame(SimTime::from_secs(60), &coop_data_frame(3, 1, 7), || SNR);
         // ...but car 1 evidently did not get it: it requests seq 7 again.
-        let actions = node.handle_frame(SimTime::from_secs(61), &request_frame(1, &[7], 2), SNR);
+        let actions = node.handle_frame(SimTime::from_secs(61), &request_frame(1, &[7], 2), || SNR);
         let timer_list = timers(&actions);
         assert_eq!(timer_list.len(), 1, "the repeated request must be honoured");
         let actions = node.handle_timer(SimTime::from_secs(62), timer_list[0]);
@@ -982,20 +985,20 @@ mod tests {
     fn requester_counts_cooperative_recovery_and_goes_idle_when_complete() {
         let mut node = CarqNode::new(NodeId::new(1), CarqConfig::paper_prototype());
         node.start(SimTime::ZERO);
-        let _ = node.handle_frame(SimTime::ZERO, &hello_frame(2, &[]), SNR);
-        let _ = node.handle_frame(SimTime::from_secs(0), &data_frame(0, 1, 0), SNR);
-        let _ = node.handle_frame(SimTime::from_secs(1), &data_frame(0, 1, 2), SNR);
+        let _ = node.handle_frame(SimTime::ZERO, &hello_frame(2, &[]), || SNR);
+        let _ = node.handle_frame(SimTime::from_secs(0), &data_frame(0, 1, 0), || SNR);
+        let _ = node.handle_frame(SimTime::from_secs(1), &data_frame(0, 1, 2), || SNR);
         let _ = node.handle_timer(SimTime::from_secs(10), TimerKind::ApTimeout);
         assert_eq!(node.phase(), Phase::CooperativeArq);
         // The missing packet (seq 1) arrives from a cooperator.
-        let _ = node.handle_frame(SimTime::from_secs(11), &coop_data_frame(2, 1, 1), SNR);
+        let _ = node.handle_frame(SimTime::from_secs(11), &coop_data_frame(2, 1, 1), || SNR);
         assert_eq!(node.stats().recovered_via_coop, 1);
         assert_eq!(node.phase(), Phase::Idle);
         assert_eq!(node.missing_after_coop(), Vec::<SeqNo>::new());
         assert_eq!(node.after_coop_map().received_count(), 3);
         assert_eq!(node.recovered_seqs().collect::<Vec<_>>(), vec![SeqNo::new(1)]);
         // A duplicate recovery is ignored.
-        let _ = node.handle_frame(SimTime::from_secs(12), &coop_data_frame(2, 1, 1), SNR);
+        let _ = node.handle_frame(SimTime::from_secs(12), &coop_data_frame(2, 1, 1), || SNR);
         assert_eq!(node.stats().recovered_via_coop, 1);
         assert!(node.stats().duplicates_ignored >= 1);
     }
@@ -1004,9 +1007,9 @@ mod tests {
     fn returning_into_coverage_restarts_the_cycle() {
         let mut node = CarqNode::new(NodeId::new(1), CarqConfig::paper_prototype());
         node.start(SimTime::ZERO);
-        let _ = node.handle_frame(SimTime::ZERO, &hello_frame(2, &[]), SNR);
-        let _ = node.handle_frame(SimTime::from_secs(0), &data_frame(0, 1, 0), SNR);
-        let _ = node.handle_frame(SimTime::from_secs(1), &data_frame(0, 1, 2), SNR);
+        let _ = node.handle_frame(SimTime::ZERO, &hello_frame(2, &[]), || SNR);
+        let _ = node.handle_frame(SimTime::from_secs(0), &data_frame(0, 1, 0), || SNR);
+        let _ = node.handle_frame(SimTime::from_secs(1), &data_frame(0, 1, 2), || SNR);
         let actions = node.handle_timer(SimTime::from_secs(10), TimerKind::ApTimeout);
         assert_eq!(node.phase(), Phase::CooperativeArq);
         let Some(TimerKind::RequestCycle { epoch: old_epoch }) =
@@ -1015,7 +1018,7 @@ mod tests {
             panic!("expected a request-cycle timer");
         };
         // New AP coverage: a fresh data packet arrives.
-        let actions = node.handle_frame(SimTime::from_secs(100), &data_frame(4, 1, 50), SNR);
+        let actions = node.handle_frame(SimTime::from_secs(100), &data_frame(4, 1, 50), || SNR);
         assert_eq!(node.phase(), Phase::Reception);
         assert!(timers(&actions).contains(&TimerKind::ApTimeout));
         // The stale request-cycle timer from the abandoned session is ignored.
@@ -1029,10 +1032,10 @@ mod tests {
         let cfg = CarqConfig::paper_prototype().with_batched_requests();
         let mut node = CarqNode::new(NodeId::new(1), cfg);
         node.start(SimTime::ZERO);
-        let _ = node.handle_frame(SimTime::ZERO, &hello_frame(2, &[]), SNR);
-        let _ = node.handle_frame(SimTime::ZERO, &hello_frame(3, &[]), SNR);
-        let _ = node.handle_frame(SimTime::from_secs(0), &data_frame(0, 1, 0), SNR);
-        let _ = node.handle_frame(SimTime::from_secs(1), &data_frame(0, 1, 5), SNR);
+        let _ = node.handle_frame(SimTime::ZERO, &hello_frame(2, &[]), || SNR);
+        let _ = node.handle_frame(SimTime::ZERO, &hello_frame(3, &[]), || SNR);
+        let _ = node.handle_frame(SimTime::from_secs(0), &data_frame(0, 1, 0), || SNR);
+        let _ = node.handle_frame(SimTime::from_secs(1), &data_frame(0, 1, 5), || SNR);
         let actions = node.handle_timer(SimTime::from_secs(10), TimerKind::ApTimeout);
         match sends(&actions)[0] {
             CarqMessage::Request(r) => {
@@ -1050,21 +1053,21 @@ mod tests {
         let mut node = CarqNode::new(NodeId::new(1), cfg);
         assert!(node.start(SimTime::ZERO).is_empty(), "plain ARQ never beacons");
         // Hellos are heard but recruit nothing.
-        let _ = node.handle_frame(SimTime::ZERO, &hello_frame(2, &[1]), SNR);
+        let _ = node.handle_frame(SimTime::ZERO, &hello_frame(2, &[1]), || SNR);
         assert_eq!(node.cooperators().len(), 0);
         assert_eq!(node.stats().hellos_received, 1);
         // Overheard peer data is never buffered.
-        let _ = node.handle_frame(SimTime::ZERO, &data_frame(0, 9, 3), SNR);
+        let _ = node.handle_frame(SimTime::ZERO, &data_frame(0, 9, 3), || SNR);
         assert_eq!(node.coop_buffer().len(), 0);
         // Losses produce a decision but no recovery session.
-        let _ = node.handle_frame(SimTime::from_secs(0), &data_frame(0, 1, 0), SNR);
-        let _ = node.handle_frame(SimTime::from_secs(1), &data_frame(0, 1, 3), SNR);
+        let _ = node.handle_frame(SimTime::from_secs(0), &data_frame(0, 1, 0), || SNR);
+        let _ = node.handle_frame(SimTime::from_secs(1), &data_frame(0, 1, 3), || SNR);
         let actions = node.handle_timer(SimTime::from_secs(10), TimerKind::ApTimeout);
         assert_eq!(actions, vec![Action::DecideRecovery { missing: 2 }]);
         assert_eq!(node.phase(), Phase::Idle);
         assert_eq!(node.stats().requests_sent, 0);
         // Requests from peers are ignored even if we somehow held the packet.
-        let actions = node.handle_frame(SimTime::from_secs(11), &request_frame(9, &[3], 1), SNR);
+        let actions = node.handle_frame(SimTime::from_secs(11), &request_frame(9, &[3], 1), || SNR);
         assert!(actions.is_empty());
     }
 
@@ -1074,9 +1077,9 @@ mod tests {
         let cfg = CarqConfig::paper_prototype().with_strategy(RecoveryStrategyKind::OneHopListen);
         let mut node = CarqNode::new(NodeId::new(1), cfg);
         node.start(SimTime::ZERO);
-        let _ = node.handle_frame(SimTime::ZERO, &hello_frame(2, &[]), SNR);
-        let _ = node.handle_frame(SimTime::from_secs(0), &data_frame(0, 1, 0), SNR);
-        let _ = node.handle_frame(SimTime::from_secs(1), &data_frame(0, 1, 3), SNR);
+        let _ = node.handle_frame(SimTime::ZERO, &hello_frame(2, &[]), || SNR);
+        let _ = node.handle_frame(SimTime::from_secs(0), &data_frame(0, 1, 0), || SNR);
+        let _ = node.handle_frame(SimTime::from_secs(1), &data_frame(0, 1, 3), || SNR);
         let actions = node.handle_timer(SimTime::from_secs(10), TimerKind::ApTimeout);
         assert_eq!(actions[0], Action::DecideRecovery { missing: 2 });
         // One batched request carrying the whole missing list...
@@ -1108,12 +1111,12 @@ mod tests {
         let slot = cfg.response_slot;
         let mut node = CarqNode::new(NodeId::new(2), cfg);
         node.start(SimTime::ZERO);
-        let _ = node.handle_frame(SimTime::ZERO, &hello_frame(1, &[100, 2]), SNR);
+        let _ = node.handle_frame(SimTime::ZERO, &hello_frame(1, &[100, 2]), || SNR);
         for seq in [3u32, 4, 5] {
-            let _ = node.handle_frame(SimTime::ZERO, &data_frame(0, 1, seq), SNR);
+            let _ = node.handle_frame(SimTime::ZERO, &data_frame(0, 1, seq), || SNR);
         }
         let actions =
-            node.handle_frame(SimTime::from_secs(60), &request_frame(1, &[3, 4, 5], 2), SNR);
+            node.handle_frame(SimTime::from_secs(60), &request_frame(1, &[3, 4, 5], 2), || SNR);
         let delays: Vec<SimDuration> = actions
             .iter()
             .filter_map(|a| match a {
@@ -1137,13 +1140,13 @@ mod tests {
         let mut node = CarqNode::new(NodeId::new(2), cfg);
         node.start(SimTime::ZERO);
         // Cooperate for cars 1 and 4; buffer one packet for each.
-        let _ = node.handle_frame(SimTime::ZERO, &hello_frame(1, &[2]), SNR);
-        let _ = node.handle_frame(SimTime::ZERO, &hello_frame(4, &[2]), SNR);
-        let _ = node.handle_frame(SimTime::ZERO, &data_frame(0, 1, 7), SNR);
-        let _ = node.handle_frame(SimTime::ZERO, &data_frame(0, 4, 9), SNR);
+        let _ = node.handle_frame(SimTime::ZERO, &hello_frame(1, &[2]), || SNR);
+        let _ = node.handle_frame(SimTime::ZERO, &hello_frame(4, &[2]), || SNR);
+        let _ = node.handle_frame(SimTime::ZERO, &data_frame(0, 1, 7), || SNR);
+        let _ = node.handle_frame(SimTime::ZERO, &data_frame(0, 4, 9), || SNR);
         // Both request their missing packet.
-        let _ = node.handle_frame(SimTime::from_secs(60), &request_frame(1, &[7], 1), SNR);
-        let _ = node.handle_frame(SimTime::from_secs(60), &request_frame(4, &[9], 1), SNR);
+        let _ = node.handle_frame(SimTime::from_secs(60), &request_frame(1, &[7], 1), || SNR);
+        let _ = node.handle_frame(SimTime::from_secs(60), &request_frame(4, &[9], 1), || SNR);
         // The first response slot to fire serves BOTH with one coded frame.
         let actions = node.handle_timer(
             SimTime::from_secs(61),
@@ -1180,9 +1183,9 @@ mod tests {
         let cfg = CarqConfig::paper_prototype().with_strategy(RecoveryStrategyKind::NetCoded);
         let mut node = CarqNode::new(NodeId::new(2), cfg);
         node.start(SimTime::ZERO);
-        let _ = node.handle_frame(SimTime::ZERO, &hello_frame(1, &[2]), SNR);
-        let _ = node.handle_frame(SimTime::ZERO, &data_frame(0, 1, 7), SNR);
-        let _ = node.handle_frame(SimTime::from_secs(60), &request_frame(1, &[7], 1), SNR);
+        let _ = node.handle_frame(SimTime::ZERO, &hello_frame(1, &[2]), || SNR);
+        let _ = node.handle_frame(SimTime::ZERO, &data_frame(0, 1, 7), || SNR);
+        let _ = node.handle_frame(SimTime::from_secs(60), &request_frame(1, &[7], 1), || SNR);
         let actions = node.handle_timer(
             SimTime::from_secs(61),
             TimerKind::CoopResponse { peer: NodeId::new(1), seq: SeqNo::new(7) },
@@ -1200,9 +1203,9 @@ mod tests {
         let cfg = CarqConfig::paper_prototype().with_strategy(RecoveryStrategyKind::NetCoded);
         let mut node = CarqNode::new(NodeId::new(1), cfg);
         node.start(SimTime::ZERO);
-        let _ = node.handle_frame(SimTime::ZERO, &hello_frame(2, &[]), SNR);
-        let _ = node.handle_frame(SimTime::from_secs(0), &data_frame(0, 1, 0), SNR);
-        let _ = node.handle_frame(SimTime::from_secs(1), &data_frame(0, 1, 2), SNR);
+        let _ = node.handle_frame(SimTime::ZERO, &hello_frame(2, &[]), || SNR);
+        let _ = node.handle_frame(SimTime::from_secs(0), &data_frame(0, 1, 0), || SNR);
+        let _ = node.handle_frame(SimTime::from_secs(1), &data_frame(0, 1, 2), || SNR);
         let _ = node.handle_timer(SimTime::from_secs(10), TimerKind::ApTimeout);
         let mine = DataPacket::new(NodeId::new(1), SeqNo::new(1), 1_000, SimTime::ZERO);
         let unknown = DataPacket::new(NodeId::new(4), SeqNo::new(9), 1_000, SimTime::ZERO);
@@ -1213,7 +1216,7 @@ mod tests {
             undecodable.encoded_bytes(),
             CarqMessage::CodedData(undecodable),
         );
-        let _ = node.handle_frame(SimTime::from_secs(11), &frame, SNR);
+        let _ = node.handle_frame(SimTime::from_secs(11), &frame, || SNR);
         assert_eq!(node.stats().coded_decode_failures, 1);
         assert_eq!(node.stats().recovered_via_coop, 0, "pair unknown: undecodable");
         // Paired with a packet we already hold, the same component decodes.
@@ -1225,7 +1228,7 @@ mod tests {
             decodable.encoded_bytes(),
             CarqMessage::CodedData(decodable),
         );
-        let _ = node.handle_frame(SimTime::from_secs(12), &frame, SNR);
+        let _ = node.handle_frame(SimTime::from_secs(12), &frame, || SNR);
         assert_eq!(node.stats().recovered_via_coop, 1);
         assert_eq!(node.missing_after_coop(), Vec::<SeqNo>::new());
         assert_eq!(node.phase(), Phase::Idle);
@@ -1237,9 +1240,9 @@ mod tests {
         cfg.debug_skip_decision = true;
         let mut node = CarqNode::new(NodeId::new(1), cfg);
         node.start(SimTime::ZERO);
-        let _ = node.handle_frame(SimTime::ZERO, &hello_frame(2, &[]), SNR);
-        let _ = node.handle_frame(SimTime::from_secs(0), &data_frame(0, 1, 0), SNR);
-        let _ = node.handle_frame(SimTime::from_secs(1), &data_frame(0, 1, 3), SNR);
+        let _ = node.handle_frame(SimTime::ZERO, &hello_frame(2, &[]), || SNR);
+        let _ = node.handle_frame(SimTime::from_secs(0), &data_frame(0, 1, 0), || SNR);
+        let _ = node.handle_frame(SimTime::from_secs(1), &data_frame(0, 1, 3), || SNR);
         let actions = node.handle_timer(SimTime::from_secs(10), TimerKind::ApTimeout);
         assert!(
             !actions.iter().any(|a| matches!(a, Action::DecideRecovery { .. })),
@@ -1252,9 +1255,9 @@ mod tests {
     fn recovery_decision_precedes_the_first_request() {
         let mut node = CarqNode::new(NodeId::new(1), CarqConfig::paper_prototype());
         node.start(SimTime::ZERO);
-        let _ = node.handle_frame(SimTime::ZERO, &hello_frame(2, &[]), SNR);
-        let _ = node.handle_frame(SimTime::from_secs(0), &data_frame(0, 1, 0), SNR);
-        let _ = node.handle_frame(SimTime::from_secs(1), &data_frame(0, 1, 3), SNR);
+        let _ = node.handle_frame(SimTime::ZERO, &hello_frame(2, &[]), || SNR);
+        let _ = node.handle_frame(SimTime::from_secs(0), &data_frame(0, 1, 0), || SNR);
+        let _ = node.handle_frame(SimTime::from_secs(1), &data_frame(0, 1, 3), || SNR);
         let actions = node.handle_timer(SimTime::from_secs(10), TimerKind::ApTimeout);
         assert_eq!(actions[0], Action::DecideRecovery { missing: 2 });
         assert!(matches!(&actions[1], Action::Send { message: CarqMessage::Request(_), .. }));
@@ -1266,11 +1269,11 @@ mod tests {
         let slot = cfg.response_slot;
         let mut node = cooperator_of_car1(2, 1);
         for seq in [3u32, 4, 5] {
-            let _ = node.handle_frame(SimTime::ZERO, &data_frame(0, 1, seq), SNR);
+            let _ = node.handle_frame(SimTime::ZERO, &data_frame(0, 1, seq), || SNR);
         }
         // Car 1 batch-requests seqs 3..=5 with 2 cooperators; we are order 1.
         let actions =
-            node.handle_frame(SimTime::from_secs(60), &request_frame(1, &[3, 4, 5], 2), SNR);
+            node.handle_frame(SimTime::from_secs(60), &request_frame(1, &[3, 4, 5], 2), || SNR);
         let delays: Vec<SimDuration> = actions
             .iter()
             .filter_map(|a| match a {

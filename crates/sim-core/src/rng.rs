@@ -105,6 +105,41 @@ fn fnv1a(label: &str) -> u64 {
     fnv1a64(label.as_bytes())
 }
 
+/// The uniform in `[0, 1)` a 64-bit word gives: its top 53 bits times
+/// 2⁻⁵³, exactly as `gen::<f64>()` converts the word it draws. Every
+/// uniform a [`StreamRng`] transform consumes is one such word.
+#[inline]
+pub fn unit_of(word: u64) -> f64 {
+    (word >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+/// The Box–Muller standard normal of two words, the expression
+/// [`StreamRng::standard_normal`] evaluates on the two it draws:
+/// `√(−2 ln u₁) · cos(2π u₂)` with `u₁ = 1 − U₁ ∈ [2⁻⁵³, 1]`, which keeps
+/// the logarithm finite, and `u₂ = U₂`.
+#[inline]
+pub fn standard_normal_of(first: u64, second: u64) -> f64 {
+    let u1 = 1.0 - unit_of(first);
+    let u2 = unit_of(second);
+    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
+}
+
+/// The exponential variate of rate `lambda` one word gives, the expression
+/// [`StreamRng::exponential`] evaluates: `−ln(1 − U) / lambda`.
+#[inline]
+pub fn exponential_of(word: u64, lambda: f64) -> f64 {
+    let u = 1.0 - unit_of(word);
+    -u.ln() / lambda
+}
+
+/// The Bernoulli outcome one word gives at success probability `p`
+/// (clamped to `[0, 1]`), the comparison [`StreamRng::chance`] makes:
+/// `U < p`.
+#[inline]
+pub fn chance_of(word: u64, p: f64) -> bool {
+    unit_of(word) < p.clamp(0.0, 1.0)
+}
+
 /// A deterministic random stream identified by a master seed and a label.
 ///
 /// `StreamRng` is a thin wrapper over [`SmallRng`] that remembers how it was
@@ -174,10 +209,8 @@ impl StreamRng {
     /// Consumes exactly two uniforms (one 64-bit word each), so
     /// [`StreamRng::skip`]`(2)` leaves the stream where this call does.
     pub fn standard_normal(&mut self) -> f64 {
-        // Draw u1 in (0, 1] to keep ln() finite.
-        let u1: f64 = 1.0 - self.rng.gen::<f64>();
-        let u2: f64 = self.rng.gen();
-        (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
+        let first = self.rng.next_u64();
+        standard_normal_of(first, self.rng.next_u64())
     }
 
     /// Draws a normal variate with the given mean and standard deviation.
@@ -193,15 +226,23 @@ impl StreamRng {
     /// Panics if `lambda` is not strictly positive.
     pub fn exponential(&mut self, lambda: f64) -> f64 {
         assert!(lambda > 0.0, "lambda must be positive");
-        let u: f64 = 1.0 - self.rng.gen::<f64>();
-        -u.ln() / lambda
+        exponential_of(self.rng.next_u64(), lambda)
     }
 
     /// Bernoulli draw with success probability `p` (clamped to `[0,1]`).
     /// Consumes exactly one uniform, whatever `p` is.
     pub fn chance(&mut self, p: f64) -> bool {
-        let p = p.clamp(0.0, 1.0);
-        self.rng.gen::<f64>() < p
+        chance_of(self.rng.next_u64(), p)
+    }
+
+    /// Draws one raw 64-bit word: what each uniform inside
+    /// [`StreamRng::standard_normal`], [`StreamRng::exponential`] and
+    /// [`StreamRng::chance`] consumes before [`unit_of`] converts it. A
+    /// caller that draws the words itself and applies the `*_of` transforms
+    /// leaves the stream, and every value, where the draws would.
+    #[inline]
+    pub fn word(&mut self) -> u64 {
+        self.rng.next_u64()
     }
 
     /// Advances the stream past `uniforms` uniform draws without using
@@ -388,6 +429,34 @@ mod tests {
         let mut untouched = none.clone();
         none.skip(0);
         assert_eq!(none.next_u64(), untouched.next_u64());
+    }
+
+    #[test]
+    fn draws_are_their_word_transforms() {
+        // A word converts as `gen::<f64>()` converts it, and each draw is
+        // its `*_of` transform of the words it consumes.
+        for seed in 0..256 {
+            let mut drawn = StreamRng::derive(seed, "word-transforms");
+            let mut words = drawn.clone();
+            assert_eq!(drawn.gen::<f64>().to_bits(), unit_of(words.word()).to_bits());
+            let (first, second) = (words.word(), words.next_u64());
+            assert_eq!(
+                drawn.standard_normal().to_bits(),
+                standard_normal_of(first, second).to_bits()
+            );
+            let exponential = exponential_of(words.next_u64(), 2.5);
+            assert_eq!(drawn.exponential(2.5).to_bits(), exponential.to_bits());
+            let word = words.next_u64();
+            assert_eq!(drawn.chance(0.3), chance_of(word, 0.3));
+            assert!(!chance_of(word, unit_of(word)), "U < U is false");
+        }
+        // The extreme words: U = 0 gives u₁ = 1 and a zero logarithm; the
+        // largest U gives u₁ = 2⁻⁵³.
+        assert_eq!(standard_normal_of(0, 0), 0.0);
+        assert_eq!(exponential_of(0, 1.0), 0.0);
+        let largest = (-2.0 * (1.0f64 / (1u64 << 53) as f64).ln()).sqrt();
+        assert_eq!(standard_normal_of(u64::MAX, 0).to_bits(), largest.to_bits());
+        assert!(chance_of(u64::MAX, 1.0) && !chance_of(0, 0.0) && chance_of(0, 1e-300));
     }
 
     #[test]

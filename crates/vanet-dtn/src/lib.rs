@@ -14,9 +14,6 @@
 //!   each car in the experiment, with pluggable scheduling policies
 //!   (fresh-data-only as in the paper, or an AP-side retransmission ARQ used
 //!   as an ablation baseline).
-//! * [`oracle`] — the joint-reception oracle ("virtual car"): the best any
-//!   cooperative scheme could do given the per-car receptions, used for
-//!   Figures 6–8 of the paper.
 //! * [`epidemic`] — a summary-vector anti-entropy exchange in the style of
 //!   epidemic routing, used as an overhead baseline against which the
 //!   REQUEST-based recovery of C-ARQ is compared.
@@ -25,24 +22,23 @@
 //!
 //! The bookkeeping at the heart of the protocol: what a car holds, what it
 //! is missing, and the best any cooperative scheme could recover (the
-//! joint-reception "virtual car"):
+//! joint-reception "virtual car": the union of every car's map, which
+//! `vanet-stats`' `FlowObservation::joint` builds with
+//! [`ReceptionMap::union_with`]):
 //!
 //! ```rust
-//! use vanet_dtn::{JointReceptionOracle, ReceptionMap, SeqNo};
-//! use vanet_mac::NodeId;
+//! use vanet_dtn::{ReceptionMap, SeqNo};
 //!
 //! // Car 1 heard packets 2,3,7 of its own flow; car 2 overheard 5 and 6.
 //! let own: ReceptionMap = [2u32, 3, 7].into_iter().map(SeqNo::new).collect();
 //! assert_eq!(own.missing(), vec![SeqNo::new(4), SeqNo::new(5), SeqNo::new(6)]);
 //!
-//! let mut oracle = JointReceptionOracle::new();
-//! oracle.observe_map(NodeId::new(1), &own);
 //! let overheard: ReceptionMap = [5u32, 6].into_iter().map(SeqNo::new).collect();
-//! oracle.observe_map(NodeId::new(2), &overheard);
+//! let mut joint = own.clone();
+//! joint.union_with(&overheard);
 //! // Cooperation can recover 5 and 6, but nobody ever received 4.
-//! let joint = oracle.union();
 //! assert!(joint.contains(SeqNo::new(5)) && joint.contains(SeqNo::new(6)));
-//! assert!(!joint.contains(SeqNo::new(4)));
+//! assert_eq!(joint.missing(), vec![SeqNo::new(4)]);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -52,11 +48,9 @@
 pub mod ap;
 pub mod buffer;
 pub mod epidemic;
-pub mod oracle;
 pub mod packet;
 
 pub use ap::{AccessPointApp, ApConfig, ApSchedulingPolicy, ScheduledPacket};
 pub use buffer::{CoopBuffer, ReceptionMap, StoreOutcome};
 pub use epidemic::{AntiEntropySession, ExchangePlan, SummaryVector};
-pub use oracle::JointReceptionOracle;
 pub use packet::{DataPacket, SeqNo};

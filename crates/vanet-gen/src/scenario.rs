@@ -10,7 +10,7 @@
 //! regenerable `(generator, params, seed)` triple.
 
 use rand::Rng;
-use sim_core::{fnv1a64, RunOutcome, SimDuration, Simulation, StreamRng};
+use sim_core::{fnv1a64, RunOutcome, SimDuration, SimTime, Simulation, StreamRng};
 use vanet_dtn::{AccessPointApp, ApConfig, ApSchedulingPolicy};
 use vanet_geo::PathMobility;
 use vanet_mac::NodeId;
@@ -181,6 +181,13 @@ impl Scenario for GeneratedScenario {
     }
 
     fn configure(&self, point: &SweepPoint) -> Result<Box<dyn ScenarioRun>, ParamError> {
+        Ok(Box::new(self.generated_run(point)?))
+    }
+}
+
+impl GeneratedScenario {
+    /// [`Scenario::configure`]'s run, as its concrete type.
+    fn generated_run(&self, point: &SweepPoint) -> Result<GeneratedRun, ParamError> {
         self.schema.validate(point)?;
         let cooperation = point.get(Param::Cooperation).and_then(|v| v.as_bool()).unwrap_or(true);
         let rounds = point
@@ -193,12 +200,12 @@ impl Scenario for GeneratedScenario {
         if let Some(strategy) = point.get(Param::Strategy).and_then(|v| v.as_strategy()) {
             carq.strategy = strategy;
         }
-        Ok(Box::new(GeneratedRun {
+        Ok(GeneratedRun {
             blueprint: self.blueprint.clone(),
             carq,
             cooperation_enabled: cooperation,
             rounds,
-        }))
+        })
     }
 }
 
@@ -213,11 +220,9 @@ pub struct GeneratedRun {
 }
 
 impl GeneratedRun {
-    /// The round body, generic over the trace sink, mirroring the built-in
-    /// scenarios: `run_round` instantiates it with [`NoTrace`] (tracing
-    /// compiles away), `run_round_traced` with a recording sink — one body,
-    /// so the two paths cannot drift.
-    fn run_round_sink<S: TraceSink>(&self, round: u32, seed: u64, sink: &mut S) -> RoundReport {
+    /// The model one round simulates at `seed`, emitting into `sink`, and
+    /// the horizon it runs to.
+    fn round_model<S: TraceSink>(&self, seed: u64, sink: S) -> (VanetModel<S>, SimTime) {
         let bp = &self.blueprint;
 
         let round_rng = StreamRng::derive(seed, "gen-round");
@@ -263,8 +268,16 @@ impl GeneratedRun {
                 .with_start_time(plan.start_time);
             model.add_car(*id, mobility);
         }
+        (model, bp.horizon)
+    }
 
-        let mut sim = Simulation::new(model).with_horizon(bp.horizon).with_event_budget(5_000_000);
+    /// The round body, generic over the trace sink, mirroring the built-in
+    /// scenarios: `run_round` instantiates it with [`NoTrace`] (tracing
+    /// compiles away), `run_round_traced` with a recording sink — one body,
+    /// so the two paths cannot drift.
+    fn run_round_sink<S: TraceSink>(&self, round: u32, seed: u64, sink: &mut S) -> RoundReport {
+        let (model, horizon) = self.round_model(seed, sink);
+        let mut sim = Simulation::new(model).with_horizon(horizon).with_event_budget(5_000_000);
         for (t, ev) in sim.model().initial_events() {
             sim.schedule_at(t, ev);
         }
@@ -317,7 +330,10 @@ impl ScenarioRun for GeneratedRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vanet_scenarios::round_seed;
+    use carq::CarqMessage;
+    use sim_core::{Model, Scheduler};
+    use vanet_scenarios::model::VanetEvent;
+    use vanet_scenarios::{round_seed, UrbanConfig, UrbanRun};
 
     fn quick_assignments() -> Vec<(String, GenValue)> {
         // Small worlds keep the test suite fast: short walks, few cars.
@@ -455,5 +471,108 @@ mod tests {
             matches!(err, ParamError::Unknown { .. }),
             "world geometry is identity, not a runtime knob: {err}"
         );
+    }
+
+    /// A round's model that reads, at every HELLO delivery, the SNR the
+    /// HELLO handler reads (`Medium::snr_db` of the event's SNR; a HELLO's
+    /// handler is its only reader), with the receiver and the time.
+    struct HelloSnrs<S: TraceSink> {
+        model: VanetModel<S>,
+        read: Vec<(SimTime, NodeId, u64)>,
+    }
+
+    impl<S: TraceSink> Model for HelloSnrs<S> {
+        type Event = VanetEvent;
+
+        fn on_dispatch(&mut self, now: SimTime, queue_depth: usize) {
+            self.model.on_dispatch(now, queue_depth);
+        }
+
+        fn handle(
+            &mut self,
+            now: SimTime,
+            event: VanetEvent,
+            scheduler: &mut Scheduler<VanetEvent>,
+        ) {
+            if let VanetEvent::FrameDelivery { to, frame, snr } = &event {
+                if matches!(frame.payload, CarqMessage::Hello(_)) {
+                    self.read.push((now, *to, self.model.medium().snr_db(snr).to_bits()));
+                }
+            }
+            self.model.handle(now, event, scheduler);
+        }
+    }
+
+    /// Simulates one round's model and returns the SNRs its HELLO handlers
+    /// read.
+    fn hello_snrs<S: TraceSink>(
+        (model, horizon): (VanetModel<S>, SimTime),
+    ) -> Vec<(SimTime, NodeId, u64)> {
+        let mut sim = Simulation::new(HelloSnrs { model, read: Vec::new() }).with_horizon(horizon);
+        for (t, ev) in sim.model().model.initial_events() {
+            sim.schedule_at(t, ev);
+        }
+        sim.run();
+        sim.into_model().read
+    }
+
+    /// Untraced verdicts are decided without their SNR, which the medium
+    /// evaluates from the kept draws when a HELLO handler reads it; traced
+    /// verdicts evaluate it exactly when sampled. Both must hand every
+    /// HELLO handler the same bits, and those bits must be the realised
+    /// SNRs the trace records for receptions at that receiver.
+    #[test]
+    fn hello_handlers_read_the_same_snrs_traced_and_untraced() {
+        let urban = UrbanRun::new(UrbanConfig::paper_testbed());
+        let assignments: Vec<(String, GenValue)> =
+            [("blocks_x", 4), ("blocks_y", 4), ("n_cars", 8), ("n_aps", 4)]
+                .into_iter()
+                .map(|(name, value)| (name.to_string(), GenValue::Int(value)))
+                .collect();
+        let grid = instantiate("grid-city", &assignments, 0x2008_1cdc)
+            .expect("grid-city parameters are valid")
+            .generated_run(&SweepPoint::empty())
+            .expect("the default point is valid");
+        for round in 0..2 {
+            let seed = round_seed(0x2008_1cdc, round);
+            let mut urban_sink = VecSink::new();
+            let mut grid_sink = VecSink::new();
+            let cases = [
+                (
+                    "urban",
+                    hello_snrs(urban.round_model(seed, &mut urban_sink)),
+                    hello_snrs(urban.round_model(seed, NoTrace)),
+                    urban_sink,
+                ),
+                (
+                    "grid-city",
+                    hello_snrs(grid.round_model(seed, &mut grid_sink)),
+                    hello_snrs(grid.round_model(seed, NoTrace)),
+                    grid_sink,
+                ),
+            ];
+            for (name, traced, untraced, sink) in cases {
+                assert!(traced.len() > 10, "{name} round {round}: {} HELLOs read", traced.len());
+                assert_eq!(traced, untraced, "{name} round {round}");
+                let mut recorded: Vec<(u32, u64)> = sink
+                    .records()
+                    .iter()
+                    .filter_map(|r| match *r {
+                        TraceRecord::Delivery { rx, received: true, snr_db, .. } => {
+                            Some((rx, snr_db.to_bits()))
+                        }
+                        _ => None,
+                    })
+                    .collect();
+                recorded.sort_unstable();
+                for &(_, to, bits) in &traced {
+                    let key = (to.as_u32(), bits);
+                    let i = recorded.binary_search(&key).unwrap_or_else(|_| {
+                        panic!("{name} round {round}: no recorded reception {key:?}")
+                    });
+                    recorded.remove(i);
+                }
+            }
+        }
     }
 }

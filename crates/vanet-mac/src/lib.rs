@@ -53,5 +53,6 @@ pub use address::{Destination, NodeId};
 pub use csma::CsmaBackoff;
 pub use frame::Frame;
 pub use medium::{
-    Delivery, DeliveryOutcome, Medium, MediumConfig, RadioClass, Transmission, TransmissionResult,
+    Delivery, DeliveryOutcome, DeliverySnr, Medium, MediumConfig, RadioClass, Transmission,
+    TransmissionResult,
 };

@@ -24,7 +24,7 @@ use sim_core::{SimDuration, SimTime, StreamRng};
 use vanet_geo::Point;
 use vanet_radio::{
     ChannelModel, DataRate, FrameTiming, LinkBudget, LinkState, RadioChannel, RadioConfig,
-    ReceptionVerdict,
+    VerdictDraws,
 };
 use vanet_trace::{NoTrace, TraceRecord, TraceSink};
 
@@ -132,11 +132,25 @@ pub struct Delivery {
     pub at: SimTime,
     /// Whether and why the frame was (not) received.
     pub outcome: DeliveryOutcome,
-    /// Realised SNR at this receiver in dB. For a certain loss (see
-    /// [`Medium::transmit_into`]) it is the ceiling instead, the highest SNR
-    /// any fading draw could have realised: at most −10 dB, and at least the
-    /// realised SNR, which is not evaluated.
-    pub snr_db: f64,
+    /// The SNR at this receiver, which [`Medium::snr_db`] evaluates.
+    pub snr: DeliverySnr,
+}
+
+/// A delivery's SNR as the medium keeps it: what evaluating the realised
+/// SNR takes (the link's SNR before fading and the verdict's fading words),
+/// or a certain loss's ceiling. Verdicts are decided without their SNR, so
+/// only a reader pays for it, through [`Medium::snr_db`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DeliverySnr(SnrSource);
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum SnrSource {
+    /// A certain loss: the highest SNR any fading draw could have realised.
+    Ceiling(f64),
+    /// A sampled verdict: the SNR before fading, the fading's words, and
+    /// whether the AP↔vehicle channel (else the vehicle↔vehicle one)
+    /// carried it.
+    Sampled { before_fading_db: f64, fading: [u64; 4], ap_link: bool },
 }
 
 /// Timing of one submitted transmission.
@@ -419,10 +433,30 @@ impl Medium {
     }
 
     fn channel_for(&self, a: RadioClass, b: RadioClass) -> &RadioChannel {
-        if a == RadioClass::AccessPoint || b == RadioClass::AccessPoint {
+        self.channel(is_ap_link(a, b))
+    }
+
+    /// The AP↔vehicle channel, or the vehicle↔vehicle one.
+    fn channel(&self, ap_link: bool) -> &RadioChannel {
+        if ap_link {
             &self.ap_vehicle
         } else {
             &self.vehicle_vehicle
+        }
+    }
+
+    /// The SNR (dB) of a delivery. For a sampled verdict it is the realised
+    /// SNR, evaluated now from the draws the verdict made: bit for bit what
+    /// sampling it realised, and what a traced delivery record carries. For
+    /// a certain loss (see [`Medium::transmit_into`]) it is the ceiling
+    /// instead, the highest SNR any fading draw could have realised: at
+    /// most −10 dB, and at least the realised SNR, which is not evaluated.
+    pub fn snr_db(&self, snr: &DeliverySnr) -> f64 {
+        match snr.0 {
+            SnrSource::Ceiling(ceiling) => ceiling,
+            SnrSource::Sampled { before_fading_db, fading, ap_link } => {
+                self.channel(ap_link).realised_snr_db(before_fading_db, &fading)
+            }
         }
     }
 
@@ -518,17 +552,12 @@ impl Medium {
         self.link_channel(link).certain_loss_ceiling(budget_snr_db + shadowing_db, bits, rate)
     }
 
-    /// Samples one frame over `link`, its shadowing evaluated if not yet.
-    fn sample(
-        &mut self,
-        link: &mut CachedLink,
-        bits: u64,
-        rate: DataRate,
-        rng: &mut StreamRng,
-    ) -> ReceptionVerdict {
-        let shadowing_db = self.shadowing_of(link);
-        let state = LinkState { budget: link.budget, shadowing_db };
-        self.link_channel(link).sample_from_state(&state, bits, rate, rng)
+    /// Draws one verdict's words over `link`, with the link's SNR before
+    /// fading (its shadowing evaluated if not yet): what
+    /// [`RadioChannel::sample_from_state`] would draw and sum.
+    fn draw(&mut self, link: &mut CachedLink, rng: &mut StreamRng) -> (f64, VerdictDraws) {
+        let before_fading_db = link.budget.snr_db + self.shadowing_of(link);
+        (before_fading_db, self.link_channel(link).draw(rng))
     }
 
     /// The link state computed from scratch at the nodes' current positions,
@@ -552,10 +581,18 @@ impl Medium {
     /// shadowing is evaluated, then from the budget plus the link's own
     /// shadowing. A certain loss skips its draws
     /// ([`RadioChannel::skip_sample`]) instead of evaluating the fading,
-    /// and reports the ceiling as its [`Delivery::snr_db`]. The ceiling
+    /// and reports the ceiling as its SNR ([`Medium::snr_db`]). The ceiling
     /// depends only on positions and configuration, so deliveries, draws
     /// and statistics are the same whether the pair cache held the
     /// shadowing or not, and whether the transmission is traced or not.
+    ///
+    /// Every other verdict draws its words ([`RadioChannel::draw`]) and is
+    /// *decided* from bounds on them where they settle it
+    /// ([`RadioChannel::decide`]), which is the exact outcome; the rest
+    /// evaluate the exact chain on the same words
+    /// ([`RadioChannel::verdict_from`]). Neither evaluates the realised
+    /// SNR for the delivery: it keeps the words, and [`Medium::snr_db`]
+    /// evaluates them when a reader asks.
     ///
     /// # Panics
     ///
@@ -581,10 +618,11 @@ impl Medium {
     /// [`TraceRecord::TxStart`], one [`TraceRecord::Delivery`] per receiver
     /// carrying the cached-vs-sampled link split, and sampled
     /// [`TraceRecord::CacheAudit`]s that recompute a cached link state from
-    /// scratch (RNG-free) and compare. A traced certain loss still samples
-    /// its fading, with the very draws the skip passes over, so that its
-    /// delivery record carries the realised SNR; its [`Delivery`] carries
-    /// the ceiling, as untraced.
+    /// scratch (RNG-free) and compare. A traced verdict takes the exact
+    /// chain, never the decided path, and a traced certain loss still
+    /// samples its fading, with the very draws the skip passes over, so
+    /// that every delivery record carries the realised SNR; its
+    /// [`Delivery`] carries the ceiling, as untraced.
     ///
     /// With the default [`NoTrace`] sink every emission block is guarded by
     /// the compile-time-`false` `S::ENABLED` and this monomorphizes to
@@ -644,20 +682,37 @@ impl Medium {
             }
             // A traced verdict is sampled before the rule runs, certain loss
             // or not, so that its record carries the realised SNR.
-            let mut verdict =
-                if S::ENABLED { Some(self.sample(&mut link, bits, rate, rng)) } else { None };
-            let ceiling = self.certain_loss(&mut link, bits, rate);
-            if verdict.is_none() {
-                if ceiling.is_some() {
-                    self.link_channel(&link).skip_sample(rng);
-                } else {
-                    verdict = Some(self.sample(&mut link, bits, rate, rng));
+            let traced = S::ENABLED.then(|| {
+                let (before_fading_db, draws) = self.draw(&mut link, rng);
+                let verdict =
+                    self.link_channel(&link).verdict_from(before_fading_db, bits, rate, &draws);
+                (before_fading_db, draws, verdict)
+            });
+            let ap_link = is_ap_link(link.classes.0, link.classes.1);
+            let sampled = |before_fading_db, draws: VerdictDraws| {
+                DeliverySnr(SnrSource::Sampled { before_fading_db, fading: draws.fading, ap_link })
+            };
+            let (received, snr) = match (self.certain_loss(&mut link, bits, rate), traced) {
+                (Some(ceiling), traced) => {
+                    debug_assert!(traced.is_none_or(|t| !t.2.received && t.2.snr_db <= ceiling));
+                    if traced.is_none() {
+                        self.link_channel(&link).skip_sample(rng);
+                    }
+                    (false, DeliverySnr(SnrSource::Ceiling(ceiling)))
                 }
-            }
-            debug_assert!(
-                ceiling.is_none_or(|c| verdict.is_none_or(|v| !v.received && v.snr_db <= c))
-            );
-            let received = verdict.is_some_and(|v| v.received);
+                (None, Some((before_fading_db, draws, verdict))) => {
+                    (verdict.received, sampled(before_fading_db, draws))
+                }
+                (None, None) => {
+                    let (before_fading_db, draws) = self.draw(&mut link, rng);
+                    let channel = self.link_channel(&link);
+                    let received =
+                        channel.decide(before_fading_db, bits, rate, &draws).unwrap_or_else(|| {
+                            channel.verdict_from(before_fading_db, bits, rate, &draws).received
+                        });
+                    (received, sampled(before_fading_db, draws))
+                }
+            };
             let mut outcome =
                 if received { DeliveryOutcome::Received } else { DeliveryOutcome::LostChannel };
             if outcome == DeliveryOutcome::Received && self.collides_at(rx_id, src, now) {
@@ -668,8 +723,7 @@ impl Medium {
                 DeliveryOutcome::LostChannel => self.stats.deliveries_lost_channel += 1,
                 DeliveryOutcome::LostCollision => self.stats.deliveries_lost_collision += 1,
             }
-            if S::ENABLED {
-                let verdict = verdict.expect("traced verdicts sample");
+            if let Some((_, _, verdict)) = traced {
                 sink.record(TraceRecord::Delivery {
                     at: now,
                     tx: src.as_u32(),
@@ -679,8 +733,7 @@ impl Medium {
                     snr_db: verdict.snr_db,
                 });
             }
-            let snr_db = ceiling.or(verdict.map(|v| v.snr_db)).expect("sampled or certain");
-            deliveries.push(Delivery { node: rx_id, at: ends_at, outcome, snr_db });
+            deliveries.push(Delivery { node: rx_id, at: ends_at, outcome, snr });
         }
 
         self.active.push(ActiveTx {
@@ -734,6 +787,12 @@ impl Medium {
         }
         false
     }
+}
+
+/// Whether a link between nodes of these classes takes the AP↔vehicle
+/// channel.
+fn is_ap_link(a: RadioClass, b: RadioClass) -> bool {
+    a == RadioClass::AccessPoint || b == RadioClass::AccessPoint
 }
 
 #[cfg(test)]
@@ -842,8 +901,8 @@ mod tests {
                 &mut sink,
             );
             assert_eq!(scratch, result.deliveries);
-            assert_eq!(result.deliveries[0].snr_db.to_bits(), far_ceiling.to_bits());
-            assert_eq!(result.deliveries[1].snr_db.to_bits(), out_ceiling.to_bits());
+            assert_eq!(plain.snr_db(&result.deliveries[0].snr).to_bits(), far_ceiling.to_bits());
+            assert_eq!(plain.snr_db(&result.deliveries[1].snr).to_bits(), out_ceiling.to_bits());
             assert!(result.deliveries.iter().all(|d| d.outcome == DeliveryOutcome::LostChannel));
             // Two Rician samples: four uniforms and a Bernoulli each.
             skipped.skip(10);
@@ -1045,12 +1104,16 @@ mod tests {
         /// them), so cached links of standing pairs outlive other nodes'
         /// moves, and a stale per-node epoch would diverge here.
         ///
-        /// Every field matches exactly except the SNR of a certain loss,
-        /// which must be the ceiling recomputed from the reference's own
-        /// link and at least the SNR the reference realised. A traced copy
-        /// of the medium must deliver exactly what the untraced one does,
-        /// leave the stream and the statistics where it does, and record
-        /// the reference's realised SNRs bit for bit.
+        /// Every outcome matches exactly, and so do the statistics (the
+        /// reference's counted from its outcomes) and the stream's state;
+        /// every SNR read through [`Medium::snr_db`] is the reference's
+        /// realised SNR bit for bit, except a certain loss's, which must be
+        /// the ceiling recomputed from the reference's own link and at
+        /// least the SNR the reference realised. A traced copy of the
+        /// medium must deliver exactly what the untraced one does, leave
+        /// the stream and the statistics where it does, and record the
+        /// reference's realised SNRs bit for bit. One seed in three runs
+        /// the highway medium, whose AP links fade Rayleigh.
         #[test]
         fn prop_transmit_matches_clone_per_receiver_reference(
             seed in 0u64..500,
@@ -1061,7 +1124,8 @@ mod tests {
             ),
         ) {
             use vanet_trace::VecSink;
-            let config = MediumConfig::urban_testbed();
+            let config =
+                if seed % 3 == 0 { MediumConfig::highway() } else { MediumConfig::urban_testbed() };
             let mut fast = Medium::new(config.clone());
             let mut traced = Medium::new(config.clone());
             let mut reference = reference::RefMedium::new(config);
@@ -1080,6 +1144,7 @@ mod tests {
             let mut rng_traced = StreamRng::derive(seed, "prop-medium");
             let mut rng_ref = StreamRng::derive(seed, "prop-medium");
             let mut traced_deliveries = Vec::new();
+            let mut reference_stats = MediumStats::default();
             let mut now = SimTime::ZERO;
             for (advance_ms, src_raw, (x, reach), movers) in steps {
                 now += SimDuration::from_millis(advance_ms);
@@ -1124,20 +1189,31 @@ mod tests {
                     proptest::prop_assert_eq!(d.node, *node);
                     proptest::prop_assert_eq!(d.at, *at);
                     proptest::prop_assert_eq!(d.outcome, *outcome);
+                    match outcome {
+                        DeliveryOutcome::Received => reference_stats.deliveries_ok += 1,
+                        DeliveryOutcome::LostChannel => reference_stats.deliveries_lost_channel += 1,
+                        DeliveryOutcome::LostCollision => {
+                            reference_stats.deliveries_lost_collision += 1
+                        }
+                    }
+                    let read = fast.snr_db(&d.snr);
+                    proptest::prop_assert_eq!(traced.snr_db(&d.snr).to_bits(), read.to_bits());
                     match ceiling {
                         Some(ceiling) => {
                             proptest::prop_assert_eq!(d.outcome, DeliveryOutcome::LostChannel);
-                            proptest::prop_assert_eq!(d.snr_db.to_bits(), ceiling.to_bits());
+                            proptest::prop_assert_eq!(read.to_bits(), ceiling.to_bits());
                             proptest::prop_assert!(*snr <= *ceiling, "{} above {}", snr, ceiling);
                         }
-                        None => proptest::prop_assert_eq!(d.snr_db.to_bits(), snr.to_bits()),
+                        None => proptest::prop_assert_eq!(read.to_bits(), snr.to_bits()),
                     }
                     proptest::prop_assert_eq!(traced_snr.to_bits(), snr.to_bits());
                     // The shared frame the caller keeps is what the
                     // reference delivered to every receiver.
                     proptest::prop_assert_eq!(&frame, w_frame);
                 }
+                reference_stats.frames_sent += 1;
                 proptest::prop_assert_eq!(traced.stats(), fast.stats());
+                proptest::prop_assert_eq!(fast.stats(), reference_stats);
             }
             let next = rng_fast.next_u64();
             proptest::prop_assert_eq!(rng_traced.next_u64(), next);

@@ -23,6 +23,7 @@ use crate::fading::{FadingKind, ResolvedFading};
 use crate::obstacles::ObstacleMap;
 use crate::pathloss::{LogDistance, PathLossModel};
 use crate::per::{is_certain_loss, packet_error_rate};
+use sim_core::rng::chance_of;
 
 /// The deterministic part of a link: received power and SNR before any
 /// random shadowing or fading is applied.
@@ -64,6 +65,20 @@ pub struct ReceptionVerdict {
     pub success_probability: f64,
     /// Realised SNR in dB, including shadowing and fading.
     pub snr_db: f64,
+}
+
+/// The RNG words one verdict consumes, in the order
+/// [`RadioChannel::sample_from_state`] draws them: the fading's (four for
+/// Rician, two per Box–Muller normal, real part first; one for Rayleigh;
+/// none without fading; unused ones 0), then the reception Bernoulli's.
+/// [`RadioChannel::draw`] draws them; [`RadioChannel::decide`] and
+/// [`RadioChannel::verdict_from`] evaluate them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct VerdictDraws {
+    /// The fading's words.
+    pub fading: [u64; 4],
+    /// The reception Bernoulli's word.
+    pub reception: u64,
 }
 
 /// A packet-level wireless channel model.
@@ -431,7 +446,8 @@ impl RadioChannel {
     /// random variates [`ChannelModel::sample_reception`] would (fast fading,
     /// then the reception Bernoulli), in the same order, so interleaving
     /// cached and uncached sampling on one RNG stream is bit-identical.
-    /// [`RadioChannel::skip_sample`] makes the same draws.
+    /// [`RadioChannel::skip_sample`] and [`RadioChannel::draw`] make the
+    /// same draws; this is [`RadioChannel::verdict_from`] on the latter's.
     pub fn sample_from_state(
         &self,
         state: &LinkState,
@@ -439,12 +455,79 @@ impl RadioChannel {
         rate: DataRate,
         rng: &mut StreamRng,
     ) -> ReceptionVerdict {
-        let fading = self.fading.sample_db(rng);
-        let snr_db = state.budget.snr_db + state.shadowing_db + fading;
+        let draws = self.draw(rng);
+        self.verdict_from(state.budget.snr_db + state.shadowing_db, bits, rate, &draws)
+    }
+
+    /// Draws the words one verdict consumes ([`VerdictDraws`]): exactly the
+    /// draws [`RadioChannel::sample_from_state`] makes, in its order.
+    #[inline]
+    pub fn draw(&self, rng: &mut StreamRng) -> VerdictDraws {
+        let fading = self.fading.draw(rng);
+        VerdictDraws { fading, reception: rng.word() }
+    }
+
+    /// The realised SNR (dB) of a frame over a link whose SNR before fading
+    /// (the budget's SNR plus the shadowing, summed in that order) is
+    /// `before_fading_db`, with fading words `fading`:
+    /// fl(before + fading gain), glibc's `ln`, `cos`, `sqrt` and `log10`
+    /// evaluated. [`RadioChannel::verdict_from`] realises the same bits.
+    #[inline]
+    pub fn realised_snr_db(&self, before_fading_db: f64, fading: &[u64; 4]) -> f64 {
+        before_fading_db + self.fading.gain_db(fading)
+    }
+
+    /// The exact verdict on drawn words: the realised SNR
+    /// ([`RadioChannel::realised_snr_db`]), the PER there, and the
+    /// reception Bernoulli against one minus it. The one expression
+    /// [`RadioChannel::sample_from_state`] evaluates.
+    #[inline]
+    pub fn verdict_from(
+        &self,
+        before_fading_db: f64,
+        bits: u64,
+        rate: DataRate,
+        draws: &VerdictDraws,
+    ) -> ReceptionVerdict {
+        let snr_db = self.realised_snr_db(before_fading_db, &draws.fading);
         let per = packet_error_rate(snr_db, bits, rate);
         let success_probability = 1.0 - per;
-        let received = rng.chance(success_probability);
+        let received = chance_of(draws.reception, success_probability);
         ReceptionVerdict { received, success_probability, snr_db }
+    }
+
+    /// Decides whether a frame is received from bounds on its draws, without
+    /// evaluating them: `Some(received)`, always the outcome
+    /// [`RadioChannel::verdict_from`] gives on the same arguments, or `None`
+    /// where only evaluating them can tell (a reception word near the
+    /// success probability, and every modulation but DBPSK).
+    ///
+    /// The fading gain is bracketed from table lookups on its words (the
+    /// Box–Muller radius by the exponent and leading mantissa bits of
+    /// `1 − U`, the cosine by a bucket of U, `log10` by the power's
+    /// exponent and leading mantissa bits), so the realised SNR is bracketed
+    /// too. At least 6 dB receives (the PER is exactly 0); a certain loss at
+    /// the upper end is lost; in between, the success probability over the
+    /// interval is bracketed from a grid of ln(1 − BER) and compared with
+    /// the reception word in log space. Every table entry is widened by a
+    /// margin beyond glibc's documented error, so the brackets hold for
+    /// glibc's values (see `docs/PERFORMANCE.md`, "the decided path").
+    #[inline]
+    pub fn decide(
+        &self,
+        before_fading_db: f64,
+        bits: u64,
+        rate: DataRate,
+        draws: &VerdictDraws,
+    ) -> Option<bool> {
+        let (lo, hi) = self.fading.gain_bounds_db(&draws.fading)?;
+        crate::bounds::decide(
+            before_fading_db + lo,
+            before_fading_db + hi,
+            bits,
+            rate,
+            draws.reception,
+        )
     }
 }
 

@@ -11,7 +11,10 @@
 //! frame costs only the draw itself.
 
 use serde::{Deserialize, Serialize};
+use sim_core::rng::{exponential_of, standard_normal_of};
 use sim_core::StreamRng;
+
+use crate::bounds::{rayleigh_gain_bounds, rician_gain_bounds};
 
 /// Selects the per-frame fast-fading model of a channel configuration.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -77,23 +80,55 @@ const SMALLEST_U: f64 = 1.0 / (1u64 << 53) as f64;
 const CEILING_MARGIN_DB: f64 = 1e-6;
 
 impl ResolvedFading {
-    /// Samples one frame's fading gain in dB. Rayleigh draws one
-    /// exponential variate, Rician two standard normals (real part first);
-    /// no fading draws nothing.
-    pub(crate) fn sample_db(self, rng: &mut StreamRng) -> f64 {
+    /// Draws the words one frame's fading consumes, [`ResolvedFading::uniforms`]
+    /// of them in order; the rest of the array stays 0.
+    #[inline]
+    pub(crate) fn draw(self, rng: &mut StreamRng) -> [u64; 4] {
+        let mut words = [0; 4];
+        for word in &mut words[..self.uniforms()] {
+            *word = rng.word();
+        }
+        words
+    }
+
+    /// One frame's fading gain in dB from its words: Rayleigh takes one
+    /// exponential variate, Rician two standard normals (real part first,
+    /// two words each); no fading takes nothing.
+    #[inline]
+    pub(crate) fn gain_db(self, words: &[u64; 4]) -> f64 {
         match self {
             ResolvedFading::None => 0.0,
-            ResolvedFading::Rayleigh => rayleigh_db(rng.exponential(1.0)),
+            ResolvedFading::Rayleigh => rayleigh_db(exponential_of(words[0], 1.0)),
             ResolvedFading::Rician { los, sigma } => {
-                let re = rng.standard_normal();
-                let im = rng.standard_normal();
+                let re = standard_normal_of(words[0], words[1]);
+                let im = standard_normal_of(words[2], words[3]);
                 rician_db(los, sigma, re, im)
             }
         }
     }
 
-    /// The uniforms one [`ResolvedFading::sample_db`] consumes: two per
-    /// standard normal, one per exponential.
+    /// Bounds of [`ResolvedFading::gain_db`] from table lookups alone (see
+    /// `crate::bounds`): `lo ≤ gain_db(words) ≤ hi`, or `None` where a power
+    /// falls outside the tables. No finite K reaches that: a Rician power
+    /// stays below 74 and an exponential below 37.
+    #[inline]
+    pub(crate) fn gain_bounds_db(self, words: &[u64; 4]) -> Option<(f64, f64)> {
+        match self {
+            ResolvedFading::None => Some((0.0, 0.0)),
+            ResolvedFading::Rayleigh => rayleigh_gain_bounds(words[0]),
+            ResolvedFading::Rician { los, sigma } => rician_gain_bounds(los, sigma, words),
+        }
+    }
+
+    /// Samples one frame's fading gain in dB: its words drawn, then
+    /// evaluated.
+    #[cfg(test)]
+    pub(crate) fn sample_db(self, rng: &mut StreamRng) -> f64 {
+        self.gain_db(&self.draw(rng))
+    }
+
+    /// The uniforms one frame's fading consumes ([`ResolvedFading::draw`]):
+    /// two per standard normal, one per exponential.
     pub(crate) fn uniforms(self) -> usize {
         match self {
             ResolvedFading::None => 0,
@@ -102,7 +137,7 @@ impl ResolvedFading {
         }
     }
 
-    /// An upper bound of every gain (dB) [`ResolvedFading::sample_db`] can
+    /// An upper bound of every gain (dB) [`ResolvedFading::gain_db`] can
     /// return, within [`CEILING_MARGIN_DB`] of the largest.
     ///
     /// Both transforms take the logarithm of a `u ≥ 2⁻⁵³`

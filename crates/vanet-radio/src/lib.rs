@@ -18,7 +18,8 @@
 //!   path loss, shadowing, fading and thermal noise into a single
 //!   "was this frame received?" sampling interface (with the ceilings of
 //!   its shadowing and fading, which settle certain losses before any
-//!   draw), plus
+//!   draw, and [`RadioChannel::decide`], which settles most other verdicts
+//!   from table bounds on their draws without evaluating them), plus
 //!   [`channel::EmpiricalProfile`] for distance-binned loss curves measured
 //!   in drive-thru studies (reference \[1\] of the paper).
 //!
@@ -57,6 +58,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod bounds;
 pub mod channel;
 mod cosine;
 pub mod datarate;
@@ -67,7 +69,7 @@ pub mod per;
 
 pub use channel::{
     ChannelModel, EmpiricalProfile, LinkBudget, LinkState, RadioChannel, RadioConfig,
-    ReceptionVerdict,
+    ReceptionVerdict, VerdictDraws,
 };
 pub use datarate::{DataRate, FrameTiming};
 pub use fading::FadingKind;

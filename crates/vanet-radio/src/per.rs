@@ -96,7 +96,7 @@ pub fn snr_to_ber(snr_db: f64, modulation: Modulation) -> f64 {
 /// `1 − BER` therefore rounds to exactly 1.0, its logarithm is 0 and the PER
 /// is 0.0 for every frame length. Higher SNRs only shrink the BER. The
 /// formula itself reaches 0.0 from about 5.24 dB, so the bound has margin.
-const DBPSK_CLEAN_SNR_DB: f64 = 6.0;
+pub(crate) const DBPSK_CLEAN_SNR_DB: f64 = 6.0;
 
 /// Realised SNR (dB) at or below which DBPSK's PER formula returns exactly
 /// 1.0 for frames of at least [`DBPSK_LOST_MIN_BITS`] bits.
@@ -107,7 +107,7 @@ const DBPSK_CLEAN_SNR_DB: f64 = 6.0;
 /// to exactly 1.0. Lower SNRs and longer frames only make the logarithm more
 /// negative. At 256 bits the formula itself reaches 1.0 from about
 /// −9.27 dB, so the bound has margin.
-const DBPSK_LOST_SNR_DB: f64 = -10.0;
+pub(crate) const DBPSK_LOST_SNR_DB: f64 = -10.0;
 
 /// The shortest frame (bits) [`DBPSK_LOST_SNR_DB`] is proven for.
 const DBPSK_LOST_MIN_BITS: u64 = 256;
@@ -159,12 +159,19 @@ pub fn packet_error_rate(snr_db: f64, bits: u64, rate: DataRate) -> f64 {
 
 /// `1 − (1 − BER)^bits`, computed stably in log space.
 fn per_formula(snr_db: f64, bits: u64, modulation: Modulation) -> f64 {
-    let ber = snr_to_ber(snr_db, modulation);
-    if ber <= 0.0 {
+    let Some(log_one_minus_ber) = ln_one_minus_ber(snr_db, modulation) else {
         return 0.0;
-    }
-    let log_success = bits as f64 * (1.0 - ber).ln();
+    };
+    let log_success = bits as f64 * log_one_minus_ber;
     (1.0 - log_success.exp()).clamp(0.0, 1.0)
+}
+
+/// `ln(1 − BER)` at `snr_db`, as the PER formula evaluates it, or `None`
+/// where the BER is 0 and the formula returns a PER of 0.0 without it. The
+/// decided path's PER grid holds its values, so the two cannot drift.
+pub(crate) fn ln_one_minus_ber(snr_db: f64, modulation: Modulation) -> Option<f64> {
+    let ber = snr_to_ber(snr_db, modulation);
+    (ber > 0.0).then(|| (1.0 - ber).ln())
 }
 
 #[cfg(test)]

@@ -16,7 +16,8 @@ use sim_core::{Model, Scheduler, SimDuration, SimTime, StreamRng};
 use vanet_dtn::{AccessPointApp, ApSchedulingPolicy, ReceptionMap};
 use vanet_geo::{MobilityModel, PathMobility, Point};
 use vanet_mac::{
-    CsmaBackoff, Delivery, Destination, Frame, Medium, MediumConfig, NodeId, RadioClass,
+    CsmaBackoff, Delivery, DeliverySnr, Destination, Frame, Medium, MediumConfig, NodeId,
+    RadioClass,
 };
 use vanet_radio::DataRate;
 use vanet_stats::{FlowObservation, RoundResult};
@@ -87,8 +88,9 @@ pub enum VanetEvent {
         /// The received frame, shared between all receivers of the
         /// transmission.
         frame: Rc<Frame<CarqMessage>>,
-        /// Realised SNR of the reception in dB.
-        snr_db: f64,
+        /// The reception's SNR, evaluated by `Medium::snr_db` only when
+        /// the receiver's handler reads it (a HELLO's).
+        snr: DeliverySnr,
     },
     /// A protocol timer fires at a car.
     CarqTimer {
@@ -239,6 +241,12 @@ impl<S: TraceSink> VanetModel<S> {
         self.medium.stats()
     }
 
+    /// The shared medium, e.g. to read a delivery's SNR
+    /// ([`Medium::snr_db`]).
+    pub fn medium(&self) -> &Medium {
+        &self.medium
+    }
+
     /// Per-car protocol statistics.
     pub fn node_stats(&self) -> Vec<NodeStatsSnapshot> {
         self.cars
@@ -349,7 +357,7 @@ impl<S: TraceSink> VanetModel<S> {
                 VanetEvent::FrameDelivery {
                     to: delivery.node,
                     frame: Rc::clone(frame),
-                    snr_db: delivery.snr_db,
+                    snr: delivery.snr,
                 },
             );
         }
@@ -384,7 +392,8 @@ impl<S: TraceSink> VanetModel<S> {
         // Idealised loss feedback for the AP-side retransmission baseline: the
         // AP learns about a lost delivery to the destination when the SNR
         // realised for that delivery was above -5 dB (a fixed threshold, not
-        // the medium's -3 dB carrier-sense floor).
+        // the medium's -3 dB carrier-sense floor). A certain loss reads its
+        // ceiling, at most -10 dB, so it never reports.
         if matches!(
             self.aps[ap_index].app.config().policy,
             ApSchedulingPolicy::RetransmitUnacked { .. }
@@ -392,7 +401,7 @@ impl<S: TraceSink> VanetModel<S> {
             if let Some(delivery) =
                 self.delivery_scratch.iter().find(|d| d.node == packet.destination)
             {
-                if !delivery.outcome.is_received() && delivery.snr_db > -5.0 {
+                if !delivery.outcome.is_received() && self.medium.snr_db(&delivery.snr) > -5.0 {
                     self.aps[ap_index].app.report_missing(packet.destination, packet.seq);
                     self.ap_retransmissions_queued += 1;
                     if S::ENABLED {
@@ -479,7 +488,7 @@ impl<S: TraceSink> VanetModel<S> {
         now: SimTime,
         to: NodeId,
         frame: &Frame<CarqMessage>,
-        snr_db: f64,
+        snr: DeliverySnr,
         scheduler: &mut Scheduler<VanetEvent>,
     ) {
         // Record promiscuous data receptions for the evaluation (every laptop
@@ -510,6 +519,7 @@ impl<S: TraceSink> VanetModel<S> {
             // Cooperation-buffer activity is observed as a counter delta
             // around the protocol handler — no protocol code path changes.
             let before = self.cars[idx].protocol.stats();
+            let snr_db = || self.medium.snr_db(&snr);
             let actions = self.cars[idx].protocol.handle_frame(now, frame, snr_db);
             let after = self.cars[idx].protocol.stats();
             let stored = after.packets_buffered_for_peers - before.packets_buffered_for_peers;
@@ -524,6 +534,7 @@ impl<S: TraceSink> VanetModel<S> {
             }
             self.process_actions(now, to, actions, scheduler);
         } else {
+            let snr_db = || self.medium.snr_db(&snr);
             let actions = self.cars[idx].protocol.handle_frame(now, frame, snr_db);
             self.process_actions(now, to, actions, scheduler);
         }
@@ -570,8 +581,8 @@ impl<S: TraceSink> Model for VanetModel<S> {
             VanetEvent::CarTransmit { node, message, dst } => {
                 self.handle_car_transmit(now, node, message, dst, scheduler)
             }
-            VanetEvent::FrameDelivery { to, frame, snr_db } => {
-                self.handle_frame_delivery(now, to, &frame, snr_db, scheduler)
+            VanetEvent::FrameDelivery { to, frame, snr } => {
+                self.handle_frame_delivery(now, to, &frame, snr, scheduler)
             }
             VanetEvent::CarqTimer { node, kind } => {
                 if !self.config.cooperation_enabled {
@@ -672,6 +683,14 @@ mod tests {
         assert_eq!(stats.len(), 2);
         assert_eq!(stats[0].node, NodeId::new(1));
         assert_eq!(stats[1].node, NodeId::new(2));
+    }
+
+    #[test]
+    fn events_stay_eighty_bytes() {
+        // Every scheduled event is one of these; a frame delivery carries
+        // its SNR's draws instead of a realised value, within the size the
+        // largest variant (a car's transmission) already sets.
+        assert!(std::mem::size_of::<VanetEvent>() <= 80, "{}", std::mem::size_of::<VanetEvent>());
     }
 
     #[test]

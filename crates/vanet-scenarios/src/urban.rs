@@ -346,11 +346,10 @@ impl UrbanRun {
         &self.config
     }
 
-    /// The round body, generic over the trace sink: `run_round` instantiates
-    /// it with [`NoTrace`] (compiling the tracing away), `run_round_traced`
-    /// with a recording sink. One body, so the traced and untraced paths
-    /// cannot drift apart.
-    fn run_round_sink<S: TraceSink>(&self, round: u32, seed: u64, sink: &mut S) -> RoundReport {
+    /// The model one round simulates at `seed`, emitting into `sink`, and
+    /// the horizon it runs to: what [`ScenarioRun::run_round`] simulates,
+    /// for a caller that drives the simulation itself.
+    pub fn round_model<S: TraceSink>(&self, seed: u64, sink: S) -> (VanetModel<S>, SimTime) {
         let cfg = &self.config;
         let inv = &self.invariants;
 
@@ -401,8 +400,16 @@ impl UrbanRun {
             let mobility: PathMobility = platoon.member(i).clone();
             model.add_car(*id, mobility);
         }
+        (model, inv.horizon)
+    }
 
-        let mut sim = Simulation::new(model).with_horizon(inv.horizon).with_event_budget(5_000_000);
+    /// The round body, generic over the trace sink: `run_round` instantiates
+    /// it with [`NoTrace`] (compiling the tracing away), `run_round_traced`
+    /// with a recording sink. One body, so the traced and untraced paths
+    /// cannot drift apart.
+    fn run_round_sink<S: TraceSink>(&self, round: u32, seed: u64, sink: &mut S) -> RoundReport {
+        let (model, horizon) = self.round_model(seed, sink);
+        let mut sim = Simulation::new(model).with_horizon(horizon).with_event_budget(5_000_000);
         for (t, ev) in sim.model().initial_events() {
             sim.schedule_at(t, ev);
         }

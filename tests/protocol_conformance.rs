@@ -59,7 +59,7 @@ impl Harness {
             if node.id() == src || drop_at.contains(&node.id()) {
                 continue;
             }
-            let actions = node.handle_frame(self.now, &frame, SNR);
+            let actions = node.handle_frame(self.now, &frame, || SNR);
             follow_ups.push((idx, actions));
         }
         for (idx, actions) in follow_ups {
