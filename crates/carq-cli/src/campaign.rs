@@ -2,20 +2,21 @@
 //!
 //! A campaign expands a generator grid (`--PARAM v1,v2,...` axes times
 //! `--replicas` seed replicas) into a population of scenario identities and
-//! runs every one through the existing sweep/fleet machinery: shards are
-//! self-describing `VANETCAMP1` files, workers execute against their own
-//! journals, journals merge with the standard byte-identical semantics, and
-//! the final table renders one row per generated scenario from the merged
-//! cache — warm re-runs simulate nothing.
+//! runs every one through the fleet's machinery: the campaign planner
+//! strides the worlds into the same `VANETFLEET2` shard files a preset
+//! fleet uses, `fleet worker` (alias `campaign worker`) executes them
+//! against their own journals, journals merge with the standard
+//! byte-identical semantics, and the final table renders one row per
+//! generated scenario from the merged cache — warm re-runs simulate
+//! nothing.
 
-use std::path::{Path, PathBuf};
-
-use vanet_fleet::{execute_campaign_shard, CampaignPlan, CampaignShard};
+use vanet_fleet::ShardPlan;
 use vanet_gen::GenGrid;
 
 use crate::cli::Options;
-use crate::commands::parse_seed;
+use crate::commands::{parse_count, parse_seed, write_shard_files};
 use crate::failure::CliFailure;
+use crate::pipeline::Target;
 
 /// Builds the generator grid of `campaign plan` / `campaign run`: every
 /// generator schema parameter given as a `--PARAM v1,v2,...` flag becomes
@@ -57,7 +58,7 @@ pub(crate) fn check_flags(grid: &GenGrid, opts: &Options, common: &[&str]) -> Re
 
 /// The optional `--rounds N` override; absent runs each scenario's
 /// generator-default budget.
-pub(crate) fn campaign_rounds(opts: &Options) -> Result<Option<u32>, String> {
+fn campaign_rounds(opts: &Options) -> Result<Option<u32>, String> {
     match opts.get("rounds") {
         None => Ok(None),
         Some(raw) => {
@@ -70,9 +71,19 @@ pub(crate) fn campaign_rounds(opts: &Options) -> Result<Option<u32>, String> {
     }
 }
 
-/// The shard file name for shard `index` inside an out-dir.
-pub(crate) fn campaign_file_name(index: u32) -> String {
-    format!("shard-{index:03}.camp")
+/// The campaign planner shared by `campaign plan`, `campaign run` and
+/// `chaos --generator`: seed and rounds override, validated, folded into a
+/// plan of at most `count` shards over `grid` and its final-pass target.
+pub(crate) fn campaign_plan_of(
+    grid: &GenGrid,
+    opts: &Options,
+    count: usize,
+) -> Result<(ShardPlan, Target), String> {
+    let seed = parse_seed(opts)?;
+    let rounds = campaign_rounds(opts)?;
+    let plan = ShardPlan::for_campaign(grid, seed, rounds, count).map_err(|e| e.to_string())?;
+    let identities = grid.identities(seed).map_err(|e| e.to_string())?;
+    Ok((plan, Target::Campaign { generator: grid.generator().name, identities, rounds }))
 }
 
 /// `carq-cli campaign plan`.
@@ -82,61 +93,14 @@ pub fn campaign_plan(opts: &Options) -> Result<(), String> {
     let Some(out_dir) = opts.get("out-dir") else {
         return Err("campaign plan needs --out-dir DIR".into());
     };
-    let shards: u32 = opts.get_parsed("shards", 1)?;
-    if shards == 0 {
-        return Err("--shards must be positive".into());
-    }
-    let seed = parse_seed(opts)?;
-    let plan = CampaignPlan::new(&grid, seed, campaign_rounds(opts)?, shards)
-        .map_err(|e| e.to_string())?;
-    std::fs::create_dir_all(out_dir).map_err(|e| format!("cannot create {out_dir}: {e}"))?;
-    for shard in &plan.shards {
-        let path = Path::new(out_dir).join(campaign_file_name(shard.index));
-        std::fs::write(&path, shard.encode())
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        println!("{}  {} scenario(s)", path.display(), shard.scenarios.len());
-    }
+    let (plan, _) = campaign_plan_of(&grid, opts, parse_count(opts, "shards", Some(1))?)?;
+    write_shard_files(&plan, out_dir)?;
     println!(
         "planned {} shard(s): {} generated `{}` scenario(s), master seed {:#x}",
         plan.shards.len(),
-        plan.total_scenarios(),
+        plan.total_units(),
         grid.generator().name,
-        seed,
-    );
-    Ok(())
-}
-
-/// `carq-cli campaign worker`.
-pub fn campaign_worker(opts: &Options) -> Result<(), String> {
-    let unknown = opts.unknown_flags(&[
-        "shard",
-        "cache",
-        "threads",
-        "heartbeat",
-        "faults",
-        "fault-worker",
-        "fault-attempt",
-    ]);
-    if !unknown.is_empty() {
-        return Err(format!("unknown flags: --{}", unknown.join(", --")));
-    }
-    let Some(shard_path) = opts.get("shard") else {
-        return Err("campaign worker needs --shard FILE".into());
-    };
-    let Some(cache_dir) = opts.get("cache") else {
-        return Err("campaign worker needs --cache DIR (its shard journal)".into());
-    };
-    let threads: usize = opts.get_parsed("threads", 1)?;
-    let text = std::fs::read_to_string(shard_path)
-        .map_err(|e| format!("cannot read {shard_path}: {e}"))?;
-    let shard = CampaignShard::decode(&text).map_err(|e| format!("{shard_path}: {e}"))?;
-    crate::pipeline::arm_worker_faults(opts, shard.index)?;
-    let _heartbeat = crate::pipeline::start_heartbeat(opts)?;
-    let outcome = execute_campaign_shard(&shard, cache_dir, threads).map_err(|e| e.to_string())?;
-    eprintln!(
-        "campaign worker {}/{}: {} scenario(s), {} round(s) simulated, \
-         {} resumed from its journal",
-        shard.index, shard.count, outcome.units, outcome.rounds_simulated, outcome.rounds_cached,
+        plan.master_seed,
     );
     Ok(())
 }
@@ -164,65 +128,18 @@ pub fn campaign_run(opts: &Options) -> Result<(), CliFailure> {
             "faults",
         ],
     )?;
-    let format = opts.get("format").unwrap_or("csv");
-    if !matches!(format, "csv" | "json") {
-        return Err(format!("unknown format `{format}` (csv, json)").into());
-    }
-    let Some(workers_raw) = opts.get("workers") else {
-        return Err("campaign run needs --workers N".into());
-    };
-    let workers: u32 =
-        workers_raw.parse().map_err(|_| format!("--workers: cannot parse `{workers_raw}`"))?;
-    if workers == 0 {
-        return Err("--workers must be positive".into());
-    }
-    let seed = parse_seed(opts)?;
-    let rounds = campaign_rounds(opts)?;
-    let plan = CampaignPlan::new(&grid, seed, rounds, workers).map_err(|e| e.to_string())?;
-
-    // The working directory: the user's --cache DIR (merged journal kept,
-    // re-runs resume) or a throwaway temp directory.
-    let (base, ephemeral) = match opts.get("cache") {
-        Some(dir) => (PathBuf::from(dir), false),
-        None => (std::env::temp_dir().join(format!("carq-campaign-{}", std::process::id())), true),
-    };
-    let (supervisor, faults) = crate::pipeline::parse_resilience(opts, seed, None, 2)?;
-    let common = crate::pipeline::PipelineCommon {
-        threads: opts.get_parsed("threads", 0)?,
-        format: format.to_string(),
-        base,
-        ephemeral,
-        supervisor,
-        faults,
-    };
-    let outcome =
-        crate::pipeline::run_campaign_pipeline(plan, seed, rounds, grid.generator().name, &common)?;
-    match opts.get("out") {
-        Some(path) => std::fs::write(path, &outcome.rendered)
-            .map_err(|e| format!("cannot write {path}: {e}"))?,
-        None => print!("{}", outcome.rendered),
-    }
-    if !outcome.quarantined.is_empty() {
-        let gap = outcome
-            .gap_report
-            .as_ref()
-            .map(|p| p.display().to_string())
-            .unwrap_or_else(|| "<missing>".into());
-        return Err(CliFailure::degraded(format!(
-            "campaign run degraded: {} shard(s) quarantined after retries; partial export \
-             delivered, coverage gap report at {gap}",
-            outcome.quarantined.len(),
-        )));
-    }
-    Ok(())
+    let (plan, target) = campaign_plan_of(&grid, opts, parse_count(opts, "workers", None)?)?;
+    crate::pipeline::run_command(opts, plan, &target)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::commands::{dispatch, shard_file_name};
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use vanet_cache::SweepCache;
+    use vanet_fleet::{ScenarioRef, Shard};
 
     fn temp_dir(tag: &str) -> PathBuf {
         static COUNTER: AtomicUsize = AtomicUsize::new(0);
@@ -238,6 +155,10 @@ mod tests {
     fn opts(items: &[&str]) -> Options {
         let strings: Vec<String> = items.iter().map(|s| s.to_string()).collect();
         Options::parse(&strings).unwrap()
+    }
+
+    fn strs(items: &[&str]) -> Vec<String> {
+        items.iter().map(|s| s.to_string()).collect()
     }
 
     #[test]
@@ -300,12 +221,13 @@ mod tests {
             "xml",
         ]))
         .is_err());
-        assert!(campaign_worker(&opts(&[])).is_err());
-        assert!(campaign_worker(&opts(&["--shard", "/no/such.camp"])).is_err());
-        let err =
-            campaign_worker(&opts(&["--shard", "/no/such.camp", "--cache", "/tmp/x"])).unwrap_err();
-        assert!(err.contains("cannot read"), "{err}");
-        assert!(campaign_worker(&opts(&["--bogus", "1"])).is_err());
+        // `campaign worker` is `fleet worker` under a second name.
+        let worker = |args: &[&str]| dispatch(&strs(&[&["campaign", "worker"], args].concat()));
+        assert!(worker(&[]).is_err());
+        assert!(worker(&["--shard", "/no/such.fleet"]).is_err());
+        let err = worker(&["--shard", "/no/such.fleet", "--cache", "/tmp/x"]).unwrap_err();
+        assert!(err.message.contains("cannot read"), "{err}");
+        assert!(worker(&["--bogus", "1"]).is_err());
     }
 
     #[test]
@@ -330,14 +252,20 @@ mod tests {
         ]))
         .unwrap();
         let mut scenarios = Vec::new();
-        for index in 0..3u32 {
-            let text = std::fs::read_to_string(dir.join(campaign_file_name(index))).unwrap();
-            let shard = CampaignShard::decode(&text).unwrap();
+        for index in 0..3 {
+            let text = std::fs::read_to_string(dir.join(shard_file_name(index))).unwrap();
+            let shard = Shard::decode(&text).unwrap();
             assert_eq!(shard.index, index);
             assert_eq!(shard.count, 3);
-            assert_eq!(shard.generator, "platoon-merge");
             assert_eq!(shard.master_seed, 0xCA4);
-            scenarios.extend(shard.scenarios);
+            for (scenario, units) in shard.groups {
+                let ScenarioRef::Generated(identity) = scenario else {
+                    panic!("a campaign shard names generated worlds")
+                };
+                assert_eq!(identity.generator, "platoon-merge");
+                assert_eq!(units.len(), 1, "one unit per world");
+                scenarios.push(identity);
+            }
         }
         assert_eq!(scenarios.len(), 8, "2 feeder_m x 2 n_ramp x 2 replicas");
         let names: std::collections::HashSet<String> =
@@ -365,10 +293,19 @@ mod tests {
             &dir_str,
         ]))
         .unwrap();
-        let shard_file = dir.join(campaign_file_name(0)).display().to_string();
+        let shard_file = dir.join(shard_file_name(0)).display().to_string();
         let journal = dir.join("journal").display().to_string();
-        campaign_worker(&opts(&["--shard", &shard_file, "--cache", &journal, "--threads", "1"]))
-            .unwrap();
+        dispatch(&strs(&[
+            "campaign",
+            "worker",
+            "--shard",
+            &shard_file,
+            "--cache",
+            &journal,
+            "--threads",
+            "1",
+        ]))
+        .unwrap();
         // The journal now covers both scenarios; a re-run resumes from it
         // (exercised at library level too, but this is the CLI wiring).
         let cache = SweepCache::open_read_only(&journal).unwrap();

@@ -28,15 +28,12 @@ use std::time::Duration;
 
 use vanet_cache::{CacheKey, SweepCache};
 use vanet_faults::FaultPlan;
-use vanet_fleet::{CampaignPlan, ShardPlan};
 
-use crate::campaign::{campaign_grid, campaign_rounds, check_flags};
+use crate::campaign::{campaign_grid, campaign_plan_of, check_flags};
 use crate::cli::Options;
-use crate::commands::{parse_round_chunk, parse_seed, DEFAULT_SWEEP_ROUNDS};
+use crate::commands::{parse_count, parse_seed, preset_plan, DEFAULT_SWEEP_ROUNDS};
 use crate::failure::CliFailure;
-use crate::pipeline::{
-    parse_resilience, run_campaign_pipeline, run_fleet_pipeline, PipelineCommon, PipelineOutcome,
-};
+use crate::pipeline::{parse_resilience, run_pipeline, PipelineCommon, Target};
 
 /// Default schedule seed when neither `--fault-seed` nor `--faults` is
 /// given — arbitrary but fixed, so bare `carq-cli chaos --preset X` is
@@ -103,55 +100,28 @@ pub fn chaos_cmd(opts: &Options) -> Result<(), CliFailure> {
         }
     }
     let seed = parse_seed(opts)?;
-    let workers: u32 = opts.get_parsed("workers", 3)?;
-    if workers == 0 {
-        return Err("--workers must be positive".into());
-    }
+    let workers = parse_count(opts, "workers", Some(3))?;
     let threads: usize = opts.get_parsed("threads", 0)?;
     // Chaos hardens the supervisor defaults: hang detection on (stall
     // faults are invisible to exit codes) and one extra retry, because the
     // generated schedule can hit the same worker on attempts 0 and 1.
     let (supervisor, decoded) = parse_resilience(opts, seed, Some(Duration::from_secs(10)), 3)?;
 
-    // Build the pipeline runner for whichever mode was picked; the plan is
-    // rebuilt per run so all three runs execute the identical workload.
-    let fleet_rounds: u32 = opts.get_parsed("rounds", DEFAULT_SWEEP_ROUNDS)?;
-    if fleet_rounds == 0 {
-        return Err("--rounds must be positive".into());
-    }
-    type Runner = Box<dyn Fn(&PipelineCommon) -> Result<PipelineOutcome, String>>;
-    let (runner, rounds_hint): (Runner, u64) = match grid {
-        Some(grid) => {
-            let rounds = campaign_rounds(opts)?;
-            // Validate the plan once up front so usage errors surface
-            // before any run starts.
-            CampaignPlan::new(&grid, seed, rounds, workers).map_err(|e| e.to_string())?;
-            let hint = u64::from(rounds.unwrap_or(DEFAULT_SWEEP_ROUNDS));
-            let runner: Runner = Box::new(move |common| {
-                let plan =
-                    CampaignPlan::new(&grid, seed, rounds, workers).map_err(|e| e.to_string())?;
-                run_campaign_pipeline(plan, seed, rounds, grid.generator().name, common)
-            });
-            (runner, hint)
-        }
-        None => {
-            let preset = opts.get("preset").expect("preset mode").to_string();
-            let chunk = parse_round_chunk(opts)?;
-            let count = workers as usize;
-            ShardPlan::for_preset(&preset, seed, fleet_rounds, count, chunk)
-                .map_err(|e| e.to_string())?;
-            let runner: Runner = Box::new(move |common| {
-                let plan = ShardPlan::for_preset(&preset, seed, fleet_rounds, count, chunk)
-                    .map_err(|e| e.to_string())?;
-                run_fleet_pipeline(plan, common)
-            });
-            (runner, u64::from(fleet_rounds))
-        }
+    // Plan once; all three runs execute the identical workload.
+    let (plan, target) = match &grid {
+        Some(grid) => campaign_plan_of(grid, opts, workers)?,
+        None => preset_plan(opts, workers)?,
     };
-
+    let rounds_hint = match &target {
+        Target::Preset { rounds, .. } => *rounds,
+        Target::Campaign { rounds, .. } => rounds.unwrap_or(DEFAULT_SWEEP_ROUNDS),
+    };
+    // The planned shard count, never more than the units: the fault plan
+    // and `--poison` address the workers that will actually spawn.
+    let workers = u32::try_from(plan.shards.len()).map_err(|_| "too many shards to fault")?;
     let mut fault_plan = match decoded {
         Some(plan) => plan,
-        None => FaultPlan::generate(parse_fault_seed(opts)?, workers, rounds_hint),
+        None => FaultPlan::generate(parse_fault_seed(opts)?, workers, u64::from(rounds_hint)),
     };
     if let Some(raw) = opts.get("poison") {
         let worker: u32 = raw.parse().map_err(|_| format!("--poison: cannot parse `{raw}`"))?;
@@ -184,39 +154,38 @@ pub fn chaos_cmd(opts: &Options) -> Result<(), CliFailure> {
     };
 
     eprintln!("chaos: run 1/3: faulted run under the seeded schedule");
-    let faulted = runner(&common(&faulted_dir, Some(fault_plan)))?;
-    if !faulted.quarantined.is_empty() {
-        let gap = faulted
-            .gap_report
-            .as_ref()
-            .map(|p| p.display().to_string())
-            .unwrap_or_else(|| "<missing>".into());
+    let run = |dir: &Path, faults: Option<FaultPlan>| {
+        run_pipeline(plan.clone(), &target, &common(dir, faults))
+    };
+    let faulted = run(&faulted_dir, Some(fault_plan))?;
+    if let Some(gap) = &faulted.gap_report {
         return Err(CliFailure::degraded(format!(
             "chaos: {} shard(s) quarantined under the fault schedule; partial coverage \
-             delivered, gap report at {gap}",
+             delivered, gap report at {}",
             faulted.quarantined.len(),
+            gap.display(),
         )));
     }
 
     eprintln!("chaos: run 2/3: warm re-run over the healed journal");
-    let warm = runner(&common(&faulted_dir, None))?;
-    if warm.final_simulated != 0 {
+    let warm = run(&faulted_dir, None)?;
+    if warm.export.simulated != 0 {
         return Err(CliFailure::check(format!(
             "chaos: warm re-run simulated {} round(s) — the healed journal lost work \
              (evidence kept in {})",
-            warm.final_simulated,
+            warm.export.simulated,
             base.display(),
         )));
     }
 
     eprintln!(
         "chaos: warm re-run served all {} round(s) from the healed journal",
-        warm.final_cached,
+        warm.export.cached,
     );
 
     eprintln!("chaos: run 3/3: clean reference run (no faults)");
-    let clean = runner(&common(&clean_dir, None))?;
-    if faulted.rendered != clean.rendered || warm.rendered != clean.rendered {
+    let clean = run(&clean_dir, None)?;
+    if faulted.export.text != clean.export.text || warm.export.text != clean.export.text {
         return Err(CliFailure::check(format!(
             "chaos: exports diverge between the faulted and clean runs (evidence kept in {})",
             base.display(),

@@ -20,6 +20,7 @@ use crate::cli::{
     Options,
 };
 use crate::failure::CliFailure;
+use crate::pipeline::Target;
 
 const DEFAULT_SEED: u64 = 0x2008_1cdc;
 pub(crate) const DEFAULT_SWEEP_ROUNDS: u32 = 5;
@@ -79,20 +80,23 @@ USAGE:
 
   carq-cli fleet shard --preset NAME --shards N --out-dir DIR
       [--rounds N] [--seed S] [--round-chunk K]
-      Partition a preset sweep into N self-describing shard files
-      (shard-000.fleet, ...). Each file carries everything a worker on
-      any machine needs to reproduce its slice bit-for-bit; with
-      --round-chunk K, points heavier than K rounds split into round
-      ranges so even few-point sweeps spread across the fleet.
+      Partition a preset sweep into at most N self-describing VANETFLEET2
+      shard files (shard-000.fleet, ...; never more files than units).
+      Each file carries everything a worker on any machine needs to
+      reproduce its slice bit-for-bit; with --round-chunk K, points
+      heavier than K rounds split into round ranges so even few-point
+      sweeps spread across the fleet.
 
   carq-cli fleet worker --shard FILE --cache DIR [--threads N]
       [--heartbeat FILE] [--faults FILE --fault-worker I --fault-attempt A]
-      Execute one shard file against its own shard journal in DIR.
-      Seeds are content-addressed, so the rounds a worker simulates are
-      byte-identical to the same rounds of a monolithic run; a killed
-      worker re-run resumes from its journal. --heartbeat keeps a
-      progress file alive for the supervisor; the --fault* flags arm
-      the deterministic fault injector (docs/RESILIENCE.md).
+      Execute one shard file (from `fleet shard` or `campaign plan`)
+      against its own shard journal in DIR, rebuilding each preset or
+      generated world it names. Seeds are content-addressed, so the
+      rounds a worker simulates are byte-identical to the same rounds of
+      a monolithic run; a killed worker re-run resumes from its journal.
+      --heartbeat keeps a progress file alive for the supervisor; the
+      --fault* flags arm the deterministic fault injector
+      (docs/RESILIENCE.md).
 
   carq-cli fleet merge --cache DIR --from DIR1,DIR2,... [--all]
       Union shard journals (cache directories or bare journal files,
@@ -147,15 +151,12 @@ USAGE:
   carq-cli campaign plan --generator NAME [--PARAM V1,V2,...]...
       [--replicas R] [--shards N] [--rounds N] [--seed S] --out-dir DIR
       Expand a generator grid (axes x seed replicas) into a population
-      of scenario identities and partition them into self-describing
-      VANETCAMP1 shard files any set of machines can execute.
+      of scenario identities and partition them into at most N
+      self-describing VANETFLEET2 shard files (shard-000.fleet, ...) that
+      `fleet worker` executes on any set of machines.
 
-  carq-cli campaign worker --shard FILE --cache DIR [--threads N]
-      [--heartbeat FILE] [--faults FILE --fault-worker I --fault-attempt A]
-      Execute one campaign shard against its own journal in DIR,
-      regenerating every scenario from its identity; a killed worker
-      re-run resumes from the journal. The extra flags are the fleet
-      worker's supervision/fault hooks.
+  carq-cli campaign worker ...
+      Another name for `fleet worker`: the same flags, any shard file.
 
   carq-cli campaign run --generator NAME [--PARAM V1,V2,...]...
       [--replicas R] --workers N [--rounds N] [COMMON] [RESILIENCE]
@@ -261,7 +262,7 @@ USAGE:
       Figures 6-8 (recovery vs joint reception) as CSV.
 
   carq-cli help
-      Show this text.
+      Show this text; so does --help or -h anywhere on a command line.
 
 EXIT CODES:
   0  success
@@ -276,10 +277,17 @@ EXIT CODES:
 /// see `failure.rs`); untyped `String` errors convert to usage failures
 /// (exit 2), the CLI's historical behaviour.
 pub fn dispatch(args: &[String]) -> Result<(), CliFailure> {
+    // `--help` and `-h` print the usage wherever they appear, so no
+    // subcommand's parser ever reads them as a flag.
+    let help = args.iter().any(|arg| matches!(arg.as_str(), "--help" | "-h"));
     match args.first().map(String::as_str) {
-        None | Some("help" | "--help" | "-h") => {
+        first if help || first.is_none_or(|first| first == "help") => {
             println!("{USAGE}");
             Ok(())
+        }
+        // `campaign worker` is the same worker under a second name.
+        Some("fleet" | "campaign") if args.get(1).is_some_and(|sub| sub == "worker") => {
+            Ok(fleet_worker(&Options::parse(&args[2..])?)?)
         }
         Some("scenario") => match args.get(1).map(String::as_str) {
             Some("list") => Ok(scenario_list()?),
@@ -312,7 +320,6 @@ pub fn dispatch(args: &[String]) -> Result<(), CliFailure> {
         },
         Some("fleet") => match args.get(1).map(String::as_str) {
             Some("shard") => Ok(fleet_shard(&Options::parse(&args[2..])?)?),
-            Some("worker") => Ok(fleet_worker(&Options::parse(&args[2..])?)?),
             Some("merge") => Ok(fleet_merge(&Options::parse_with_switches(&args[2..], &["all"])?)?),
             Some("run") => fleet_run(&Options::parse(&args[2..])?),
             other => Err(format!(
@@ -345,7 +352,6 @@ pub fn dispatch(args: &[String]) -> Result<(), CliFailure> {
         },
         Some("campaign") => match args.get(1).map(String::as_str) {
             Some("plan") => Ok(crate::campaign::campaign_plan(&Options::parse(&args[2..])?)?),
-            Some("worker") => Ok(crate::campaign::campaign_worker(&Options::parse(&args[2..])?)?),
             Some("run") => crate::campaign::campaign_run(&Options::parse(&args[2..])?),
             other => Err(format!(
                 "unknown campaign subcommand `{}` (expected plan, worker or run)",
@@ -381,7 +387,7 @@ pub fn dispatch(args: &[String]) -> Result<(), CliFailure> {
             )
             .into()),
         },
-        Some(other) => Err(format!("unknown command `{other}`").into()),
+        other => Err(format!("unknown command `{}`", other.unwrap_or_default()).into()),
     }
 }
 
@@ -598,33 +604,57 @@ pub(crate) fn parse_round_chunk(opts: &Options) -> Result<Option<u32>, String> {
     }
 }
 
-/// The shared front half of `fleet shard` and `fleet run`: required
-/// preset, shard/worker count from `count_flag`, seed, rounds and
-/// round-chunk, all validated, folded into a plan.
-fn fleet_plan(opts: &Options, count_flag: &str) -> Result<ShardPlan, String> {
+/// Parses the positive shard or worker count `--FLAG N`, required unless
+/// it has a `default`.
+pub(crate) fn parse_count(
+    opts: &Options,
+    flag: &str,
+    default: Option<usize>,
+) -> Result<usize, String> {
+    let count = match (opts.get(flag), default) {
+        (Some(raw), _) => raw.parse().map_err(|_| format!("--{flag}: cannot parse `{raw}`"))?,
+        (None, Some(default)) => default,
+        (None, None) => return Err(format!("this command needs --{flag} N")),
+    };
+    if count == 0 {
+        return Err(format!("--{flag} must be positive"));
+    }
+    Ok(count)
+}
+
+/// The preset planner shared by `fleet shard`, `fleet run` and `chaos
+/// --preset`: preset, seed, rounds and round-chunk, validated, folded into
+/// a plan of at most `count` shards and its final-pass target.
+pub(crate) fn preset_plan(opts: &Options, count: usize) -> Result<(ShardPlan, Target), String> {
     let Some(preset) = opts.get("preset") else {
         return Err("fleet needs --preset NAME (see `carq-cli sweep list`)".into());
     };
-    let Some(count_raw) = opts.get(count_flag) else {
-        return Err(format!("fleet needs --{count_flag} N"));
-    };
-    let count: usize =
-        count_raw.parse().map_err(|_| format!("--{count_flag}: cannot parse `{count_raw}`"))?;
-    if count == 0 {
-        return Err(format!("--{count_flag} must be positive"));
-    }
     let rounds: u32 = opts.get_parsed("rounds", DEFAULT_SWEEP_ROUNDS)?;
     if rounds == 0 {
         return Err("--rounds must be positive".into());
     }
     let seed = parse_seed(opts)?;
-    ShardPlan::for_preset(preset, seed, rounds, count, parse_round_chunk(opts)?)
-        .map_err(|e| e.to_string())
+    let plan = ShardPlan::for_preset(preset, seed, rounds, count, parse_round_chunk(opts)?)
+        .map_err(|e| e.to_string())?;
+    Ok((plan, Target::Preset { name: preset.to_string(), rounds }))
 }
 
 /// The shard file name for shard `index` inside an out-dir.
 pub(crate) fn shard_file_name(index: usize) -> String {
     format!("shard-{index:03}.fleet")
+}
+
+/// Writes every shard of `plan` into `out_dir` (`fleet shard`, `campaign
+/// plan`), one line per file.
+pub(crate) fn write_shard_files(plan: &ShardPlan, out_dir: &str) -> Result<(), String> {
+    std::fs::create_dir_all(out_dir).map_err(|e| format!("cannot create {out_dir}: {e}"))?;
+    for shard in &plan.shards {
+        let path = Path::new(out_dir).join(shard_file_name(shard.index));
+        std::fs::write(&path, shard.encode())
+            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+        println!("{}  {} unit(s)", path.display(), shard.total_units());
+    }
+    Ok(())
 }
 
 fn fleet_shard(opts: &Options) -> Result<(), String> {
@@ -636,29 +666,20 @@ fn fleet_shard(opts: &Options) -> Result<(), String> {
     let Some(out_dir) = opts.get("out-dir") else {
         return Err("fleet shard needs --out-dir DIR".into());
     };
-    let plan = fleet_plan(opts, "shards")?;
-    std::fs::create_dir_all(out_dir).map_err(|e| format!("cannot create {out_dir}: {e}"))?;
-    for shard in &plan.shards {
-        let path = Path::new(out_dir).join(shard_file_name(shard.index));
-        std::fs::write(&path, shard.encode())
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        println!(
-            "{}  {} unit(s), <= {} round(s)",
-            path.display(),
-            shard.units.len(),
-            shard.round_upper_bound(),
-        );
-    }
+    let (plan, _) = preset_plan(opts, parse_count(opts, "shards", None)?)?;
+    write_shard_files(&plan, out_dir)?;
     println!(
         "planned {} shard(s) of `{}` ({} unit(s) total, master seed {:#x})",
         plan.shards.len(),
-        plan.preset,
+        opts.get("preset").unwrap_or_default(),
         plan.total_units(),
         plan.master_seed,
     );
     Ok(())
 }
 
+/// `carq-cli fleet worker`, alias `campaign worker`: executes any shard
+/// file, a preset's or a campaign's.
 fn fleet_worker(opts: &Options) -> Result<(), String> {
     let unknown = opts.unknown_flags(&[
         "shard",
@@ -769,48 +790,8 @@ fn fleet_run(opts: &Options) -> Result<(), CliFailure> {
     if !unknown.is_empty() {
         return Err(format!("unknown flags: --{}", unknown.join(", --")).into());
     }
-    let format = opts.get("format").unwrap_or("csv");
-    if !matches!(format, "csv" | "json") {
-        return Err(format!("unknown format `{format}` (csv, json)").into());
-    }
-    let plan = fleet_plan(opts, "workers")?;
-
-    // The working directory: the user's --cache DIR (merged journal kept,
-    // re-runs resume) or a throwaway temp directory.
-    let (base, ephemeral) = match opts.get("cache") {
-        Some(dir) => (PathBuf::from(dir), false),
-        None => (std::env::temp_dir().join(format!("carq-fleet-{}", std::process::id())), true),
-    };
-    let (supervisor, faults) = crate::pipeline::parse_resilience(opts, plan.master_seed, None, 2)?;
-    let common = crate::pipeline::PipelineCommon {
-        threads: opts.get_parsed("threads", 0)?,
-        format: format.to_string(),
-        base,
-        ephemeral,
-        supervisor,
-        faults,
-    };
-    let outcome = crate::pipeline::run_fleet_pipeline(plan, &common)?;
-    match opts.get("out") {
-        Some(path) => std::fs::write(path, &outcome.rendered)
-            .map_err(|e| format!("cannot write {path}: {e}"))?,
-        None => print!("{}", outcome.rendered),
-    }
-    if !outcome.quarantined.is_empty() {
-        // The partial export above is still delivered; the exit code and
-        // the gap report say the coverage is incomplete.
-        let gap = outcome
-            .gap_report
-            .as_ref()
-            .map(|p| p.display().to_string())
-            .unwrap_or_else(|| "<missing>".into());
-        return Err(CliFailure::degraded(format!(
-            "fleet run degraded: {} shard(s) quarantined after retries; partial export \
-             delivered, coverage gap report at {gap}",
-            outcome.quarantined.len(),
-        )));
-    }
-    Ok(())
+    let (plan, target) = preset_plan(opts, parse_count(opts, "workers", None)?)?;
+    crate::pipeline::run_command(opts, plan, &target)
 }
 
 /// Requires and returns the `--cache DIR` flag of a `cache` subcommand.
@@ -988,6 +969,9 @@ mod tests {
     fn help_and_listings_succeed() {
         assert!(dispatch(&strs(&["help"])).is_ok());
         assert!(dispatch(&strs(&[])).is_ok());
+        assert!(dispatch(&strs(&["fleet", "run", "--help"])).is_ok());
+        assert!(dispatch(&strs(&["trace", "-h"])).is_ok());
+        assert!(dispatch(&strs(&["frobnicate", "--seed", "1", "--help"])).is_ok());
         assert!(dispatch(&strs(&["sweep", "list"])).is_ok());
         assert!(dispatch(&strs(&["scenario", "list"])).is_ok());
         assert!(dispatch(&strs(&["scenario", "describe", "urban"])).is_ok());
@@ -1134,10 +1118,26 @@ mod tests {
             let shard = Shard::decode(&text).unwrap();
             assert_eq!(shard.index, i);
             assert_eq!(shard.count, 3);
-            assert_eq!(shard.preset, "urban-platoon");
-            units += shard.units.len();
+            let preset =
+                vanet_fleet::ScenarioRef::Preset { name: "urban-platoon".into(), rounds: 2 };
+            assert!(shard.groups.iter().all(|(scenario, _)| *scenario == preset));
+            units += shard.total_units();
         }
         assert_eq!(units, 24, "the three files cover the 24-point grid");
+        // A plan never holds more shards than units: no empty shard file.
+        std::fs::remove_dir_all(&dir).ok();
+        fleet_shard(&switch_opts(&[
+            "--preset",
+            "urban-platoon",
+            "--shards",
+            "18446744073709551615",
+            "--rounds",
+            "1",
+            "--out-dir",
+            &out_dir,
+        ]))
+        .unwrap();
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 24);
         std::fs::remove_dir_all(&dir).ok();
     }
 

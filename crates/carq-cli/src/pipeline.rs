@@ -1,17 +1,20 @@
-//! The supervised multi-process execution pipeline shared by
-//! `carq-cli fleet run`, `carq-cli campaign run` and `carq-cli chaos`.
+//! The supervised multi-process execution pipeline behind `carq-cli fleet
+//! run`, `carq-cli campaign run` and both `carq-cli chaos` modes.
 //!
-//! Both run commands have the same shape — plan shards, spawn one worker
-//! process per shard, merge the shard journals, export from the merged
-//! cache — and both now run their workers under the self-healing
-//! supervisor ([`vanet_fleet::supervise`]): crashed workers restart with
-//! seeded exponential backoff, hung workers are detected through their
-//! heartbeat files and killed, and a shard that keeps failing is
-//! quarantined instead of aborting the run. A quarantined run degrades
-//! gracefully: every journal that exists still merges, the export covers
-//! the points the merged cache can prove, and a machine-readable
-//! `coverage-gaps.json` names exactly what is missing (semantics in
-//! `docs/RESILIENCE.md`).
+//! Two planners feed it one [`ShardPlan`] — `fleet` strides a preset's
+//! points, `campaign` a generator grid's worlds — plus a [`Target`]: what
+//! the final pass renders and how the gap report names what is missing.
+//! The rest is one path: pre-filter the units a warm merged journal already
+//! covers, write the shard files, spawn one `fleet worker` process per
+//! shard under the self-healing supervisor ([`vanet_fleet::supervise`]:
+//! crashed workers restart with seeded exponential backoff, hung workers
+//! are detected through their heartbeat files and killed, and a shard that
+//! keeps failing is quarantined instead of aborting the run), merge the
+//! shard journals and render the final pass from the merged cache. A
+//! quarantined run degrades gracefully: every journal that exists still
+//! merges, the export covers what the merged cache can prove, and a
+//! machine-readable `coverage-gaps.json` names exactly what is missing
+//! (semantics in `docs/RESILIENCE.md`).
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
@@ -21,13 +24,14 @@ use std::time::Duration;
 use vanet_cache::SweepCache;
 use vanet_faults::FaultPlan;
 use vanet_fleet::{
-    campaign_table, split_covered_scenarios, split_covered_units, supervise, CampaignPlan,
-    HeartbeatGuard, ShardPlan, SupervisionReport, SupervisorConfig, WorkUnit, WorkerOutcome,
-    WorkerTask,
+    campaign_table, supervise, HeartbeatGuard, ScenarioRef, ShardPlan, SupervisionReport,
+    SupervisorConfig, WorkerOutcome, WorkerTask,
 };
+use vanet_gen::GenIdentity;
 use vanet_sweep::{presets, SweepEngine, SweepSpec};
 
 use crate::cli::Options;
+use crate::failure::CliFailure;
 
 /// File the seeded fault plan is written to inside the shards directory,
 /// so every worker (and every retry) reads the same schedule.
@@ -35,7 +39,124 @@ const FAULT_PLAN_FILE: &str = "faults.flt";
 
 /// File the coverage-gap report of a degraded run is written to, next to
 /// the merged journal.
-pub(crate) const GAP_REPORT_FILE: &str = "coverage-gaps.json";
+const GAP_REPORT_FILE: &str = "coverage-gaps.json";
+
+/// What a run's final pass renders, and how its messages and gap report
+/// name the work.
+pub(crate) enum Target {
+    /// A preset sweep (`fleet`): the preset's export; a missing unit is
+    /// named by its point's label.
+    Preset {
+        /// The preset's catalogue name.
+        name: String,
+        /// The per-point round budget.
+        rounds: u32,
+    },
+    /// A campaign: the campaign table over the grid's worlds in expansion
+    /// order; a missing unit is named by its world's scenario name.
+    Campaign {
+        /// The generator every world comes from.
+        generator: &'static str,
+        /// Every world of the grid, in expansion order.
+        identities: Vec<GenIdentity>,
+        /// The round budget override, if any.
+        rounds: Option<u32>,
+    },
+}
+
+/// A final pass's export and what its walk did.
+#[derive(Default)]
+pub(crate) struct Export {
+    /// The rendered CSV or JSON.
+    pub text: String,
+    /// Points or worlds rendered.
+    pub rows: usize,
+    /// Rounds the pass simulated.
+    pub simulated: usize,
+    /// Rounds the pass served from the merged cache.
+    pub cached: usize,
+}
+
+impl Target {
+    /// The message prefix and gap-report kind: `fleet` or `campaign`.
+    fn kind(&self) -> &'static str {
+        match self {
+            Target::Preset { .. } => "fleet",
+            Target::Campaign { .. } => "campaign",
+        }
+    }
+
+    /// What progress messages call the plan's units.
+    fn noun(&self) -> &'static str {
+        match self {
+            Target::Preset { .. } => "unit(s)",
+            Target::Campaign { .. } => "scenario(s)",
+        }
+    }
+
+    /// The final pass over `cache`: everything, or, given the `missing`
+    /// names, only what the merged cache covers — a preset's points in
+    /// plan order, a campaign's worlds in expansion order.
+    fn render(
+        &self,
+        plan: &ShardPlan,
+        missing: Option<&HashSet<String>>,
+        cache: &Arc<SweepCache>,
+        common: &PipelineCommon,
+    ) -> Result<Export, String> {
+        let json = common.format == "json";
+        match self {
+            Target::Preset { name, rounds } => {
+                let preset =
+                    presets::find(name).ok_or_else(|| format!("unknown preset `{name}`"))?;
+                let (scenario, mut spec) = preset.build(plan.master_seed, *rounds);
+                if let Some(missing) = missing {
+                    let mut seen = HashSet::new();
+                    spec = SweepSpec::new(plan.master_seed);
+                    for (_, unit) in plan.units() {
+                        let label = unit.point.label();
+                        if !missing.contains(&label) && seen.insert(label) {
+                            spec = spec.point(unit.point.clone());
+                        }
+                    }
+                }
+                if spec.is_empty() {
+                    return Ok(Export::default());
+                }
+                let engine = SweepEngine::new(common.threads).with_cache(Arc::clone(cache));
+                let result = engine.run(scenario.as_ref(), &spec).map_err(|e| e.to_string())?;
+                Ok(Export {
+                    text: if json { result.to_json() } else { result.to_csv() },
+                    rows: spec.len(),
+                    simulated: result.rounds_simulated,
+                    cached: result.rounds_cached,
+                })
+            }
+            Target::Campaign { identities, rounds, .. } => {
+                let covered: Vec<GenIdentity> = identities
+                    .iter()
+                    .filter(|identity| {
+                        missing.is_none_or(|m| !m.contains(&identity.scenario_name()))
+                    })
+                    .cloned()
+                    .collect();
+                if covered.is_empty() {
+                    return Ok(Export::default());
+                }
+                let result =
+                    campaign_table(&covered, plan.master_seed, *rounds, cache, common.threads)
+                        .map_err(|e| e.to_string())?;
+                let table = &result.table;
+                Ok(Export {
+                    text: if json { table.to_json() } else { table.to_csv() },
+                    rows: covered.len(),
+                    simulated: result.rounds_simulated,
+                    cached: result.rounds_cached,
+                })
+            }
+        }
+    }
+}
 
 /// Everything the pipeline needs beyond the plan itself.
 pub(crate) struct PipelineCommon {
@@ -69,17 +190,13 @@ pub(crate) struct QuarantinedShard {
 
 /// What a supervised pipeline run produced.
 pub(crate) struct PipelineOutcome {
-    /// The rendered export (partial on a degraded run; empty when the
-    /// merged cache covers nothing).
-    pub rendered: String,
+    /// The final pass (partial on a degraded run; empty when the merged
+    /// cache covers nothing).
+    pub export: Export,
     /// Worker restarts the supervisor performed.
     pub restarts: u32,
     /// Quarantined shards; empty means full coverage.
     pub quarantined: Vec<QuarantinedShard>,
-    /// Rounds the final/export pass simulated.
-    pub final_simulated: usize,
-    /// Rounds the final/export pass served from the merged cache.
-    pub final_cached: usize,
     /// Where the coverage-gap report was written (degraded runs only).
     pub gap_report: Option<PathBuf>,
 }
@@ -160,8 +277,8 @@ struct SpawnedShard {
     cache: PathBuf,
 }
 
-/// Runs every spawned shard under the supervisor. `kind` is the worker
-/// subcommand (`fleet` or `campaign`) and doubles as the message prefix.
+/// Runs every spawned shard as a `fleet worker` process under the
+/// supervisor; `kind` prefixes its messages.
 fn supervise_workers(
     kind: &str,
     spawned: &[SpawnedShard],
@@ -186,7 +303,7 @@ fn supervise_workers(
         |task, attempt| {
             let shard = &spawned[task.index];
             let mut cmd = std::process::Command::new(&exe);
-            cmd.arg(kind)
+            cmd.arg("fleet")
                 .arg("worker")
                 .arg("--shard")
                 .arg(&shard.file)
@@ -233,20 +350,6 @@ fn quarantined_shards(
         .collect()
 }
 
-/// Writes the fault plan next to the shard files so every worker spawn
-/// (and respawn) reads the identical schedule.
-fn write_fault_plan(shards_dir: &Path, common: &PipelineCommon) -> Result<Option<PathBuf>, String> {
-    match &common.faults {
-        None => Ok(None),
-        Some(plan) => {
-            let path = shards_dir.join(FAULT_PLAN_FILE);
-            std::fs::write(&path, plan.encode())
-                .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-            Ok(Some(path))
-        }
-    }
-}
-
 /// Minimal JSON string escaping for the hand-rolled gap report.
 fn json_escape(text: &str) -> String {
     let mut out = String::with_capacity(text.len());
@@ -264,9 +367,151 @@ fn json_escape(text: &str) -> String {
     out
 }
 
-/// Renders the quarantine list as a JSON array.
-fn quarantined_json(quarantined: &[QuarantinedShard]) -> String {
-    let entries: Vec<String> = quarantined
+/// The whole supervised pipeline: pre-filter, write the shard files and
+/// the fault plan, spawn and supervise the workers, merge their journals,
+/// then render the final pass — everything on a healthy run (re-simulating
+/// any record a fault dropped), only what the merged cache covers plus a
+/// gap report when a shard was quarantined.
+pub(crate) fn run_pipeline(
+    plan: ShardPlan,
+    target: &Target,
+    common: &PipelineCommon,
+) -> Result<PipelineOutcome, String> {
+    let kind = target.kind();
+    // Warm re-run pre-filter: drop every unit the merged journal already
+    // covers, so an identical re-run spawns zero redundant workers (and
+    // zero redundant simulations). Read-only open: the journal may not
+    // exist yet, and workers must stay free to lock their own.
+    let warm = if common.ephemeral {
+        None
+    } else {
+        SweepCache::open_read_only(&common.base).ok().filter(|cache| !cache.is_empty())
+    };
+    let pending = match warm {
+        None => plan.clone(),
+        Some(cache) => {
+            let (pending, covered) = plan.split_covered(&cache).map_err(|e| e.to_string())?;
+            if covered > 0 {
+                eprintln!(
+                    "{kind}: {covered} {} already covered by the merged cache, {} left to run",
+                    target.noun(),
+                    pending.total_units(),
+                );
+            }
+            pending
+        }
+    };
+    let shards_dir = common.base.join("shards");
+    std::fs::create_dir_all(&shards_dir)
+        .map_err(|e| format!("cannot create {}: {e}", shards_dir.display()))?;
+    // One fault plan file for every worker spawn (and respawn) to read.
+    let fault_file = match &common.faults {
+        None => None,
+        Some(faults) => {
+            let path = shards_dir.join(FAULT_PLAN_FILE);
+            std::fs::write(&path, faults.encode())
+                .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+            Some(path)
+        }
+    };
+
+    let mut spawned = Vec::new();
+    for shard in pending.shards.iter().filter(|shard| shard.total_units() > 0) {
+        let file = shards_dir.join(crate::commands::shard_file_name(shard.index));
+        std::fs::write(&file, shard.encode())
+            .map_err(|e| format!("cannot write {}: {e}", file.display()))?;
+        let cache = shards_dir.join(format!("cache-{:03}", shard.index));
+        spawned.push(SpawnedShard { index: shard.index, file, cache });
+    }
+    let per_worker = per_worker_threads(common.threads, spawned.len());
+    let work = match target {
+        Target::Preset { name, .. } => format!("unit(s) of `{name}`"),
+        Target::Campaign { generator, .. } => format!("generated `{generator}` scenario(s)"),
+    };
+    eprintln!(
+        "{kind}: {} worker process(es) x {per_worker} thread(s) over {} {work}",
+        spawned.len(),
+        pending.total_units(),
+    );
+    let supervision =
+        supervise_workers(kind, &spawned, &shards_dir, per_worker, common, fault_file.as_deref())?;
+    let restarts = supervision.restarts();
+    if restarts > 0 {
+        eprintln!("{kind}: supervisor performed {restarts} worker restart(s)");
+    }
+    let quarantined = quarantined_shards(&supervision, &spawned);
+
+    // Merge every shard journal that exists — a quarantined worker's
+    // partial journal included; its finished rounds are not lost.
+    let sources: Vec<PathBuf> =
+        spawned.iter().map(|s| s.cache.clone()).filter(|d| d.exists()).collect();
+    let cache = Arc::new(SweepCache::open(&common.base).map_err(|e| e.to_string())?);
+    let report = vanet_cache::merge_into(&cache, &sources).map_err(|e| e.to_string())?;
+    eprintln!(
+        "{kind}: merged {} shard journal(s): {} record(s) ingested, {} duplicate(s), \
+         {} superseded, {} torn byte(s) dropped",
+        report.sources,
+        report.records_ingested,
+        report.records_duplicate,
+        report.records_superseded,
+        report.torn_bytes_dropped,
+    );
+
+    // A healthy run renders everything, re-simulating any record a fault
+    // dropped after its worker finished. A degraded one renders only what
+    // the merged cache covers and names the rest, each missing point by its
+    // label and each missing world by its scenario name.
+    let missing = if quarantined.is_empty() {
+        None
+    } else {
+        let (uncovered, _) = plan.split_covered(&cache).map_err(|e| e.to_string())?;
+        let mut set = HashSet::new();
+        let names: Vec<String> = uncovered
+            .units()
+            .map(|(scenario, unit)| match scenario {
+                ScenarioRef::Preset { .. } => unit.point.label(),
+                ScenarioRef::Generated(identity) => identity.scenario_name(),
+            })
+            .filter(|name| set.insert(name.clone()))
+            .collect();
+        Some((names, set))
+    };
+    let export = target.render(&plan, missing.as_ref().map(|(_, set)| set), &cache, common)?;
+    let Some((missing, _)) = missing else {
+        let pass = match target {
+            Target::Preset { .. } => "final pass".to_string(),
+            Target::Campaign { .. } => format!("final pass over {} scenario(s)", export.rows),
+        };
+        eprintln!(
+            "{kind}: {pass}: {} round(s) simulated, {} served from the merged cache",
+            export.simulated, export.cached,
+        );
+        drop(cache);
+        if common.ephemeral {
+            std::fs::remove_dir_all(&common.base).ok();
+        } else {
+            // The merged journal holds everything; the per-shard copies
+            // are now redundant.
+            std::fs::remove_dir_all(&shards_dir).ok();
+        }
+        return Ok(PipelineOutcome { export, restarts, quarantined, gap_report: None });
+    };
+
+    // Degraded: everything on disk is kept — the journals are the evidence
+    // and the resume state — and a machine-readable report names the gap.
+    let (source, name, missing_key, noun) = match target {
+        Target::Preset { name, .. } => ("preset", name.as_str(), "missing_points", "point(s)"),
+        Target::Campaign { generator, .. } => {
+            ("generator", *generator, "missing_scenarios", "scenario(s)")
+        }
+    };
+    eprintln!(
+        "{kind}: degraded: {} of {} {noun} covered, {} missing",
+        export.rows,
+        export.rows + missing.len(),
+        missing.len(),
+    );
+    let shards: Vec<String> = quarantined
         .iter()
         .map(|q| {
             format!(
@@ -279,386 +524,74 @@ fn quarantined_json(quarantined: &[QuarantinedShard]) -> String {
             )
         })
         .collect();
-    format!("[\n{}\n  ]", entries.join(",\n"))
-}
-
-/// Writes the machine-readable coverage-gap report of a degraded run and
-/// prints where it went plus one line per quarantined shard.
-fn write_gap_report(
-    kind: &str,
-    base: &Path,
-    header_fields: &[(&str, String)],
-    quarantined: &[QuarantinedShard],
-    covered: usize,
-    missing: &[String],
-    missing_key: &str,
-) -> Result<PathBuf, String> {
-    let path = base.join(GAP_REPORT_FILE);
-    let missing_json: Vec<String> =
-        missing.iter().map(|m| format!("\"{}\"", json_escape(m))).collect();
-    let mut fields: Vec<String> = vec![format!("  \"kind\": \"{kind}\"")];
-    fields.extend(header_fields.iter().map(|(k, v)| format!("  \"{k}\": {v}")));
-    fields.push(format!("  \"quarantined\": {}", quarantined_json(quarantined)));
-    fields.push(format!("  \"covered\": {covered}"));
-    fields.push(format!("  \"{missing_key}\": [{}]", missing_json.join(", ")));
-    let json = format!("{{\n{}\n}}\n", fields.join(",\n"));
+    let missing: Vec<String> = missing.iter().map(|m| format!("\"{}\"", json_escape(m))).collect();
+    let json = format!(
+        "{{\n  \"kind\": \"{kind}\",\n  \"{source}\": \"{}\",\n  \
+         \"master_seed\": \"{:#018x}\",\n  \"quarantined\": [\n{}\n  ],\n  \
+         \"covered\": {},\n  \"{missing_key}\": [{}]\n}}\n",
+        json_escape(name),
+        plan.master_seed,
+        shards.join(",\n"),
+        export.rows,
+        missing.join(", "),
+    );
+    let path = common.base.join(GAP_REPORT_FILE);
     std::fs::write(&path, json).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-    for q in quarantined {
+    for q in &quarantined {
         eprintln!(
             "{kind}: shard {} quarantined after {} attempt(s): {} (shard file {})",
             q.worker, q.attempts, q.last_error, q.shard_file
         );
     }
     eprintln!("{kind}: coverage gap report written to {}", path.display());
-    Ok(path)
+    Ok(PipelineOutcome { export, restarts, quarantined, gap_report: Some(path) })
 }
 
-/// The whole supervised fleet pipeline: prefilter, spawn+supervise, merge,
-/// export (full or partial), gap report on quarantine.
-pub(crate) fn run_fleet_pipeline(
-    mut plan: ShardPlan,
-    common: &PipelineCommon,
-) -> Result<PipelineOutcome, String> {
-    let preset = presets::find(&plan.preset)
-        .ok_or_else(|| format!("unknown preset `{}` (see `carq-cli sweep list`)", plan.preset))?;
-    let (scenario, spec) = preset.build(plan.master_seed, plan.rounds);
-    let original_units: Vec<WorkUnit> =
-        plan.shards.iter().flat_map(|s| s.units.iter().cloned()).collect();
-
-    // Warm re-run pre-filter: drop every unit the merged journal already
-    // covers, so an identical re-run spawns zero redundant workers (and
-    // zero redundant simulations). Read-only open: the journal may not
-    // exist yet, and workers must stay free to lock their own.
-    if !common.ephemeral {
-        if let Ok(cache) = SweepCache::open_read_only(&common.base) {
-            if !cache.is_empty() {
-                let mut covered_total = 0usize;
-                for shard in &mut plan.shards {
-                    let units = std::mem::take(&mut shard.units);
-                    let (remaining, covered) =
-                        split_covered_units(scenario.as_ref(), plan.master_seed, units, &cache)
-                            .map_err(|e| e.to_string())?;
-                    shard.units = remaining;
-                    covered_total += covered;
-                }
-                if covered_total > 0 {
-                    eprintln!(
-                        "fleet: {covered_total} unit(s) already covered by the merged cache, \
-                         {} left to run",
-                        plan.total_units(),
-                    );
-                }
-            }
-        }
+/// The tail `fleet run` and `campaign run` share: the export format, the
+/// working directory (`--cache DIR`, whose merged journal persists so a
+/// re-run resumes, or a throwaway temp directory), the resilience flags,
+/// the pipeline, the export to `--out` or stdout, and exit 3 when the run
+/// degraded.
+pub(crate) fn run_command(
+    opts: &Options,
+    plan: ShardPlan,
+    target: &Target,
+) -> Result<(), CliFailure> {
+    let format = opts.get("format").unwrap_or("csv");
+    if !matches!(format, "csv" | "json") {
+        return Err(format!("unknown format `{format}` (csv, json)").into());
     }
-    let shards_dir = common.base.join("shards");
-    std::fs::create_dir_all(&shards_dir)
-        .map_err(|e| format!("cannot create {}: {e}", shards_dir.display()))?;
-    let fault_file = write_fault_plan(&shards_dir, common)?;
-
-    let to_spawn = plan.shards.iter().filter(|s| !s.units.is_empty()).count();
-    let per_worker = per_worker_threads(common.threads, to_spawn);
-    eprintln!(
-        "fleet: {} worker process(es) x {} thread(s) over {} unit(s) of `{}`",
-        to_spawn,
-        per_worker,
-        plan.total_units(),
-        plan.preset,
-    );
-
-    let mut spawned = Vec::new();
-    for shard in &plan.shards {
-        if shard.units.is_empty() {
-            continue; // more workers than units, or fully warm
-        }
-        let file = shards_dir.join(crate::commands::shard_file_name(shard.index));
-        std::fs::write(&file, shard.encode())
-            .map_err(|e| format!("cannot write {}: {e}", file.display()))?;
-        let cache = shards_dir.join(format!("cache-{:03}", shard.index));
-        spawned.push(SpawnedShard { index: shard.index, file, cache });
-    }
-    let supervision = supervise_workers(
-        "fleet",
-        &spawned,
-        &shards_dir,
-        per_worker,
-        common,
-        fault_file.as_deref(),
-    )?;
-    let restarts = supervision.restarts();
-    if restarts > 0 {
-        eprintln!("fleet: supervisor performed {restarts} worker restart(s)");
-    }
-    let quarantined = quarantined_shards(&supervision, &spawned);
-
-    // Merge every shard journal that exists — a quarantined worker's
-    // partial journal included; its finished rounds are not lost.
-    let sources: Vec<PathBuf> =
-        spawned.iter().map(|s| s.cache.clone()).filter(|d| d.exists()).collect();
-    let cache = Arc::new(SweepCache::open(&common.base).map_err(|e| e.to_string())?);
-    let report = vanet_cache::merge_into(&cache, &sources).map_err(|e| e.to_string())?;
-    eprintln!(
-        "fleet: merged {} shard journal(s): {} record(s) ingested, {} duplicate(s), \
-         {} superseded, {} torn byte(s) dropped",
-        report.sources,
-        report.records_ingested,
-        report.records_duplicate,
-        report.records_superseded,
-        report.torn_bytes_dropped,
-    );
-
-    if quarantined.is_empty() {
-        let engine = SweepEngine::new(common.threads).with_cache(Arc::clone(&cache));
-        let result = engine.run(scenario.as_ref(), &spec).map_err(|e| e.to_string())?;
-        eprintln!(
-            "fleet: final pass: {} round(s) simulated, {} served from the merged cache",
-            result.rounds_simulated, result.rounds_cached,
-        );
-        let rendered = if common.format == "json" { result.to_json() } else { result.to_csv() };
-        let outcome = PipelineOutcome {
-            rendered,
-            restarts,
-            quarantined,
-            final_simulated: result.rounds_simulated,
-            final_cached: result.rounds_cached,
-            gap_report: None,
-        };
-        drop(engine);
-        drop(cache);
-        if common.ephemeral {
-            std::fs::remove_dir_all(&common.base).ok();
-        } else {
-            // The merged journal holds everything; the per-shard copies
-            // are now redundant.
-            std::fs::remove_dir_all(&shards_dir).ok();
-        }
-        return Ok(outcome);
-    }
-
-    // Degraded: export the points the merged cache fully covers and report
-    // the gap. Everything on disk is kept — the journals are the evidence
-    // and the resume state.
-    let (uncovered_units, _) =
-        split_covered_units(scenario.as_ref(), plan.master_seed, original_units.clone(), &cache)
-            .map_err(|e| e.to_string())?;
-    let missing_labels: Vec<String> = {
-        let mut seen = HashSet::new();
-        uncovered_units
-            .iter()
-            .map(|u| u.point.label())
-            .filter(|label| seen.insert(label.clone()))
-            .collect()
+    let kind = target.kind();
+    let (base, ephemeral) = match opts.get("cache") {
+        Some(dir) => (PathBuf::from(dir), false),
+        None => (std::env::temp_dir().join(format!("carq-{kind}-{}", std::process::id())), true),
     };
-    let missing_set: HashSet<&String> = missing_labels.iter().collect();
-    let mut covered_points = Vec::new();
-    let mut seen = HashSet::new();
-    for unit in &original_units {
-        let label = unit.point.label();
-        if missing_set.contains(&label) || !seen.insert(label) {
-            continue;
-        }
-        covered_points.push(unit.point.clone());
-    }
-    let (rendered, final_simulated, final_cached) = if covered_points.is_empty() {
-        (String::new(), 0, 0)
-    } else {
-        let mut partial = SweepSpec::new(plan.master_seed);
-        for point in &covered_points {
-            partial = partial.point(point.clone());
-        }
-        let engine = SweepEngine::new(common.threads).with_cache(Arc::clone(&cache));
-        let result = engine.run(scenario.as_ref(), &partial).map_err(|e| e.to_string())?;
-        let rendered = if common.format == "json" { result.to_json() } else { result.to_csv() };
-        (rendered, result.rounds_simulated, result.rounds_cached)
+    let (supervisor, faults) = parse_resilience(opts, plan.master_seed, None, 2)?;
+    let common = PipelineCommon {
+        threads: opts.get_parsed("threads", 0)?,
+        format: format.to_string(),
+        base,
+        ephemeral,
+        supervisor,
+        faults,
     };
-    eprintln!(
-        "fleet: degraded: {} of {} point(s) covered, {} point(s) missing",
-        covered_points.len(),
-        covered_points.len() + missing_labels.len(),
-        missing_labels.len(),
-    );
-    let gap_path = write_gap_report(
-        "fleet",
-        &common.base,
-        &[
-            ("preset", format!("\"{}\"", json_escape(&plan.preset))),
-            ("master_seed", format!("\"{:#018x}\"", plan.master_seed)),
-        ],
-        &quarantined,
-        covered_points.len(),
-        &missing_labels,
-        "missing_points",
-    )?;
-    Ok(PipelineOutcome {
-        rendered,
-        restarts,
-        quarantined,
-        final_simulated,
-        final_cached,
-        gap_report: Some(gap_path),
-    })
-}
-
-/// The whole supervised campaign pipeline — the campaign-shaped twin of
-/// [`run_fleet_pipeline`].
-pub(crate) fn run_campaign_pipeline(
-    mut plan: CampaignPlan,
-    master_seed: u64,
-    rounds: Option<u32>,
-    generator: &str,
-    common: &PipelineCommon,
-) -> Result<PipelineOutcome, String> {
-    // The render pass covers the full population even after the warm-cache
-    // pre-filter empties shards below.
-    let identities = plan.identities();
-    let original_shards = plan.shards.clone();
-
-    if !common.ephemeral {
-        if let Ok(cache) = SweepCache::open_read_only(&common.base) {
-            if !cache.is_empty() {
-                let mut covered_total = 0usize;
-                for shard in &mut plan.shards {
-                    let (remaining, covered) =
-                        split_covered_scenarios(shard, &cache).map_err(|e| e.to_string())?;
-                    shard.scenarios = remaining;
-                    covered_total += covered;
-                }
-                if covered_total > 0 {
-                    eprintln!(
-                        "campaign: {covered_total} scenario(s) already covered by the merged \
-                         cache, {} left to run",
-                        plan.total_scenarios(),
-                    );
-                }
-            }
-        }
+    let outcome = run_pipeline(plan, target, &common)?;
+    match opts.get("out") {
+        Some(path) => std::fs::write(path, &outcome.export.text)
+            .map_err(|e| format!("cannot write {path}: {e}"))?,
+        None => print!("{}", outcome.export.text),
     }
-    let shards_dir = common.base.join("shards");
-    std::fs::create_dir_all(&shards_dir)
-        .map_err(|e| format!("cannot create {}: {e}", shards_dir.display()))?;
-    let fault_file = write_fault_plan(&shards_dir, common)?;
-
-    let to_spawn = plan.shards.iter().filter(|s| !s.scenarios.is_empty()).count();
-    let per_worker = per_worker_threads(common.threads, to_spawn);
-    eprintln!(
-        "campaign: {} worker process(es) x {} thread(s) over {} generated `{}` scenario(s)",
-        to_spawn,
-        per_worker,
-        plan.total_scenarios(),
-        generator,
-    );
-
-    let mut spawned = Vec::new();
-    for shard in &plan.shards {
-        if shard.scenarios.is_empty() {
-            continue;
-        }
-        let file = shards_dir.join(crate::campaign::campaign_file_name(shard.index));
-        std::fs::write(&file, shard.encode())
-            .map_err(|e| format!("cannot write {}: {e}", file.display()))?;
-        let cache = shards_dir.join(format!("cache-{:03}", shard.index));
-        spawned.push(SpawnedShard { index: shard.index as usize, file, cache });
+    if let Some(gap) = &outcome.gap_report {
+        // The partial export above is still delivered; the exit code and
+        // the gap report say the coverage is incomplete.
+        return Err(CliFailure::degraded(format!(
+            "{kind} run degraded: {} shard(s) quarantined after retries; partial export \
+             delivered, coverage gap report at {}",
+            outcome.quarantined.len(),
+            gap.display(),
+        )));
     }
-    let supervision = supervise_workers(
-        "campaign",
-        &spawned,
-        &shards_dir,
-        per_worker,
-        common,
-        fault_file.as_deref(),
-    )?;
-    let restarts = supervision.restarts();
-    if restarts > 0 {
-        eprintln!("campaign: supervisor performed {restarts} worker restart(s)");
-    }
-    let quarantined = quarantined_shards(&supervision, &spawned);
-
-    let sources: Vec<PathBuf> =
-        spawned.iter().map(|s| s.cache.clone()).filter(|d| d.exists()).collect();
-    let cache = Arc::new(SweepCache::open(&common.base).map_err(|e| e.to_string())?);
-    let report = vanet_cache::merge_into(&cache, &sources).map_err(|e| e.to_string())?;
-    eprintln!(
-        "campaign: merged {} shard journal(s): {} record(s) ingested, {} duplicate(s), \
-         {} superseded, {} torn byte(s) dropped",
-        report.sources,
-        report.records_ingested,
-        report.records_duplicate,
-        report.records_superseded,
-        report.torn_bytes_dropped,
-    );
-
-    if quarantined.is_empty() {
-        let result = campaign_table(&identities, master_seed, rounds, &cache, common.threads)
-            .map_err(|e| e.to_string())?;
-        eprintln!(
-            "campaign: final pass over {} scenario(s): {} round(s) simulated, \
-             {} served from the merged cache",
-            identities.len(),
-            result.rounds_simulated,
-            result.rounds_cached,
-        );
-        let rendered =
-            if common.format == "json" { result.table.to_json() } else { result.table.to_csv() };
-        let outcome = PipelineOutcome {
-            rendered,
-            restarts,
-            quarantined,
-            final_simulated: result.rounds_simulated,
-            final_cached: result.rounds_cached,
-            gap_report: None,
-        };
-        drop(cache);
-        if common.ephemeral {
-            std::fs::remove_dir_all(&common.base).ok();
-        } else {
-            std::fs::remove_dir_all(&shards_dir).ok();
-        }
-        return Ok(outcome);
-    }
-
-    // Degraded: render the scenarios the merged cache fully covers.
-    let mut uncovered = Vec::new();
-    for shard in &original_shards {
-        let (remaining, _) = split_covered_scenarios(shard, &cache).map_err(|e| e.to_string())?;
-        uncovered.extend(remaining);
-    }
-    let covered: Vec<_> = identities.iter().filter(|i| !uncovered.contains(i)).cloned().collect();
-    let missing_names: Vec<String> = uncovered.iter().map(|i| i.scenario_name()).collect();
-    let (rendered, final_simulated, final_cached) = if covered.is_empty() {
-        (String::new(), 0, 0)
-    } else {
-        let result = campaign_table(&covered, master_seed, rounds, &cache, common.threads)
-            .map_err(|e| e.to_string())?;
-        let rendered =
-            if common.format == "json" { result.table.to_json() } else { result.table.to_csv() };
-        (rendered, result.rounds_simulated, result.rounds_cached)
-    };
-    eprintln!(
-        "campaign: degraded: {} of {} scenario(s) covered, {} missing",
-        covered.len(),
-        identities.len(),
-        missing_names.len(),
-    );
-    let gap_path = write_gap_report(
-        "campaign",
-        &common.base,
-        &[
-            ("generator", format!("\"{}\"", json_escape(generator))),
-            ("master_seed", format!("\"{master_seed:#018x}\"")),
-        ],
-        &quarantined,
-        covered.len(),
-        &missing_names,
-        "missing_scenarios",
-    )?;
-    Ok(PipelineOutcome {
-        rendered,
-        restarts,
-        quarantined,
-        final_simulated,
-        final_cached,
-        gap_report: Some(gap_path),
-    })
+    Ok(())
 }
 
 #[cfg(test)]

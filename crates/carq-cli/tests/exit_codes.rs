@@ -33,6 +33,21 @@ fn success_exits_zero() {
 }
 
 #[test]
+fn help_after_a_subcommand_prints_usage_and_exits_zero() {
+    for args in [
+        &["fleet", "run", "--help"][..],
+        &["campaign", "worker", "--help"][..],
+        &["scenario", "run", "urban", "--help"][..],
+        &["trace", "-h"][..],
+    ] {
+        let out = carq(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(String::from_utf8_lossy(&out.stdout).contains("USAGE:"), "{args:?}");
+    }
+}
+
+#[test]
 fn check_failures_exit_one() {
     // Two strategies on one scenario genuinely diverge: exit 1, not 2.
     let out = carq(&[
@@ -104,6 +119,54 @@ fn quarantined_shard_degrades_to_exit_three_with_gap_report() {
     assert!(report.contains("\"worker\": 1"), "{report}");
     // The healthy shard's coverage was still exported.
     assert!(!out.stdout.is_empty(), "partial export missing");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn quarantined_campaign_shard_degrades_to_exit_three_with_gap_report() {
+    let dir = temp_dir("degraded-campaign");
+    // Two generated worlds on two workers; worker 1 dies at round 0 on
+    // every attempt, so its world is missing and the other one exports.
+    let plan = "VANETFLT1\n\
+                fault_seed=0x0000000000000007\n\
+                workers=2\n\
+                fault=worker=1;attempt=*;kind=kill-at-round;round=0\n";
+    std::fs::create_dir_all(&dir).unwrap();
+    let plan_path = dir.join("poison.flt");
+    std::fs::write(&plan_path, plan).unwrap();
+
+    let cache = dir.join("cache");
+    let out = carq(&[
+        "campaign",
+        "run",
+        "--generator",
+        "platoon-merge",
+        "--feeder_m",
+        "100",
+        "--tail_m",
+        "100,150",
+        "--rounds",
+        "1",
+        "--workers",
+        "2",
+        "--cache",
+        cache.to_str().unwrap(),
+        "--faults",
+        plan_path.to_str().unwrap(),
+        "--max-retries",
+        "1",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "{stderr}");
+    assert!(stderr.contains("quarantined"), "{stderr}");
+    let report = std::fs::read_to_string(cache.join("coverage-gaps.json")).unwrap();
+    assert!(report.contains("\"missing_scenarios\": [\"gen/platoon-merge/"), "{report}");
+    assert!(report.contains("\"generator\": \"platoon-merge\""), "{report}");
+    assert!(report.contains("\"worker\": 1"), "{report}");
+    assert!(report.contains("\"covered\": 1"), "{report}");
+    // The healthy shard's world was still exported: a header and one row.
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(stdout.lines().count(), 2, "{stdout}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -137,6 +137,39 @@ fn strategy_compare_export_matches_the_golden() {
 }
 
 #[test]
+fn fleet_run_export_matches_the_golden_cold_and_warm() {
+    // The supervised pipeline end to end: three worker processes, merged
+    // shard journals, a final pass from the merged cache. A second run over
+    // the same cache finds every unit covered and spawns no worker.
+    let cache = std::env::temp_dir().join(format!("carq-golden-fleet-{}", std::process::id()));
+    std::fs::remove_dir_all(&cache).ok();
+    let args = [
+        "fleet",
+        "run",
+        "--preset",
+        "urban-platoon",
+        "--rounds",
+        "1",
+        "--workers",
+        "3",
+        "--seed",
+        "0xbeef",
+        "--cache",
+        cache.to_str().unwrap(),
+    ];
+    let (cold, _) = run_output(&args);
+    assert_matches_golden(&cold, "urban_platoon_r1.csv", "fleet run, cold");
+    let (warm, stderr) = run_output(&args);
+    assert_matches_golden(&warm, "urban_platoon_r1.csv", "fleet run, warm");
+    assert!(stderr.contains("fleet: 0 worker process(es)"), "{stderr}");
+    assert!(
+        stderr.contains("final pass: 0 round(s) simulated, 24 served from the merged cache"),
+        "{stderr}"
+    );
+    std::fs::remove_dir_all(&cache).ok();
+}
+
+#[test]
 fn highway_scenario_export_matches_the_golden() {
     let csv = run_stdout(&[
         "scenario",

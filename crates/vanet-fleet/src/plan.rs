@@ -1,24 +1,47 @@
 //! Deterministic shard plans and the self-describing shard-file format.
 //!
-//! A [`ShardPlan`] partitions a preset sweep's expanded points — and,
-//! optionally, the round ranges within each point — into work units and
-//! strides them across N [`Shard`]s. Each shard [`encode`](Shard::encode)s
-//! to a small text file that carries everything a worker on any machine
-//! needs to reproduce its slice of the sweep bit-for-bit: the preset name
-//! and round budget (to rebuild the scenario), the master seed, and each
-//! point's assignments in the lossless canonical value encoding
-//! (`ParamValue::canonical`). Because point and round seeds are
-//! content-addressed, no coordination beyond this file is needed — the
-//! rounds a worker simulates are exactly the rounds the monolithic sweep
-//! would have, whichever shard they landed in.
+//! A [`ShardPlan`] strides `(scenario, work unit)` pairs across N
+//! [`Shard`]s. Two planners feed it: [`ShardPlan::for_preset`] pairs a
+//! preset sweep's expanded points (and, optionally, the round ranges within
+//! each point) with the preset, and [`ShardPlan::for_campaign`] pairs every
+//! generated world of a [`GenGrid`] with the campaign's one point. Each
+//! shard [`encode`](Shard::encode)s to a small `VANETFLEET2` text file that
+//! carries everything a worker on any machine needs to reproduce its slice
+//! bit-for-bit: the master seed, and for each scenario it names (a
+//! [`ScenarioRef`]) the points to run, in the lossless canonical value
+//! encoding (`ParamValue::canonical`):
+//!
+//! ```text
+//! VANETFLEET2
+//! master_seed=0x000000000000beef
+//! shard=0/3
+//! scenario=preset=urban-platoon;rounds=1
+//! point=speed_kmh=f4024000000000000;n_cars=i2
+//! point=speed_kmh=f4024000000000000;n_cars=i5@0..4
+//! scenario=generator=platoon-merge;feeder_m=f4059000000000000;…;gen_seed=0x…
+//! point=rounds=i1
+//! ```
+//!
+//! A generated world's `scenario=` line is its [`GenIdentity::canonical`]
+//! rendering; a campaign's round budget override is the point assignment
+//! `rounds=iN`. Because point and round seeds are content-addressed, no
+//! coordination beyond this file is needed — the rounds a worker simulates
+//! are exactly the rounds the monolithic sweep would have, whichever shard
+//! they landed in.
 
 use std::fmt;
 
+use vanet_gen::{GenGrid, GenIdentity};
 use vanet_scenarios::{Param, ParamValue, Scenario, SweepPoint};
 use vanet_sweep::{presets, SweepSpec};
 
+use crate::campaign::campaign_point;
+
 /// First line of every shard file; bump the digit when the format changes.
-pub const SHARD_MAGIC: &str = "VANETFLEET1";
+pub const SHARD_MAGIC: &str = "VANETFLEET2";
+
+/// First lines of the retired shard formats, refused with a hint to re-plan.
+const RETIRED_MAGICS: [&str; 2] = ["VANETFLEET1", "VANETCAMP1"];
 
 /// Why a fleet operation failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,6 +84,70 @@ fn parse_error(line: usize, message: impl Into<String>) -> FleetError {
     FleetError::Parse { line, message: message.into() }
 }
 
+/// The scenario a group of work units runs.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ScenarioRef {
+    /// A sweep preset (`carq-cli sweep list`) at a per-point round budget.
+    Preset {
+        /// The preset's catalogue name.
+        name: String,
+        /// The per-point round budget the preset is built with.
+        rounds: u32,
+    },
+    /// A generated world, regenerated from its identity.
+    Generated(GenIdentity),
+}
+
+impl ScenarioRef {
+    /// Rebuilds the scenario exactly as a monolithic `sweep run` of the
+    /// preset, or a `scenario run` of the world's `VANETGEN1` file, would.
+    ///
+    /// # Errors
+    ///
+    /// An unknown preset, or a world its generator no longer accepts.
+    pub fn build(&self) -> Result<Box<dyn Scenario>, FleetError> {
+        match self {
+            ScenarioRef::Preset { name, rounds } => {
+                let preset =
+                    presets::find(name).ok_or_else(|| FleetError::UnknownPreset(name.clone()))?;
+                // A preset's master seed seeds its spec, never its scenario.
+                Ok(preset.build(0, *rounds).0)
+            }
+            ScenarioRef::Generated(identity) => match identity.instantiate() {
+                Ok(world) => Ok(Box::new(world)),
+                Err(e) => Err(FleetError::Sweep(e.to_string())),
+            },
+        }
+    }
+
+    /// The body of a `scenario=` line.
+    fn encode(&self) -> String {
+        match self {
+            ScenarioRef::Preset { name, rounds } => format!("preset={name};rounds={rounds}"),
+            ScenarioRef::Generated(identity) => identity.canonical(),
+        }
+    }
+
+    /// Parses the body of a `scenario=` line.
+    fn parse(body: &str) -> Result<ScenarioRef, String> {
+        if body.starts_with("generator=") {
+            return GenIdentity::parse(body).map(ScenarioRef::Generated);
+        }
+        let (name, rounds) =
+            body.strip_prefix("preset=").and_then(|rest| rest.split_once(";rounds=")).ok_or_else(
+                || format!("expected `preset=NAME;rounds=N` or `generator=…`, got `{body}`"),
+            )?;
+        let preset = presets::find(name)
+            .ok_or_else(|| FleetError::UnknownPreset(name.into()).to_string())?;
+        let rounds = rounds
+            .parse()
+            .ok()
+            .filter(|&rounds| rounds > 0)
+            .ok_or_else(|| format!("bad round count `{rounds}` (at least 1)"))?;
+        Ok(ScenarioRef::Preset { name: preset.name.to_string(), rounds })
+    }
+}
+
 /// One unit of shard work: a point, either at its full round budget or
 /// restricted to a round range.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,68 +162,48 @@ pub struct WorkUnit {
     pub round_range: Option<(u32, u32)>,
 }
 
-/// One worker's self-describing slice of a sharded sweep.
+/// One worker's self-describing slice of a plan.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Shard {
-    /// The preset the sweep runs (workers rebuild the scenario from it).
-    pub preset: String,
-    /// The per-point round budget the preset was built with.
-    pub rounds: u32,
-    /// The sweep's master seed.
+    /// The master seed every point and round seed derives from.
     pub master_seed: u64,
     /// This shard's index, `0..count`.
     pub index: usize,
     /// Total shards in the plan.
     pub count: usize,
-    /// The work units assigned to this shard. May be empty when the plan
-    /// has more shards than units; executing an empty shard is a no-op.
-    pub units: Vec<WorkUnit>,
+    /// The shard's work units grouped by scenario, in plan order.
+    /// Executing a shard without units is a no-op.
+    pub groups: Vec<(ScenarioRef, Vec<WorkUnit>)>,
 }
 
 impl Shard {
-    /// Rebuilds the scenario this shard's preset runs, exactly as the
-    /// monolithic `sweep run` would instantiate it.
-    pub fn scenario(&self) -> Result<Box<dyn Scenario>, FleetError> {
-        let preset = presets::find(&self.preset)
-            .ok_or_else(|| FleetError::UnknownPreset(self.preset.clone()))?;
-        Ok(preset.build(self.master_seed, self.rounds).0)
-    }
-
-    /// Rounds this shard will touch at most (full-budget units count as
-    /// `rounds`; the multi-AP preset ignores the budget, so this is an
-    /// upper bound, not a promise).
-    pub fn round_upper_bound(&self) -> u64 {
-        self.units
-            .iter()
-            .map(|unit| match unit.round_range {
-                Some((a, b)) => u64::from(b.saturating_sub(a)),
-                None => u64::from(self.rounds),
-            })
-            .sum()
+    /// Work units across all groups.
+    pub fn total_units(&self) -> usize {
+        self.groups.iter().map(|(_, units)| units.len()).sum()
     }
 
     /// Serializes the shard to its text format (see [`Shard::decode`]).
     pub fn encode(&self) -> String {
-        let mut out = String::new();
-        out.push_str(SHARD_MAGIC);
-        out.push('\n');
-        out.push_str(&format!("preset={}\n", self.preset));
-        out.push_str(&format!("rounds={}\n", self.rounds));
-        out.push_str(&format!("master_seed={:#018x}\n", self.master_seed));
-        out.push_str(&format!("shard={}/{}\n", self.index, self.count));
-        for unit in &self.units {
-            let assignments: Vec<String> = unit
-                .point
-                .assignments()
-                .iter()
-                .map(|(param, value)| format!("{}={}", param.key(), value.canonical()))
-                .collect();
-            out.push_str("point=");
-            out.push_str(&assignments.join(";"));
-            if let Some((a, b)) = unit.round_range {
-                out.push_str(&format!("@{a}..{b}"));
+        let mut out = format!(
+            "{SHARD_MAGIC}\nmaster_seed={:#018x}\nshard={}/{}\n",
+            self.master_seed, self.index, self.count
+        );
+        for (scenario, units) in &self.groups {
+            out.push_str(&format!("scenario={}\n", scenario.encode()));
+            for unit in units {
+                let assignments: Vec<String> = unit
+                    .point
+                    .assignments()
+                    .iter()
+                    .map(|(param, value)| format!("{}={}", param.key(), value.canonical()))
+                    .collect();
+                out.push_str("point=");
+                out.push_str(&assignments.join(";"));
+                if let Some((a, b)) = unit.round_range {
+                    out.push_str(&format!("@{a}..{b}"));
+                }
+                out.push('\n');
             }
-            out.push('\n');
         }
         out
     }
@@ -145,13 +212,24 @@ impl Shard {
     ///
     /// # Errors
     ///
-    /// [`FleetError::Parse`] naming the first offending line: wrong magic,
-    /// missing or duplicate headers, unknown parameters, or values that are
+    /// [`FleetError::Parse`] naming the first offending line: wrong or
+    /// retired magic, missing or duplicate headers, a scenario that names
+    /// an unknown preset or a world its generator rejects, `point=` lines
+    /// before any `scenario=` line, unknown parameters, and values that are
     /// not canonical renderings.
     pub fn decode(text: &str) -> Result<Shard, FleetError> {
         let mut lines = text.lines().enumerate();
         match lines.next() {
             Some((_, SHARD_MAGIC)) => {}
+            Some((_, retired)) if RETIRED_MAGICS.contains(&retired) => {
+                return Err(parse_error(
+                    1,
+                    format!(
+                        "`{retired}` is a retired shard format: re-plan with `carq-cli fleet \
+                         shard` or `campaign plan`"
+                    ),
+                ))
+            }
             Some((_, other)) => {
                 return Err(parse_error(
                     1,
@@ -160,11 +238,9 @@ impl Shard {
             }
             None => return Err(parse_error(1, "empty shard file")),
         }
-        let mut preset: Option<String> = None;
-        let mut rounds: Option<u32> = None;
         let mut master_seed: Option<u64> = None;
         let mut shard: Option<(usize, usize)> = None;
-        let mut units: Vec<WorkUnit> = Vec::new();
+        let mut groups: Vec<(ScenarioRef, Vec<WorkUnit>)> = Vec::new();
         for (i, line) in lines {
             let line_no = i + 1;
             if line.is_empty() {
@@ -174,17 +250,16 @@ impl Shard {
                 return Err(parse_error(line_no, format!("expected `field=value`, got `{line}`")));
             };
             match field {
-                "preset" => set_once(line_no, "preset", &mut preset, value.to_string())?,
-                "rounds" => {
-                    let parsed = value
-                        .parse()
-                        .map_err(|_| parse_error(line_no, format!("bad round count `{value}`")))?;
-                    set_once(line_no, "rounds", &mut rounds, parsed)?;
-                }
                 "master_seed" => {
-                    let hex = value.strip_prefix("0x").unwrap_or(value);
-                    let parsed = u64::from_str_radix(hex, 16)
-                        .map_err(|_| parse_error(line_no, format!("bad master seed `{value}`")))?;
+                    let parsed = value
+                        .strip_prefix("0x")
+                        .and_then(|hex| u64::from_str_radix(hex, 16).ok())
+                        .ok_or_else(|| {
+                            parse_error(
+                                line_no,
+                                format!("master_seed must be 0x-prefixed hex, got `{value}`"),
+                            )
+                        })?;
                     set_once(line_no, "master_seed", &mut master_seed, parsed)?;
                 }
                 "shard" => {
@@ -197,7 +272,17 @@ impl Shard {
                         })?;
                     set_once(line_no, "shard", &mut shard, parsed)?;
                 }
-                "point" => units.push(parse_unit(line_no, value)?),
+                "scenario" => {
+                    let scenario = ScenarioRef::parse(value)
+                        .map_err(|message| parse_error(line_no, message))?;
+                    groups.push((scenario, Vec::new()));
+                }
+                "point" => {
+                    let Some((_, units)) = groups.last_mut() else {
+                        return Err(parse_error(line_no, "`point=` before any `scenario=` line"));
+                    };
+                    units.push(parse_unit(line_no, value)?);
+                }
                 other => {
                     return Err(parse_error(line_no, format!("unknown field `{other}`")));
                 }
@@ -205,15 +290,9 @@ impl Shard {
         }
         let (index, count) =
             shard.ok_or_else(|| parse_error(1, "missing `shard=INDEX/COUNT` header"))?;
-        Ok(Shard {
-            preset: preset.ok_or_else(|| parse_error(1, "missing `preset=` header"))?,
-            rounds: rounds.ok_or_else(|| parse_error(1, "missing `rounds=` header"))?,
-            master_seed: master_seed
-                .ok_or_else(|| parse_error(1, "missing `master_seed=` header"))?,
-            index,
-            count,
-            units,
-        })
+        let master_seed =
+            master_seed.ok_or_else(|| parse_error(1, "missing `master_seed=` header"))?;
+        Ok(Shard { master_seed, index, count, groups })
     }
 }
 
@@ -258,31 +337,28 @@ fn parse_unit(line: usize, body: &str) -> Result<WorkUnit, FleetError> {
     Ok(WorkUnit { point: SweepPoint::new(assignments), round_range })
 }
 
-/// A complete plan: the shards that together cover one preset sweep.
+/// A complete plan: the shards that together cover every unit once.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardPlan {
-    /// The preset being sharded.
-    pub preset: String,
-    /// The per-point round budget.
-    pub rounds: u32,
-    /// The sweep's master seed.
+    /// The master seed every shard carries.
     pub master_seed: u64,
-    /// The shards, indexed `0..count`. Together their units cover the
-    /// preset's expansion exactly once.
+    /// The shards, `shards[i].index == i`. There are never more shards
+    /// than units.
     pub shards: Vec<Shard>,
 }
 
 impl ShardPlan {
-    /// Plans `count` shards over the named preset at `master_seed` and
-    /// `rounds`. With `round_chunk = Some(k)`, every point whose budget
+    /// Plans at most `count` shards over the named preset at `master_seed`
+    /// and `rounds`. With `round_chunk = Some(k)`, every point whose budget
     /// exceeds `k` rounds is split into `@a..b` round-range units of at
     /// most `k` rounds each before striding — so even a one-point,
     /// thousand-round sweep spreads across the fleet.
     ///
     /// # Errors
     ///
-    /// An unknown preset, a zero shard count or round chunk, and points
-    /// that fail the scenario's schema (impossible for built-in presets).
+    /// An unknown preset, a zero shard count, round budget or round chunk,
+    /// and points that fail the scenario's schema (impossible for built-in
+    /// presets).
     pub fn for_preset(
         preset_name: &str,
         master_seed: u64,
@@ -290,31 +366,85 @@ impl ShardPlan {
         count: usize,
         round_chunk: Option<u32>,
     ) -> Result<ShardPlan, FleetError> {
+        let preset = presets::find(preset_name)
+            .ok_or_else(|| FleetError::UnknownPreset(preset_name.to_string()))?;
+        if rounds == 0 {
+            return Err(FleetError::Invalid("the round budget must be at least 1".into()));
+        }
+        let (scenario, spec) = preset.build(master_seed, rounds);
+        let units = plan_units(scenario.as_ref(), &spec, round_chunk)?;
+        let scenario = ScenarioRef::Preset { name: preset.name.to_string(), rounds };
+        let pairs = units.into_iter().map(|unit| (scenario.clone(), unit)).collect();
+        ShardPlan::stride(master_seed, pairs, count)
+    }
+
+    /// Plans at most `count` shards over every world of `grid` under
+    /// `master_seed`, each run at the generator's default round budget or
+    /// at the `rounds` override. World `i` of the expansion lands in shard
+    /// `i % count`.
+    ///
+    /// # Errors
+    ///
+    /// A zero shard count or rounds override, and grid expansion failures.
+    pub fn for_campaign(
+        grid: &GenGrid,
+        master_seed: u64,
+        rounds: Option<u32>,
+        count: usize,
+    ) -> Result<ShardPlan, FleetError> {
+        if rounds == Some(0) {
+            return Err(FleetError::Invalid("the rounds override must be at least 1".into()));
+        }
+        let unit = WorkUnit { point: campaign_point(rounds), round_range: None };
+        let identities =
+            grid.identities(master_seed).map_err(|e| FleetError::Sweep(e.to_string()))?;
+        let pairs = identities
+            .into_iter()
+            .map(|identity| (ScenarioRef::Generated(identity), unit.clone()))
+            .collect();
+        ShardPlan::stride(master_seed, pairs, count)
+    }
+
+    /// Strides `pairs` over `count` shards, clamped to one shard per pair
+    /// before anything is allocated, and groups each shard's consecutive
+    /// pairs by scenario.
+    fn stride(
+        master_seed: u64,
+        pairs: Vec<(ScenarioRef, WorkUnit)>,
+        count: usize,
+    ) -> Result<ShardPlan, FleetError> {
         if count == 0 {
             return Err(FleetError::Invalid("shard count must be positive".into()));
         }
-        let preset = presets::find(preset_name)
-            .ok_or_else(|| FleetError::UnknownPreset(preset_name.to_string()))?;
-        let (scenario, spec) = preset.build(master_seed, rounds);
-        let units = plan_units(scenario.as_ref(), &spec, round_chunk)?;
-        let shards = stride_units(units, count)
+        let count = count.min(pairs.len()).max(1);
+        let shards = stride_units(pairs, count)
             .into_iter()
             .enumerate()
-            .map(|(index, units)| Shard {
-                preset: preset.name.to_string(),
-                rounds,
-                master_seed,
-                index,
-                count,
-                units,
+            .map(|(index, pairs)| {
+                let mut groups: Vec<(ScenarioRef, Vec<WorkUnit>)> = Vec::new();
+                for (scenario, unit) in pairs {
+                    match groups.last_mut() {
+                        Some((last, units)) if *last == scenario => units.push(unit),
+                        _ => groups.push((scenario, vec![unit])),
+                    }
+                }
+                Shard { master_seed, index, count, groups }
             })
             .collect();
-        Ok(ShardPlan { preset: preset.name.to_string(), rounds, master_seed, shards })
+        Ok(ShardPlan { master_seed, shards })
+    }
+
+    /// Every `(scenario, unit)` pair, shard by shard.
+    pub fn units(&self) -> impl Iterator<Item = (&ScenarioRef, &WorkUnit)> {
+        self.shards
+            .iter()
+            .flat_map(|shard| &shard.groups)
+            .flat_map(|(scenario, units)| units.iter().map(move |unit| (scenario, unit)))
     }
 
     /// Total work units across all shards.
     pub fn total_units(&self) -> usize {
-        self.shards.iter().map(|s| s.units.len()).sum()
+        self.shards.iter().map(Shard::total_units).sum()
     }
 }
 
@@ -358,14 +488,14 @@ pub fn plan_units(
     Ok(units)
 }
 
-/// Strides `units` across `count` buckets (unit `i` lands in bucket
-/// `i % count`), the same deterministic assignment as
-/// `SweepSpec::shard`. Trailing buckets may be empty.
-pub fn stride_units(units: Vec<WorkUnit>, count: usize) -> Vec<Vec<WorkUnit>> {
+/// Strides `items` across `count` buckets (item `i` lands in bucket
+/// `i % count`), the same deterministic assignment as `SweepSpec::shard`.
+/// Trailing buckets may be empty.
+pub fn stride_units<T>(items: Vec<T>, count: usize) -> Vec<Vec<T>> {
     assert!(count > 0, "shard count must be positive");
-    let mut shards: Vec<Vec<WorkUnit>> = (0..count).map(|_| Vec::new()).collect();
-    for (i, unit) in units.into_iter().enumerate() {
-        shards[i % count].push(unit);
+    let mut shards: Vec<Vec<T>> = (0..count).map(|_| Vec::new()).collect();
+    for (i, item) in items.into_iter().enumerate() {
+        shards[i % count].push(item);
     }
     shards
 }
@@ -373,6 +503,26 @@ pub fn stride_units(units: Vec<WorkUnit>, count: usize) -> Vec<Vec<WorkUnit>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The units of `shard`'s one preset group.
+    fn preset_units(shard: &Shard) -> &[WorkUnit] {
+        match shard.groups.as_slice() {
+            [(ScenarioRef::Preset { .. }, units)] => units,
+            other => panic!("expected one preset group, got {other:?}"),
+        }
+    }
+
+    fn tiny_grid() -> GenGrid {
+        // Small, fast worlds: short merge roads, 1 round each by default.
+        GenGrid::new("platoon-merge")
+            .unwrap()
+            .axis("feeder_m", "100")
+            .unwrap()
+            .axis("tail_m", "100,150")
+            .unwrap()
+            .axis("n_ramp", "1,2")
+            .unwrap()
+    }
 
     #[test]
     fn preset_plans_cover_the_expansion_exactly() {
@@ -384,16 +534,18 @@ mod tests {
         let points = spec.expand();
         let mut restored = vec![None; points.len()];
         for shard in &plan.shards {
-            assert_eq!(shard.preset, "urban-platoon");
             assert_eq!(shard.count, 3);
-            for (offset, unit) in shard.units.iter().enumerate() {
+            assert_eq!(
+                shard.groups[0].0,
+                ScenarioRef::Preset { name: "urban-platoon".into(), rounds: 2 }
+            );
+            for (offset, unit) in preset_units(shard).iter().enumerate() {
                 assert_eq!(unit.round_range, None);
                 restored[shard.index + offset * 3] = Some(unit.point.clone());
             }
         }
         let restored: Vec<SweepPoint> = restored.into_iter().map(Option::unwrap).collect();
         assert_eq!(restored, points);
-        assert!(plan.shards[0].round_upper_bound() >= 8);
     }
 
     #[test]
@@ -409,11 +561,13 @@ mod tests {
         let units = plan_units(scenario.as_ref(), &spec, None).unwrap();
         for count in 1..=5 {
             let strided = stride_units(units.clone(), count);
+            let planned = ShardPlan::for_preset("urban-platoon", 0xA11CE, 2, count, None).unwrap();
             for (index, shard_units) in strided.iter().enumerate() {
                 let via_spec: Vec<SweepPoint> = spec.shard(index, count).expand();
                 let via_units: Vec<SweepPoint> =
                     shard_units.iter().map(|u| u.point.clone()).collect();
                 assert_eq!(via_units, via_spec, "shard {index}/{count} diverged");
+                assert_eq!(preset_units(&planned.shards[index]), shard_units.as_slice());
             }
         }
     }
@@ -423,14 +577,13 @@ mod tests {
         let plan = ShardPlan::for_preset("urban-platoon", 1, 5, 4, Some(2)).unwrap();
         // 24 points x ceil(5/2)=3 chunks each.
         assert_eq!(plan.total_units(), 72);
-        let ranges: Vec<Option<(u32, u32)>> =
-            plan.shards.iter().flat_map(|s| &s.units).map(|u| u.round_range).collect();
+        let ranges: Vec<Option<(u32, u32)>> = plan.units().map(|(_, u)| u.round_range).collect();
         assert!(ranges.iter().all(Option::is_some));
         assert!(ranges.contains(&Some((0, 2))));
         assert!(ranges.contains(&Some((4, 5))), "the tail chunk is short");
         // A chunk at least as large as the budget plans full-budget units.
         let full = ShardPlan::for_preset("urban-platoon", 1, 2, 4, Some(2)).unwrap();
-        assert!(full.shards.iter().flat_map(|s| &s.units).all(|u| u.round_range.is_none()));
+        assert!(full.units().all(|(_, u)| u.round_range.is_none()));
     }
 
     #[test]
@@ -439,16 +592,52 @@ mod tests {
             ShardPlan::for_preset("no-such", 1, 2, 3, None),
             Err(FleetError::UnknownPreset(_))
         ));
-        assert!(matches!(
+        for bad in [
             ShardPlan::for_preset("urban-platoon", 1, 2, 0, None),
-            Err(FleetError::Invalid(_))
-        ));
-        assert!(matches!(
+            ShardPlan::for_preset("urban-platoon", 1, 0, 3, None),
             ShardPlan::for_preset("urban-platoon", 1, 2, 3, Some(0)),
-            Err(FleetError::Invalid(_))
-        ));
+            ShardPlan::for_campaign(&tiny_grid(), 1, None, 0),
+            ShardPlan::for_campaign(&tiny_grid(), 1, Some(0), 1),
+        ] {
+            assert!(matches!(bad, Err(FleetError::Invalid(_))), "{bad:?}");
+        }
         let err = FleetError::UnknownPreset("x".into());
         assert!(err.to_string().contains("sweep list"));
+    }
+
+    #[test]
+    fn plans_never_hold_more_shards_than_units() {
+        // A shard count is clamped before any shard is allocated, so an
+        // absurd request plans one shard per unit, at once.
+        for count in [usize::MAX, u32::MAX as usize, 25] {
+            let plan = ShardPlan::for_preset("urban-platoon", 1, 1, count, None).unwrap();
+            assert_eq!(plan.shards.len(), 24);
+            assert!(plan.shards.iter().all(|s| s.count == 24 && s.total_units() == 1));
+            let campaign = ShardPlan::for_campaign(&tiny_grid(), 1, Some(1), count).unwrap();
+            assert_eq!(campaign.shards.len(), 4);
+            assert!(campaign.shards.iter().all(|s| s.count == 4 && s.total_units() == 1));
+        }
+        let chunked = ShardPlan::for_preset("urban-platoon", 1, 5, usize::MAX, Some(2)).unwrap();
+        assert_eq!(chunked.shards.len(), 72, "24 points x 3 round ranges");
+    }
+
+    #[test]
+    fn plans_stride_scenarios_across_shards() {
+        let plan = ShardPlan::for_campaign(&tiny_grid(), 0xCA4, Some(1), 3).unwrap();
+        assert_eq!(plan.shards.len(), 3);
+        assert_eq!(plan.total_units(), 4);
+        let sizes: Vec<usize> = plan.shards.iter().map(|s| s.groups.len()).collect();
+        assert_eq!(sizes, vec![2, 1, 1], "strided assignment, one group per world");
+        // World i of the expansion lands in shard i % 3.
+        let identities = tiny_grid().identities(0xCA4).unwrap();
+        for (i, identity) in identities.into_iter().enumerate() {
+            let (scenario, units) = &plan.shards[i % 3].groups[i / 3];
+            assert_eq!(scenario, &ScenarioRef::Generated(identity));
+            assert_eq!(
+                units,
+                &vec![WorkUnit { point: campaign_point(Some(1)), round_range: None }]
+            );
+        }
     }
 
     #[test]
@@ -457,7 +646,12 @@ mod tests {
             let plan = ShardPlan::for_preset("urban-platoon", 0x20081cdc, 3, 3, chunk).unwrap();
             for shard in &plan.shards {
                 let encoded = shard.encode();
-                assert!(encoded.starts_with("VANETFLEET1\n"));
+                let header = format!(
+                    "VANETFLEET2\nmaster_seed=0x0000000020081cdc\nshard={}/3\n\
+                     scenario=preset=urban-platoon;rounds=3\npoint=",
+                    shard.index
+                );
+                assert!(encoded.starts_with(&header), "{encoded}");
                 let decoded = Shard::decode(&encoded).unwrap();
                 assert_eq!(&decoded, shard, "round-trip with chunk {chunk:?}");
             }
@@ -469,34 +663,61 @@ mod tests {
         let plan = ShardPlan::for_preset("highway-speed-rate", 7, 2, 5, None).unwrap();
         let decoded = Shard::decode(&plan.shards[4].encode()).unwrap();
         assert_eq!(decoded, plan.shards[4]);
+        // Campaign shards, with and without a rounds override, byte for byte.
+        for (rounds, point) in [(None, "point=\n"), (Some(7), "point=rounds=i7\n")] {
+            let plan = ShardPlan::for_campaign(&tiny_grid(), 0xCA4, rounds, 2).unwrap();
+            for shard in &plan.shards {
+                let encoded = shard.encode();
+                assert!(encoded.contains("\nscenario=generator=platoon-merge;"), "{encoded}");
+                assert_eq!(encoded.matches(point).count(), 2, "{encoded}");
+                let decoded = Shard::decode(&encoded).unwrap();
+                assert_eq!(&decoded, shard);
+                assert_eq!(decoded.encode(), encoded);
+            }
+        }
     }
 
     #[test]
     fn empty_and_range_units_round_trip() {
         let shard = Shard {
-            preset: "urban-platoon".into(),
-            rounds: 9,
             master_seed: 42,
             index: 1,
             count: 8,
-            units: vec![
-                WorkUnit { point: SweepPoint::empty(), round_range: None },
-                WorkUnit { point: SweepPoint::empty(), round_range: Some((3, 9)) },
-            ],
+            groups: vec![(
+                ScenarioRef::Preset { name: "urban-platoon".into(), rounds: 9 },
+                vec![
+                    WorkUnit { point: SweepPoint::empty(), round_range: None },
+                    WorkUnit { point: SweepPoint::empty(), round_range: Some((3, 9)) },
+                ],
+            )],
         };
         assert_eq!(Shard::decode(&shard.encode()).unwrap(), shard);
-        let empty = Shard { units: Vec::new(), ..shard };
+        let empty = Shard { groups: Vec::new(), ..shard };
         assert_eq!(Shard::decode(&empty.encode()).unwrap(), empty);
+    }
+
+    /// Asserts every `(text, needle)` case is refused with `needle` in the
+    /// message.
+    fn assert_refused(cases: Vec<(String, &str)>) {
+        for (text, needle) in cases {
+            let err = Shard::decode(&text).expect_err(&format!("accepted malformed:\n{text}"));
+            let message = err.to_string();
+            assert!(message.contains(needle), "`{needle}` not in `{message}` for:\n{text}");
+        }
     }
 
     #[test]
     fn decode_rejects_malformed_files() {
         let good =
             ShardPlan::for_preset("urban-platoon", 1, 2, 2, None).unwrap().shards[0].encode();
-        let cases: Vec<(String, &str)> = vec![
+        let scenario = "scenario=preset=urban-platoon;rounds=2\n";
+        assert_refused(vec![
             (String::new(), "empty shard file"),
             ("NOTAFLEETFILE\n".into(), "not a vanet-fleet shard file"),
-            (good.replace("preset=urban-platoon\n", ""), "missing `preset=`"),
+            ("VANETFLEET1\npreset=urban-platoon\n".into(), "retired shard format: re-plan"),
+            (good.replace(scenario, ""), "`point=` before any `scenario=` line"),
+            (good.replace(scenario, "scenario=preset=no-such;rounds=2\n"), "unknown preset"),
+            (good.replace(scenario, "scenario=urban-platoon\n"), "expected `preset=NAME;rounds=N`"),
             (good.replace("rounds=2\n", "rounds=two\n"), "bad round count"),
             (good.replace("shard=0/2\n", "shard=5/2\n"), "bad shard designator"),
             (good.replace("shard=0/2\n", "shard=0/2\nshard=0/2\n"), "given twice"),
@@ -506,19 +727,120 @@ mod tests {
             (good.clone() + "point=n_cars=i2;n_cars=i3\n", "assigned twice"),
             (good.clone() + "point=n_cars=i2@5..5\n", "bad round range"),
             (good + "gibberish\n", "expected `field=value`"),
-        ];
-        for (text, expected) in cases {
-            let err = Shard::decode(&text).unwrap_err();
-            assert!(err.to_string().contains(expected), "`{expected}` not in `{err}`");
-        }
+        ]);
     }
 
     #[test]
-    fn shard_rebuilds_its_scenario() {
+    fn decode_rejects_malformed_shard_files() {
+        let good =
+            ShardPlan::for_campaign(&tiny_grid(), 0xCA4, Some(1), 1).unwrap().shards[0].encode();
+        let first = "scenario=generator=platoon-merge;";
+        assert_refused(vec![
+            (String::new(), "empty shard file"),
+            ("VANETCAMP1\ngenerator=platoon-merge\n".into(), "retired shard format: re-plan"),
+            (good.replacen("VANETFLEET2", "VANETCAMP9", 1), "not a vanet-fleet shard file"),
+            (good.replacen("generator=platoon-merge", "generator=mars", 1), "unknown generator"),
+            (format!("{good}generator=platoon-merge\n"), "unknown field `generator`"),
+            (good.replacen("master_seed=0x", "master_seed=", 1), "0x-prefixed hex"),
+            (format!("{good}master_seed=0x01\n"), "`master_seed` given twice"),
+            (good.replace("point=rounds=i1", "point=rounds=soon"), "not a canonical value"),
+            (good.replacen("point=rounds=i1", "point=rounds=i1;rounds=i2", 1), "assigned twice"),
+            (good.replacen("shard=0/1", "shard=1/1", 1), "bad shard designator"),
+            (good.replacen("shard=0/1", "shard=0", 1), "bad shard designator"),
+            (format!("{good}shard=0/1\n"), "`shard` given twice"),
+            (good.replacen(first, &format!("{first}warp=i1;"), 1), "no parameter `warp`"),
+            (good.replacen("feeder_m=", "feeder_m=x;feeder_m=", 1), "not a valid value"),
+            (
+                // 0x4059000000000000 is 100.0: a valid feeder_m, repeated.
+                good.replacen("feeder_m=", "feeder_m=f4059000000000000;feeder_m=", 1),
+                "assigned twice",
+            ),
+            (format!("{good}{first}feeder_m=f4059000000000000\n"), "missing `gen_seed`"),
+            (format!("{good}{first}gen_seed=0x01;gen_seed=0x01\n"), "duplicate `gen_seed`"),
+            (format!("{good}scenario=gen_seed=0x01\n"), "expected `preset=NAME;rounds=N`"),
+            (format!("{good}frobnicate=1\n"), "unknown field"),
+            ("VANETFLEET2\npoint=\n".into(), "`point=` before any `scenario=` line"),
+            ("VANETFLEET2\nshard=0/1\n".into(), "missing `master_seed=`"),
+            ("VANETFLEET2\nmaster_seed=0x01\n".into(), "missing `shard=INDEX/COUNT`"),
+        ]);
+    }
+
+    #[test]
+    fn scenario_refs_rebuild_their_scenarios() {
         let plan = ShardPlan::for_preset("multiap-blocks", 1, 2, 2, None).unwrap();
-        let scenario = plan.shards[0].scenario().unwrap();
-        assert_eq!(scenario.name(), "multi-ap");
-        let orphan = Shard { preset: "gone".into(), ..plan.shards[0].clone() };
-        assert!(matches!(orphan.scenario(), Err(FleetError::UnknownPreset(_))));
+        assert_eq!(plan.shards[0].groups[0].0.build().unwrap().name(), "multi-ap");
+        let orphan = ScenarioRef::Preset { name: "gone".into(), rounds: 2 };
+        assert!(matches!(orphan.build(), Err(FleetError::UnknownPreset(_))));
+        let identity = tiny_grid().identities(3).unwrap().remove(0);
+        let world = ScenarioRef::Generated(identity.clone()).build().unwrap();
+        assert_eq!(world.name(), identity.scenario_name());
+    }
+
+    /// Deterministic mutations of `text`: every truncation, every single
+    /// byte replaced from a small alphabet, and every line duplicated,
+    /// deleted or swapped with its successor.
+    fn mutations(text: &str) -> Vec<String> {
+        let mut out: Vec<String> = (0..text.len()).map(|end| text[..end].to_string()).collect();
+        for (i, _) in text.char_indices() {
+            for replacement in "=;@.0xfi-9\n".chars() {
+                let mut mutated = text.to_string();
+                mutated.replace_range(i..i + 1, replacement.encode_utf8(&mut [0; 4]));
+                out.push(mutated);
+            }
+        }
+        let lines: Vec<&str> = text.lines().collect();
+        let join = |lines: Vec<&str>| lines.iter().map(|l| format!("{l}\n")).collect::<String>();
+        for i in 0..lines.len() {
+            let mut duplicated = lines.clone();
+            duplicated.insert(i, lines[i]);
+            out.push(join(duplicated));
+            let mut deleted = lines.clone();
+            deleted.remove(i);
+            out.push(join(deleted));
+            if i + 1 < lines.len() {
+                let mut swapped = lines.clone();
+                swapped.swap(i, i + 1);
+                out.push(join(swapped));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn hostile_shard_files_never_panic_and_accepted_ones_round_trip() {
+        let mut corpus: Vec<Shard> = Vec::new();
+        for (preset, chunk, count) in [
+            ("urban-platoon", None, 3),
+            ("urban-platoon", Some(2), 8),
+            ("urban-strategies", None, 4),
+            ("multiap-blocks", None, 6),
+        ] {
+            corpus.extend(ShardPlan::for_preset(preset, 0xBEEF, 3, count, chunk).unwrap().shards);
+        }
+        let grid_city = GenGrid::new("grid-city").unwrap().axis("n_cars", "2,3").unwrap();
+        for (grid, rounds) in [(tiny_grid(), None), (tiny_grid(), Some(2)), (grid_city, None)] {
+            corpus.extend(ShardPlan::for_campaign(&grid, 0xCA4, rounds, 2).unwrap().shards);
+        }
+        let (mut accepted, mut refused) = (0, 0);
+        for shard in &corpus {
+            let text = shard.encode();
+            assert_eq!(Shard::decode(&text).as_ref(), Ok(shard));
+            for mutated in mutations(&text) {
+                match std::panic::catch_unwind(|| Shard::decode(&mutated)) {
+                    Err(_) => panic!("decode panicked on:\n{mutated}"),
+                    Ok(Err(_)) => refused += 1,
+                    Ok(Ok(decoded)) => {
+                        accepted += 1;
+                        let again = Shard::decode(&decoded.encode()).unwrap_or_else(|e| {
+                            panic!(
+                                "re-encoding of an accepted mutation is refused ({e}):\n{mutated}"
+                            )
+                        });
+                        assert_eq!(again, decoded, "accepted mutation drifted:\n{mutated}");
+                    }
+                }
+            }
+        }
+        assert!(accepted > 0 && refused > 0, "{accepted} accepted, {refused} refused");
     }
 }

@@ -1,16 +1,17 @@
 //! Executing one shard against its own shard journal.
 //!
-//! A worker is deliberately thin: every unit is a point walked by the
-//! sweep's own point executor ([`walk_points`]) against the shard journal,
-//! under the same content-addressed keys and with the same wave-by-wave
-//! write-back. A full-budget unit walks its whole budget and settles like a
-//! sweep; a round-range unit walks only its range and ignores settling.
-//! Either way the records landing in the shard journal are byte-identical
-//! to the ones the unsharded sweep would have written, which is what makes
-//! [`merge_into`](vanet_cache::merge_into) + a final warm engine pass
-//! reproduce the monolithic export exactly. The warm-re-run pre-filters ask
-//! the executor's coverage probe ([`would_simulate`]) the same question
-//! about the same walk.
+//! A worker is deliberately thin: every group of a shard rebuilds its
+//! scenario from its [`ScenarioRef`](crate::ScenarioRef), and every unit is
+//! a point walked by the sweep's own point executor ([`walk_points`])
+//! against the shard journal, under the same content-addressed keys and
+//! with the same wave-by-wave write-back. A full-budget unit walks its
+//! whole budget and settles like a sweep; a round-range unit walks only its
+//! range and ignores settling. Either way the records landing in the shard
+//! journal are byte-identical to the ones the unsharded sweep would have
+//! written, which is what makes [`merge_into`](vanet_cache::merge_into) + a
+//! final warm pass reproduce the monolithic export exactly. The warm-re-run
+//! pre-filter asks the executor's coverage probe ([`would_simulate`]) the
+//! same question about the same walk.
 
 use std::ops::Range;
 use std::path::Path;
@@ -21,7 +22,7 @@ use vanet_scenarios::{Scenario, ScenarioRun};
 use vanet_stats::RoundReport;
 use vanet_sweep::{walk_points, would_simulate, PointWork, SweepPlan, SweepSpec};
 
-use crate::plan::{FleetError, Shard, WorkUnit};
+use crate::plan::{FleetError, Shard, ShardPlan, WorkUnit};
 
 /// What a worker did with its shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -37,7 +38,7 @@ pub struct ShardOutcome {
 
 /// The fleet's point work over a list of units, point `i` of the plan
 /// being unit `i`. Nothing folds: the shard journal is the output.
-pub(crate) struct Units<'a>(pub(crate) &'a [WorkUnit]);
+struct Units<'a>(&'a [WorkUnit]);
 
 impl PointWork for Units<'_> {
     type Product = RoundReport;
@@ -66,7 +67,7 @@ impl PointWork for Units<'_> {
 
 /// Plans `units`' points as one spec, so each unit's run, seed and cache
 /// keys are the ones the sweep derives.
-pub(crate) fn sweep_plan_of(
+fn sweep_plan_of(
     scenario: &dyn Scenario,
     master_seed: u64,
     units: &[WorkUnit],
@@ -76,23 +77,31 @@ pub(crate) fn sweep_plan_of(
     vanet_sweep::plan(scenario, &spec, false).map_err(|e| FleetError::Sweep(e.to_string()))
 }
 
-/// Executes `shard` against the journal in `cache_dir`, rebuilding the
-/// scenario from the shard's preset. `threads` drives the executor (0 =
-/// all cores); an empty shard is a successful no-op.
+/// Executes `shard` against the journal in `cache_dir`, rebuilding each
+/// group's scenario from its reference. `threads` drives the executor (0 =
+/// all cores); a shard without units is a successful no-op.
 ///
 /// # Errors
 ///
-/// An unknown preset, a cache that cannot be opened (including a live
-/// concurrent writer on the same directory), and engine or I/O failures.
+/// An unknown preset or generated world, a cache that cannot be opened
+/// (including a live concurrent writer on the same directory), and engine
+/// or I/O failures.
 pub fn execute_shard(
     shard: &Shard,
     cache_dir: impl AsRef<Path>,
     threads: usize,
 ) -> Result<ShardOutcome, FleetError> {
-    let scenario = shard.scenario()?;
     let cache =
         Arc::new(SweepCache::open(cache_dir).map_err(|e| FleetError::Cache(e.to_string()))?);
-    execute_units(scenario.as_ref(), shard.master_seed, &shard.units, &cache, threads)
+    let mut outcome = ShardOutcome::default();
+    for (scenario, units) in &shard.groups {
+        let group =
+            execute_units(scenario.build()?.as_ref(), shard.master_seed, units, &cache, threads)?;
+        outcome.units += group.units;
+        outcome.rounds_simulated += group.rounds_simulated;
+        outcome.rounds_cached += group.rounds_cached;
+    }
+    Ok(outcome)
 }
 
 /// The scenario-generic execution core behind [`execute_shard`] (and the
@@ -126,9 +135,9 @@ pub fn execute_units(
 }
 
 /// Partitions `units` into the ones `cache` already fully covers and the
-/// ones still needing work, for warm-re-run pre-filtering: a `fleet run`
-/// whose merged cache already holds every round of a unit spawns no worker
-/// for it. A unit is covered when walking it against `cache` would simulate
+/// ones still needing work, for warm-re-run pre-filtering (see
+/// [`ShardPlan::split_covered`]): a run whose merged cache already holds
+/// every round of a unit spawns no worker for it. A unit is covered when walking it against `cache` would simulate
 /// nothing ([`would_simulate`]): a full-budget unit when its cached prefix
 /// reaches the end of its budget or settles first, a round-range unit when
 /// every round of its (budget-clamped) range is cached. A settle-capable
@@ -154,6 +163,32 @@ pub fn split_covered_units(
     let covered = pending.iter().filter(|&&pending| !pending).count();
     let remaining = units.into_iter().zip(pending).filter_map(|(unit, p)| p.then_some(unit));
     Ok((remaining.collect(), covered))
+}
+
+impl ShardPlan {
+    /// [`split_covered_units`] over every group of the plan: the plan left
+    /// to run (groups `cache` covers entirely dropped), and how many units
+    /// `cache` covers.
+    ///
+    /// # Errors
+    ///
+    /// A scenario that cannot be rebuilt, or a point its schema rejects.
+    pub fn split_covered(&self, cache: &SweepCache) -> Result<(ShardPlan, usize), FleetError> {
+        let mut pending = self.clone();
+        let mut covered = 0;
+        for shard in &mut pending.shards {
+            for (scenario, units) in &mut shard.groups {
+                let scenario = scenario.build()?;
+                let all = std::mem::take(units);
+                let (left, n) =
+                    split_covered_units(scenario.as_ref(), shard.master_seed, all, cache)?;
+                *units = left;
+                covered += n;
+            }
+            shard.groups.retain(|(_, units)| !units.is_empty());
+        }
+        Ok((pending, covered))
+    }
 }
 
 #[cfg(test)]
@@ -190,13 +225,13 @@ mod tests {
         for shard in &plan.shards {
             let dir = temp_dir(&format!("shard-{}", shard.index));
             let outcome = execute_shard(shard, &dir, 2).unwrap();
-            assert_eq!(outcome.units, shard.units.len());
-            assert_eq!(outcome.rounds_simulated, shard.units.len(), "1 round per point");
+            assert_eq!(outcome.units, shard.total_units());
+            assert_eq!(outcome.rounds_simulated, shard.total_units(), "1 round per point");
             assert_eq!(outcome.rounds_cached, 0);
             // A killed-and-restarted worker resumes from its journal.
             let again = execute_shard(shard, &dir, 2).unwrap();
             assert_eq!(again.rounds_simulated, 0);
-            assert_eq!(again.rounds_cached, shard.units.len());
+            assert_eq!(again.rounds_cached, shard.total_units());
             shard_dirs.push(dir);
         }
 
@@ -223,37 +258,45 @@ mod tests {
     #[test]
     fn covered_units_are_pre_filtered_for_warm_re_runs() {
         let plan = ShardPlan::for_preset("urban-platoon", 0xC0FFEE, 2, 2, None).unwrap();
-        let scenario = plan.shards[0].scenario().unwrap();
+        let scenario = plan.shards[0].groups[0].0.build().unwrap();
+        let shard_units = |shard: &Shard| shard.groups[0].1.clone();
         let dir = temp_dir("covered");
         let cache = Arc::new(SweepCache::open(&dir).unwrap());
 
         // Cold cache: nothing is covered.
-        let units: Vec<WorkUnit> =
-            plan.shards.iter().flat_map(|s| s.units.iter().cloned()).collect();
+        let units: Vec<WorkUnit> = plan.units().map(|(_, unit)| unit.clone()).collect();
         let (remaining, covered) =
             split_covered_units(scenario.as_ref(), 0xC0FFEE, units.clone(), &cache).unwrap();
         assert_eq!(covered, 0);
         assert_eq!(remaining.len(), 24);
+        assert_eq!(plan.split_covered(&cache).unwrap(), (plan.clone(), 0));
 
         // Execute shard 0, leaving shard 1's units missing.
-        execute_units(scenario.as_ref(), 0xC0FFEE, &plan.shards[0].units, &cache, 1).unwrap();
+        let first = shard_units(&plan.shards[0]);
+        execute_units(scenario.as_ref(), 0xC0FFEE, &first, &cache, 1).unwrap();
         let (remaining, covered) =
             split_covered_units(scenario.as_ref(), 0xC0FFEE, units.clone(), &cache).unwrap();
-        assert_eq!(covered, plan.shards[0].units.len());
-        assert_eq!(remaining, plan.shards[1].units);
+        assert_eq!(covered, first.len());
+        assert_eq!(remaining, shard_units(&plan.shards[1]));
+        let (pending, covered) = plan.split_covered(&cache).unwrap();
+        assert_eq!(covered, first.len());
+        assert!(pending.shards[0].groups.is_empty(), "a covered group is dropped");
+        assert_eq!(pending.shards[1], plan.shards[1]);
 
         // A fully warm cache covers everything, including round-range units.
-        execute_units(scenario.as_ref(), 0xC0FFEE, &plan.shards[1].units, &cache, 1).unwrap();
+        execute_units(scenario.as_ref(), 0xC0FFEE, &shard_units(&plan.shards[1]), &cache, 1)
+            .unwrap();
         let (remaining, covered) =
             split_covered_units(scenario.as_ref(), 0xC0FFEE, units, &cache).unwrap();
         assert_eq!((remaining.len(), covered), (0, 24));
         let ranged = ShardPlan::for_preset("urban-platoon", 0xC0FFEE, 2, 2, Some(1)).unwrap();
-        let range_units: Vec<WorkUnit> =
-            ranged.shards.iter().flat_map(|s| s.units.iter().cloned()).collect();
+        let range_units: Vec<WorkUnit> = ranged.units().map(|(_, unit)| unit.clone()).collect();
         assert!(range_units.iter().all(|u| u.round_range.is_some()));
         let (remaining, covered) =
             split_covered_units(scenario.as_ref(), 0xC0FFEE, range_units, &cache).unwrap();
         assert_eq!((remaining.len(), covered), (0, 48), "24 points x 2 one-round ranges");
+        let (pending, covered) = ranged.split_covered(&cache).unwrap();
+        assert_eq!((pending.total_units(), covered), (0, 48));
 
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -300,11 +343,11 @@ mod tests {
 
     #[test]
     fn empty_shards_are_a_no_op() {
-        // 30 shards over 24 points leaves tail shards empty.
-        let plan = ShardPlan::for_preset("urban-platoon", 1, 1, 30, None).unwrap();
-        let empty = plan.shards.iter().find(|s| s.units.is_empty()).expect("an empty shard");
+        // Planners never emit an empty shard (a plan holds no more shards
+        // than units), but a hand-written shard file may hold no units.
+        let empty = Shard { master_seed: 1, index: 0, count: 1, groups: Vec::new() };
         let dir = temp_dir("empty");
-        let outcome = execute_shard(empty, &dir, 1).unwrap();
+        let outcome = execute_shard(&empty, &dir, 1).unwrap();
         assert_eq!(outcome, ShardOutcome::default());
         std::fs::remove_dir_all(&dir).ok();
     }

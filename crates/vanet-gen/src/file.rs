@@ -6,9 +6,9 @@
 //! future-proof against blueprint layout changes and keeps files tiny
 //! (a campaign of thousands of scenarios is a few hundred kilobytes).
 //!
-//! The layout follows the `VANETFLEET1` shard files: a magic line, ordered
-//! `key=value` headers, then one `param=` line per resolved parameter in
-//! schema declaration order:
+//! The layout follows the fleet's `VANETFLEET2` shard files: a magic line,
+//! ordered `key=value` headers, then one `param=` line per resolved
+//! parameter in schema declaration order:
 //!
 //! ```text
 //! VANETGEN1
@@ -25,7 +25,7 @@
 
 use crate::generators;
 use crate::params::{GenError, GenValue};
-use crate::scenario::{instantiate_with, GenIdentity, GeneratedScenario};
+use crate::scenario::{instantiate_with, parse_gen_seed, GenIdentity, GeneratedScenario};
 
 /// First line of every generated-scenario file; bump on layout changes.
 pub const GEN_MAGIC: &str = "VANETGEN1";
@@ -93,13 +93,7 @@ pub fn decode(text: &str) -> Result<GeneratedScenario, GenError> {
                 if seed.is_some() {
                     return Err(parse_error(line, "duplicate `gen_seed` header"));
                 }
-                let hex = value.strip_prefix("0x").ok_or_else(|| {
-                    parse_error(line, format!("gen_seed must be 0x-prefixed hex, found `{value}`"))
-                })?;
-                let parsed = u64::from_str_radix(hex, 16).map_err(|_| {
-                    parse_error(line, format!("gen_seed must be 0x-prefixed hex, found `{value}`"))
-                })?;
-                seed = Some(parsed);
+                seed = Some(parse_gen_seed(value).map_err(|e| parse_error(line, e))?);
             }
             "param" => {
                 let generator = generator.as_ref().ok_or_else(|| {

@@ -21,7 +21,7 @@ use rand::RngCore as _;
 
 use crate::generators::{self, Generator};
 use crate::params::{GenError, GenValue};
-use crate::scenario::{instantiate_with, GenIdentity, GeneratedScenario};
+use crate::scenario::{GenIdentity, GeneratedScenario};
 
 /// Derives the gen seed of one grid cell from the campaign master seed, the
 /// cell's canonical parameter rendering and the replica index.
@@ -172,17 +172,8 @@ impl GenGrid {
     ///
     /// As [`GenGrid::identities`].
     pub fn expand(&self, master_seed: u64) -> Result<Vec<GeneratedScenario>, GenError> {
-        self.identities(master_seed)?
-            .into_iter()
-            .map(|id| instantiate_with(&self.generator, &owned(&id), id.seed))
-            .collect()
+        self.identities(master_seed)?.iter().map(GenIdentity::instantiate).collect()
     }
-}
-
-/// Re-keys an identity's resolved assignments into the owned form
-/// `instantiate_with` takes.
-fn owned(identity: &GenIdentity) -> Vec<(String, GenValue)> {
-    identity.params.assignments().iter().map(|(k, v)| ((*k).to_string(), *v)).collect()
 }
 
 #[cfg(test)]

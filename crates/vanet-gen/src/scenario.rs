@@ -53,6 +53,56 @@ impl GenIdentity {
         )
     }
 
+    /// Parses [`canonical`](Self::canonical)'s rendering back into the
+    /// identity: `generator=NAME` first, then the parameters in any order
+    /// (unassigned ones resolve to their defaults, as in a `VANETGEN1` file)
+    /// and one `gen_seed=0x…`.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first fault: a missing or unknown generator, a
+    /// segment that is not `key=value`, a parameter the schema rejects, or a
+    /// missing, repeated or malformed gen seed.
+    pub fn parse(text: &str) -> Result<GenIdentity, String> {
+        let mut segments = text.split(';');
+        let name = segments
+            .next()
+            .and_then(|first| first.strip_prefix("generator="))
+            .ok_or_else(|| format!("expected `generator=NAME` first, found `{text}`"))?;
+        let generator = generators::find(name)
+            .ok_or_else(|| GenError::UnknownGenerator(name.to_string()).to_string())?;
+        let mut assignments: Vec<(String, GenValue)> = Vec::new();
+        let mut seed = None;
+        for segment in segments {
+            let (key, value) = segment
+                .split_once('=')
+                .ok_or_else(|| format!("expected `key=value`, found `{segment}`"))?;
+            if key != "gen_seed" {
+                let parsed = generator.schema().parse_canonical_value(key, value);
+                assignments.push((key.to_string(), parsed.map_err(|e| e.to_string())?));
+            } else if seed.replace(parse_gen_seed(value)?).is_some() {
+                return Err("duplicate `gen_seed` segment".into());
+            }
+        }
+        let seed = seed.ok_or("missing `gen_seed` segment")?;
+        let params = generator.schema().resolve(&assignments).map_err(|e| e.to_string())?;
+        Ok(GenIdentity { generator: generator.name, params, seed })
+    }
+
+    /// Regenerates the world this identity names: the same scenario,
+    /// blueprint and cache keys its generator, parameters and seed first
+    /// instantiated.
+    ///
+    /// # Errors
+    ///
+    /// [`GenError::UnknownGenerator`] when the catalogue lacks the generator.
+    pub fn instantiate(&self) -> Result<GeneratedScenario, GenError> {
+        let generator = generators::find(self.generator)
+            .ok_or_else(|| GenError::UnknownGenerator(self.generator.to_string()))?;
+        let blueprint = generator.blueprint(&self.params, self.seed);
+        Ok(GeneratedScenario::from_parts(self.clone(), blueprint))
+    }
+
     /// The 16-hex-digit content hash of the canonical identity — the last
     /// path segment of the scenario name.
     pub fn id16(&self) -> String {
@@ -64,6 +114,15 @@ impl GenIdentity {
     pub fn scenario_name(&self) -> String {
         format!("gen/{}/{}", self.generator, self.id16())
     }
+}
+
+/// Parses a gen seed as every identity rendering writes it: `0x`-prefixed
+/// hex.
+pub(crate) fn parse_gen_seed(value: &str) -> Result<u64, String> {
+    value
+        .strip_prefix("0x")
+        .and_then(|hex| u64::from_str_radix(hex, 16).ok())
+        .ok_or_else(|| format!("gen_seed must be 0x-prefixed hex, found `{value}`"))
 }
 
 /// Instantiates a generated scenario from `(generator, assignments, seed)`.
@@ -360,6 +419,45 @@ mod tests {
         let d =
             instantiate("grid-city", &[("walk_m".to_string(), GenValue::Float(151.0))], 7).unwrap();
         assert_ne!(a.name(), d.name());
+    }
+
+    #[test]
+    fn identities_parse_back_from_their_canonical_rendering() {
+        for name in ["grid-city", "highway-flow", "platoon-merge"] {
+            let identity = instantiate(name, &[], 0xC0FFEE).unwrap().identity().clone();
+            let canonical = identity.canonical();
+            assert_eq!(GenIdentity::parse(&canonical), Ok(identity.clone()), "{canonical}");
+            // Defaults fill unassigned parameters and order is free, so a
+            // trimmed rendering names the same world.
+            let (first, rest) = identity
+                .params
+                .canonical()
+                .split_once(';')
+                .map(|(a, b)| (a.to_string(), b.to_string()))
+                .unwrap();
+            let reordered = format!("generator={name};gen_seed=0xc0ffee;{rest};{first}");
+            assert_eq!(GenIdentity::parse(&reordered), Ok(identity.clone()));
+            assert_eq!(
+                GenIdentity::parse(&format!("generator={name};gen_seed=0xc0ffee")),
+                Ok(identity)
+            );
+        }
+        let cases = [
+            ("", "expected `generator=NAME` first"),
+            ("gen_seed=0x01;generator=grid-city", "expected `generator=NAME` first"),
+            ("generator=mars;gen_seed=0x01", "unknown generator"),
+            ("generator=grid-city;n_cars", "expected `key=value`"),
+            ("generator=grid-city;warp=i1;gen_seed=0x01", "no parameter `warp`"),
+            ("generator=grid-city;n_cars=two;gen_seed=0x01", "not a valid value"),
+            ("generator=grid-city;n_cars=i2;n_cars=i3;gen_seed=0x01", "assigned twice"),
+            ("generator=grid-city;n_cars=i2", "missing `gen_seed`"),
+            ("generator=grid-city;gen_seed=01", "0x-prefixed hex"),
+            ("generator=grid-city;gen_seed=0x01;gen_seed=0x01", "duplicate `gen_seed`"),
+        ];
+        for (text, needle) in cases {
+            let err = GenIdentity::parse(text).expect_err(text);
+            assert!(err.contains(needle), "`{needle}` not in `{err}` for `{text}`");
+        }
     }
 
     #[test]

@@ -17,9 +17,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use carq_repro::cache::{merge_into, SweepCache};
-use carq_repro::fleet::{
-    campaign_table, execute_campaign_shard, split_covered_scenarios, CampaignPlan,
-};
+use carq_repro::fleet::{campaign_table, execute_shard, ShardPlan};
 use carq_repro::gen::{self, GenGrid, GenValue};
 use carq_repro::scenarios::{round_seed, Scenario, SweepPoint};
 use carq_repro::sweep::{Param, ParamValue, SweepEngine, SweepSpec};
@@ -161,30 +159,28 @@ fn generated_sweep_exports_are_thread_count_independent() {
 /// Runs a full campaign pipeline — plan into `shard_count` shards, execute
 /// each shard against its own journal, merge, render — and returns the
 /// rendered CSV plus the merged cache (for warm-pass assertions).
-fn run_campaign(grid: &GenGrid, shard_count: u32, base: &Path) -> (String, Arc<SweepCache>) {
-    let plan = CampaignPlan::new(grid, 0xCA4, Some(1), shard_count).unwrap();
-    let identities = plan.identities();
+fn run_campaign(grid: &GenGrid, shard_count: usize, base: &Path) -> (String, Arc<SweepCache>) {
+    let plan = ShardPlan::for_campaign(grid, 0xCA4, Some(1), shard_count).unwrap();
+    let identities = grid.identities(0xCA4).unwrap();
     let mut shard_dirs = Vec::new();
     for shard in &plan.shards {
         let dir = base.join(format!("shard-{:03}", shard.index));
-        let outcome = execute_campaign_shard(shard, &dir, 1).unwrap();
-        assert_eq!(outcome.units, shard.scenarios.len());
-        assert_eq!(outcome.rounds_simulated, shard.scenarios.len(), "1 round per scenario");
+        let outcome = execute_shard(shard, &dir, 1).unwrap();
+        assert_eq!(outcome.units, shard.total_units());
+        assert_eq!(outcome.rounds_simulated, shard.total_units(), "1 round per scenario");
         shard_dirs.push(dir);
     }
     let merged = Arc::new(SweepCache::open(base.join("merged")).unwrap());
     let report = merge_into(&merged, &shard_dirs).unwrap();
-    assert_eq!(report.records_ingested, plan.total_scenarios());
+    assert_eq!(report.records_ingested, plan.total_units());
     // Every shard is now fully covered by the merged journal — a warm
     // re-run would spawn no workers.
-    for shard in &plan.shards {
-        let (remaining, covered) = split_covered_scenarios(shard, &merged).unwrap();
-        assert!(remaining.is_empty(), "shard {} still has work", shard.index);
-        assert_eq!(covered, shard.scenarios.len());
-    }
+    let (pending, covered) = plan.split_covered(&merged).unwrap();
+    assert!(pending.shards.iter().all(|shard| shard.groups.is_empty()), "work left: {pending:?}");
+    assert_eq!(covered, plan.total_units());
     let result = campaign_table(&identities, 0xCA4, Some(1), &merged, 1).unwrap();
     assert_eq!(result.rounds_simulated, 0, "rendering over a merged cache simulates nothing");
-    assert_eq!(result.rounds_cached, plan.total_scenarios());
+    assert_eq!(result.rounds_cached, plan.total_units());
     (result.table.to_csv(), merged)
 }
 
@@ -206,7 +202,7 @@ fn campaigns_merge_to_a_byte_stable_warm_table() {
     let (csv3, merged) = run_campaign(&grid(), 3, &base3);
     assert_eq!(csv3.lines().count(), 1 + 4, "header plus one row per scenario");
     // A second render over the same cache is byte-identical.
-    let identities = CampaignPlan::new(&grid(), 0xCA4, Some(1), 3).unwrap().identities();
+    let identities = grid().identities(0xCA4).unwrap();
     let again = campaign_table(&identities, 0xCA4, Some(1), &merged, 1).unwrap();
     assert_eq!(again.table.to_csv(), csv3);
     assert_eq!(again.rounds_simulated, 0);
