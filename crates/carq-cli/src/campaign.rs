@@ -16,7 +16,7 @@ use vanet_gen::GenGrid;
 use crate::cli::Options;
 use crate::commands::{parse_count, parse_seed, write_shard_files};
 use crate::failure::CliFailure;
-use crate::pipeline::Target;
+use crate::pipeline::{FinalPass, Target};
 
 /// Builds the generator grid of `campaign plan` / `campaign run`: every
 /// generator schema parameter given as a `--PARAM v1,v2,...` flag becomes
@@ -81,9 +81,21 @@ pub(crate) fn campaign_plan_of(
 ) -> Result<(ShardPlan, Target), String> {
     let seed = parse_seed(opts)?;
     let rounds = campaign_rounds(opts)?;
-    let plan = ShardPlan::for_campaign(grid, seed, rounds, count).map_err(|e| e.to_string())?;
     let identities = grid.identities(seed).map_err(|e| e.to_string())?;
-    Ok((plan, Target::Campaign { generator: grid.generator().name, identities, rounds }))
+    let plan =
+        ShardPlan::for_campaign(&identities, seed, rounds, count).map_err(|e| e.to_string())?;
+    let generator = grid.generator().name;
+    let target = Target {
+        kind: "campaign",
+        units: "scenario(s)",
+        work: format!("generated `{generator}` scenario(s)"),
+        // A healthy run renders every world.
+        pass: format!("final pass over {} scenario(s)", identities.len()),
+        source: ("generator", generator.to_string()),
+        missing: ("missing_scenarios", "scenario(s)"),
+        export: FinalPass::Campaign { identities, rounds },
+    };
+    Ok((plan, target))
 }
 
 /// `carq-cli campaign plan`.

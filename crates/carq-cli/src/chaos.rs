@@ -33,7 +33,7 @@ use crate::campaign::{campaign_grid, campaign_plan_of, check_flags};
 use crate::cli::Options;
 use crate::commands::{parse_count, parse_seed, preset_plan, DEFAULT_SWEEP_ROUNDS};
 use crate::failure::CliFailure;
-use crate::pipeline::{parse_resilience, run_pipeline, PipelineCommon, Target};
+use crate::pipeline::{parse_resilience, run_pipeline, PipelineCommon};
 
 /// Default schedule seed when neither `--fault-seed` nor `--faults` is
 /// given — arbitrary but fixed, so bare `carq-cli chaos --preset X` is
@@ -112,10 +112,9 @@ pub fn chaos_cmd(opts: &Options) -> Result<(), CliFailure> {
         Some(grid) => campaign_plan_of(grid, opts, workers)?,
         None => preset_plan(opts, workers)?,
     };
-    let rounds_hint = match &target {
-        Target::Preset { rounds, .. } => *rounds,
-        Target::Campaign { rounds, .. } => rounds.unwrap_or(DEFAULT_SWEEP_ROUNDS),
-    };
+    // Both planners validated `--rounds`; a campaign without it runs each
+    // world's own budget, which the fault schedule guesses at.
+    let rounds_hint: u32 = opts.get_parsed("rounds", DEFAULT_SWEEP_ROUNDS)?;
     // The planned shard count, never more than the units: the fault plan
     // and `--poison` address the workers that will actually spawn.
     let workers = u32::try_from(plan.shards.len()).map_err(|_| "too many shards to fault")?;

@@ -28,7 +28,8 @@ use vanet_fleet::{
     SupervisorConfig, WorkerOutcome, WorkerTask,
 };
 use vanet_gen::GenIdentity;
-use vanet_sweep::{presets, SweepEngine, SweepSpec};
+use vanet_scenarios::Scenario;
+use vanet_sweep::{SweepEngine, SweepSpec};
 
 use crate::cli::Options;
 use crate::failure::CliFailure;
@@ -41,22 +42,41 @@ const FAULT_PLAN_FILE: &str = "faults.flt";
 /// the merged journal.
 const GAP_REPORT_FILE: &str = "coverage-gaps.json";
 
-/// What a run's final pass renders, and how its messages and gap report
-/// name the work.
-pub(crate) enum Target {
-    /// A preset sweep (`fleet`): the preset's export; a missing unit is
-    /// named by its point's label.
-    Preset {
-        /// The preset's catalogue name.
-        name: String,
-        /// The per-point round budget.
-        rounds: u32,
+/// What a run's final pass renders, and the words its messages and gap
+/// report use for the work. The planner fills it in, so the final pass is
+/// the only place a preset run and a campaign run branch.
+pub(crate) struct Target {
+    /// `fleet` or `campaign`: every message's prefix and the gap report's
+    /// `kind`.
+    pub kind: &'static str,
+    /// What the pre-filter's message calls the plan's units.
+    pub units: &'static str,
+    /// What the spawn message says the workers run.
+    pub work: String,
+    /// The head of a healthy run's final-pass message.
+    pub pass: String,
+    /// The gap report's source field (`preset` or `generator`) and value.
+    pub source: (&'static str, String),
+    /// The gap report's field for what is missing (`missing_points` or
+    /// `missing_scenarios`) and what the degraded message calls it.
+    pub missing: (&'static str, &'static str),
+    /// What the final pass renders.
+    pub export: FinalPass,
+}
+
+/// The final pass of a run.
+pub(crate) enum FinalPass {
+    /// A preset's sweep export, one row per point. A missing unit is named
+    /// by its point's label.
+    Sweep {
+        /// The preset's scenario.
+        scenario: Box<dyn Scenario>,
+        /// The preset's sweep, every point in expansion order.
+        spec: SweepSpec,
     },
-    /// A campaign: the campaign table over the grid's worlds in expansion
-    /// order; a missing unit is named by its world's scenario name.
+    /// The campaign table, one row per world in expansion order. A missing
+    /// unit is named by its world's scenario name.
     Campaign {
-        /// The generator every world comes from.
-        generator: &'static str,
         /// Every world of the grid, in expansion order.
         identities: Vec<GenIdentity>,
         /// The round budget override, if any.
@@ -77,23 +97,7 @@ pub(crate) struct Export {
     pub cached: usize,
 }
 
-impl Target {
-    /// The message prefix and gap-report kind: `fleet` or `campaign`.
-    fn kind(&self) -> &'static str {
-        match self {
-            Target::Preset { .. } => "fleet",
-            Target::Campaign { .. } => "campaign",
-        }
-    }
-
-    /// What progress messages call the plan's units.
-    fn noun(&self) -> &'static str {
-        match self {
-            Target::Preset { .. } => "unit(s)",
-            Target::Campaign { .. } => "scenario(s)",
-        }
-    }
-
+impl FinalPass {
     /// The final pass over `cache`: everything, or, given the `missing`
     /// names, only what the merged cache covers — a preset's points in
     /// plan order, a campaign's worlds in expansion order.
@@ -106,10 +110,8 @@ impl Target {
     ) -> Result<Export, String> {
         let json = common.format == "json";
         match self {
-            Target::Preset { name, rounds } => {
-                let preset =
-                    presets::find(name).ok_or_else(|| format!("unknown preset `{name}`"))?;
-                let (scenario, mut spec) = preset.build(plan.master_seed, *rounds);
+            FinalPass::Sweep { scenario, spec } => {
+                let mut spec = spec.clone();
                 if let Some(missing) = missing {
                     let mut seen = HashSet::new();
                     spec = SweepSpec::new(plan.master_seed);
@@ -132,7 +134,7 @@ impl Target {
                     cached: result.rounds_cached,
                 })
             }
-            Target::Campaign { identities, rounds, .. } => {
+            FinalPass::Campaign { identities, rounds } => {
                 let covered: Vec<GenIdentity> = identities
                     .iter()
                     .filter(|identity| {
@@ -377,7 +379,7 @@ pub(crate) fn run_pipeline(
     target: &Target,
     common: &PipelineCommon,
 ) -> Result<PipelineOutcome, String> {
-    let kind = target.kind();
+    let kind = target.kind;
     // Warm re-run pre-filter: drop every unit the merged journal already
     // covers, so an identical re-run spawns zero redundant workers (and
     // zero redundant simulations). Read-only open: the journal may not
@@ -394,7 +396,7 @@ pub(crate) fn run_pipeline(
             if covered > 0 {
                 eprintln!(
                     "{kind}: {covered} {} already covered by the merged cache, {} left to run",
-                    target.noun(),
+                    target.units,
                     pending.total_units(),
                 );
             }
@@ -424,14 +426,11 @@ pub(crate) fn run_pipeline(
         spawned.push(SpawnedShard { index: shard.index, file, cache });
     }
     let per_worker = per_worker_threads(common.threads, spawned.len());
-    let work = match target {
-        Target::Preset { name, .. } => format!("unit(s) of `{name}`"),
-        Target::Campaign { generator, .. } => format!("generated `{generator}` scenario(s)"),
-    };
     eprintln!(
-        "{kind}: {} worker process(es) x {per_worker} thread(s) over {} {work}",
+        "{kind}: {} worker process(es) x {per_worker} thread(s) over {} {}",
         spawned.len(),
         pending.total_units(),
+        target.work,
     );
     let supervision =
         supervise_workers(kind, &spawned, &shards_dir, per_worker, common, fault_file.as_deref())?;
@@ -476,15 +475,12 @@ pub(crate) fn run_pipeline(
             .collect();
         Some((names, set))
     };
-    let export = target.render(&plan, missing.as_ref().map(|(_, set)| set), &cache, common)?;
+    let export =
+        target.export.render(&plan, missing.as_ref().map(|(_, set)| set), &cache, common)?;
     let Some((missing, _)) = missing else {
-        let pass = match target {
-            Target::Preset { .. } => "final pass".to_string(),
-            Target::Campaign { .. } => format!("final pass over {} scenario(s)", export.rows),
-        };
         eprintln!(
-            "{kind}: {pass}: {} round(s) simulated, {} served from the merged cache",
-            export.simulated, export.cached,
+            "{kind}: {}: {} round(s) simulated, {} served from the merged cache",
+            target.pass, export.simulated, export.cached,
         );
         drop(cache);
         if common.ephemeral {
@@ -499,12 +495,7 @@ pub(crate) fn run_pipeline(
 
     // Degraded: everything on disk is kept — the journals are the evidence
     // and the resume state — and a machine-readable report names the gap.
-    let (source, name, missing_key, noun) = match target {
-        Target::Preset { name, .. } => ("preset", name.as_str(), "missing_points", "point(s)"),
-        Target::Campaign { generator, .. } => {
-            ("generator", *generator, "missing_scenarios", "scenario(s)")
-        }
-    };
+    let ((source, name), (missing_key, noun)) = (&target.source, target.missing);
     eprintln!(
         "{kind}: degraded: {} of {} {noun} covered, {} missing",
         export.rows,
@@ -561,7 +552,7 @@ pub(crate) fn run_command(
     if !matches!(format, "csv" | "json") {
         return Err(format!("unknown format `{format}` (csv, json)").into());
     }
-    let kind = target.kind();
+    let kind = target.kind;
     let (base, ephemeral) = match opts.get("cache") {
         Some(dir) => (PathBuf::from(dir), false),
         None => (std::env::temp_dir().join(format!("carq-{kind}-{}", std::process::id())), true),

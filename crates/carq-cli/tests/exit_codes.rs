@@ -39,6 +39,7 @@ fn help_after_a_subcommand_prints_usage_and_exits_zero() {
         &["campaign", "worker", "--help"][..],
         &["scenario", "run", "urban", "--help"][..],
         &["trace", "-h"][..],
+        &["frobnicate", "--seed", "1", "--help"][..],
     ] {
         let out = carq(args);
         let stderr = String::from_utf8_lossy(&out.stderr);

@@ -149,7 +149,8 @@ mod tests {
 
     #[test]
     fn covered_scenarios_are_pre_filtered_for_warm_re_runs() {
-        let plan = ShardPlan::for_campaign(&tiny_grid(), 0xCAFE, Some(1), 1).unwrap();
+        let identities = tiny_grid().identities(0xCAFE).unwrap();
+        let plan = ShardPlan::for_campaign(&identities, 0xCAFE, Some(1), 1).unwrap();
         let dir = temp_dir("covered");
         let cache = SweepCache::open(&dir).unwrap();
 
@@ -174,8 +175,8 @@ mod tests {
 
     #[test]
     fn sharded_campaign_merges_to_a_byte_stable_warm_table() {
-        let grid = tiny_grid();
-        let plan = ShardPlan::for_campaign(&grid, 0xFEED, Some(1), 2).unwrap();
+        let identities = tiny_grid().identities(0xFEED).unwrap();
+        let plan = ShardPlan::for_campaign(&identities, 0xFEED, Some(1), 2).unwrap();
         assert_eq!(plan.total_units(), 4);
 
         let mut shard_dirs = Vec::new();
@@ -196,7 +197,6 @@ mod tests {
         let report = vanet_cache::merge_into(&merged, &shard_dirs).unwrap();
         assert_eq!(report.records_ingested, 4);
 
-        let identities = grid.identities(0xFEED).unwrap();
         let warm = campaign_table(&identities, 0xFEED, Some(1), &merged, 1).unwrap();
         assert_eq!(warm.rounds_simulated, 0, "the merged cache covers the campaign");
         assert_eq!(warm.rounds_cached, 4);

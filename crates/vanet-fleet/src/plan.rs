@@ -4,12 +4,12 @@
 //! [`Shard`]s. Two planners feed it: [`ShardPlan::for_preset`] pairs a
 //! preset sweep's expanded points (and, optionally, the round ranges within
 //! each point) with the preset, and [`ShardPlan::for_campaign`] pairs every
-//! generated world of a [`GenGrid`] with the campaign's one point. Each
-//! shard [`encode`](Shard::encode)s to a small `VANETFLEET2` text file that
-//! carries everything a worker on any machine needs to reproduce its slice
-//! bit-for-bit: the master seed, and for each scenario it names (a
-//! [`ScenarioRef`]) the points to run, in the lossless canonical value
-//! encoding (`ParamValue::canonical`):
+//! generated world of a [`GenGrid`](vanet_gen::GenGrid) with the
+//! campaign's one point. Each shard [`encode`](Shard::encode)s to a small
+//! `VANETFLEET2` text file that carries everything a worker on any machine
+//! needs to reproduce its slice bit-for-bit: the master seed, and for each
+//! scenario it names (a [`ScenarioRef`]) the points to run, in the lossless
+//! canonical value encoding (`ParamValue::canonical`):
 //!
 //! ```text
 //! VANETFLEET2
@@ -31,7 +31,7 @@
 
 use std::fmt;
 
-use vanet_gen::{GenGrid, GenIdentity};
+use vanet_gen::GenIdentity;
 use vanet_scenarios::{Param, ParamValue, Scenario, SweepPoint};
 use vanet_sweep::{presets, SweepSpec};
 
@@ -214,9 +214,10 @@ impl Shard {
     ///
     /// [`FleetError::Parse`] naming the first offending line: wrong or
     /// retired magic, missing or duplicate headers, a scenario that names
-    /// an unknown preset or a world its generator rejects, `point=` lines
-    /// before any `scenario=` line, unknown parameters, and values that are
-    /// not canonical renderings.
+    /// an unknown preset or a world its generator rejects, a zero round
+    /// budget (a preset's or a point's `rounds=i0`), `point=` lines before
+    /// any `scenario=` line, unknown parameters, and values that are not
+    /// canonical renderings.
     pub fn decode(text: &str) -> Result<Shard, FleetError> {
         let mut lines = text.lines().enumerate();
         match lines.next() {
@@ -331,6 +332,12 @@ fn parse_unit(line: usize, body: &str) -> Result<WorkUnit, FleetError> {
             if assignments.iter().any(|(p, _)| *p == param) {
                 return Err(parse_error(line, format!("parameter `{key}` assigned twice")));
             }
+            // Every scenario's schema asks for at least one round; refused
+            // here, as a preset's zero budget is, rather than by every
+            // retry of the worker.
+            if param == Param::Rounds && matches!(value, ParamValue::Int(0)) {
+                return Err(parse_error(line, "bad round count `i0` (at least 1)"));
+            }
             assignments.push((param, value));
         }
     }
@@ -378,16 +385,16 @@ impl ShardPlan {
         ShardPlan::stride(master_seed, pairs, count)
     }
 
-    /// Plans at most `count` shards over every world of `grid` under
-    /// `master_seed`, each run at the generator's default round budget or
-    /// at the `rounds` override. World `i` of the expansion lands in shard
-    /// `i % count`.
+    /// Plans at most `count` shards over `worlds` (a grid's
+    /// [`identities`](vanet_gen::GenGrid::identities) under
+    /// `master_seed`), each run at its generator's default round budget or
+    /// at the `rounds` override. World `i` lands in shard `i % count`.
     ///
     /// # Errors
     ///
-    /// A zero shard count or rounds override, and grid expansion failures.
+    /// A zero shard count or rounds override.
     pub fn for_campaign(
-        grid: &GenGrid,
+        worlds: &[GenIdentity],
         master_seed: u64,
         rounds: Option<u32>,
         count: usize,
@@ -396,11 +403,9 @@ impl ShardPlan {
             return Err(FleetError::Invalid("the rounds override must be at least 1".into()));
         }
         let unit = WorkUnit { point: campaign_point(rounds), round_range: None };
-        let identities =
-            grid.identities(master_seed).map_err(|e| FleetError::Sweep(e.to_string()))?;
-        let pairs = identities
-            .into_iter()
-            .map(|identity| (ScenarioRef::Generated(identity), unit.clone()))
+        let pairs = worlds
+            .iter()
+            .map(|world| (ScenarioRef::Generated(world.clone()), unit.clone()))
             .collect();
         ShardPlan::stride(master_seed, pairs, count)
     }
@@ -503,6 +508,7 @@ pub fn stride_units<T>(items: Vec<T>, count: usize) -> Vec<Vec<T>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vanet_gen::GenGrid;
 
     /// The units of `shard`'s one preset group.
     fn preset_units(shard: &Shard) -> &[WorkUnit] {
@@ -510,6 +516,16 @@ mod tests {
             [(ScenarioRef::Preset { .. }, units)] => units,
             other => panic!("expected one preset group, got {other:?}"),
         }
+    }
+
+    /// Plans `grid`'s worlds under `seed`, as `campaign plan` does.
+    fn campaign_plan(
+        grid: &GenGrid,
+        seed: u64,
+        rounds: Option<u32>,
+        count: usize,
+    ) -> Result<ShardPlan, FleetError> {
+        ShardPlan::for_campaign(&grid.identities(seed).unwrap(), seed, rounds, count)
     }
 
     fn tiny_grid() -> GenGrid {
@@ -596,8 +612,8 @@ mod tests {
             ShardPlan::for_preset("urban-platoon", 1, 2, 0, None),
             ShardPlan::for_preset("urban-platoon", 1, 0, 3, None),
             ShardPlan::for_preset("urban-platoon", 1, 2, 3, Some(0)),
-            ShardPlan::for_campaign(&tiny_grid(), 1, None, 0),
-            ShardPlan::for_campaign(&tiny_grid(), 1, Some(0), 1),
+            campaign_plan(&tiny_grid(), 1, None, 0),
+            campaign_plan(&tiny_grid(), 1, Some(0), 1),
         ] {
             assert!(matches!(bad, Err(FleetError::Invalid(_))), "{bad:?}");
         }
@@ -613,7 +629,7 @@ mod tests {
             let plan = ShardPlan::for_preset("urban-platoon", 1, 1, count, None).unwrap();
             assert_eq!(plan.shards.len(), 24);
             assert!(plan.shards.iter().all(|s| s.count == 24 && s.total_units() == 1));
-            let campaign = ShardPlan::for_campaign(&tiny_grid(), 1, Some(1), count).unwrap();
+            let campaign = campaign_plan(&tiny_grid(), 1, Some(1), count).unwrap();
             assert_eq!(campaign.shards.len(), 4);
             assert!(campaign.shards.iter().all(|s| s.count == 4 && s.total_units() == 1));
         }
@@ -623,7 +639,7 @@ mod tests {
 
     #[test]
     fn plans_stride_scenarios_across_shards() {
-        let plan = ShardPlan::for_campaign(&tiny_grid(), 0xCA4, Some(1), 3).unwrap();
+        let plan = campaign_plan(&tiny_grid(), 0xCA4, Some(1), 3).unwrap();
         assert_eq!(plan.shards.len(), 3);
         assert_eq!(plan.total_units(), 4);
         let sizes: Vec<usize> = plan.shards.iter().map(|s| s.groups.len()).collect();
@@ -665,7 +681,7 @@ mod tests {
         assert_eq!(decoded, plan.shards[4]);
         // Campaign shards, with and without a rounds override, byte for byte.
         for (rounds, point) in [(None, "point=\n"), (Some(7), "point=rounds=i7\n")] {
-            let plan = ShardPlan::for_campaign(&tiny_grid(), 0xCA4, rounds, 2).unwrap();
+            let plan = campaign_plan(&tiny_grid(), 0xCA4, rounds, 2).unwrap();
             for shard in &plan.shards {
                 let encoded = shard.encode();
                 assert!(encoded.contains("\nscenario=generator=platoon-merge;"), "{encoded}");
@@ -719,6 +735,7 @@ mod tests {
             (good.replace(scenario, "scenario=preset=no-such;rounds=2\n"), "unknown preset"),
             (good.replace(scenario, "scenario=urban-platoon\n"), "expected `preset=NAME;rounds=N`"),
             (good.replace("rounds=2\n", "rounds=two\n"), "bad round count"),
+            (good.replace("rounds=2\n", "rounds=0\n"), "bad round count `0` (at least 1)"),
             (good.replace("shard=0/2\n", "shard=5/2\n"), "bad shard designator"),
             (good.replace("shard=0/2\n", "shard=0/2\nshard=0/2\n"), "given twice"),
             (good.clone() + "mystery=1\n", "unknown field"),
@@ -732,8 +749,7 @@ mod tests {
 
     #[test]
     fn decode_rejects_malformed_shard_files() {
-        let good =
-            ShardPlan::for_campaign(&tiny_grid(), 0xCA4, Some(1), 1).unwrap().shards[0].encode();
+        let good = campaign_plan(&tiny_grid(), 0xCA4, Some(1), 1).unwrap().shards[0].encode();
         let first = "scenario=generator=platoon-merge;";
         assert_refused(vec![
             (String::new(), "empty shard file"),
@@ -744,6 +760,10 @@ mod tests {
             (good.replacen("master_seed=0x", "master_seed=", 1), "0x-prefixed hex"),
             (format!("{good}master_seed=0x01\n"), "`master_seed` given twice"),
             (good.replace("point=rounds=i1", "point=rounds=soon"), "not a canonical value"),
+            (
+                good.replace("point=rounds=i1", "point=rounds=i0"),
+                "bad round count `i0` (at least 1)",
+            ),
             (good.replacen("point=rounds=i1", "point=rounds=i1;rounds=i2", 1), "assigned twice"),
             (good.replacen("shard=0/1", "shard=1/1", 1), "bad shard designator"),
             (good.replacen("shard=0/1", "shard=0", 1), "bad shard designator"),
@@ -819,7 +839,7 @@ mod tests {
         }
         let grid_city = GenGrid::new("grid-city").unwrap().axis("n_cars", "2,3").unwrap();
         for (grid, rounds) in [(tiny_grid(), None), (tiny_grid(), Some(2)), (grid_city, None)] {
-            corpus.extend(ShardPlan::for_campaign(&grid, 0xCA4, rounds, 2).unwrap().shards);
+            corpus.extend(campaign_plan(&grid, 0xCA4, rounds, 2).unwrap().shards);
         }
         let (mut accepted, mut refused) = (0, 0);
         for shard in &corpus {

@@ -160,8 +160,8 @@ fn generated_sweep_exports_are_thread_count_independent() {
 /// each shard against its own journal, merge, render — and returns the
 /// rendered CSV plus the merged cache (for warm-pass assertions).
 fn run_campaign(grid: &GenGrid, shard_count: usize, base: &Path) -> (String, Arc<SweepCache>) {
-    let plan = ShardPlan::for_campaign(grid, 0xCA4, Some(1), shard_count).unwrap();
     let identities = grid.identities(0xCA4).unwrap();
+    let plan = ShardPlan::for_campaign(&identities, 0xCA4, Some(1), shard_count).unwrap();
     let mut shard_dirs = Vec::new();
     for shard in &plan.shards {
         let dir = base.join(format!("shard-{:03}", shard.index));
