@@ -246,17 +246,6 @@ USAGE:
       records is refused as vacuous. Exits non-zero on any violation.
       The invariant catalogue is in docs/OBSERVABILITY.md.
 
-  carq-cli bench [--quick] [--repeat N] [--threads N] [--seed S]
-      [--out PATH] [--against PATH]
-      Time the table1, figure-series and preset-sweep workloads and
-      report rounds/sec, events/sec and heap allocations as JSON (the
-      repo's BENCH_*.json perf trajectory; schema and the recorded
-      pre-optimization baseline are documented in docs/PERFORMANCE.md).
-      --quick shrinks the workloads for CI smoke; --against FILE fails
-      if the table1 workload regressed >20% vs FILE's recorded rate
-      (CARQ_BENCH_NO_FAIL=1 downgrades that to a warning on runners
-      that are not comparable to the committed baseline).
-
   carq-cli fig reception|recovery [--car N] [--rounds N] [--seed S]
       Print the per-packet series behind Figures 3-5 (reception) or
       Figures 6-8 (recovery vs joint reception) as CSV.
@@ -374,9 +363,6 @@ pub fn dispatch(args: &[String]) -> Result<(), CliFailure> {
         },
         Some("table1") => Ok(table1_cmd(&Options::parse(&args[1..])?)?),
         Some("verify") => crate::verify::verify_cmd(&Options::parse(&args[1..])?),
-        Some("bench") => {
-            Ok(crate::bench::bench_cmd(&Options::parse_with_switches(&args[1..], &["quick"])?)?)
-        }
         Some("fig") => match args.get(1).map(String::as_str) {
             Some(kind @ ("reception" | "recovery")) => {
                 Ok(fig_cmd(kind, &Options::parse(&args[2..])?)?)

@@ -26,9 +26,7 @@
 
 use std::process::ExitCode;
 
-mod alloc_count;
 mod analyze;
-mod bench;
 mod campaign;
 mod chaos;
 mod cli;
@@ -38,12 +36,6 @@ mod gen_cmd;
 mod pipeline;
 mod trace;
 mod verify;
-
-/// Every allocation in the binary goes through the counting wrapper so
-/// `carq-cli bench` can report allocations per workload (one relaxed atomic
-/// increment of overhead per allocation).
-#[global_allocator]
-static ALLOC: alloc_count::CountingAllocator = alloc_count::CountingAllocator;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -81,6 +81,25 @@ fn usage_errors_exit_two_with_help_hint() {
 }
 
 #[test]
+fn trace_counts_past_the_file_exit_two_without_aborting() {
+    // A 12-byte trace that declares 0xffffffff records or frames is refused
+    // as truncated, as a trace cut mid-record is, before anything is
+    // allocated for the count.
+    let dir = temp_dir("trace-count");
+    std::fs::create_dir_all(&dir).unwrap();
+    for magic in ["CARQTRC1", "CARQTRM1"] {
+        let path = dir.join(magic);
+        std::fs::write(&path, [magic.as_bytes(), &u32::MAX.to_le_bytes()].concat()).unwrap();
+        let out = carq(&["analyze", "occupancy", "--trace", path.to_str().unwrap()]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{magic}: {stderr}");
+        assert!(stderr.contains("truncated"), "{magic}: {stderr}");
+        assert!(stderr.contains("run `carq-cli help` for usage"), "{magic}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn quarantined_shard_degrades_to_exit_three_with_gap_report() {
     let dir = temp_dir("degraded");
     // A poison plan: worker 1 dies at round 0 on *every* attempt

@@ -19,7 +19,8 @@ pub enum RequestStrategy {
 
 /// How a node chooses which of the neighbours it has heard become its
 /// cooperators (the paper leaves the optimal selection algorithm as future
-/// work, §6; these policies let the ablation benches explore the space).
+/// work, §6; these policies let the `urban-strategies` sweep preset explore
+/// the space).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum SelectionStrategy {
     /// Every one-hop neighbour heard becomes a cooperator, in the order it

@@ -17,8 +17,8 @@
 //!   retransmissions for *different* requesters into one XOR-coded frame
 //!   (each requester decodes its component if it holds the other).
 //!
-//! Encoded sizes are modelled so that benches can report protocol overhead in
-//! bytes, matching how the testbed would account for it on the air.
+//! Encoded sizes are modelled so that protocol overhead is accounted in bytes,
+//! matching how the testbed would account for it on the air.
 
 use serde::{Deserialize, Serialize};
 use vanet_dtn::{DataPacket, SeqNo};

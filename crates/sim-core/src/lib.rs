@@ -61,5 +61,5 @@ pub mod time;
 
 pub use queue::{EventQueue, ScheduledEvent};
 pub use rng::{fnv1a64, fnv1a64_chain, fnv1a64_chain4, RngDirectory, SeedableStream, StreamRng};
-pub use sim::{Model, RunOutcome, RunStats, Scheduler, Simulation};
+pub use sim::{Model, RunOutcome, Scheduler, Simulation};
 pub use time::{SimDuration, SimTime};

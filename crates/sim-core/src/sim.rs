@@ -1,8 +1,6 @@
 //! The simulation driver: the [`Model`] trait, the [`Scheduler`] handle that
 //! models use to schedule follow-up events, and the [`Simulation`] run loop.
 
-use std::time::{Duration, Instant};
-
 use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
 
@@ -96,28 +94,6 @@ pub enum RunOutcome {
     EventBudgetExhausted,
 }
 
-/// Wall-clock throughput of a finished [`Simulation::run`] call — the
-/// engine-level perf probe behind `carq-cli bench`.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct RunStats {
-    /// Events processed by the run.
-    pub events: u64,
-    /// Wall-clock time the run took.
-    pub wall: Duration,
-}
-
-impl RunStats {
-    /// Events dispatched per wall-clock second.
-    pub fn events_per_sec(&self) -> f64 {
-        let secs = self.wall.as_secs_f64();
-        if secs > 0.0 {
-            self.events as f64 / secs
-        } else {
-            f64::INFINITY
-        }
-    }
-}
-
 /// A discrete-event simulation: an event queue plus a [`Model`].
 ///
 /// # Examples
@@ -154,7 +130,6 @@ pub struct Simulation<M: Model> {
     /// Scratch buffer lent to each event's [`Scheduler`], reused across the
     /// whole run so dispatching an event never allocates.
     scratch: Vec<(SimTime, M::Event)>,
-    last_run: RunStats,
 }
 
 /// Default pre-sizing of the event queue: the simulations reproduced here
@@ -173,7 +148,6 @@ impl<M: Model> Simulation<M> {
             max_events: None,
             processed: 0,
             scratch: Vec::new(),
-            last_run: RunStats::default(),
         }
     }
 
@@ -272,8 +246,6 @@ impl<M: Model> Simulation<M> {
     /// Runs until the queue drains, the horizon is reached or the event budget
     /// is exhausted, and reports which of those happened.
     pub fn run(&mut self) -> RunOutcome {
-        let started = Instant::now();
-        let processed_before = self.processed;
         loop {
             match self.step() {
                 Ok(_) => {}
@@ -285,22 +257,11 @@ impl<M: Model> Simulation<M> {
                             self.now = self.now.max(h);
                         }
                     }
-                    self.last_run = RunStats {
-                        events: self.processed - processed_before,
-                        wall: started.elapsed(),
-                    };
                     self.model.on_finish(self.now);
                     return outcome;
                 }
             }
         }
-    }
-
-    /// Throughput of the most recent [`Simulation::run`] call (zeroed until
-    /// the first run finishes). Wall-clock provenance only — never feeds back
-    /// into simulation results.
-    pub fn last_run_stats(&self) -> RunStats {
-        self.last_run
     }
 }
 
@@ -356,6 +317,11 @@ mod tests {
         assert_eq!(order, vec![100, 101, 102]);
         assert_eq!(sim.model().seen[1].0, SimTime::from_secs(5));
         assert_eq!(sim.model().seen[2].0, SimTime::from_secs(6));
+        assert_eq!(sim.processed_events(), 3, "100 plus its two follow-ups");
+        // A second run adds only its own events to the count.
+        sim.schedule_at(SimTime::from_secs(10), 1);
+        sim.run();
+        assert_eq!(sim.processed_events(), 4);
     }
 
     #[test]
@@ -425,22 +391,6 @@ mod tests {
     fn step_reports_drained_queue() {
         let mut sim = Simulation::new(Recorder::default());
         assert_eq!(sim.step(), Err(RunOutcome::QueueDrained));
-    }
-
-    #[test]
-    fn run_stats_probe_counts_the_runs_events() {
-        let mut sim = Simulation::new(Recorder::default()).with_queue_capacity(8);
-        assert_eq!(sim.last_run_stats(), RunStats::default());
-        sim.schedule_at(SimTime::from_secs(5), 100);
-        sim.run();
-        let stats = sim.last_run_stats();
-        assert_eq!(stats.events, 3, "100 plus its two follow-ups");
-        assert!(stats.events_per_sec() > 0.0);
-        // A second run only counts its own events.
-        sim.schedule_at(SimTime::from_secs(10), 1);
-        sim.run();
-        assert_eq!(sim.last_run_stats().events, 1);
-        assert_eq!(RunStats { events: 5, wall: Duration::ZERO }.events_per_sec(), f64::INFINITY);
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! anti-entropy session of epidemic routing (Vahdat & Becker): when two nodes
 //! meet, each sends its *summary vector* (the set of packets it carries) and
 //! then transfers every packet the other is missing — regardless of whether
-//! the other node is the packet's destination. The benches compare the bytes
-//! and frames this exchanges against what the C-ARQ REQUEST/response recovery
-//! needs for the same reception state.
+//! the other node is the packet's destination. `tests/baselines_and_extensions.rs`
+//! compares the bytes and frames this exchanges against what the C-ARQ
+//! REQUEST/response recovery needs for the same reception state.
 
 use std::collections::BTreeSet;
 

@@ -63,7 +63,7 @@ pub trait ScenarioRun: Send + Sync {
 
     /// Folds the per-round reports (in round order) into the point's metric
     /// row. Implementations must ignore trailing reports past their own
-    /// completion criterion, so that executors may overshoot
+    /// completion condition, so that executors may overshoot
     /// [`ScenarioRun::is_settled`] without changing the summary.
     fn aggregate(&self, rounds: &[RoundReport]) -> PointSummary;
 

@@ -219,7 +219,7 @@ impl UrbanScenario {
     }
 
     /// The configuration a point runs: the base with the point's overrides.
-    /// Callers outside `configure` (tests, benches) can inspect it.
+    /// Callers outside `configure` (tests) can inspect it.
     pub fn config_for(&self, point: &SweepPoint) -> Result<UrbanConfig, ParamError> {
         self.schema.validate(point)?;
         let mut cfg = self.base.clone();

@@ -1,5 +1,5 @@
-//! Text rendering of tables and series, used by the bench harness to print
-//! paper-style output.
+//! Text rendering of tables and series, used by `carq-cli table1` and
+//! `carq-cli fig` to print paper-style output.
 
 use std::fmt::Write as _;
 

@@ -19,8 +19,8 @@
 //! * [`series`] — per-packet reception-probability series for Figures 3–5
 //!   (promiscuous reception at each car) and Figures 6–8 (after-cooperation
 //!   vs joint reception).
-//! * [`export`] — CSV and fixed-width text rendering used by the bench
-//!   harness to print paper-style tables and figure data.
+//! * [`export`] — CSV and fixed-width text rendering used by `carq-cli
+//!   table1` and `carq-cli fig` to print paper-style tables and figure data.
 //! * [`codec`] — a stable binary encoding of [`RoundReport`]s, the wire
 //!   format the `vanet-cache` round cache persists.
 //!

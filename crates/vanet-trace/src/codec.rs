@@ -125,7 +125,25 @@ impl<'a> Reader<'a> {
     fn bool(&mut self) -> Result<bool, TraceCodecError> {
         Ok(self.u8()? != 0)
     }
+    /// Reads a count of items that each encode to at least `min_item_bytes`,
+    /// refusing one the remaining bytes cannot hold, so a corrupt count fails
+    /// before anything is allocated for it.
+    fn count(&mut self, min_item_bytes: usize) -> Result<u32, TraceCodecError> {
+        let count = self.u32()?;
+        if (count as usize).saturating_mul(min_item_bytes) > self.bytes.len() {
+            return Err(TraceCodecError::Truncated);
+        }
+        Ok(count)
+    }
 }
+
+/// The fewest bytes a record encodes to: its u32 length, its tag byte and
+/// the smallest payload (`EventDispatched`'s 12 bytes).
+const MIN_RECORD_BYTES: usize = 4 + 1 + 12;
+
+/// The fewest bytes a frame encodes to: its 16-byte header and an empty
+/// `CARQTRC1` blob (magic and count).
+const MIN_FRAME_BYTES: usize = 16 + TRACE_MAGIC.len() + 4;
 
 /// `(tag, payload length excluding the tag byte)` per variant.
 fn layout(record: &TraceRecord) -> (u8, u32) {
@@ -227,7 +245,7 @@ pub fn decode(bytes: &[u8]) -> Result<Vec<TraceRecord>, TraceCodecError> {
     if r.take(TRACE_MAGIC.len()).map_err(|_| TraceCodecError::BadMagic)? != TRACE_MAGIC {
         return Err(TraceCodecError::BadMagic);
     }
-    let count = r.u32()?;
+    let count = r.count(MIN_RECORD_BYTES)?;
     let mut records = Vec::with_capacity(count as usize);
     for _ in 0..count {
         let declared = r.u32()?;
@@ -339,7 +357,7 @@ pub fn decode_frames(bytes: &[u8]) -> Result<Vec<TraceFrame>, TraceCodecError> {
     {
         return Err(TraceCodecError::BadMagic);
     }
-    let count = r.u32()?;
+    let count = r.count(MIN_FRAME_BYTES)?;
     let mut frames = Vec::with_capacity(count as usize);
     for _ in 0..count {
         let round = r.u32()?;
@@ -466,6 +484,8 @@ mod tests {
         let bytes = encode(&records);
         assert_eq!(&bytes[..8], TRACE_MAGIC);
         assert_eq!(decode(&bytes).unwrap(), records);
+        // `decode` bounds a record count by this minimum.
+        assert!(records.iter().all(|r| 4 + 1 + layout(r).1 as usize >= MIN_RECORD_BYTES));
         // Encoding is deterministic.
         assert_eq!(bytes, encode(&records));
         // The empty trace round-trips too.
@@ -486,9 +506,15 @@ mod tests {
         bad_tag[16] = 250;
         assert_eq!(decode(&bad_tag), Err(TraceCodecError::UnknownTag(250)));
         // Shrink the first record's declared length below its layout.
-        let mut bad_len = bytes;
+        let mut bad_len = bytes.clone();
         bad_len[12..16].copy_from_slice(&9u32.to_le_bytes());
         assert!(matches!(decode(&bad_len), Err(TraceCodecError::BadLength { tag: 0, .. })));
+        // A count the remaining bytes cannot hold is refused before anything
+        // is allocated for it, not only after the records run out.
+        assert_eq!(decode(b"CARQTRC1\xff\xff\xff\xff"), Err(TraceCodecError::Truncated));
+        let mut overcount = bytes;
+        overcount[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(decode(&overcount), Err(TraceCodecError::Truncated));
         // Errors render.
         assert!(TraceCodecError::UnknownTag(9).to_string().contains("tag 9"));
     }
@@ -507,6 +533,7 @@ mod tests {
         assert_eq!(decode_frames(&encode_frames(&[])).unwrap(), Vec::new());
 
         assert_eq!(decode_frames(b"NOTAMAGI"), Err(TraceCodecError::BadMagic));
+        assert_eq!(decode_frames(b"CARQTRM1\xff\xff\xff\xff"), Err(TraceCodecError::Truncated));
         assert_eq!(decode_frames(&bytes[..bytes.len() - 2]), Err(TraceCodecError::Truncated));
         let mut trailing = bytes.clone();
         trailing.push(0);

@@ -10,8 +10,8 @@
 //!   emission site is guarded by the sink's associated `const ENABLED`, so
 //!   with the default [`NoTrace`] sink the whole tracing path monomorphizes
 //!   to nothing: no branch, no allocation, no record construction. The
-//!   bench harness asserts this (allocation counts and table1 rounds/s are
-//!   gated against the committed baseline).
+//!   bench gate asserts this (allocation counts and rounds per CPU second
+//!   are gated against the committed baseline).
 //! * [`TraceRecord`] — plain-`Copy` structured records: event dispatch,
 //!   transmission start (with airtime), per-receiver delivery verdicts with
 //!   the cached-vs-sampled link-budget split, sampled cache audits, CSMA

@@ -12,9 +12,9 @@
 //! With [`NoTrace`] (the default everywhere) `S::ENABLED` is a
 //! compile-time `false`, so the branch, the record construction and the
 //! call all monomorphize away — the disabled path compiles to exactly the
-//! untraced code. The bench harness guards this: the disabled-trace
-//! allocation count and table1 rounds/s are gated against the committed
-//! baseline.
+//! untraced code. The bench gate guards this: the disabled-trace
+//! allocation count and rounds per CPU second are gated against the
+//! committed baseline.
 
 use std::collections::VecDeque;
 

@@ -11,8 +11,9 @@
 //! * [`radio`] — path loss, shadowing, fading and packet-error models.
 //! * [`mac`] — broadcast 802.11-like medium with carrier sensing and
 //!   collisions.
-//! * [`dtn`] — AP traffic sources, reception maps, cooperation buffers,
-//!   epidemic baseline and the joint-reception oracle.
+//! * [`dtn`] — AP traffic sources, reception maps (whose union,
+//!   `ReceptionMap::union_with`, is the joint reception of a platoon),
+//!   cooperation buffers and the epidemic baseline.
 //! * [`protocol`] — the Cooperative ARQ protocol itself (the paper's
 //!   contribution).
 //! * [`stats`] — Table-1 and figure-series generation, summaries,
