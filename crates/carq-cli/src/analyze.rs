@@ -11,9 +11,9 @@
 //! * `analyze diff` — where two record streams first diverge.
 //!
 //! A round analysed live (`--scenario`) and the same round replayed from a
-//! `CARQTRC1`/`CARQTRM1` file (`--trace`) produce byte-identical tables:
-//! frames carry `(round, seed)`, and the analysis is a pure function of the
-//! record stream. The metric definitions and the record-matching rules are
+//! `CARQTRM1` file (`--trace`) produce byte-identical tables: frames carry
+//! `(round, seed)`, and the analysis is a pure function of the record
+//! stream. The metric definitions and the record-matching rules are
 //! documented in `docs/OBSERVABILITY.md`.
 
 use std::sync::{Arc, Mutex};
@@ -22,7 +22,8 @@ use vanet_analysis::{diff, AnalysisEngine, AnalysisStore, RoundDigest};
 use vanet_scenarios::{round_seed, Param, ScenarioRegistry, ScenarioRun, SweepPoint};
 use vanet_stats::{CellValue, RecordTable};
 use vanet_sweep::presets;
-use vanet_trace::{decode_any, to_jsonl, TraceFrame, TraceRecord};
+use vanet_trace::codec::TRACE_MAGIC;
+use vanet_trace::{decode_frames, to_jsonl, TraceFrame, TraceRecord};
 
 use crate::cli::{strategy_values, Options};
 use crate::commands::parse_seed;
@@ -92,11 +93,18 @@ fn strategy_point(opts: &Options) -> Result<SweepPoint, String> {
     }
 }
 
-/// Loads the frames of a trace file (plain `CARQTRC1` or framed
-/// `CARQTRM1`).
+/// Loads the frames of a `CARQTRM1` trace file. A bare `CARQTRC1` file is
+/// the retired single-round format, which records neither its round nor
+/// its seed: it is refused with a hint to re-export it.
 fn read_frames(path: &str) -> Result<Vec<TraceFrame>, String> {
     let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    decode_any(&bytes).map_err(|e| format!("{path}: {e}"))
+    if bytes.starts_with(TRACE_MAGIC) {
+        return Err(format!(
+            "{path}: `CARQTRC1` is a retired single-round trace format: re-export round R with \
+             `carq-cli trace --rounds R..R+1`"
+        ));
+    }
+    decode_frames(&bytes).map_err(|e| format!("{path}: {e}"))
 }
 
 /// Traces rounds `0..rounds` of a configured scenario run into frames, so
@@ -519,6 +527,71 @@ mod tests {
             assert_eq!(live.lines().count(), 3, "header + 2 rounds: {live}");
         }
         for path in [trace_file, out_live, out_file] {
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    #[test]
+    fn a_one_frame_export_replays_as_its_own_round() {
+        // `trace --rounds 5..6` writes one frame, stamped with round 5 and
+        // its round seed: replayed, it renders the live run's round-5 row.
+        let trace_file = temp_path("one-frame", "trc");
+        let trace_str = trace_file.display().to_string();
+        crate::trace::trace_cmd(&opts(&[
+            "--scenario",
+            "urban",
+            "--rounds",
+            "5..6",
+            "--out",
+            &trace_str,
+        ]))
+        .unwrap();
+        let out_live = temp_path("live6", "csv");
+        let out_file = temp_path("file5", "csv");
+        table_cmd(
+            Metric::Latency,
+            &opts(&[
+                "--scenario",
+                "urban",
+                "--rounds",
+                "6",
+                "--out",
+                &out_live.display().to_string(),
+            ]),
+        )
+        .unwrap();
+        table_cmd(
+            Metric::Latency,
+            &opts(&["--trace", &trace_str, "--out", &out_file.display().to_string()]),
+        )
+        .unwrap();
+        let live = std::fs::read_to_string(&out_live).unwrap();
+        let replayed = std::fs::read_to_string(&out_file).unwrap();
+        let seed = round_seed(parse_seed(&opts(&[])).unwrap(), 5);
+        let row = format!("5,{seed:#018x},");
+        let [header, replayed_row] = replayed.lines().collect::<Vec<_>>()[..] else {
+            panic!("a header and one row: {replayed}")
+        };
+        assert!(replayed_row.starts_with(&row), "{replayed_row} is not round 5 at {seed:#x}");
+        assert_eq!(live.lines().next(), Some(header));
+        assert_eq!(live.lines().nth(6), Some(replayed_row), "live: {live}");
+
+        // The timeline finds round 5 in the file too.
+        let timeline = temp_path("timeline5", "txt");
+        timeline_cmd(&opts(&[
+            "--trace",
+            &trace_str,
+            "--node",
+            "1",
+            "--round",
+            "5",
+            "--out",
+            &timeline.display().to_string(),
+        ]))
+        .unwrap();
+        let text = std::fs::read_to_string(&timeline).unwrap();
+        assert!(text.starts_with("timeline: node 1, round 5:"), "{text}");
+        for path in [trace_file, out_live, out_file, timeline] {
             std::fs::remove_file(&path).ok();
         }
     }

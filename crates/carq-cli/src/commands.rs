@@ -182,14 +182,15 @@ USAGE:
       attempt, forcing the quarantine + gap-report + exit-3 path.
       Exits 0 on PASS, 1 on any divergence, 3 when quarantined.
 
-  carq-cli trace --scenario NAME|FILE [--round R | --rounds A..B]
-      [--seed S] --out FILE
-      Run traced rounds and export the structured event stream. One
-      round exports compact binary CARQTRC1; a range (--rounds A..B,
-      end-exclusive, or --rounds N for 0..N) exports framed CARQTRM1,
-      one (round, seed)-stamped frame per round — the input format of
-      `carq-cli analyze`. JSONL when FILE ends in .jsonl. The invariant
-      catalogue the records feed is in docs/OBSERVABILITY.md.
+  carq-cli trace --scenario NAME|FILE [--rounds A..B] [--seed S]
+      --out FILE
+      Run traced rounds and export the structured event stream as a
+      CARQTRM1 trace file, one (round, seed)-stamped frame per round —
+      the input format of `carq-cli analyze`. --rounds A..B is
+      end-exclusive, --rounds N means 0..N, and the default is round 0
+      alone; round R alone is --rounds R..R+1. JSONL when FILE ends in
+      .jsonl. The invariant catalogue the records feed is in
+      docs/OBSERVABILITY.md.
 
   carq-cli analyze latency|occupancy (--preset NAME | --scenario NAME|FILE
       [--strategy S] | --trace FILE) [--rounds N] [--seed S] [--threads N]
@@ -202,8 +203,8 @@ USAGE:
       grid through the parallel analysis engine (one row per point,
       byte-identical at any --threads; --cache DIR persists round
       digests so a warm re-run simulates nothing). --scenario analyses
-      one configuration per round; --trace replays an exported CARQTRM1/
-      CARQTRC1 file instead of simulating — byte-identical output.
+      one configuration per round; --trace replays an exported CARQTRM1
+      file instead of simulating — byte-identical output.
 
   carq-cli analyze timeline (--scenario NAME|FILE [--strategy S] |
       --trace FILE) --node N [--round R] [--seed S] [--out PATH]

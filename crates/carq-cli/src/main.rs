@@ -7,7 +7,7 @@
 //! carq-cli gen list
 //! carq-cli gen emit highway-flow --n_cars 4 --out world.gen
 //! carq-cli campaign run --generator grid-city --n_cars 2,4 --replicas 8 --workers 3
-//! carq-cli trace --scenario urban --round 0 --out round0.jsonl
+//! carq-cli trace --scenario urban --rounds 0..1 --out round0.jsonl
 //! carq-cli trace --scenario urban --rounds 0..5 --out rounds.trc
 //! carq-cli analyze latency --preset strategy-compare
 //! carq-cli analyze occupancy --trace rounds.trc

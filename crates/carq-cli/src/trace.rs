@@ -1,12 +1,11 @@
 //! `carq-cli trace` — run traced rounds and export the record stream.
 //!
-//! One round (`--round R`) exports the compact binary `CARQTRC1` codec; a
-//! range (`--rounds A..B` or `--rounds N` for `0..N`) exports the framed
-//! `CARQTRM1` codec, one `(round, seed)`-stamped frame per round, which
-//! `carq-cli analyze` consumes directly. Either becomes JSONL for external
-//! tooling when `--out` ends in `.jsonl`. The scenario reference accepts a
-//! registered name or a `VANETGEN1` scenario file, like `verify` and
-//! `scenario describe`.
+//! `--rounds A..B` (end-exclusive; `--rounds N` means `0..N`, and the
+//! default is round 0 alone) exports a `CARQTRM1` trace file, one
+//! `(round, seed)`-stamped frame per round, which `carq-cli analyze`
+//! consumes directly. It becomes JSONL for external tooling when `--out`
+//! ends in `.jsonl`. The scenario reference accepts a registered name or a
+//! `VANETGEN1` scenario file, like `verify` and `scenario describe`.
 
 use std::ops::Range;
 
@@ -30,10 +29,10 @@ fn parse_round_range(raw: &str) -> Result<Range<u32>, String> {
     Ok(range)
 }
 
-/// `carq-cli trace --scenario NAME|FILE [--round R | --rounds A..B]
-/// [--seed S] --out FILE`.
+/// `carq-cli trace --scenario NAME|FILE [--rounds A..B] [--seed S] --out
+/// FILE`.
 pub fn trace_cmd(opts: &Options) -> Result<(), String> {
-    let unknown = opts.unknown_flags(&["scenario", "round", "rounds", "seed", "out"]);
+    let unknown = opts.unknown_flags(&["scenario", "rounds", "seed", "out"]);
     if !unknown.is_empty() {
         return Err(format!("unknown flags: --{}", unknown.join(", --")));
     }
@@ -46,85 +45,56 @@ pub fn trace_cmd(opts: &Options) -> Result<(), String> {
     };
     let Some(out) = opts.get("out") else {
         return Err(
-            "trace needs --out FILE (binary CARQTRC1/CARQTRM1; a .jsonl extension writes JSONL)"
-                .into(),
+            "trace needs --out FILE (binary CARQTRM1; a .jsonl extension writes JSONL)".into()
         );
     };
     let source = resolve_scenario(&registry, reference)?;
     let scenario = source.scenario(&registry);
     let run = scenario.configure(&SweepPoint::empty()).map_err(|e| e.to_string())?;
-    let range = match (opts.get("round"), opts.get("rounds")) {
-        (Some(_), Some(_)) => return Err("--round and --rounds are mutually exclusive".into()),
-        (None, Some(raw)) => Some(parse_round_range(raw)?),
-        _ => None,
-    };
+    let range = parse_round_range(opts.get("rounds").unwrap_or("1"))?;
     let seed = parse_seed(opts)?;
-    if let Some(range) = range {
-        // Multi-round framed export: each frame carries its own round
-        // number and round seed, so a replayed analysis needs nothing else.
-        if range.end > run.rounds() {
-            return Err(format!(
-                "--rounds {}..{} is out of range (`{}` has {} round(s), 0-based)",
-                range.start,
-                range.end,
-                scenario.name(),
-                run.rounds()
-            ));
-        }
-        let frames: Vec<TraceFrame> = range
-            .clone()
-            .map(|round| {
-                let frame_seed = round_seed(seed, round);
-                let (_, records) = run.run_round_traced(round, frame_seed);
-                TraceFrame { round, seed: frame_seed, records }
-            })
-            .collect();
-        let total: usize = frames.iter().map(|f| f.records.len()).sum();
-        if out.ends_with(".jsonl") {
-            let mut text = String::new();
-            for frame in &frames {
-                text.push_str(&format!(
-                    "{{\"frame\":{{\"round\":{},\"seed\":\"{:#018x}\",\"records\":{}}}}}\n",
-                    frame.round,
-                    frame.seed,
-                    frame.records.len()
-                ));
-                text.push_str(&vanet_trace::to_jsonl(&frame.records));
-            }
-            std::fs::write(out, text)
-        } else {
-            std::fs::write(out, vanet_trace::encode_frames(&frames))
-        }
-        .map_err(|e| format!("cannot write {out}: {e}"))?;
-        println!(
-            "{out}: {total} trace record(s) of `{}` rounds {}..{} in {} frame(s), \
-             master seed {seed:#x}",
-            scenario.name(),
+    // Each frame carries its own round number and round seed, so a replayed
+    // analysis needs nothing else.
+    if range.end > run.rounds() {
+        return Err(format!(
+            "--rounds {}..{} is out of range (`{}` has {} round(s), 0-based)",
             range.start,
             range.end,
-            frames.len()
-        );
-        return Ok(());
-    }
-    let round: u32 = opts.get_parsed("round", 0)?;
-    if round >= run.rounds() {
-        return Err(format!(
-            "--round {round} is out of range (`{}` has {} round(s), 0-based)",
             scenario.name(),
             run.rounds()
         ));
     }
-    let (_, records) = run.run_round_traced(round, round_seed(seed, round));
+    let frames: Vec<TraceFrame> = range
+        .clone()
+        .map(|round| {
+            let frame_seed = round_seed(seed, round);
+            let (_, records) = run.run_round_traced(round, frame_seed);
+            TraceFrame { round, seed: frame_seed, records }
+        })
+        .collect();
+    let total: usize = frames.iter().map(|f| f.records.len()).sum();
     if out.ends_with(".jsonl") {
-        std::fs::write(out, vanet_trace::to_jsonl(&records))
+        let mut text = String::new();
+        for frame in &frames {
+            text.push_str(&format!(
+                "{{\"frame\":{{\"round\":{},\"seed\":\"{:#018x}\",\"records\":{}}}}}\n",
+                frame.round,
+                frame.seed,
+                frame.records.len()
+            ));
+            text.push_str(&vanet_trace::to_jsonl(&frame.records));
+        }
+        std::fs::write(out, text)
     } else {
-        std::fs::write(out, vanet_trace::encode(&records))
+        std::fs::write(out, vanet_trace::encode_frames(&frames))
     }
     .map_err(|e| format!("cannot write {out}: {e}"))?;
     println!(
-        "{out}: {} trace record(s) of `{}` round {round}, master seed {seed:#x}",
-        records.len(),
-        scenario.name()
+        "{out}: {total} trace record(s) of `{}` rounds {}..{} in {} frame(s), master seed {seed:#x}",
+        scenario.name(),
+        range.start,
+        range.end,
+        frames.len()
     );
     Ok(())
 }
@@ -157,47 +127,43 @@ mod tests {
         assert!(err.contains("--out"), "{err}");
         assert!(trace_cmd(&opts(&["--scenario", "mars", "--out", "/tmp/x.trc"])).is_err());
         assert!(trace_cmd(&opts(&["--bogus", "1"])).is_err());
-        let err =
-            trace_cmd(&opts(&["--scenario", "urban", "--round", "9999", "--out", "/tmp/x.trc"]))
-                .unwrap_err();
-        assert!(err.contains("out of range"), "{err}");
-        // The range form shares the validation.
+        // One round is the range `--rounds R..R+1`; there is no `--round`.
+        let err = trace_cmd(&opts(&["--scenario", "urban", "--round", "0", "--out", "/tmp/x.trc"]))
+            .unwrap_err();
+        assert!(err.contains("unknown flags: --round"), "{err}");
         let base = ["--scenario", "urban", "--out", "/tmp/x.trc"];
         for bad in ["0..0", "2..1", "nope", "0..9999"] {
             let err = trace_cmd(&opts(&[&base[..], &["--rounds", bad]].concat())).unwrap_err();
             assert!(err.contains("--rounds"), "{bad}: {err}");
         }
-        let err = trace_cmd(&opts(&[&base[..], &["--round", "0", "--rounds", "2"]].concat()))
-            .unwrap_err();
-        assert!(err.contains("mutually exclusive"), "{err}");
+        let err = trace_cmd(&opts(&[&base[..], &["--rounds", "9999"]].concat())).unwrap_err();
+        assert!(err.contains("out of range"), "{err}");
     }
 
     #[test]
     fn round_ranges_export_frames() {
-        // `--rounds 2` ≡ `--rounds 0..2`: two CARQTRM1 frames whose blobs
-        // are exactly the per-round CARQTRC1 exports.
+        // `--rounds 2` ≡ `--rounds 0..2`: two CARQTRM1 frames, each exactly
+        // the one-frame export of its own round.
         let framed = temp_file("framed", "trc");
         let framed_str = framed.display().to_string();
         trace_cmd(&opts(&["--scenario", "urban", "--rounds", "2", "--out", &framed_str])).unwrap();
-        let frames = vanet_trace::decode_any(&std::fs::read(&framed).unwrap()).unwrap();
+        let frames = vanet_trace::decode_frames(&std::fs::read(&framed).unwrap()).unwrap();
         assert_eq!(frames.iter().map(|f| f.round).collect::<Vec<_>>(), [0, 1]);
         assert!(frames.iter().all(|f| !f.records.is_empty()));
 
         let single = temp_file("single", "trc");
         let single_str = single.display().to_string();
         for frame in &frames {
-            trace_cmd(&opts(&[
-                "--scenario",
-                "urban",
-                "--round",
-                &frame.round.to_string(),
-                "--out",
-                &single_str,
-            ]))
-            .unwrap();
-            let records = vanet_trace::decode(&std::fs::read(&single).unwrap()).unwrap();
-            assert_eq!(records, frame.records, "round {}", frame.round);
+            let range = format!("{}..{}", frame.round, frame.round + 1);
+            trace_cmd(&opts(&["--scenario", "urban", "--rounds", &range, "--out", &single_str]))
+                .unwrap();
+            let one = vanet_trace::decode_frames(&std::fs::read(&single).unwrap()).unwrap();
+            assert_eq!(one, std::slice::from_ref(frame), "round {}", frame.round);
         }
+        // Without `--rounds`, the export is round 0 alone.
+        trace_cmd(&opts(&["--scenario", "urban", "--out", &single_str])).unwrap();
+        let one = vanet_trace::decode_frames(&std::fs::read(&single).unwrap()).unwrap();
+        assert_eq!(one, frames[..1]);
 
         // The JSONL form interleaves one frame-header line per round.
         let jsonl = temp_file("frames", "jsonl");
@@ -227,15 +193,21 @@ mod tests {
         let binary = temp_file("binary", "trc");
         let binary_str = binary.display().to_string();
         trace_cmd(&opts(&["--scenario", &scenario_str, "--out", &binary_str])).unwrap();
-        let decoded = vanet_trace::decode(&std::fs::read(&binary).unwrap()).unwrap();
+        let frames = vanet_trace::decode_frames(&std::fs::read(&binary).unwrap()).unwrap();
+        let [frame] = &frames[..] else { panic!("{} frame(s), not round 0 alone", frames.len()) };
+        assert_eq!(frame.round, 0);
+        let decoded = &frame.records;
         assert!(!decoded.is_empty(), "a traced round emits records");
-        assert!(vanet_trace::verify(&decoded).violations.is_empty());
+        assert!(vanet_trace::verify(decoded).violations.is_empty());
 
         let jsonl = temp_file("jsonl", "jsonl");
         let jsonl_str = jsonl.display().to_string();
         trace_cmd(&opts(&["--scenario", &scenario_str, "--out", &jsonl_str])).unwrap();
         let text = std::fs::read_to_string(&jsonl).unwrap();
-        assert_eq!(text.lines().count(), decoded.len(), "one JSON object per record");
+        let (headers, lines): (Vec<&str>, Vec<&str>) =
+            text.lines().partition(|l| l.starts_with("{\"frame\":"));
+        assert_eq!(headers.len(), 1, "one frame header");
+        assert_eq!(lines.len(), decoded.len(), "one JSON object per record");
         assert!(text.lines().all(|l| l.starts_with('{') && l.ends_with('}')), "JSONL lines");
 
         for path in [scenario_file, binary, jsonl] {

@@ -82,18 +82,22 @@ fn usage_errors_exit_two_with_help_hint() {
 
 #[test]
 fn trace_counts_past_the_file_exit_two_without_aborting() {
-    // A 12-byte trace that declares 0xffffffff records or frames is refused
-    // as truncated, as a trace cut mid-record is, before anything is
-    // allocated for the count.
+    // A 12-byte trace file that declares 0xffffffff frames is refused as
+    // truncated, as a trace cut mid-record is, before anything is allocated
+    // for the count. A bare `CARQTRC1` payload, the retired single-round
+    // file, is refused with a hint to re-export it, whatever its count.
     let dir = temp_dir("trace-count");
     std::fs::create_dir_all(&dir).unwrap();
-    for magic in ["CARQTRC1", "CARQTRM1"] {
+    for (magic, message) in [
+        ("CARQTRC1", "re-export round R with `carq-cli trace --rounds R..R+1`"),
+        ("CARQTRM1", "truncated"),
+    ] {
         let path = dir.join(magic);
         std::fs::write(&path, [magic.as_bytes(), &u32::MAX.to_le_bytes()].concat()).unwrap();
         let out = carq(&["analyze", "occupancy", "--trace", path.to_str().unwrap()]);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{magic}: {stderr}");
-        assert!(stderr.contains("truncated"), "{magic}: {stderr}");
+        assert!(stderr.contains(message), "{magic}: {stderr}");
         assert!(stderr.contains("run `carq-cli help` for usage"), "{magic}: {stderr}");
     }
     std::fs::remove_dir_all(&dir).ok();

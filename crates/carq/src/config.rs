@@ -142,33 +142,9 @@ impl CarqConfig {
         self
     }
 
-    /// Overrides the cooperator-selection strategy.
-    pub fn with_selection(mut self, selection: SelectionStrategy) -> Self {
-        self.selection = selection;
-        self
-    }
-
-    /// Overrides the HELLO interval.
-    pub fn with_hello_interval(mut self, interval: SimDuration) -> Self {
-        self.hello_interval = interval;
-        self
-    }
-
     /// Overrides the AP timeout.
     pub fn with_ap_timeout(mut self, timeout: SimDuration) -> Self {
         self.ap_timeout = timeout;
-        self
-    }
-
-    /// Overrides the response slot.
-    pub fn with_response_slot(mut self, slot: SimDuration) -> Self {
-        self.response_slot = slot;
-        self
-    }
-
-    /// Overrides the request pacing interval.
-    pub fn with_request_interval(mut self, interval: SimDuration) -> Self {
-        self.request_interval = interval;
         self
     }
 
@@ -225,19 +201,11 @@ mod tests {
     fn builders_override_fields() {
         let cfg = CarqConfig::paper_prototype()
             .with_batched_requests()
-            .with_selection(SelectionStrategy::FirstHeard { k: 2 })
-            .with_hello_interval(SimDuration::from_millis(500))
             .with_ap_timeout(SimDuration::from_secs(3))
-            .with_response_slot(SimDuration::from_millis(15))
-            .with_request_interval(SimDuration::from_millis(100))
             .with_strategy(RecoveryStrategyKind::NetCoded);
         assert_eq!(cfg.strategy, RecoveryStrategyKind::NetCoded);
         assert_eq!(cfg.request_strategy, RequestStrategy::Batched);
-        assert_eq!(cfg.selection.limit(), Some(2));
-        assert_eq!(cfg.hello_interval, SimDuration::from_millis(500));
         assert_eq!(cfg.ap_timeout, SimDuration::from_secs(3));
-        assert_eq!(cfg.response_slot, SimDuration::from_millis(15));
-        assert_eq!(cfg.request_interval, SimDuration::from_millis(100));
         assert!(cfg.validate().is_ok());
     }
 

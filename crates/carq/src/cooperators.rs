@@ -25,8 +25,6 @@ struct CooperatorEntry {
     /// Signal strength of the last HELLO heard from this neighbour (dB),
     /// used by the [`SelectionStrategy::StrongestSignal`] policy.
     last_snr_db: f64,
-    /// How many HELLOs have been heard from this neighbour.
-    hellos_heard: u32,
 }
 
 /// The ordered list of cooperators a node has recruited.
@@ -52,14 +50,13 @@ impl CooperatorTable {
     pub fn hear_neighbour(&mut self, node: NodeId, snr_db: f64) -> bool {
         if let Some(entry) = self.entries.iter_mut().find(|e| e.node == node) {
             entry.last_snr_db = snr_db;
-            entry.hellos_heard += 1;
             // Under StrongestSignal the updated SNR can change the selection,
             // but membership of already-selected nodes does not change unless
             // the table is over its limit (it never is, see below), so the
             // selected set is stable.
             return false;
         }
-        let entry = CooperatorEntry { node, last_snr_db: snr_db, hellos_heard: 1 };
+        let entry = CooperatorEntry { node, last_snr_db: snr_db };
         match self.strategy {
             SelectionStrategy::AllNeighbours => {
                 self.entries.push(entry);
@@ -119,11 +116,6 @@ impl CooperatorTable {
     /// The response order assigned to `node`, if it is a cooperator.
     pub fn order_of(&self, node: NodeId) -> Option<u32> {
         self.entries.iter().position(|e| e.node == node).map(|p| p as u32)
-    }
-
-    /// Number of HELLOs heard from `node`.
-    pub fn hellos_heard_from(&self, node: NodeId) -> u32 {
-        self.entries.iter().find(|e| e.node == node).map_or(0, |e| e.hellos_heard)
     }
 
     /// Removes every cooperator (e.g. between experiment rounds).
@@ -212,7 +204,6 @@ mod tests {
         assert_eq!(table.order_of(NodeId::new(1)), Some(1));
         assert_eq!(table.order_of(NodeId::new(9)), None);
         assert!(table.contains(NodeId::new(1)));
-        assert_eq!(table.hellos_heard_from(NodeId::new(3)), 2);
         assert_eq!(table.len(), 2);
         assert_eq!(table.strategy(), SelectionStrategy::AllNeighbours);
         table.clear();

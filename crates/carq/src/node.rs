@@ -227,11 +227,6 @@ impl CarqNode {
         &self.direct
     }
 
-    /// Own-flow packets recovered via cooperation.
-    pub fn recovered_seqs(&self) -> impl Iterator<Item = SeqNo> + '_ {
-        self.recovered.iter()
-    }
-
     /// The reception state after cooperation: direct receptions plus
     /// cooperative recoveries.
     pub fn after_coop_map(&self) -> ReceptionMap {
@@ -996,7 +991,9 @@ mod tests {
         assert_eq!(node.phase(), Phase::Idle);
         assert_eq!(node.missing_after_coop(), Vec::<SeqNo>::new());
         assert_eq!(node.after_coop_map().received_count(), 3);
-        assert_eq!(node.recovered_seqs().collect::<Vec<_>>(), vec![SeqNo::new(1)]);
+        // Seq 1 is held after cooperation, not received directly.
+        assert!(node.after_coop_map().contains(SeqNo::new(1)));
+        assert!(!node.direct_receptions().contains(SeqNo::new(1)));
         // A duplicate recovery is ignored.
         let _ = node.handle_frame(SimTime::from_secs(12), &coop_data_frame(2, 1, 1), || SNR);
         assert_eq!(node.stats().recovered_via_coop, 1);

@@ -41,7 +41,6 @@ pub struct RecoveryPlanner {
     fruitless_cycles: u32,
     gave_up: bool,
     requests_issued: u64,
-    recovered_count: u64,
 }
 
 impl RecoveryPlanner {
@@ -64,7 +63,6 @@ impl RecoveryPlanner {
             fruitless_cycles: 0,
             gave_up: false,
             requests_issued: 0,
-            recovered_count: 0,
         }
     }
 
@@ -89,16 +87,6 @@ impl RecoveryPlanner {
         self.gave_up
     }
 
-    /// Number of REQUEST frames issued so far.
-    pub fn requests_issued(&self) -> u64 {
-        self.requests_issued
-    }
-
-    /// Number of packets recovered so far.
-    pub fn recovered_count(&self) -> u64 {
-        self.recovered_count
-    }
-
     /// Records that `seq` has been recovered (via a cooperator, or directly
     /// from a newly reached AP). Returns `true` if it was still pending.
     pub fn mark_recovered(&mut self, seq: SeqNo) -> bool {
@@ -110,7 +98,6 @@ impl RecoveryPlanner {
             self.cursor -= 1;
         }
         self.recovered_since_cycle_start = true;
-        self.recovered_count += 1;
         true
     }
 
@@ -190,7 +177,6 @@ mod tests {
         assert_eq!(planner.next_request(), Some(seqs(&[9])));
         // Nothing recovered: the list is restarted from the beginning.
         assert_eq!(planner.next_request(), Some(seqs(&[3])));
-        assert_eq!(planner.requests_issued(), 4);
     }
 
     #[test]
@@ -204,7 +190,6 @@ mod tests {
         assert!(planner.mark_recovered(SeqNo::new(3)), "recovered out of band");
         assert!(planner.is_complete());
         assert_eq!(planner.next_request(), None);
-        assert_eq!(planner.recovered_count(), 3);
     }
 
     #[test]
@@ -250,7 +235,6 @@ mod tests {
         assert_eq!(planner.next_request(), Some(seqs(&[15])));
         assert_eq!(planner.next_request(), None);
         assert!(planner.gave_up());
-        assert_eq!(planner.requests_issued(), 3);
     }
 
     proptest! {
@@ -276,18 +260,20 @@ mod tests {
             prop_assert!(planner.is_finished());
         }
 
-        /// remaining() plus recovered_count() always equals the initial size.
+        /// remaining() plus the packets marked recovered always equals the
+        /// initial size.
         #[test]
         fn prop_conservation(missing in proptest::collection::btree_set(0u32..100, 0..40)) {
             let initial: Vec<SeqNo> = missing.iter().copied().map(SeqNo::new).collect();
             let mut planner = RecoveryPlanner::new(RequestStrategy::PerPacket, 2, initial.clone());
             // Recover every other packet.
+            let mut recovered = 0;
             for (i, s) in initial.iter().enumerate() {
-                if i % 2 == 0 {
-                    planner.mark_recovered(*s);
+                if i % 2 == 0 && planner.mark_recovered(*s) {
+                    recovered += 1;
                 }
             }
-            prop_assert!(planner.remaining().len() as u64 + planner.recovered_count() == initial.len() as u64);
+            prop_assert!(planner.remaining().len() + recovered == initial.len());
         }
     }
 }

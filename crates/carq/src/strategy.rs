@@ -90,11 +90,6 @@ impl RecoveryStrategyKind {
             RecoveryStrategyKind::NoCoop => 3,
         }
     }
-
-    /// The inverse of [`RecoveryStrategyKind::tag`].
-    pub fn from_tag(tag: u32) -> Option<Self> {
-        RecoveryStrategyKind::ALL.into_iter().find(|k| k.tag() == tag)
-    }
 }
 
 impl std::fmt::Display for RecoveryStrategyKind {
@@ -262,12 +257,14 @@ mod tests {
     fn names_and_tags_round_trip() {
         for kind in RecoveryStrategyKind::ALL {
             assert_eq!(RecoveryStrategyKind::from_name(kind.name()), Some(kind));
-            assert_eq!(RecoveryStrategyKind::from_tag(kind.tag()), Some(kind));
             assert_eq!(strategy_for(kind).kind(), kind);
             assert_eq!(kind.to_string(), kind.name());
         }
         assert_eq!(RecoveryStrategyKind::from_name("carrier-pigeon"), None);
-        assert_eq!(RecoveryStrategyKind::from_tag(99), None);
+        // Tags are distinct, so a trace record's tag names one strategy.
+        let tags: std::collections::BTreeSet<u32> =
+            RecoveryStrategyKind::ALL.iter().map(|k| k.tag()).collect();
+        assert_eq!(tags.len(), RecoveryStrategyKind::ALL.len());
         assert_eq!(RecoveryStrategyKind::default(), RecoveryStrategyKind::CoopArq);
     }
 

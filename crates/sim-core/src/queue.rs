@@ -81,12 +81,6 @@ impl<E> EventQueue<E> {
         EventQueue { heap: BinaryHeap::with_capacity(capacity), next_seq: 0 }
     }
 
-    /// Grows the queue's capacity to at least `capacity` events, keeping
-    /// everything already scheduled.
-    pub fn reserve_total(&mut self, capacity: usize) {
-        self.heap.reserve(capacity.saturating_sub(self.heap.len()));
-    }
-
     /// Schedules `event` to fire at `time`. Returns the sequence number that
     /// identifies this insertion.
     pub fn push(&mut self, time: SimTime, event: E) -> u64 {
@@ -119,11 +113,6 @@ impl<E> EventQueue<E> {
     /// Removes all pending events.
     pub fn clear(&mut self) {
         self.heap.clear();
-    }
-
-    /// Total number of events ever scheduled on this queue.
-    pub fn scheduled_count(&self) -> u64 {
-        self.next_seq
     }
 }
 
@@ -187,7 +176,6 @@ mod tests {
                 .into_iter()
                 .collect();
         assert_eq!(q.len(), 2);
-        assert_eq!(q.scheduled_count(), 2);
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(1)));
     }
 

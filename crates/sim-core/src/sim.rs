@@ -76,11 +76,6 @@ impl<E> Scheduler<E> {
     pub fn schedule_now(&mut self, event: E) {
         self.pending.push((self.now, event));
     }
-
-    /// Number of events scheduled by the current handler so far.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
 }
 
 /// Why a [`Simulation::run`] call returned.
@@ -151,14 +146,6 @@ impl<M: Model> Simulation<M> {
         }
     }
 
-    /// Pre-sizes the event queue for an expected number of in-flight events
-    /// (the default is [`DEFAULT_QUEUE_CAPACITY`](Self::new)). Events
-    /// already scheduled are kept.
-    pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
-        self.queue.reserve_total(capacity);
-        self
-    }
-
     /// Stops the run once simulated time would exceed `horizon`.
     /// Events scheduled exactly at the horizon are still processed.
     pub fn with_horizon(mut self, horizon: SimTime) -> Self {
@@ -192,19 +179,9 @@ impl<M: Model> Simulation<M> {
         self.processed
     }
 
-    /// Number of events still pending.
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Shared access to the model.
     pub fn model(&self) -> &M {
         &self.model
-    }
-
-    /// Exclusive access to the model.
-    pub fn model_mut(&mut self) -> &mut M {
-        &mut self.model
     }
 
     /// Consumes the simulation and returns the model.
@@ -285,7 +262,6 @@ mod tests {
             if event == 100 {
                 sched.schedule_now(101);
                 sched.schedule_in(SimDuration::from_secs(1), 102);
-                assert_eq!(sched.pending_len(), 2);
             }
         }
         fn on_dispatch(&mut self, now: SimTime, queue_depth: usize) {
@@ -335,7 +311,10 @@ mod tests {
         assert_eq!(order, vec![1, 2]);
         assert_eq!(sim.now(), SimTime::from_secs(2));
         assert_eq!(sim.model().finish_time, Some(SimTime::from_secs(2)));
-        assert_eq!(sim.pending_events(), 1);
+        // The event past the horizon stays queued: a later horizon runs it.
+        let mut sim = sim.with_horizon(SimTime::from_secs(3));
+        assert_eq!(sim.run(), RunOutcome::QueueDrained);
+        assert_eq!(sim.model().seen.last(), Some(&(SimTime::from_secs(3), 3)));
     }
 
     #[test]

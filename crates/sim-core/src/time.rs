@@ -100,11 +100,6 @@ impl SimTime {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
-    /// Checked difference between two instants.
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
-
     /// Adds a duration, saturating at [`SimTime::MAX`].
     pub fn saturating_add(self, d: SimDuration) -> SimTime {
         SimTime(self.0.saturating_add(d.0))
@@ -165,11 +160,6 @@ impl SimDuration {
     /// Whether this duration is zero.
     pub const fn is_zero(self) -> bool {
         self.0 == 0
-    }
-
-    /// Checked subtraction.
-    pub fn checked_sub(self, other: SimDuration) -> Option<SimDuration> {
-        self.0.checked_sub(other.0).map(SimDuration)
     }
 
     /// Saturating subtraction.
@@ -318,7 +308,6 @@ mod tests {
         let late = SimTime::from_secs(2);
         assert_eq!(late.saturating_since(early), SimDuration::from_secs(1));
         assert_eq!(early.saturating_since(late), SimDuration::ZERO);
-        assert_eq!(early.checked_since(late), None);
     }
 
     #[test]

@@ -69,6 +69,14 @@ impl Reader<'_> {
     fn u64(&mut self) -> Option<u64> {
         Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
     }
+    /// Reads a count of items that each encode to `item_bytes`, refusing
+    /// one the remaining bytes cannot hold, so a corrupt count fails before
+    /// anything is reserved for it.
+    fn count(&mut self, item_bytes: usize) -> Option<u32> {
+        let count = self.u32()?;
+        ((count as usize).saturating_mul(item_bytes) <= self.bytes.len() - self.pos)
+            .then_some(count)
+    }
 }
 
 impl RoundDigest {
@@ -119,8 +127,8 @@ impl RoundDigest {
         let round = r.u32()?;
         let seed = r.u64()?;
         let records = r.u32()?;
-        let sample_count = r.u32()?;
-        let mut samples_ns = Vec::with_capacity(sample_count.min(1 << 20) as usize);
+        let sample_count = r.count(8)?;
+        let mut samples_ns = Vec::with_capacity(sample_count as usize);
         for _ in 0..sample_count {
             samples_ns.push(r.u64()?);
         }
@@ -131,8 +139,8 @@ impl RoundDigest {
         let airtime_ns = r.u64()?;
         let tx_count = r.u32()?;
         let collision_windows = r.u32()?;
-        let node_count = r.u32()?;
-        let mut per_node_airtime_ns = Vec::with_capacity(node_count.min(1 << 20) as usize);
+        let node_count = r.count(12)?;
+        let mut per_node_airtime_ns = Vec::with_capacity(node_count as usize);
         for _ in 0..node_count {
             let node = r.u32()?;
             let airtime = r.u64()?;
@@ -219,6 +227,16 @@ mod tests {
         wrong_version[0] = 99;
         assert_eq!(RoundDigest::from_bytes(&wrong_version), None);
         assert_eq!(RoundDigest::from_bytes(&[]), None);
+        // A count the remaining bytes cannot hold declines before anything
+        // is reserved for it. The empty digest is 65 bytes: its sample count
+        // follows the 17-byte header, its per-node count ends it.
+        let empty = RoundDigest::default().to_bytes();
+        assert_eq!(empty.len(), 65);
+        for at in [17, empty.len() - 4] {
+            let mut hostile = empty.clone();
+            hostile[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            assert_eq!(RoundDigest::from_bytes(&hostile), None, "count at byte {at}");
+        }
         // The empty digest round-trips too.
         let empty = RoundDigest::default();
         assert_eq!(RoundDigest::from_bytes(&empty.to_bytes()), Some(empty));

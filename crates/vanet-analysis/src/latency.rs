@@ -36,78 +36,10 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use vanet_stats::Distribution;
-use vanet_trace::{Analyzer, TraceRecord};
+use vanet_trace::TraceRecord;
 
 /// Nanoseconds per millisecond, for the latency views.
 const NS_PER_MS: f64 = 1_000_000.0;
-
-/// The streaming recovery-latency matcher. Feed it a record stream (live
-/// via [`vanet_trace::AnalyzerSink`] or replayed with
-/// [`vanet_trace::feed`]), then take [`LatencyAnalyzer::finish`].
-#[derive(Debug, Default, Clone)]
-pub struct LatencyAnalyzer {
-    /// Nodes that committed a recovery decision (rule 1).
-    decided: BTreeSet<u32>,
-    /// Per requesting node: FIFO of open recovery slots, each the request's
-    /// transmission time in nanoseconds (rule 2).
-    outstanding: BTreeMap<u32, VecDeque<u64>>,
-    /// Per cooperator: its most recent retransmission `(at_ns, seqs)`
-    /// (rule 3). One entry suffices: a node transmits one frame at a time
-    /// (the tx-overlap invariant), and the deliveries that settle it share
-    /// its `at`.
-    pending_coop: BTreeMap<u32, (u64, u32)>,
-    /// Closed-slot samples, in repair order.
-    samples_ns: Vec<u64>,
-    /// Requests opened (slots created), for the coverage ratio.
-    opened: u64,
-}
-
-impl Analyzer for LatencyAnalyzer {
-    fn observe(&mut self, record: &TraceRecord) {
-        match *record {
-            TraceRecord::StrategyDecision { node, .. } => {
-                self.decided.insert(node);
-            }
-            TraceRecord::ArqRequest { at, node, seqs, .. } if self.decided.contains(&node) => {
-                let slots = self.outstanding.entry(node).or_default();
-                for _ in 0..seqs {
-                    slots.push_back(at.as_nanos());
-                }
-                self.opened += u64::from(seqs);
-            }
-            TraceRecord::CoopRetransmit { at, node, seqs } => {
-                self.pending_coop.insert(node, (at.as_nanos(), seqs));
-            }
-            TraceRecord::Delivery { at, tx, rx, received: true, .. } => {
-                let Some(&(coop_at, seqs)) = self.pending_coop.get(&tx) else { return };
-                if coop_at != at.as_nanos() {
-                    return; // a later, non-cooperative transmission by `tx`
-                }
-                if let Some(slots) = self.outstanding.get_mut(&rx) {
-                    for _ in 0..seqs {
-                        let Some(requested_ns) = slots.pop_front() else { break };
-                        self.samples_ns.push(at.as_nanos().saturating_sub(requested_ns));
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
-impl LatencyAnalyzer {
-    /// A fresh matcher with no state.
-    pub fn new() -> Self {
-        LatencyAnalyzer::default()
-    }
-
-    /// Closes the stream and returns the extracted latencies.
-    pub fn finish(self) -> LatencyReport {
-        let unmatched =
-            self.outstanding.values().map(|slots| slots.len() as u64).sum::<u64>() as u32;
-        LatencyReport { samples_ns: self.samples_ns, opened: self.opened as u32, unmatched }
-    }
-}
 
 /// The recovery latencies of one record stream.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -133,11 +65,53 @@ impl LatencyReport {
     }
 }
 
-/// One-shot extraction from a buffered record stream.
+/// Matches a record stream's requests to their repairs by the rule in the
+/// module doc, folding the stream in emission order.
 pub fn recovery_latency(records: &[TraceRecord]) -> LatencyReport {
-    let mut analyzer = LatencyAnalyzer::new();
-    vanet_trace::feed(&mut analyzer, records);
-    analyzer.finish()
+    // Nodes that committed a recovery decision (rule 1).
+    let mut decided = BTreeSet::new();
+    // Per requesting node: FIFO of open recovery slots, each the request's
+    // transmission time in nanoseconds (rule 2).
+    let mut outstanding: BTreeMap<u32, VecDeque<u64>> = BTreeMap::new();
+    // Per cooperator: its most recent retransmission `(at_ns, seqs)` (rule
+    // 3). One entry suffices: a node transmits one frame at a time (the
+    // tx-overlap invariant), and the deliveries that settle it share its
+    // `at`.
+    let mut pending_coop: BTreeMap<u32, (u64, u32)> = BTreeMap::new();
+    let mut samples_ns = Vec::new();
+    let mut opened = 0u64;
+    for record in records {
+        match *record {
+            TraceRecord::StrategyDecision { node, .. } => {
+                decided.insert(node);
+            }
+            TraceRecord::ArqRequest { at, node, seqs, .. } if decided.contains(&node) => {
+                let slots = outstanding.entry(node).or_default();
+                for _ in 0..seqs {
+                    slots.push_back(at.as_nanos());
+                }
+                opened += u64::from(seqs);
+            }
+            TraceRecord::CoopRetransmit { at, node, seqs } => {
+                pending_coop.insert(node, (at.as_nanos(), seqs));
+            }
+            TraceRecord::Delivery { at, tx, rx, received: true, .. } => {
+                let Some(&(coop_at, seqs)) = pending_coop.get(&tx) else { continue };
+                if coop_at != at.as_nanos() {
+                    continue; // a later, non-cooperative transmission by `tx`
+                }
+                if let Some(slots) = outstanding.get_mut(&rx) {
+                    for _ in 0..seqs {
+                        let Some(requested_ns) = slots.pop_front() else { break };
+                        samples_ns.push(at.as_nanos().saturating_sub(requested_ns));
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+    let unmatched = outstanding.values().map(|slots| slots.len() as u64).sum::<u64>() as u32;
+    LatencyReport { samples_ns, opened: opened as u32, unmatched }
 }
 
 #[cfg(test)]
@@ -242,17 +216,5 @@ mod tests {
         let report = recovery_latency(&records);
         assert!(report.samples_ns.is_empty());
         assert_eq!(report.unmatched, 1);
-    }
-
-    #[test]
-    fn live_and_replayed_matching_agree() {
-        let records = [decision(0, 1), request(10, 1, 1), coop(40, 2, 1), delivery(40, 2, 1, true)];
-        let mut sink = vanet_trace::AnalyzerSink::new(LatencyAnalyzer::new());
-        for record in &records {
-            use vanet_trace::TraceSink as _;
-            sink.record(*record);
-        }
-        let live = sink.into_inner().finish();
-        assert_eq!(live, recovery_latency(&records));
     }
 }

@@ -20,95 +20,10 @@
 
 use std::collections::BTreeMap;
 
-use vanet_trace::{Analyzer, TraceRecord};
+use vanet_trace::TraceRecord;
 
 /// Nanoseconds per millisecond, for the airtime views.
 const NS_PER_MS: f64 = 1_000_000.0;
-
-/// The streaming occupancy accumulator. Feed it a record stream, then take
-/// [`OccupancyAnalyzer::finish`].
-#[derive(Debug, Default, Clone)]
-pub struct OccupancyAnalyzer {
-    /// `(start, end)` airtime intervals, in emission (= start) order.
-    intervals: Vec<(u64, u64)>,
-    /// Per-node airtime sums in nanoseconds.
-    per_node: BTreeMap<u32, u64>,
-}
-
-impl Analyzer for OccupancyAnalyzer {
-    fn observe(&mut self, record: &TraceRecord) {
-        if let TraceRecord::TxStart { at, until, node, .. } = *record {
-            let (start, end) = (at.as_nanos(), until.as_nanos());
-            self.intervals.push((start, end));
-            *self.per_node.entry(node).or_insert(0) += end.saturating_sub(start);
-        }
-    }
-}
-
-impl OccupancyAnalyzer {
-    /// A fresh accumulator with no state.
-    pub fn new() -> Self {
-        OccupancyAnalyzer::default()
-    }
-
-    /// Closes the stream and computes the occupancy profile.
-    pub fn finish(self) -> OccupancyReport {
-        let OccupancyAnalyzer { mut intervals, per_node } = self;
-        let tx_count = intervals.len() as u32;
-        let span_ns = intervals.iter().map(|&(_, end)| end).max().unwrap_or(0);
-        let airtime_ns: u64 = intervals.iter().map(|&(s, e)| e.saturating_sub(s)).sum();
-
-        // Union length: merge intervals sorted by start.
-        intervals.sort_unstable();
-        let mut busy_ns = 0u64;
-        let mut current: Option<(u64, u64)> = None;
-        for &(start, end) in &intervals {
-            match current {
-                Some((cs, ce)) if start <= ce => current = Some((cs, ce.max(end))),
-                Some((cs, ce)) => {
-                    busy_ns += ce - cs;
-                    current = Some((start, end));
-                }
-                None => current = Some((start, end)),
-            }
-        }
-        if let Some((cs, ce)) = current {
-            busy_ns += ce - cs;
-        }
-
-        // Collision windows: boundary sweep over (time, delta) events. Ends
-        // sort before starts at the same instant, so half-open intervals
-        // that merely touch never register depth 2.
-        let mut bounds: Vec<(u64, i32)> = Vec::with_capacity(intervals.len() * 2);
-        for &(start, end) in &intervals {
-            bounds.push((start, 1));
-            bounds.push((end, -1));
-        }
-        bounds.sort_unstable_by_key(|&(time, delta)| (time, delta));
-        let mut depth = 0i32;
-        let mut collision_windows = 0u32;
-        let mut in_collision = false;
-        for (_, delta) in bounds {
-            depth += delta;
-            if depth >= 2 && !in_collision {
-                collision_windows += 1;
-                in_collision = true;
-            } else if depth < 2 {
-                in_collision = false;
-            }
-        }
-
-        let per_node_airtime_ns: Vec<(u32, u64)> = per_node.into_iter().collect();
-        OccupancyReport {
-            span_ns,
-            busy_ns,
-            airtime_ns,
-            tx_count,
-            collision_windows,
-            per_node_airtime_ns,
-        }
-    }
-}
 
 /// The occupancy profile of one record stream.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -157,11 +72,71 @@ impl OccupancyReport {
     }
 }
 
-/// One-shot extraction from a buffered record stream.
+/// Folds a record stream's `tx_start` intervals into its occupancy
+/// profile.
 pub fn medium_occupancy(records: &[TraceRecord]) -> OccupancyReport {
-    let mut analyzer = OccupancyAnalyzer::new();
-    vanet_trace::feed(&mut analyzer, records);
-    analyzer.finish()
+    // `(start, end)` airtime intervals and per-node airtime sums.
+    let mut intervals: Vec<(u64, u64)> = Vec::new();
+    let mut per_node: BTreeMap<u32, u64> = BTreeMap::new();
+    for record in records {
+        if let TraceRecord::TxStart { at, until, node, .. } = *record {
+            let (start, end) = (at.as_nanos(), until.as_nanos());
+            intervals.push((start, end));
+            *per_node.entry(node).or_insert(0) += end.saturating_sub(start);
+        }
+    }
+    let tx_count = intervals.len() as u32;
+    let span_ns = intervals.iter().map(|&(_, end)| end).max().unwrap_or(0);
+    let airtime_ns: u64 = intervals.iter().map(|&(s, e)| e.saturating_sub(s)).sum();
+
+    // Union length: merge intervals sorted by start.
+    intervals.sort_unstable();
+    let mut busy_ns = 0u64;
+    let mut current: Option<(u64, u64)> = None;
+    for &(start, end) in &intervals {
+        match current {
+            Some((cs, ce)) if start <= ce => current = Some((cs, ce.max(end))),
+            Some((cs, ce)) => {
+                busy_ns += ce - cs;
+                current = Some((start, end));
+            }
+            None => current = Some((start, end)),
+        }
+    }
+    if let Some((cs, ce)) = current {
+        busy_ns += ce - cs;
+    }
+
+    // Collision windows: boundary sweep over (time, delta) events. Ends sort
+    // before starts at the same instant, so half-open intervals that merely
+    // touch never register depth 2.
+    let mut bounds: Vec<(u64, i32)> = Vec::with_capacity(intervals.len() * 2);
+    for &(start, end) in &intervals {
+        bounds.push((start, 1));
+        bounds.push((end, -1));
+    }
+    bounds.sort_unstable_by_key(|&(time, delta)| (time, delta));
+    let mut depth = 0i32;
+    let mut collision_windows = 0u32;
+    let mut in_collision = false;
+    for (_, delta) in bounds {
+        depth += delta;
+        if depth >= 2 && !in_collision {
+            collision_windows += 1;
+            in_collision = true;
+        } else if depth < 2 {
+            in_collision = false;
+        }
+    }
+
+    OccupancyReport {
+        span_ns,
+        busy_ns,
+        airtime_ns,
+        tx_count,
+        collision_windows,
+        per_node_airtime_ns: per_node.into_iter().collect(),
+    }
 }
 
 #[cfg(test)]

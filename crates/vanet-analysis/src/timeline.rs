@@ -9,7 +9,7 @@
 //! round.
 
 use sim_core::SimTime;
-use vanet_trace::{RecordCursor, TraceRecord};
+use vanet_trace::TraceRecord;
 
 /// One timeline entry: when, and what happened, from the node's viewpoint.
 #[derive(Debug, Clone, PartialEq)]
@@ -91,16 +91,11 @@ fn fmt_time(t: SimTime) -> String {
 
 /// Extracts `node`'s timeline from a record stream.
 pub fn node_timeline(records: &[TraceRecord], node: u32) -> Vec<TimelineEntry> {
-    let mut cursor = RecordCursor::new(records);
-    let mut entries = Vec::new();
-    while let Some(record) = cursor.next_where(|r| involves(r, node)) {
-        entries.push(TimelineEntry {
-            at: record.at(),
-            kind: record.kind(),
-            description: describe(record, node),
-        });
-    }
-    entries
+    records
+        .iter()
+        .filter(|r| involves(r, node))
+        .map(|r| TimelineEntry { at: r.at(), kind: r.kind(), description: describe(r, node) })
+        .collect()
 }
 
 /// Renders a timeline as text: one `TIME  KIND  DESCRIPTION` line per

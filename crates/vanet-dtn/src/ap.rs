@@ -62,14 +62,6 @@ impl ApConfig {
         }
     }
 
-    /// Switches to the AP-side retransmission baseline.
-    pub fn with_retransmissions(mut self, retransmit_ratio: f64) -> Self {
-        self.policy = ApSchedulingPolicy::RetransmitUnacked {
-            retransmit_ratio: retransmit_ratio.clamp(0.0, 1.0),
-        };
-        self
-    }
-
     /// Overrides the per-car packet rate.
     pub fn with_rate(mut self, packets_per_second_per_car: f64) -> Self {
         self.packets_per_second_per_car = packets_per_second_per_car;
@@ -203,17 +195,6 @@ impl AccessPointApp {
     pub fn sent_to(&self, car: NodeId) -> &[(SeqNo, SimTime)] {
         self.sent_log.get(&car).map_or(&[], Vec::as_slice)
     }
-
-    /// Sequence numbers sent to `car` within the inclusive time window
-    /// `[from, to]` — used to compute the paper's "Tx by the AP" column.
-    pub fn sent_to_in_window(&self, car: NodeId, from: SimTime, to: SimTime) -> Vec<SeqNo> {
-        self.sent_to(car).iter().filter(|(_, t)| *t >= from && *t <= to).map(|(s, _)| *s).collect()
-    }
-
-    /// Total number of fresh packets sent to `car`.
-    pub fn total_sent_to(&self, car: NodeId) -> usize {
-        self.sent_to(car).len()
-    }
 }
 
 #[cfg(test)]
@@ -241,23 +222,8 @@ mod tests {
             seen.push((tx.packet.destination.as_u32(), tx.packet.seq.value()));
         }
         assert_eq!(seen, vec![(1, 0), (2, 0), (3, 0), (1, 1), (2, 1), (3, 1)]);
-        assert_eq!(ap.total_sent_to(NodeId::new(1)), 2);
+        assert_eq!(ap.sent_to(NodeId::new(1)).len(), 2);
         assert_eq!(ap.sent_to(NodeId::new(2)).len(), 2);
-    }
-
-    #[test]
-    fn sent_window_query() {
-        let mut ap = AccessPointApp::new(ApConfig::paper_testbed(cars()));
-        for i in 0..30u64 {
-            let _ = ap.next_transmission(SimTime::from_millis(i * 67));
-        }
-        let window = ap.sent_to_in_window(
-            NodeId::new(1),
-            SimTime::from_millis(200),
-            SimTime::from_millis(1_200),
-        );
-        assert!(!window.is_empty());
-        assert!(window.len() < ap.total_sent_to(NodeId::new(1)));
     }
 
     #[test]
@@ -269,7 +235,10 @@ mod tests {
 
     #[test]
     fn retransmission_policy_interleaves_retransmissions() {
-        let cfg = ApConfig::paper_testbed(cars()).with_retransmissions(0.5);
+        let cfg = ApConfig {
+            policy: ApSchedulingPolicy::RetransmitUnacked { retransmit_ratio: 0.5 },
+            ..ApConfig::paper_testbed(cars())
+        };
         let mut ap = AccessPointApp::new(cfg);
         // Send a few fresh packets, then report two losses.
         for i in 0..3 {
@@ -292,7 +261,10 @@ mod tests {
 
     #[test]
     fn retransmissions_do_not_consume_fresh_sequence_numbers() {
-        let cfg = ApConfig::paper_testbed(vec![NodeId::new(1)]).with_retransmissions(1.0);
+        let cfg = ApConfig {
+            policy: ApSchedulingPolicy::RetransmitUnacked { retransmit_ratio: 1.0 },
+            ..ApConfig::paper_testbed(vec![NodeId::new(1)])
+        };
         let mut ap = AccessPointApp::new(cfg);
         let first = ap.next_transmission(SimTime::ZERO);
         assert_eq!(first.packet.seq, SeqNo::new(0));
@@ -304,7 +276,7 @@ mod tests {
         assert!(!third.is_retransmission);
         assert_eq!(third.packet.seq, SeqNo::new(1));
         // The fresh-data log only contains fresh transmissions.
-        assert_eq!(ap.total_sent_to(NodeId::new(1)), 2);
+        assert_eq!(ap.sent_to(NodeId::new(1)).len(), 2);
     }
 
     #[test]
@@ -317,7 +289,5 @@ mod tests {
     fn config_builders() {
         let cfg = ApConfig::paper_testbed(cars()).with_rate(10.0);
         assert_eq!(cfg.packets_per_second_per_car, 10.0);
-        let cfg = cfg.with_retransmissions(2.0);
-        assert_eq!(cfg.policy, ApSchedulingPolicy::RetransmitUnacked { retransmit_ratio: 1.0 });
     }
 }

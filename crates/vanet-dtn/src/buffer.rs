@@ -250,11 +250,6 @@ impl CoopBuffer {
         self.get(peer, seq).is_some()
     }
 
-    /// Number of packets buffered for `peer`.
-    pub fn buffered_for(&self, peer: NodeId) -> usize {
-        self.buffered.get(&peer).map_or(0, BTreeMap::len)
-    }
-
     /// Total number of buffered packets across all peers.
     pub fn len(&self) -> usize {
         self.buffered.values().map(BTreeMap::len).sum()
@@ -265,25 +260,9 @@ impl CoopBuffer {
         self.len() == 0
     }
 
-    /// The sequence numbers buffered for `peer`, ascending.
-    pub fn seqs_for(&self, peer: NodeId) -> Vec<SeqNo> {
-        self.buffered.get(&peer).map_or_else(Vec::new, |m| m.keys().copied().collect())
-    }
-
-    /// Drops everything buffered for `peer` (e.g. when the peer leaves the
-    /// platoon or has recovered everything).
-    pub fn drop_peer(&mut self, peer: NodeId) {
-        self.buffered.remove(&peer);
-    }
-
     /// Drops all buffered packets.
     pub fn clear(&mut self) {
         self.buffered.clear();
-    }
-
-    /// The per-peer capacity this buffer was created with.
-    pub fn capacity_per_peer(&self) -> usize {
-        self.capacity_per_peer
     }
 }
 
@@ -296,6 +275,12 @@ mod tests {
 
     fn pkt(dst: u32, seq: u32) -> DataPacket {
         DataPacket::new(NodeId::new(dst), SeqNo::new(seq), 1_000, SimTime::ZERO)
+    }
+
+    /// The sequence numbers below 200 (every one these tests store) that
+    /// `buf` holds for `peer`, ascending.
+    fn held(buf: &CoopBuffer, peer: u32) -> Vec<u32> {
+        (0..200).filter(|&s| buf.holds(NodeId::new(peer), SeqNo::new(s))).collect()
     }
 
     #[test]
@@ -472,16 +457,12 @@ mod tests {
         assert!(!buf.store(pkt(1, 5)), "duplicate store");
         assert!(buf.store(pkt(2, 5)));
         assert_eq!(buf.len(), 2);
-        assert_eq!(buf.buffered_for(NodeId::new(1)), 1);
         assert!(buf.holds(NodeId::new(1), SeqNo::new(5)));
         assert!(!buf.holds(NodeId::new(1), SeqNo::new(6)));
         assert_eq!(buf.get(NodeId::new(2), SeqNo::new(5)).unwrap().destination, NodeId::new(2));
-        assert_eq!(buf.seqs_for(NodeId::new(1)), vec![SeqNo::new(5)]);
-        buf.drop_peer(NodeId::new(1));
-        assert_eq!(buf.buffered_for(NodeId::new(1)), 0);
+        assert_eq!(held(&buf, 1), [5]);
         buf.clear();
         assert!(buf.is_empty());
-        assert_eq!(buf.capacity_per_peer(), 10);
     }
 
     #[test]
@@ -490,9 +471,7 @@ mod tests {
         for s in 0..5u32 {
             buf.store(pkt(1, s));
         }
-        assert_eq!(buf.buffered_for(NodeId::new(1)), 3);
-        let seqs: Vec<u32> = buf.seqs_for(NodeId::new(1)).into_iter().map(SeqNo::value).collect();
-        assert_eq!(seqs, vec![2, 3, 4], "oldest packets evicted first");
+        assert_eq!(held(&buf, 1), [2, 3, 4], "oldest packets evicted first");
     }
 
     #[test]
@@ -549,9 +528,10 @@ mod tests {
             for s in &seqs {
                 buf.store(pkt(1, *s));
             }
-            prop_assert!(buf.buffered_for(NodeId::new(1)) <= cap);
-            for held in buf.seqs_for(NodeId::new(1)) {
-                prop_assert!(seqs.contains(&held.value()));
+            let kept = held(&buf, 1);
+            prop_assert!(kept.len() <= cap);
+            for s in kept {
+                prop_assert!(seqs.contains(&s));
             }
 
             // Ascending arrival (the AP's actual pattern): the newest `cap`
@@ -564,8 +544,7 @@ mod tests {
                 ordered.store(pkt(1, *s));
             }
             let expect_newest: Vec<u32> = sorted.iter().rev().take(cap).rev().copied().collect();
-            let held: Vec<u32> = ordered.seqs_for(NodeId::new(1)).into_iter().map(SeqNo::value).collect();
-            prop_assert_eq!(held, expect_newest);
+            prop_assert_eq!(held(&ordered, 1), expect_newest);
         }
     }
 }

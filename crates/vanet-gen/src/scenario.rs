@@ -10,7 +10,7 @@
 //! regenerable `(generator, params, seed)` triple.
 
 use rand::Rng;
-use sim_core::{fnv1a64, RunOutcome, SimDuration, SimTime, Simulation, StreamRng};
+use sim_core::{fnv1a64, SimDuration, SimTime, StreamRng};
 use vanet_dtn::{AccessPointApp, ApConfig, ApSchedulingPolicy};
 use vanet_geo::PathMobility;
 use vanet_mac::NodeId;
@@ -329,41 +329,6 @@ impl GeneratedRun {
         }
         (model, bp.horizon)
     }
-
-    /// The round body, generic over the trace sink, mirroring the built-in
-    /// scenarios: `run_round` instantiates it with [`NoTrace`] (tracing
-    /// compiles away), `run_round_traced` with a recording sink — one body,
-    /// so the two paths cannot drift.
-    fn run_round_sink<S: TraceSink>(&self, round: u32, seed: u64, sink: &mut S) -> RoundReport {
-        let (model, horizon) = self.round_model(seed, sink);
-        let mut sim = Simulation::new(model).with_horizon(horizon).with_event_budget(5_000_000);
-        for (t, ev) in sim.model().initial_events() {
-            sim.schedule_at(t, ev);
-        }
-        let outcome = sim.run();
-        debug_assert_ne!(outcome, RunOutcome::EventBudgetExhausted, "runaway event loop");
-        let events = sim.processed_events();
-        let model = sim.into_model();
-
-        let node_stats = model.node_stats();
-        let sum = |f: fn(&carq::CarqNodeStats) -> u64| -> f64 {
-            node_stats.iter().map(|s| f(&s.stats) as f64).sum()
-        };
-        RoundReport::new(round, seed, model.round_result())
-            .with_counter("requests_sent", sum(|s| s.requests_sent))
-            .with_counter("coop_data_sent", sum(|s| s.coop_data_sent))
-            .with_counter("recovered_via_coop", sum(|s| s.recovered_via_coop))
-            .with_counter("responses_suppressed", sum(|s| s.responses_suppressed))
-            .with_counter("medium_frames_sent", model.medium_stats().frames_sent as f64)
-            .with_counter("sim_events", events as f64)
-            .with_counter("csma_deferrals", model.csma_deferrals() as f64)
-            .with_counter(
-                "arq_retransmissions",
-                model.ap_retransmissions_queued() as f64 + sum(|s| s.coop_data_sent),
-            )
-            .with_counter("buffer_evictions", sum(|s| s.buffer_evictions))
-            .with_counter("strategy_decisions", model.strategy_decisions() as f64)
-    }
 }
 
 impl ScenarioRun for GeneratedRun {
@@ -372,13 +337,14 @@ impl ScenarioRun for GeneratedRun {
     }
 
     fn run_round(&self, round: u32, seed: u64) -> RoundReport {
-        self.run_round_sink(round, seed, &mut NoTrace)
+        let (model, horizon) = self.round_model(seed, NoTrace);
+        model.run_round(horizon, round, seed)
     }
 
     fn run_round_traced(&self, round: u32, seed: u64) -> (RoundReport, Vec<TraceRecord>) {
         let mut sink = VecSink::new();
-        let report = self.run_round_sink(round, seed, &mut sink);
-        (report, sink.into_records())
+        let (model, horizon) = self.round_model(seed, &mut sink);
+        (model.run_round(horizon, round, seed), sink.into_records())
     }
 
     fn aggregate(&self, rounds: &[RoundReport]) -> PointSummary {
@@ -390,7 +356,7 @@ impl ScenarioRun for GeneratedRun {
 mod tests {
     use super::*;
     use carq::CarqMessage;
-    use sim_core::{Model, Scheduler};
+    use sim_core::{Model, Scheduler, Simulation};
     use vanet_scenarios::model::VanetEvent;
     use vanet_scenarios::{round_seed, UrbanConfig, UrbanRun};
 

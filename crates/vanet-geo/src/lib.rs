@@ -55,21 +55,3 @@ pub use roads::{
 pub fn kmh_to_ms(kmh: f64) -> f64 {
     kmh / 3.6
 }
-
-/// Converts metres per second to km/h.
-///
-/// ```
-/// assert!((vanet_geo::ms_to_kmh(10.0) - 36.0).abs() < 1e-12);
-/// ```
-pub fn ms_to_kmh(ms: f64) -> f64 {
-    ms * 3.6
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn unit_conversions_are_inverse() {
-        let v = 23.7;
-        assert!((super::ms_to_kmh(super::kmh_to_ms(v)) - v).abs() < 1e-12);
-    }
-}

@@ -117,12 +117,6 @@ impl DriverProfile {
             speed_jitter_frac: 0.08,
         }
     }
-
-    /// Sets the target headway in metres.
-    pub fn with_headway(mut self, headway_m: f64) -> Self {
-        self.headway_m = headway_m;
-        self
-    }
 }
 
 /// A single vehicle following a polyline path at a nominal speed.
@@ -202,11 +196,6 @@ impl PathMobility {
     /// The underlying path.
     pub fn path(&self) -> &Polyline {
         &self.path
-    }
-
-    /// The nominal speed in m/s.
-    pub fn nominal_speed(&self) -> f64 {
-        self.nominal_speed
     }
 
     /// Travelled distance along the path at time `t`, taking corner
@@ -395,22 +384,6 @@ impl PlatoonMobility {
     pub fn iter(&self) -> impl Iterator<Item = &PathMobility> {
         self.members.iter()
     }
-
-    /// Positions of all members at time `t`, leader first.
-    pub fn positions_at(&self, t: SimTime) -> Vec<Point> {
-        self.members.iter().map(|m| m.position_at(t)).collect()
-    }
-
-    /// Gap in metres between member `i` and the member in front of it at
-    /// time `t` (straight-line distance).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i == 0` or `i` is out of range.
-    pub fn gap_to_leader_of(&self, i: usize, t: SimTime) -> f64 {
-        assert!(i > 0 && i < self.members.len(), "follower index out of range");
-        self.members[i - 1].position_at(t).distance_to(self.members[i].position_at(t))
-    }
 }
 
 #[cfg(test)]
@@ -437,7 +410,6 @@ mod tests {
         let p = car.position_at(SimTime::from_secs(10));
         assert!((p.x - 200.0).abs() < 1e-9);
         assert!((car.speed_at(SimTime::from_secs(10)) - 20.0).abs() < 0.5);
-        assert_eq!(car.nominal_speed(), 20.0);
     }
 
     #[test]
@@ -478,12 +450,12 @@ mod tests {
         assert_eq!(platoon.len(), 3);
         assert!(!platoon.is_empty());
         let t = SimTime::from_secs(20);
-        let pos = platoon.positions_at(t);
+        let pos: Vec<Point> = platoon.iter().map(|m| m.position_at(t)).collect();
         // Leader is ahead of car 2, which is ahead of car 3 (x decreasing).
         assert!(pos[0].x > pos[1].x);
         assert!(pos[1].x > pos[2].x);
-        assert!(platoon.gap_to_leader_of(1, t) > 0.0);
-        assert!(platoon.gap_to_leader_of(2, t) > 0.0);
+        assert!(pos[0].distance_to(pos[1]) > 0.0);
+        assert!(pos[1].distance_to(pos[2]) > 0.0);
         assert_eq!(platoon.iter().count(), 3);
     }
 
@@ -495,7 +467,9 @@ mod tests {
         let a = PlatoonMobility::new(line(), 8.0, &drivers, &mut rng_a);
         let b = PlatoonMobility::new(line(), 8.0, &drivers, &mut rng_b);
         let t = SimTime::from_secs(12);
-        assert_eq!(a.positions_at(t), b.positions_at(t));
+        let positions =
+            |p: &PlatoonMobility| p.iter().map(|m| m.position_at(t)).collect::<Vec<Point>>();
+        assert_eq!(positions(&a), positions(&b));
     }
 
     #[test]

@@ -40,27 +40,9 @@ impl Point {
         (self - other).length()
     }
 
-    /// Squared Euclidean distance (avoids the square root when only
-    /// comparisons are needed).
-    pub fn distance_sq_to(self, other: Point) -> f64 {
-        let d = self - other;
-        d.x * d.x + d.y * d.y
-    }
-
     /// Length of this point interpreted as a vector from the origin.
     pub fn length(self) -> f64 {
         self.x.hypot(self.y)
-    }
-
-    /// Returns the unit vector in the direction of `self`, or `None` if the
-    /// vector is (numerically) zero.
-    pub fn normalized(self) -> Option<Point> {
-        let len = self.length();
-        if len < 1e-12 {
-            None
-        } else {
-            Some(self / len)
-        }
     }
 
     /// Dot product.
@@ -144,7 +126,6 @@ mod tests {
         let a = Point::new(1.0, 2.0);
         let b = Point::new(-3.0, 7.5);
         assert_eq!(a.distance_to(b), b.distance_to(a));
-        assert!((a.distance_sq_to(b) - a.distance_to(b).powi(2)).abs() < 1e-9);
     }
 
     #[test]
@@ -157,14 +138,6 @@ mod tests {
         assert_eq!(b / 2.0, Point::new(1.5, -0.5));
         assert_eq!(-a, Point::new(-1.0, -2.0));
         assert_eq!(a.dot(b), 1.0);
-    }
-
-    #[test]
-    fn normalization() {
-        let v = Point::new(3.0, 4.0);
-        let n = v.normalized().unwrap();
-        assert!((n.length() - 1.0).abs() < 1e-12);
-        assert_eq!(Point::ORIGIN.normalized(), None);
     }
 
     #[test]
@@ -194,14 +167,6 @@ mod tests {
             let b = Point::new(bx, by);
             let c = Point::new(cx, cy);
             prop_assert!(a.distance_to(c) <= a.distance_to(b) + b.distance_to(c) + 1e-9);
-        }
-
-        #[test]
-        fn prop_normalized_has_unit_length(x in -1e3f64..1e3, y in -1e3f64..1e3) {
-            let v = Point::new(x, y);
-            if let Some(n) = v.normalized() {
-                prop_assert!((n.length() - 1.0).abs() < 1e-9);
-            }
         }
     }
 }

@@ -138,22 +138,6 @@ impl Polyline {
         }
     }
 
-    /// Unit tangent (direction of travel) at arc length `distance`.
-    /// Returns `None` only for degenerate (zero-length) segments.
-    pub fn direction_at(&self, distance: f64) -> Option<Point> {
-        let total = self.length();
-        let d = if self.closed { distance.rem_euclid(total) } else { distance.clamp(0.0, total) };
-        let seg = match self
-            .cumulative
-            .binary_search_by(|probe| probe.partial_cmp(&d).expect("finite lengths"))
-        {
-            Ok(idx) => idx.min(self.segment_count().saturating_sub(1)),
-            Err(idx) => idx - 1,
-        };
-        let seg = seg.min(self.segment_count() - 1);
-        (self.segment_end(seg) - self.vertices[seg]).normalized()
-    }
-
     /// Arc-length positions of the interior corners (vertices where the path
     /// changes direction), useful for corner slow-down models. For closed
     /// paths every vertex is a corner; for open paths the first and last
@@ -228,15 +212,6 @@ mod tests {
         assert_eq!(sq.point_at(400.0), Point::new(0.0, 0.0));
         assert_eq!(sq.point_at(450.0), Point::new(50.0, 0.0));
         assert_eq!(sq.point_at(-50.0), Point::new(0.0, 50.0));
-    }
-
-    #[test]
-    fn direction_follows_segments() {
-        let sq = square();
-        let d = sq.direction_at(50.0).unwrap();
-        assert!((d.x - 1.0).abs() < 1e-12 && d.y.abs() < 1e-12);
-        let d = sq.direction_at(150.0).unwrap();
-        assert!((d.y - 1.0).abs() < 1e-12 && d.x.abs() < 1e-12);
     }
 
     #[test]

@@ -41,15 +41,6 @@ impl RoadLayout {
     pub fn lap_length(&self) -> f64 {
         self.path.length()
     }
-
-    /// Distance from access point `idx` to the closest point of the road.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn ap_offset_from_road(&self, idx: usize) -> f64 {
-        self.path.distance_from(self.access_points[idx])
-    }
 }
 
 /// An axis-aligned rectangular loop with the given width and height, starting
@@ -141,7 +132,7 @@ mod tests {
         );
         assert_eq!(layout.access_points.len(), 1);
         // The AP must be close to (but not on) the road.
-        let offset = layout.ap_offset_from_road(0);
+        let offset = layout.path.distance_from(layout.access_points[0]);
         assert!(offset > 5.0 && offset < 40.0, "AP offset {offset} m");
         assert_eq!(layout.name, "urban-testbed");
     }

@@ -61,24 +61,6 @@ pub enum Destination {
     Broadcast,
 }
 
-impl Destination {
-    /// Whether a node with id `id` is the addressed destination.
-    pub fn is_for(self, id: NodeId) -> bool {
-        match self {
-            Destination::Unicast(dst) => dst == id,
-            Destination::Broadcast => true,
-        }
-    }
-
-    /// The unicast target, if any.
-    pub fn unicast_target(self) -> Option<NodeId> {
-        match self {
-            Destination::Unicast(dst) => Some(dst),
-            Destination::Broadcast => None,
-        }
-    }
-}
-
 impl fmt::Display for Destination {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -112,18 +94,6 @@ mod tests {
     fn node_ids_are_ordered() {
         assert!(NodeId::new(1) < NodeId::new(2));
         assert_eq!(NodeId::new(3), NodeId::new(3));
-    }
-
-    #[test]
-    fn destination_matching() {
-        let a = NodeId::new(1);
-        let b = NodeId::new(2);
-        assert!(Destination::Unicast(a).is_for(a));
-        assert!(!Destination::Unicast(a).is_for(b));
-        assert!(Destination::Broadcast.is_for(a));
-        assert!(Destination::Broadcast.is_for(b));
-        assert_eq!(Destination::Unicast(a).unicast_target(), Some(a));
-        assert_eq!(Destination::Broadcast.unicast_target(), None);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use sim_core::{SimDuration, SimTime, StreamRng};
+use sim_core::{SimTime, StreamRng};
 
 use vanet_radio::FrameTiming;
 
@@ -62,20 +62,6 @@ impl CsmaBackoff {
             busy_until + timing.difs + timing.slot * u64::from(slots)
         }
     }
-
-    /// A deterministic per-cooperator response offset: the paper's protocol
-    /// avoids collisions between cooperators by having the `k`-th cooperator
-    /// wait a *fixed* time proportional to its order before answering a
-    /// REQUEST. `slot_spacing` controls how many MAC slots separate
-    /// consecutive cooperators; it must be large enough to cover one frame
-    /// airtime so an earlier answer can be overheard and suppress later ones.
-    pub fn cooperative_response_offset(
-        order: u32,
-        response_airtime: SimDuration,
-        timing: &FrameTiming,
-    ) -> SimDuration {
-        timing.sifs + (response_airtime + timing.sifs + timing.slot * 2) * u64::from(order)
-    }
 }
 
 #[cfg(test)]
@@ -117,18 +103,6 @@ mod tests {
             .map(|_| policy.next_opportunity(SimTime::ZERO, busy_until, &timing(), &mut rng))
             .collect();
         assert!(draws.len() > 5, "expected varied backoff draws, got {}", draws.len());
-    }
-
-    #[test]
-    fn cooperative_offsets_are_strictly_increasing_and_spaced_by_airtime() {
-        let airtime = SimDuration::from_millis(8);
-        let t = timing();
-        let o0 = CsmaBackoff::cooperative_response_offset(0, airtime, &t);
-        let o1 = CsmaBackoff::cooperative_response_offset(1, airtime, &t);
-        let o2 = CsmaBackoff::cooperative_response_offset(2, airtime, &t);
-        assert!(o1 > o0 && o2 > o1);
-        assert!(o1 - o0 >= airtime, "successive cooperators must not overlap");
-        assert!(o2 - o1 >= airtime);
     }
 
     #[test]

@@ -52,22 +52,6 @@ impl<P> Frame<P> {
     pub fn total_bits(&self) -> u64 {
         u64::from(self.total_bytes()) * 8
     }
-
-    /// Maps the payload to another type, keeping the MAC fields.
-    pub fn map_payload<Q>(self, f: impl FnOnce(P) -> Q) -> Frame<Q> {
-        Frame {
-            src: self.src,
-            dst: self.dst,
-            payload_bytes: self.payload_bytes,
-            payload: f(self.payload),
-        }
-    }
-
-    /// Whether this frame is logically addressed to `node` (its own data or a
-    /// broadcast).
-    pub fn is_addressed_to(&self, node: NodeId) -> bool {
-        self.dst.is_for(node)
-    }
 }
 
 #[cfg(test)]
@@ -79,25 +63,5 @@ mod tests {
         let f = Frame::new(NodeId::new(1), Destination::Broadcast, 100, ());
         assert_eq!(f.total_bytes(), 136);
         assert_eq!(f.total_bits(), 1_088);
-    }
-
-    #[test]
-    fn addressing_checks() {
-        let car1 = NodeId::new(1);
-        let car2 = NodeId::new(2);
-        let f = Frame::new(NodeId::new(0), Destination::Unicast(car1), 10, ());
-        assert!(f.is_addressed_to(car1));
-        assert!(!f.is_addressed_to(car2));
-        let b = Frame::new(NodeId::new(0), Destination::Broadcast, 10, ());
-        assert!(b.is_addressed_to(car2));
-    }
-
-    #[test]
-    fn map_payload_preserves_header() {
-        let f = Frame::new(NodeId::new(3), Destination::Broadcast, 42, 7u32);
-        let g = f.map_payload(|v| v.to_string());
-        assert_eq!(g.src, NodeId::new(3));
-        assert_eq!(g.payload_bytes, 42);
-        assert_eq!(g.payload, "7");
     }
 }

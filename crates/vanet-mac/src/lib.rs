@@ -16,9 +16,10 @@
 //!
 //! The central type is [`Medium`], a passive component owned by the
 //! simulation model. A transmission is submitted with
-//! [`Medium::transmit`]; the medium samples the channel for every other
-//! registered node and returns the per-receiver [`Delivery`] verdicts, which
-//! the caller schedules as reception events at the frame end time.
+//! [`Medium::transmit_into`]; the medium samples the channel for every other
+//! registered node and writes the per-receiver [`Delivery`] verdicts into the
+//! caller's buffer, which the caller schedules as reception events at the
+//! frame end time.
 //!
 //! ```rust
 //! use sim_core::{SimTime, StreamRng};
@@ -36,8 +37,9 @@
 //!
 //! let mut rng = StreamRng::derive(7, "mac");
 //! let frame = Frame::new(ap, Destination::Broadcast, 1_000, "payload");
-//! let result = medium.transmit(SimTime::ZERO, &frame, DataRate::Mbps1, &mut rng);
-//! assert_eq!(result.deliveries.len(), 1); // one other node registered
+//! let mut deliveries = Vec::new();
+//! medium.transmit_into(SimTime::ZERO, &frame, DataRate::Mbps1, &mut rng, &mut deliveries);
+//! assert_eq!(deliveries.len(), 1); // one other node registered
 //! ```
 
 #![forbid(unsafe_code)]
@@ -54,5 +56,4 @@ pub use csma::CsmaBackoff;
 pub use frame::Frame;
 pub use medium::{
     Delivery, DeliveryOutcome, DeliverySnr, Medium, MediumConfig, RadioClass, Transmission,
-    TransmissionResult,
 };

@@ -162,26 +162,6 @@ pub struct Transmission {
     pub airtime: SimDuration,
 }
 
-/// The result of submitting one transmission through the allocating
-/// convenience wrapper [`Medium::transmit`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct TransmissionResult {
-    /// Per-receiver verdicts (one entry per registered node other than the
-    /// transmitter).
-    pub deliveries: Vec<Delivery>,
-    /// When the transmission ends.
-    pub ends_at: SimTime,
-    /// The frame airtime.
-    pub airtime: SimDuration,
-}
-
-impl TransmissionResult {
-    /// Iterates over the receivers that actually got the frame.
-    pub fn received(&self) -> impl Iterator<Item = &Delivery> {
-        self.deliveries.iter().filter(|d| d.outcome.is_received())
-    }
-}
-
 /// Aggregate medium statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MediumStats {
@@ -389,21 +369,6 @@ impl Medium {
         self.slots.get(id.index()).copied().flatten()
     }
 
-    /// The current position of a node, if registered.
-    pub fn position_of(&self, id: NodeId) -> Option<Point> {
-        self.entry(id).map(|n| n.position)
-    }
-
-    /// The radio class of a node, if registered.
-    pub fn class_of(&self, id: NodeId) -> Option<RadioClass> {
-        self.entry(id).map(|n| n.class)
-    }
-
-    /// Registered node ids, in ascending order.
-    pub fn node_ids(&self) -> Vec<NodeId> {
-        self.ids.clone()
-    }
-
     /// Aggregate statistics since construction.
     pub fn stats(&self) -> MediumStats {
         self.stats
@@ -421,11 +386,6 @@ impl Medium {
     pub fn busy_until(&mut self, now: SimTime) -> SimTime {
         self.prune_active(now);
         self.active.iter().map(|tx| tx.end).max().unwrap_or(now).max(now)
-    }
-
-    /// Whether the medium is sensed busy at `now`.
-    pub fn is_busy(&mut self, now: SimTime) -> bool {
-        self.busy_until(now) > now
     }
 
     fn prune_active(&mut self, now: SimTime) {
@@ -746,24 +706,6 @@ impl Medium {
         Transmission { ends_at, airtime }
     }
 
-    /// Allocating convenience wrapper around [`Medium::transmit_into`] for
-    /// tests and one-off callers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the transmitting node is not registered.
-    pub fn transmit<P>(
-        &mut self,
-        now: SimTime,
-        frame: &Frame<P>,
-        rate: DataRate,
-        rng: &mut StreamRng,
-    ) -> TransmissionResult {
-        let mut deliveries = Vec::new();
-        let tx = self.transmit_into(now, frame, rate, rng, &mut deliveries);
-        TransmissionResult { deliveries, ends_at: tx.ends_at, airtime: tx.airtime }
-    }
-
     /// Whether an already-active foreign transmission is audible at the
     /// receiver and therefore corrupts the new frame.
     fn collides_at(&mut self, rx_id: NodeId, src: NodeId, now: SimTime) -> bool {
@@ -818,10 +760,12 @@ mod tests {
         let mut medium = ideal_medium_with_nodes(3);
         let mut rng = StreamRng::derive(1, "m");
         let frame = Frame::new(NodeId::new(0), Destination::Broadcast, 1_000, "hello");
-        let result = medium.transmit(SimTime::ZERO, &frame, DataRate::Mbps1, &mut rng);
-        assert_eq!(result.deliveries.len(), 3);
-        assert_eq!(result.received().count(), 3);
-        assert!(result.airtime > SimDuration::from_millis(8));
+        let mut deliveries = Vec::new();
+        let tx =
+            medium.transmit_into(SimTime::ZERO, &frame, DataRate::Mbps1, &mut rng, &mut deliveries);
+        assert_eq!(deliveries.len(), 3);
+        assert_eq!(deliveries.iter().filter(|d| d.outcome.is_received()).count(), 3);
+        assert!(tx.airtime > SimDuration::from_millis(8));
         assert_eq!(medium.stats().frames_sent, 1);
         assert_eq!(medium.stats().deliveries_ok, 3);
     }
@@ -835,15 +779,17 @@ mod tests {
         medium.update_position(NodeId::new(1), Point::new(500.0, 0.0));
         let mut rng = StreamRng::derive(2, "m");
         let mut lost = 0;
+        let mut deliveries = Vec::new();
         for i in 0..100 {
             let frame = Frame::new(NodeId::new(0), Destination::Unicast(NodeId::new(1)), 1_000, i);
-            let result = medium.transmit(
+            medium.transmit_into(
                 SimTime::from_millis(i as u64 * 200),
                 &frame,
                 DataRate::Mbps1,
                 &mut rng,
+                &mut deliveries,
             );
-            if !result.deliveries[0].outcome.is_received() {
+            if !deliveries[0].outcome.is_received() {
                 lost += 1;
             }
         }
@@ -854,24 +800,23 @@ mod tests {
     fn certain_losses_skip_their_draws_and_report_their_ceiling() {
         use vanet_trace::VecSink;
         let (ap, far, out) = (NodeId::new(0), NodeId::new(1), NodeId::new(2));
+        // 3 km out the budget alone settles the AP link; 1 km out the link's
+        // own shadowing does.
+        let (far_pos, out_pos) = (Point::new(3_000.0, 0.0), Point::new(1_000.0, 0.0));
         let build = || {
             let mut medium = Medium::new(MediumConfig::urban_testbed());
             medium.register_node(ap, RadioClass::AccessPoint);
             medium.register_node(far, RadioClass::Vehicle);
             medium.register_node(out, RadioClass::Vehicle);
             medium.update_position(ap, Point::new(0.0, 18.0));
-            // 3 km out the budget alone settles the AP link; 1 km out the
-            // link's own shadowing does.
-            medium.update_position(far, Point::new(3_000.0, 0.0));
-            medium.update_position(out, Point::new(1_000.0, 0.0));
+            medium.update_position(far, far_pos);
+            medium.update_position(out, out_pos);
             medium
         };
         let (mut plain, mut traced) = (build(), build());
         let channel = RadioChannel::new(MediumConfig::urban_testbed().ap_vehicle);
-        let link = |node: NodeId| {
-            channel.link_state(Point::new(0.0, 18.0), plain.position_of(node).unwrap())
-        };
-        let (far_link, out_link) = (link(far), link(out));
+        let link = |pos: Point| channel.link_state(Point::new(0.0, 18.0), pos);
+        let (far_link, out_link) = (link(far_pos), link(out_pos));
         let bits = Frame::new(ap, Destination::Broadcast, 500, ()).total_bits();
         let far_ceiling =
             far_link.budget.snr_db + channel.shadowing_ceiling_db() + channel.fading_ceiling_db();
@@ -888,10 +833,11 @@ mod tests {
         let mut skipped = rng.clone();
         let mut sink = VecSink::new();
         let mut scratch = Vec::new();
+        let mut deliveries = Vec::new();
         for i in 0..20u64 {
             let frame = Frame::new(ap, Destination::Broadcast, 500, i);
             let now = SimTime::from_millis(i * 100);
-            let result = plain.transmit(now, &frame, DataRate::Mbps1, &mut rng);
+            plain.transmit_into(now, &frame, DataRate::Mbps1, &mut rng, &mut deliveries);
             traced.transmit_into_traced(
                 now,
                 &frame,
@@ -900,10 +846,10 @@ mod tests {
                 &mut scratch,
                 &mut sink,
             );
-            assert_eq!(scratch, result.deliveries);
-            assert_eq!(plain.snr_db(&result.deliveries[0].snr).to_bits(), far_ceiling.to_bits());
-            assert_eq!(plain.snr_db(&result.deliveries[1].snr).to_bits(), out_ceiling.to_bits());
-            assert!(result.deliveries.iter().all(|d| d.outcome == DeliveryOutcome::LostChannel));
+            assert_eq!(scratch, deliveries);
+            assert_eq!(plain.snr_db(&deliveries[0].snr).to_bits(), far_ceiling.to_bits());
+            assert_eq!(plain.snr_db(&deliveries[1].snr).to_bits(), out_ceiling.to_bits());
+            assert!(deliveries.iter().all(|d| d.outcome == DeliveryOutcome::LostChannel));
             // Two Rician samples: four uniforms and a Bernoulli each.
             skipped.skip(10);
         }
@@ -936,17 +882,20 @@ mod tests {
         let mut rng = StreamRng::derive(3, "m");
         // Vehicle 1 talks first; the AP transmits while that frame is on the air.
         let f1 = Frame::new(NodeId::new(1), Destination::Broadcast, 1_000, "first");
-        let r1 = medium.transmit(SimTime::ZERO, &f1, DataRate::Mbps1, &mut rng);
+        let mut deliveries = Vec::new();
+        let r1 =
+            medium.transmit_into(SimTime::ZERO, &f1, DataRate::Mbps1, &mut rng, &mut deliveries);
         assert!(r1.ends_at > SimTime::from_millis(8));
         let f2 = Frame::new(NodeId::new(0), Destination::Broadcast, 1_000, "second");
-        let r2 = medium.transmit(SimTime::from_millis(2), &f2, DataRate::Mbps1, &mut rng);
+        let at = SimTime::from_millis(2);
+        medium.transmit_into(at, &f2, DataRate::Mbps1, &mut rng, &mut deliveries);
         // Receivers 2 and 3 hear both → collision; node 1 is itself the first
         // transmitter, so its copy of the second frame is also corrupted? No:
         // node 1 is the *source* of the interfering frame, which is excluded
         // (a radio cannot receive while transmitting anyway at these overlaps,
         // but that is a different mechanism). Here nodes 2 and 3 must collide.
         let outcomes: BTreeMap<NodeId, DeliveryOutcome> =
-            r2.deliveries.iter().map(|d| (d.node, d.outcome)).collect();
+            deliveries.iter().map(|d| (d.node, d.outcome)).collect();
         assert_eq!(outcomes[&NodeId::new(2)], DeliveryOutcome::LostCollision);
         assert_eq!(outcomes[&NodeId::new(3)], DeliveryOutcome::LostCollision);
         assert!(medium.stats().deliveries_lost_collision >= 2);
@@ -957,44 +906,34 @@ mod tests {
         let mut medium = ideal_medium_with_nodes(2);
         let mut rng = StreamRng::derive(4, "m");
         let f1 = Frame::new(NodeId::new(1), Destination::Broadcast, 1_000, "first");
-        let r1 = medium.transmit(SimTime::ZERO, &f1, DataRate::Mbps1, &mut rng);
+        let mut deliveries = Vec::new();
+        let r1 =
+            medium.transmit_into(SimTime::ZERO, &f1, DataRate::Mbps1, &mut rng, &mut deliveries);
         let f2 = Frame::new(NodeId::new(0), Destination::Broadcast, 1_000, "second");
-        let r2 = medium.transmit(
-            r1.ends_at + SimDuration::from_micros(50),
-            &f2,
-            DataRate::Mbps1,
-            &mut rng,
-        );
-        assert!(r2.deliveries.iter().all(|d| d.outcome.is_received()));
+        let at = r1.ends_at + SimDuration::from_micros(50);
+        medium.transmit_into(at, &f2, DataRate::Mbps1, &mut rng, &mut deliveries);
+        assert!(deliveries.iter().all(|d| d.outcome.is_received()));
     }
 
     #[test]
     fn busy_tracking_follows_active_transmissions() {
         let mut medium = ideal_medium_with_nodes(1);
         let mut rng = StreamRng::derive(5, "m");
-        assert!(!medium.is_busy(SimTime::ZERO));
+        // An idle medium is busy until `now` itself.
+        assert_eq!(medium.busy_until(SimTime::ZERO), SimTime::ZERO);
         let frame = Frame::new(NodeId::new(0), Destination::Broadcast, 1_000, ());
-        let result = medium.transmit(SimTime::ZERO, &frame, DataRate::Mbps1, &mut rng);
-        assert!(medium.is_busy(SimTime::from_millis(1)));
-        assert_eq!(medium.busy_until(SimTime::from_millis(1)), result.ends_at);
-        assert!(!medium.is_busy(result.ends_at + SimDuration::from_micros(1)));
+        let mut deliveries = Vec::new();
+        let tx =
+            medium.transmit_into(SimTime::ZERO, &frame, DataRate::Mbps1, &mut rng, &mut deliveries);
+        assert_eq!(medium.busy_until(SimTime::from_millis(1)), tx.ends_at);
+        let after = tx.ends_at + SimDuration::from_micros(1);
+        assert_eq!(medium.busy_until(after), after);
     }
 
-    #[test]
-    fn node_registry_queries() {
-        let medium = ideal_medium_with_nodes(2);
-        assert_eq!(medium.node_ids(), vec![NodeId::new(0), NodeId::new(1), NodeId::new(2)]);
-        assert_eq!(medium.class_of(NodeId::new(0)), Some(RadioClass::AccessPoint));
-        assert_eq!(medium.class_of(NodeId::new(1)), Some(RadioClass::Vehicle));
-        assert_eq!(medium.class_of(NodeId::new(9)), None);
-        assert_eq!(medium.position_of(NodeId::new(1)), Some(Point::new(20.0, 0.0)));
-        assert_eq!(medium.position_of(NodeId::new(9)), None);
-    }
-
-    /// The pre-optimization reference semantics of `transmit`: clone the
-    /// frame per receiver, recompute the full link budget (path loss,
+    /// The pre-optimization reference semantics of a transmission: clone
+    /// the frame per receiver, recompute the full link budget (path loss,
     /// obstacles, shadowing) for every sample and every collision check.
-    /// `Medium::transmit` must reproduce its delivery sequence exactly.
+    /// `Medium::transmit_into` must reproduce its delivery sequence exactly.
     mod reference {
         use super::*;
 
@@ -1096,7 +1035,7 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// The shared-payload, cache-memoized `transmit` produces delivery
+        /// The shared-payload, cache-memoized `transmit_into` produces delivery
         /// sequences identical to the clone-per-receiver reference
         /// implementation — across random topologies, mobility ticks and
         /// overlapping transmission schedules on one shared RNG stream.
@@ -1143,6 +1082,7 @@ mod tests {
             let mut rng_fast = StreamRng::derive(seed, "prop-medium");
             let mut rng_traced = StreamRng::derive(seed, "prop-medium");
             let mut rng_ref = StreamRng::derive(seed, "prop-medium");
+            let mut got = Vec::new();
             let mut traced_deliveries = Vec::new();
             let mut reference_stats = MediumStats::default();
             let mut now = SimTime::ZERO;
@@ -1161,7 +1101,7 @@ mod tests {
                 }
                 let src = NodeId::new(src_raw % n_nodes as u32);
                 let frame = Frame::new(src, Destination::Broadcast, 500, src_raw);
-                let got = fast.transmit(now, &frame, DataRate::Mbps1, &mut rng_fast);
+                fast.transmit_into(now, &frame, DataRate::Mbps1, &mut rng_fast, &mut got);
                 let mut sink = VecSink::new();
                 traced.transmit_into_traced(
                     now,
@@ -1172,8 +1112,8 @@ mod tests {
                     &mut sink,
                 );
                 let want = reference.transmit(now, frame.clone(), DataRate::Mbps1, &mut rng_ref);
-                proptest::prop_assert_eq!(got.deliveries.len(), want.len());
-                proptest::prop_assert_eq!(&traced_deliveries, &got.deliveries);
+                proptest::prop_assert_eq!(got.len(), want.len());
+                proptest::prop_assert_eq!(&traced_deliveries, &got);
                 let recorded: Vec<f64> = sink
                     .records()
                     .iter()
@@ -1184,7 +1124,7 @@ mod tests {
                     .collect();
                 proptest::prop_assert_eq!(recorded.len(), want.len());
                 for ((d, (node, at, outcome, w_frame, snr, ceiling)), traced_snr) in
-                    got.deliveries.iter().zip(&want).zip(&recorded)
+                    got.iter().zip(&want).zip(&recorded)
                 {
                     proptest::prop_assert_eq!(d.node, *node);
                     proptest::prop_assert_eq!(d.at, *at);
@@ -1240,10 +1180,12 @@ mod tests {
         let mut rng_traced = StreamRng::derive(11, "m");
         let mut sink = VecSink::new();
         let mut scratch = Vec::new();
+        let mut deliveries = Vec::new();
         for i in 0..40u64 {
             let frame = Frame::new(NodeId::new(0), Destination::Broadcast, 500, i);
             let now = SimTime::from_millis(i * 100);
-            let want = plain.transmit(now, &frame, DataRate::Mbps1, &mut rng_plain);
+            let want =
+                plain.transmit_into(now, &frame, DataRate::Mbps1, &mut rng_plain, &mut deliveries);
             let tx = traced.transmit_into_traced(
                 now,
                 &frame,
@@ -1252,8 +1194,8 @@ mod tests {
                 &mut scratch,
                 &mut sink,
             );
-            assert_eq!(tx.ends_at, want.ends_at, "tracing must not change results");
-            assert_eq!(scratch, want.deliveries);
+            assert_eq!(tx, want, "tracing must not change results");
+            assert_eq!(scratch, deliveries);
         }
         let records = sink.records();
         let tx_starts = records.iter().filter(|r| r.kind() == "tx_start").count();
@@ -1375,6 +1317,6 @@ mod tests {
         let mut medium = Medium::new(MediumConfig::ideal());
         let mut rng = StreamRng::derive(6, "m");
         let frame = Frame::new(NodeId::new(42), Destination::Broadcast, 10, ());
-        let _ = medium.transmit(SimTime::ZERO, &frame, DataRate::Mbps1, &mut rng);
+        medium.transmit_into(SimTime::ZERO, &frame, DataRate::Mbps1, &mut rng, &mut Vec::new());
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! At fixed geometries whose SNR before fading (link budget plus shadowing)
 //! runs from −30 to +5 dB, on both urban channels and the highway AP
-//! channel, the share of 10⁵ untraced `Medium::transmit` verdicts that
+//! channel, the share of 10⁵ untraced `Medium::transmit_into` verdicts that
 //! receive must match the model's E[1 − PER] within a 4σ binomial
 //! interval. The expectation is computed by quadrature over the fading
 //! distribution, derived here from the configuration, independently of the
@@ -236,10 +236,11 @@ fn check_channel(
         let mut rng = StreamRng::derive(g as u64, "reception-oracle");
         let mut now = SimTime::ZERO;
         let mut received = 0u32;
+        let mut deliveries = Vec::new();
         for _ in 0..VERDICTS {
-            let result = medium.transmit(now, &frame, DataRate::Mbps1, &mut rng);
-            received += u32::from(result.deliveries[0].outcome.is_received());
-            now = result.ends_at;
+            let tx = medium.transmit_into(now, &frame, DataRate::Mbps1, &mut rng, &mut deliveries);
+            received += u32::from(deliveries[0].outcome.is_received());
+            now = tx.ends_at;
         }
         let p = expected(pre_db, bits);
         let share = f64::from(received) / f64::from(VERDICTS);

@@ -238,34 +238,9 @@ impl RadioConfig {
         }
     }
 
-    /// Overrides the transmit power.
-    pub fn with_tx_power_dbm(mut self, dbm: f64) -> Self {
-        self.tx_power_dbm = dbm;
-        self
-    }
-
-    /// Overrides the shadowing seed (used to vary rounds independently).
-    pub fn with_shadowing_seed(mut self, seed: u64) -> Self {
-        self.shadowing_seed = seed;
-        self
-    }
-
-    /// Disables fast fading.
-    pub fn without_fast_fading(mut self) -> Self {
-        self.fading = FadingKind::None;
-        self
-    }
-
     /// Overrides the fast-fading model.
     pub fn with_fading(mut self, fading: FadingKind) -> Self {
         self.fading = fading;
-        self
-    }
-
-    /// Adds building footprints whose penetration loss is applied to links
-    /// that cross them.
-    pub fn with_obstacles(mut self, obstacles: ObstacleMap) -> Self {
-        self.obstacles = obstacles;
         self
     }
 }

@@ -57,26 +57,6 @@ impl DataRate {
             DataRate::Mbps54,
         ]
     }
-
-    /// Whether the rate belongs to the DSSS/CCK (802.11b) family.
-    pub fn is_dsss(self) -> bool {
-        matches!(self, DataRate::Mbps1 | DataRate::Mbps2 | DataRate::Mbps5_5 | DataRate::Mbps11)
-    }
-
-    /// Minimum SNR (dB) at which this rate is normally usable — the
-    /// receiver-sensitivity ladder used by rate-adaptation baselines.
-    pub fn min_snr_db(self) -> f64 {
-        match self {
-            DataRate::Mbps1 => 4.0,
-            DataRate::Mbps2 => 6.0,
-            DataRate::Mbps5_5 => 8.0,
-            DataRate::Mbps11 => 10.0,
-            DataRate::Mbps6 => 8.0,
-            DataRate::Mbps12 => 12.0,
-            DataRate::Mbps24 => 17.0,
-            DataRate::Mbps54 => 25.0,
-        }
-    }
 }
 
 impl std::fmt::Display for DataRate {
@@ -128,28 +108,11 @@ impl FrameTiming {
         }
     }
 
-    /// ERP-OFDM (802.11g) timing (20 µs preamble, 10 µs SIFS, 28 µs DIFS,
-    /// 9 µs slots).
-    pub fn dot11g_ofdm() -> Self {
-        FrameTiming {
-            phy_overhead: SimDuration::from_micros(20),
-            sifs: SimDuration::from_micros(10),
-            difs: SimDuration::from_micros(28),
-            slot: SimDuration::from_micros(9),
-        }
-    }
-
     /// Airtime of a frame whose MAC payload (header + body) is `bits` long at
     /// `rate`, including PHY overhead.
     pub fn airtime(&self, bits: u64, rate: DataRate) -> SimDuration {
         let payload_secs = bits as f64 / rate.bits_per_second();
         self.phy_overhead + SimDuration::from_secs_f64(payload_secs)
-    }
-
-    /// Airtime plus one DIFS, i.e. the minimum channel occupancy of a
-    /// broadcast transmission under DCF.
-    pub fn channel_occupancy(&self, bits: u64, rate: DataRate) -> SimDuration {
-        self.difs + self.airtime(bits, rate)
     }
 }
 
@@ -161,17 +124,8 @@ mod tests {
     fn rate_values() {
         assert_eq!(DataRate::Mbps1.bits_per_second(), 1e6);
         assert_eq!(DataRate::Mbps54.bits_per_second(), 54e6);
-        assert!(DataRate::Mbps1.is_dsss());
-        assert!(!DataRate::Mbps6.is_dsss());
         assert_eq!(DataRate::all().len(), 8);
         assert_eq!(DataRate::Mbps5_5.to_string(), "5.5 Mbps");
-    }
-
-    #[test]
-    fn min_snr_is_monotone_within_family() {
-        assert!(DataRate::Mbps1.min_snr_db() < DataRate::Mbps2.min_snr_db());
-        assert!(DataRate::Mbps2.min_snr_db() < DataRate::Mbps11.min_snr_db());
-        assert!(DataRate::Mbps6.min_snr_db() < DataRate::Mbps54.min_snr_db());
     }
 
     #[test]
@@ -188,14 +142,5 @@ mod tests {
         let slow = timing.airtime(12_000, DataRate::Mbps1);
         let fast = timing.airtime(12_000, DataRate::Mbps11);
         assert!(fast < slow);
-        assert!(timing.channel_occupancy(12_000, DataRate::Mbps1) > slow);
-    }
-
-    #[test]
-    fn ofdm_timing_has_shorter_slots() {
-        let b = FrameTiming::dot11b_long_preamble();
-        let g = FrameTiming::dot11g_ofdm();
-        assert!(g.slot < b.slot);
-        assert!(g.phy_overhead < b.phy_overhead);
     }
 }

@@ -76,42 +76,3 @@ pub use fading::FadingKind;
 pub use obstacles::{Building, ObstacleMap};
 pub use pathloss::{FreeSpace, LogDistance, PathLossModel, TwoRayGround};
 pub use per::{is_certain_loss, packet_error_rate, snr_to_ber, Modulation};
-
-/// Converts a linear power ratio to decibels.
-///
-/// ```
-/// assert!((vanet_radio::to_db(100.0) - 20.0).abs() < 1e-9);
-/// ```
-pub fn to_db(linear: f64) -> f64 {
-    10.0 * linear.log10()
-}
-
-/// Converts decibels to a linear power ratio.
-///
-/// ```
-/// assert!((vanet_radio::from_db(20.0) - 100.0).abs() < 1e-9);
-/// ```
-pub fn from_db(db: f64) -> f64 {
-    10f64.powf(db / 10.0)
-}
-
-/// Converts milliwatts to dBm.
-pub fn mw_to_dbm(mw: f64) -> f64 {
-    to_db(mw)
-}
-
-/// Converts dBm to milliwatts.
-pub fn dbm_to_mw(dbm: f64) -> f64 {
-    from_db(dbm)
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn db_conversions_roundtrip() {
-        for v in [0.5, 1.0, 10.0, 123.4] {
-            assert!((super::from_db(super::to_db(v)) - v).abs() < 1e-9);
-        }
-        assert!((super::dbm_to_mw(super::mw_to_dbm(3.2)) - 3.2).abs() < 1e-9);
-    }
-}

@@ -23,13 +23,6 @@ pub struct FreeSpace {
     pub frequency_hz: f64,
 }
 
-impl FreeSpace {
-    /// Free-space loss at the 2.4 GHz ISM band used by 802.11b/g.
-    pub fn at_2_4ghz() -> Self {
-        FreeSpace { frequency_hz: 2.412e9 }
-    }
-}
-
 impl PathLossModel for FreeSpace {
     fn loss_db(&self, distance_m: f64) -> f64 {
         let d = distance_m.max(1.0);
@@ -62,12 +55,6 @@ impl LogDistance {
     pub fn highway_2_4ghz() -> Self {
         LogDistance { reference_m: 1.0, reference_loss_db: 40.0, exponent: 2.4, extra_loss_db: 0.0 }
     }
-
-    /// Adds a constant extra loss (e.g. 6 dB window penetration).
-    pub fn with_extra_loss(mut self, extra_db: f64) -> Self {
-        self.extra_loss_db = extra_db;
-        self
-    }
 }
 
 impl PathLossModel for LogDistance {
@@ -93,11 +80,6 @@ pub struct TwoRayGround {
 }
 
 impl TwoRayGround {
-    /// Roadside AP at 5 m, car antenna at 1.5 m, 2.4 GHz.
-    pub fn roadside_default() -> Self {
-        TwoRayGround { tx_height_m: 5.0, rx_height_m: 1.5, frequency_hz: 2.412e9 }
-    }
-
     /// The crossover distance below which free space applies.
     pub fn crossover_distance_m(&self) -> f64 {
         let wavelength = 2.998e8 / self.frequency_hz;
@@ -126,9 +108,16 @@ mod tests {
     use super::*;
     use proptest::prelude::{prop_assert, proptest};
 
+    /// Free space at the 2.4 GHz ISM band used by 802.11b/g.
+    const FREE_SPACE: FreeSpace = FreeSpace { frequency_hz: 2.412e9 };
+
+    /// A roadside AP at 5 m and a car antenna at 1.5 m, at 2.4 GHz.
+    const ROADSIDE: TwoRayGround =
+        TwoRayGround { tx_height_m: 5.0, rx_height_m: 1.5, frequency_hz: 2.412e9 };
+
     #[test]
     fn free_space_reference_values() {
-        let fs = FreeSpace::at_2_4ghz();
+        let fs = FREE_SPACE;
         // ~40 dB at 1 m, ~60 dB at 10 m, ~80 dB at 100 m for 2.4 GHz.
         assert!((fs.loss_db(1.0) - 40.1).abs() < 0.5);
         assert!((fs.loss_db(10.0) - 60.1).abs() < 0.5);
@@ -140,13 +129,13 @@ mod tests {
         let ld = LogDistance::urban_2_4ghz();
         let per_decade = ld.loss_db(100.0) - ld.loss_db(10.0);
         assert!((per_decade - 30.0).abs() < 1e-9);
-        let with_wall = ld.with_extra_loss(6.0);
+        let with_wall = LogDistance { extra_loss_db: 6.0, ..ld };
         assert!((with_wall.loss_db(10.0) - ld.loss_db(10.0) - 6.0).abs() < 1e-12);
     }
 
     #[test]
     fn two_ray_reduces_to_free_space_close_in() {
-        let tr = TwoRayGround::roadside_default();
+        let tr = ROADSIDE;
         let fs = FreeSpace { frequency_hz: tr.frequency_hz };
         let d = tr.crossover_distance_m() / 2.0;
         assert!((tr.loss_db(d) - fs.loss_db(d)).abs() < 1e-9);
@@ -159,7 +148,7 @@ mod tests {
     fn below_reference_distance_is_clamped() {
         let ld = LogDistance::urban_2_4ghz();
         assert_eq!(ld.loss_db(0.0), ld.loss_db(1.0));
-        let fs = FreeSpace::at_2_4ghz();
+        let fs = FREE_SPACE;
         assert_eq!(fs.loss_db(0.0), fs.loss_db(1.0));
     }
 
@@ -168,10 +157,10 @@ mod tests {
         #[test]
         fn prop_monotone(d1 in 1.0f64..2_000.0, delta in 0.0f64..500.0) {
             let models: Vec<Box<dyn PathLossModel>> = vec![
-                Box::new(FreeSpace::at_2_4ghz()),
+                Box::new(FREE_SPACE),
                 Box::new(LogDistance::urban_2_4ghz()),
-                Box::new(LogDistance::highway_2_4ghz().with_extra_loss(3.0)),
-                Box::new(TwoRayGround::roadside_default()),
+                Box::new(LogDistance { extra_loss_db: 3.0, ..LogDistance::highway_2_4ghz() }),
+                Box::new(ROADSIDE),
             ];
             for m in &models {
                 prop_assert!(m.loss_db(d1 + delta) + 1e-9 >= m.loss_db(d1));

@@ -13,7 +13,7 @@
 //! the multi-AP download reuses for each AP visit.
 
 use rand::Rng;
-use sim_core::{SimDuration, SimTime, Simulation, StreamRng};
+use sim_core::{SimDuration, SimTime, StreamRng};
 use vanet_dtn::{AccessPointApp, ApConfig};
 use vanet_geo::{highway_segment, kmh_to_ms, DriverProfile, PlatoonMobility, RoadLayout};
 use vanet_mac::{MediumConfig, NodeId};
@@ -138,40 +138,16 @@ impl PassInvariants {
     }
 }
 
-/// Simulates one drive-by pass of `cfg`, seeding all randomness from `seed`.
-/// Shared by the highway scenario (one pass per round) and the multi-AP
-/// download (one pass per AP visit). `inv` must be [`PassInvariants::of`]
-/// the same `cfg`.
-pub(crate) fn simulate_pass(
+/// The model one drive-by pass of `cfg` simulates at `seed`, emitting into
+/// `sink`, and the horizon it runs to. Shared by the highway scenario (one
+/// pass per round) and the multi-AP download (one pass per AP visit). `inv`
+/// must be [`PassInvariants::of`] the same `cfg`.
+pub(crate) fn round_model<S: TraceSink>(
     cfg: &HighwayConfig,
     inv: &PassInvariants,
-    round: u32,
     seed: u64,
-) -> RoundReport {
-    simulate_pass_sink(cfg, inv, round, seed, &mut NoTrace)
-}
-
-/// [`simulate_pass`] with tracing enabled, collecting the emitted records.
-pub(crate) fn simulate_pass_traced(
-    cfg: &HighwayConfig,
-    inv: &PassInvariants,
-    round: u32,
-    seed: u64,
-) -> (RoundReport, Vec<TraceRecord>) {
-    let mut sink = VecSink::new();
-    let report = simulate_pass_sink(cfg, inv, round, seed, &mut sink);
-    (report, sink.into_records())
-}
-
-/// The pass body, generic over the trace sink so the traced and untraced
-/// paths share one implementation (and cannot drift apart).
-fn simulate_pass_sink<S: TraceSink>(
-    cfg: &HighwayConfig,
-    inv: &PassInvariants,
-    round: u32,
-    seed: u64,
-    sink: &mut S,
-) -> RoundReport {
+    sink: S,
+) -> (VanetModel<S>, SimTime) {
     let pass_rng = StreamRng::derive(seed, "highway-pass");
     let mut mobility_rng = pass_rng.substream(1);
     let shadow_seed = pass_rng.substream(2).gen::<u64>();
@@ -212,32 +188,7 @@ fn simulate_pass_sink<S: TraceSink>(
         model.add_car(*id, platoon.member(i).clone());
     }
 
-    let mut sim = Simulation::new(model).with_horizon(inv.horizon).with_event_budget(5_000_000);
-    for (t, ev) in sim.model().initial_events() {
-        sim.schedule_at(t, ev);
-    }
-    sim.run();
-    let events = sim.processed_events();
-    let model = sim.into_model();
-
-    let node_stats = model.node_stats();
-    let sum = |f: fn(&carq::CarqNodeStats) -> u64| -> f64 {
-        node_stats.iter().map(|s| f(&s.stats) as f64).sum()
-    };
-    RoundReport::new(round, seed, model.round_result())
-        .with_counter("requests_sent", sum(|s| s.requests_sent))
-        .with_counter("coop_data_sent", sum(|s| s.coop_data_sent))
-        .with_counter("recovered_via_coop", sum(|s| s.recovered_via_coop))
-        .with_counter("responses_suppressed", sum(|s| s.responses_suppressed))
-        .with_counter("medium_frames_sent", model.medium_stats().frames_sent as f64)
-        .with_counter("sim_events", events as f64)
-        .with_counter("csma_deferrals", model.csma_deferrals() as f64)
-        .with_counter(
-            "arq_retransmissions",
-            model.ap_retransmissions_queued() as f64 + sum(|s| s.coop_data_sent),
-        )
-        .with_counter("buffer_evictions", sum(|s| s.buffer_evictions))
-        .with_counter("strategy_decisions", model.strategy_decisions() as f64)
+    (model, inv.horizon)
 }
 
 /// The highway drive-thru as a registry-discoverable [`Scenario`].
@@ -415,11 +366,14 @@ impl ScenarioRun for HighwayRun {
     }
 
     fn run_round(&self, round: u32, seed: u64) -> RoundReport {
-        simulate_pass(&self.config, &self.invariants, round, seed)
+        let (model, horizon) = round_model(&self.config, &self.invariants, seed, NoTrace);
+        model.run_round(horizon, round, seed)
     }
 
     fn run_round_traced(&self, round: u32, seed: u64) -> (RoundReport, Vec<TraceRecord>) {
-        simulate_pass_traced(&self.config, &self.invariants, round, seed)
+        let mut sink = VecSink::new();
+        let (model, horizon) = round_model(&self.config, &self.invariants, seed, &mut sink);
+        (model.run_round(horizon, round, seed), sink.into_records())
     }
 
     fn aggregate(&self, rounds: &[RoundReport]) -> PointSummary {

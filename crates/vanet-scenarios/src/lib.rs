@@ -59,7 +59,7 @@ pub mod schema;
 pub mod urban;
 
 pub use highway::{HighwayConfig, HighwayRun, HighwayScenario};
-pub use model::{ModelConfig, NodeStatsSnapshot, VanetModel};
+pub use model::{ModelConfig, VanetModel};
 pub use multi_ap::{MultiApConfig, MultiApOutcome, MultiApRun, MultiApScenario};
 pub use params::{Param, ParamValue, SweepPoint};
 pub use registry::ScenarioRegistry;

@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use carq::{Action, CarqConfig, CarqMessage, CarqNode, CarqNodeStats, TimerKind};
-use sim_core::{Model, Scheduler, SimDuration, SimTime, StreamRng};
+use sim_core::{Model, RunOutcome, Scheduler, SimDuration, SimTime, Simulation, StreamRng};
 use vanet_dtn::{AccessPointApp, ApSchedulingPolicy, ReceptionMap};
 use vanet_geo::{MobilityModel, PathMobility, Point};
 use vanet_mac::{
@@ -20,7 +20,7 @@ use vanet_mac::{
     RadioClass,
 };
 use vanet_radio::DataRate;
-use vanet_stats::{FlowObservation, RoundResult};
+use vanet_stats::{FlowObservation, RoundReport, RoundResult};
 use vanet_trace::{NoTrace, TraceRecord, TraceSink};
 
 /// Static configuration of one simulated round.
@@ -119,11 +119,11 @@ struct AccessPoint {
 
 /// Per-node statistics captured at the end of a round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NodeStatsSnapshot {
+struct NodeStatsSnapshot {
     /// The car.
-    pub node: NodeId,
+    node: NodeId,
     /// Its protocol counters.
-    pub stats: CarqNodeStats,
+    stats: CarqNodeStats,
 }
 
 /// The complete simulation model for one round.
@@ -207,11 +207,6 @@ impl<S: TraceSink> VanetModel<S> {
         self.cars.push(Car { id, protocol, mobility });
     }
 
-    /// The car ids, in the order they were added (platoon order).
-    pub fn car_ids(&self) -> Vec<NodeId> {
-        self.cars.iter().map(|c| c.id).collect()
-    }
-
     /// Schedules the initial events of a round on `schedule`: car start-up,
     /// position updates and the first transmission of every AP.
     pub fn initial_events(&self) -> Vec<(SimTime, VanetEvent)> {
@@ -237,7 +232,7 @@ impl<S: TraceSink> VanetModel<S> {
     }
 
     /// Aggregate medium statistics.
-    pub fn medium_stats(&self) -> vanet_mac::medium::MediumStats {
+    fn medium_stats(&self) -> vanet_mac::medium::MediumStats {
         self.medium.stats()
     }
 
@@ -248,30 +243,15 @@ impl<S: TraceSink> VanetModel<S> {
     }
 
     /// Per-car protocol statistics.
-    pub fn node_stats(&self) -> Vec<NodeStatsSnapshot> {
+    fn node_stats(&self) -> Vec<NodeStatsSnapshot> {
         self.cars
             .iter()
             .map(|c| NodeStatsSnapshot { node: c.id, stats: c.protocol.stats() })
             .collect()
     }
 
-    /// How many transmissions carrier sensing deferred this round.
-    pub fn csma_deferrals(&self) -> u64 {
-        self.csma_deferrals
-    }
-
-    /// How many AP-side retransmissions were queued after loss feedback.
-    pub fn ap_retransmissions_queued(&self) -> u64 {
-        self.ap_retransmissions_queued
-    }
-
-    /// How many strategy loss decisions the cars made this round.
-    pub fn strategy_decisions(&self) -> u64 {
-        self.strategy_decisions
-    }
-
     /// Builds the per-flow observations of the finished round.
-    pub fn round_result(&self) -> RoundResult {
+    fn round_result(&self) -> RoundResult {
         let flows = self
             .cars
             .iter()
@@ -299,6 +279,40 @@ impl<S: TraceSink> VanetModel<S> {
             })
             .collect();
         RoundResult::new(flows)
+    }
+
+    /// Simulates this round's model from its initial events to `horizon`,
+    /// under a budget of 5,000,000 events, and reports it: the round's flows
+    /// and its ten counters, always in the same order. This is the round
+    /// body of every scenario, traced or not.
+    pub fn run_round(self, horizon: SimTime, round: u32, seed: u64) -> RoundReport {
+        let mut sim = Simulation::new(self).with_horizon(horizon).with_event_budget(5_000_000);
+        for (t, ev) in sim.model().initial_events() {
+            sim.schedule_at(t, ev);
+        }
+        let outcome = sim.run();
+        debug_assert_ne!(outcome, RunOutcome::EventBudgetExhausted, "runaway event loop");
+        let events = sim.processed_events();
+        let model = sim.into_model();
+
+        let node_stats = model.node_stats();
+        let sum = |f: fn(&CarqNodeStats) -> u64| -> f64 {
+            node_stats.iter().map(|s| f(&s.stats) as f64).sum()
+        };
+        RoundReport::new(round, seed, model.round_result())
+            .with_counter("requests_sent", sum(|s| s.requests_sent))
+            .with_counter("coop_data_sent", sum(|s| s.coop_data_sent))
+            .with_counter("recovered_via_coop", sum(|s| s.recovered_via_coop))
+            .with_counter("responses_suppressed", sum(|s| s.responses_suppressed))
+            .with_counter("medium_frames_sent", model.medium_stats().frames_sent as f64)
+            .with_counter("sim_events", events as f64)
+            .with_counter("csma_deferrals", model.csma_deferrals as f64)
+            .with_counter(
+                "arq_retransmissions",
+                model.ap_retransmissions_queued as f64 + sum(|s| s.coop_data_sent),
+            )
+            .with_counter("buffer_evictions", sum(|s| s.buffer_evictions))
+            .with_counter("strategy_decisions", model.strategy_decisions as f64)
     }
 
     fn car_index(&self, id: NodeId) -> Option<usize> {

@@ -19,9 +19,9 @@
 
 use vanet_mac::NodeId;
 use vanet_stats::{mean, PointSummary, RoundReport};
-use vanet_trace::TraceRecord;
+use vanet_trace::{NoTrace, TraceRecord, VecSink};
 
-use crate::highway::{simulate_pass, simulate_pass_traced, HighwayConfig, PassInvariants};
+use crate::highway::{round_model, HighwayConfig, PassInvariants};
 use crate::params::{Param, SweepPoint};
 use crate::scenario::{Scenario, ScenarioRun};
 use crate::schema::{ParamError, ParamSchema, ParamSpec};
@@ -294,11 +294,14 @@ impl ScenarioRun for MultiApRun {
     }
 
     fn run_round(&self, round: u32, seed: u64) -> RoundReport {
-        simulate_pass(&self.config.pass, &self.invariants, round, seed)
+        let (model, horizon) = round_model(&self.config.pass, &self.invariants, seed, NoTrace);
+        model.run_round(horizon, round, seed)
     }
 
     fn run_round_traced(&self, round: u32, seed: u64) -> (RoundReport, Vec<TraceRecord>) {
-        simulate_pass_traced(&self.config.pass, &self.invariants, round, seed)
+        let mut sink = VecSink::new();
+        let (model, horizon) = round_model(&self.config.pass, &self.invariants, seed, &mut sink);
+        (model.run_round(horizon, round, seed), sink.into_records())
     }
 
     fn is_settled(&self, rounds_so_far: &[RoundReport]) -> bool {

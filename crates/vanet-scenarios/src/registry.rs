@@ -60,19 +60,6 @@ impl ScenarioRegistry {
         self.scenarios.push(scenario);
     }
 
-    /// Adds a scenario unless its (normalized) name is already taken,
-    /// returning whether it was added. This is the mass-registration hook
-    /// for *generated* scenarios: a campaign can regenerate the same
-    /// identity twice (warm re-runs, merged shards) and simply keep the
-    /// first registration instead of panicking.
-    pub fn try_register(&mut self, scenario: Box<dyn Scenario>) -> bool {
-        if self.get(scenario.name()).is_some() {
-            return false;
-        }
-        self.scenarios.push(scenario);
-        true
-    }
-
     /// Looks a scenario up by name (separator- and case-insensitive).
     pub fn get(&self, name: &str) -> Option<&dyn Scenario> {
         let wanted = normalize(name);
@@ -132,15 +119,5 @@ mod tests {
     fn duplicate_registration_rejected() {
         let mut registry = ScenarioRegistry::builtin();
         registry.register(Box::new(UrbanScenario::paper_testbed()));
-    }
-
-    #[test]
-    fn try_register_keeps_the_first_and_reports_duplicates() {
-        let mut registry = ScenarioRegistry::builtin();
-        assert!(!registry.try_register(Box::new(UrbanScenario::paper_testbed())));
-        assert_eq!(registry.len(), 3, "duplicate must not be added");
-        let mut empty = ScenarioRegistry::new();
-        assert!(empty.try_register(Box::new(UrbanScenario::paper_testbed())));
-        assert_eq!(empty.names(), vec!["urban"]);
     }
 }

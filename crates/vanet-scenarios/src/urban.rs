@@ -13,7 +13,7 @@
 //! of `(round, seed)`.
 
 use rand::Rng;
-use sim_core::{RunOutcome, SimTime, Simulation, StreamRng};
+use sim_core::{SimTime, StreamRng};
 use vanet_dtn::{AccessPointApp, ApConfig, ApSchedulingPolicy};
 use vanet_geo::{
     kmh_to_ms, urban_testbed_block, urban_testbed_loop, DriverProfile, PathMobility,
@@ -98,12 +98,6 @@ impl UrbanConfig {
     /// Overrides the number of rounds.
     pub fn with_rounds(mut self, rounds: u32) -> Self {
         self.rounds = rounds;
-        self
-    }
-
-    /// Overrides the protocol configuration.
-    pub fn with_carq(mut self, carq: CarqConfig) -> Self {
-        self.carq = carq;
         self
     }
 
@@ -402,41 +396,6 @@ impl UrbanRun {
         }
         (model, inv.horizon)
     }
-
-    /// The round body, generic over the trace sink: `run_round` instantiates
-    /// it with [`NoTrace`] (compiling the tracing away), `run_round_traced`
-    /// with a recording sink. One body, so the traced and untraced paths
-    /// cannot drift apart.
-    fn run_round_sink<S: TraceSink>(&self, round: u32, seed: u64, sink: &mut S) -> RoundReport {
-        let (model, horizon) = self.round_model(seed, sink);
-        let mut sim = Simulation::new(model).with_horizon(horizon).with_event_budget(5_000_000);
-        for (t, ev) in sim.model().initial_events() {
-            sim.schedule_at(t, ev);
-        }
-        let outcome = sim.run();
-        debug_assert_ne!(outcome, RunOutcome::EventBudgetExhausted, "runaway event loop");
-        let events = sim.processed_events();
-        let model = sim.into_model();
-
-        let node_stats = model.node_stats();
-        let sum = |f: fn(&carq::CarqNodeStats) -> u64| -> f64 {
-            node_stats.iter().map(|s| f(&s.stats) as f64).sum()
-        };
-        RoundReport::new(round, seed, model.round_result())
-            .with_counter("requests_sent", sum(|s| s.requests_sent))
-            .with_counter("coop_data_sent", sum(|s| s.coop_data_sent))
-            .with_counter("recovered_via_coop", sum(|s| s.recovered_via_coop))
-            .with_counter("responses_suppressed", sum(|s| s.responses_suppressed))
-            .with_counter("medium_frames_sent", model.medium_stats().frames_sent as f64)
-            .with_counter("sim_events", events as f64)
-            .with_counter("csma_deferrals", model.csma_deferrals() as f64)
-            .with_counter(
-                "arq_retransmissions",
-                model.ap_retransmissions_queued() as f64 + sum(|s| s.coop_data_sent),
-            )
-            .with_counter("buffer_evictions", sum(|s| s.buffer_evictions))
-            .with_counter("strategy_decisions", model.strategy_decisions() as f64)
-    }
 }
 
 impl ScenarioRun for UrbanRun {
@@ -447,13 +406,14 @@ impl ScenarioRun for UrbanRun {
     /// Runs a single round (lap). All randomness — mobility realisation,
     /// shadowing landscape, every sampling stream — derives from `seed`.
     fn run_round(&self, round: u32, seed: u64) -> RoundReport {
-        self.run_round_sink(round, seed, &mut NoTrace)
+        let (model, horizon) = self.round_model(seed, NoTrace);
+        model.run_round(horizon, round, seed)
     }
 
     fn run_round_traced(&self, round: u32, seed: u64) -> (RoundReport, Vec<TraceRecord>) {
         let mut sink = VecSink::new();
-        let report = self.run_round_sink(round, seed, &mut sink);
-        (report, sink.into_records())
+        let (model, horizon) = self.round_model(seed, &mut sink);
+        (model.run_round(horizon, round, seed), sink.into_records())
     }
 
     fn aggregate(&self, rounds: &[RoundReport]) -> PointSummary {

@@ -1,20 +1,26 @@
-//! The compact binary trace format (`CARQTRC1`) and the JSONL export.
+//! The trace file format (`CARQTRM1`) and the JSONL export.
 //!
-//! Layout of an encoded trace:
+//! A trace file holds one frame per round. Layout:
 //!
 //! ```text
-//! magic   8 bytes   "CARQTRC1"
-//! count   u32 LE    number of records
-//! record  repeated  u32 LE payload length, then the payload:
-//!                   1 tag byte + the variant's fields, little-endian
-//!                   (SimTime as u64 nanoseconds, f64 as IEEE-754 bits)
+//! magic   8 bytes   "CARQTRM1"
+//! count   u32 LE    number of frames
+//! frame   repeated  round u32 LE, seed u64 LE, payload length u32 LE,
+//!                   then the round's records as a payload:
+//!   magic   8 bytes   "CARQTRC1"
+//!   count   u32 LE    number of records
+//!   record  repeated  u32 LE record length, then the record:
+//!                     1 tag byte + the variant's fields, little-endian
+//!                     (SimTime as u64 nanoseconds, f64 as IEEE-754 bits)
 //! ```
 //!
-//! The length prefix lets tooling skip records it does not understand and
-//! makes truncation detectable; encoding is fully deterministic (a fixed
-//! seed produces byte-identical trace files, which the trace-determinism
-//! tests assert). [`to_jsonl`] renders the same records as one JSON object
-//! per line for external tooling.
+//! The length prefixes let tooling skip frames or records it does not
+//! understand and make truncation detectable; encoding is fully
+//! deterministic (a fixed seed produces byte-identical trace files, which
+//! the trace-determinism tests assert). A bare payload (a file that starts
+//! with `CARQTRC1`) is the retired single-round file format, which
+//! [`decode_frames`] refuses. [`to_jsonl`] renders the same records as one
+//! JSON object per line for external tooling.
 
 use std::fmt;
 
@@ -22,16 +28,17 @@ use sim_core::SimTime;
 
 use crate::record::TraceRecord;
 
-/// The 8-byte magic prefix of a binary trace.
+/// The 8-byte magic prefix of a frame's payload, and of the retired
+/// single-round trace file.
 pub const TRACE_MAGIC: &[u8; 8] = b"CARQTRC1";
 
-/// The 8-byte magic prefix of a multi-round framed trace.
+/// The 8-byte magic prefix of a trace file.
 pub const TRACE_FRAMED_MAGIC: &[u8; 8] = b"CARQTRM1";
 
 /// Why a binary trace failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceCodecError {
-    /// The input does not start with [`TRACE_MAGIC`].
+    /// The input, or a frame's payload, does not start with its magic.
     BadMagic,
     /// The input ended mid-structure.
     Truncated,
@@ -53,7 +60,7 @@ pub enum TraceCodecError {
 impl fmt::Display for TraceCodecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TraceCodecError::BadMagic => write!(f, "not a CARQTRC1 trace (bad magic)"),
+            TraceCodecError::BadMagic => write!(f, "not a CARQTRM1 trace (bad magic)"),
             TraceCodecError::Truncated => write!(f, "trace ends mid-record (truncated)"),
             TraceCodecError::UnknownTag(tag) => write!(f, "unknown trace record tag {tag}"),
             TraceCodecError::BadLength { tag, declared, expected } => write!(
@@ -161,8 +168,8 @@ fn layout(record: &TraceRecord) -> (u8, u32) {
     }
 }
 
-/// Encodes `records` into the `CARQTRC1` binary format.
-pub fn encode(records: &[TraceRecord]) -> Vec<u8> {
+/// Encodes one frame's records into its `CARQTRC1` payload.
+fn encode(records: &[TraceRecord]) -> Vec<u8> {
     let mut w = Writer { out: Vec::with_capacity(16 + records.len() * 24) };
     w.out.extend_from_slice(TRACE_MAGIC);
     w.u32(u32::try_from(records.len()).expect("record count fits u32"));
@@ -234,13 +241,10 @@ pub fn encode(records: &[TraceRecord]) -> Vec<u8> {
     w.out
 }
 
-/// Decodes a `CARQTRC1` binary trace back into records.
-///
-/// # Errors
-///
-/// Any structural problem: wrong magic, truncation, unknown tags,
-/// length/layout mismatches or trailing bytes.
-pub fn decode(bytes: &[u8]) -> Result<Vec<TraceRecord>, TraceCodecError> {
+/// Decodes one frame's `CARQTRC1` payload back into records: any wrong
+/// magic, truncation, unknown tag, length/layout mismatch or trailing byte
+/// is an error.
+fn decode(bytes: &[u8]) -> Result<Vec<TraceRecord>, TraceCodecError> {
     let mut r = Reader { bytes };
     if r.take(TRACE_MAGIC.len()).map_err(|_| TraceCodecError::BadMagic)? != TRACE_MAGIC {
         return Err(TraceCodecError::BadMagic);
@@ -313,9 +317,9 @@ pub fn decode(bytes: &[u8]) -> Result<Vec<TraceRecord>, TraceCodecError> {
     Ok(records)
 }
 
-/// One round's record stream inside a multi-round framed trace, tagged with
-/// the round index and the round seed that produced it — everything a
-/// downstream analyzer needs to label (and re-derive) the round.
+/// One round's records inside a `CARQTRM1` trace file, tagged with the
+/// round index and the round seed that produced it — everything a
+/// downstream analysis needs to label (and re-derive) the round.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceFrame {
     /// The 0-based round index.
@@ -326,11 +330,10 @@ pub struct TraceFrame {
     pub records: Vec<TraceRecord>,
 }
 
-/// Encodes multiple rounds into the framed `CARQTRM1` format: the magic, a
-/// u32 frame count, then per frame a `(round u32, seed u64, length u32)`
-/// header followed by that round's complete [`encode`]d `CARQTRC1` blob —
-/// the single-round codec, reused verbatim, so any frame can be sliced out
-/// and decoded (or skipped) on its own.
+/// Encodes rounds into a `CARQTRM1` trace file: the magic, a u32 frame
+/// count, then per frame a `(round u32, seed u64, length u32)` header
+/// followed by that round's `CARQTRC1` payload, so any frame can be sliced
+/// out and decoded (or skipped) on its own.
 pub fn encode_frames(frames: &[TraceFrame]) -> Vec<u8> {
     let mut w = Writer { out: Vec::new() };
     w.out.extend_from_slice(TRACE_FRAMED_MAGIC);
@@ -345,11 +348,12 @@ pub fn encode_frames(frames: &[TraceFrame]) -> Vec<u8> {
     w.out
 }
 
-/// Decodes a framed `CARQTRM1` trace back into per-round frames.
+/// Decodes a `CARQTRM1` trace file back into per-round frames.
 ///
 /// # Errors
 ///
-/// Any structural problem in the framing or in an embedded `CARQTRC1` blob.
+/// Any structural problem in the framing or in a frame's payload; a bare
+/// `CARQTRC1` payload is [`TraceCodecError::BadMagic`].
 pub fn decode_frames(bytes: &[u8]) -> Result<Vec<TraceFrame>, TraceCodecError> {
     let mut r = Reader { bytes };
     if r.take(TRACE_FRAMED_MAGIC.len()).map_err(|_| TraceCodecError::BadMagic)?
@@ -370,21 +374,6 @@ pub fn decode_frames(bytes: &[u8]) -> Result<Vec<TraceFrame>, TraceCodecError> {
         return Err(TraceCodecError::TrailingBytes);
     }
     Ok(frames)
-}
-
-/// Decodes either trace format: a framed `CARQTRM1` file yields its frames,
-/// a plain single-round `CARQTRC1` file yields one frame labelled
-/// `round 0, seed 0` (the single-round format does not record them).
-///
-/// # Errors
-///
-/// Any structural problem in whichever format the magic selects.
-pub fn decode_any(bytes: &[u8]) -> Result<Vec<TraceFrame>, TraceCodecError> {
-    if bytes.starts_with(TRACE_FRAMED_MAGIC) {
-        decode_frames(bytes)
-    } else {
-        Ok(vec![TraceFrame { round: 0, seed: 0, records: decode(bytes)? }])
-    }
 }
 
 /// Renders records as JSON Lines: one object per record, fixed key order,
@@ -533,34 +522,18 @@ mod tests {
         assert_eq!(decode_frames(&encode_frames(&[])).unwrap(), Vec::new());
 
         assert_eq!(decode_frames(b"NOTAMAGI"), Err(TraceCodecError::BadMagic));
+        // A bare payload is the retired single-round file, not a trace file.
+        assert_eq!(decode_frames(&encode(&sample())), Err(TraceCodecError::BadMagic));
         assert_eq!(decode_frames(b"CARQTRM1\xff\xff\xff\xff"), Err(TraceCodecError::Truncated));
         assert_eq!(decode_frames(&bytes[..bytes.len() - 2]), Err(TraceCodecError::Truncated));
         let mut trailing = bytes.clone();
         trailing.push(0);
         assert_eq!(decode_frames(&trailing), Err(TraceCodecError::TrailingBytes));
-        // Corrupting an embedded blob surfaces the single-round codec's
+        // Corrupting a frame's payload surfaces the payload decoder's
         // error (frame 0's blob starts after 8 magic + 4 count + 16 header).
         let mut bad_blob = bytes;
         bad_blob[28] = b'X';
         assert_eq!(decode_frames(&bad_blob), Err(TraceCodecError::BadMagic));
-    }
-
-    #[test]
-    fn decode_any_accepts_both_formats() {
-        let records = sample();
-        let framed = encode_frames(&[TraceFrame { round: 3, seed: 9, records: records.clone() }]);
-        let decoded = decode_any(&framed).unwrap();
-        assert_eq!(decoded.len(), 1);
-        assert_eq!((decoded[0].round, decoded[0].seed), (3, 9));
-        assert_eq!(decoded[0].records, records);
-
-        // A plain single-round trace becomes one anonymous frame.
-        let plain = decode_any(&encode(&records)).unwrap();
-        assert_eq!(plain.len(), 1);
-        assert_eq!((plain[0].round, plain[0].seed), (0, 0));
-        assert_eq!(plain[0].records, records);
-
-        assert_eq!(decode_any(b"JUNKJUNK"), Err(TraceCodecError::BadMagic));
     }
 
     #[test]

@@ -17,16 +17,11 @@
 //!   the cached-vs-sampled link-budget split, sampled cache audits, CSMA
 //!   deferrals, ARQ retransmission decisions and cooperation-buffer
 //!   activity.
-//! * [`codec`] — a compact length-prefixed binary trace encoding (the
-//!   `CARQTRC1` format), a framed multi-round container (`CARQTRM1`, one
-//!   `(round, seed)` header per embedded trace) plus a JSONL export for
-//!   external tooling.
-//! * [`analyzer`] — the streaming consumer seam: an [`Analyzer`] folds a
-//!   record stream into a derived result, fed either live through
-//!   [`AnalyzerSink`] or replayed from a decoded file; [`RecordCursor`] is
-//!   the pull-style twin for lookahead analyses. The concrete analyses
-//!   (recovery latency, medium occupancy, timelines, diff) live in
-//!   `vanet-analysis`.
+//! * [`codec`] — the `CARQTRM1` trace file, one `(round, seed)`-stamped
+//!   frame per round around a compact length-prefixed binary payload, plus
+//!   a JSONL export for external tooling. A round's records reach every
+//!   consumer as one slice: `run_round_traced` returns it, and `verify`,
+//!   `vanet-analysis` and the trace file all take it.
 //! * [`mod@verify`] — the post-run invariant pass behind `carq-cli verify`:
 //!   monotone timestamps, no overlapping transmissions per node, packet
 //!   conservation, retransmission bounds and cache consistency.
@@ -59,16 +54,12 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod analyzer;
 pub mod codec;
 pub mod record;
 pub mod sink;
 pub mod verify;
 
-pub use analyzer::{feed, Analyzer, AnalyzerSink, RecordCursor};
-pub use codec::{
-    decode, decode_any, decode_frames, encode, encode_frames, to_jsonl, TraceCodecError, TraceFrame,
-};
+pub use codec::{decode_frames, encode_frames, to_jsonl, TraceCodecError, TraceFrame};
 pub use record::TraceRecord;
-pub use sink::{NoTrace, RingSink, TraceSink, VecSink};
+pub use sink::{NoTrace, TraceSink, VecSink};
 pub use verify::{verify, InvariantReport, Violation};

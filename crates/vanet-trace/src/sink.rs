@@ -16,8 +16,6 @@
 //! allocation count and rounds per CPU second are gated against the
 //! committed baseline.
 
-use std::collections::VecDeque;
-
 use crate::record::TraceRecord;
 
 /// A destination for trace records.
@@ -80,16 +78,6 @@ impl VecSink {
     pub fn into_records(self) -> Vec<TraceRecord> {
         self.records
     }
-
-    /// Number of records collected.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Whether nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
 }
 
 impl TraceSink for VecSink {
@@ -98,66 +86,6 @@ impl TraceSink for VecSink {
     #[inline]
     fn record(&mut self, record: TraceRecord) {
         self.records.push(record);
-    }
-}
-
-/// A bounded in-memory ring: keeps the most recent `capacity` records and
-/// drops the oldest, for always-on flight-recorder use where a full trace
-/// would not fit.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RingSink {
-    capacity: usize,
-    records: VecDeque<TraceRecord>,
-    dropped: u64,
-}
-
-impl RingSink {
-    /// Creates a ring keeping at most `capacity` records.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "a ring sink needs room for at least one record");
-        RingSink { capacity, records: VecDeque::with_capacity(capacity), dropped: 0 }
-    }
-
-    /// The retained records, oldest first.
-    pub fn records(&self) -> impl Iterator<Item = &TraceRecord> {
-        self.records.iter()
-    }
-
-    /// Consumes the ring and returns the retained records, oldest first.
-    pub fn into_records(self) -> Vec<TraceRecord> {
-        self.records.into_iter().collect()
-    }
-
-    /// How many records were evicted to honour the capacity bound.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Number of retained records (at most the capacity).
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Whether nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-}
-
-impl TraceSink for RingSink {
-    const ENABLED: bool = true;
-
-    #[inline]
-    fn record(&mut self, record: TraceRecord) {
-        if self.records.len() == self.capacity {
-            self.records.pop_front();
-            self.dropped += 1;
-        }
-        self.records.push_back(record);
     }
 }
 
@@ -189,31 +117,7 @@ mod tests {
         const { assert!(<&mut VecSink as TraceSink>::ENABLED) };
         let mut sink = VecSink::new();
         feed(&mut sink);
-        assert_eq!(sink.len(), 2);
-        assert!(!sink.is_empty());
+        assert_eq!(sink.records().len(), 2);
         assert_eq!(sink.into_records().len(), 2);
-    }
-
-    #[test]
-    fn ring_sink_keeps_the_most_recent_records() {
-        let mut ring = RingSink::new(3);
-        for i in 0..5 {
-            ring.record(dispatch(i));
-        }
-        assert_eq!(ring.len(), 3);
-        assert!(!ring.is_empty());
-        assert_eq!(ring.dropped(), 2);
-        let kept: Vec<SimTime> = ring.records().map(TraceRecord::at).collect();
-        assert_eq!(
-            kept,
-            vec![SimTime::from_nanos(2), SimTime::from_nanos(3), SimTime::from_nanos(4)]
-        );
-        assert_eq!(ring.into_records().len(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one record")]
-    fn zero_capacity_ring_rejected() {
-        let _ = RingSink::new(0);
     }
 }

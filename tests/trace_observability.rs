@@ -1,8 +1,8 @@
 //! Trace observability, end to end through the umbrella crate: tracing is
 //! observation-only (traced and untraced rounds produce bit-identical
 //! reports and byte-identical rendered exports at any thread count), trace
-//! files are deterministic functions of the seed and round-trip the binary
-//! codec, every built-in scenario's trace passes the invariant checker,
+//! files are deterministic functions of the seed and round-trip the
+//! `CARQTRM1` codec, every built-in scenario's trace passes the invariant checker,
 //! and a settle-capable scenario's cached re-run stops exactly at its
 //! settle point — with the event counts cross-checked against the trace.
 
@@ -13,7 +13,7 @@ use carq_repro::cache::SweepCache;
 use carq_repro::scenarios::{round_seed, run_rounds, ScenarioRegistry, ScenarioRun};
 use carq_repro::stats::{into_round_results, render_table1, table1, RoundReport};
 use carq_repro::sweep::{Param, ParamValue, SweepEngine, SweepPoint, SweepSpec};
-use carq_repro::trace::{decode, encode, to_jsonl, verify, TraceRecord};
+use carq_repro::trace::{decode_frames, encode_frames, to_jsonl, verify, TraceFrame, TraceRecord};
 use proptest::prelude::*;
 
 const SEED: u64 = 0x0B5E_7F00D;
@@ -47,6 +47,20 @@ fn quick_run(name: &str) -> Box<dyn ScenarioRun> {
         _ => SweepPoint::empty(),
     };
     scenario.configure(&point).expect("schema-valid point")
+}
+
+/// The one-frame trace file of `records`, as `trace --rounds R..R+1`
+/// writes it.
+fn one_frame(round: u32, seed: u64, records: &[TraceRecord]) -> Vec<u8> {
+    encode_frames(&[TraceFrame { round, seed, records: records.to_vec() }])
+}
+
+/// The records of a one-frame trace file, checking its round and seed.
+fn records_of(bytes: &[u8], round: u32, seed: u64) -> Vec<TraceRecord> {
+    let frames = decode_frames(bytes).expect("self-written trace decodes");
+    let [frame] = &frames[..] else { panic!("{} frames, not one", frames.len()) };
+    assert_eq!((frame.round, frame.seed), (round, seed));
+    frame.records.clone()
 }
 
 fn dispatched(records: &[TraceRecord]) -> usize {
@@ -84,14 +98,15 @@ fn trace_files_are_deterministic_per_seed_and_round_trip_the_codec() {
     let (_, second) = run.run_round_traced(0, seed);
     assert_eq!(first, second, "the same (round, seed) must emit the same records");
 
-    let bytes = encode(&first);
-    assert_eq!(bytes, encode(&second), "trace files must be byte-deterministic");
-    assert_eq!(decode(&bytes).expect("self-written trace decodes"), first);
+    let bytes = one_frame(0, seed, &first);
+    assert_eq!(bytes, one_frame(0, seed, &second), "trace files must be byte-deterministic");
+    assert_eq!(records_of(&bytes, 0, seed), first);
     assert_eq!(to_jsonl(&first).lines().count(), first.len(), "one JSONL line per record");
 
-    // A different seed changes the trace (and therefore the file).
+    // A different seed changes the trace, and therefore the file even under
+    // the same frame header.
     let (_, other) = run.run_round_traced(0, round_seed(SEED ^ 1, 0));
-    assert_ne!(encode(&other), bytes, "the seed must matter");
+    assert_ne!(one_frame(0, seed, &other), bytes, "the seed must matter");
 }
 
 #[test]
@@ -178,7 +193,7 @@ proptest! {
     // The invariant checker and the codec as properties: any well-formed
     // stream — sorted timestamps, per-node non-overlapping transmissions,
     // deliveries matching their transmission — verifies cleanly and
-    // round-trips the binary codec exactly; any stream with an
+    // round-trips the trace file codec exactly; any stream with an
     // out-of-order record appended is rejected.
     #[test]
     fn well_formed_streams_verify_and_round_trip_the_codec(
@@ -223,8 +238,8 @@ proptest! {
         }
         let verdict = verify(&records);
         prop_assert!(verdict.is_ok(), "violations: {:?}", verdict.violations);
-        let bytes = encode(&records);
-        prop_assert_eq!(decode(&bytes).expect("self-written trace decodes"), records.clone());
+        let bytes = one_frame(raw.len() as u32, raw[0], &records);
+        prop_assert_eq!(records_of(&bytes, raw.len() as u32, raw[0]), records.clone());
 
         // Mutation: an out-of-order record must trip monotone_timestamps.
         records.push(TraceRecord::EventDispatched { at: nanos(0), queue_depth: 0 });
