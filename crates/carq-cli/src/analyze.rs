@@ -16,6 +16,7 @@
 //! stream. The metric definitions and the record-matching rules are
 //! documented in `docs/OBSERVABILITY.md`.
 
+use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
 use vanet_analysis::{diff, AnalysisEngine, AnalysisStore, RoundDigest};
@@ -29,6 +30,7 @@ use crate::cli::{strategy_values, Options};
 use crate::commands::parse_seed;
 use crate::failure::CliFailure;
 use crate::gen_cmd::resolve_scenario;
+use crate::output;
 
 /// Default rounds per point for `--preset` analyses (the sweep default).
 const DEFAULT_ANALYZE_ROUNDS: u32 = 5;
@@ -38,9 +40,9 @@ const DEFAULT_ANALYZE_ROUNDS: u32 = 5;
 /// other failure here is a usage error.
 pub fn analyze_dispatch(args: &[String]) -> Result<(), CliFailure> {
     match args.first().map(String::as_str) {
-        Some("latency") => Ok(table_cmd(Metric::Latency, &Options::parse(&args[1..])?)?),
-        Some("occupancy") => Ok(table_cmd(Metric::Occupancy, &Options::parse(&args[1..])?)?),
-        Some("timeline") => Ok(timeline_cmd(&Options::parse(&args[1..])?)?),
+        Some("latency") => table_cmd(Metric::Latency, &Options::parse(&args[1..])?),
+        Some("occupancy") => table_cmd(Metric::Occupancy, &Options::parse(&args[1..])?),
+        Some("timeline") => timeline_cmd(&Options::parse(&args[1..])?),
         Some("diff") => diff_cmd(&Options::parse(&args[1..])?),
         other => Err(format!(
             "unknown analyze subcommand `{}` (expected latency, occupancy, timeline or diff)",
@@ -55,19 +57,6 @@ pub fn analyze_dispatch(args: &[String]) -> Result<(), CliFailure> {
 enum Metric {
     Latency,
     Occupancy,
-}
-
-/// Writes or prints `rendered` according to `--out`.
-fn emit(opts: &Options, rendered: String) -> Result<(), String> {
-    match opts.get("out") {
-        Some(path) => {
-            std::fs::write(path, rendered).map_err(|e| format!("cannot write {path}: {e}"))
-        }
-        None => {
-            print!("{rendered}");
-            Ok(())
-        }
-    }
 }
 
 fn parse_format(opts: &Options) -> Result<&str, String> {
@@ -248,7 +237,12 @@ fn preset_table(metric: Metric, name: &str, opts: &Options) -> Result<RecordTabl
 }
 
 /// `carq-cli analyze latency|occupancy ...` — see the USAGE text.
-fn table_cmd(metric: Metric, opts: &Options) -> Result<(), String> {
+fn table_cmd(metric: Metric, opts: &Options) -> Result<(), CliFailure> {
+    output::emit(opts.get("out"), &render_table(metric, opts)?)
+}
+
+/// The table `analyze latency|occupancy` writes.
+fn render_table(metric: Metric, opts: &Options) -> Result<String, String> {
     let unknown = opts.unknown_flags(&[
         "preset", "scenario", "trace", "strategy", "rounds", "seed", "threads", "cache", "format",
         "out",
@@ -279,12 +273,16 @@ fn table_cmd(metric: Metric, opts: &Options) -> Result<(), String> {
             frames.iter().map(|f| RoundDigest::compute(f.round, f.seed, &f.records)).collect();
         round_table(metric, &digests)
     };
-    let rendered = if format == "json" { table.to_json() } else { table.to_csv() };
-    emit(opts, rendered)
+    Ok(if format == "json" { table.to_json() } else { table.to_csv() })
 }
 
 /// `carq-cli analyze timeline --scenario NAME|FILE|--trace FILE --node N`.
-fn timeline_cmd(opts: &Options) -> Result<(), String> {
+fn timeline_cmd(opts: &Options) -> Result<(), CliFailure> {
+    output::emit(opts.get("out"), &render_timeline(opts)?)
+}
+
+/// The diary `analyze timeline` writes.
+fn render_timeline(opts: &Options) -> Result<String, String> {
     let unknown =
         opts.unknown_flags(&["scenario", "trace", "strategy", "node", "round", "seed", "out"]);
     if !unknown.is_empty() {
@@ -329,7 +327,7 @@ fn timeline_cmd(opts: &Options) -> Result<(), String> {
         timeline.len(),
         records.len()
     );
-    emit(opts, format!("{header}{}", vanet_analysis::render_timeline(&timeline)))
+    Ok(format!("{header}{}", vanet_analysis::render_timeline(&timeline)))
 }
 
 /// One side of a diff: its label and its concatenated record stream.
@@ -402,28 +400,39 @@ fn diff_cmd(opts: &Options) -> Result<(), CliFailure> {
     let (label_b, records_b) = side_b.expect("side A resolved, so side B must");
 
     let report = diff(&records_a, &records_b);
-    println!("a: {} record(s)  ({label_a})", report.a_records);
-    println!("b: {} record(s)  ({label_b})", report.b_records);
+    let mut text = format!("a: {} record(s)  ({label_a})\n", report.a_records);
+    let _ = writeln!(text, "b: {} record(s)  ({label_b})", report.b_records);
     for (kind, count_a, count_b) in &report.kind_counts {
         let marker = if count_a == count_b { ' ' } else { '!' };
-        println!("{marker} {kind:<22} {count_a:>7} {count_b:>7}");
+        let _ = writeln!(text, "{marker} {kind:<22} {count_a:>7} {count_b:>7}");
     }
     match &report.first_divergence {
         None => {
-            println!("no divergence: the streams are record-for-record identical");
-            Ok(())
+            text.push_str("no divergence: the streams are record-for-record identical\n");
+            output::print(&text)
         }
         Some(divergence) => {
-            println!("first divergence at record {}:", divergence.index);
+            let _ = writeln!(text, "first divergence at record {}:", divergence.index);
             for (side, record) in [("a", &divergence.a), ("b", &divergence.b)] {
                 match record {
-                    Some(r) => print!("  {side}: {}", to_jsonl(std::slice::from_ref(r))),
-                    None => println!("  {side}: <stream ended>"),
+                    Some(r) => {
+                        let _ = write!(text, "  {side}: {}", to_jsonl(std::slice::from_ref(r)));
+                    }
+                    None => {
+                        let _ = writeln!(text, "  {side}: <stream ended>");
+                    }
                 }
             }
             // Divergence is the finding this command exists to detect: a
-            // failed check (exit 1), not a usage error.
-            Err(CliFailure::check(format!("streams diverge at record {}", divergence.index)))
+            // failed check (exit 1), not a usage error, whether or not the
+            // reader read the report to its end.
+            match output::print(&text) {
+                Err(failure) if !failure.is_closed_stdout() => Err(failure),
+                _ => Err(CliFailure::check(format!(
+                    "streams diverge at record {}",
+                    divergence.index
+                ))),
+            }
         }
     }
 }
@@ -455,7 +464,7 @@ mod tests {
     fn analyze_validates_its_flags() {
         assert!(analyze_dispatch(&strs(&["dance"])).is_err());
         let err = table_cmd(Metric::Latency, &opts(&[])).unwrap_err();
-        assert!(err.contains("--preset"), "{err}");
+        assert!(err.message.contains("--preset"), "{err}");
         assert!(table_cmd(Metric::Latency, &opts(&["--bogus", "1"])).is_err());
         assert!(table_cmd(Metric::Latency, &opts(&["--preset", "no-such"])).is_err());
         assert!(table_cmd(

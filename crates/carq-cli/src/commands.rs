@@ -1,5 +1,6 @@
 //! Subcommand implementations.
 
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -20,6 +21,7 @@ use crate::cli::{
     Options,
 };
 use crate::failure::CliFailure;
+use crate::output;
 use crate::pipeline::{FinalPass, Target};
 
 const DEFAULT_SEED: u64 = 0x2008_1cdc;
@@ -272,17 +274,16 @@ pub fn dispatch(args: &[String]) -> Result<(), CliFailure> {
     let help = args.iter().any(|arg| matches!(arg.as_str(), "--help" | "-h"));
     match args.first().map(String::as_str) {
         first if help || first.is_none_or(|first| first == "help") => {
-            println!("{USAGE}");
-            Ok(())
+            output::print(&format!("{USAGE}\n"))
         }
         // `campaign worker` is the same worker under a second name.
         Some("fleet" | "campaign") if args.get(1).is_some_and(|sub| sub == "worker") => {
             Ok(fleet_worker(&Options::parse(&args[2..])?)?)
         }
         Some("scenario") => match args.get(1).map(String::as_str) {
-            Some("list") => Ok(scenario_list()?),
+            Some("list") => output::print(&scenario_list()?),
             Some("describe") => match args.get(2) {
-                Some(name) => Ok(scenario_describe(name)?),
+                Some(name) => output::print(&scenario_describe(name)?),
                 None => Err("scenario describe needs a scenario name".into()),
             },
             Some("run") => match args.get(2) {
@@ -300,7 +301,7 @@ pub fn dispatch(args: &[String]) -> Result<(), CliFailure> {
             .into()),
         },
         Some("sweep") => match args.get(1).map(String::as_str) {
-            Some("list") => Ok(sweep_list()?),
+            Some("list") => output::print(&sweep_list()?),
             Some("run") => Ok(sweep_run(&Options::parse_with_switches(&args[2..], &SWITCHES)?)?),
             other => Err(format!(
                 "unknown sweep subcommand `{}` (expected list or run)",
@@ -319,19 +320,19 @@ pub fn dispatch(args: &[String]) -> Result<(), CliFailure> {
             .into()),
         },
         Some("gen") => match args.get(1).map(String::as_str) {
-            Some("list") => Ok(crate::gen_cmd::gen_list()?),
+            Some("list") => output::print(&crate::gen_cmd::gen_list()),
             Some("describe") => match args.get(2) {
-                Some(name) => Ok(crate::gen_cmd::gen_describe(name)?),
+                Some(name) => output::print(&crate::gen_cmd::gen_describe(name)?),
                 None => Err("gen describe needs a generator name (see `carq-cli gen list`)".into()),
             },
             Some("emit") => match args.get(2) {
                 Some(name) if !name.starts_with("--") => {
-                    Ok(crate::gen_cmd::gen_emit(name, &Options::parse(&args[3..])?)?)
+                    output::print(&crate::gen_cmd::gen_emit(name, &Options::parse(&args[3..])?)?)
                 }
                 _ => Err("gen emit needs a generator name (see `carq-cli gen list`)".into()),
             },
             Some("inspect") => match args.get(2) {
-                Some(path) => Ok(crate::gen_cmd::gen_inspect(path)?),
+                Some(path) => output::print(&crate::gen_cmd::gen_inspect(path)?),
                 None => Err("gen inspect needs a scenario file".into()),
             },
             other => Err(format!(
@@ -378,40 +379,40 @@ pub fn dispatch(args: &[String]) -> Result<(), CliFailure> {
     }
 }
 
-fn scenario_list() -> Result<(), String> {
+/// `carq-cli scenario list`: the registry as a table.
+fn scenario_list() -> Result<String, String> {
     let registry = ScenarioRegistry::builtin();
-    println!("{:<12} {:>7}  description", "scenario", "params");
+    let mut text = format!("{:<12} {:>7}  description\n", "scenario", "params");
     for scenario in registry.iter() {
-        println!(
+        let _ = writeln!(
+            text,
             "{:<12} {:>7}  {}",
             scenario.name(),
             scenario.schema().params().len(),
             scenario.description()
         );
     }
-    println!("\nrun `carq-cli scenario describe NAME` for a scenario's parameter schema");
-    Ok(())
+    text.push_str("\nrun `carq-cli scenario describe NAME` for a scenario's parameter schema\n");
+    Ok(text)
 }
 
-fn scenario_describe(name: &str) -> Result<(), String> {
+/// `carq-cli scenario describe NAME|FILE`: a scenario's parameter schema.
+fn scenario_describe(name: &str) -> Result<String, String> {
     let registry = ScenarioRegistry::builtin();
     // A generated scenario file resolves too; its richer rendering (identity,
     // regenerated world, runtime schema) lives with `gen inspect`.
     let source = crate::gen_cmd::resolve_scenario(&registry, name)?;
     if let crate::gen_cmd::ScenarioSource::Generated(ref generated) = source {
-        crate::gen_cmd::print_generated(generated);
-        return Ok(());
+        return Ok(crate::gen_cmd::render_generated(generated));
     }
     let scenario = source.scenario(&registry);
-    println!("{} — {}", scenario.name(), scenario.description());
-    println!();
-    print!("{}", scenario.schema().render());
-    println!();
-    println!(
-        "sweep any parameter with `carq-cli scenario run {} --PARAM v1,v2,...`",
+    Ok(format!(
+        "{} — {}\n\n{}\nsweep any parameter with `carq-cli scenario run {} --PARAM v1,v2,...`\n",
+        scenario.name(),
+        scenario.description(),
+        scenario.schema().render(),
         scenario.name()
-    );
-    Ok(())
+    ))
 }
 
 /// A `--flag value` → axis-values parser.
@@ -468,7 +469,7 @@ fn scenario_spec(
     Ok(spec)
 }
 
-fn scenario_run(name: &str, opts: &Options) -> Result<(), String> {
+fn scenario_run(name: &str, opts: &Options) -> Result<(), CliFailure> {
     let registry = ScenarioRegistry::builtin();
     // A generated scenario file runs too, sweeping its runtime schema.
     let source = crate::gen_cmd::resolve_scenario(&registry, name)?;
@@ -481,22 +482,24 @@ fn scenario_run(name: &str, opts: &Options) -> Result<(), String> {
         return Err(format!(
             "unknown flags: --{} (see `carq-cli scenario describe {name}`)",
             unknown.join(", --")
-        ));
+        )
+        .into());
     }
     let seed = parse_seed(opts)?;
     let spec = scenario_spec(&vocabulary, opts, seed)?;
     execute_sweep(scenario, &spec, opts)
 }
 
-fn sweep_list() -> Result<(), String> {
-    println!("{:<20} description", "preset");
+/// `carq-cli sweep list`: the presets as a table.
+fn sweep_list() -> Result<String, String> {
+    let mut text = format!("{:<20} description\n", "preset");
     for preset in presets::all() {
-        println!("{:<20} {}", preset.name, preset.description);
+        let _ = writeln!(text, "{:<20} {}", preset.name, preset.description);
     }
-    Ok(())
+    Ok(text)
 }
 
-fn sweep_run(opts: &Options) -> Result<(), String> {
+fn sweep_run(opts: &Options) -> Result<(), CliFailure> {
     let unknown =
         opts.unknown_flags(&["preset", "rounds", "seed", "threads", "format", "out", "cache"]);
     if !unknown.is_empty() {
@@ -505,7 +508,7 @@ fn sweep_run(opts: &Options) -> Result<(), String> {
                  (run `carq-cli scenario list` to see the scenarios)"
                 .into());
         }
-        return Err(format!("unknown flags: --{}", unknown.join(", --")));
+        return Err(format!("unknown flags: --{}", unknown.join(", --")).into());
     }
     let Some(name) = opts.get("preset") else {
         return Err("sweep run needs --preset NAME (see `carq-cli sweep list`); \
@@ -525,11 +528,15 @@ fn sweep_run(opts: &Options) -> Result<(), String> {
 
 /// The shared back half of `scenario run` and `sweep run`: drive the
 /// engine, report progress on stderr, render, and write the export.
-fn execute_sweep(scenario: &dyn Scenario, spec: &SweepSpec, opts: &Options) -> Result<(), String> {
+fn execute_sweep(
+    scenario: &dyn Scenario,
+    spec: &SweepSpec,
+    opts: &Options,
+) -> Result<(), CliFailure> {
     let threads: usize = opts.get_parsed("threads", 0)?;
     let format = opts.get("format").unwrap_or("csv");
     if !matches!(format, "csv" | "json") {
-        return Err(format!("unknown format `{format}` (csv, json)"));
+        return Err(format!("unknown format `{format}` (csv, json)").into());
     }
 
     let mut engine = SweepEngine::new(threads).with_allow_unknown(opts.has_switch("allow-unknown"));
@@ -566,13 +573,7 @@ fn execute_sweep(scenario: &dyn Scenario, spec: &SweepSpec, opts: &Options) -> R
     }
 
     let rendered = if format == "json" { result.to_json() } else { result.to_csv() };
-    match opts.get("out") {
-        Some(path) => {
-            std::fs::write(path, rendered).map_err(|e| format!("cannot write {path}: {e}"))?
-        }
-        None => print!("{rendered}"),
-    }
-    Ok(())
+    output::emit(opts.get("out"), &rendered)
 }
 
 /// Parses the optional `--round-chunk K` flag shared by `fleet shard` and
@@ -894,27 +895,26 @@ fn urban_rounds(opts: &Options, default_rounds: u32) -> Result<Vec<RoundResult>,
     Ok(into_round_results(reports))
 }
 
-fn table1_cmd(opts: &Options) -> Result<(), String> {
+fn table1_cmd(opts: &Options) -> Result<(), CliFailure> {
     let unknown = opts.unknown_flags(&["rounds", "seed"]);
     if !unknown.is_empty() {
-        return Err(format!("unknown flags: --{}", unknown.join(", --")));
+        return Err(format!("unknown flags: --{}", unknown.join(", --")).into());
     }
     let rounds = urban_rounds(opts, 30)?;
-    print!("{}", render_table1(&table1(&rounds)));
-    Ok(())
+    output::print(&render_table1(&table1(&rounds)))
 }
 
-fn fig_cmd(kind: &str, opts: &Options) -> Result<(), String> {
+fn fig_cmd(kind: &str, opts: &Options) -> Result<(), CliFailure> {
     let unknown = opts.unknown_flags(&["rounds", "seed", "car"]);
     if !unknown.is_empty() {
-        return Err(format!("unknown flags: --{}", unknown.join(", --")));
+        return Err(format!("unknown flags: --{}", unknown.join(", --")).into());
     }
     let car: u32 = opts.get_parsed("car", 1)?;
     let rounds = urban_rounds(opts, 30)?;
     let cars = rounds.first().map(RoundResult::cars).unwrap_or_default();
     let destination = vanet_mac::NodeId::new(car);
     if !cars.contains(&destination) {
-        return Err(format!("car {car} does not exist (the run has {} cars)", cars.len()));
+        return Err(format!("car {car} does not exist (the run has {} cars)", cars.len()).into());
     }
     let csv = match kind {
         "reception" => {
@@ -934,8 +934,7 @@ fn fig_cmd(kind: &str, opts: &Options) -> Result<(), String> {
             render_series_csv(&["after_coop", "joint_reception"], &[recovery, joint])
         }
     };
-    print!("{csv}");
-    Ok(())
+    output::print(&csv)
 }
 
 #[cfg(test)]
@@ -1003,8 +1002,8 @@ mod tests {
         // An unknown *parameter* (valid flag, wrong scenario) is a schema
         // error listing the parameter...
         let err = scenario_run("highway", &switch_opts(&["--file_blocks", "100"])).unwrap_err();
-        assert!(err.contains("file_blocks"), "{err}");
-        assert!(err.contains("allow-unknown"), "{err}");
+        assert!(err.message.contains("file_blocks"), "{err}");
+        assert!(err.message.contains("allow-unknown"), "{err}");
     }
 
     #[test]
@@ -1191,9 +1190,9 @@ mod tests {
         assert!(sweep_run(&switch_opts(&["--preset", "urban-platoon", "--format", "xml"])).is_err());
         // The old custom-sweep entry point points at its replacement.
         let err = sweep_run(&switch_opts(&["--scenario", "urban"])).unwrap_err();
-        assert!(err.contains("scenario run"), "{err}");
+        assert!(err.message.contains("scenario run"), "{err}");
         // No preset at all names the replacement too.
         let err = sweep_run(&switch_opts(&[])).unwrap_err();
-        assert!(err.contains("--preset"), "{err}");
+        assert!(err.message.contains("--preset"), "{err}");
     }
 }

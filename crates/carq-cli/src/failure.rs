@@ -6,7 +6,7 @@
 //!
 //! | exit | meaning |
 //! |------|---------|
-//! | 0    | success |
+//! | 0    | success, also when the reader of standard output closed it early |
 //! | 1    | a check failed: invariant violation (`verify`), stream divergence (`analyze diff`), chaos convergence mismatch (`chaos`) |
 //! | 2    | usage or operational error (bad flags, unreadable files, I/O) |
 //! | 3    | degraded: a fleet/campaign run quarantined a shard and exported partial coverage plus a gap report |
@@ -43,6 +43,19 @@ impl CliFailure {
     /// A degraded (partial-coverage) run — exit 3.
     pub fn degraded(message: impl Into<String>) -> Self {
         Self { exit: EXIT_DEGRADED, message: message.into() }
+    }
+
+    /// Standard output was closed by its reader before the command wrote
+    /// all of it (`| head`): not a failure, so exit 0 with no message. It
+    /// still ends the command, through `?`, so that nothing more is
+    /// computed for a reader that has gone.
+    pub fn closed_stdout() -> Self {
+        Self { exit: 0, message: String::new() }
+    }
+
+    /// Whether this is [`CliFailure::closed_stdout`].
+    pub fn is_closed_stdout(&self) -> bool {
+        self.exit == 0
     }
 }
 

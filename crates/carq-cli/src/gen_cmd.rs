@@ -7,6 +7,7 @@
 //! `scenario run`, `verify` and `trace` accept either a registered scenario
 //! name or a path to such a file.
 
+use std::fmt::Write as _;
 use std::path::Path;
 
 use vanet_gen::{GenValue, GeneratedScenario, Generator};
@@ -66,42 +67,43 @@ fn lookup_generator(name: &str) -> Result<Generator, String> {
         .ok_or_else(|| format!("unknown generator `{name}` (see `carq-cli gen list`)"))
 }
 
-/// `carq-cli gen list`.
-pub fn gen_list() -> Result<(), String> {
-    println!("{:<14} {:>7}  description", "generator", "params");
+/// `carq-cli gen list`: the generators as a table.
+pub fn gen_list() -> String {
+    let mut text = format!("{:<14} {:>7}  description\n", "generator", "params");
     for generator in vanet_gen::generators::all() {
-        println!(
+        let _ = writeln!(
+            text,
             "{:<14} {:>7}  {}",
             generator.name,
             generator.schema().params().len(),
             generator.description
         );
     }
-    println!("\nrun `carq-cli gen describe NAME` for a generator's parameter schema");
-    Ok(())
+    text.push_str("\nrun `carq-cli gen describe NAME` for a generator's parameter schema\n");
+    text
 }
 
-/// `carq-cli gen describe NAME`.
-pub fn gen_describe(name: &str) -> Result<(), String> {
+/// `carq-cli gen describe NAME`: a generator's parameter schema.
+pub fn gen_describe(name: &str) -> Result<String, String> {
     let generator = lookup_generator(name)?;
-    println!("{} — {}", generator.name, generator.description);
-    println!();
+    let mut text = format!("{} — {}\n\n", generator.name, generator.description);
     for spec in generator.schema().params() {
-        println!(
+        let _ = writeln!(
+            text,
             "  --{:<18} {:<28} default {}",
             spec.key(),
             spec.render_kind(),
             spec.default_value()
         );
-        println!("      {}", spec.doc());
+        let _ = writeln!(text, "      {}", spec.doc());
     }
-    println!();
-    println!(
-        "emit a world with `carq-cli gen emit {} --PARAM value ... --out world.gen`; \
+    let _ = writeln!(
+        text,
+        "\nemit a world with `carq-cli gen emit {} --PARAM value ... --out world.gen`; \
          sweep populations with `carq-cli campaign run --generator {}`",
         generator.name, generator.name
     );
-    Ok(())
+    Ok(text)
 }
 
 /// Parses the single-valued generator-parameter flags of `gen emit` into
@@ -123,8 +125,9 @@ fn parse_assignments(
     Ok(assignments)
 }
 
-/// `carq-cli gen emit NAME [--PARAM V]... [--seed S] [--out FILE]`.
-pub fn gen_emit(name: &str, opts: &Options) -> Result<(), String> {
+/// `carq-cli gen emit NAME [--PARAM V]... [--seed S] [--out FILE]`: what
+/// to print, the scenario file's text, or with `--out` a line naming it.
+pub fn gen_emit(name: &str, opts: &Options) -> Result<String, String> {
     let generator = lookup_generator(name)?;
     let mut known: Vec<&str> = vec!["seed", "out"];
     known.extend(generator.schema().params().iter().map(|s| s.key()));
@@ -143,44 +146,38 @@ pub fn gen_emit(name: &str, opts: &Options) -> Result<(), String> {
     match opts.get("out") {
         Some(path) => {
             std::fs::write(path, &text).map_err(|e| format!("cannot write {path}: {e}"))?;
-            println!("{path}: {}", scenario.name());
+            Ok(format!("{path}: {}\n", scenario.name()))
         }
-        None => print!("{text}"),
+        None => Ok(text),
     }
-    Ok(())
 }
 
 /// `carq-cli gen inspect FILE` — decode a scenario file and show what it
 /// regenerates to.
-pub fn gen_inspect(path: &str) -> Result<(), String> {
+pub fn gen_inspect(path: &str) -> Result<String, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let scenario = vanet_gen::decode(&text).map_err(|e| format!("{path}: {e}"))?;
-    print_generated(&scenario);
-    Ok(())
+    Ok(render_generated(&scenario))
 }
 
 /// The shared rendering of a generated scenario (`gen inspect`, and
 /// `scenario describe` given a scenario file): identity, regenerated world
 /// summary, and the runtime sweep schema.
-pub fn print_generated(scenario: &GeneratedScenario) {
+pub fn render_generated(scenario: &GeneratedScenario) -> String {
     let identity = scenario.identity();
     let blueprint = scenario.blueprint();
-    println!("{} — {}", scenario.name(), scenario.description());
-    println!();
-    println!("  identity  {}", identity.canonical());
-    println!(
-        "  world     {} car(s), {} AP(s), {} default round(s)",
+    format!(
+        "{} — {}\n\n  identity  {}\n  world     {} car(s), {} AP(s), {} default round(s)\n\n{}\n\
+         replay it with `carq-cli verify --scenario FILE` or export a round's event \
+         stream with `carq-cli trace --scenario FILE`\n",
+        scenario.name(),
+        scenario.description(),
+        identity.canonical(),
         blueprint.cars.len(),
         blueprint.ap_positions.len(),
-        blueprint.rounds_default
-    );
-    println!();
-    print!("{}", scenario.schema().render());
-    println!();
-    println!(
-        "replay it with `carq-cli verify --scenario FILE` or export a round's event \
-         stream with `carq-cli trace --scenario FILE`"
-    );
+        blueprint.rounds_default,
+        scenario.schema().render()
+    )
 }
 
 #[cfg(test)]
@@ -205,7 +202,7 @@ mod tests {
 
     #[test]
     fn listings_and_describe_succeed() {
-        assert!(gen_list().is_ok());
+        assert!(gen_list().contains("grid-city"));
         assert!(gen_describe("highway-flow").is_ok());
         assert!(gen_describe("grid-city").is_ok());
         let err = gen_describe("mars").unwrap_err();

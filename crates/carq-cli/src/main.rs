@@ -33,6 +33,7 @@ mod cli;
 mod commands;
 mod failure;
 mod gen_cmd;
+mod output;
 mod pipeline;
 mod trace;
 mod verify;
@@ -41,6 +42,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match commands::dispatch(&args) {
         Ok(()) => ExitCode::SUCCESS,
+        Err(failure) if failure.is_closed_stdout() => ExitCode::SUCCESS,
         Err(failure) => {
             // The exit-code contract (0 ok / 1 check failed / 2 usage /
             // 3 degraded) lives in `failure.rs` and docs/RESILIENCE.md.

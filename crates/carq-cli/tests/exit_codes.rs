@@ -11,7 +11,7 @@
 //! The contract is documented in `docs/RESILIENCE.md`.
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn carq(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_carq-cli")).args(args).output().unwrap()
@@ -78,6 +78,52 @@ fn usage_errors_exit_two_with_help_hint() {
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
         assert!(stderr.contains("run `carq-cli help` for usage"), "{args:?}: {stderr}");
     }
+}
+
+#[test]
+fn a_closed_stdout_exits_zero_without_a_panic() {
+    // The reader of standard output goes away before the command writes
+    // (as `| head -1` does once it has its line): the write fails with
+    // `BrokenPipe`, which is the reader's choice, not the command's failure.
+    let dir = temp_dir("closed-stdout");
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("round5.trc");
+    let out = carq(
+        &["trace", "--scenario", "urban", "--rounds", "5..6", "--out"]
+            .into_iter()
+            .chain([trace.to_str().unwrap()])
+            .collect::<Vec<_>>(),
+    );
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let trace = trace.to_str().unwrap();
+    for args in [
+        &["analyze", "timeline", "--trace", trace, "--node", "1", "--round", "5"][..],
+        &["analyze", "latency", "--trace", trace][..],
+        &["analyze", "occupancy", "--trace", trace][..],
+        &["analyze", "diff", "--scenario", "urban"][..],
+        &["table1", "--rounds", "1"][..],
+        &["fig", "reception", "--car", "1", "--rounds", "1"][..],
+        &["scenario", "run", "urban", "--rounds", "1", "--threads", "1"][..],
+        &["sweep", "run", "--preset", "urban-platoon", "--rounds", "1", "--threads", "1"][..],
+        &["scenario", "list"][..],
+        &["scenario", "describe", "urban"][..],
+        &["sweep", "list"][..],
+        &["gen", "describe", "grid-city"][..],
+        &["help"][..],
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_carq-cli"))
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap();
+        drop(child.stdout.take());
+        let out = child.wait_with_output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -17,7 +17,10 @@
 //! waves went to the vector cosine kernel. The three analysis tables
 //! (`*_latency_r1.csv`, `*_occupancy_r1.csv`) were recorded at commit
 //! `6ee535a`, the last state in which the analysis engine had a round loop
-//! and table renderer of its own.
+//! and table renderer of its own. `urban_strategies_r2.csv` was recorded at
+//! commit `cd2d502`, the last state before the shadowing field was bounded
+//! instead of evaluated and the HELLO handler read SNRs only for
+//! `StrongestSignal`.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -132,6 +135,32 @@ fn strategy_compare_export_matches_the_golden() {
             &csv,
             "strategy_compare_r1.csv",
             &format!("strategy-compare at {threads} thread(s)"),
+        );
+    }
+}
+
+#[test]
+fn urban_strategies_export_matches_the_golden() {
+    // The only preset with `StrongestSignal { k: 1 | 2 }` points: its HELLO
+    // handlers are the only readers of a HELLO's SNR, so this export pins
+    // what `Medium::snr_db` returns for them.
+    for threads in ["1", "8"] {
+        let csv = run_stdout(&[
+            "sweep",
+            "run",
+            "--preset",
+            "urban-strategies",
+            "--rounds",
+            "2",
+            "--threads",
+            threads,
+            "--seed",
+            "0xbeef",
+        ]);
+        assert_matches_golden(
+            &csv,
+            "urban_strategies_r2.csv",
+            &format!("urban-strategies at {threads} thread(s)"),
         );
     }
 }

@@ -22,8 +22,9 @@ use crate::config::SelectionStrategy;
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 struct CooperatorEntry {
     node: NodeId,
-    /// Signal strength of the last HELLO heard from this neighbour (dB),
-    /// used by the [`SelectionStrategy::StrongestSignal`] policy.
+    /// Signal strength of the last HELLO heard from this neighbour (dB).
+    /// Only [`SelectionStrategy::StrongestSignal`] reads it, so only that
+    /// policy evaluates it; under the others it stays 0.
     last_snr_db: f64,
 }
 
@@ -45,9 +46,14 @@ impl CooperatorTable {
         CooperatorTable { strategy, entries: Vec::new() }
     }
 
-    /// Records that a HELLO from `node` was heard with the given SNR.
-    /// Returns `true` if the cooperator set changed.
-    pub fn hear_neighbour(&mut self, node: NodeId, snr_db: f64) -> bool {
+    /// Records that a HELLO from `node` was heard. `snr_db` measures its
+    /// signal strength (dB) when called; only
+    /// [`SelectionStrategy::StrongestSignal`] calls it, since no other
+    /// policy compares signals. Returns `true` if the cooperator set
+    /// changed.
+    pub fn hear_neighbour(&mut self, node: NodeId, snr_db: impl FnOnce() -> f64) -> bool {
+        let strongest = matches!(self.strategy, SelectionStrategy::StrongestSignal { .. });
+        let snr_db = if strongest { snr_db() } else { 0.0 };
         if let Some(entry) = self.entries.iter_mut().find(|e| e.node == node) {
             entry.last_snr_db = snr_db;
             // Under StrongestSignal the updated SNR can change the selection,
@@ -196,9 +202,9 @@ mod tests {
     fn all_neighbours_are_added_in_order_heard() {
         let mut table = CooperatorTable::new(SelectionStrategy::AllNeighbours);
         assert!(table.is_empty());
-        assert!(table.hear_neighbour(NodeId::new(3), -60.0));
-        assert!(table.hear_neighbour(NodeId::new(1), -70.0));
-        assert!(!table.hear_neighbour(NodeId::new(3), -55.0), "already present");
+        assert!(table.hear_neighbour(NodeId::new(3), || -60.0));
+        assert!(table.hear_neighbour(NodeId::new(1), || -70.0));
+        assert!(!table.hear_neighbour(NodeId::new(3), || -55.0), "already present");
         assert_eq!(table.ordered_list(), vec![NodeId::new(3), NodeId::new(1)]);
         assert_eq!(table.order_of(NodeId::new(3)), Some(0));
         assert_eq!(table.order_of(NodeId::new(1)), Some(1));
@@ -213,9 +219,9 @@ mod tests {
     #[test]
     fn first_heard_caps_the_table() {
         let mut table = CooperatorTable::new(SelectionStrategy::FirstHeard { k: 2 });
-        assert!(table.hear_neighbour(NodeId::new(1), -60.0));
-        assert!(table.hear_neighbour(NodeId::new(2), -60.0));
-        assert!(!table.hear_neighbour(NodeId::new(3), -10.0), "table is full");
+        assert!(table.hear_neighbour(NodeId::new(1), || -60.0));
+        assert!(table.hear_neighbour(NodeId::new(2), || -60.0));
+        assert!(!table.hear_neighbour(NodeId::new(3), || -10.0), "table is full");
         assert_eq!(table.len(), 2);
         assert!(!table.contains(NodeId::new(3)));
     }
@@ -223,15 +229,35 @@ mod tests {
     #[test]
     fn strongest_signal_replaces_weakest() {
         let mut table = CooperatorTable::new(SelectionStrategy::StrongestSignal { k: 2 });
-        table.hear_neighbour(NodeId::new(1), -80.0);
-        table.hear_neighbour(NodeId::new(2), -60.0);
+        table.hear_neighbour(NodeId::new(1), || -80.0);
+        table.hear_neighbour(NodeId::new(2), || -60.0);
         // Node 3 is stronger than the weakest (node 1) → replaces it.
-        assert!(table.hear_neighbour(NodeId::new(3), -50.0));
+        assert!(table.hear_neighbour(NodeId::new(3), || -50.0));
         assert!(!table.contains(NodeId::new(1)));
         assert!(table.contains(NodeId::new(3)));
         // Node 4 is weaker than everyone → rejected.
-        assert!(!table.hear_neighbour(NodeId::new(4), -90.0));
+        assert!(!table.hear_neighbour(NodeId::new(4), || -90.0));
         assert_eq!(table.len(), 2);
+    }
+
+    #[test]
+    fn only_strongest_signal_evaluates_the_snr() {
+        for strategy in [SelectionStrategy::AllNeighbours, SelectionStrategy::FirstHeard { k: 1 }] {
+            let mut table = CooperatorTable::new(strategy);
+            for node in [1, 2, 1] {
+                table.hear_neighbour(NodeId::new(node), || panic!("{strategy:?} read an SNR"));
+            }
+        }
+        let mut table = CooperatorTable::new(SelectionStrategy::StrongestSignal { k: 1 });
+        let mut reads = 0;
+        for (node, snr) in [(1, -70.0), (2, -60.0), (2, -65.0)] {
+            table.hear_neighbour(NodeId::new(node), || {
+                reads += 1;
+                snr
+            });
+        }
+        assert_eq!(reads, 3, "every HELLO's SNR is read, a known neighbour's too");
+        assert_eq!(table.ordered_list(), vec![NodeId::new(2)]);
     }
 
     #[test]
@@ -260,7 +286,7 @@ mod tests {
         fn prop_orders_match_positions(nodes in proptest::collection::vec(0u32..50, 1..30)) {
             let mut table = CooperatorTable::new(SelectionStrategy::AllNeighbours);
             for n in &nodes {
-                table.hear_neighbour(NodeId::new(*n), -60.0);
+                table.hear_neighbour(NodeId::new(*n), || -60.0);
             }
             let list = table.ordered_list();
             for (i, node) in list.iter().enumerate() {
@@ -279,7 +305,7 @@ mod tests {
             for strategy in [SelectionStrategy::FirstHeard { k }, SelectionStrategy::StrongestSignal { k }] {
                 let mut table = CooperatorTable::new(strategy);
                 for (n, snr) in &nodes {
-                    table.hear_neighbour(NodeId::new(*n), *snr);
+                    table.hear_neighbour(NodeId::new(*n), || *snr);
                 }
                 prop_assert!(table.len() <= k);
             }

@@ -267,9 +267,10 @@ impl CarqNode {
     // ------------------------------------------------------------------
 
     /// Handles a received frame. `snr_db` measures the signal quality of
-    /// the reception (dB) when called: only a HELLO's handler calls it
-    /// (signal-based cooperator selection), so a caller may leave the SNR
-    /// unevaluated until then.
+    /// the reception (dB) when called: only a HELLO's handler calls it, and
+    /// only under signal-based cooperator selection
+    /// ([`crate::SelectionStrategy::StrongestSignal`]), so a caller may leave
+    /// the SNR unevaluated until then.
     pub fn handle_frame(
         &mut self,
         now: SimTime,
@@ -278,7 +279,7 @@ impl CarqNode {
     ) -> Vec<Action> {
         match &frame.payload {
             CarqMessage::Data(packet) => self.handle_data(now, *packet),
-            CarqMessage::Hello(hello) => self.handle_hello(hello, snr_db()),
+            CarqMessage::Hello(hello) => self.handle_hello(hello, snr_db),
             CarqMessage::Request(request) => self.handle_request(request),
             CarqMessage::CoopData(coop) => self.handle_coop_data(*coop),
             CarqMessage::CodedData(coded) => self.handle_coded_data(*coded),
@@ -341,7 +342,7 @@ impl CarqNode {
         actions
     }
 
-    fn handle_hello(&mut self, hello: &HelloMessage, snr_db: f64) -> Vec<Action> {
+    fn handle_hello(&mut self, hello: &HelloMessage, snr_db: impl FnOnce() -> f64) -> Vec<Action> {
         if hello.sender == self.id {
             return Vec::new();
         }

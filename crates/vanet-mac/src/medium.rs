@@ -19,12 +19,14 @@
 //! here, where carrier sensing is modelled globally (see
 //! [`Medium::busy_until`]) and no sender is hidden from another.
 
+use std::cell::RefCell;
+
 use serde::{Deserialize, Serialize};
 use sim_core::{SimDuration, SimTime, StreamRng};
 use vanet_geo::Point;
 use vanet_radio::{
-    ChannelModel, DataRate, FrameTiming, LinkBudget, LinkState, RadioChannel, RadioConfig,
-    VerdictDraws,
+    ChannelModel, DataRate, FieldAnchor, FrameTiming, LinkBudget, LinkState, RadioChannel,
+    RadioConfig, VerdictDraws,
 };
 use vanet_trace::{NoTrace, TraceRecord, TraceSink};
 
@@ -137,20 +139,28 @@ pub struct Delivery {
 }
 
 /// A delivery's SNR as the medium keeps it: what evaluating the realised
-/// SNR takes (the link's SNR before fading and the verdict's fading words),
-/// or a certain loss's ceiling. Verdicts are decided without their SNR, so
-/// only a reader pays for it, through [`Medium::snr_db`].
+/// SNR takes (the link budget's SNR, where the link reads the shadowing
+/// field, and the verdict's fading words), or what a certain loss's
+/// ceiling takes. Verdicts are decided without their SNR, most without
+/// their link's exact shadowing, so only a reader pays for either, through
+/// [`Medium::snr_db`]. It holds the same whether the transmission was
+/// traced or not, and whatever the pair cache held.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeliverySnr(SnrSource);
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum SnrSource {
-    /// A certain loss: the highest SNR any fading draw could have realised.
+    /// A certain loss on the link budget alone: the highest SNR any
+    /// fading draw could have realised with the field's largest shadowing.
     Ceiling(f64),
-    /// A sampled verdict: the SNR before fading, the fading's words, and
-    /// whether the AP↔vehicle channel (else the vehicle↔vehicle one)
-    /// carried it.
-    Sampled { before_fading_db: f64, fading: [u64; 4], ap_link: bool },
+    /// A certain loss on the link's own shadowing: the budget's SNR and the
+    /// field's probe point of the link, whose ceiling is the highest SNR
+    /// any fading draw could have realised, and whether the AP↔vehicle
+    /// channel (else the vehicle↔vehicle one) carried it.
+    LinkCeiling { ap_link: bool, budget_snr_db: f64, probe: Point },
+    /// A sampled verdict: the budget's SNR, the probe point and the
+    /// fading's words.
+    Sampled { ap_link: bool, budget_snr_db: f64, probe: Point, fading: [u64; 4] },
 }
 
 /// Timing of one submitted transmission.
@@ -196,27 +206,50 @@ struct ActiveTx {
     end: SimTime,
 }
 
+/// What the pair cache knows of a link's shadowing.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Shadowing {
+    /// Nothing yet.
+    Unknown,
+    /// Bounds `(lo, hi)` from the link's anchor
+    /// ([`RadioChannel::shadowing_bounds`]).
+    Bounds(f64, f64),
+    /// The exact value.
+    Exact(f64),
+}
+
 /// One slot of the dense per-pair link cache: the deterministic part of a
 /// (transmitter, receiver) link, valid until one of its two endpoints
 /// moves. The budget is computed when the entry is; the shadowing only when
 /// a verdict first needs it, since a link the budget alone settles as a
-/// certain loss never does.
+/// certain loss never does, and most verdicts need only its bounds.
 #[derive(Debug, Clone, Copy)]
 struct LinkCacheEntry {
     /// Position epoch the entry was computed at. The entry is current while
     /// it is at least both endpoints' `moved_at`; 0 is never current.
     epoch: u64,
     budget: LinkBudget,
-    /// The link's shadowing, once evaluated.
-    shadowing_db: Option<f64>,
+    shadowing: Shadowing,
 }
 
 impl LinkCacheEntry {
     const INVALID: LinkCacheEntry = LinkCacheEntry {
         epoch: 0,
         budget: LinkBudget { distance_m: 0.0, path_loss_db: 0.0, rx_power_dbm: 0.0, snr_db: 0.0 },
-        shadowing_db: None,
+        shadowing: Shadowing::Unknown,
     };
+}
+
+/// How the certain-loss rule settles one verdict over a link.
+#[derive(Debug, Clone, Copy)]
+enum Rule {
+    /// A certain loss on the link budget alone, with its ceiling.
+    BudgetCeiling(f64),
+    /// A certain loss on the link's own shadowing.
+    LinkCeiling,
+    /// No certain loss: bounds of the link's SNR before fading (the
+    /// budget's SNR plus the shadowing), equal where it is exact.
+    Open([f64; 2]),
 }
 
 /// A link as the pair cache served it, with what evaluating the rest of it
@@ -224,8 +257,8 @@ impl LinkCacheEntry {
 #[derive(Debug, Clone, Copy)]
 struct CachedLink {
     budget: LinkBudget,
-    /// The shadowing, once the cache holds it.
-    shadowing_db: Option<f64>,
+    /// The shadowing as far as the cache holds it.
+    shadowing: Shadowing,
     /// Whether the budget came from the cache.
     hit: bool,
     /// The entry's index in the cache; `None` when the cache is off.
@@ -234,6 +267,13 @@ struct CachedLink {
     tx: Point,
     rx: Point,
     classes: (RadioClass, RadioClass),
+}
+
+impl CachedLink {
+    /// Whether the link takes the AP↔vehicle channel.
+    fn ap_link(&self) -> bool {
+        is_ap_link(self.classes.0, self.classes.1)
+    }
 }
 
 /// The shared broadcast medium.
@@ -265,6 +305,12 @@ pub struct Medium {
     /// link query after a registration: `n = ids.len()` and the slot of a
     /// (tx, rx) pair is `tx.compact_slot * n + rx.compact_slot`.
     link_cache: Vec<LinkCacheEntry>,
+    /// Each pair's shadowing anchor, at the pair cache's slot: kept only by
+    /// untraced verdicts, while the pair cache is on and at most
+    /// [`Medium::MAX_ANCHORED_NODES`] nodes are registered; built lazily at
+    /// the first anchor after a registration, in the table of the last
+    /// medium dropped on this thread where there is one ([`SPARE_ANCHORS`]).
+    anchors: Vec<FieldAnchor>,
     /// Cache hits seen by traced transmissions — drives the sampled cache
     /// audits. Only ever touched when a tracing sink is enabled.
     audit_counter: u64,
@@ -288,6 +334,7 @@ impl Medium {
             stats: MediumStats::default(),
             position_epoch: 1,
             link_cache: Vec::new(),
+            anchors: Vec::new(),
             audit_counter: 0,
             skip_epoch_bump: false,
         }
@@ -331,6 +378,7 @@ impl Medium {
         // `link_budget_cached`), so registering N nodes costs O(N) total
         // instead of re-zeroing an n^2 table per registration.
         self.link_cache.clear();
+        self.anchors.clear();
     }
 
     /// Updates the position of a registered node.
@@ -406,16 +454,22 @@ impl Medium {
     }
 
     /// The SNR (dB) of a delivery. For a sampled verdict it is the realised
-    /// SNR, evaluated now from the draws the verdict made: bit for bit what
-    /// sampling it realised, and what a traced delivery record carries. For
-    /// a certain loss (see [`Medium::transmit_into`]) it is the ceiling
-    /// instead, the highest SNR any fading draw could have realised: at
-    /// most −10 dB, and at least the realised SNR, which is not evaluated.
+    /// SNR, evaluated now from the link's exact shadowing and the draws the
+    /// verdict made: bit for bit what sampling it realised, and what a
+    /// traced delivery record carries. For a certain loss (see
+    /// [`Medium::transmit_into`]) it is the ceiling instead, the highest SNR
+    /// any fading draw could have realised: at most −10 dB, and at least
+    /// the realised SNR, which is not evaluated.
     pub fn snr_db(&self, snr: &DeliverySnr) -> f64 {
         match snr.0 {
             SnrSource::Ceiling(ceiling) => ceiling,
-            SnrSource::Sampled { before_fading_db, fading, ap_link } => {
-                self.channel(ap_link).realised_snr_db(before_fading_db, &fading)
+            SnrSource::LinkCeiling { ap_link, budget_snr_db, probe } => {
+                let channel = self.channel(ap_link);
+                budget_snr_db + channel.shadowing_at(probe) + channel.fading_ceiling_db()
+            }
+            SnrSource::Sampled { ap_link, budget_snr_db, probe, fading } => {
+                let channel = self.channel(ap_link);
+                channel.realised_snr_db(budget_snr_db + channel.shadowing_at(probe), &fading)
             }
         }
     }
@@ -425,6 +479,11 @@ impl Medium {
     /// bit-identical, just without the memo — instead of letting the cache
     /// grow quadratically into gigabytes.
     const MAX_CACHED_NODES: usize = 1_024;
+
+    /// Largest node count whose pairs keep shadowing anchors: 64 nodes
+    /// give 4,096 anchors of about 0.8 KB each, 3.2 MB. Beyond it every
+    /// verdict that needs the shadowing evaluates it exactly, as before.
+    const MAX_ANCHORED_NODES: usize = 64;
 
     /// The memoized link budget of the (src, rx) pair at the nodes' current
     /// positions, with the shadowing if the cache holds it. The hit flag
@@ -437,7 +496,7 @@ impl Medium {
         // The budget is filled in below, from the cache or computed.
         let mut link = CachedLink {
             budget: LinkCacheEntry::INVALID.budget,
-            shadowing_db: None,
+            shadowing: Shadowing::Unknown,
             hit: false,
             slot: None,
             tx: s.position,
@@ -462,42 +521,102 @@ impl Medium {
         if cached.epoch >= s.moved_at.max(r.moved_at) {
             return CachedLink {
                 budget: cached.budget,
-                shadowing_db: cached.shadowing_db,
+                shadowing: cached.shadowing,
                 hit: true,
                 ..link
             };
         }
         link.budget = self.link_channel(&link).link_budget(s.position, r.position);
-        self.link_cache[idx] =
-            LinkCacheEntry { epoch: self.position_epoch, budget: link.budget, shadowing_db: None };
+        self.link_cache[idx] = LinkCacheEntry {
+            epoch: self.position_epoch,
+            budget: link.budget,
+            shadowing: Shadowing::Unknown,
+        };
         link
     }
 
     /// The channel a link takes.
     fn link_channel(&self, link: &CachedLink) -> &RadioChannel {
-        self.channel_for(link.classes.0, link.classes.1)
+        self.channel(link.ap_link())
     }
 
-    /// The shadowing of a link [`Medium::link_budget_cached`] served:
+    /// The exact shadowing of a link [`Medium::link_budget_cached`] served:
     /// evaluated at the positions its budget was computed at unless already
-    /// held, then kept in the cache entry.
-    fn shadowing_of(&mut self, link: &mut CachedLink) -> f64 {
-        if let Some(shadowing_db) = link.shadowing_db {
+    /// held, then kept in the cache entry. `anchored` (untraced verdicts
+    /// only) also re-anchors the link there.
+    fn shadowing_of(&mut self, link: &mut CachedLink, anchored: bool) -> f64 {
+        if let Shadowing::Exact(shadowing_db) = link.shadowing {
             return shadowing_db;
         }
-        let shadowing_db = self.link_channel(link).shadowing_db(link.tx, link.rx);
-        if let Some(idx) = link.slot {
-            self.link_cache[idx].shadowing_db = Some(shadowing_db);
-        }
-        link.shadowing_db = Some(shadowing_db);
+        let anchor = if anchored { self.anchor_slot(link) } else { None };
+        let channel = if link.ap_link() { &self.ap_vehicle } else { &self.vehicle_vehicle };
+        let probe = channel.shadowing_probe(link.tx, link.rx);
+        let shadowing_db = match anchor {
+            Some(idx) => channel.anchor_shadowing(probe, &mut self.anchors[idx]),
+            None => channel.shadowing_at(probe),
+        };
+        self.hold(link, Shadowing::Exact(shadowing_db));
         shadowing_db
     }
 
+    /// Bounds of the shadowing of a link [`Medium::link_budget_cached`]
+    /// served, for an untraced verdict: as held, else from the link's
+    /// anchor advanced to its probe, else (no anchor, or one that cannot
+    /// reach the probe) exact, re-anchoring.
+    fn shadowing_bounds(&mut self, link: &mut CachedLink) -> (f64, f64) {
+        match link.shadowing {
+            Shadowing::Bounds(lo, hi) => return (lo, hi),
+            Shadowing::Exact(shadowing_db) => return (shadowing_db, shadowing_db),
+            Shadowing::Unknown => {}
+        }
+        if let Some(idx) = self.anchor_slot(link) {
+            let channel = if link.ap_link() { &self.ap_vehicle } else { &self.vehicle_vehicle };
+            let probe = channel.shadowing_probe(link.tx, link.rx);
+            if let Some((lo, hi)) = channel.shadowing_bounds(probe, &mut self.anchors[idx]) {
+                self.hold(link, Shadowing::Bounds(lo, hi));
+                return (lo, hi);
+            }
+        }
+        let shadowing_db = self.shadowing_of(link, true);
+        (shadowing_db, shadowing_db)
+    }
+
+    /// Keeps what is known of a link's shadowing in the link and its cache
+    /// entry.
+    fn hold(&mut self, link: &mut CachedLink, shadowing: Shadowing) {
+        if let Some(idx) = link.slot {
+            self.link_cache[idx].shadowing = shadowing;
+        }
+        link.shadowing = shadowing;
+    }
+
+    /// The anchor table's index of a link: its pair-cache slot, `None`
+    /// when the pair cache is off or more than
+    /// [`Medium::MAX_ANCHORED_NODES`] nodes are registered. The table is
+    /// (re)built here, at the first anchor since a registration.
+    fn anchor_slot(&mut self, link: &CachedLink) -> Option<usize> {
+        let idx = link.slot?;
+        let n = self.ids.len();
+        if n > Self::MAX_ANCHORED_NODES {
+            return None;
+        }
+        if self.anchors.len() != n * n {
+            if self.anchors.capacity() < n * n {
+                self.anchors = SPARE_ANCHORS.take();
+            }
+            self.anchors.clear();
+            self.anchors.resize(n * n, FieldAnchor::default());
+        }
+        Some(idx)
+    }
+
     /// The certain-loss rule for one verdict over `link` (see
-    /// [`Medium::transmit_into`]): the ceiling when the budget plus the
-    /// field's largest shadowing settles the link, else when the budget
-    /// plus the link's own shadowing (evaluated only now, if not yet) does.
-    fn certain_loss(&mut self, link: &mut CachedLink, bits: u64, rate: DataRate) -> Option<f64> {
+    /// [`Medium::transmit_into`]): first the budget plus the field's largest
+    /// shadowing, then the budget plus the link's own shadowing. Untraced
+    /// (`anchored`), the second step takes the shadowing's bounds, which
+    /// settle the rule when it holds at the upper one or fails at the lower
+    /// one (rounding is monotone); only a straddle evaluates it exactly.
+    fn rule(&mut self, link: &mut CachedLink, bits: u64, rate: DataRate, anchored: bool) -> Rule {
         let channel = self.link_channel(link);
         let budget_snr_db = link.budget.snr_db;
         let settled = channel.certain_loss_ceiling(
@@ -505,19 +624,53 @@ impl Medium {
             bits,
             rate,
         );
-        if settled.is_some() {
-            return settled;
+        if let Some(ceiling) = settled {
+            return Rule::BudgetCeiling(ceiling);
         }
-        let shadowing_db = self.shadowing_of(link);
-        self.link_channel(link).certain_loss_ceiling(budget_snr_db + shadowing_db, bits, rate)
+        let (lo, hi) = if anchored {
+            self.shadowing_bounds(link)
+        } else {
+            let shadowing_db = self.shadowing_of(link, false);
+            (shadowing_db, shadowing_db)
+        };
+        let before = [budget_snr_db + lo, budget_snr_db + hi];
+        let channel = self.link_channel(link);
+        if channel.certain_loss_ceiling(before[1], bits, rate).is_some() {
+            return Rule::LinkCeiling;
+        }
+        if channel.certain_loss_ceiling(before[0], bits, rate).is_none() {
+            return Rule::Open(before);
+        }
+        let before_fading_db = budget_snr_db + self.shadowing_of(link, anchored);
+        match self.link_channel(link).certain_loss_ceiling(before_fading_db, bits, rate) {
+            Some(_) => Rule::LinkCeiling,
+            None => Rule::Open([before_fading_db; 2]),
+        }
     }
 
-    /// Draws one verdict's words over `link`, with the link's SNR before
-    /// fading (its shadowing evaluated if not yet): what
-    /// [`RadioChannel::sample_from_state`] would draw and sum.
-    fn draw(&mut self, link: &mut CachedLink, rng: &mut StreamRng) -> (f64, VerdictDraws) {
-        let before_fading_db = link.budget.snr_db + self.shadowing_of(link);
-        (before_fading_db, self.link_channel(link).draw(rng))
+    /// An untraced verdict that the certain-loss rule left open, its SNR
+    /// before fading within `before`: decided from bounds on its draws
+    /// ([`RadioChannel::decide`]) where they settle it, else from the
+    /// exact shadowing, decided again or evaluated exactly
+    /// ([`RadioChannel::verdict_from`]).
+    fn open_verdict(
+        &mut self,
+        link: &mut CachedLink,
+        before: [f64; 2],
+        bits: u64,
+        rate: DataRate,
+        draws: &VerdictDraws,
+    ) -> bool {
+        if let Some(received) = self.link_channel(link).decide(before, bits, rate, draws) {
+            return received;
+        }
+        let bounded = !matches!(link.shadowing, Shadowing::Exact(_));
+        let before_fading_db = link.budget.snr_db + self.shadowing_of(link, true);
+        let channel = self.link_channel(link);
+        bounded
+            .then(|| channel.decide([before_fading_db; 2], bits, rate, draws))
+            .flatten()
+            .unwrap_or_else(|| channel.verdict_from(before_fading_db, bits, rate, draws).received)
     }
 
     /// The link state computed from scratch at the nodes' current positions,
@@ -546,13 +699,23 @@ impl Medium {
     /// and statistics are the same whether the pair cache held the
     /// shadowing or not, and whether the transmission is traced or not.
     ///
+    /// Untraced, the link's own shadowing is first only bounded: each pair
+    /// keeps an anchor of its last field evaluation, which a pair-cache miss
+    /// rotates to the pair's new probe point
+    /// ([`RadioChannel::shadowing_bounds`]). The rule holds when it holds at
+    /// the upper bound and fails when it fails at the lower one; only a
+    /// straddle, a pair without an anchor, or one that cannot reach its
+    /// probe evaluates the field exactly (and re-anchors).
+    ///
     /// Every other verdict draws its words ([`RadioChannel::draw`]) and is
     /// *decided* from bounds on them where they settle it
-    /// ([`RadioChannel::decide`]), which is the exact outcome; the rest
-    /// evaluate the exact chain on the same words
-    /// ([`RadioChannel::verdict_from`]). Neither evaluates the realised
-    /// SNR for the delivery: it keeps the words, and [`Medium::snr_db`]
-    /// evaluates them when a reader asks.
+    /// ([`RadioChannel::decide`], over the bounded SNR before fading),
+    /// which is the exact outcome; the rest evaluate the field exactly, are
+    /// decided again, and where still open evaluate the exact chain on the
+    /// same words ([`RadioChannel::verdict_from`]). None evaluates the
+    /// realised SNR for the delivery: it keeps the budget's SNR, the probe
+    /// point and the words, and [`Medium::snr_db`] evaluates them when a
+    /// reader asks.
     ///
     /// # Panics
     ///
@@ -630,7 +793,7 @@ impl Medium {
             if S::ENABLED && link.hit {
                 self.audit_counter += 1;
                 if self.audit_counter.is_multiple_of(Self::CACHE_AUDIT_INTERVAL) {
-                    let shadowing_db = self.shadowing_of(&mut link);
+                    let shadowing_db = self.shadowing_of(&mut link, false);
                     let recomputed = self.link_state_direct(src, rx_id);
                     sink.record(TraceRecord::CacheAudit {
                         at: now,
@@ -643,36 +806,41 @@ impl Medium {
             // A traced verdict is sampled before the rule runs, certain loss
             // or not, so that its record carries the realised SNR.
             let traced = S::ENABLED.then(|| {
-                let (before_fading_db, draws) = self.draw(&mut link, rng);
-                let verdict =
-                    self.link_channel(&link).verdict_from(before_fading_db, bits, rate, &draws);
-                (before_fading_db, draws, verdict)
+                let before_fading_db = link.budget.snr_db + self.shadowing_of(&mut link, false);
+                let channel = self.link_channel(&link);
+                let draws = channel.draw(rng);
+                (draws, channel.verdict_from(before_fading_db, bits, rate, &draws))
             });
-            let ap_link = is_ap_link(link.classes.0, link.classes.1);
-            let sampled = |before_fading_db, draws: VerdictDraws| {
-                DeliverySnr(SnrSource::Sampled { before_fading_db, fading: draws.fading, ap_link })
-            };
-            let (received, snr) = match (self.certain_loss(&mut link, bits, rate), traced) {
-                (Some(ceiling), traced) => {
-                    debug_assert!(traced.is_none_or(|t| !t.2.received && t.2.snr_db <= ceiling));
-                    if traced.is_none() {
-                        self.link_channel(&link).skip_sample(rng);
-                    }
-                    (false, DeliverySnr(SnrSource::Ceiling(ceiling)))
+            let ap_link = link.ap_link();
+            let budget_snr_db = link.budget.snr_db;
+            let probe = self.link_channel(&link).shadowing_probe(link.tx, link.rx);
+            let (received, snr) = match self.rule(&mut link, bits, rate, !S::ENABLED) {
+                Rule::BudgetCeiling(ceiling) => (false, SnrSource::Ceiling(ceiling)),
+                Rule::LinkCeiling => {
+                    (false, SnrSource::LinkCeiling { ap_link, budget_snr_db, probe })
                 }
-                (None, Some((before_fading_db, draws, verdict))) => {
-                    (verdict.received, sampled(before_fading_db, draws))
-                }
-                (None, None) => {
-                    let (before_fading_db, draws) = self.draw(&mut link, rng);
-                    let channel = self.link_channel(&link);
-                    let received =
-                        channel.decide(before_fading_db, bits, rate, &draws).unwrap_or_else(|| {
-                            channel.verdict_from(before_fading_db, bits, rate, &draws).received
-                        });
-                    (received, sampled(before_fading_db, draws))
+                Rule::Open(before) => {
+                    let (received, fading) = match traced {
+                        Some((draws, verdict)) => (verdict.received, draws.fading),
+                        None => {
+                            let draws = self.link_channel(&link).draw(rng);
+                            let received = self.open_verdict(&mut link, before, bits, rate, &draws);
+                            (received, draws.fading)
+                        }
+                    };
+                    (received, SnrSource::Sampled { ap_link, budget_snr_db, probe, fading })
                 }
             };
+            let snr = DeliverySnr(snr);
+            if traced.is_none() && !matches!(snr.0, SnrSource::Sampled { .. }) {
+                // A certain loss skips the draws a traced verdict made.
+                self.link_channel(&link).skip_sample(rng);
+            }
+            debug_assert!(traced.is_none_or(|(_, verdict)| {
+                verdict.received == received
+                    && (matches!(snr.0, SnrSource::Sampled { .. })
+                        || verdict.snr_db <= self.snr_db(&snr))
+            }));
             let mut outcome =
                 if received { DeliveryOutcome::Received } else { DeliveryOutcome::LostChannel };
             if outcome == DeliveryOutcome::Received && self.collides_at(rx_id, src, now) {
@@ -683,7 +851,7 @@ impl Medium {
                 DeliveryOutcome::LostChannel => self.stats.deliveries_lost_channel += 1,
                 DeliveryOutcome::LostCollision => self.stats.deliveries_lost_collision += 1,
             }
-            if let Some((_, _, verdict)) = traced {
+            if let Some((_, verdict)) = traced {
                 sink.record(TraceRecord::Delivery {
                     at: now,
                     tx: src.as_u32(),
@@ -728,6 +896,33 @@ impl Medium {
             }
         }
         false
+    }
+}
+
+thread_local! {
+    /// The anchor table of the last medium dropped on this thread, handed to
+    /// the next one that anchors. A round builds a medium of its own, and a
+    /// table allocated and freed per round (112 KB on grid_city's 12 nodes)
+    /// moved where glibc placed the round's larger buffers, raising a
+    /// process's peak resident memory by about 2.5 MiB. At most one table
+    /// per thread, of at most [`Medium::MAX_ANCHORED_NODES`]² anchors.
+    static SPARE_ANCHORS: RefCell<Vec<FieldAnchor>> = const { RefCell::new(Vec::new()) };
+}
+
+impl Drop for Medium {
+    fn drop(&mut self) {
+        let anchors = std::mem::take(&mut self.anchors);
+        if anchors.capacity() == 0 {
+            return;
+        }
+        // An exiting thread keeps no spare, and a drop never panics.
+        let _ = SPARE_ANCHORS.try_with(|spare| {
+            if let Ok(mut spare) = spare.try_borrow_mut() {
+                if spare.capacity() < anchors.capacity() {
+                    *spare = anchors;
+                }
+            }
+        });
     }
 }
 
@@ -865,15 +1060,35 @@ mod tests {
             }
         }
         // Untraced, the far link's shadowing was never evaluated; the
-        // other link's was, and the cache kept it.
+        // other link's was (no anchor yet), and the cache kept it.
         let n = plain.ids.len();
         let slot = |medium: &Medium, node: NodeId| {
             let (s, r) = (medium.entry(ap).unwrap(), medium.entry(node).unwrap());
-            medium.link_cache[s.compact_slot as usize * n + r.compact_slot as usize].shadowing_db
+            medium.link_cache[s.compact_slot as usize * n + r.compact_slot as usize].shadowing
         };
-        assert_eq!(slot(&plain, far), None);
-        assert_eq!(slot(&plain, out).map(f64::to_bits), Some(out_link.shadowing_db.to_bits()));
-        assert_eq!(slot(&traced, far).map(f64::to_bits), Some(far_link.shadowing_db.to_bits()));
+        assert_eq!(slot(&plain, far), Shadowing::Unknown);
+        assert_eq!(slot(&plain, out), Shadowing::Exact(out_link.shadowing_db));
+        assert_eq!(slot(&traced, far), Shadowing::Exact(far_link.shadowing_db));
+    }
+
+    #[test]
+    fn a_dropped_medium_hands_its_anchor_table_to_the_next() {
+        let anchored = || {
+            let mut medium = Medium::new(MediumConfig::urban_testbed());
+            medium.register_node(NodeId::new(0), RadioClass::AccessPoint);
+            medium.register_node(NodeId::new(1), RadioClass::Vehicle);
+            medium.update_position(NodeId::new(0), Point::new(0.0, 18.0));
+            medium.update_position(NodeId::new(1), Point::new(60.0, 0.0));
+            let frame = Frame::new(NodeId::new(0), Destination::Broadcast, 500, ());
+            let mut rng = StreamRng::derive(15, "m");
+            medium.transmit_into(SimTime::ZERO, &frame, DataRate::Mbps1, &mut rng, &mut Vec::new());
+            assert_eq!(medium.anchors.len(), 4, "one anchor per ordered pair");
+            medium
+        };
+        let first = anchored();
+        let table = first.anchors.as_ptr();
+        drop(first);
+        assert_eq!(anchored().anchors.as_ptr(), table, "the second medium reuses the table");
     }
 
     #[test]

@@ -1,23 +1,18 @@
 //! The composite radio channel: path loss + shadowing + fading + noise →
 //! per-frame reception verdicts.
 //!
-//! Two channel implementations are provided:
-//!
-//! * [`RadioChannel`] — the physical model. Combines a [`PathLossModel`],
-//!   a spatially correlated shadowing field, per-frame fast fading and a
-//!   thermal-noise floor, then maps the resulting SNR through the
-//!   [`crate::per`] curves. This is the model used to reproduce the paper's
-//!   urban testbed.
-//! * [`EmpiricalProfile`] — a distance-binned reception-probability table,
-//!   in the spirit of the drive-thru-Internet measurements the paper cites
-//!   as reference \[1\]. Useful for calibrating against published loss
-//!   percentages and as a fast baseline channel.
+//! [`RadioChannel`] is the physical model. It combines a [`PathLossModel`],
+//! a spatially correlated shadowing field, per-frame fast fading and a
+//! thermal-noise floor, then maps the resulting SNR through the
+//! [`crate::per`] curves. This is the model used to reproduce the paper's
+//! urban testbed.
 
 use serde::{Deserialize, Serialize};
 use sim_core::StreamRng;
 use vanet_geo::Point;
 
-use crate::cosine::VectorCosine;
+use crate::anchor::{FieldAnchor, Waves, LIBM_SINE_ERROR_ULP};
+use crate::cosine::{VectorCosine, SINE_ERROR_ULP};
 use crate::datarate::DataRate;
 use crate::fading::{FadingKind, ResolvedFading};
 use crate::obstacles::ObstacleMap;
@@ -246,7 +241,7 @@ impl RadioConfig {
 }
 
 /// The number of plane waves in the shadowing field.
-const WAVES: usize = 24;
+pub(crate) const WAVES: usize = 24;
 
 /// A deterministic, spatially correlated Gaussian field used for shadowing.
 ///
@@ -303,6 +298,57 @@ impl SpatialField {
     /// the amplitude is monotone.
     fn ceiling(&self) -> f64 {
         self.amplitude * WAVES as f64
+    }
+
+    /// [`SpatialField::value_at`], with the anchor set at `p` from the same
+    /// evaluation: the exact path's cosines and a sine of every wave.
+    fn anchor_at(&self, p: Point, anchor: &mut FieldAnchor) -> f64 {
+        let (mut cosines, mut sines) = ([0.0; WAVES], [0.0; WAVES]);
+        let waves = self.waves();
+        match self.vector {
+            Some(kernel) => {
+                let libm = kernel.wave_sincos(
+                    &self.kx,
+                    &self.ky,
+                    &self.phase,
+                    p,
+                    &mut cosines,
+                    &mut sines,
+                );
+                let sine_ulp = |i: usize| {
+                    if libm & (1 << i) == 0 {
+                        SINE_ERROR_ULP
+                    } else {
+                        LIBM_SINE_ERROR_ULP
+                    }
+                };
+                anchor.set(&waves, p, &cosines, &sines, sine_ulp);
+            }
+            None => {
+                for i in 0..WAVES {
+                    let x = self.kx[i] * p.x + self.ky[i] * p.y + self.phase[i];
+                    (cosines[i], sines[i]) = (x.cos(), x.sin());
+                }
+                anchor.set(&waves, p, &cosines, &sines, |_| LIBM_SINE_ERROR_ULP);
+            }
+        }
+        self.amplitude * cosines.into_iter().sum::<f64>()
+    }
+
+    /// Bounds of [`SpatialField::value_at`] at `p` from `anchor`, advanced
+    /// to `p` (see [`crate::anchor`]): the exact path's ordered sum and
+    /// product on each wave's bounds. `None`, leaving no anchor, where the
+    /// anchor cannot reach `p`.
+    fn bounds_at(&self, p: Point, anchor: &mut FieldAnchor) -> Option<(f64, f64)> {
+        if !anchor.is_set() {
+            return None;
+        }
+        let (low, high) = anchor.advance(&self.waves(), p, self.vector)?;
+        Some((self.amplitude * low, self.amplitude * high))
+    }
+
+    fn waves(&self) -> Waves<'_> {
+        Waves { kx: &self.kx, ky: &self.ky, phase: &self.phase }
     }
 
     /// [`SpatialField::value_at`] with one `f64::cos` per wave: the path of
@@ -400,14 +446,53 @@ impl RadioChannel {
     /// [`LinkState::shadowing_db`] of [`RadioChannel::link_state`], for
     /// callers that evaluate it only when they need it.
     pub fn shadowing_db(&self, tx: Point, rx: Point) -> f64 {
+        self.shadowing_at(self.shadowing_probe(tx, rx))
+    }
+
+    /// Where the (tx, rx) pair reads the field: the receiver, displaced by
+    /// a transmitter-dependent offset so that different transmitters see
+    /// different (but individually coherent) shadowing landscapes.
+    #[inline]
+    pub fn shadowing_probe(&self, tx: Point, rx: Point) -> Point {
+        Point::new(rx.x + 0.37 * tx.x - 0.21 * tx.y, rx.y + 0.29 * tx.y + 0.17 * tx.x)
+    }
+
+    /// The shadowing (dB) at a probe point
+    /// ([`RadioChannel::shadowing_probe`]): σ times the field there, 0
+    /// without shadowing.
+    pub fn shadowing_at(&self, probe: Point) -> f64 {
         if self.config.shadowing_sigma_db <= 0.0 {
             return 0.0;
         }
-        // Evaluate the field at the receiver, displaced by a transmitter-
-        // dependent offset so that different transmitters see different (but
-        // individually coherent) shadowing landscapes.
-        let probe = Point::new(rx.x + 0.37 * tx.x - 0.21 * tx.y, rx.y + 0.29 * tx.y + 0.17 * tx.x);
         self.config.shadowing_sigma_db * self.field.value_at(probe)
+    }
+
+    /// [`RadioChannel::shadowing_at`], the same bits, with `anchor` set at
+    /// `probe` from the same evaluation for [`RadioChannel::shadowing_bounds`].
+    pub fn anchor_shadowing(&self, probe: Point, anchor: &mut FieldAnchor) -> f64 {
+        if self.config.shadowing_sigma_db <= 0.0 {
+            return 0.0;
+        }
+        self.config.shadowing_sigma_db * self.field.anchor_at(probe, anchor)
+    }
+
+    /// Bounds `(lo, hi)` of [`RadioChannel::shadowing_at`] at `probe`,
+    /// without evaluating the field: `anchor`, which this channel set at an
+    /// earlier probe of the same link, is rotated to `probe` and becomes
+    /// the anchor there. `None` where no anchor is set, a wave's argument
+    /// moved by more than 1024 rad, or the carried error bound passed its
+    /// limit; the anchor is then unset, and [`RadioChannel::anchor_shadowing`]
+    /// evaluates exactly and re-anchors. Each bound is the exact path's own
+    /// rounded sum and products over per-wave bounds of glibc's cosines, so
+    /// `lo ≤ shadowing_at(probe) ≤ hi` holds bit for bit
+    /// (`docs/PERFORMANCE.md`, "the bounded field").
+    pub fn shadowing_bounds(&self, probe: Point, anchor: &mut FieldAnchor) -> Option<(f64, f64)> {
+        let sigma = self.config.shadowing_sigma_db;
+        if sigma <= 0.0 {
+            return Some((0.0, 0.0));
+        }
+        let (lo, hi) = self.field.bounds_at(probe, anchor)?;
+        Some((sigma * lo, sigma * hi))
     }
 
     /// Computes the deterministic part of the link from `tx` to `rx` —
@@ -473,9 +558,11 @@ impl RadioChannel {
 
     /// Decides whether a frame is received from bounds on its draws, without
     /// evaluating them: `Some(received)`, always the outcome
-    /// [`RadioChannel::verdict_from`] gives on the same arguments, or `None`
-    /// where only evaluating them can tell (a reception word near the
-    /// success probability, and every modulation but DBPSK).
+    /// [`RadioChannel::verdict_from`] gives on the same words over a link
+    /// whose SNR before fading lies in `[before_fading_db[0],
+    /// before_fading_db[1]]`, or `None` where only evaluating them can tell
+    /// (a reception word near the success probability, and every
+    /// modulation but DBPSK). An SNR known exactly is given as both ends.
     ///
     /// The fading gain is bracketed from table lookups on its words (the
     /// Box–Muller radius by the exponent and leading mantissa bits of
@@ -487,18 +574,21 @@ impl RadioChannel {
     /// the reception word in log space. Every table entry is widened by a
     /// margin beyond glibc's documented error, so the brackets hold for
     /// glibc's values (see `docs/PERFORMANCE.md`, "the decided path").
+    /// The realised SNR fl(before + gain) rises with both operands, so the
+    /// interval's low end with the gain's lower bound and its high end with
+    /// the upper one bracket it.
     #[inline]
     pub fn decide(
         &self,
-        before_fading_db: f64,
+        before_fading_db: [f64; 2],
         bits: u64,
         rate: DataRate,
         draws: &VerdictDraws,
     ) -> Option<bool> {
         let (lo, hi) = self.fading.gain_bounds_db(&draws.fading)?;
         crate::bounds::decide(
-            before_fading_db + lo,
-            before_fading_db + hi,
+            before_fading_db[0] + lo,
+            before_fading_db[1] + hi,
             bits,
             rate,
             draws.reception,
@@ -532,103 +622,8 @@ impl ChannelModel for RadioChannel {
     }
 }
 
-/// A distance-binned reception-probability profile.
-///
-/// The profile is a piecewise-linear function `P(reception | distance)`. The
-/// default profile reproduces the qualitative drive-thru findings of the
-/// paper's reference \[1\]: an entry region with rising reception, a
-/// "production" region of good reception around the AP and a symmetric exit
-/// region, with overall losses in the 50–60 % range at highway speeds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct EmpiricalProfile {
-    /// `(distance_m, reception_probability)` break-points, sorted by distance.
-    points: Vec<(f64, f64)>,
-    /// Reference noise/SNR figures reported alongside the profile (used only
-    /// for [`ChannelModel::link_budget`] introspection).
-    reference_snr_at_zero_db: f64,
-}
-
-impl EmpiricalProfile {
-    /// Builds a profile from `(distance, probability)` break-points.
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than two points are given, if distances are not
-    /// strictly increasing, or if any probability is outside `[0, 1]`.
-    pub fn new(points: Vec<(f64, f64)>) -> Self {
-        assert!(points.len() >= 2, "a profile needs at least two break-points");
-        for w in points.windows(2) {
-            assert!(w[1].0 > w[0].0, "profile distances must be strictly increasing");
-        }
-        assert!(
-            points.iter().all(|(_, p)| (0.0..=1.0).contains(p)),
-            "probabilities must lie in [0, 1]"
-        );
-        EmpiricalProfile { points, reference_snr_at_zero_db: 30.0 }
-    }
-
-    /// The drive-thru-Internet profile of the paper's reference \[1\]:
-    /// usable reception out to roughly ±250 m of the AP with a good region
-    /// of ±80 m.
-    pub fn drive_thru() -> Self {
-        EmpiricalProfile::new(vec![
-            (0.0, 0.95),
-            (80.0, 0.9),
-            (150.0, 0.6),
-            (220.0, 0.25),
-            (300.0, 0.02),
-            (400.0, 0.0),
-        ])
-    }
-
-    /// Reception probability at `distance_m` (linear interpolation, clamped
-    /// at the profile ends).
-    pub fn probability_at(&self, distance_m: f64) -> f64 {
-        let pts = &self.points;
-        if distance_m <= pts[0].0 {
-            return pts[0].1;
-        }
-        if distance_m >= pts[pts.len() - 1].0 {
-            return pts[pts.len() - 1].1;
-        }
-        for w in pts.windows(2) {
-            let (d0, p0) = w[0];
-            let (d1, p1) = w[1];
-            if distance_m <= d1 {
-                let t = (distance_m - d0) / (d1 - d0);
-                return p0 + t * (p1 - p0);
-            }
-        }
-        pts[pts.len() - 1].1
-    }
-}
-
-impl ChannelModel for EmpiricalProfile {
-    fn link_budget(&self, tx: Point, rx: Point) -> LinkBudget {
-        let distance_m = tx.distance_to(rx);
-        // Synthesise an SNR that decreases smoothly with distance so that
-        // range_for_snr and diagnostics remain meaningful.
-        let snr_db = self.reference_snr_at_zero_db - 30.0 * (1.0 + distance_m).log10();
-        LinkBudget { distance_m, path_loss_db: f64::NAN, rx_power_dbm: f64::NAN, snr_db }
-    }
-
-    fn sample_reception(
-        &self,
-        tx: Point,
-        rx: Point,
-        _bits: u64,
-        _rate: DataRate,
-        rng: &mut StreamRng,
-    ) -> ReceptionVerdict {
-        let p = self.probability_at(tx.distance_to(rx));
-        let received = rng.chance(p);
-        ReceptionVerdict {
-            received,
-            success_probability: p,
-            snr_db: self.link_budget(tx, rx).snr_db,
-        }
-    }
-}
+#[cfg(test)]
+mod enclosure_oracle;
 
 #[cfg(test)]
 mod tests {
@@ -853,28 +848,6 @@ mod tests {
         assert!(ch.certain_loss_ceiling(f64::NAN, 8_000, DataRate::Mbps1).is_none());
     }
 
-    #[test]
-    fn empirical_profile_interpolates() {
-        let p = EmpiricalProfile::drive_thru();
-        assert_eq!(p.probability_at(0.0), 0.95);
-        assert!((p.probability_at(115.0) - 0.75).abs() < 1e-9);
-        assert_eq!(p.probability_at(1_000.0), 0.0);
-        let mid = reception_rate(&p, 150.0, 2_000, 5);
-        assert!((mid - 0.6).abs() < 0.05, "measured {mid}");
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn profile_rejects_unsorted_points() {
-        let _ = EmpiricalProfile::new(vec![(10.0, 0.5), (5.0, 0.4)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least two")]
-    fn profile_rejects_single_point() {
-        let _ = EmpiricalProfile::new(vec![(10.0, 0.5)]);
-    }
-
     proptest! {
         /// Reception probability reported by the verdict always lies in [0,1],
         /// and closer receivers never have a *worse* median link budget.
@@ -924,14 +897,6 @@ mod tests {
                 }
                 prop_assert!(sampled.standard_normal().to_bits() == skipped.standard_normal().to_bits());
             }
-        }
-
-        /// The empirical profile respects its break-point envelope.
-        #[test]
-        fn prop_profile_within_envelope(d in 0.0f64..500.0) {
-            let p = EmpiricalProfile::drive_thru();
-            let v = p.probability_at(d);
-            prop_assert!((0.0..=0.95).contains(&v));
         }
     }
 }

@@ -60,6 +60,12 @@ const KERNEL_ERROR_ULP: f64 = 0.002;
 const BAND_ULP: f64 = 0.03;
 const _: () = assert!(BAND_ULP - KERNEL_ERROR_ULP - (0.518 - 0.5) >= 0.0099);
 
+/// The error of a sine [`VectorCosine::wave_sincos`] takes from the kernel,
+/// in ulps of the result: the double-double's [`KERNEL_ERROR_ULP`] (the
+/// sine of x is the cosine's other polynomial, ±sin r or ±cos r, so the
+/// same bound holds) plus the half ulp of rounding it to a double.
+pub(crate) const SINE_ERROR_ULP: f64 = 0.5 + KERNEL_ERROR_ULP;
+
 /// Proof that this CPU runs the vector kernel: [`VectorCosine::detect`]
 /// returns one only on an x86-64 Linux-glibc host whose CPU reports `avx2`
 /// and `fma`, and no other code constructs it.
@@ -90,7 +96,7 @@ impl VectorCosine {
         out: &mut [f64; N],
     ) -> u64 {
         const { assert!(N.is_multiple_of(4) && N <= 64, "waves come in whole vectors, at most 64") };
-        let kept = self.kept_lanes(kx, ky, phase, p, out);
+        let (kept, _) = self.kept_lanes(kx, ky, phase, p, out, None);
         let mut fallback = !kept & (u64::MAX >> (64 - N));
         let mask = fallback;
         while fallback != 0 {
@@ -101,6 +107,43 @@ impl VectorCosine {
         mask
     }
 
+    /// [`VectorCosine::wave_cosines`], and each wave's sine in `sines`:
+    /// the kernel's double-double rounded, within [`SINE_ERROR_ULP`] of
+    /// sin x, except on the lanes of the returned mask (bit i for wave
+    /// i), whose arguments lie outside the kernel's domain or within 10⁻⁹
+    /// of a multiple of π/2, where it is `f64::sin`.
+    pub(crate) fn wave_sincos<const N: usize>(
+        self,
+        kx: &[f64; N],
+        ky: &[f64; N],
+        phase: &[f64; N],
+        p: Point,
+        cosines: &mut [f64; N],
+        sines: &mut [f64; N],
+    ) -> u64 {
+        const { assert!(N.is_multiple_of(4) && N <= 64, "waves come in whole vectors, at most 64") };
+        let (kept, sine_ok) = self.kept_lanes(kx, ky, phase, p, cosines, Some(sines));
+        let all = u64::MAX >> (64 - N);
+        let mut fallback = !kept & all;
+        while fallback != 0 {
+            let i = fallback.trailing_zeros() as usize;
+            cosines[i] = (kx[i] * p.x + ky[i] * p.y + phase[i]).cos();
+            fallback &= fallback - 1;
+        }
+        let mask = !sine_ok & all;
+        let mut fallback = mask;
+        while fallback != 0 {
+            let i = fallback.trailing_zeros() as usize;
+            sines[i] = (kx[i] * p.x + ky[i] * p.y + phase[i]).sin();
+            fallback &= fallback - 1;
+        }
+        mask
+    }
+
+    /// The vector half of both entry points: writes the kept lanes'
+    /// cosines into `out`, and every lane's kernel sine into `sines` where
+    /// given; returns the masks of the kept cosine lanes and of the lanes
+    /// whose sine is within [`SINE_ERROR_ULP`].
     #[cfg(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu"))]
     fn kept_lanes<const N: usize>(
         self,
@@ -109,13 +152,14 @@ impl VectorCosine {
         phase: &[f64; N],
         p: Point,
         out: &mut [f64; N],
-    ) -> u64 {
+        sines: Option<&mut [f64; N]>,
+    ) -> (u64, u64) {
         #[allow(unsafe_code)]
         // SAFETY: `avx2::wave_cosines` needs the `avx2` and `fma` target
         // features, and `self` exists only because `VectorCosine::detect`
         // saw `is_x86_feature_detected!` report both on this CPU.
         unsafe {
-            avx2::wave_cosines(kx, ky, phase, p.x, p.y, out)
+            avx2::wave_cosines(kx, ky, phase, p.x, p.y, out, sines)
         }
     }
 
@@ -127,7 +171,8 @@ impl VectorCosine {
         _: &[f64; N],
         _: Point,
         _: &mut [f64; N],
-    ) -> u64 {
+        _: Option<&mut [f64; N]>,
+    ) -> (u64, u64) {
         unreachable!("VectorCosine::detect returns None on this target")
     }
 }
@@ -182,8 +227,11 @@ mod avx2 {
     const EXPONENT: i64 = 0x7ff0_0000_0000_0000;
     const MANTISSA: i64 = 0x000f_ffff_ffff_ffff;
 
-    /// The vector half of [`super::VectorCosine::wave_cosines`]: writes the
-    /// kept lanes' cosines into `out` and returns their mask.
+    /// The vector half of [`super::VectorCosine::wave_cosines`] and
+    /// [`super::VectorCosine::wave_sincos`]: writes the kept lanes'
+    /// cosines into `out`, every lane's kernel sine into `sines` where
+    /// given, and returns the mask of the kept cosines and the mask of the
+    /// sines within [`super::SINE_ERROR_ULP`].
     ///
     /// # Safety
     ///
@@ -197,9 +245,10 @@ mod avx2 {
         px: f64,
         py: f64,
         out: &mut [f64; N],
-    ) -> u64 {
+        mut sines: Option<&mut [f64; N]>,
+    ) -> (u64, u64) {
         let (px, py) = (_mm256_set1_pd(px), _mm256_set1_pd(py));
-        let mut kept = 0u64;
+        let (mut kept, mut sine_ok) = (0u64, 0u64);
         let waves = kx.chunks_exact(4).zip(ky.chunks_exact(4)).zip(phase.chunks_exact(4));
         for (c, (((kx, ky), phase), out)) in waves.zip(out.chunks_exact_mut(4)).enumerate() {
             // The scalar expression's rounding: two products, then two sums.
@@ -207,11 +256,15 @@ mod avx2 {
                 _mm256_add_pd(_mm256_mul_pd(load(kx), px), _mm256_mul_pd(load(ky), py)),
                 load(phase),
             );
-            let (cosine, lanes) = cos4(x);
-            store(cosine, out);
-            kept |= (lanes as u64) << (4 * c);
+            let lanes = sincos4(x);
+            store(lanes.cosine, out);
+            kept |= (lanes.kept as u64) << (4 * c);
+            if let Some(sines) = sines.as_deref_mut() {
+                store(lanes.sine, &mut sines[4 * c..4 * c + 4]);
+                sine_ok |= (lanes.sine_ok as u64) << (4 * c);
+            }
         }
-        kept
+        (kept, sine_ok)
     }
 
     #[target_feature(enable = "avx2,fma")]
@@ -263,10 +316,23 @@ mod avx2 {
         _mm256_fmadd_pd(zh, xl, _mm256_mul_pd(zl, xh))
     }
 
-    /// Cosines of four arguments and the mask of the lanes whose result is
-    /// glibc's (see the module documentation).
+    /// Four lanes of [`sincos4`].
+    struct SinCos4 {
+        /// The rounded cosines.
+        cosine: __m256d,
+        /// The lanes whose cosine is glibc's (see the module documentation).
+        kept: i32,
+        /// The rounded sines.
+        sine: __m256d,
+        /// The lanes whose sine is within [`super::SINE_ERROR_ULP`]: inside
+        /// the domain, with a remainder of at least 10⁻⁹.
+        sine_ok: i32,
+    }
+
+    /// Cosines and sines of four arguments.
+    #[inline]
     #[target_feature(enable = "avx2,fma")]
-    fn cos4(x: __m256d) -> (__m256d, i32) {
+    fn sincos4(x: __m256d) -> SinCos4 {
         let in_domain =
             _mm256_cmp_pd::<_CMP_LT_OQ>(_mm256_and_pd(x, bits(ABS)), splat(MAX_ARGUMENT));
         let n = _mm256_round_pd::<{ _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC }>(
@@ -316,6 +382,13 @@ mod avx2 {
         );
         let high = _mm256_xor_pd(_mm256_blendv_pd(cos_h, sin_h, odd), negate);
         let low = _mm256_xor_pd(_mm256_blendv_pd(cos_l, sin_l, odd), negate);
+        // sin x: odd lanes take cos r, and lanes 2 and 3 negate.
+        let negate_sine =
+            _mm256_and_pd(_mm256_castsi256_pd(_mm256_slli_epi64::<62>(quadrant)), bits(i64::MIN));
+        let sine = _mm256_add_pd(
+            _mm256_xor_pd(_mm256_blendv_pd(sin_h, cos_h, odd), negate_sine),
+            _mm256_xor_pd(_mm256_blendv_pd(sin_l, cos_l, odd), negate_sine),
+        );
 
         // s = fl(ŷ) and its exact residual ŷ − s.
         let s = _mm256_add_pd(high, low);
@@ -328,16 +401,19 @@ mod avx2 {
         ));
         let remainder_ok =
             _mm256_cmp_pd::<_CMP_GE_OQ>(_mm256_and_pd(rh, bits(ABS)), splat(MIN_REMAINDER));
-        let keep = _mm256_andnot_pd(
-            power_of_two,
-            _mm256_and_pd(_mm256_and_pd(in_domain, remainder_ok), off_midpoint),
-        );
-        (s, _mm256_movemask_pd(keep))
+        let sine_ok = _mm256_and_pd(in_domain, remainder_ok);
+        let keep = _mm256_andnot_pd(power_of_two, _mm256_and_pd(sine_ok, off_midpoint));
+        SinCos4 {
+            cosine: s,
+            kept: _mm256_movemask_pd(keep),
+            sine,
+            sine_ok: _mm256_movemask_pd(sine_ok),
+        }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use sim_core::StreamRng;
 
@@ -462,7 +538,7 @@ mod tests {
     }
 
     /// A double-double `(high, low)` with |low| ≤ ½ ulp of high.
-    type Dd = (f64, f64);
+    pub(crate) type Dd = (f64, f64);
 
     fn two_sum(a: f64, b: f64) -> Dd {
         let s = a + b;
@@ -490,14 +566,14 @@ mod tests {
     /// kernel's: a four-part π/2 and all-double-double Horner over Taylor
     /// series twelve terms long, accurate to about 2⁻¹⁰⁰ relative for
     /// 10⁻⁹ ≤ |r| ≤ π/4 + 10⁻⁹.
-    struct Reference {
+    pub(crate) struct Reference {
         /// (−1)ᵏ/(2k)! and (−1)ᵏ/(2k+1)! for k = 0..12.
         cos: Vec<Dd>,
         sin: Vec<Dd>,
     }
 
     impl Reference {
-        fn new() -> Self {
+        pub(crate) fn new() -> Self {
             let (mut cos, mut sin) = (vec![(1.0, 0.0)], vec![(1.0, 0.0)]);
             for k in 1..12 {
                 let (c, s) = (cos[k - 1], sin[k - 1]);
@@ -509,6 +585,12 @@ mod tests {
 
         /// cos x, and |r| for the remainder r = x − n·π/2.
         fn cos(&self, x: f64) -> (Dd, f64) {
+            let (cos, _, remainder) = self.sincos(x);
+            (cos, remainder)
+        }
+
+        /// cos x, sin x, and |r| for the remainder r = x − n·π/2.
+        pub(crate) fn sincos(&self, x: f64) -> (Dd, Dd, f64) {
             const PIO2: [f64; 4] = [
                 f64::from_bits(0x3ff9_21fb_5444_2d18),
                 f64::from_bits(0x3c91_a626_3314_5c07),
@@ -524,13 +606,14 @@ mod tests {
             let horner =
                 |c: &[Dd]| c.iter().rev().fold((0.0, 0.0), |acc, &c| dd_add(dd_mul(acc, z), c));
             let (cos_r, sin_r) = (horner(&self.cos), dd_mul(r, horner(&self.sin)));
-            let y = match (n as i64).rem_euclid(4) {
-                0 => cos_r,
-                1 => (-sin_r.0, -sin_r.1),
-                2 => (-cos_r.0, -cos_r.1),
-                _ => sin_r,
+            let negate = |(h, l): Dd| (-h, -l);
+            let (cos, sin) = match (n as i64).rem_euclid(4) {
+                0 => (cos_r, sin_r),
+                1 => (negate(sin_r), cos_r),
+                2 => (negate(cos_r), negate(sin_r)),
+                _ => (sin_r, negate(cos_r)),
             };
-            (y, r.0.abs())
+            (cos, sin, r.0.abs())
         }
     }
 

@@ -8,7 +8,7 @@
 //! regions of Figures 3–5) emerges from geometry rather than being hard-coded:
 //!
 //! * [`DataRate`] and frame airtime — 802.11b/g rates with preamble overhead.
-//! * [`pathloss`] — free-space, log-distance and two-ray ground models.
+//! * [`pathloss`] — the log-distance path-loss model.
 //! * [`fading`] — per-frame Rayleigh or Rician fast fading, resolved once
 //!   per channel.
 //! * [`per`] — SNR → bit-error-rate → packet-error-rate curves for the
@@ -18,10 +18,10 @@
 //!   path loss, shadowing, fading and thermal noise into a single
 //!   "was this frame received?" sampling interface (with the ceilings of
 //!   its shadowing and fading, which settle certain losses before any
-//!   draw, and [`RadioChannel::decide`], which settles most other verdicts
-//!   from table bounds on their draws without evaluating them), plus
-//!   [`channel::EmpiricalProfile`] for distance-binned loss curves measured
-//!   in drive-thru studies (reference \[1\] of the paper).
+//!   draw, [`RadioChannel::decide`], which settles most other verdicts
+//!   from table bounds on their draws without evaluating them, and
+//!   [`RadioChannel::shadowing_bounds`], which bounds a link's shadowing
+//!   from its [`FieldAnchor`] without evaluating the field).
 //!
 //! ## Example
 //!
@@ -46,18 +46,21 @@
 //!
 //! ## Unsafe code
 //!
-//! The crate denies `unsafe` code with one exception: the call into the
-//! shadowing field's AVX2/FMA cosine kernel, a `#[target_feature]` function
-//! that may run only on a CPU with those features. The call is made only
-//! through a value that exists once `is_x86_feature_detected!` has reported
-//! `avx2` and `fma`, checked once per channel when its field is built. The
-//! kernel returns the bits `f64::cos` returns, so results do not depend on
-//! which path a host takes (see `docs/PERFORMANCE.md`).
+//! The crate denies `unsafe` code with one exception: the calls into the
+//! shadowing field's two AVX2/FMA kernels, the cosine kernel and the
+//! anchor's rotation, `#[target_feature]` functions that may run only on a
+//! CPU with those features. Each call is made only through a value that
+//! exists once `is_x86_feature_detected!` has reported `avx2` and `fma`,
+//! checked once per channel when its field is built. The cosine kernel
+//! returns the bits `f64::cos` returns, and the rotation's bounds hold on
+//! either path, so results do not depend on which path a host takes (see
+//! `docs/PERFORMANCE.md`).
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod anchor;
 mod bounds;
 pub mod channel;
 mod cosine;
@@ -67,12 +70,12 @@ pub mod obstacles;
 pub mod pathloss;
 pub mod per;
 
+pub use anchor::FieldAnchor;
 pub use channel::{
-    ChannelModel, EmpiricalProfile, LinkBudget, LinkState, RadioChannel, RadioConfig,
-    ReceptionVerdict, VerdictDraws,
+    ChannelModel, LinkBudget, LinkState, RadioChannel, RadioConfig, ReceptionVerdict, VerdictDraws,
 };
 pub use datarate::{DataRate, FrameTiming};
 pub use fading::FadingKind;
 pub use obstacles::{Building, ObstacleMap};
-pub use pathloss::{FreeSpace, LogDistance, PathLossModel, TwoRayGround};
+pub use pathloss::{LogDistance, PathLossModel};
 pub use per::{is_certain_loss, packet_error_rate, snr_to_ber, Modulation};

@@ -64,7 +64,7 @@ impl Tally {
         draws: &VerdictDraws,
     ) {
         self.cases += 1;
-        let Some(decided) = channel.decide(before_fading_db, bits, rate, draws) else {
+        let Some(decided) = channel.decide([before_fading_db; 2], bits, rate, draws) else {
             return;
         };
         self.decided += 1;
