@@ -20,13 +20,13 @@ use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
 use vanet_analysis::{diff, AnalysisEngine, AnalysisStore, RoundDigest};
-use vanet_scenarios::{round_seed, Param, ScenarioRegistry, ScenarioRun, SweepPoint};
+use vanet_scenarios::{round_seed, Param, ParamSchema, ScenarioRegistry, ScenarioRun, SweepPoint};
 use vanet_stats::{CellValue, RecordTable};
 use vanet_sweep::presets;
 use vanet_trace::codec::TRACE_MAGIC;
 use vanet_trace::{decode_frames, to_jsonl, TraceFrame, TraceRecord};
 
-use crate::cli::{strategy_values, Options};
+use crate::cli::{strategy_override, Options};
 use crate::commands::parse_seed;
 use crate::failure::CliFailure;
 use crate::gen_cmd::resolve_scenario;
@@ -69,17 +69,9 @@ fn parse_format(opts: &Options) -> Result<&str, String> {
 
 /// The one point override the scenario path accepts, mirroring `verify`:
 /// a single recovery strategy.
-fn strategy_point(opts: &Options) -> Result<SweepPoint, String> {
-    match opts.get("strategy") {
-        Some(raw) => {
-            let values = strategy_values(raw).map_err(|e| format!("--strategy: {e}"))?;
-            let [value] = values[..] else {
-                return Err("--strategy takes exactly one recovery strategy".into());
-            };
-            Ok(SweepPoint::new(vec![(Param::Strategy, value)]))
-        }
-        None => Ok(SweepPoint::empty()),
-    }
+fn strategy_point(schema: &ParamSchema, opts: &Options) -> Result<SweepPoint, String> {
+    let strategy = strategy_override(schema, opts, "strategy")?;
+    Ok(SweepPoint::new(strategy.map(|value| (Param::Strategy, value)).into_iter().collect()))
 }
 
 /// Loads the frames of a `CARQTRM1` trace file. A bare `CARQTRC1` file is
@@ -119,7 +111,8 @@ fn configure_scenario(
     let registry = ScenarioRegistry::builtin();
     let source = resolve_scenario(&registry, reference)?;
     let scenario = source.scenario(&registry);
-    let run = scenario.configure(&strategy_point(opts)?).map_err(|e| e.to_string())?;
+    let run =
+        scenario.configure(&strategy_point(scenario.schema(), opts)?).map_err(|e| e.to_string())?;
     let rounds: u32 = opts.get_parsed("rounds", run.rounds())?;
     if rounds == 0 {
         return Err("--rounds must be positive".into());
@@ -345,12 +338,8 @@ fn diff_side(
     let registry = ScenarioRegistry::builtin();
     let source = resolve_scenario(&registry, reference)?;
     let scenario = source.scenario(&registry);
-    let (point, label) = match opts.get(strategy_flag) {
-        Some(raw) => {
-            let values = strategy_values(raw).map_err(|e| format!("--{strategy_flag}: {e}"))?;
-            let [value] = values[..] else {
-                return Err(format!("--{strategy_flag} takes exactly one recovery strategy"));
-            };
+    let (point, label) = match strategy_override(scenario.schema(), opts, strategy_flag)? {
+        Some(value) => {
             (SweepPoint::new(vec![(Param::Strategy, value)]), format!("strategy {value}"))
         }
         None => (SweepPoint::empty(), "base configuration".to_string()),

@@ -13,24 +13,25 @@
 use vanet_fleet::ShardPlan;
 use vanet_gen::GenGrid;
 
-use crate::cli::Options;
+use crate::cli::{spec_values, Options};
 use crate::commands::{parse_count, parse_seed, write_shard_files};
 use crate::failure::CliFailure;
 use crate::pipeline::{FinalPass, Target};
 
 /// Builds the generator grid of `campaign plan` / `campaign run`: every
-/// generator schema parameter given as a `--PARAM v1,v2,...` flag becomes
-/// an axis, `--replicas R` multiplies each cell into R seed replicas.
+/// world schema parameter given as a `--PARAM v1,v2,...` flag becomes an
+/// axis, `--replicas R` multiplies each cell into R seed replicas.
 pub(crate) fn campaign_grid(opts: &Options) -> Result<GenGrid, String> {
     let Some(name) = opts.get("generator") else {
         return Err("campaign needs --generator NAME (see `carq-cli gen list`)".into());
     };
     let mut grid = GenGrid::new(name).map_err(|e| e.to_string())?;
-    let keys: Vec<&'static str> =
-        grid.generator().schema().params().iter().map(|s| s.key()).collect();
-    for key in keys {
+    let specs = grid.generator().schema().params().to_vec();
+    for spec in specs {
+        let key = spec.param.key();
         if let Some(raw) = opts.get(key) {
-            grid = grid.axis(key, raw).map_err(|e| format!("--{key}: {e}"))?;
+            let values = spec_values(&spec, raw).map_err(|e| format!("--{key}: {e}"))?;
+            grid = grid.axis(spec.param, values).map_err(|e| format!("--{key}: {e}"))?;
         }
     }
     let replicas: u32 = opts.get_parsed("replicas", 1)?;
@@ -40,10 +41,10 @@ pub(crate) fn campaign_grid(opts: &Options) -> Result<GenGrid, String> {
     Ok(grid.with_replicas(replicas))
 }
 
-/// Rejects flags outside `common` plus the grid's generator parameters.
+/// Rejects flags outside `common` plus the grid's world parameters.
 pub(crate) fn check_flags(grid: &GenGrid, opts: &Options, common: &[&str]) -> Result<(), String> {
     let mut known: Vec<&str> = common.to_vec();
-    known.extend(grid.generator().schema().params().iter().map(|s| s.key()));
+    known.extend(grid.generator().schema().params().iter().map(|s| s.param.key()));
     let unknown = opts.unknown_flags(&known);
     if unknown.is_empty() {
         Ok(())
@@ -81,7 +82,7 @@ pub(crate) fn campaign_plan_of(
 ) -> Result<(ShardPlan, Target), String> {
     let seed = parse_seed(opts)?;
     let rounds = campaign_rounds(opts)?;
-    let identities = grid.identities(seed).map_err(|e| e.to_string())?;
+    let identities = grid.identities(seed);
     let plan =
         ShardPlan::for_campaign(&identities, seed, rounds, count).map_err(|e| e.to_string())?;
     let generator = grid.generator().name;
@@ -98,23 +99,23 @@ pub(crate) fn campaign_plan_of(
     Ok((plan, target))
 }
 
-/// `carq-cli campaign plan`.
-pub fn campaign_plan(opts: &Options) -> Result<(), String> {
+/// `carq-cli campaign plan`: writes the shard files and returns the lines
+/// to print.
+pub fn campaign_plan(opts: &Options) -> Result<String, String> {
     let grid = campaign_grid(opts)?;
     check_flags(&grid, opts, &["generator", "replicas", "shards", "seed", "rounds", "out-dir"])?;
     let Some(out_dir) = opts.get("out-dir") else {
         return Err("campaign plan needs --out-dir DIR".into());
     };
     let (plan, _) = campaign_plan_of(&grid, opts, parse_count(opts, "shards", Some(1))?)?;
-    write_shard_files(&plan, out_dir)?;
-    println!(
-        "planned {} shard(s): {} generated `{}` scenario(s), master seed {:#x}",
+    let text = write_shard_files(&plan, out_dir)?;
+    Ok(format!(
+        "{text}planned {} shard(s): {} generated `{}` scenario(s), master seed {:#x}\n",
         plan.shards.len(),
         plan.total_units(),
         grid.generator().name,
         plan.master_seed,
-    );
-    Ok(())
+    ))
 }
 
 /// `carq-cli campaign run` — the whole pipeline, locally: expand the grid,

@@ -33,6 +33,7 @@ use crate::campaign::{campaign_grid, campaign_plan_of, check_flags};
 use crate::cli::Options;
 use crate::commands::{parse_count, parse_seed, preset_plan, DEFAULT_SWEEP_ROUNDS};
 use crate::failure::CliFailure;
+use crate::output;
 use crate::pipeline::{parse_resilience, run_pipeline, PipelineCommon};
 
 /// Default schedule seed when neither `--fault-seed` nor `--faults` is
@@ -202,14 +203,13 @@ pub fn chaos_cmd(opts: &Options) -> Result<(), CliFailure> {
         )));
     }
 
-    println!(
+    std::fs::remove_dir_all(&base).ok();
+    output::print(&format!(
         "chaos: PASS — exports byte-identical after {} worker restart(s), \
-         0 of {} round record(s) lost",
+         0 of {} round record(s) lost\n",
         faulted.restarts,
         clean_keys.len(),
-    );
-    std::fs::remove_dir_all(&base).ok();
-    Ok(())
+    ))
 }
 
 #[cfg(test)]

@@ -2,8 +2,7 @@
 //! access, so no clap): `--flag value` pairs after the subcommand words,
 //! plus a declared set of valueless `--switch` flags.
 
-use carq::{RequestStrategy, SelectionStrategy};
-use vanet_sweep::ParamValue;
+use vanet_scenarios::{Param, ParamError, ParamSchema, ParamSpec, ParamValue};
 
 /// Parsed `--flag value` options, preserving lookup by flag name.
 #[derive(Debug, Default)]
@@ -79,96 +78,32 @@ pub fn split_list(raw: &str) -> Result<Vec<&str>, String> {
     Ok(items)
 }
 
-/// Parses a comma-separated list of floats into sweep values. Range
-/// checking happens downstream against the scenario's typed schema, so bad
-/// magnitudes get the schema's error message rather than a parser guess.
-pub fn float_values(raw: &str) -> Result<Vec<ParamValue>, String> {
-    split_list(raw)?
-        .into_iter()
-        .map(|item| {
-            item.parse::<f64>()
-                .map(ParamValue::Float)
-                .map_err(|_| format!("`{item}` is not a number"))
-        })
-        .collect()
+/// Parses a `--PARAM v1,v2,...` list with `spec`'s one text parser
+/// ([`ParamSpec::parse`]). Range checking happens against the schema, so
+/// bad magnitudes get the schema's error message rather than a parser
+/// guess.
+pub fn spec_values(spec: &ParamSpec, raw: &str) -> Result<Vec<ParamValue>, String> {
+    split_list(raw)?.into_iter().map(|item| spec.parse(item)).collect()
 }
 
-/// Parses a comma-separated list of unsigned integers into sweep values.
-pub fn int_values(raw: &str) -> Result<Vec<ParamValue>, String> {
-    split_list(raw)?
-        .into_iter()
-        .map(|item| {
-            item.parse::<u64>()
-                .map(ParamValue::Int)
-                .map_err(|_| format!("`{item}` is not an unsigned integer"))
-        })
-        .collect()
-}
-
-/// Parses `on,off`-style cooperation lists.
-pub fn bool_values(raw: &str) -> Result<Vec<ParamValue>, String> {
-    split_list(raw)?
-        .into_iter()
-        .map(|item| match item {
-            "on" | "true" | "1" => Ok(ParamValue::Bool(true)),
-            "off" | "false" | "0" => Ok(ParamValue::Bool(false)),
-            other => Err(format!("`{other}` is not on/off")),
-        })
-        .collect()
-}
-
-/// Parses one selection-strategy name: `all`, `firstK` or `strongK`.
-pub fn selection_value(item: &str) -> Result<ParamValue, String> {
-    fn bounded(item: &str, k_raw: &str) -> Result<usize, String> {
-        let k: usize = k_raw.parse().map_err(|_| format!("`{item}`: `{k_raw}` is not a count"))?;
-        if k == 0 {
-            return Err(format!("`{item}`: the cooperator count must be positive"));
-        }
-        Ok(k)
-    }
-    if item == "all" {
-        Ok(ParamValue::Selection(SelectionStrategy::AllNeighbours))
-    } else if let Some(k_raw) = item.strip_prefix("first") {
-        let k = bounded(item, k_raw)?;
-        Ok(ParamValue::Selection(SelectionStrategy::FirstHeard { k }))
-    } else if let Some(k_raw) = item.strip_prefix("strong") {
-        let k = bounded(item, k_raw)?;
-        Ok(ParamValue::Selection(SelectionStrategy::StrongestSignal { k }))
-    } else {
-        Err(format!("`{item}` is not a selection strategy (all, firstK, strongK)"))
-    }
-}
-
-/// Parses a comma-separated list of selection strategies.
-pub fn selection_values(raw: &str) -> Result<Vec<ParamValue>, String> {
-    split_list(raw)?.into_iter().map(selection_value).collect()
-}
-
-/// Parses a comma-separated list of REQUEST strategies.
-pub fn request_values(raw: &str) -> Result<Vec<ParamValue>, String> {
-    split_list(raw)?
-        .into_iter()
-        .map(|item| match item {
-            "per-packet" => Ok(ParamValue::Request(RequestStrategy::PerPacket)),
-            "batched" => Ok(ParamValue::Request(RequestStrategy::Batched)),
-            other => Err(format!("`{other}` is not a REQUEST strategy (per-packet, batched)")),
-        })
-        .collect()
-}
-
-/// Parses a comma-separated list of recovery-strategy names.
-pub fn strategy_values(raw: &str) -> Result<Vec<ParamValue>, String> {
-    split_list(raw)?
-        .into_iter()
-        .map(|item| match carq::RecoveryStrategyKind::from_name(item) {
-            Some(kind) => Ok(ParamValue::Strategy(kind)),
-            None => {
-                let names: Vec<&str> =
-                    carq::RecoveryStrategyKind::ALL.iter().map(|k| k.name()).collect();
-                Err(format!("`{item}` is not a recovery strategy ({})", names.join(", ")))
-            }
-        })
-        .collect()
+/// The one point override `verify` and `analyze` accept: a single
+/// recovery strategy given as `--{flag} NAME`, parsed by `schema`'s spec of
+/// the parameter. `None` without the flag.
+pub fn strategy_override(
+    schema: &ParamSchema,
+    opts: &Options,
+    flag: &str,
+) -> Result<Option<ParamValue>, String> {
+    let Some(raw) = opts.get(flag) else { return Ok(None) };
+    let spec = schema.spec(Param::Strategy).ok_or_else(|| {
+        let params = vec![Param::Strategy];
+        ParamError::Unknown { scenario: schema.scenario(), params }.to_string()
+    })?;
+    let values = spec_values(spec, raw).map_err(|e| format!("--{flag}: {e}"))?;
+    let [value] = values[..] else {
+        return Err(format!("--{flag} takes exactly one recovery strategy"));
+    };
+    Ok(Some(value))
 }
 
 #[cfg(test)]
@@ -225,38 +160,27 @@ mod tests {
     }
 
     #[test]
-    fn value_list_parsers() {
-        assert_eq!(float_values("10,20.5").unwrap().len(), 2);
-        assert_eq!(int_values("1,2,3").unwrap().len(), 3);
+    fn value_lists_parse_through_the_spec() {
+        use carq::RecoveryStrategyKind;
+        let cars = ParamSpec::int(Param::NCars, "cars", 3, 1, 32);
+        assert_eq!(spec_values(&cars, "1, 2,3").unwrap().len(), 3);
+        assert!(spec_values(&cars, "1,,2").unwrap_err().contains("empty item"));
+        assert!(spec_values(&cars, "1.5").unwrap_err().contains("unsigned integer"));
+        let strategy = ParamSpec::strategy(Param::Strategy, "arq", RecoveryStrategyKind::CoopArq);
+        let schema = ParamSchema::new("s", vec![strategy]);
+        let flag = |args: &[&str]| {
+            strategy_override(&schema, &Options::parse(&strs(args)).unwrap(), "strategy")
+        };
+        assert_eq!(flag(&[]), Ok(None));
         assert_eq!(
-            bool_values("on,off").unwrap(),
-            vec![ParamValue::Bool(true), ParamValue::Bool(false)]
+            flag(&["--strategy", "no-coop"]),
+            Ok(Some(ParamValue::Strategy(RecoveryStrategyKind::NoCoop)))
         );
-        assert!(float_values("10,,20").is_err());
-        assert!(int_values("1.5").is_err());
-        assert!(bool_values("maybe").is_err());
-    }
-
-    #[test]
-    fn strategy_parsers() {
-        use carq::{RequestStrategy, SelectionStrategy};
-        assert_eq!(
-            selection_values("all,first2,strong1").unwrap(),
-            vec![
-                ParamValue::Selection(SelectionStrategy::AllNeighbours),
-                ParamValue::Selection(SelectionStrategy::FirstHeard { k: 2 }),
-                ParamValue::Selection(SelectionStrategy::StrongestSignal { k: 1 }),
-            ]
-        );
-        assert!(selection_values("first0").is_err());
-        assert!(selection_values("bogus").is_err());
-        assert_eq!(
-            request_values("per-packet,batched").unwrap(),
-            vec![
-                ParamValue::Request(RequestStrategy::PerPacket),
-                ParamValue::Request(RequestStrategy::Batched),
-            ]
-        );
-        assert!(request_values("unicast").is_err());
+        assert!(flag(&["--strategy", "no-coop,coop-arq"]).unwrap_err().contains("exactly one"));
+        assert!(flag(&["--strategy", "bogus"]).unwrap_err().starts_with("--strategy: `bogus`"));
+        let without = ParamSchema::new("bare", vec![cars]);
+        let opts = Options::parse(&strs(&["--strategy", "no-coop"])).unwrap();
+        let err = strategy_override(&without, &opts, "strategy").unwrap_err();
+        assert!(err.contains("does not consume parameter(s): strategy"), "{err}");
     }
 }

@@ -8,7 +8,7 @@ use vanet_analysis::{AnalysisStore, DigestCodec};
 use vanet_cache::{Journal, RecordCodec, SweepCache};
 use vanet_fleet::{Shard, ShardPlan};
 use vanet_scenarios::{
-    run_point, Param, ParamKind, ParamValue, Scenario, ScenarioRegistry, SweepPoint, UrbanScenario,
+    run_point, Param, ParamSpec, ParamValue, Scenario, ScenarioRegistry, SweepPoint, UrbanScenario,
 };
 use vanet_stats::{
     into_round_results, joint_series, recovery_series, render_series_csv, render_table1, table1,
@@ -16,10 +16,7 @@ use vanet_stats::{
 };
 use vanet_sweep::{presets, SweepEngine, SweepSpec};
 
-use crate::cli::{
-    bool_values, float_values, int_values, request_values, selection_values, strategy_values,
-    Options,
-};
+use crate::cli::{spec_values, Options};
 use crate::failure::CliFailure;
 use crate::output;
 use crate::pipeline::{FinalPass, Target};
@@ -310,8 +307,10 @@ pub fn dispatch(args: &[String]) -> Result<(), CliFailure> {
             .into()),
         },
         Some("fleet") => match args.get(1).map(String::as_str) {
-            Some("shard") => Ok(fleet_shard(&Options::parse(&args[2..])?)?),
-            Some("merge") => Ok(fleet_merge(&Options::parse_with_switches(&args[2..], &["all"])?)?),
+            Some("shard") => output::print(&fleet_shard(&Options::parse(&args[2..])?)?),
+            Some("merge") => {
+                output::print(&fleet_merge(&Options::parse_with_switches(&args[2..], &["all"])?)?)
+            }
             Some("run") => fleet_run(&Options::parse(&args[2..])?),
             other => Err(format!(
                 "unknown fleet subcommand `{}` (expected shard, worker, merge or run)",
@@ -342,7 +341,9 @@ pub fn dispatch(args: &[String]) -> Result<(), CliFailure> {
             .into()),
         },
         Some("campaign") => match args.get(1).map(String::as_str) {
-            Some("plan") => Ok(crate::campaign::campaign_plan(&Options::parse(&args[2..])?)?),
+            Some("plan") => {
+                output::print(&crate::campaign::campaign_plan(&Options::parse(&args[2..])?)?)
+            }
             Some("run") => crate::campaign::campaign_run(&Options::parse(&args[2..])?),
             other => Err(format!(
                 "unknown campaign subcommand `{}` (expected plan, worker or run)",
@@ -350,13 +351,13 @@ pub fn dispatch(args: &[String]) -> Result<(), CliFailure> {
             )
             .into()),
         },
-        Some("trace") => Ok(crate::trace::trace_cmd(&Options::parse(&args[1..])?)?),
+        Some("trace") => output::print(&crate::trace::trace_cmd(&Options::parse(&args[1..])?)?),
         Some("analyze") => crate::analyze::analyze_dispatch(&args[1..]),
         Some("chaos") => crate::chaos::chaos_cmd(&Options::parse(&args[1..])?),
         Some("cache") => match args.get(1).map(String::as_str) {
-            Some("stats") => Ok(cache_stats(&Options::parse(&args[2..])?)?),
-            Some("compact") => Ok(cache_compact(&Options::parse(&args[2..])?)?),
-            Some("clear") => Ok(cache_clear(&Options::parse(&args[2..])?)?),
+            Some("stats") => output::print(&cache_stats(&Options::parse(&args[2..])?)?),
+            Some("compact") => output::print(&cache_compact(&Options::parse(&args[2..])?)?),
+            Some("clear") => output::print(&cache_clear(&Options::parse(&args[2..])?)?),
             other => Err(format!(
                 "unknown cache subcommand `{}` (expected stats, compact or clear)",
                 other.unwrap_or("")
@@ -415,32 +416,20 @@ fn scenario_describe(name: &str) -> Result<String, String> {
     ))
 }
 
-/// A `--flag value` → axis-values parser.
-type AxisParser = fn(&str) -> Result<Vec<ParamValue>, String>;
-
-fn parser_for(kind: ParamKind) -> AxisParser {
-    match kind {
-        ParamKind::Float => float_values,
-        ParamKind::Int => int_values,
-        ParamKind::Bool => bool_values,
-        ParamKind::Selection => selection_values,
-        ParamKind::Request => request_values,
-        ParamKind::Strategy => strategy_values,
-    }
-}
-
 /// The parameter vocabulary the CLI accepts, derived from the registry:
 /// `scenario`'s own schema parameters first (in schema order), then every
 /// parameter any other registered scenario declares. Nothing is
 /// hard-coded, so a new scenario's parameters become flags the moment it
 /// registers; the cross-scenario tail is what `--allow-unknown` can drop.
-fn vocabulary(registry: &ScenarioRegistry, scenario: &dyn Scenario) -> Vec<(Param, ParamKind)> {
-    let mut ordered: Vec<(Param, ParamKind)> =
-        scenario.schema().params().iter().map(|s| (s.param, s.kind)).collect();
+fn vocabulary<'a>(
+    registry: &'a ScenarioRegistry,
+    scenario: &'a dyn Scenario,
+) -> Vec<&'a ParamSpec> {
+    let mut ordered: Vec<&ParamSpec> = scenario.schema().params().iter().collect();
     for other in registry.iter() {
         for spec in other.schema().params() {
-            if !ordered.iter().any(|(p, _)| *p == spec.param) {
-                ordered.push((spec.param, spec.kind));
+            if !ordered.iter().any(|s| s.param == spec.param) {
+                ordered.push(spec);
             }
         }
     }
@@ -452,15 +441,16 @@ fn vocabulary(registry: &ScenarioRegistry, scenario: &dyn Scenario) -> Vec<(Para
 /// same flags always produce the same point order and per-point seeds.
 /// With no parameter flags the spec is the single base-configuration point.
 fn scenario_spec(
-    vocabulary: &[(Param, ParamKind)],
+    vocabulary: &[&ParamSpec],
     opts: &Options,
     seed: u64,
 ) -> Result<SweepSpec, String> {
     let mut spec = SweepSpec::new(seed);
-    for (param, kind) in vocabulary {
-        if let Some(raw) = opts.get(param.key()) {
-            let values = parser_for(*kind)(raw).map_err(|e| format!("--{}: {e}", param.key()))?;
-            spec = spec.axis(*param, values);
+    for param_spec in vocabulary {
+        let key = param_spec.param.key();
+        if let Some(raw) = opts.get(key) {
+            let values = spec_values(param_spec, raw).map_err(|e| format!("--{key}: {e}"))?;
+            spec = spec.axis(param_spec.param, values);
         }
     }
     if spec.is_empty() {
@@ -476,7 +466,7 @@ fn scenario_run(name: &str, opts: &Options) -> Result<(), CliFailure> {
     let scenario = source.scenario(&registry);
     let vocabulary = vocabulary(&registry, scenario);
     let mut known: Vec<&str> = vec!["seed", "threads", "format", "out", "cache"];
-    known.extend(vocabulary.iter().map(|(p, _)| p.key()));
+    known.extend(vocabulary.iter().map(|s| s.param.key()));
     let unknown = opts.unknown_flags(&known);
     if !unknown.is_empty() {
         return Err(format!(
@@ -643,19 +633,20 @@ pub(crate) fn shard_file_name(index: usize) -> String {
 }
 
 /// Writes every shard of `plan` into `out_dir` (`fleet shard`, `campaign
-/// plan`), one line per file.
-pub(crate) fn write_shard_files(plan: &ShardPlan, out_dir: &str) -> Result<(), String> {
+/// plan`); returns one line per file to print.
+pub(crate) fn write_shard_files(plan: &ShardPlan, out_dir: &str) -> Result<String, String> {
     std::fs::create_dir_all(out_dir).map_err(|e| format!("cannot create {out_dir}: {e}"))?;
+    let mut text = String::new();
     for shard in &plan.shards {
         let path = Path::new(out_dir).join(shard_file_name(shard.index));
         std::fs::write(&path, shard.encode())
             .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        println!("{}  {} unit(s)", path.display(), shard.total_units());
+        let _ = writeln!(text, "{}  {} unit(s)", path.display(), shard.total_units());
     }
-    Ok(())
+    Ok(text)
 }
 
-fn fleet_shard(opts: &Options) -> Result<(), String> {
+fn fleet_shard(opts: &Options) -> Result<String, String> {
     let unknown =
         opts.unknown_flags(&["preset", "shards", "rounds", "seed", "round-chunk", "out-dir"]);
     if !unknown.is_empty() {
@@ -665,15 +656,16 @@ fn fleet_shard(opts: &Options) -> Result<(), String> {
         return Err("fleet shard needs --out-dir DIR".into());
     };
     let (plan, _) = preset_plan(opts, parse_count(opts, "shards", None)?)?;
-    write_shard_files(&plan, out_dir)?;
-    println!(
+    let mut text = write_shard_files(&plan, out_dir)?;
+    let _ = writeln!(
+        text,
         "planned {} shard(s) of `{}` ({} unit(s) total, master seed {:#x})",
         plan.shards.len(),
         opts.get("preset").unwrap_or_default(),
         plan.total_units(),
         plan.master_seed,
     );
-    Ok(())
+    Ok(text)
 }
 
 /// `carq-cli fleet worker`, alias `campaign worker`: executes any shard
@@ -712,7 +704,7 @@ fn fleet_worker(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-fn fleet_merge(opts: &Options) -> Result<(), String> {
+fn fleet_merge(opts: &Options) -> Result<String, String> {
     let unknown = opts.unknown_flags(&["cache", "from"]);
     if !unknown.is_empty() {
         return Err(format!("unknown flags: --{}", unknown.join(", --")));
@@ -727,9 +719,10 @@ fn fleet_merge(opts: &Options) -> Result<(), String> {
         crate::cli::split_list(from)?.into_iter().map(PathBuf::from).collect();
     let cache = SweepCache::open(dest).map_err(|e| e.to_string())?;
     let report = vanet_cache::merge_into(&cache, &sources).map_err(|e| e.to_string())?;
-    print_merge_report(&report);
+    let mut text = merge_report(&report);
     let stats = cache.stats();
-    println!(
+    let _ = writeln!(
+        text,
         "merged cache: {} round report(s), {} byte(s) in {dest}",
         stats.entries, stats.file_bytes
     );
@@ -738,7 +731,8 @@ fn fleet_merge(opts: &Options) -> Result<(), String> {
         // ran `analyze --cache` leave digests next to their round
         // reports); sources without one are skipped, not errors.
         let report = vanet_fleet::merge_analysis(dest, &sources).map_err(|e| e.to_string())?;
-        println!(
+        let _ = writeln!(
+            text,
             "merge: analysis: {} journal(s): {} digest(s) ingested, {} duplicate(s) skipped, \
              {} superseded",
             report.sources,
@@ -747,27 +741,31 @@ fn fleet_merge(opts: &Options) -> Result<(), String> {
             report.records_superseded,
         );
     }
-    Ok(())
+    Ok(text)
 }
 
-fn print_merge_report(report: &vanet_cache::MergeReport) {
-    println!(
-        "merge: {} source(s): {} record(s) ingested, {} duplicate(s) skipped",
+/// The status lines of one journal merge.
+fn merge_report(report: &vanet_cache::MergeReport) -> String {
+    let mut text = format!(
+        "merge: {} source(s): {} record(s) ingested, {} duplicate(s) skipped\n",
         report.sources, report.records_ingested, report.records_duplicate,
     );
     if report.records_superseded > 0 {
-        println!(
+        let _ = writeln!(
+            text,
             "merge: {} conflicting record(s) superseded (last write wins) — the sources \
              disagree; were they produced by different code versions?",
             report.records_superseded,
         );
     }
     if report.torn_bytes_dropped > 0 {
-        println!(
+        let _ = writeln!(
+            text,
             "merge: dropped {} torn trailing byte(s) from source journal(s)",
             report.torn_bytes_dropped,
         );
     }
+    text
 }
 
 fn fleet_run(opts: &Options) -> Result<(), CliFailure> {
@@ -801,69 +799,74 @@ fn cache_dir<'o>(opts: &'o Options, action: &str) -> Result<&'o str, String> {
     opts.get("cache").ok_or_else(|| format!("cache {action} needs --cache DIR"))
 }
 
-fn cache_stats(opts: &Options) -> Result<(), String> {
+fn cache_stats(opts: &Options) -> Result<String, String> {
     let dir = cache_dir(opts, "stats")?;
     // Lock-free: stats must work while a sweep or an analysis holds a
     // writer lock.
     let rounds = SweepCache::open_read_only(dir).map_err(|e| e.to_string())?;
-    print_journal_stats(&rounds, "round report(s)");
+    let mut text = journal_stats(&rounds, "round report(s)");
     if Path::new(dir).join(DigestCodec::FILE).exists() {
         let digests = AnalysisStore::open_read_only(dir).map_err(|e| e.to_string())?;
-        print_journal_stats(&digests, "digest(s)");
+        text.push_str(&journal_stats(&digests, "digest(s)"));
     }
-    Ok(())
+    Ok(text)
 }
 
-/// Prints one journal's `cache stats` block; `what` names its records.
-fn print_journal_stats<C: RecordCodec>(journal: &Journal<C>, what: &str) {
+/// One journal's `cache stats` block; `what` names its records.
+fn journal_stats<C: RecordCodec>(journal: &Journal<C>, what: &str) -> String {
     let stats = journal.stats();
-    println!("journal: {}", journal.journal_path().display());
-    println!("entries: {} {what}, {} byte(s)", stats.entries, stats.file_bytes);
+    let mut text = format!(
+        "journal: {}\nentries: {} {what}, {} byte(s)\n",
+        journal.journal_path().display(),
+        stats.entries,
+        stats.file_bytes
+    );
     if stats.recovered_bytes > 0 {
-        println!(
+        let _ = writeln!(
+            text,
             "torn tail: {} byte(s) ignored (the next writable open truncates them)",
             stats.recovered_bytes
         );
     }
     if stats.reclaimable_bytes() > 0 {
-        println!(
+        let _ = writeln!(
+            text,
             "compactable: {} byte(s) reclaimable by `carq-cli cache compact`",
             stats.reclaimable_bytes()
         );
     }
     for (scenario, count) in &stats.scenarios {
-        println!("  {scenario:<12} {count} {what}");
+        let _ = writeln!(text, "  {scenario:<12} {count} {what}");
     }
+    text
 }
 
-fn cache_compact(opts: &Options) -> Result<(), String> {
+fn cache_compact(opts: &Options) -> Result<String, String> {
     let dir = cache_dir(opts, "compact")?;
-    compact_journal(&SweepCache::open(dir).map_err(|e| e.to_string())?)?;
+    let mut text = compact_journal(&SweepCache::open(dir).map_err(|e| e.to_string())?)?;
     if Path::new(dir).join(DigestCodec::FILE).exists() {
-        compact_journal(&AnalysisStore::open(dir).map_err(|e| e.to_string())?)?;
+        text.push_str(&compact_journal(&AnalysisStore::open(dir).map_err(|e| e.to_string())?)?);
     }
-    Ok(())
+    Ok(text)
 }
 
-/// Compacts one journal and prints what that reclaimed.
-fn compact_journal<C: RecordCodec>(journal: &Journal<C>) -> Result<(), String> {
+/// Compacts one journal; returns the line saying what that reclaimed.
+fn compact_journal<C: RecordCodec>(journal: &Journal<C>) -> Result<String, String> {
     let before = journal.stats();
     let reclaimed = journal.compact().map_err(|e| e.to_string())?;
-    println!(
-        "compacted {}: {reclaimed} byte(s) reclaimed ({} -> {} bytes, {} record(s) live)",
+    Ok(format!(
+        "compacted {}: {reclaimed} byte(s) reclaimed ({} -> {} bytes, {} record(s) live)\n",
         journal.journal_path().display(),
         before.file_bytes,
         journal.stats().file_bytes,
         before.entries,
-    );
-    Ok(())
+    ))
 }
 
-fn cache_clear(opts: &Options) -> Result<(), String> {
+fn cache_clear(opts: &Options) -> Result<String, String> {
     let dir = cache_dir(opts, "clear")?;
     let bytes = vanet_cache::clear(dir).map_err(|e| e.to_string())?;
-    println!("cleared {dir}: {bytes} byte(s) removed");
-    Ok(())
+    Ok(format!("cleared {dir}: {bytes} byte(s) removed\n"))
 }
 
 pub(crate) fn parse_seed(opts: &Options) -> Result<u64, String> {
@@ -978,8 +981,8 @@ mod tests {
         let vocab = vocabulary(&registry, urban);
         // The vocabulary covers every registered scenario's parameters, the
         // target scenario's own schema first.
-        assert_eq!(vocab[0].0, Param::SpeedKmh);
-        assert!(vocab.iter().any(|(p, _)| *p == Param::FileBlocks), "multi-ap params included");
+        assert_eq!(vocab[0].param, Param::SpeedKmh);
+        assert!(vocab.iter().any(|s| s.param == Param::FileBlocks), "multi-ap params included");
         // Flags given in reverse order still expand schema-first.
         let opts = switch_opts(&["--n_cars", "2,3", "--speed_kmh", "10,20"]);
         let spec = scenario_spec(&vocab, &opts, 1).unwrap();

@@ -10,8 +10,8 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
-use vanet_gen::{GenValue, GeneratedScenario, Generator};
-use vanet_scenarios::{Scenario, ScenarioRegistry};
+use vanet_gen::{GeneratedScenario, Generator};
+use vanet_scenarios::{ParamValue, Scenario, ScenarioRegistry};
 
 use crate::cli::Options;
 use crate::commands::parse_seed;
@@ -63,8 +63,7 @@ pub fn resolve_scenario(
 }
 
 fn lookup_generator(name: &str) -> Result<Generator, String> {
-    vanet_gen::generators::find(name)
-        .ok_or_else(|| format!("unknown generator `{name}` (see `carq-cli gen list`)"))
+    vanet_gen::generators::lookup(name).map_err(|e| e.to_string())
 }
 
 /// `carq-cli gen list`: the generators as a table.
@@ -83,43 +82,36 @@ pub fn gen_list() -> String {
     text
 }
 
-/// `carq-cli gen describe NAME`: a generator's parameter schema.
+/// `carq-cli gen describe NAME`: a generator's world schema, in the table
+/// `scenario describe` prints.
 pub fn gen_describe(name: &str) -> Result<String, String> {
     let generator = lookup_generator(name)?;
-    let mut text = format!("{} — {}\n\n", generator.name, generator.description);
-    for spec in generator.schema().params() {
-        let _ = writeln!(
-            text,
-            "  --{:<18} {:<28} default {}",
-            spec.key(),
-            spec.render_kind(),
-            spec.default_value()
-        );
-        let _ = writeln!(text, "      {}", spec.doc());
-    }
-    let _ = writeln!(
-        text,
-        "\nemit a world with `carq-cli gen emit {} --PARAM value ... --out world.gen`; \
-         sweep populations with `carq-cli campaign run --generator {}`",
-        generator.name, generator.name
-    );
-    Ok(text)
+    Ok(format!(
+        "{} — {}\n\n{}\nemit a world with `carq-cli gen emit {} --PARAM value ... --out world.gen`; \
+         sweep populations with `carq-cli campaign run --generator {}`\n",
+        generator.name,
+        generator.description,
+        generator.schema().render(),
+        generator.name,
+        generator.name
+    ))
 }
 
-/// Parses the single-valued generator-parameter flags of `gen emit` into
-/// schema assignments.
+/// Parses the single-valued world-parameter flags of `gen emit` into
+/// checked assignments.
 fn parse_assignments(
     generator: &Generator,
     opts: &Options,
-) -> Result<Vec<(String, GenValue)>, String> {
+) -> Result<Vec<(String, ParamValue)>, String> {
     let mut assignments = Vec::new();
     for spec in generator.schema().params() {
-        if let Some(raw) = opts.get(spec.key()) {
-            let value = generator
-                .schema()
-                .parse_value(spec.key(), raw)
-                .map_err(|e| format!("--{}: {e}", spec.key()))?;
-            assignments.push((spec.key().to_string(), value));
+        let key = spec.param.key();
+        if let Some(raw) = opts.get(key) {
+            let value = spec
+                .parse(raw)
+                .and_then(|v| spec.check(generator.name, v).map_err(|e| e.to_string()))
+                .map_err(|e| format!("--{key}: {e}"))?;
+            assignments.push((key.to_string(), value));
         }
     }
     Ok(assignments)
@@ -130,7 +122,7 @@ fn parse_assignments(
 pub fn gen_emit(name: &str, opts: &Options) -> Result<String, String> {
     let generator = lookup_generator(name)?;
     let mut known: Vec<&str> = vec!["seed", "out"];
-    known.extend(generator.schema().params().iter().map(|s| s.key()));
+    known.extend(generator.schema().params().iter().map(|s| s.param.key()));
     let unknown = opts.unknown_flags(&known);
     if !unknown.is_empty() {
         return Err(format!(
@@ -140,7 +132,7 @@ pub fn gen_emit(name: &str, opts: &Options) -> Result<String, String> {
         ));
     }
     let assignments = parse_assignments(&generator, opts)?;
-    let scenario = vanet_gen::instantiate_with(&generator, &assignments, parse_seed(opts)?)
+    let scenario = vanet_gen::instantiate(generator.name, &assignments, parse_seed(opts)?)
         .map_err(|e| e.to_string())?;
     let text = vanet_gen::encode(scenario.identity());
     match opts.get("out") {

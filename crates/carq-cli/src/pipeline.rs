@@ -567,22 +567,21 @@ pub(crate) fn run_command(
         faults,
     };
     let outcome = run_pipeline(plan, target, &common)?;
-    match opts.get("out") {
-        Some(path) => std::fs::write(path, &outcome.export.text)
-            .map_err(|e| format!("cannot write {path}: {e}"))?,
-        None => print!("{}", outcome.export.text),
+    let delivered = crate::output::emit(opts.get("out"), &outcome.export.text);
+    match &outcome.gap_report {
+        // The partial export above is still delivered, even to a reader
+        // that closed standard output; the exit code and the gap report say
+        // the coverage is incomplete.
+        Some(gap) if delivered.as_ref().err().is_none_or(CliFailure::is_closed_stdout) => {
+            Err(CliFailure::degraded(format!(
+                "{kind} run degraded: {} shard(s) quarantined after retries; partial export \
+                 delivered, coverage gap report at {}",
+                outcome.quarantined.len(),
+                gap.display(),
+            )))
+        }
+        _ => delivered,
     }
-    if let Some(gap) = &outcome.gap_report {
-        // The partial export above is still delivered; the exit code and
-        // the gap report say the coverage is incomplete.
-        return Err(CliFailure::degraded(format!(
-            "{kind} run degraded: {} shard(s) quarantined after retries; partial export \
-             delivered, coverage gap report at {}",
-            outcome.quarantined.len(),
-            gap.display(),
-        )));
-    }
-    Ok(())
 }
 
 #[cfg(test)]

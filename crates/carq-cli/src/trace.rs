@@ -31,7 +31,7 @@ fn parse_round_range(raw: &str) -> Result<Range<u32>, String> {
 
 /// `carq-cli trace --scenario NAME|FILE [--rounds A..B] [--seed S] --out
 /// FILE`.
-pub fn trace_cmd(opts: &Options) -> Result<(), String> {
+pub fn trace_cmd(opts: &Options) -> Result<String, String> {
     let unknown = opts.unknown_flags(&["scenario", "rounds", "seed", "out"]);
     if !unknown.is_empty() {
         return Err(format!("unknown flags: --{}", unknown.join(", --")));
@@ -89,14 +89,14 @@ pub fn trace_cmd(opts: &Options) -> Result<(), String> {
         std::fs::write(out, vanet_trace::encode_frames(&frames))
     }
     .map_err(|e| format!("cannot write {out}: {e}"))?;
-    println!(
-        "{out}: {total} trace record(s) of `{}` rounds {}..{} in {} frame(s), master seed {seed:#x}",
+    Ok(format!(
+        "{out}: {total} trace record(s) of `{}` rounds {}..{} in {} frame(s), master seed \
+         {seed:#x}\n",
         scenario.name(),
         range.start,
         range.end,
         frames.len()
-    );
-    Ok(())
+    ))
 }
 
 #[cfg(test)]

@@ -13,6 +13,8 @@
 //! shows up as a mismatch. The invariant catalogue is documented in
 //! `docs/OBSERVABILITY.md`.
 
+use std::fmt::Write as _;
+
 use vanet_scenarios::{round_seed, Param, ScenarioRegistry, ScenarioRun, SweepPoint};
 use vanet_stats::RoundReport;
 use vanet_trace::TraceRecord;
@@ -143,17 +145,13 @@ pub fn verify_cmd(opts: &Options) -> Result<(), CliFailure> {
     // The recovery strategy is the one point override verify accepts: the
     // invariant catalogue is strategy-generic, so each rival scheme must
     // hold up under the same checks as the paper's C-ARQ.
-    let (point, configuration) = match opts.get("strategy") {
-        Some(raw) => {
-            let values =
-                crate::cli::strategy_values(raw).map_err(|e| format!("--strategy: {e}"))?;
-            let [value] = values[..] else {
-                return Err("--strategy takes exactly one recovery strategy".into());
-            };
-            (SweepPoint::new(vec![(Param::Strategy, value)]), format!("strategy {value}"))
-        }
-        None => (SweepPoint::empty(), "base configuration".to_string()),
-    };
+    let (point, configuration) =
+        match crate::cli::strategy_override(scenario.schema(), opts, "strategy")? {
+            Some(value) => {
+                (SweepPoint::new(vec![(Param::Strategy, value)]), format!("strategy {value}"))
+            }
+            None => (SweepPoint::empty(), "base configuration".to_string()),
+        };
     let run = scenario.configure(&point).map_err(|e| e.to_string())?;
     let rounds: u32 = opts.get_parsed("rounds", run.rounds())?;
     if rounds == 0 {
@@ -195,14 +193,16 @@ fn render_verdict(
              stream is vacuous (is tracing enabled for this scenario?)"
         )));
     }
+    let mut text = String::new();
     for (invariant, checked) in coverage {
-        println!("verify:   {invariant:<24} {checked:>8} record(s) checked");
+        let _ = writeln!(text, "verify:   {invariant:<24} {checked:>8} record(s) checked");
     }
-    println!(
+    let _ = writeln!(
+        text,
         "verify: {name}: {rounds} round(s), {records_total} trace record(s), \
          all invariants hold"
     );
-    Ok(())
+    crate::output::print(&text)
 }
 
 #[cfg(test)]

@@ -96,7 +96,28 @@ fn a_closed_stdout_exits_zero_without_a_panic() {
     );
     assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
     let trace = trace.to_str().unwrap();
+    // A journal for the `cache` status commands, and places for the files
+    // the planners and the tracer write.
+    let cache = dir.join("cache");
+    let cache = cache.to_str().unwrap();
+    let out =
+        carq(&["scenario", "run", "urban", "--rounds", "1", "--threads", "1", "--cache", cache]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let merged = dir.join("merged");
+    let merged = merged.to_str().unwrap();
+    let shards = dir.join("shards");
+    let shards = shards.to_str().unwrap();
+    let retraced = dir.join("again.trc");
+    let retraced = retraced.to_str().unwrap();
     for args in [
+        &["cache", "stats", "--cache", cache][..],
+        &["cache", "compact", "--cache", cache][..],
+        &["fleet", "merge", "--cache", merged, "--from", cache][..],
+        &["fleet", "shard", "--preset", "urban-platoon", "--rounds", "1", "--shards", "2"][..],
+        &["campaign", "plan", "--generator", "platoon-merge", "--rounds", "1"][..],
+        &["verify", "--scenario", "urban", "--rounds", "1"][..],
+        &["trace", "--scenario", "urban", "--rounds", "0..1", "--out", retraced][..],
+        &["gen", "emit", "platoon-merge", "--n_ramp", "2"][..],
         &["analyze", "timeline", "--trace", trace, "--node", "1", "--round", "5"][..],
         &["analyze", "latency", "--trace", trace][..],
         &["analyze", "occupancy", "--trace", trace][..],
@@ -110,9 +131,14 @@ fn a_closed_stdout_exits_zero_without_a_panic() {
         &["sweep", "list"][..],
         &["gen", "describe", "grid-city"][..],
         &["help"][..],
+        &["cache", "clear", "--cache", cache][..],
     ] {
+        // The planners take their output directory last.
+        let planner =
+            args.starts_with(&["fleet", "shard"]) || args.starts_with(&["campaign", "plan"]);
+        let out_dir = planner.then_some(["--out-dir", shards]);
         let mut child = Command::new(env!("CARGO_BIN_EXE_carq-cli"))
-            .args(args)
+            .args(args.iter().chain(out_dir.iter().flatten()))
             .stdout(Stdio::piped())
             .stderr(Stdio::piped())
             .spawn()
@@ -123,6 +149,8 @@ fn a_closed_stdout_exits_zero_without_a_panic() {
         assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
+    // The last command that writes its file before printing still wrote it.
+    assert!(std::fs::metadata(retraced).is_ok_and(|m| m.len() > 0));
     std::fs::remove_dir_all(&dir).ok();
 }
 

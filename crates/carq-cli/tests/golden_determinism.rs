@@ -20,7 +20,9 @@
 //! and table renderer of its own. `urban_strategies_r2.csv` was recorded at
 //! commit `cd2d502`, the last state before the shadowing field was bounded
 //! instead of evaluated and the HELLO handler read SNRs only for
-//! `StrongestSignal`.
+//! `StrongestSignal`. `platoon_merge_campaign_r1.csv` and the three `.gen`
+//! scenario files were recorded at commit `6bd2a8f`, the last state in which
+//! generated worlds had a parameter system of their own.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -285,6 +287,55 @@ fn highway_flow_campaign_export_matches_the_golden() {
         "0x20081cdc",
     ]);
     assert_matches_golden(&csv, "highway_flow_campaign_r1.csv", "campaign run highway-flow");
+}
+
+#[test]
+fn platoon_merge_campaign_export_matches_the_golden() {
+    // The third generator's golden: a campaign over merge geometry, whose
+    // table columns are every world parameter of the generator.
+    let csv = run_stdout(&[
+        "campaign",
+        "run",
+        "--generator",
+        "platoon-merge",
+        "--feeder_m",
+        "100,150",
+        "--n_ramp",
+        "1,2",
+        "--rounds",
+        "1",
+        "--workers",
+        "1",
+        "--seed",
+        "0xCA4",
+    ]);
+    assert_matches_golden(&csv, "platoon_merge_campaign_r1.csv", "campaign run platoon-merge");
+}
+
+#[test]
+fn emitted_scenario_files_match_their_goldens() {
+    // One world per generator, together covering a choice, a bool and a
+    // non-integral float: each file is the world's identity, rendered by
+    // the canonical codec, so these pin every kind's encoding and every
+    // generator's declaration order.
+    for (args, name) in [
+        (
+            &["grid-city", "--ap_placement", "corner", "--block_m", "95.5", "--seed", "0x20081cdc"]
+                [..],
+            "grid_city_corner.gen",
+        ),
+        (
+            &["highway-flow", "--bidirectional", "off", "--speed_jitter", "0.1", "--seed", "7"][..],
+            "highway_flow_oneway.gen",
+        ),
+        (
+            &["platoon-merge", "--feeder_m", "150", "--n_ramp", "2", "--seed", "0xCA4"][..],
+            "platoon_merge.gen",
+        ),
+    ] {
+        let text = run_stdout(&[&["gen", "emit"][..], args].concat());
+        assert_matches_golden(&text, name, &format!("gen emit {}", args[0]));
+    }
 }
 
 #[test]

@@ -16,7 +16,7 @@
 use std::sync::Arc;
 
 use vanet_cache::SweepCache;
-use vanet_gen::{GenIdentity, GenValue};
+use vanet_gen::GenIdentity;
 use vanet_scenarios::{Param, ParamValue, SweepPoint};
 use vanet_stats::{CellValue, RecordTable};
 use vanet_sweep::{SweepEngine, SweepSpec};
@@ -83,7 +83,7 @@ pub fn campaign_table(
 
         let table = table.get_or_insert_with(|| {
             let mut columns = vec!["scenario".to_string(), "gen_seed".to_string()];
-            columns.extend(identity.params.assignments().iter().map(|(k, _)| (*k).to_string()));
+            columns.extend(identity.params.assignments().iter().map(|(p, _)| p.key().to_string()));
             metric_names = summary.metrics.iter().map(|(name, _)| *name).collect();
             columns.extend(metric_names.iter().map(|name| (*name).to_string()));
             RecordTable::new(columns)
@@ -100,12 +100,7 @@ pub fn campaign_table(
 
         let mut row: Vec<CellValue> =
             vec![identity.scenario_name().into(), format!("{:#018x}", identity.seed).into()];
-        row.extend(identity.params.assignments().iter().map(|(_, v)| match v {
-            GenValue::Float(x) => CellValue::from(*x),
-            GenValue::Int(x) => CellValue::from(*x),
-            GenValue::Bool(x) => CellValue::from(if *x { "true" } else { "false" }),
-            GenValue::Choice(name) => CellValue::from(*name),
-        }));
+        row.extend(identity.params.assignments().iter().map(|(_, v)| CellValue::from(*v)));
         row.extend(summary.metrics.iter().map(|(_, value)| CellValue::from(*value)));
         table.push_row(row);
     }
@@ -139,17 +134,17 @@ mod tests {
         // Small, fast worlds: short merge roads, 1 round each by default.
         GenGrid::new("platoon-merge")
             .unwrap()
-            .axis("feeder_m", "100")
+            .axis(Param::FeederM, vec![ParamValue::Float(100.0)])
             .unwrap()
-            .axis("tail_m", "100,150")
+            .axis(Param::TailM, vec![ParamValue::Float(100.0), ParamValue::Float(150.0)])
             .unwrap()
-            .axis("n_ramp", "1,2")
+            .axis(Param::NRamp, vec![ParamValue::Int(1), ParamValue::Int(2)])
             .unwrap()
     }
 
     #[test]
     fn covered_scenarios_are_pre_filtered_for_warm_re_runs() {
-        let identities = tiny_grid().identities(0xCAFE).unwrap();
+        let identities = tiny_grid().identities(0xCAFE);
         let plan = ShardPlan::for_campaign(&identities, 0xCAFE, Some(1), 1).unwrap();
         let dir = temp_dir("covered");
         let cache = SweepCache::open(&dir).unwrap();
@@ -175,7 +170,7 @@ mod tests {
 
     #[test]
     fn sharded_campaign_merges_to_a_byte_stable_warm_table() {
-        let identities = tiny_grid().identities(0xFEED).unwrap();
+        let identities = tiny_grid().identities(0xFEED);
         let plan = ShardPlan::for_campaign(&identities, 0xFEED, Some(1), 2).unwrap();
         assert_eq!(plan.total_units(), 4);
 

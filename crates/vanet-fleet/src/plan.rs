@@ -191,14 +191,8 @@ impl Shard {
         for (scenario, units) in &self.groups {
             out.push_str(&format!("scenario={}\n", scenario.encode()));
             for unit in units {
-                let assignments: Vec<String> = unit
-                    .point
-                    .assignments()
-                    .iter()
-                    .map(|(param, value)| format!("{}={}", param.key(), value.canonical()))
-                    .collect();
                 out.push_str("point=");
-                out.push_str(&assignments.join(";"));
+                out.push_str(&unit.point.canonical());
                 if let Some((a, b)) = unit.round_range {
                     out.push_str(&format!("@{a}..{b}"));
                 }
@@ -326,7 +320,8 @@ fn parse_unit(line: usize, body: &str) -> Result<WorkUnit, FleetError> {
             };
             let param = Param::from_key(key)
                 .ok_or_else(|| parse_error(line, format!("unknown parameter `{key}`")))?;
-            let value = ParamValue::parse_canonical(value).ok_or_else(|| {
+            // A scenario's runtime parameters have no choice words.
+            let value = ParamValue::parse_canonical(value, &[]).ok_or_else(|| {
                 parse_error(line, format!("`{value}` is not a canonical value for `{key}`"))
             })?;
             if assignments.iter().any(|(p, _)| *p == param) {
@@ -525,18 +520,18 @@ mod tests {
         rounds: Option<u32>,
         count: usize,
     ) -> Result<ShardPlan, FleetError> {
-        ShardPlan::for_campaign(&grid.identities(seed).unwrap(), seed, rounds, count)
+        ShardPlan::for_campaign(&grid.identities(seed), seed, rounds, count)
     }
 
     fn tiny_grid() -> GenGrid {
         // Small, fast worlds: short merge roads, 1 round each by default.
         GenGrid::new("platoon-merge")
             .unwrap()
-            .axis("feeder_m", "100")
+            .axis(Param::FeederM, vec![ParamValue::Float(100.0)])
             .unwrap()
-            .axis("tail_m", "100,150")
+            .axis(Param::TailM, vec![ParamValue::Float(100.0), ParamValue::Float(150.0)])
             .unwrap()
-            .axis("n_ramp", "1,2")
+            .axis(Param::NRamp, vec![ParamValue::Int(1), ParamValue::Int(2)])
             .unwrap()
     }
 
@@ -645,7 +640,7 @@ mod tests {
         let sizes: Vec<usize> = plan.shards.iter().map(|s| s.groups.len()).collect();
         assert_eq!(sizes, vec![2, 1, 1], "strided assignment, one group per world");
         // World i of the expansion lands in shard i % 3.
-        let identities = tiny_grid().identities(0xCA4).unwrap();
+        let identities = tiny_grid().identities(0xCA4);
         for (i, identity) in identities.into_iter().enumerate() {
             let (scenario, units) = &plan.shards[i % 3].groups[i / 3];
             assert_eq!(scenario, &ScenarioRef::Generated(identity));
@@ -769,7 +764,7 @@ mod tests {
             (good.replacen("shard=0/1", "shard=0", 1), "bad shard designator"),
             (format!("{good}shard=0/1\n"), "`shard` given twice"),
             (good.replacen(first, &format!("{first}warp=i1;"), 1), "no parameter `warp`"),
-            (good.replacen("feeder_m=", "feeder_m=x;feeder_m=", 1), "not a valid value"),
+            (good.replacen("feeder_m=", "feeder_m=x;feeder_m=", 1), "not a canonical value"),
             (
                 // 0x4059000000000000 is 100.0: a valid feeder_m, repeated.
                 good.replacen("feeder_m=", "feeder_m=f4059000000000000;feeder_m=", 1),
@@ -791,7 +786,7 @@ mod tests {
         assert_eq!(plan.shards[0].groups[0].0.build().unwrap().name(), "multi-ap");
         let orphan = ScenarioRef::Preset { name: "gone".into(), rounds: 2 };
         assert!(matches!(orphan.build(), Err(FleetError::UnknownPreset(_))));
-        let identity = tiny_grid().identities(3).unwrap().remove(0);
+        let identity = tiny_grid().identities(3).remove(0);
         let world = ScenarioRef::Generated(identity.clone()).build().unwrap();
         assert_eq!(world.name(), identity.scenario_name());
     }
@@ -837,7 +832,8 @@ mod tests {
         ] {
             corpus.extend(ShardPlan::for_preset(preset, 0xBEEF, 3, count, chunk).unwrap().shards);
         }
-        let grid_city = GenGrid::new("grid-city").unwrap().axis("n_cars", "2,3").unwrap();
+        let cars = vec![ParamValue::Int(2), ParamValue::Int(3)];
+        let grid_city = GenGrid::new("grid-city").unwrap().axis(Param::NCars, cars).unwrap();
         for (grid, rounds) in [(tiny_grid(), None), (tiny_grid(), Some(2)), (grid_city, None)] {
             corpus.extend(campaign_plan(&grid, 0xCA4, rounds, 2).unwrap().shards);
         }

@@ -23,9 +23,10 @@
 //! [`decode`] ∘ [`encode`] regenerates the exact same scenario (same name,
 //! same blueprint, same cache keys) — both properties are tested below.
 
-use crate::generators;
-use crate::params::{GenError, GenValue};
-use crate::scenario::{instantiate_with, parse_gen_seed, GenIdentity, GeneratedScenario};
+use vanet_scenarios::ParamValue;
+
+use crate::generators::{lookup, GenError};
+use crate::scenario::{decode_value, generate, parse_gen_seed, GenIdentity, GeneratedScenario};
 
 /// First line of every generated-scenario file; bump on layout changes.
 pub const GEN_MAGIC: &str = "VANETGEN1";
@@ -44,8 +45,8 @@ pub fn encode(identity: &GenIdentity) -> String {
     out.push('\n');
     out.push_str(&format!("generator={}\n", identity.generator));
     out.push_str(&format!("gen_seed={:#018x}\n", identity.seed));
-    for (key, value) in identity.params.assignments() {
-        out.push_str(&format!("param={key}={}\n", value.canonical()));
+    for (param, value) in identity.params.assignments() {
+        out.push_str(&format!("param={param}={}\n", value.canonical()));
     }
     out
 }
@@ -71,7 +72,7 @@ pub fn decode(text: &str) -> Result<GeneratedScenario, GenError> {
 
     let mut generator = None;
     let mut seed = None;
-    let mut assignments: Vec<(String, GenValue)> = Vec::new();
+    let mut assignments: Vec<(String, ParamValue)> = Vec::new();
 
     for (line, text) in lines {
         if text.is_empty() {
@@ -85,8 +86,7 @@ pub fn decode(text: &str) -> Result<GeneratedScenario, GenError> {
                 if generator.is_some() {
                     return Err(parse_error(line, "duplicate `generator` header"));
                 }
-                let found = generators::find(value)
-                    .ok_or_else(|| parse_error(line, format!("unknown generator `{value}`")))?;
+                let found = lookup(value).map_err(|e| parse_error(line, e.to_string()))?;
                 generator = Some(found);
             }
             "gen_seed" => {
@@ -102,10 +102,8 @@ pub fn decode(text: &str) -> Result<GeneratedScenario, GenError> {
                 let (pkey, ptext) = value.split_once('=').ok_or_else(|| {
                     parse_error(line, format!("expected `param=key=value`, found `{text}`"))
                 })?;
-                let parsed = generator
-                    .schema()
-                    .parse_canonical_value(pkey, ptext)
-                    .map_err(|e| parse_error(line, e.to_string()))?;
+                let parsed =
+                    decode_value(generator, pkey, ptext).map_err(|m| parse_error(line, m))?;
                 if assignments.iter().any(|(k, _)| k == pkey) {
                     return Err(parse_error(line, format!("parameter `{pkey}` assigned twice")));
                 }
@@ -117,7 +115,8 @@ pub fn decode(text: &str) -> Result<GeneratedScenario, GenError> {
 
     let generator = generator.ok_or_else(|| parse_error(1, "missing `generator` header"))?;
     let seed = seed.ok_or_else(|| parse_error(1, "missing `gen_seed` header"))?;
-    instantiate_with(&generator, &assignments, seed).map_err(|e| parse_error(1, e.to_string()))
+    let params = generator.resolve(&assignments).map_err(|e| parse_error(1, e.to_string()))?;
+    Ok(generate(&generator, params, seed))
 }
 
 #[cfg(test)]
@@ -130,9 +129,9 @@ mod tests {
         instantiate(
             "highway-flow",
             &[
-                ("road_length_m".to_string(), GenValue::Float(300.0)),
-                ("n_cars".to_string(), GenValue::Int(2)),
-                ("bidirectional".to_string(), GenValue::Bool(false)),
+                ("road_length_m".to_string(), ParamValue::Float(300.0)),
+                ("n_cars".to_string(), ParamValue::Int(2)),
+                ("bidirectional".to_string(), ParamValue::Bool(false)),
             ],
             0x5eed,
         )
@@ -189,9 +188,9 @@ mod tests {
             (format!("{good}gen_seed=0x0000000000000001\n"), "duplicate `gen_seed`"),
             (good.replacen("param=road_length_m=", "param=warp_factor=", 1), "no parameter"),
             (good.replacen("param=n_cars=i2", "param=n_cars=i2\nparam=n_cars=i2", 1), "twice"),
-            (good.replacen("param=n_cars=i2", "param=n_cars=b1", 1), "expects"),
-            (good.replacen("param=n_cars=i2", "param=n_cars=i999", 1), "must be in"),
-            (good.replacen("param=n_cars=i2", "param=n_cars=banana", 1), "not a valid value"),
+            (good.replacen("param=n_cars=i2", "param=n_cars=b1", 1), "expects a int"),
+            (good.replacen("param=n_cars=i2", "param=n_cars=i999", 1), "outside the range 1..=8"),
+            (good.replacen("param=n_cars=i2", "param=n_cars=banana", 1), "not a canonical value"),
             (good.replacen("param=n_cars=i2", "param=n_cars", 1), "param=key=value"),
             (format!("{good}horizon=12\n"), "unknown header `horizon`"),
             (good.replacen("VANETGEN1\n", "VANETGEN1\nparam=n_cars=i2\n", 1), "must follow"),

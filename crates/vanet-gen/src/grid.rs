@@ -3,10 +3,10 @@
 //! A [`GenGrid`] is the campaign front-end: it names a generator, gives
 //! some of its parameters *lists* of values (every unlisted parameter keeps
 //! its default), and optionally asks for seed replicas. Expansion takes the
-//! cartesian product, derives each scenario's gen seed *from the campaign
-//! master seed and the scenario's own canonical parameters* (see
-//! [`scenario_seed`]), and instantiates the lot. Two consequences worth
-//! spelling out:
+//! cartesian product (the sweep's own [`grid_points`]), derives each
+//! scenario's gen seed *from the campaign master seed and the scenario's
+//! own canonical parameters* (see [`scenario_seed`]), and instantiates the
+//! lot. Two consequences worth spelling out:
 //!
 //! * the expansion order is deterministic (axis declaration order ×
 //!   declaration order of values × replica index), so shard plans built
@@ -16,12 +16,12 @@
 //!   exact same scenarios and therefore hits the exact same cache entries.
 
 use sim_core::StreamRng;
+use vanet_scenarios::{grid_points, Axis, Param, ParamValue};
 
 use rand::RngCore as _;
 
-use crate::generators::{self, Generator};
-use crate::params::{GenError, GenValue};
-use crate::scenario::{GenIdentity, GeneratedScenario};
+use crate::generators::{lookup, GenError, Generator};
+use crate::scenario::GenIdentity;
 
 /// Derives the gen seed of one grid cell from the campaign master seed, the
 /// cell's canonical parameter rendering and the replica index.
@@ -39,7 +39,7 @@ pub fn scenario_seed(master_seed: u64, canonical_params: &str, replica: u32) -> 
 #[derive(Debug, Clone)]
 pub struct GenGrid {
     generator: Generator,
-    axes: Vec<(&'static str, Vec<GenValue>)>,
+    axes: Vec<Axis>,
     replicas: u32,
 }
 
@@ -50,9 +50,7 @@ impl GenGrid {
     ///
     /// [`GenError::UnknownGenerator`] if the name is not in the catalogue.
     pub fn new(generator: &str) -> Result<Self, GenError> {
-        let generator = generators::find(generator)
-            .ok_or_else(|| GenError::UnknownGenerator(generator.to_string()))?;
-        Ok(GenGrid { generator, axes: Vec::new(), replicas: 1 })
+        Ok(GenGrid { generator: lookup(generator)?, axes: Vec::new(), replicas: 1 })
     }
 
     /// The generator this grid expands.
@@ -60,48 +58,33 @@ impl GenGrid {
         &self.generator
     }
 
-    /// Adds a value axis for `key`, parsing each comma-separated element in
-    /// human form (`n_cars=1,2,4`). Repeated values are collapsed — every
-    /// expanded scenario is distinct by construction.
+    /// Adds a value axis for `param`, each value checked against the world
+    /// schema (integers widen into float parameters). Repeated values are
+    /// collapsed — every expanded scenario is distinct by construction.
     ///
     /// # Errors
     ///
-    /// Unknown keys, unparsable or out-of-range elements, an empty list, or
-    /// a key that already has an axis.
-    pub fn axis(mut self, key: &str, csv: &str) -> Result<Self, GenError> {
-        let spec_key = self
-            .generator
-            .schema()
-            .params()
-            .iter()
-            .find(|s| s.key() == key)
-            .map(|s| s.key())
-            .ok_or_else(|| GenError::Unknown {
-                generator: self.generator.name,
-                key: key.to_string(),
-            })?;
-        let mut values = Vec::new();
-        for element in csv.split(',') {
-            let element = element.trim();
-            if element.is_empty() {
-                continue;
-            }
-            let value = self.generator.schema().parse_value(key, element)?;
-            if !values.contains(&value) {
-                values.push(value);
+    /// A parameter the generator does not declare or that already has an
+    /// axis, and values its schema rejects.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `values` is empty, as [`Axis`] expansion needs a value.
+    pub fn axis(mut self, param: Param, values: Vec<ParamValue>) -> Result<Self, GenError> {
+        assert!(!values.is_empty(), "axis {param} needs at least one value");
+        let generator = self.generator.name;
+        let spec = self.generator.spec(param.key())?;
+        if self.axes.iter().any(|axis| axis.param == param) {
+            return Err(GenError::Duplicate { generator, key: param.key() });
+        }
+        let mut checked: Vec<ParamValue> = Vec::with_capacity(values.len());
+        for value in values {
+            let value = spec.check(generator, value)?;
+            if !checked.contains(&value) {
+                checked.push(value);
             }
         }
-        if values.is_empty() {
-            return Err(GenError::BadValue {
-                generator: self.generator.name,
-                key: key.to_string(),
-                text: csv.to_string(),
-            });
-        }
-        if self.axes.iter().any(|(k, _)| *k == spec_key) {
-            return Err(GenError::Duplicate { generator: self.generator.name, key: spec_key });
-        }
-        self.axes.push((spec_key, values));
+        self.axes.push(Axis { param, values: checked });
         Ok(self)
     }
 
@@ -114,7 +97,7 @@ impl GenGrid {
 
     /// The number of scenarios this grid expands to.
     pub fn len(&self) -> usize {
-        self.axes.iter().map(|(_, v)| v.len()).product::<usize>() * self.replicas as usize
+        self.axes.iter().map(|axis| axis.values.len()).product::<usize>() * self.replicas as usize
     }
 
     /// Whether the grid expands to nothing (never: an axis-less grid is the
@@ -125,22 +108,11 @@ impl GenGrid {
 
     /// Expands the grid into identities, in deterministic order (cartesian
     /// product in axis declaration order, replicas innermost).
-    ///
-    /// # Errors
-    ///
-    /// Propagates schema resolution errors (unreachable for axes built
-    /// through [`GenGrid::axis`], which validates eagerly).
-    pub fn identities(&self, master_seed: u64) -> Result<Vec<GenIdentity>, GenError> {
+    pub fn identities(&self, master_seed: u64) -> Vec<GenIdentity> {
         let mut out = Vec::with_capacity(self.len());
-        let mut indices = vec![0usize; self.axes.len()];
-        loop {
-            let assignments: Vec<(String, GenValue)> = self
-                .axes
-                .iter()
-                .zip(&indices)
-                .map(|((key, values), i)| ((*key).to_string(), values[*i]))
-                .collect();
-            let params = self.generator.schema().resolve(&assignments)?;
+        for cell in grid_points(&self.axes) {
+            let params =
+                self.generator.schema().resolve(&cell).expect("GenGrid::axis checks every value");
             let canon = params.canonical();
             for replica in 0..self.replicas {
                 out.push(GenIdentity {
@@ -149,30 +121,8 @@ impl GenGrid {
                     seed: scenario_seed(master_seed, &canon, replica),
                 });
             }
-            // Odometer increment over the axes, last axis fastest.
-            let mut axis = self.axes.len();
-            loop {
-                if axis == 0 {
-                    return Ok(out);
-                }
-                axis -= 1;
-                indices[axis] += 1;
-                if indices[axis] < self.axes[axis].1.len() {
-                    break;
-                }
-                indices[axis] = 0;
-            }
         }
-    }
-
-    /// Expands the grid into instantiated scenarios (see
-    /// [`GenGrid::identities`] for the ordering contract).
-    ///
-    /// # Errors
-    ///
-    /// As [`GenGrid::identities`].
-    pub fn expand(&self, master_seed: u64) -> Result<Vec<GeneratedScenario>, GenError> {
-        self.identities(master_seed)?.iter().map(GenIdentity::instantiate).collect()
+        out
     }
 }
 
@@ -180,13 +130,22 @@ impl GenGrid {
 mod tests {
     use super::*;
     use std::collections::BTreeSet;
+    use vanet_scenarios::ParamError;
+
+    fn ints(xs: &[u64]) -> Vec<ParamValue> {
+        xs.iter().map(|x| ParamValue::Int(*x)).collect()
+    }
+
+    fn floats(xs: &[f64]) -> Vec<ParamValue> {
+        xs.iter().map(|x| ParamValue::Float(*x)).collect()
+    }
 
     fn grid() -> GenGrid {
         GenGrid::new("highway-flow")
             .unwrap()
-            .axis("n_cars", "1,2")
+            .axis(Param::NCars, ints(&[1, 2]))
             .unwrap()
-            .axis("speed_kmh", "40, 80, 120")
+            .axis(Param::SpeedKmh, floats(&[40.0, 80.0, 120.0]))
             .unwrap()
     }
 
@@ -194,22 +153,22 @@ mod tests {
     fn expansion_is_a_deterministic_cartesian_product() {
         let g = grid();
         assert_eq!(g.len(), 6);
-        let a = g.identities(9).unwrap();
-        let b = g.identities(9).unwrap();
+        let a = g.identities(9);
+        let b = g.identities(9);
         assert_eq!(a, b, "expansion must be deterministic");
         assert_eq!(a.len(), 6);
         let distinct: BTreeSet<String> = a.iter().map(GenIdentity::canonical).collect();
         assert_eq!(distinct.len(), 6, "every cell is a distinct identity");
         // Last axis fastest: the first two cells differ in speed, not cars.
-        assert_eq!(a[0].params.u64("n_cars"), a[1].params.u64("n_cars"));
-        assert_ne!(a[0].params.f64("speed_kmh"), a[1].params.f64("speed_kmh"));
+        assert_eq!(a[0].params.get(Param::NCars), a[1].params.get(Param::NCars));
+        assert_ne!(a[0].params.get(Param::SpeedKmh), a[1].params.get(Param::SpeedKmh));
     }
 
     #[test]
     fn replicas_multiply_cells_with_independent_seeds() {
         let g = grid().with_replicas(3);
         assert_eq!(g.len(), 18);
-        let ids = g.identities(9).unwrap();
+        let ids = g.identities(9);
         let seeds: BTreeSet<u64> = ids.iter().map(|id| id.seed).collect();
         assert_eq!(seeds.len(), 18, "replica seeds must not collide");
         // Replicas of one cell share parameters.
@@ -219,42 +178,39 @@ mod tests {
 
     #[test]
     fn identities_survive_grid_growth() {
-        let small = grid().identities(9).unwrap();
+        let small = grid().identities(9);
         let small_names: BTreeSet<String> = small.iter().map(GenIdentity::scenario_name).collect();
         // Growing an axis keeps every existing cell's identity (and hence
         // its cache entries) intact — seeds hang off the canonical params,
         // not the grid position.
         let grown = GenGrid::new("highway-flow")
             .unwrap()
-            .axis("n_cars", "1,2,4")
+            .axis(Param::NCars, ints(&[1, 2, 4]))
             .unwrap()
-            .axis("speed_kmh", "40, 80, 120")
+            .axis(Param::SpeedKmh, floats(&[40.0, 80.0, 120.0]))
             .unwrap()
-            .identities(9)
-            .unwrap();
+            .identities(9);
         let grown_names: BTreeSet<String> = grown.iter().map(GenIdentity::scenario_name).collect();
         assert_eq!(grown_names.len(), 9);
         assert!(small_names.is_subset(&grown_names), "growth must not move existing cells");
         // A different master seed moves every cell...
-        let moved = grid().identities(10).unwrap();
+        let moved = grid().identities(10);
         let moved_names: BTreeSet<String> = moved.iter().map(GenIdentity::scenario_name).collect();
         assert!(small_names.is_disjoint(&moved_names), "master seed is part of every identity");
         // ...while the same master seed reproduces them exactly.
         let again: BTreeSet<String> =
-            grid().identities(9).unwrap().iter().map(GenIdentity::scenario_name).collect();
+            grid().identities(9).iter().map(GenIdentity::scenario_name).collect();
         assert_eq!(small_names, again);
     }
 
     #[test]
-    fn expand_instantiates_matching_scenarios() {
+    fn identities_instantiate_matching_scenarios() {
         use vanet_scenarios::Scenario as _;
-        let g = GenGrid::new("platoon-merge").unwrap().axis("n_ramp", "1,2").unwrap();
-        let ids = g.identities(4).unwrap();
-        let scenarios = g.expand(4).unwrap();
-        assert_eq!(ids.len(), scenarios.len());
-        for (id, scenario) in ids.iter().zip(&scenarios) {
+        let g = GenGrid::new("platoon-merge").unwrap().axis(Param::NRamp, ints(&[1, 2])).unwrap();
+        for id in g.identities(4) {
+            let scenario = id.instantiate().unwrap();
             assert_eq!(scenario.name(), id.scenario_name());
-            assert_eq!(scenario.identity(), id);
+            assert_eq!(scenario.identity(), &id);
         }
     }
 
@@ -262,14 +218,20 @@ mod tests {
     fn axis_validation_rejects_bad_specs() {
         let base = || GenGrid::new("highway-flow").unwrap();
         assert!(matches!(GenGrid::new("mars"), Err(GenError::UnknownGenerator(_))));
-        assert!(matches!(base().axis("warp", "1"), Err(GenError::Unknown { .. })));
-        assert!(matches!(base().axis("n_cars", "banana"), Err(GenError::BadValue { .. })));
-        assert!(matches!(base().axis("n_cars", "999"), Err(GenError::Range { .. })));
-        assert!(matches!(base().axis("n_cars", ""), Err(GenError::BadValue { .. })));
-        let dup = base().axis("n_cars", "1").unwrap().axis("n_cars", "2");
+        assert!(matches!(base().axis(Param::BlocksX, ints(&[1])), Err(GenError::Unknown { .. })));
+        let kind = base().axis(Param::NCars, vec![ParamValue::Choice("banana")]);
+        assert!(matches!(kind, Err(GenError::Param(ParamError::Type { .. }))));
+        let range = base().axis(Param::NCars, ints(&[999]));
+        assert!(matches!(range, Err(GenError::Param(ParamError::Range { .. }))));
+        let dup = base().axis(Param::NCars, ints(&[1])).unwrap().axis(Param::NCars, ints(&[2]));
         assert!(matches!(dup, Err(GenError::Duplicate { .. })));
-        // Repeated values collapse instead of duplicating identities.
-        let g = base().axis("n_cars", "2,2,2").unwrap();
+        // Repeated values collapse instead of duplicating identities, after
+        // integers widen into a float parameter.
+        let g = base().axis(Param::NCars, ints(&[2, 2, 2])).unwrap();
+        assert_eq!(g.len(), 1);
+        let g = base()
+            .axis(Param::SpeedKmh, vec![ParamValue::Int(80), ParamValue::Float(80.0)])
+            .unwrap();
         assert_eq!(g.len(), 1);
     }
 
@@ -278,8 +240,8 @@ mod tests {
         let g = GenGrid::new("grid-city").unwrap();
         assert_eq!(g.len(), 1);
         assert!(!g.is_empty());
-        let ids = g.identities(1).unwrap();
+        let ids = g.identities(1);
         assert_eq!(ids.len(), 1);
-        assert_eq!(ids[0].params, g.generator().schema().resolve(&[]).unwrap());
+        assert_eq!(ids[0].params, g.generator().resolve(&[]).unwrap());
     }
 }

@@ -30,9 +30,12 @@
 //!   `highway-flow` (bidirectional platooned flows past roadside APs — the
 //!   paper's opposite-direction cooperation at scale) and `platoon-merge`
 //!   (two flows joining at an AP);
-//! * [`GenSchema`]/[`GenValue`] — the typed, documented, range-checked
-//!   generator parameter namespace with the same lossless canonical
-//!   encoding discipline as the runtime sweep parameters;
+//! * [`Generator::schema`] — each generator's typed, documented,
+//!   range-checked world schema: a `vanet-scenarios`
+//!   [`ParamSchema`](vanet_scenarios::ParamSchema) over the same
+//!   [`Param`](vanet_scenarios::Param) vocabulary, values
+//!   ([`GenValue`] is [`ParamValue`](vanet_scenarios::ParamValue)) and
+//!   lossless canonical codec as the runtime sweep parameters;
 //! * [`GenGrid`] — campaign expansion: value axes × seed replicas →
 //!   thousands of distinct identities, each seeded from the campaign
 //!   master seed and its own canonical parameters (stable under grid
@@ -65,12 +68,13 @@ pub mod blueprint;
 pub mod file;
 pub mod generators;
 pub mod grid;
-pub mod params;
 pub mod scenario;
 
 pub use blueprint::{Blueprint, CarPlan};
 pub use file::{decode, encode, GEN_MAGIC};
-pub use generators::Generator;
+pub use generators::{GenError, Generator};
 pub use grid::{scenario_seed, GenGrid};
-pub use params::{GenError, GenParamSpec, GenSchema, GenValue, ResolvedParams};
-pub use scenario::{instantiate, instantiate_with, GenIdentity, GeneratedRun, GeneratedScenario};
+pub use scenario::{instantiate, GenIdentity, GeneratedRun, GeneratedScenario};
+/// A world parameter's value: the one [`ParamValue`](vanet_scenarios::ParamValue)
+/// type, under the name generator callers have used.
+pub use vanet_scenarios::ParamValue as GenValue;

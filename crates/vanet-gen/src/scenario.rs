@@ -16,8 +16,8 @@ use vanet_geo::PathMobility;
 use vanet_mac::NodeId;
 use vanet_radio::DataRate;
 use vanet_scenarios::{
-    urban_summary, ModelConfig, Param, ParamError, ParamSchema, ParamSpec, Scenario, ScenarioRun,
-    SweepPoint, VanetModel,
+    urban_summary, ModelConfig, Param, ParamError, ParamSchema, ParamSpec, ParamValue, Scenario,
+    ScenarioRun, SweepPoint, VanetModel,
 };
 use vanet_stats::{PointSummary, RoundReport};
 use vanet_trace::{NoTrace, TraceRecord, TraceSink, VecSink};
@@ -25,8 +25,7 @@ use vanet_trace::{NoTrace, TraceRecord, TraceSink, VecSink};
 use carq::CarqConfig;
 
 use crate::blueprint::Blueprint;
-use crate::generators::{self, Generator};
-use crate::params::{GenError, GenValue, ResolvedParams};
+use crate::generators::{lookup, GenError, Generator};
 
 /// The regenerable identity of a generated scenario: the triple every
 /// downstream artefact (scenario name, cache keys, `VANETGEN1` files,
@@ -35,8 +34,9 @@ use crate::params::{GenError, GenValue, ResolvedParams};
 pub struct GenIdentity {
     /// The generator that built the world.
     pub generator: &'static str,
-    /// The fully resolved generator parameters.
-    pub params: ResolvedParams,
+    /// The fully resolved world parameters: every parameter of the
+    /// generator's schema, in declaration order.
+    pub params: SweepPoint,
     /// The generation seed.
     pub seed: u64,
 }
@@ -69,23 +69,21 @@ impl GenIdentity {
             .next()
             .and_then(|first| first.strip_prefix("generator="))
             .ok_or_else(|| format!("expected `generator=NAME` first, found `{text}`"))?;
-        let generator = generators::find(name)
-            .ok_or_else(|| GenError::UnknownGenerator(name.to_string()).to_string())?;
-        let mut assignments: Vec<(String, GenValue)> = Vec::new();
+        let generator = lookup(name).map_err(|e| e.to_string())?;
+        let mut assignments: Vec<(String, ParamValue)> = Vec::new();
         let mut seed = None;
         for segment in segments {
             let (key, value) = segment
                 .split_once('=')
                 .ok_or_else(|| format!("expected `key=value`, found `{segment}`"))?;
             if key != "gen_seed" {
-                let parsed = generator.schema().parse_canonical_value(key, value);
-                assignments.push((key.to_string(), parsed.map_err(|e| e.to_string())?));
+                assignments.push((key.to_string(), decode_value(&generator, key, value)?));
             } else if seed.replace(parse_gen_seed(value)?).is_some() {
                 return Err("duplicate `gen_seed` segment".into());
             }
         }
         let seed = seed.ok_or("missing `gen_seed` segment")?;
-        let params = generator.schema().resolve(&assignments).map_err(|e| e.to_string())?;
+        let params = generator.resolve(&assignments).map_err(|e| e.to_string())?;
         Ok(GenIdentity { generator: generator.name, params, seed })
     }
 
@@ -97,10 +95,7 @@ impl GenIdentity {
     ///
     /// [`GenError::UnknownGenerator`] when the catalogue lacks the generator.
     pub fn instantiate(&self) -> Result<GeneratedScenario, GenError> {
-        let generator = generators::find(self.generator)
-            .ok_or_else(|| GenError::UnknownGenerator(self.generator.to_string()))?;
-        let blueprint = generator.blueprint(&self.params, self.seed);
-        Ok(GeneratedScenario::from_parts(self.clone(), blueprint))
+        Ok(generate(&lookup(self.generator)?, self.params.clone(), self.seed))
     }
 
     /// The 16-hex-digit content hash of the canonical identity — the last
@@ -114,6 +109,20 @@ impl GenIdentity {
     pub fn scenario_name(&self) -> String {
         format!("gen/{}/{}", self.generator, self.id16())
     }
+}
+
+/// Decodes the canonical rendering `text` of `generator`'s world parameter
+/// `key` (choice words are looked up in its spec) and checks it against
+/// the spec.
+pub(crate) fn decode_value(
+    generator: &Generator,
+    key: &str,
+    text: &str,
+) -> Result<ParamValue, String> {
+    let spec = generator.spec(key).map_err(|e| e.to_string())?;
+    let value = ParamValue::parse_canonical(text, spec.kind.choices())
+        .ok_or_else(|| format!("`{text}` is not a canonical value for `{key}`"))?;
+    spec.check(generator.name, value).map_err(|e| e.to_string())
 }
 
 /// Parses a gen seed as every identity rendering writes it: `0x`-prefixed
@@ -135,27 +144,24 @@ pub(crate) fn parse_gen_seed(value: &str) -> Result<u64, String> {
 /// # Errors
 ///
 /// [`GenError::UnknownGenerator`] for a name not in the catalogue, and the
-/// schema's validation errors for bad assignments.
+/// world schema's errors for bad assignments ([`Generator::resolve`]).
 pub fn instantiate(
     generator: &str,
-    assignments: &[(String, GenValue)],
+    assignments: &[(String, ParamValue)],
     seed: u64,
 ) -> Result<GeneratedScenario, GenError> {
-    let generator = generators::find(generator)
-        .ok_or_else(|| GenError::UnknownGenerator(generator.to_string()))?;
-    instantiate_with(&generator, assignments, seed)
+    let generator = lookup(generator)?;
+    Ok(generate(&generator, generator.resolve(assignments)?, seed))
 }
 
-/// [`instantiate`] with an already resolved catalogue entry.
-pub fn instantiate_with(
-    generator: &Generator,
-    assignments: &[(String, GenValue)],
-    seed: u64,
-) -> Result<GeneratedScenario, GenError> {
-    let params = generator.schema().resolve(assignments)?;
-    let identity = GenIdentity { generator: generator.name, params, seed };
-    let blueprint = generator.blueprint(&identity.params, seed);
-    Ok(GeneratedScenario::from_parts(identity, blueprint))
+/// Freezes `generator`'s world at its resolved `params` and `seed`, as a
+/// scenario.
+pub(crate) fn generate(generator: &Generator, params: SweepPoint, seed: u64) -> GeneratedScenario {
+    let blueprint = generator.blueprint(&params, seed);
+    GeneratedScenario::from_parts(
+        GenIdentity { generator: generator.name, params, seed },
+        blueprint,
+    )
 }
 
 /// A generated world as a first-class [`Scenario`]: registry-compatible,
@@ -360,11 +366,11 @@ mod tests {
     use vanet_scenarios::model::VanetEvent;
     use vanet_scenarios::{round_seed, UrbanConfig, UrbanRun};
 
-    fn quick_assignments() -> Vec<(String, GenValue)> {
+    fn quick_assignments() -> Vec<(String, ParamValue)> {
         // Small worlds keep the test suite fast: short walks, few cars.
         vec![
-            ("walk_m".to_string(), GenValue::Float(150.0)),
-            ("n_cars".to_string(), GenValue::Int(2)),
+            ("walk_m".to_string(), ParamValue::Float(150.0)),
+            ("n_cars".to_string(), ParamValue::Int(2)),
         ]
     }
 
@@ -382,8 +388,8 @@ mod tests {
         let c = instantiate("grid-city", &quick_assignments(), 8).unwrap();
         assert_ne!(a.name(), c.name());
         // Other params are another scenario too.
-        let d =
-            instantiate("grid-city", &[("walk_m".to_string(), GenValue::Float(151.0))], 7).unwrap();
+        let d = instantiate("grid-city", &[("walk_m".to_string(), ParamValue::Float(151.0))], 7)
+            .unwrap();
         assert_ne!(a.name(), d.name());
     }
 
@@ -414,7 +420,9 @@ mod tests {
             ("generator=mars;gen_seed=0x01", "unknown generator"),
             ("generator=grid-city;n_cars", "expected `key=value`"),
             ("generator=grid-city;warp=i1;gen_seed=0x01", "no parameter `warp`"),
-            ("generator=grid-city;n_cars=two;gen_seed=0x01", "not a valid value"),
+            ("generator=grid-city;n_cars=two;gen_seed=0x01", "not a canonical value"),
+            ("generator=grid-city;n_cars=i99;gen_seed=0x01", "outside the range 1..=8"),
+            ("generator=grid-city;ap_placement=moon;gen_seed=0x01", "not a canonical value"),
             ("generator=grid-city;n_cars=i2;n_cars=i3;gen_seed=0x01", "assigned twice"),
             ("generator=grid-city;n_cars=i2", "missing `gen_seed`"),
             ("generator=grid-city;gen_seed=01", "0x-prefixed hex"),
@@ -463,8 +471,8 @@ mod tests {
         let scenario = instantiate(
             "platoon-merge",
             &[
-                ("tail_m".to_string(), GenValue::Float(150.0)),
-                ("feeder_m".to_string(), GenValue::Float(100.0)),
+                ("tail_m".to_string(), ParamValue::Float(150.0)),
+                ("feeder_m".to_string(), ParamValue::Float(100.0)),
             ],
             5,
         )
@@ -483,17 +491,14 @@ mod tests {
         let scenario = instantiate(
             "highway-flow",
             &[
-                ("road_length_m".to_string(), GenValue::Float(300.0)),
-                ("n_cars".to_string(), GenValue::Int(2)),
+                ("road_length_m".to_string(), ParamValue::Float(300.0)),
+                ("n_cars".to_string(), ParamValue::Int(2)),
             ],
             2,
         )
         .unwrap();
         let baseline = scenario
-            .configure(&SweepPoint::new(vec![(
-                Param::Cooperation,
-                vanet_scenarios::ParamValue::Bool(false),
-            )]))
+            .configure(&SweepPoint::new(vec![(Param::Cooperation, ParamValue::Bool(false))]))
             .unwrap();
         let report = baseline.run_round(0, round_seed(1, 0));
         assert_eq!(report.counter("requests_sent"), Some(0.0));
@@ -509,7 +514,7 @@ mod tests {
         // canonical configuration (and therefore seeds and cache keys).
         let point = SweepPoint::new(vec![(
             Param::Strategy,
-            vanet_scenarios::ParamValue::Strategy(RecoveryStrategyKind::NoCoop),
+            ParamValue::Strategy(RecoveryStrategyKind::NoCoop),
         )]);
         let run = scenario.configure(&point).unwrap();
         let report = run.run_round(0, round_seed(4, 0));
@@ -525,10 +530,7 @@ mod tests {
     fn runtime_schema_rejects_world_parameters() {
         let scenario = instantiate("grid-city", &quick_assignments(), 1).unwrap();
         let err = scenario
-            .configure(&SweepPoint::new(vec![(
-                Param::SpeedKmh,
-                vanet_scenarios::ParamValue::Float(10.0),
-            )]))
+            .configure(&SweepPoint::new(vec![(Param::SpeedKmh, ParamValue::Float(10.0))]))
             .map(|_| ())
             .unwrap_err();
         assert!(
@@ -588,10 +590,10 @@ mod tests {
     #[test]
     fn hello_handlers_read_the_same_snrs_traced_and_untraced() {
         let urban = UrbanRun::new(UrbanConfig::paper_testbed());
-        let assignments: Vec<(String, GenValue)> =
+        let assignments: Vec<(String, ParamValue)> =
             [("blocks_x", 4), ("blocks_y", 4), ("n_cars", 8), ("n_aps", 4)]
                 .into_iter()
-                .map(|(name, value)| (name.to_string(), GenValue::Int(value)))
+                .map(|(name, value)| (name.to_string(), ParamValue::Int(value)))
                 .collect();
         let grid = instantiate("grid-city", &assignments, 0x2008_1cdc)
             .expect("grid-city parameters are valid")

@@ -25,8 +25,8 @@ use serde::{Deserialize, Serialize};
 use sim_core::{SimDuration, SimTime, StreamRng};
 use vanet_geo::Point;
 use vanet_radio::{
-    ChannelModel, DataRate, FieldAnchor, FrameTiming, LinkBudget, LinkState, RadioChannel,
-    RadioConfig, VerdictDraws,
+    DataRate, FieldAnchor, FrameTiming, LinkBudget, LinkState, RadioChannel, RadioConfig,
+    VerdictDraws,
 };
 use vanet_trace::{NoTrace, TraceRecord, TraceSink};
 
@@ -612,11 +612,12 @@ impl Medium {
 
     /// The certain-loss rule for one verdict over `link` (see
     /// [`Medium::transmit_into`]): first the budget plus the field's largest
-    /// shadowing, then the budget plus the link's own shadowing. Untraced
-    /// (`anchored`), the second step takes the shadowing's bounds, which
-    /// settle the rule when it holds at the upper one or fails at the lower
-    /// one (rounding is monotone); only a straddle evaluates it exactly.
-    fn rule(&mut self, link: &mut CachedLink, bits: u64, rate: DataRate, anchored: bool) -> Rule {
+    /// shadowing, then the budget plus the link's own shadowing. The second
+    /// step takes the shadowing's bounds (exact where the link holds it, as
+    /// a traced verdict's does), which settle the rule when it holds at the
+    /// upper one or fails at the lower one (rounding is monotone); only a
+    /// straddle evaluates it exactly.
+    fn rule(&mut self, link: &mut CachedLink, bits: u64, rate: DataRate) -> Rule {
         let channel = self.link_channel(link);
         let budget_snr_db = link.budget.snr_db;
         let settled = channel.certain_loss_ceiling(
@@ -627,12 +628,7 @@ impl Medium {
         if let Some(ceiling) = settled {
             return Rule::BudgetCeiling(ceiling);
         }
-        let (lo, hi) = if anchored {
-            self.shadowing_bounds(link)
-        } else {
-            let shadowing_db = self.shadowing_of(link, false);
-            (shadowing_db, shadowing_db)
-        };
+        let (lo, hi) = self.shadowing_bounds(link);
         let before = [budget_snr_db + lo, budget_snr_db + hi];
         let channel = self.link_channel(link);
         if channel.certain_loss_ceiling(before[1], bits, rate).is_some() {
@@ -641,18 +637,17 @@ impl Medium {
         if channel.certain_loss_ceiling(before[0], bits, rate).is_none() {
             return Rule::Open(before);
         }
-        let before_fading_db = budget_snr_db + self.shadowing_of(link, anchored);
+        let before_fading_db = budget_snr_db + self.shadowing_of(link, true);
         match self.link_channel(link).certain_loss_ceiling(before_fading_db, bits, rate) {
             Some(_) => Rule::LinkCeiling,
             None => Rule::Open([before_fading_db; 2]),
         }
     }
 
-    /// An untraced verdict that the certain-loss rule left open, its SNR
-    /// before fading within `before`: decided from bounds on its draws
-    /// ([`RadioChannel::decide`]) where they settle it, else from the
-    /// exact shadowing, decided again or evaluated exactly
-    /// ([`RadioChannel::verdict_from`]).
+    /// A verdict that the certain-loss rule left open, its SNR before fading
+    /// within `before`: decided from bounds on its draws
+    /// ([`RadioChannel::decide`]) where they settle it, else evaluated
+    /// exactly on the exact shadowing ([`RadioChannel::verdict_from`]).
     fn open_verdict(
         &mut self,
         link: &mut CachedLink,
@@ -664,13 +659,8 @@ impl Medium {
         if let Some(received) = self.link_channel(link).decide(before, bits, rate, draws) {
             return received;
         }
-        let bounded = !matches!(link.shadowing, Shadowing::Exact(_));
         let before_fading_db = link.budget.snr_db + self.shadowing_of(link, true);
-        let channel = self.link_channel(link);
-        bounded
-            .then(|| channel.decide([before_fading_db; 2], bits, rate, draws))
-            .flatten()
-            .unwrap_or_else(|| channel.verdict_from(before_fading_db, bits, rate, draws).received)
+        self.link_channel(link).verdict_from(before_fading_db, bits, rate, draws).received
     }
 
     /// The link state computed from scratch at the nodes' current positions,
@@ -710,12 +700,11 @@ impl Medium {
     /// Every other verdict draws its words ([`RadioChannel::draw`]) and is
     /// *decided* from bounds on them where they settle it
     /// ([`RadioChannel::decide`], over the bounded SNR before fading),
-    /// which is the exact outcome; the rest evaluate the field exactly, are
-    /// decided again, and where still open evaluate the exact chain on the
-    /// same words ([`RadioChannel::verdict_from`]). None evaluates the
-    /// realised SNR for the delivery: it keeps the budget's SNR, the probe
-    /// point and the words, and [`Medium::snr_db`] evaluates them when a
-    /// reader asks.
+    /// which is the exact outcome; the rest evaluate the field exactly and
+    /// the exact chain on the same words ([`RadioChannel::verdict_from`]).
+    /// None evaluates the realised SNR for the delivery: it keeps the
+    /// budget's SNR, the probe point and the words, and [`Medium::snr_db`]
+    /// evaluates them when a reader asks.
     ///
     /// # Panics
     ///
@@ -741,11 +730,13 @@ impl Medium {
     /// [`TraceRecord::TxStart`], one [`TraceRecord::Delivery`] per receiver
     /// carrying the cached-vs-sampled link split, and sampled
     /// [`TraceRecord::CacheAudit`]s that recompute a cached link state from
-    /// scratch (RNG-free) and compare. A traced verdict takes the exact
-    /// chain, never the decided path, and a traced certain loss still
-    /// samples its fading, with the very draws the skip passes over, so
-    /// that every delivery record carries the realised SNR; its
-    /// [`Delivery`] carries the ceiling, as untraced.
+    /// scratch (RNG-free) and compare. A traced verdict reads its link's
+    /// exact shadowing first (without anchoring it), then runs the rule,
+    /// draws and decision of an untraced one; a traced certain loss makes
+    /// the very draws the untraced skip passes over. Its record carries the
+    /// realised SNR of the exact shadowing and the fading words
+    /// ([`RadioChannel::realised_snr_db`]), as any reader of it does; its
+    /// [`Delivery`] carries the ceiling of a certain loss, as untraced.
     ///
     /// With the default [`NoTrace`] sink every emission block is guarded by
     /// the compile-time-`false` `S::ENABLED` and this monomorphizes to
@@ -803,44 +794,50 @@ impl Medium {
                     });
                 }
             }
-            // A traced verdict is sampled before the rule runs, certain loss
-            // or not, so that its record carries the realised SNR.
-            let traced = S::ENABLED.then(|| {
-                let before_fading_db = link.budget.snr_db + self.shadowing_of(&mut link, false);
-                let channel = self.link_channel(&link);
-                let draws = channel.draw(rng);
-                (draws, channel.verdict_from(before_fading_db, bits, rate, &draws))
-            });
+            // A traced verdict reads its link's exact shadowing first,
+            // unanchored, so that the rule finds it held.
+            let shadowing_db = S::ENABLED.then(|| self.shadowing_of(&mut link, false));
             let ap_link = link.ap_link();
             let budget_snr_db = link.budget.snr_db;
             let probe = self.link_channel(&link).shadowing_probe(link.tx, link.rx);
-            let (received, snr) = match self.rule(&mut link, bits, rate, !S::ENABLED) {
+            let mut traced_draws = None;
+            let (received, snr) = match self.rule(&mut link, bits, rate) {
                 Rule::BudgetCeiling(ceiling) => (false, SnrSource::Ceiling(ceiling)),
                 Rule::LinkCeiling => {
                     (false, SnrSource::LinkCeiling { ap_link, budget_snr_db, probe })
                 }
                 Rule::Open(before) => {
-                    let (received, fading) = match traced {
-                        Some((draws, verdict)) => (verdict.received, draws.fading),
-                        None => {
-                            let draws = self.link_channel(&link).draw(rng);
-                            let received = self.open_verdict(&mut link, before, bits, rate, &draws);
-                            (received, draws.fading)
-                        }
-                    };
+                    let draws = self.link_channel(&link).draw(rng);
+                    traced_draws = S::ENABLED.then_some(draws);
+                    let received = self.open_verdict(&mut link, before, bits, rate, &draws);
+                    let fading = draws.fading;
                     (received, SnrSource::Sampled { ap_link, budget_snr_db, probe, fading })
                 }
             };
             let snr = DeliverySnr(snr);
-            if traced.is_none() && !matches!(snr.0, SnrSource::Sampled { .. }) {
-                // A certain loss skips the draws a traced verdict made.
-                self.link_channel(&link).skip_sample(rng);
+            if !matches!(snr.0, SnrSource::Sampled { .. }) {
+                // A certain loss skips the draws a sampled verdict makes;
+                // traced, it makes them, for its record.
+                let channel = self.link_channel(&link);
+                if S::ENABLED {
+                    traced_draws = Some(channel.draw(rng));
+                } else {
+                    channel.skip_sample(rng);
+                }
             }
-            debug_assert!(traced.is_none_or(|(_, verdict)| {
-                verdict.received == received
-                    && (matches!(snr.0, SnrSource::Sampled { .. })
-                        || verdict.snr_db <= self.snr_db(&snr))
-            }));
+            let traced_snr_db = shadowing_db.zip(traced_draws).map(|(shadowing_db, draws)| {
+                let channel = self.link_channel(&link);
+                let before_fading_db = budget_snr_db + shadowing_db;
+                let snr_db = channel.realised_snr_db(before_fading_db, &draws.fading);
+                debug_assert!({
+                    let verdict = channel.verdict_from(before_fading_db, bits, rate, &draws);
+                    verdict.received == received
+                        && verdict.snr_db.to_bits() == snr_db.to_bits()
+                        && (matches!(snr.0, SnrSource::Sampled { .. })
+                            || snr_db <= self.snr_db(&snr))
+                });
+                snr_db
+            });
             let mut outcome =
                 if received { DeliveryOutcome::Received } else { DeliveryOutcome::LostChannel };
             if outcome == DeliveryOutcome::Received && self.collides_at(rx_id, src, now) {
@@ -851,14 +848,14 @@ impl Medium {
                 DeliveryOutcome::LostChannel => self.stats.deliveries_lost_channel += 1,
                 DeliveryOutcome::LostCollision => self.stats.deliveries_lost_collision += 1,
             }
-            if let Some((_, verdict)) = traced {
+            if let Some(snr_db) = traced_snr_db {
                 sink.record(TraceRecord::Delivery {
                     at: now,
                     tx: src.as_u32(),
                     rx: rx_id.as_u32(),
                     received: outcome.is_received(),
                     cached: link.hit,
-                    snr_db: verdict.snr_db,
+                    snr_db,
                 });
             }
             deliveries.push(Delivery { node: rx_id, at: ends_at, outcome, snr });
@@ -1216,7 +1213,8 @@ mod tests {
                                 rate,
                             )
                         });
-                    let verdict = channel.sample_reception(src_pos, rx_pos, bits, rate, rng);
+                    let state = channel.link_state(src_pos, rx_pos);
+                    let verdict = channel.sample_from_state(&state, bits, rate, rng);
                     let mut outcome = if verdict.received {
                         DeliveryOutcome::Received
                     } else {

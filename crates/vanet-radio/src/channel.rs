@@ -1,8 +1,8 @@
 //! The composite radio channel: path loss + shadowing + fading + noise →
 //! per-frame reception verdicts.
 //!
-//! [`RadioChannel`] is the physical model. It combines a [`PathLossModel`],
-//! a spatially correlated shadowing field, per-frame fast fading and a
+//! [`RadioChannel`] is the physical model. It combines [`LogDistance`] path
+//! loss, a spatially correlated shadowing field, per-frame fast fading and a
 //! thermal-noise floor, then maps the resulting SNR through the
 //! [`crate::per`] curves. This is the model used to reproduce the paper's
 //! urban testbed.
@@ -16,7 +16,7 @@ use crate::cosine::{VectorCosine, SINE_ERROR_ULP};
 use crate::datarate::DataRate;
 use crate::fading::{FadingKind, ResolvedFading};
 use crate::obstacles::ObstacleMap;
-use crate::pathloss::{LogDistance, PathLossModel};
+use crate::pathloss::LogDistance;
 use crate::per::{is_certain_loss, packet_error_rate};
 use sim_core::rng::chance_of;
 
@@ -40,8 +40,7 @@ pub struct LinkBudget {
 /// sample many frames between ticks can compute this once per pair and reuse
 /// it via [`RadioChannel::sample_from_state`] — only the fast-fading draw and
 /// the reception Bernoulli stay per-frame, which keeps RNG consumption and
-/// results bit-identical to calling
-/// [`ChannelModel::sample_reception`] every time.
+/// results bit-identical to recomputing the state for every frame.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkState {
     /// The median link budget (path loss, obstacles, noise).
@@ -74,48 +73,6 @@ pub struct VerdictDraws {
     pub fading: [u64; 4],
     /// The reception Bernoulli's word.
     pub reception: u64,
-}
-
-/// A packet-level wireless channel model.
-pub trait ChannelModel: std::fmt::Debug {
-    /// The deterministic link budget between two positions.
-    fn link_budget(&self, tx: Point, rx: Point) -> LinkBudget;
-
-    /// Samples whether a single frame of `bits` bits sent at `rate` from `tx`
-    /// to `rx` is received.
-    fn sample_reception(
-        &self,
-        tx: Point,
-        rx: Point,
-        bits: u64,
-        rate: DataRate,
-        rng: &mut StreamRng,
-    ) -> ReceptionVerdict;
-
-    /// The distance (m) beyond which the median SNR falls below `snr_db`.
-    /// Used by the MAC layer to prune hopeless links and by scenario code to
-    /// size coverage areas. The default implementation bisects
-    /// [`ChannelModel::link_budget`].
-    fn range_for_snr(&self, snr_db: f64) -> f64 {
-        let probe = |d: f64| self.link_budget(Point::ORIGIN, Point::new(d, 0.0)).snr_db;
-        let mut lo = 1.0;
-        let mut hi = 10_000.0;
-        if probe(hi) > snr_db {
-            return hi;
-        }
-        if probe(lo) < snr_db {
-            return lo;
-        }
-        for _ in 0..60 {
-            let mid = 0.5 * (lo + hi);
-            if probe(mid) > snr_db {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        0.5 * (lo + hi)
-    }
 }
 
 /// Configuration of the physical [`RadioChannel`].
@@ -495,17 +452,31 @@ impl RadioChannel {
         Some((sigma * lo, sigma * hi))
     }
 
+    /// The deterministic link budget between two positions: log-distance
+    /// path loss plus obstacle blockage, against the noise floor.
+    pub fn link_budget(&self, tx: Point, rx: Point) -> LinkBudget {
+        let distance_m = tx.distance_to(rx);
+        let path_loss_db =
+            self.config.path_loss.loss_db(distance_m) + self.config.obstacles.blockage_db(tx, rx);
+        let rx_power_dbm = self.config.tx_power_dbm + self.config.antenna_gain_db - path_loss_db;
+        LinkBudget {
+            distance_m,
+            path_loss_db,
+            rx_power_dbm,
+            snr_db: rx_power_dbm - self.config.noise_floor_dbm,
+        }
+    }
+
     /// Computes the deterministic part of the link from `tx` to `rx` —
-    /// everything [`ChannelModel::sample_reception`] derives from positions
-    /// alone. Cacheable while neither endpoint moves.
+    /// everything a verdict derives from positions alone. Cacheable while
+    /// neither endpoint moves.
     pub fn link_state(&self, tx: Point, rx: Point) -> LinkState {
         LinkState { budget: self.link_budget(tx, rx), shadowing_db: self.shadowing_db(tx, rx) }
     }
 
-    /// Samples one frame over a precomputed [`LinkState`]. Draws exactly the
-    /// random variates [`ChannelModel::sample_reception`] would (fast fading,
-    /// then the reception Bernoulli), in the same order, so interleaving
-    /// cached and uncached sampling on one RNG stream is bit-identical.
+    /// Samples one frame over a precomputed [`LinkState`]. Draws the fast
+    /// fading, then the reception Bernoulli, so sampling from a cached state
+    /// and from a freshly computed one on one RNG stream is bit-identical.
     /// [`RadioChannel::skip_sample`] and [`RadioChannel::draw`] make the
     /// same draws; this is [`RadioChannel::verdict_from`] on the latter's.
     pub fn sample_from_state(
@@ -596,32 +567,6 @@ impl RadioChannel {
     }
 }
 
-impl ChannelModel for RadioChannel {
-    fn link_budget(&self, tx: Point, rx: Point) -> LinkBudget {
-        let distance_m = tx.distance_to(rx);
-        let path_loss_db =
-            self.config.path_loss.loss_db(distance_m) + self.config.obstacles.blockage_db(tx, rx);
-        let rx_power_dbm = self.config.tx_power_dbm + self.config.antenna_gain_db - path_loss_db;
-        LinkBudget {
-            distance_m,
-            path_loss_db,
-            rx_power_dbm,
-            snr_db: rx_power_dbm - self.config.noise_floor_dbm,
-        }
-    }
-
-    fn sample_reception(
-        &self,
-        tx: Point,
-        rx: Point,
-        bits: u64,
-        rate: DataRate,
-        rng: &mut StreamRng,
-    ) -> ReceptionVerdict {
-        self.sample_from_state(&self.link_state(tx, rx), bits, rate, rng)
-    }
-}
-
 #[cfg(test)]
 mod enclosure_oracle;
 
@@ -630,12 +575,13 @@ mod tests {
     use super::*;
     use proptest::prelude::{prop_assert, proptest};
 
-    fn reception_rate(channel: &dyn ChannelModel, distance: f64, trials: usize, seed: u64) -> f64 {
+    fn reception_rate(channel: &RadioChannel, distance: f64, trials: usize, seed: u64) -> f64 {
         let mut rng = StreamRng::derive(seed, "rate-test");
-        let tx = Point::ORIGIN;
-        let rx = Point::new(distance, 0.0);
+        let state = channel.link_state(Point::ORIGIN, Point::new(distance, 0.0));
         let ok = (0..trials)
-            .filter(|_| channel.sample_reception(tx, rx, 8_000, DataRate::Mbps1, &mut rng).received)
+            .filter(|_| {
+                channel.sample_from_state(&state, 8_000, DataRate::Mbps1, &mut rng).received
+            })
             .count();
         ok as f64 / trials as f64
     }
@@ -670,15 +616,6 @@ mod tests {
         assert!(near.snr_db > far.snr_db);
         assert!(near.rx_power_dbm > far.rx_power_dbm);
         assert_eq!(near.distance_m, 10.0);
-    }
-
-    #[test]
-    fn range_for_snr_brackets_the_transition() {
-        let ch = RadioChannel::new(RadioConfig::urban_2_4ghz());
-        let range = ch.range_for_snr(0.0);
-        assert!(range > 20.0 && range < 200.0, "range {range}");
-        let b = ch.link_budget(Point::ORIGIN, Point::new(range, 0.0));
-        assert!(b.snr_db.abs() < 0.5);
     }
 
     #[test]
@@ -759,12 +696,13 @@ mod tests {
         let state = ch.link_state(tx, rx);
         assert_eq!(state.budget, ch.link_budget(tx, rx));
         // Two identical RNG streams: one sampling from the cached state, one
-        // through the full per-call path. Every verdict must match exactly.
+        // recomputing the state per frame. Every verdict must match exactly.
         let mut cached_rng = StreamRng::derive(99, "state");
         let mut direct_rng = StreamRng::derive(99, "state");
         for _ in 0..200 {
             let cached = ch.sample_from_state(&state, 8_000, DataRate::Mbps1, &mut cached_rng);
-            let direct = ch.sample_reception(tx, rx, 8_000, DataRate::Mbps1, &mut direct_rng);
+            let fresh = ch.link_state(tx, rx);
+            let direct = ch.sample_from_state(&fresh, 8_000, DataRate::Mbps1, &mut direct_rng);
             assert_eq!(cached, direct);
         }
     }
@@ -855,7 +793,8 @@ mod tests {
         fn prop_verdict_probability_valid(d in 1.0f64..500.0, seed in 0u64..100) {
             let ch = RadioChannel::new(RadioConfig::urban_2_4ghz());
             let mut rng = StreamRng::derive(seed, "prop");
-            let v = ch.sample_reception(Point::ORIGIN, Point::new(d, 0.0), 8_000, DataRate::Mbps1, &mut rng);
+            let state = ch.link_state(Point::ORIGIN, Point::new(d, 0.0));
+            let v = ch.sample_from_state(&state, 8_000, DataRate::Mbps1, &mut rng);
             prop_assert!((0.0..=1.0).contains(&v.success_probability));
             let closer = ch.link_budget(Point::ORIGIN, Point::new(d / 2.0, 0.0));
             let here = ch.link_budget(Point::ORIGIN, Point::new(d, 0.0));

@@ -8,7 +8,7 @@
 //! regions of Figures 3–5) emerges from geometry rather than being hard-coded:
 //!
 //! * [`DataRate`] and frame airtime — 802.11b/g rates with preamble overhead.
-//! * [`pathloss`] — the log-distance path-loss model.
+//! * [`pathloss`] — the log-distance path-loss model, [`LogDistance`].
 //! * [`fading`] — per-frame Rayleigh or Rician fast fading, resolved once
 //!   per channel.
 //! * [`per`] — SNR → bit-error-rate → packet-error-rate curves for the
@@ -27,18 +27,13 @@
 //!
 //! ```rust
 //! use vanet_geo::Point;
-//! use vanet_radio::{ChannelModel, DataRate, RadioChannel, RadioConfig};
+//! use vanet_radio::{DataRate, RadioChannel, RadioConfig};
 //! use sim_core::StreamRng;
 //!
 //! let channel = RadioChannel::new(RadioConfig::urban_2_4ghz());
 //! let mut rng = StreamRng::derive(1, "channel");
-//! let verdict = channel.sample_reception(
-//!     Point::new(0.0, 0.0),
-//!     Point::new(60.0, 0.0),
-//!     1_000 * 8,
-//!     DataRate::Mbps1,
-//!     &mut rng,
-//! );
+//! let link = channel.link_state(Point::new(0.0, 0.0), Point::new(60.0, 0.0));
+//! let verdict = channel.sample_from_state(&link, 1_000 * 8, DataRate::Mbps1, &mut rng);
 //! // 60 m in an urban channel: usually received, sometimes not — but always a
 //! // well-defined probability.
 //! assert!((0.0..=1.0).contains(&verdict.success_probability));
@@ -72,10 +67,10 @@ pub mod per;
 
 pub use anchor::FieldAnchor;
 pub use channel::{
-    ChannelModel, LinkBudget, LinkState, RadioChannel, RadioConfig, ReceptionVerdict, VerdictDraws,
+    LinkBudget, LinkState, RadioChannel, RadioConfig, ReceptionVerdict, VerdictDraws,
 };
 pub use datarate::{DataRate, FrameTiming};
 pub use fading::FadingKind;
 pub use obstacles::{Building, ObstacleMap};
-pub use pathloss::{LogDistance, PathLossModel};
+pub use pathloss::LogDistance;
 pub use per::{is_certain_loss, packet_error_rate, snr_to_ber, Modulation};

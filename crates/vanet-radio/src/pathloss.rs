@@ -7,13 +7,6 @@
 
 use serde::{Deserialize, Serialize};
 
-/// A deterministic large-scale path-loss model.
-pub trait PathLossModel: std::fmt::Debug {
-    /// Attenuation in dB at `distance_m` metres. Implementations must be
-    /// monotone non-decreasing in distance.
-    fn loss_db(&self, distance_m: f64) -> f64;
-}
-
 /// Log-distance path loss: a fixed loss up to a reference distance, then a
 /// power law with a configurable exponent, plus a constant extra loss (used
 /// for the AP's window/wall penetration in the urban testbed).
@@ -30,19 +23,9 @@ pub struct LogDistance {
 }
 
 impl LogDistance {
-    /// Urban street parametrisation at 2.4 GHz: 40 dB at 1 m, exponent 3.0.
-    pub fn urban_2_4ghz() -> Self {
-        LogDistance { reference_m: 1.0, reference_loss_db: 40.0, exponent: 3.0, extra_loss_db: 0.0 }
-    }
-
-    /// Open highway parametrisation: closer to free space (exponent 2.4).
-    pub fn highway_2_4ghz() -> Self {
-        LogDistance { reference_m: 1.0, reference_loss_db: 40.0, exponent: 2.4, extra_loss_db: 0.0 }
-    }
-}
-
-impl PathLossModel for LogDistance {
-    fn loss_db(&self, distance_m: f64) -> f64 {
+    /// Attenuation in dB at `distance_m` metres, monotone non-decreasing in
+    /// distance.
+    pub fn loss_db(&self, distance_m: f64) -> f64 {
         let d = distance_m.max(self.reference_m);
         self.reference_loss_db
             + 10.0 * self.exponent * (d / self.reference_m).log10()
@@ -55,9 +38,17 @@ mod tests {
     use super::*;
     use proptest::prelude::{prop_assert, proptest};
 
+    /// 40 dB at 1 m, exponent 3.0: the urban channels' parametrisation.
+    const URBAN: LogDistance = LogDistance {
+        reference_m: 1.0,
+        reference_loss_db: 40.0,
+        exponent: 3.0,
+        extra_loss_db: 0.0,
+    };
+
     #[test]
     fn log_distance_slope_matches_exponent() {
-        let ld = LogDistance::urban_2_4ghz();
+        let ld = URBAN;
         let per_decade = ld.loss_db(100.0) - ld.loss_db(10.0);
         assert!((per_decade - 30.0).abs() < 1e-9);
         let with_wall = LogDistance { extra_loss_db: 6.0, ..ld };
@@ -66,7 +57,7 @@ mod tests {
 
     #[test]
     fn below_reference_distance_is_clamped() {
-        let ld = LogDistance::urban_2_4ghz();
+        let ld = URBAN;
         assert_eq!(ld.loss_db(0.0), ld.loss_db(1.0));
     }
 
@@ -75,8 +66,8 @@ mod tests {
         #[test]
         fn prop_monotone(d1 in 1.0f64..2_000.0, delta in 0.0f64..500.0) {
             let models = [
-                LogDistance::urban_2_4ghz(),
-                LogDistance { extra_loss_db: 3.0, ..LogDistance::highway_2_4ghz() },
+                URBAN,
+                LogDistance { exponent: 2.4, extra_loss_db: 3.0, ..URBAN },
             ];
             for m in &models {
                 prop_assert!(m.loss_db(d1 + delta) + 1e-9 >= m.loss_db(d1));

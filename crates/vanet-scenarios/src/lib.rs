@@ -61,7 +61,7 @@ pub mod urban;
 pub use highway::{HighwayConfig, HighwayRun, HighwayScenario};
 pub use model::{ModelConfig, VanetModel};
 pub use multi_ap::{MultiApConfig, MultiApOutcome, MultiApRun, MultiApScenario};
-pub use params::{Param, ParamValue, SweepPoint};
+pub use params::{grid_points, Axis, Param, ParamValue, SweepPoint};
 pub use registry::ScenarioRegistry;
 pub use scenario::{
     round_seed, run_point, run_rounds, served_prefix, urban_summary, walk_rounds, worker_threads,

@@ -1,19 +1,24 @@
-//! The parameter vocabulary scenarios share: [`Param`], [`ParamValue`] and
-//! the [`SweepPoint`] assignment a scenario is configured from.
+//! The parameter vocabulary scenarios and generated worlds share: [`Param`],
+//! [`ParamValue`], the [`SweepPoint`] assignment a scenario is configured
+//! from (and a generated world is resolved to), and the [`Axis`] grids that
+//! expand into points.
 //!
-//! These types used to live in `vanet-sweep`; they moved here so that the
-//! [`Scenario`](crate::Scenario) trait can speak them without a dependency
-//! cycle — a scenario is configured from a `SweepPoint`, whoever produced it
-//! (the sweep engine, the CLI, or a hand-written test).
+//! A scenario's runtime schema and a generator's world schema declare
+//! different parameters from this one vocabulary, with one value type, one
+//! canonical codec and one grid expansion. A scenario is configured from a
+//! `SweepPoint`, whoever produced it (the sweep engine, the CLI, or a
+//! hand-written test).
 
 use std::fmt;
 
 use carq::{RecoveryStrategyKind, RequestStrategy, SelectionStrategy};
+use vanet_stats::CellValue;
 
-/// A parameter a scenario can consume. Which parameters a scenario actually
-/// understands — with documentation, defaults and ranges — is declared by
-/// its [`ParamSchema`](crate::ParamSchema); assigning a parameter outside
-/// the schema is an error (see [`ParamError`](crate::ParamError)).
+/// A parameter a scenario or a world generator can consume. Which
+/// parameters a schema actually understands — with documentation, defaults
+/// and ranges — is declared by its [`ParamSchema`](crate::ParamSchema);
+/// assigning a parameter outside the schema is an error (see
+/// [`ParamError`](crate::ParamError)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Param {
     /// Platoon cruise speed in km/h.
@@ -38,11 +43,44 @@ pub enum Param {
     /// The recovery strategy cars run after leaving coverage (which ARQ
     /// scheme answers "I missed packets — now what?").
     Strategy,
+    /// City blocks along x (grid-city world).
+    BlocksX,
+    /// City blocks along y (grid-city world).
+    BlocksY,
+    /// Block edge length in metres (grid-city world).
+    BlockM,
+    /// Random-waypoint walk length per car (grid-city world).
+    WalkM,
+    /// Where the APs stand on the street grid (grid-city world).
+    ApPlacement,
+    /// Number of access points (grid-city world).
+    NAps,
+    /// Highway segment length (highway-flow world).
+    RoadLengthM,
+    /// Whether an opposing flow runs on the second lane (highway-flow world).
+    Bidirectional,
+    /// Per-car speed jitter as a fraction of nominal (highway-flow world).
+    SpeedJitter,
+    /// Gap between successive cars (highway-flow and platoon-merge worlds).
+    HeadwayM,
+    /// Distance between roadside APs (highway-flow world).
+    ApSpacingM,
+    /// Feeder road length before the merge (platoon-merge world).
+    FeederM,
+    /// Shared road length after the merge (platoon-merge world).
+    TailM,
+    /// Cars on the main feeder (platoon-merge world).
+    NMain,
+    /// Cars on the merging ramp (platoon-merge world).
+    NRamp,
+    /// How long after the main platoon the ramp flow starts (platoon-merge
+    /// world).
+    MergeGapS,
 }
 
 impl Param {
-    /// Every parameter, in the order the CLI and exports present them.
-    pub const ALL: [Param; 10] = [
+    /// Every parameter: the runtime knobs, then the world parameters.
+    pub const ALL: [Param; 26] = [
         Param::SpeedKmh,
         Param::NCars,
         Param::ApRatePps,
@@ -53,15 +91,31 @@ impl Param {
         Param::Rounds,
         Param::FileBlocks,
         Param::Strategy,
+        Param::BlocksX,
+        Param::BlocksY,
+        Param::BlockM,
+        Param::WalkM,
+        Param::ApPlacement,
+        Param::NAps,
+        Param::RoadLengthM,
+        Param::Bidirectional,
+        Param::SpeedJitter,
+        Param::HeadwayM,
+        Param::ApSpacingM,
+        Param::FeederM,
+        Param::TailM,
+        Param::NMain,
+        Param::NRamp,
+        Param::MergeGapS,
     ];
 
     /// The parameter whose [`key`](Param::key) is `key` — the inverse used
-    /// when parsing shard files and other serialized points.
+    /// when parsing shard files, scenario files and other serialized points.
     pub fn from_key(key: &str) -> Option<Param> {
         Param::ALL.into_iter().find(|p| p.key() == key)
     }
 
-    /// The column name used in exports and the CLI.
+    /// The column name used in exports, identities and the CLI.
     pub fn key(&self) -> &'static str {
         match self {
             Param::SpeedKmh => "speed_kmh",
@@ -74,6 +128,22 @@ impl Param {
             Param::Rounds => "rounds",
             Param::FileBlocks => "file_blocks",
             Param::Strategy => "strategy",
+            Param::BlocksX => "blocks_x",
+            Param::BlocksY => "blocks_y",
+            Param::BlockM => "block_m",
+            Param::WalkM => "walk_m",
+            Param::ApPlacement => "ap_placement",
+            Param::NAps => "n_aps",
+            Param::RoadLengthM => "road_length_m",
+            Param::Bidirectional => "bidirectional",
+            Param::SpeedJitter => "speed_jitter",
+            Param::HeadwayM => "headway_m",
+            Param::ApSpacingM => "ap_spacing_m",
+            Param::FeederM => "feeder_m",
+            Param::TailM => "tail_m",
+            Param::NMain => "n_main",
+            Param::NRamp => "n_ramp",
+            Param::MergeGapS => "merge_gap_s",
         }
     }
 }
@@ -84,14 +154,14 @@ impl fmt::Display for Param {
     }
 }
 
-/// One value of a scenario parameter.
+/// One value of a parameter.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ParamValue {
-    /// A real-valued parameter (speed, rate).
+    /// A real-valued parameter (speed, rate, length).
     Float(f64),
     /// An integral parameter (cars, payload, rounds, blocks).
     Int(u64),
-    /// An on/off parameter (cooperation).
+    /// An on/off parameter (cooperation, a bidirectional highway).
     Bool(bool),
     /// A cooperator-selection strategy.
     Selection(SelectionStrategy),
@@ -99,6 +169,9 @@ pub enum ParamValue {
     Request(RequestStrategy),
     /// A recovery strategy (which ARQ scheme runs after coverage ends).
     Strategy(RecoveryStrategyKind),
+    /// A word from a parameter's closed vocabulary (an AP placement); it is
+    /// one of the owning spec's [`ParamKind::choices`](crate::ParamKind::choices).
+    Choice(&'static str),
 }
 
 impl ParamValue {
@@ -135,29 +208,46 @@ impl ParamValue {
         }
     }
 
-    /// A **lossless** rendering used in cache keys and seed derivation.
+    /// The choice word behind this value, if it is one.
+    pub fn as_choice(&self) -> Option<&'static str> {
+        match self {
+            ParamValue::Choice(word) => Some(word),
+            _ => None,
+        }
+    }
+
+    /// A **lossless** rendering used in cache keys, seed derivation, world
+    /// identities, `VANETGEN1` files and shard files.
     ///
     /// Unlike [`fmt::Display`], which rounds floats to three decimals for
     /// human-readable labels, this encoding round-trips every value exactly:
     /// floats render as their IEEE-754 bit pattern, so `20.0` and
-    /// `20.0000001` never collapse onto one cache entry or seed.
+    /// `20.0000001` never collapse onto one cache entry, seed or world.
     pub fn canonical(&self) -> String {
         match self {
             ParamValue::Float(x) => format!("f{:016x}", x.to_bits()),
             ParamValue::Int(x) => format!("i{x}"),
             ParamValue::Bool(x) => format!("b{}", u8::from(*x)),
-            // Strategy renderings are already lossless (`all`, `first2`,
-            // `coop-arq`, …).
-            ParamValue::Selection(_) | ParamValue::Request(_) | ParamValue::Strategy(_) => {
-                self.to_string()
-            }
+            // Strategy and choice renderings are already lossless (`all`,
+            // `first2`, `coop-arq`, `corner`, …).
+            ParamValue::Selection(_)
+            | ParamValue::Request(_)
+            | ParamValue::Strategy(_)
+            | ParamValue::Choice(_) => self.to_string(),
         }
     }
 
     /// Parses a [`canonical`](ParamValue::canonical) rendering back into a
-    /// value — the exact inverse, so serialized points (shard files, shipped
-    /// work units) round-trip bit-for-bit, floats included.
-    pub fn parse_canonical(text: &str) -> Option<ParamValue> {
+    /// value — the exact inverse, so serialized points and world identities
+    /// round-trip bit-for-bit, floats included. `choices` is the vocabulary
+    /// of the choice parameter being decoded
+    /// ([`ParamKind::choices`](crate::ParamKind::choices) of its spec); it is
+    /// empty for every other parameter, and a bare word is then a strategy
+    /// name or nothing.
+    pub fn parse_canonical(text: &str, choices: &[&'static str]) -> Option<ParamValue> {
+        if let Some(word) = choices.iter().find(|word| **word == text) {
+            return Some(ParamValue::Choice(word));
+        }
         match text {
             "b0" => return Some(ParamValue::Bool(false)),
             "b1" => return Some(ParamValue::Bool(true)),
@@ -188,10 +278,11 @@ impl ParamValue {
             }
             return None;
         }
-        if let Some(digits) = text.strip_prefix('i') {
-            return digits.parse().ok().map(ParamValue::Int);
+        let digits = text.strip_prefix('i')?;
+        if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
+            return None;
         }
-        None
+        digits.parse().ok().map(ParamValue::Int)
     }
 }
 
@@ -210,13 +301,26 @@ impl fmt::Display for ParamValue {
             ParamValue::Request(RequestStrategy::PerPacket) => f.write_str("per-packet"),
             ParamValue::Request(RequestStrategy::Batched) => f.write_str("batched"),
             ParamValue::Strategy(kind) => f.write_str(kind.name()),
+            ParamValue::Choice(word) => f.write_str(word),
         }
     }
 }
 
-/// One point of a sweep (or a one-off run): parameter assignments in a
-/// stable order. Parameters a scenario's schema declares but the point does
-/// not assign keep their schema defaults.
+/// A parameter column's cell in an exported table: numbers stay numbers,
+/// every other kind is its rendering.
+impl From<ParamValue> for CellValue {
+    fn from(value: ParamValue) -> Self {
+        match value {
+            ParamValue::Float(x) => CellValue::from(x),
+            ParamValue::Int(x) => CellValue::from(x),
+            other => CellValue::from(other.to_string()),
+        }
+    }
+}
+
+/// One point of a sweep (or a one-off run), or a resolved world: parameter
+/// assignments in a stable order. Parameters a scenario's schema declares
+/// but the point does not assign keep their schema defaults.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SweepPoint {
     assignments: Vec<(Param, ParamValue)>,
@@ -269,6 +373,54 @@ impl SweepPoint {
     /// A compact `key=value,key=value` label for logs and progress output.
     pub fn label(&self) -> String {
         self.assignments.iter().map(|(p, v)| format!("{p}={v}")).collect::<Vec<_>>().join(",")
+    }
+
+    /// The lossless `key=canonical;key=canonical` rendering, in assignment
+    /// order: a shard file's `point=` body, and a resolved world's segment of
+    /// its identity.
+    pub fn canonical(&self) -> String {
+        self.assignments
+            .iter()
+            .map(|(p, v)| format!("{}={}", p.key(), v.canonical()))
+            .collect::<Vec<_>>()
+            .join(";")
+    }
+}
+
+/// One axis of a parameter grid: a parameter and the values it takes, in
+/// the order they were declared (the expansion preserves this order).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Axis {
+    /// The varied parameter.
+    pub param: Param,
+    /// The values, in declaration order.
+    pub values: Vec<ParamValue>,
+}
+
+/// The cartesian product of `axes`: one point per combination, row-major
+/// with the **first** axis varying slowest and the last fastest. No axes
+/// expand to the single empty point. Sweep specs and campaign grids both
+/// expand through this one function.
+pub fn grid_points(axes: &[Axis]) -> Vec<SweepPoint> {
+    let mut points = Vec::with_capacity(axes.iter().map(|a| a.values.len()).product());
+    let mut indices = vec![0usize; axes.len()];
+    loop {
+        points.push(SweepPoint::new(
+            axes.iter().zip(&indices).map(|(axis, i)| (axis.param, axis.values[*i])).collect(),
+        ));
+        // Odometer increment, last axis fastest.
+        let mut dim = axes.len();
+        loop {
+            if dim == 0 {
+                return points;
+            }
+            dim -= 1;
+            indices[dim] += 1;
+            if indices[dim] < axes[dim].values.len() {
+                break;
+            }
+            indices[dim] = 0;
+        }
     }
 }
 
@@ -353,14 +505,80 @@ mod tests {
         for value in values {
             let canonical = value.canonical();
             assert_eq!(
-                ParamValue::parse_canonical(&canonical),
+                ParamValue::parse_canonical(&canonical, &[]),
                 Some(value),
                 "round-trip of `{canonical}`"
             );
         }
-        for junk in ["", "x1", "f12", "fzzzzzzzzzzzzzzzz", "i", "i1.5", "first0", "strongk", "b2"] {
-            assert_eq!(ParamValue::parse_canonical(junk), None, "`{junk}` must not parse");
+        for junk in
+            ["", "x1", "f12", "fzzzzzzzzzzzzzzzz", "i", "i1.5", "i+5", "first0", "strongk", "b2"]
+        {
+            assert_eq!(ParamValue::parse_canonical(junk, &[]), None, "`{junk}` must not parse");
         }
+        // Choice words decode only against their parameter's vocabulary.
+        const PLACEMENTS: &[&str] = &["center", "corner"];
+        let corner = ParamValue::Choice("corner");
+        assert_eq!(corner.canonical(), "corner");
+        assert_eq!(corner.to_string(), "corner");
+        assert_eq!(ParamValue::parse_canonical("corner", PLACEMENTS), Some(corner));
+        assert_eq!(ParamValue::parse_canonical("corner", &[]), None);
+        assert_eq!(ParamValue::parse_canonical("ring", PLACEMENTS), None);
+        assert_eq!(ParamValue::parse_canonical("i3", PLACEMENTS), Some(ParamValue::Int(3)));
+    }
+
+    #[test]
+    fn points_render_canonically_and_cells_keep_numbers() {
+        let point = SweepPoint::new(vec![
+            (Param::BlockM, ParamValue::Float(95.5)),
+            (Param::NAps, ParamValue::Int(2)),
+            (Param::Bidirectional, ParamValue::Bool(false)),
+            (Param::ApPlacement, ParamValue::Choice("corner")),
+        ]);
+        assert_eq!(
+            point.canonical(),
+            format!(
+                "block_m=f{:016x};n_aps=i2;bidirectional=b0;ap_placement=corner",
+                95.5f64.to_bits()
+            )
+        );
+        assert_eq!(SweepPoint::empty().canonical(), "");
+        let cells: Vec<CellValue> = point.assignments().iter().map(|(_, v)| (*v).into()).collect();
+        assert_eq!(
+            cells,
+            vec![
+                CellValue::Float(95.5),
+                CellValue::Int(2),
+                CellValue::from("false"),
+                CellValue::from("corner"),
+            ]
+        );
+    }
+
+    #[test]
+    fn grids_expand_row_major_with_the_last_axis_fastest() {
+        let axes = [
+            Axis {
+                param: Param::SpeedKmh,
+                values: vec![ParamValue::Float(10.0), ParamValue::Float(20.0)],
+            },
+            Axis {
+                param: Param::NCars,
+                values: vec![ParamValue::Int(2), ParamValue::Int(3), ParamValue::Int(4)],
+            },
+        ];
+        let labels: Vec<String> = grid_points(&axes).iter().map(SweepPoint::label).collect();
+        assert_eq!(
+            labels,
+            [
+                "speed_kmh=10.000,n_cars=2",
+                "speed_kmh=10.000,n_cars=3",
+                "speed_kmh=10.000,n_cars=4",
+                "speed_kmh=20.000,n_cars=2",
+                "speed_kmh=20.000,n_cars=3",
+                "speed_kmh=20.000,n_cars=4",
+            ]
+        );
+        assert_eq!(grid_points(&[]), vec![SweepPoint::empty()], "no axes: one empty point");
     }
 
     #[test]

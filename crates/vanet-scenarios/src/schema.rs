@@ -1,8 +1,11 @@
-//! Typed parameter schemas: which parameters a scenario consumes, with
-//! documentation, defaults and ranges — and the validation that turns a
-//! loose [`SweepPoint`] into a trustworthy configuration.
+//! Typed parameter schemas: which parameters a scenario (or a world
+//! generator) consumes, with documentation, defaults and ranges — the one
+//! text parser for their values, and the validation that turns a loose
+//! [`SweepPoint`] into a trustworthy configuration.
 
 use std::fmt;
+
+use carq::{RecoveryStrategyKind, RequestStrategy, SelectionStrategy};
 
 use crate::params::{Param, ParamValue, SweepPoint};
 
@@ -22,6 +25,8 @@ pub enum ParamKind {
     Request,
     /// A recovery strategy ([`ParamValue::Strategy`]).
     Strategy,
+    /// One word of a closed vocabulary ([`ParamValue::Choice`]).
+    Choice(&'static [&'static str]),
 }
 
 impl ParamKind {
@@ -34,6 +39,15 @@ impl ParamKind {
             ParamKind::Selection => "selection",
             ParamKind::Request => "request",
             ParamKind::Strategy => "strategy",
+            ParamKind::Choice(_) => "choice",
+        }
+    }
+
+    /// The vocabulary of a choice kind; empty for every other kind.
+    pub fn choices(&self) -> &'static [&'static str] {
+        match self {
+            ParamKind::Choice(words) => words,
+            _ => &[],
         }
     }
 
@@ -45,20 +59,22 @@ impl ParamKind {
             ParamValue::Selection(_) => "selection",
             ParamValue::Request(_) => "request",
             ParamValue::Strategy(_) => "strategy",
+            ParamValue::Choice(_) => "choice",
         }
     }
 }
 
-/// One documented parameter of a scenario: its type, its default (taken from
-/// the scenario's base configuration) and, for numeric kinds, the inclusive
-/// range of accepted values.
+/// One documented parameter of a scenario or a world: its type, its default
+/// (for a scenario, taken from its base configuration) and, for numeric
+/// kinds, the inclusive range of accepted values.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParamSpec {
     /// The parameter.
     pub param: Param,
     /// The type values must have.
     pub kind: ParamKind,
-    /// One-line documentation shown by `carq-cli scenario describe`.
+    /// One-line documentation shown by `carq-cli scenario describe` and
+    /// `carq-cli gen describe`.
     pub doc: &'static str,
     /// The value used when a point does not assign the parameter.
     pub default: ParamValue,
@@ -78,88 +94,66 @@ pub struct ParamSpec {
 }
 
 impl ParamSpec {
-    /// A float parameter accepted in `[min, max]`.
-    pub fn float(param: Param, doc: &'static str, default: f64, min: f64, max: f64) -> Self {
+    fn new(
+        param: Param,
+        kind: ParamKind,
+        doc: &'static str,
+        default: ParamValue,
+        range: Option<(f64, f64)>,
+    ) -> Self {
         ParamSpec {
             param,
-            kind: ParamKind::Float,
+            kind,
             doc,
-            default: ParamValue::Float(default),
-            min: Some(min),
-            max: Some(max),
+            default,
+            min: range.map(|(min, _)| min),
+            max: range.map(|(_, max)| max),
             round_neutral: false,
             default_transparent: false,
         }
+    }
+
+    /// A float parameter accepted in `[min, max]`.
+    pub fn float(param: Param, doc: &'static str, default: f64, min: f64, max: f64) -> Self {
+        ParamSpec::new(param, ParamKind::Float, doc, ParamValue::Float(default), Some((min, max)))
     }
 
     /// An integer parameter accepted in `[min, max]`.
     pub fn int(param: Param, doc: &'static str, default: u64, min: u64, max: u64) -> Self {
-        ParamSpec {
-            param,
-            kind: ParamKind::Int,
-            doc,
-            default: ParamValue::Int(default),
-            min: Some(min as f64),
-            max: Some(max as f64),
-            round_neutral: false,
-            default_transparent: false,
-        }
+        let range = Some((min as f64, max as f64));
+        ParamSpec::new(param, ParamKind::Int, doc, ParamValue::Int(default), range)
     }
 
     /// A boolean parameter.
     pub fn bool(param: Param, doc: &'static str, default: bool) -> Self {
-        ParamSpec {
-            param,
-            kind: ParamKind::Bool,
-            doc,
-            default: ParamValue::Bool(default),
-            min: None,
-            max: None,
-            round_neutral: false,
-            default_transparent: false,
-        }
+        ParamSpec::new(param, ParamKind::Bool, doc, ParamValue::Bool(default), None)
     }
 
     /// A cooperator-selection-strategy parameter.
-    pub fn selection(param: Param, doc: &'static str, default: carq::SelectionStrategy) -> Self {
-        ParamSpec {
-            param,
-            kind: ParamKind::Selection,
-            doc,
-            default: ParamValue::Selection(default),
-            min: None,
-            max: None,
-            round_neutral: false,
-            default_transparent: false,
-        }
+    pub fn selection(param: Param, doc: &'static str, default: SelectionStrategy) -> Self {
+        ParamSpec::new(param, ParamKind::Selection, doc, ParamValue::Selection(default), None)
     }
 
     /// A REQUEST-strategy parameter.
-    pub fn request(param: Param, doc: &'static str, default: carq::RequestStrategy) -> Self {
-        ParamSpec {
-            param,
-            kind: ParamKind::Request,
-            doc,
-            default: ParamValue::Request(default),
-            min: None,
-            max: None,
-            round_neutral: false,
-            default_transparent: false,
-        }
+    pub fn request(param: Param, doc: &'static str, default: RequestStrategy) -> Self {
+        ParamSpec::new(param, ParamKind::Request, doc, ParamValue::Request(default), None)
     }
 
     /// A recovery-strategy parameter.
-    pub fn strategy(param: Param, doc: &'static str, default: carq::RecoveryStrategyKind) -> Self {
-        ParamSpec {
-            param,
-            kind: ParamKind::Strategy,
-            doc,
-            default: ParamValue::Strategy(default),
-            min: None,
-            max: None,
-            round_neutral: false,
-            default_transparent: false,
-        }
+    pub fn strategy(param: Param, doc: &'static str, default: RecoveryStrategyKind) -> Self {
+        ParamSpec::new(param, ParamKind::Strategy, doc, ParamValue::Strategy(default), None)
+    }
+
+    /// A parameter over the closed vocabulary `choices`; the default must be
+    /// one of them (checked by [`ParamSchema::new`]).
+    pub fn choice(
+        param: Param,
+        doc: &'static str,
+        default: &'static str,
+        choices: &'static [&'static str],
+    ) -> Self {
+        let kind = ParamKind::Choice(choices);
+        ParamSpec::new(param, kind, doc, ParamValue::Choice(default), None)
     }
 
     /// Marks the parameter as **round-neutral** (builder style): its value
@@ -206,55 +200,120 @@ impl ParamSpec {
         self
     }
 
-    /// The `[min, max]` range rendered for listings, or `-` when the kind
-    /// has no range.
+    /// The `[min, max]` range rendered for listings, the vocabulary of a
+    /// choice, or `-` when the kind has neither.
     pub fn range_label(&self) -> String {
         match (self.min, self.max, self.kind) {
             (Some(min), Some(max), ParamKind::Int) => format!("{}..={}", min as u64, max as u64),
             (Some(min), Some(max), _) => format!("{min}..={max}"),
+            (_, _, ParamKind::Choice(words)) => words.join("|"),
             _ => "-".to_string(),
         }
     }
 
-    /// Checks one assigned value against this spec. `scenario` is the name
-    /// of the scenario doing the checking; it is carried into the error so
-    /// that CLI messages name the rejecting scenario, not just the
-    /// parameter.
-    pub fn check(&self, scenario: &'static str, value: ParamValue) -> Result<(), ParamError> {
-        let kind_error = || ParamError::Type {
-            scenario,
-            param: self.param,
-            expected: self.kind,
-            got: ParamKind::of(value),
+    /// Parses one value as a user types it: `2.5`, `3`, `on`/`off` (also
+    /// `true`/`false`, `1`/`0`), `all`/`first2`/`strong1`,
+    /// `per-packet`/`batched`, a recovery-strategy name, or a choice word.
+    /// This is the one text parser behind every `--PARAM` flag; ranges are
+    /// [`check`](ParamSpec::check)ed separately.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the text and what the kind accepts.
+    pub fn parse(&self, text: &str) -> Result<ParamValue, String> {
+        let count = |k: &str| match k.parse::<usize>() {
+            Ok(0) => Err(format!("`{text}`: the cooperator count must be positive")),
+            Ok(k) => Ok(k),
+            Err(_) => Err(format!("`{text}`: `{k}` is not a count")),
         };
-        let numeric = match (self.kind, value) {
-            (ParamKind::Float, ParamValue::Float(x)) => Some(x),
+        match self.kind {
+            ParamKind::Float => {
+                text.parse().map(ParamValue::Float).map_err(|_| format!("`{text}` is not a number"))
+            }
+            ParamKind::Int => text
+                .parse()
+                .map(ParamValue::Int)
+                .map_err(|_| format!("`{text}` is not an unsigned integer")),
+            ParamKind::Bool => match text {
+                "on" | "true" | "1" => Ok(ParamValue::Bool(true)),
+                "off" | "false" | "0" => Ok(ParamValue::Bool(false)),
+                _ => Err(format!("`{text}` is not on/off")),
+            },
+            ParamKind::Selection => {
+                let selection = if text == "all" {
+                    SelectionStrategy::AllNeighbours
+                } else if let Some(k) = text.strip_prefix("first") {
+                    SelectionStrategy::FirstHeard { k: count(k)? }
+                } else if let Some(k) = text.strip_prefix("strong") {
+                    SelectionStrategy::StrongestSignal { k: count(k)? }
+                } else {
+                    return Err(format!(
+                        "`{text}` is not a selection strategy (all, firstK, strongK)"
+                    ));
+                };
+                Ok(ParamValue::Selection(selection))
+            }
+            ParamKind::Request => match text {
+                "per-packet" => Ok(ParamValue::Request(RequestStrategy::PerPacket)),
+                "batched" => Ok(ParamValue::Request(RequestStrategy::Batched)),
+                _ => Err(format!("`{text}` is not a REQUEST strategy (per-packet, batched)")),
+            },
+            ParamKind::Strategy => {
+                RecoveryStrategyKind::from_name(text).map(ParamValue::Strategy).ok_or_else(|| {
+                    let names: Vec<&str> =
+                        RecoveryStrategyKind::ALL.iter().map(|k| k.name()).collect();
+                    format!("`{text}` is not a recovery strategy ({})", names.join(", "))
+                })
+            }
+            ParamKind::Choice(words) => words
+                .iter()
+                .find(|word| **word == text)
+                .map(|word| ParamValue::Choice(word))
+                .ok_or_else(|| format!("`{text}` is not one of {}", words.join(", "))),
+        }
+    }
+
+    /// Checks one assigned value against this spec and returns it as the
+    /// spec holds it: an integer given for a float parameter widens to a
+    /// float. `scenario` is the name of the scenario (or generator) doing the
+    /// checking; it is carried into the error so that CLI messages name the
+    /// rejecting schema, not just the parameter.
+    pub fn check(
+        &self,
+        scenario: &'static str,
+        value: ParamValue,
+    ) -> Result<ParamValue, ParamError> {
+        let (numeric, checked) = match (self.kind, value) {
+            (ParamKind::Float, ParamValue::Float(x)) => (x, value),
             // Integers widen to floats (a sweep axis `10,20` may be typed as
             // ints even where the scenario wants a float).
-            (ParamKind::Float, ParamValue::Int(x)) => Some(x as f64),
-            (ParamKind::Int, ParamValue::Int(x)) => Some(x as f64),
+            (ParamKind::Float, ParamValue::Int(x)) => (x as f64, ParamValue::Float(x as f64)),
+            (ParamKind::Int, ParamValue::Int(x)) => (x as f64, value),
+            (ParamKind::Choice(words), ParamValue::Choice(word)) => {
+                if !words.contains(&word) {
+                    return Err(self.range_error(scenario, value));
+                }
+                return Ok(value);
+            }
             (ParamKind::Bool, ParamValue::Bool(_))
             | (ParamKind::Selection, ParamValue::Selection(_))
             | (ParamKind::Request, ParamValue::Request(_))
-            | (ParamKind::Strategy, ParamValue::Strategy(_)) => None,
-            _ => return Err(kind_error()),
+            | (ParamKind::Strategy, ParamValue::Strategy(_)) => return Ok(value),
+            _ => {
+                return Err(ParamError::Type {
+                    scenario,
+                    param: self.param,
+                    expected: self.kind,
+                    got: ParamKind::of(value),
+                })
+            }
         };
-        if let Some(x) = numeric {
-            if !x.is_finite() {
-                return Err(self.range_error(scenario, value));
-            }
-            if let Some(min) = self.min {
-                if x < min {
-                    return Err(self.range_error(scenario, value));
-                }
-            }
-            if let Some(max) = self.max {
-                if x > max {
-                    return Err(self.range_error(scenario, value));
-                }
-            }
+        let below = self.min.is_some_and(|min| numeric < min);
+        let above = self.max.is_some_and(|max| numeric > max);
+        if !numeric.is_finite() || below || above {
+            return Err(self.range_error(scenario, value));
         }
-        Ok(())
+        Ok(checked)
     }
 
     fn range_error(&self, scenario: &'static str, value: ParamValue) -> ParamError {
@@ -267,8 +326,10 @@ impl ParamSpec {
     }
 }
 
-/// The typed parameter schema of one scenario: every parameter it consumes,
-/// in the order they are documented and exported.
+/// The typed parameter schema of one scenario, or of one world generator:
+/// every parameter it consumes, in the order they are documented and
+/// exported. A scenario's runtime schema and a generator's world schema
+/// declare different parameters of the one [`Param`] vocabulary.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParamSchema {
     scenario: &'static str,
@@ -276,7 +337,8 @@ pub struct ParamSchema {
 }
 
 impl ParamSchema {
-    /// Creates the schema of `scenario` from its parameter specs.
+    /// Creates the schema of `scenario` (or of a generator) from its
+    /// parameter specs.
     ///
     /// # Panics
     ///
@@ -336,6 +398,21 @@ impl ParamSchema {
             self.spec(*param).expect("declared above").check(self.scenario, *value)?;
         }
         Ok(())
+    }
+
+    /// Validates `point` (as [`validate`](ParamSchema::validate) does) and
+    /// resolves it against the defaults: every declared parameter, in
+    /// declaration order, with its [checked](ParamSpec::check) value. This
+    /// is a generated world's resolved form, whose
+    /// [`canonical`](SweepPoint::canonical) rendering is part of its
+    /// identity.
+    pub fn resolve(&self, point: &SweepPoint) -> Result<SweepPoint, ParamError> {
+        self.validate(point)?;
+        let resolved = self.params.iter().map(|spec| {
+            let value = point.get(spec.param).unwrap_or(spec.default);
+            Ok((spec.param, spec.check(self.scenario, value)?))
+        });
+        resolved.collect::<Result<_, _>>().map(SweepPoint::new)
     }
 
     /// A copy of `point` without the parameters this schema does not declare
@@ -760,6 +837,101 @@ mod tests {
             assert!(rendered.contains(key), "missing {key} in:\n{rendered}");
         }
         assert!(rendered.contains("1..=32"), "{rendered}");
+    }
+
+    fn world() -> ParamSchema {
+        ParamSchema::new(
+            "world",
+            vec![
+                ParamSpec::float(Param::BlockM, "block edge", 80.0, 40.0, 400.0),
+                ParamSpec::int(Param::NAps, "APs", 1, 1, 4),
+                ParamSpec::bool(Param::Bidirectional, "two-way", true),
+                ParamSpec::choice(
+                    Param::ApPlacement,
+                    "AP sites",
+                    "center",
+                    &["center", "corner", "perimeter"],
+                ),
+            ],
+        )
+    }
+
+    #[test]
+    fn one_parser_reads_every_kind_as_typed() {
+        let w = world();
+        let spec = |p| w.spec(p).unwrap();
+        assert_eq!(spec(Param::BlockM).parse("95.5"), Ok(ParamValue::Float(95.5)));
+        assert_eq!(spec(Param::NAps).parse("3"), Ok(ParamValue::Int(3)));
+        for (text, on) in [("on", true), ("true", true), ("1", true), ("off", false), ("0", false)]
+        {
+            assert_eq!(spec(Param::Bidirectional).parse(text), Ok(ParamValue::Bool(on)), "{text}");
+        }
+        assert_eq!(spec(Param::ApPlacement).parse("corner"), Ok(ParamValue::Choice("corner")));
+        let err = spec(Param::ApPlacement).parse("moon").unwrap_err();
+        assert_eq!(err, "`moon` is not one of center, corner, perimeter");
+        assert_eq!(spec(Param::BlockM).parse("wide").unwrap_err(), "`wide` is not a number");
+        assert!(spec(Param::NAps).parse("1.5").unwrap_err().contains("unsigned integer"));
+        assert!(spec(Param::Bidirectional).parse("maybe").unwrap_err().contains("on/off"));
+        let s = schema();
+        assert_eq!(
+            s.spec(Param::Selection).unwrap().parse("strong2"),
+            Ok(ParamValue::Selection(SelectionStrategy::StrongestSignal { k: 2 }))
+        );
+        assert!(s
+            .spec(Param::Selection)
+            .unwrap()
+            .parse("first0")
+            .unwrap_err()
+            .contains("positive"));
+        assert!(s.spec(Param::Selection).unwrap().parse("firstx").unwrap_err().contains("count"));
+        assert!(s.spec(Param::Selection).unwrap().parse("bogus").is_err());
+        let request = ParamSpec::request(Param::Request, "req", carq::RequestStrategy::PerPacket);
+        assert_eq!(
+            request.parse("batched"),
+            Ok(ParamValue::Request(carq::RequestStrategy::Batched))
+        );
+        assert!(request.parse("unicast").is_err());
+        let strategy =
+            ParamSpec::strategy(Param::Strategy, "arq", carq::RecoveryStrategyKind::CoopArq);
+        assert_eq!(
+            strategy.parse("no-coop"),
+            Ok(ParamValue::Strategy(carq::RecoveryStrategyKind::NoCoop))
+        );
+        assert!(strategy.parse("bogus").unwrap_err().contains("coop-arq, net-coded"));
+    }
+
+    #[test]
+    fn resolve_fills_defaults_in_declaration_order_and_widens() {
+        let w = world();
+        let point = SweepPoint::new(vec![
+            (Param::ApPlacement, ParamValue::Choice("corner")),
+            (Param::BlockM, ParamValue::Int(100)),
+        ]);
+        let resolved = w.resolve(&point).unwrap();
+        assert_eq!(
+            resolved.canonical(),
+            format!(
+                "block_m=f{:016x};n_aps=i1;bidirectional=b1;ap_placement=corner",
+                100.0f64.to_bits()
+            )
+        );
+        assert_eq!(w.resolve(&resolved), Ok(resolved.clone()), "resolution is idempotent");
+        let bad = |p, v| w.resolve(&SweepPoint::new(vec![(p, v)])).unwrap_err();
+        assert!(matches!(bad(Param::NAps, ParamValue::Int(9)), ParamError::Range { .. }));
+        assert!(matches!(bad(Param::NAps, ParamValue::Bool(true)), ParamError::Type { .. }));
+        let err = bad(Param::ApPlacement, ParamValue::Choice("ring"));
+        assert!(err.to_string().contains("center|corner|perimeter"), "{err}");
+        assert!(matches!(bad(Param::NCars, ParamValue::Int(2)), ParamError::Unknown { .. }));
+        assert!(w.render().contains("choice"), "{}", w.render());
+    }
+
+    #[test]
+    #[should_panic(expected = "violates its own spec")]
+    fn choice_default_outside_the_vocabulary_rejected() {
+        let _ = ParamSchema::new(
+            "bad",
+            vec![ParamSpec::choice(Param::ApPlacement, "sites", "moon", &["center"])],
+        );
     }
 
     #[test]

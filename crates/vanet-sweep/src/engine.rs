@@ -588,12 +588,7 @@ pub fn point_table(
         let mut row: Vec<CellValue> =
             vec![scenario.into(), index.into(), format!("{:#018x}", seeds[index]).into()];
         for param in &params {
-            row.push(match point.get(*param) {
-                Some(crate::ParamValue::Float(x)) => CellValue::Float(x),
-                Some(crate::ParamValue::Int(x)) => x.into(),
-                Some(value) => value.to_string().into(),
-                None => "".into(),
-            });
+            row.push(point.get(*param).map_or_else(|| "".into(), CellValue::from));
         }
         cells(index, &mut row);
         table.push_row(row);

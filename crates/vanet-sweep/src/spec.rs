@@ -1,20 +1,12 @@
 //! Declarative sweep specifications: axes and grid expansion.
 //!
 //! The parameter vocabulary itself — [`Param`], [`ParamValue`],
-//! [`SweepPoint`] — lives in `vanet-scenarios` (next to the schemas that
-//! validate it) and is re-exported here for convenience.
+//! [`SweepPoint`], [`Axis`] and the grid expansion — lives in
+//! `vanet-scenarios` (next to the schemas that validate it) and is
+//! re-exported here for convenience.
 
-pub use vanet_scenarios::{Param, ParamValue, SweepPoint};
-
-/// One axis of the sweep grid: a parameter and the values it takes.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Axis {
-    /// The varied parameter.
-    pub param: Param,
-    /// The values, in the order they were declared (the expansion preserves
-    /// this order).
-    pub values: Vec<ParamValue>,
-}
+use vanet_scenarios::grid_points;
+pub use vanet_scenarios::{Axis, Param, ParamValue, SweepPoint};
 
 /// A declarative sweep: a master seed, a cartesian grid of axes, and an
 /// optional list of explicit extra points appended after the grid.
@@ -82,38 +74,10 @@ impl SweepSpec {
     }
 
     /// Expands the grid into its points: the cartesian product of the axes
-    /// (row-major, first axis slowest) followed by the explicit points.
+    /// (row-major, first axis slowest; see [`grid_points`]) followed by the
+    /// explicit points.
     pub fn expand(&self) -> Vec<SweepPoint> {
-        let mut points = Vec::with_capacity(self.len());
-        if !self.axes.is_empty() {
-            let mut indices = vec![0usize; self.axes.len()];
-            loop {
-                points.push(SweepPoint::new(
-                    self.axes
-                        .iter()
-                        .zip(&indices)
-                        .map(|(axis, i)| (axis.param, axis.values[*i]))
-                        .collect(),
-                ));
-                // Odometer increment, last axis fastest.
-                let mut dim = self.axes.len();
-                loop {
-                    if dim == 0 {
-                        return self.finish_expansion(points);
-                    }
-                    dim -= 1;
-                    indices[dim] += 1;
-                    if indices[dim] < self.axes[dim].values.len() {
-                        break;
-                    }
-                    indices[dim] = 0;
-                }
-            }
-        }
-        self.finish_expansion(points)
-    }
-
-    fn finish_expansion(&self, mut points: Vec<SweepPoint>) -> Vec<SweepPoint> {
+        let mut points = if self.axes.is_empty() { Vec::new() } else { grid_points(&self.axes) };
         points.extend(self.extra_points.iter().cloned());
         points
     }

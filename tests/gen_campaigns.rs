@@ -160,7 +160,7 @@ fn generated_sweep_exports_are_thread_count_independent() {
 /// each shard against its own journal, merge, render — and returns the
 /// rendered CSV plus the merged cache (for warm-pass assertions).
 fn run_campaign(grid: &GenGrid, shard_count: usize, base: &Path) -> (String, Arc<SweepCache>) {
-    let identities = grid.identities(0xCA4).unwrap();
+    let identities = grid.identities(0xCA4);
     let plan = ShardPlan::for_campaign(&identities, 0xCA4, Some(1), shard_count).unwrap();
     let mut shard_dirs = Vec::new();
     for shard in &plan.shards {
@@ -192,9 +192,9 @@ fn campaigns_merge_to_a_byte_stable_warm_table() {
     let grid = || {
         GenGrid::new("platoon-merge")
             .unwrap()
-            .axis("feeder_m", "100,150")
+            .axis(Param::FeederM, vec![ParamValue::Float(100.0), ParamValue::Float(150.0)])
             .unwrap()
-            .axis("n_ramp", "1,2")
+            .axis(Param::NRamp, vec![ParamValue::Int(1), ParamValue::Int(2)])
             .unwrap()
     };
     assert_eq!(grid().len(), 4);
@@ -202,7 +202,7 @@ fn campaigns_merge_to_a_byte_stable_warm_table() {
     let (csv3, merged) = run_campaign(&grid(), 3, &base3);
     assert_eq!(csv3.lines().count(), 1 + 4, "header plus one row per scenario");
     // A second render over the same cache is byte-identical.
-    let identities = grid().identities(0xCA4).unwrap();
+    let identities = grid().identities(0xCA4);
     let again = campaign_table(&identities, 0xCA4, Some(1), &merged, 1).unwrap();
     assert_eq!(again.table.to_csv(), csv3);
     assert_eq!(again.rounds_simulated, 0);
