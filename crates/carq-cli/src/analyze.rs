@@ -19,21 +19,17 @@
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
-use vanet_analysis::{diff, AnalysisEngine, AnalysisStore, RoundDigest};
-use vanet_scenarios::{round_seed, Param, ParamSchema, ScenarioRegistry, ScenarioRun, SweepPoint};
+use vanet_analysis::{diff, AnalysisEngine, DigestCodec, RoundDigest};
 use vanet_stats::{CellValue, RecordTable};
 use vanet_sweep::presets;
 use vanet_trace::codec::TRACE_MAGIC;
 use vanet_trace::{decode_frames, to_jsonl, TraceFrame, TraceRecord};
 
-use crate::cli::{strategy_override, Options};
-use crate::commands::parse_seed;
+use crate::cli::{Options, DEFAULT_SEED, DEFAULT_SWEEP_ROUNDS};
+use crate::commands::open_journal;
 use crate::failure::CliFailure;
-use crate::gen_cmd::resolve_scenario;
+use crate::gen_cmd::ConfiguredScenario;
 use crate::output;
-
-/// Default rounds per point for `--preset` analyses (the sweep default).
-const DEFAULT_ANALYZE_ROUNDS: u32 = 5;
 
 /// Routes `analyze SUBCOMMAND` to its implementation. `diff` reports
 /// stream divergence as a failed check (exit 1, see `failure.rs`); every
@@ -59,21 +55,6 @@ enum Metric {
     Occupancy,
 }
 
-fn parse_format(opts: &Options) -> Result<&str, String> {
-    let format = opts.get("format").unwrap_or("csv");
-    if !matches!(format, "csv" | "json") {
-        return Err(format!("unknown format `{format}` (csv, json)"));
-    }
-    Ok(format)
-}
-
-/// The one point override the scenario path accepts, mirroring `verify`:
-/// a single recovery strategy.
-fn strategy_point(schema: &ParamSchema, opts: &Options) -> Result<SweepPoint, String> {
-    let strategy = strategy_override(schema, opts, "strategy")?;
-    Ok(SweepPoint::new(strategy.map(|value| (Param::Strategy, value)).into_iter().collect()))
-}
-
 /// Loads the frames of a `CARQTRM1` trace file. A bare `CARQTRC1` file is
 /// the retired single-round format, which records neither its round nor
 /// its seed: it is refused with a hint to re-export it.
@@ -86,39 +67,6 @@ fn read_frames(path: &str) -> Result<Vec<TraceFrame>, String> {
         ));
     }
     decode_frames(&bytes).map_err(|e| format!("{path}: {e}"))
-}
-
-/// Traces rounds `0..rounds` of a configured scenario run into frames, so
-/// the live path and the `--trace` path feed identical inputs to the
-/// digest step.
-fn trace_frames(run: &dyn ScenarioRun, seed: u64, rounds: u32) -> Vec<TraceFrame> {
-    (0..rounds)
-        .map(|round| {
-            let round_seed = round_seed(seed, round);
-            let (_, records) = run.run_round_traced(round, round_seed);
-            TraceFrame { round, seed: round_seed, records }
-        })
-        .collect()
-}
-
-/// Resolves the `--scenario` reference and configures its run with the
-/// optional `--strategy` override. Returns the run and the capped round
-/// budget.
-fn configure_scenario(
-    opts: &Options,
-    reference: &str,
-) -> Result<(Box<dyn ScenarioRun>, u32), String> {
-    let registry = ScenarioRegistry::builtin();
-    let source = resolve_scenario(&registry, reference)?;
-    let scenario = source.scenario(&registry);
-    let run =
-        scenario.configure(&strategy_point(scenario.schema(), opts)?).map_err(|e| e.to_string())?;
-    let rounds: u32 = opts.get_parsed("rounds", run.rounds())?;
-    if rounds == 0 {
-        return Err("--rounds must be positive".into());
-    }
-    let rounds = rounds.min(run.rounds());
-    Ok((run, rounds))
 }
 
 /// The per-round digest table of a single scenario or trace file. The
@@ -190,24 +138,13 @@ fn preset_table(metric: Metric, name: &str, opts: &Options) -> Result<RecordTabl
     }
     let preset = presets::find(name)
         .ok_or_else(|| format!("unknown preset `{name}` (see `carq-cli sweep list`)"))?;
-    let seed = parse_seed(opts)?;
-    let rounds: u32 = opts.get_parsed("rounds", DEFAULT_ANALYZE_ROUNDS)?;
-    if rounds == 0 {
-        return Err("--rounds must be positive".into());
-    }
+    let seed = opts.seed("seed", DEFAULT_SEED)?;
+    let rounds = opts.count("rounds")?.unwrap_or(DEFAULT_SWEEP_ROUNDS);
     let (scenario, spec) = preset.build(seed, rounds);
     let threads: usize = opts.get_parsed("threads", 0)?;
     let mut engine = AnalysisEngine::new(threads);
     if let Some(dir) = opts.get("cache") {
-        let store = AnalysisStore::open(dir).map_err(|e| e.to_string())?;
-        let stats = store.stats();
-        if stats.recovered_bytes > 0 {
-            eprintln!(
-                "analyze: dropped a torn {}-byte journal tail (previous run was killed mid-write)",
-                stats.recovered_bytes
-            );
-        }
-        eprintln!("analyze: {} digest(s) on hand in {dir}", stats.entries);
+        let store = open_journal::<DigestCodec>(dir, "analyze", "digest(s)")?;
         engine = engine.with_store(Arc::new(Mutex::new(store)));
     }
     eprintln!(
@@ -236,14 +173,14 @@ fn table_cmd(metric: Metric, opts: &Options) -> Result<(), CliFailure> {
 
 /// The table `analyze latency|occupancy` writes.
 fn render_table(metric: Metric, opts: &Options) -> Result<String, String> {
-    let unknown = opts.unknown_flags(&[
-        "preset", "scenario", "trace", "strategy", "rounds", "seed", "threads", "cache", "format",
-        "out",
-    ]);
-    if !unknown.is_empty() {
-        return Err(format!("unknown flags: --{}", unknown.join(", --")));
-    }
-    let format = parse_format(opts)?;
+    opts.refuse_unknown(
+        &[
+            "preset", "scenario", "trace", "strategy", "rounds", "seed", "threads", "cache",
+            "format", "out",
+        ],
+        None,
+    )?;
+    let json = opts.json()?;
     let table = if let Some(name) = opts.get("preset") {
         preset_table(metric, name, opts)?
     } else {
@@ -253,8 +190,10 @@ fn render_table(metric: Metric, opts: &Options) -> Result<String, String> {
                     return Err("--scenario and --trace are mutually exclusive".into())
                 }
                 (Some(reference), None) => {
-                    let (run, rounds) = configure_scenario(opts, reference)?;
-                    trace_frames(run.as_ref(), parse_seed(opts)?, rounds)
+                    let scenario = ConfiguredScenario::new(opts, reference, Some("strategy"))?;
+                    let rounds = scenario.rounds(opts)?;
+                    let seed = opts.seed("seed", DEFAULT_SEED)?;
+                    scenario.frames(0..rounds, &format!("--rounds {rounds}"), seed)?
                 }
                 (None, Some(path)) => read_frames(path)?,
                 (None, None) => return Err(
@@ -266,7 +205,23 @@ fn render_table(metric: Metric, opts: &Options) -> Result<String, String> {
             frames.iter().map(|f| RoundDigest::compute(f.round, f.seed, &f.records)).collect();
         round_table(metric, &digests)
     };
-    Ok(if format == "json" { table.to_json() } else { table.to_csv() })
+    Ok(if json { table.to_json() } else { table.to_csv() })
+}
+
+/// The traced records of round `--round R` of a `--scenario` run, under
+/// the strategy `--{strategy_flag}` names, and the run's name and
+/// configuration.
+fn scenario_round(
+    opts: &Options,
+    reference: &str,
+    strategy_flag: &str,
+    round: u32,
+) -> Result<(ConfiguredScenario, Vec<TraceRecord>), String> {
+    let scenario = ConfiguredScenario::new(opts, reference, Some(strategy_flag))?;
+    let seed = opts.seed("seed", DEFAULT_SEED)?;
+    let frames = scenario.frames(round..round + 1, &format!("--round {round}"), seed)?;
+    let records = frames.into_iter().flat_map(|frame| frame.records).collect();
+    Ok((scenario, records))
 }
 
 /// `carq-cli analyze timeline --scenario NAME|FILE|--trace FILE --node N`.
@@ -276,11 +231,7 @@ fn timeline_cmd(opts: &Options) -> Result<(), CliFailure> {
 
 /// The diary `analyze timeline` writes.
 fn render_timeline(opts: &Options) -> Result<String, String> {
-    let unknown =
-        opts.unknown_flags(&["scenario", "trace", "strategy", "node", "round", "seed", "out"]);
-    if !unknown.is_empty() {
-        return Err(format!("unknown flags: --{}", unknown.join(", --")));
-    }
+    opts.refuse_unknown(&["scenario", "trace", "strategy", "node", "round", "seed", "out"], None)?;
     let Some(node_raw) = opts.get("node") else {
         return Err("analyze timeline needs --node N (the node whose diary to render)".into());
     };
@@ -288,14 +239,7 @@ fn render_timeline(opts: &Options) -> Result<String, String> {
     let round: u32 = opts.get_parsed("round", 0)?;
     let records = match (opts.get("scenario"), opts.get("trace")) {
         (Some(_), Some(_)) => return Err("--scenario and --trace are mutually exclusive".into()),
-        (Some(reference), None) => {
-            let (run, rounds) = configure_scenario(opts, reference)?;
-            if round >= rounds {
-                return Err(format!("--round {round} is out of range ({rounds} round(s))"));
-            }
-            let (_, records) = run.run_round_traced(round, round_seed(parse_seed(opts)?, round));
-            records
-        }
+        (Some(reference), None) => scenario_round(opts, reference, "strategy", round)?.1,
         (None, Some(path)) => {
             let frames = read_frames(path)?;
             frames
@@ -323,7 +267,9 @@ fn render_timeline(opts: &Options) -> Result<String, String> {
     Ok(format!("{header}{}", vanet_analysis::render_timeline(&timeline)))
 }
 
-/// One side of a diff: its label and its concatenated record stream.
+/// One side of a diff: its label and its concatenated record stream, from
+/// the trace file `--{file_flag}` or else a round of the `--scenario` run
+/// under the strategy `--{strategy_flag}` names. `None` without either.
 fn diff_side(
     opts: &Options,
     file_flag: &str,
@@ -335,26 +281,9 @@ fn diff_side(
         return Ok(Some((path.to_string(), records)));
     }
     let Some(reference) = opts.get("scenario") else { return Ok(None) };
-    let registry = ScenarioRegistry::builtin();
-    let source = resolve_scenario(&registry, reference)?;
-    let scenario = source.scenario(&registry);
-    let (point, label) = match strategy_override(scenario.schema(), opts, strategy_flag)? {
-        Some(value) => {
-            (SweepPoint::new(vec![(Param::Strategy, value)]), format!("strategy {value}"))
-        }
-        None => (SweepPoint::empty(), "base configuration".to_string()),
-    };
-    let run = scenario.configure(&point).map_err(|e| e.to_string())?;
     let round: u32 = opts.get_parsed("round", 0)?;
-    if round >= run.rounds() {
-        return Err(format!(
-            "--round {round} is out of range (`{}` has {} round(s))",
-            scenario.name(),
-            run.rounds()
-        ));
-    }
-    let (_, records) = run.run_round_traced(round, round_seed(parse_seed(opts)?, round));
-    Ok(Some((format!("{} round {round}, {label}", scenario.name()), records)))
+    let (scenario, records) = scenario_round(opts, reference, strategy_flag, round)?;
+    Ok(Some((format!("{} round {round}, {}", scenario.name, scenario.configuration), records)))
 }
 
 /// `carq-cli analyze diff` — compare two record streams: two trace files
@@ -362,11 +291,7 @@ fn diff_side(
 /// (`--scenario REF [--strategy X] [--against Y]`; without `--against` the
 /// round is compared against its own re-run, proving determinism).
 fn diff_cmd(opts: &Options) -> Result<(), CliFailure> {
-    let unknown =
-        opts.unknown_flags(&["a", "b", "scenario", "strategy", "against", "round", "seed"]);
-    if !unknown.is_empty() {
-        return Err(format!("unknown flags: --{}", unknown.join(", --")).into());
-    }
+    opts.refuse_unknown(&["a", "b", "scenario", "strategy", "against", "round", "seed"], None)?;
     if opts.get("scenario").is_some() && (opts.get("a").is_some() || opts.get("b").is_some()) {
         return Err("--scenario and --a/--b are mutually exclusive".into());
     }
@@ -380,13 +305,9 @@ fn diff_cmd(opts: &Options) -> Result<(), CliFailure> {
     };
     // Side B: the second file, or the scenario re-run under `--against`
     // (defaulting to the same configuration — a determinism self-check).
-    let side_b = if opts.get("b").is_some() {
-        diff_side(opts, "b", "against")?
-    } else {
-        let flag = if opts.get("against").is_some() { "against" } else { "strategy" };
-        diff_side(opts, "b", flag)?
-    };
-    let (label_b, records_b) = side_b.expect("side A resolved, so side B must");
+    let flag = if opts.get("against").is_some() { "against" } else { "strategy" };
+    let (label_b, records_b) =
+        diff_side(opts, "b", flag)?.expect("side A resolved, so side B must");
 
     let report = diff(&records_a, &records_b);
     let mut text = format!("a: {} record(s)  ({label_a})\n", report.a_records);
@@ -565,7 +486,7 @@ mod tests {
         .unwrap();
         let live = std::fs::read_to_string(&out_live).unwrap();
         let replayed = std::fs::read_to_string(&out_file).unwrap();
-        let seed = round_seed(parse_seed(&opts(&[])).unwrap(), 5);
+        let seed = vanet_scenarios::round_seed(DEFAULT_SEED, 5);
         let row = format!("5,{seed:#018x},");
         let [header, replayed_row] = replayed.lines().collect::<Vec<_>>()[..] else {
             panic!("a header and one row: {replayed}")
@@ -632,7 +553,7 @@ mod tests {
         }
         assert!(renders[0].contains("p99_ms"), "{}", renders[0]);
         // The warm journal really holds every digest of the grid.
-        let store = AnalysisStore::open(&cache).unwrap();
+        let store = vanet_analysis::AnalysisStore::open(&cache).unwrap();
         assert_eq!(store.len(), 8, "4 strategies x 2 car counts x 1 round");
         std::fs::remove_dir_all(&cache).ok();
         std::fs::remove_file(&out).ok();

@@ -29,20 +29,18 @@ use std::time::Duration;
 use vanet_cache::{CacheKey, SweepCache};
 use vanet_faults::FaultPlan;
 
-use crate::campaign::{campaign_grid, campaign_plan_of, check_flags};
-use crate::cli::Options;
-use crate::commands::{parse_count, parse_seed, preset_plan, DEFAULT_SWEEP_ROUNDS};
+use crate::cli::{Options, DEFAULT_SEED, DEFAULT_SWEEP_ROUNDS};
 use crate::failure::CliFailure;
 use crate::output;
-use crate::pipeline::{parse_resilience, run_pipeline, PipelineCommon};
+use crate::pipeline::{parse_resilience, run_pipeline, PipelineCommon, Source};
 
 /// Default schedule seed when neither `--fault-seed` nor `--faults` is
 /// given — arbitrary but fixed, so bare `carq-cli chaos --preset X` is
 /// reproducible.
 const DEFAULT_FAULT_SEED: u64 = 0xFA01_75EE;
 
-/// Flags shared by both chaos modes (the generator mode additionally
-/// accepts the generator's own grid parameters and `--replicas`).
+/// The flags of both chaos modes (the generator mode additionally accepts
+/// the generator's own world parameters).
 const CHAOS_FLAGS: &[&str] = &[
     "preset",
     "generator",
@@ -59,21 +57,6 @@ const CHAOS_FLAGS: &[&str] = &[
     "round-chunk",
 ];
 
-/// `--fault-seed S`, decimal or `0x` hex, defaulting to the fixed seed.
-fn parse_fault_seed(opts: &Options) -> Result<u64, String> {
-    match opts.get("fault-seed") {
-        None => Ok(DEFAULT_FAULT_SEED),
-        Some(raw) => {
-            let parsed = if let Some(hex) = raw.strip_prefix("0x") {
-                u64::from_str_radix(hex, 16)
-            } else {
-                raw.parse()
-            };
-            parsed.map_err(|_| format!("--fault-seed: cannot parse `{raw}`"))
-        }
-    }
-}
-
 /// The sorted key set of a journal directory — the unit of the lost-round
 /// audit.
 fn journal_keys(dir: &Path) -> Result<HashSet<CacheKey>, String> {
@@ -86,22 +69,9 @@ fn journal_keys(dir: &Path) -> Result<HashSet<CacheKey>, String> {
 
 /// `carq-cli chaos` — see the module docs for the three-run protocol.
 pub fn chaos_cmd(opts: &Options) -> Result<(), CliFailure> {
-    let preset_mode = opts.get("preset").is_some();
-    if preset_mode == opts.get("generator").is_some() {
-        return Err("chaos needs exactly one of --preset NAME or --generator NAME".into());
-    }
-    let grid = if preset_mode { None } else { Some(campaign_grid(opts)?) };
-    match &grid {
-        Some(grid) => check_flags(grid, opts, CHAOS_FLAGS)?,
-        None => {
-            let unknown = opts.unknown_flags(CHAOS_FLAGS);
-            if !unknown.is_empty() {
-                return Err(format!("unknown flags: --{}", unknown.join(", --")).into());
-            }
-        }
-    }
-    let seed = parse_seed(opts)?;
-    let workers = parse_count(opts, "workers", Some(3))?;
+    let source = Source::read(opts, "chaos", CHAOS_FLAGS)?;
+    let seed = opts.seed("seed", DEFAULT_SEED)?;
+    let workers = opts.count("workers")?.unwrap_or(3);
     let threads: usize = opts.get_parsed("threads", 0)?;
     // Chaos hardens the supervisor defaults: hang detection on (stall
     // faults are invisible to exit codes) and one extra retry, because the
@@ -109,19 +79,19 @@ pub fn chaos_cmd(opts: &Options) -> Result<(), CliFailure> {
     let (supervisor, decoded) = parse_resilience(opts, seed, Some(Duration::from_secs(10)), 3)?;
 
     // Plan once; all three runs execute the identical workload.
-    let (plan, target) = match &grid {
-        Some(grid) => campaign_plan_of(grid, opts, workers)?,
-        None => preset_plan(opts, workers)?,
-    };
-    // Both planners validated `--rounds`; a campaign without it runs each
-    // world's own budget, which the fault schedule guesses at.
-    let rounds_hint: u32 = opts.get_parsed("rounds", DEFAULT_SWEEP_ROUNDS)?;
+    let (plan, target) = source.plan(opts, workers)?;
+    // A campaign without `--rounds` runs each world's own budget, which the
+    // fault schedule guesses at.
+    let rounds_hint = opts.count("rounds")?.unwrap_or(DEFAULT_SWEEP_ROUNDS);
     // The planned shard count, never more than the units: the fault plan
     // and `--poison` address the workers that will actually spawn.
     let workers = u32::try_from(plan.shards.len()).map_err(|_| "too many shards to fault")?;
     let mut fault_plan = match decoded {
         Some(plan) => plan,
-        None => FaultPlan::generate(parse_fault_seed(opts)?, workers, u64::from(rounds_hint)),
+        None => {
+            let fault_seed = opts.seed("fault-seed", DEFAULT_FAULT_SEED)?;
+            FaultPlan::generate(fault_seed, workers, u64::from(rounds_hint))
+        }
     };
     if let Some(raw) = opts.get("poison") {
         let worker: u32 = raw.parse().map_err(|_| format!("--poison: cannot parse `{raw}`"))?;
@@ -146,7 +116,7 @@ pub fn chaos_cmd(opts: &Options) -> Result<(), CliFailure> {
     let clean_dir = base.join("clean");
     let common = |dir: &Path, faults: Option<FaultPlan>| PipelineCommon {
         threads,
-        format: "csv".to_string(),
+        json: false,
         base: dir.to_path_buf(),
         ephemeral: false,
         supervisor: supervisor.clone(),
@@ -236,13 +206,5 @@ mod tests {
         assert!(chaos_cmd(&opts(&["--preset", "urban-platoon", "--poison", "9"])).is_err());
         assert!(chaos_cmd(&opts(&["--preset", "urban-platoon", "--bogus", "1"])).is_err());
         assert!(chaos_cmd(&opts(&["--generator", "mars"])).is_err());
-    }
-
-    #[test]
-    fn fault_seed_parses_decimal_and_hex_and_defaults() {
-        assert_eq!(parse_fault_seed(&opts(&[])).unwrap(), DEFAULT_FAULT_SEED);
-        assert_eq!(parse_fault_seed(&opts(&["--fault-seed", "0xAB"])).unwrap(), 0xAB);
-        assert_eq!(parse_fault_seed(&opts(&["--fault-seed", "12"])).unwrap(), 12);
-        assert!(parse_fault_seed(&opts(&["--fault-seed", "later"])).is_err());
     }
 }

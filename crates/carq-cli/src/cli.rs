@@ -1,8 +1,19 @@
 //! Tiny hand-rolled option parsing (the build environment has no crates.io
 //! access, so no clap): `--flag value` pairs after the subcommand words,
-//! plus a declared set of valueless `--switch` flags.
+//! plus a declared set of valueless `--switch` flags. The readers every
+//! command shares live here too, each once: the refusal of unknown flags,
+//! positive counts, seeds and the export format.
+
+use std::str::FromStr;
 
 use vanet_scenarios::{Param, ParamError, ParamSchema, ParamSpec, ParamValue};
+
+/// The master seed when `--seed` is absent.
+pub const DEFAULT_SEED: u64 = 0x2008_1cdc;
+
+/// Rounds per point of a preset when `--rounds` is absent (`sweep run`,
+/// `fleet`, `analyze --preset`, `chaos`).
+pub const DEFAULT_SWEEP_ROUNDS: u32 = 5;
 
 /// Parsed `--flag value` options, preserving lookup by flag name.
 #[derive(Debug, Default)]
@@ -55,17 +66,56 @@ impl Options {
     }
 
     /// Parses `--name` as a `T`, with a default when absent.
-    pub fn get_parsed<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+    pub fn get_parsed<T: FromStr>(&self, name: &str, default: T) -> Result<T, String> {
         match self.get(name) {
             None => Ok(default),
             Some(raw) => raw.parse().map_err(|_| format!("--{name}: cannot parse `{raw}`")),
         }
     }
 
-    /// Flags that were given but are not in `known` — catches typos.
-    /// (Switches are checked at parse time and never unknown.)
-    pub fn unknown_flags(&self, known: &[&str]) -> Vec<String> {
-        self.pairs.iter().map(|(n, _)| n.clone()).filter(|n| !known.contains(&n.as_str())).collect()
+    /// Refuses every given flag outside `known`, naming them all — catches
+    /// typos; `hint` is the `carq-cli` command that lists a schema's
+    /// parameter flags. (Switches are checked at parse time and never
+    /// unknown.)
+    pub fn refuse_unknown(&self, known: &[&str], hint: Option<&str>) -> Result<(), String> {
+        let unknown: Vec<&str> =
+            self.pairs.iter().map(|(n, _)| n.as_str()).filter(|n| !known.contains(n)).collect();
+        if unknown.is_empty() {
+            return Ok(());
+        }
+        let hint = hint.map(|command| format!(" (see `carq-cli {command}`)")).unwrap_or_default();
+        Err(format!("unknown flags: --{}{hint}", unknown.join(", --")))
+    }
+
+    /// The positive count `--name N`, if given: rounds, replicas, round
+    /// chunks, shards and workers.
+    pub fn count<T: FromStr + Default + PartialEq>(&self, name: &str) -> Result<Option<T>, String> {
+        let Some(raw) = self.get(name) else { return Ok(None) };
+        let count: T = raw.parse().map_err(|_| format!("--{name}: cannot parse `{raw}`"))?;
+        if count == T::default() {
+            return Err(format!("--{name} must be positive"));
+        }
+        Ok(Some(count))
+    }
+
+    /// The seed `--name S`, decimal or `0x` hex, with a default when
+    /// absent (`--seed`, `--fault-seed`).
+    pub fn seed(&self, name: &str, default: u64) -> Result<u64, String> {
+        let Some(raw) = self.get(name) else { return Ok(default) };
+        let parsed = match raw.strip_prefix("0x") {
+            Some(hex) => u64::from_str_radix(hex, 16),
+            None => raw.parse(),
+        };
+        parsed.map_err(|_| format!("--{name}: cannot parse `{raw}`"))
+    }
+
+    /// Whether `--format` asks for JSON rather than the default CSV.
+    pub fn json(&self) -> Result<bool, String> {
+        match self.get("format").unwrap_or("csv") {
+            "csv" => Ok(false),
+            "json" => Ok(true),
+            format => Err(format!("unknown format `{format}` (csv, json)")),
+        }
     }
 }
 
@@ -120,8 +170,31 @@ mod tests {
         assert_eq!(opts.get("seed"), Some("7"));
         assert_eq!(opts.get_parsed("threads", 0usize).unwrap(), 4);
         assert_eq!(opts.get_parsed("rounds", 5u32).unwrap(), 5);
-        assert!(opts.unknown_flags(&["seed", "threads"]).is_empty());
-        assert_eq!(opts.unknown_flags(&["seed"]), vec!["threads".to_string()]);
+        assert!(opts.refuse_unknown(&["seed", "threads"], None).is_ok());
+        assert_eq!(opts.refuse_unknown(&["seed"], None).unwrap_err(), "unknown flags: --threads");
+        assert_eq!(
+            opts.refuse_unknown(&[], Some("gen describe grid-city")).unwrap_err(),
+            "unknown flags: --seed, --threads (see `carq-cli gen describe grid-city`)"
+        );
+    }
+
+    #[test]
+    fn counts_seeds_and_formats_parse_once() {
+        let opts =
+            Options::parse(&strs(&["--rounds", "3", "--shards", "0", "--workers", "x"])).unwrap();
+        assert_eq!(opts.count::<u32>("rounds"), Ok(Some(3)));
+        assert_eq!(opts.count::<u32>("replicas"), Ok(None));
+        assert_eq!(opts.count::<usize>("shards").unwrap_err(), "--shards must be positive");
+        assert_eq!(opts.count::<usize>("workers").unwrap_err(), "--workers: cannot parse `x`");
+        let opts = Options::parse(&strs(&["--seed", "0xff", "--fault-seed", "42"])).unwrap();
+        assert_eq!(opts.seed("seed", DEFAULT_SEED), Ok(255));
+        assert_eq!(opts.seed("fault-seed", 7), Ok(42));
+        let opts = Options::parse(&strs(&["--seed", "nope", "--format", "xml"])).unwrap();
+        assert_eq!(opts.seed("seed", DEFAULT_SEED).unwrap_err(), "--seed: cannot parse `nope`");
+        assert_eq!(opts.seed("fault-seed", 7), Ok(7));
+        assert_eq!(opts.json().unwrap_err(), "unknown format `xml` (csv, json)");
+        let json = |args: &[&str]| Options::parse(&strs(args)).unwrap().json();
+        assert_eq!((json(&[]), json(&["--format", "json"])), (Ok(false), Ok(true)));
     }
 
     #[test]

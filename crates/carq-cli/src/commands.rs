@@ -5,8 +5,8 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use vanet_analysis::{AnalysisStore, DigestCodec};
-use vanet_cache::{Journal, RecordCodec, SweepCache};
-use vanet_fleet::{Shard, ShardPlan};
+use vanet_cache::{Journal, RecordCodec, RoundCodec, SweepCache};
+use vanet_fleet::Shard;
 use vanet_scenarios::{
     run_point, Param, ParamSpec, ParamValue, Scenario, ScenarioRegistry, SweepPoint, UrbanScenario,
 };
@@ -16,13 +16,13 @@ use vanet_stats::{
 };
 use vanet_sweep::{presets, SweepEngine, SweepSpec};
 
-use crate::cli::{spec_values, Options};
+use crate::cli::{spec_values, Options, DEFAULT_SEED, DEFAULT_SWEEP_ROUNDS};
 use crate::failure::CliFailure;
 use crate::output;
-use crate::pipeline::{FinalPass, Target};
-
-const DEFAULT_SEED: u64 = 0x2008_1cdc;
-pub(crate) const DEFAULT_SWEEP_ROUNDS: u32 = 5;
+use crate::pipeline::{
+    run_command, write_plan, CAMPAIGN_PLAN_FLAGS, CAMPAIGN_RUN_FLAGS, FLEET_RUN_FLAGS,
+    FLEET_SHARD_FLAGS,
+};
 
 /// Valueless flags accepted by `scenario run` / `sweep run`.
 const SWITCHES: [&str; 1] = ["allow-unknown"];
@@ -307,11 +307,16 @@ pub fn dispatch(args: &[String]) -> Result<(), CliFailure> {
             .into()),
         },
         Some("fleet") => match args.get(1).map(String::as_str) {
-            Some("shard") => output::print(&fleet_shard(&Options::parse(&args[2..])?)?),
+            Some("shard") => output::print(&write_plan(
+                &Options::parse(&args[2..])?,
+                "fleet shard",
+                FLEET_SHARD_FLAGS,
+                None,
+            )?),
             Some("merge") => {
                 output::print(&fleet_merge(&Options::parse_with_switches(&args[2..], &["all"])?)?)
             }
-            Some("run") => fleet_run(&Options::parse(&args[2..])?),
+            Some("run") => run_command(&Options::parse(&args[2..])?, "fleet", FLEET_RUN_FLAGS),
             other => Err(format!(
                 "unknown fleet subcommand `{}` (expected shard, worker, merge or run)",
                 other.unwrap_or("")
@@ -341,10 +346,15 @@ pub fn dispatch(args: &[String]) -> Result<(), CliFailure> {
             .into()),
         },
         Some("campaign") => match args.get(1).map(String::as_str) {
-            Some("plan") => {
-                output::print(&crate::campaign::campaign_plan(&Options::parse(&args[2..])?)?)
+            Some("plan") => output::print(&write_plan(
+                &Options::parse(&args[2..])?,
+                "campaign plan",
+                CAMPAIGN_PLAN_FLAGS,
+                Some(1),
+            )?),
+            Some("run") => {
+                run_command(&Options::parse(&args[2..])?, "campaign", CAMPAIGN_RUN_FLAGS)
             }
-            Some("run") => crate::campaign::campaign_run(&Options::parse(&args[2..])?),
             other => Err(format!(
                 "unknown campaign subcommand `{}` (expected plan, worker or run)",
                 other.unwrap_or("")
@@ -467,15 +477,8 @@ fn scenario_run(name: &str, opts: &Options) -> Result<(), CliFailure> {
     let vocabulary = vocabulary(&registry, scenario);
     let mut known: Vec<&str> = vec!["seed", "threads", "format", "out", "cache"];
     known.extend(vocabulary.iter().map(|s| s.param.key()));
-    let unknown = opts.unknown_flags(&known);
-    if !unknown.is_empty() {
-        return Err(format!(
-            "unknown flags: --{} (see `carq-cli scenario describe {name}`)",
-            unknown.join(", --")
-        )
-        .into());
-    }
-    let seed = parse_seed(opts)?;
+    opts.refuse_unknown(&known, Some(&format!("scenario describe {name}")))?;
+    let seed = opts.seed("seed", DEFAULT_SEED)?;
     let spec = scenario_spec(&vocabulary, opts, seed)?;
     execute_sweep(scenario, &spec, opts)
 }
@@ -490,26 +493,19 @@ fn sweep_list() -> Result<String, String> {
 }
 
 fn sweep_run(opts: &Options) -> Result<(), CliFailure> {
-    let unknown =
-        opts.unknown_flags(&["preset", "rounds", "seed", "threads", "format", "out", "cache"]);
-    if !unknown.is_empty() {
-        if unknown.iter().any(|f| f == "scenario") {
-            return Err("custom sweeps moved to `carq-cli scenario run NAME --PARAM values,...` \
-                 (run `carq-cli scenario list` to see the scenarios)"
-                .into());
-        }
-        return Err(format!("unknown flags: --{}", unknown.join(", --")).into());
+    if opts.get("scenario").is_some() {
+        return Err("custom sweeps moved to `carq-cli scenario run NAME --PARAM values,...` \
+             (run `carq-cli scenario list` to see the scenarios)"
+            .into());
     }
+    opts.refuse_unknown(&["preset", "rounds", "seed", "threads", "format", "out", "cache"], None)?;
     let Some(name) = opts.get("preset") else {
         return Err("sweep run needs --preset NAME (see `carq-cli sweep list`); \
                     for custom sweeps use `carq-cli scenario run`"
             .into());
     };
-    let seed = parse_seed(opts)?;
-    let rounds: u32 = opts.get_parsed("rounds", DEFAULT_SWEEP_ROUNDS)?;
-    if rounds == 0 {
-        return Err("--rounds must be positive".into());
-    }
+    let seed = opts.seed("seed", DEFAULT_SEED)?;
+    let rounds = opts.count("rounds")?.unwrap_or(DEFAULT_SWEEP_ROUNDS);
     let preset = presets::find(name)
         .ok_or_else(|| format!("unknown preset `{name}` (see `carq-cli sweep list`)"))?;
     let (scenario, spec) = preset.build(seed, rounds);
@@ -524,23 +520,11 @@ fn execute_sweep(
     opts: &Options,
 ) -> Result<(), CliFailure> {
     let threads: usize = opts.get_parsed("threads", 0)?;
-    let format = opts.get("format").unwrap_or("csv");
-    if !matches!(format, "csv" | "json") {
-        return Err(format!("unknown format `{format}` (csv, json)").into());
-    }
+    let json = opts.json()?;
 
     let mut engine = SweepEngine::new(threads).with_allow_unknown(opts.has_switch("allow-unknown"));
     if let Some(dir) = opts.get("cache") {
-        let cache = SweepCache::open(dir).map_err(|e| e.to_string())?;
-        let stats = cache.stats();
-        if stats.recovered_bytes > 0 {
-            eprintln!(
-                "cache: dropped a torn {}-byte tail (previous run was killed mid-write)",
-                stats.recovered_bytes
-            );
-        }
-        eprintln!("cache: {} round(s) on hand in {dir}", stats.entries);
-        engine = engine.with_cache(Arc::new(cache));
+        engine = engine.with_cache(Arc::new(open_journal::<RoundCodec>(dir, "cache", "round(s)")?));
     }
     eprintln!(
         "sweep: {} point(s) of `{}` on {} thread(s), master seed {:#x}",
@@ -562,127 +546,37 @@ fn execute_sweep(
         );
     }
 
-    let rendered = if format == "json" { result.to_json() } else { result.to_csv() };
+    let rendered = if json { result.to_json() } else { result.to_csv() };
     output::emit(opts.get("out"), &rendered)
 }
 
-/// Parses the optional `--round-chunk K` flag shared by `fleet shard` and
-/// `fleet run`.
-pub(crate) fn parse_round_chunk(opts: &Options) -> Result<Option<u32>, String> {
-    match opts.get("round-chunk") {
-        None => Ok(None),
-        Some(raw) => {
-            let chunk: u32 =
-                raw.parse().map_err(|_| format!("--round-chunk: cannot parse `{raw}`"))?;
-            if chunk == 0 {
-                return Err("--round-chunk must be positive".into());
-            }
-            Ok(Some(chunk))
-        }
+/// Opens the journal in `dir` that a run reads and extends (`--cache`), and
+/// says on standard error, after `prefix`, what the open found: a torn tail
+/// it dropped, then the records (`what`) on hand.
+pub(crate) fn open_journal<C: RecordCodec>(
+    dir: &str,
+    prefix: &str,
+    what: &str,
+) -> Result<Journal<C>, String> {
+    let journal = Journal::<C>::open(dir).map_err(|e| e.to_string())?;
+    let stats = journal.stats();
+    if stats.recovered_bytes > 0 {
+        eprintln!(
+            "{prefix}: dropped a torn {}-byte journal tail (previous run was killed mid-write)",
+            stats.recovered_bytes
+        );
     }
-}
-
-/// Parses the positive shard or worker count `--FLAG N`, required unless
-/// it has a `default`.
-pub(crate) fn parse_count(
-    opts: &Options,
-    flag: &str,
-    default: Option<usize>,
-) -> Result<usize, String> {
-    let count = match (opts.get(flag), default) {
-        (Some(raw), _) => raw.parse().map_err(|_| format!("--{flag}: cannot parse `{raw}`"))?,
-        (None, Some(default)) => default,
-        (None, None) => return Err(format!("this command needs --{flag} N")),
-    };
-    if count == 0 {
-        return Err(format!("--{flag} must be positive"));
-    }
-    Ok(count)
-}
-
-/// The preset planner shared by `fleet shard`, `fleet run` and `chaos
-/// --preset`: preset, seed, rounds and round-chunk, validated, folded into
-/// a plan of at most `count` shards and its final-pass target.
-pub(crate) fn preset_plan(opts: &Options, count: usize) -> Result<(ShardPlan, Target), String> {
-    let Some(preset) = opts.get("preset") else {
-        return Err("fleet needs --preset NAME (see `carq-cli sweep list`)".into());
-    };
-    let rounds: u32 = opts.get_parsed("rounds", DEFAULT_SWEEP_ROUNDS)?;
-    if rounds == 0 {
-        return Err("--rounds must be positive".into());
-    }
-    let seed = parse_seed(opts)?;
-    let plan = ShardPlan::for_preset(preset, seed, rounds, count, parse_round_chunk(opts)?)
-        .map_err(|e| e.to_string())?;
-    let (scenario, spec) = presets::find(preset).expect("planned above").build(seed, rounds);
-    let target = Target {
-        kind: "fleet",
-        units: "unit(s)",
-        work: format!("unit(s) of `{preset}`"),
-        pass: "final pass".into(),
-        source: ("preset", preset.to_string()),
-        missing: ("missing_points", "point(s)"),
-        export: FinalPass::Sweep { scenario, spec },
-    };
-    Ok((plan, target))
-}
-
-/// The shard file name for shard `index` inside an out-dir.
-pub(crate) fn shard_file_name(index: usize) -> String {
-    format!("shard-{index:03}.fleet")
-}
-
-/// Writes every shard of `plan` into `out_dir` (`fleet shard`, `campaign
-/// plan`); returns one line per file to print.
-pub(crate) fn write_shard_files(plan: &ShardPlan, out_dir: &str) -> Result<String, String> {
-    std::fs::create_dir_all(out_dir).map_err(|e| format!("cannot create {out_dir}: {e}"))?;
-    let mut text = String::new();
-    for shard in &plan.shards {
-        let path = Path::new(out_dir).join(shard_file_name(shard.index));
-        std::fs::write(&path, shard.encode())
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        let _ = writeln!(text, "{}  {} unit(s)", path.display(), shard.total_units());
-    }
-    Ok(text)
-}
-
-fn fleet_shard(opts: &Options) -> Result<String, String> {
-    let unknown =
-        opts.unknown_flags(&["preset", "shards", "rounds", "seed", "round-chunk", "out-dir"]);
-    if !unknown.is_empty() {
-        return Err(format!("unknown flags: --{}", unknown.join(", --")));
-    }
-    let Some(out_dir) = opts.get("out-dir") else {
-        return Err("fleet shard needs --out-dir DIR".into());
-    };
-    let (plan, _) = preset_plan(opts, parse_count(opts, "shards", None)?)?;
-    let mut text = write_shard_files(&plan, out_dir)?;
-    let _ = writeln!(
-        text,
-        "planned {} shard(s) of `{}` ({} unit(s) total, master seed {:#x})",
-        plan.shards.len(),
-        opts.get("preset").unwrap_or_default(),
-        plan.total_units(),
-        plan.master_seed,
-    );
-    Ok(text)
+    eprintln!("{prefix}: {} {what} on hand in {dir}", stats.entries);
+    Ok(journal)
 }
 
 /// `carq-cli fleet worker`, alias `campaign worker`: executes any shard
 /// file, a preset's or a campaign's.
 fn fleet_worker(opts: &Options) -> Result<(), String> {
-    let unknown = opts.unknown_flags(&[
-        "shard",
-        "cache",
-        "threads",
-        "heartbeat",
-        "faults",
-        "fault-worker",
-        "fault-attempt",
-    ]);
-    if !unknown.is_empty() {
-        return Err(format!("unknown flags: --{}", unknown.join(", --")));
-    }
+    opts.refuse_unknown(
+        &["shard", "cache", "threads", "heartbeat", "faults", "fault-worker", "fault-attempt"],
+        None,
+    )?;
     let Some(shard_path) = opts.get("shard") else {
         return Err("fleet worker needs --shard FILE".into());
     };
@@ -705,10 +599,7 @@ fn fleet_worker(opts: &Options) -> Result<(), String> {
 }
 
 fn fleet_merge(opts: &Options) -> Result<String, String> {
-    let unknown = opts.unknown_flags(&["cache", "from"]);
-    if !unknown.is_empty() {
-        return Err(format!("unknown flags: --{}", unknown.join(", --")));
-    }
+    opts.refuse_unknown(&["cache", "from"], None)?;
     let Some(dest) = opts.get("cache") else {
         return Err("fleet merge needs --cache DIR (the destination)".into());
     };
@@ -768,34 +659,9 @@ fn merge_report(report: &vanet_cache::MergeReport) -> String {
     text
 }
 
-fn fleet_run(opts: &Options) -> Result<(), CliFailure> {
-    let unknown = opts.unknown_flags(&[
-        "preset",
-        "workers",
-        "rounds",
-        "seed",
-        "threads",
-        "format",
-        "out",
-        "cache",
-        "round-chunk",
-        "worker-timeout",
-        "max-retries",
-        "faults",
-    ]);
-    if !unknown.is_empty() {
-        return Err(format!("unknown flags: --{}", unknown.join(", --")).into());
-    }
-    let (plan, target) = preset_plan(opts, parse_count(opts, "workers", None)?)?;
-    crate::pipeline::run_command(opts, plan, &target)
-}
-
 /// Requires and returns the `--cache DIR` flag of a `cache` subcommand.
 fn cache_dir<'o>(opts: &'o Options, action: &str) -> Result<&'o str, String> {
-    let unknown = opts.unknown_flags(&["cache"]);
-    if !unknown.is_empty() {
-        return Err(format!("unknown flags: --{}", unknown.join(", --")));
-    }
+    opts.refuse_unknown(&["cache"], None)?;
     opts.get("cache").ok_or_else(|| format!("cache {action} needs --cache DIR"))
 }
 
@@ -869,49 +735,26 @@ fn cache_clear(opts: &Options) -> Result<String, String> {
     Ok(format!("cleared {dir}: {bytes} byte(s) removed\n"))
 }
 
-pub(crate) fn parse_seed(opts: &Options) -> Result<u64, String> {
-    match opts.get("seed") {
-        None => Ok(DEFAULT_SEED),
-        Some(raw) => {
-            let parsed = if let Some(hex) = raw.strip_prefix("0x") {
-                u64::from_str_radix(hex, 16)
-            } else {
-                raw.parse()
-            };
-            parsed.map_err(|_| format!("--seed: cannot parse `{raw}`"))
-        }
-    }
-}
-
 /// Runs the urban testbed at its paper configuration (with a `--rounds`
 /// override) and returns the per-round results — the input of the Table-1
 /// and figure-series generators.
 fn urban_rounds(opts: &Options, default_rounds: u32) -> Result<Vec<RoundResult>, String> {
-    let rounds: u32 = opts.get_parsed("rounds", default_rounds)?;
-    if rounds == 0 {
-        return Err("--rounds must be positive".into());
-    }
+    let rounds = opts.count("rounds")?.unwrap_or(default_rounds);
     let scenario = UrbanScenario::paper_testbed();
     let point = SweepPoint::new(vec![(Param::Rounds, ParamValue::Int(u64::from(rounds)))]);
-    let (reports, _) =
-        run_point(&scenario, &point, parse_seed(opts)?, 0).map_err(|e| e.to_string())?;
+    let seed = opts.seed("seed", DEFAULT_SEED)?;
+    let (reports, _) = run_point(&scenario, &point, seed, 0).map_err(|e| e.to_string())?;
     Ok(into_round_results(reports))
 }
 
 fn table1_cmd(opts: &Options) -> Result<(), CliFailure> {
-    let unknown = opts.unknown_flags(&["rounds", "seed"]);
-    if !unknown.is_empty() {
-        return Err(format!("unknown flags: --{}", unknown.join(", --")).into());
-    }
+    opts.refuse_unknown(&["rounds", "seed"], None)?;
     let rounds = urban_rounds(opts, 30)?;
     output::print(&render_table1(&table1(&rounds)))
 }
 
 fn fig_cmd(kind: &str, opts: &Options) -> Result<(), CliFailure> {
-    let unknown = opts.unknown_flags(&["rounds", "seed", "car"]);
-    if !unknown.is_empty() {
-        return Err(format!("unknown flags: --{}", unknown.join(", --")).into());
-    }
+    opts.refuse_unknown(&["rounds", "seed", "car"], None)?;
     let car: u32 = opts.get_parsed("car", 1)?;
     let rounds = urban_rounds(opts, 30)?;
     let cars = rounds.first().map(RoundResult::cars).unwrap_or_default();
@@ -950,6 +793,14 @@ mod tests {
 
     fn switch_opts(items: &[&str]) -> Options {
         Options::parse_with_switches(&strs(items), &SWITCHES).unwrap()
+    }
+
+    fn fleet_shard(opts: &Options) -> Result<String, String> {
+        write_plan(opts, "fleet shard", FLEET_SHARD_FLAGS, None)
+    }
+
+    fn fleet_run(opts: &Options) -> Result<(), CliFailure> {
+        run_command(opts, "fleet", FLEET_RUN_FLAGS)
     }
 
     #[test]
@@ -1110,7 +961,7 @@ mod tests {
         .unwrap();
         let mut units = 0;
         for i in 0..3 {
-            let text = std::fs::read_to_string(dir.join(shard_file_name(i))).unwrap();
+            let text = std::fs::read_to_string(dir.join(format!("shard-{i:03}.fleet"))).unwrap();
             let shard = Shard::decode(&text).unwrap();
             assert_eq!(shard.index, i);
             assert_eq!(shard.count, 3);
@@ -1171,18 +1022,6 @@ mod tests {
         assert_eq!(digests.stats().reclaimable_bytes(), 0, "compact rewrote the digest journal");
         assert_eq!(digests.get(&key), Some(conflicting));
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn seed_parses_decimal_and_hex() {
-        let opts = Options::parse(&strs(&["--seed", "0xff"])).unwrap();
-        assert_eq!(parse_seed(&opts).unwrap(), 255);
-        let opts = Options::parse(&strs(&["--seed", "42"])).unwrap();
-        assert_eq!(parse_seed(&opts).unwrap(), 42);
-        let opts = Options::parse(&strs(&["--seed", "nope"])).unwrap();
-        assert!(parse_seed(&opts).is_err());
-        let opts = Options::parse(&[]).unwrap();
-        assert_eq!(parse_seed(&opts).unwrap(), DEFAULT_SEED);
     }
 
     #[test]

@@ -4,17 +4,22 @@
 //! canonical params, gen seed)`; the `VANETGEN1` files `gen emit` writes
 //! store only that identity and regenerate the world bit-for-bit on load.
 //! The shared [`resolve_scenario`] helper lets `scenario describe`,
-//! `scenario run`, `verify` and `trace` accept either a registered scenario
-//! name or a path to such a file.
+//! `scenario run`, `verify`, `trace` and `analyze` accept either a
+//! registered scenario name or a path to such a file, and
+//! [`ConfiguredScenario`] is the one `--scenario` run those last three
+//! configure and trace.
 
 use std::fmt::Write as _;
+use std::ops::Range;
 use std::path::Path;
 
 use vanet_gen::{GeneratedScenario, Generator};
-use vanet_scenarios::{ParamValue, Scenario, ScenarioRegistry};
+use vanet_scenarios::{
+    round_seed, Param, ParamValue, Scenario, ScenarioRegistry, ScenarioRun, SweepPoint,
+};
+use vanet_trace::TraceFrame;
 
-use crate::cli::Options;
-use crate::commands::parse_seed;
+use crate::cli::{strategy_override, Options, DEFAULT_SEED};
 
 /// A scenario reference resolved by [`resolve_scenario`]: a registered
 /// name, or a generated scenario decoded from a `VANETGEN1` file.
@@ -39,9 +44,9 @@ impl ScenarioSource {
     }
 }
 
-/// Resolves a scenario reference for `scenario describe`, `scenario run`,
-/// `verify` and `trace`: a registered name wins; anything else is read as a
-/// `VANETGEN1` scenario file (see `carq-cli gen emit`).
+/// Resolves a scenario reference for `scenario describe`, `scenario run`
+/// and [`ConfiguredScenario`]: a registered name wins; anything else is
+/// read as a `VANETGEN1` scenario file (see `carq-cli gen emit`).
 pub fn resolve_scenario(
     registry: &ScenarioRegistry,
     reference: &str,
@@ -60,6 +65,87 @@ pub fn resolve_scenario(
          file path also works)",
         registry.names().join(", ")
     ))
+}
+
+/// The `--scenario NAME|FILE` reference of `verify` and `trace`, which
+/// both require one.
+pub fn scenario_flag<'o>(opts: &'o Options, command: &str) -> Result<&'o str, String> {
+    opts.get("scenario").ok_or_else(|| {
+        format!(
+            "{command} needs --scenario NAME (known: {}) or a generated scenario file",
+            ScenarioRegistry::builtin().names().join(", ")
+        )
+    })
+}
+
+/// One `--scenario` run of `verify`, `trace` and `analyze`: the reference
+/// resolved, and configured at its base configuration or under the one
+/// point override these commands accept, a single recovery strategy.
+pub struct ConfiguredScenario {
+    /// The scenario's name.
+    pub name: String,
+    /// `base configuration` or `strategy NAME`, for status lines.
+    pub configuration: String,
+    /// The configured run.
+    pub run: Box<dyn ScenarioRun>,
+}
+
+impl ConfiguredScenario {
+    /// Resolves `reference` and configures it, under the strategy
+    /// `--{strategy_flag}` names when the flag is given.
+    pub fn new(
+        opts: &Options,
+        reference: &str,
+        strategy_flag: Option<&str>,
+    ) -> Result<ConfiguredScenario, String> {
+        let registry = ScenarioRegistry::builtin();
+        let source = resolve_scenario(&registry, reference)?;
+        let scenario = source.scenario(&registry);
+        let strategy = match strategy_flag {
+            Some(flag) => strategy_override(scenario.schema(), opts, flag)?,
+            None => None,
+        };
+        let (point, configuration) = match strategy {
+            Some(value) => {
+                (SweepPoint::new(vec![(Param::Strategy, value)]), format!("strategy {value}"))
+            }
+            None => (SweepPoint::empty(), "base configuration".to_string()),
+        };
+        let run = scenario.configure(&point).map_err(|e| e.to_string())?;
+        Ok(ConfiguredScenario { name: scenario.name().to_string(), configuration, run })
+    }
+
+    /// `--rounds N` capped at the run's budget, or the whole budget.
+    pub fn rounds(&self, opts: &Options) -> Result<u32, String> {
+        let budget = self.run.rounds();
+        Ok(opts.count("rounds")?.map_or(budget, |rounds: u32| rounds.min(budget)))
+    }
+
+    /// The traced frames of `rounds` at master seed `seed`, each round's
+    /// records stamped with the round and its round seed, so a replayed
+    /// trace file feeds an analysis exactly the live input. `given` is the
+    /// flag as the user spelt it, for the refusal of rounds past the budget.
+    pub fn frames(
+        &self,
+        rounds: Range<u32>,
+        given: &str,
+        seed: u64,
+    ) -> Result<Vec<TraceFrame>, String> {
+        if rounds.end > self.run.rounds() {
+            return Err(format!(
+                "{given} is out of range (`{}` has {} round(s), 0-based)",
+                self.name,
+                self.run.rounds()
+            ));
+        }
+        Ok(rounds
+            .map(|round| {
+                let seed = round_seed(seed, round);
+                let (_, records) = self.run.run_round_traced(round, seed);
+                TraceFrame { round, seed, records }
+            })
+            .collect())
+    }
 }
 
 fn lookup_generator(name: &str) -> Result<Generator, String> {
@@ -123,17 +209,11 @@ pub fn gen_emit(name: &str, opts: &Options) -> Result<String, String> {
     let generator = lookup_generator(name)?;
     let mut known: Vec<&str> = vec!["seed", "out"];
     known.extend(generator.schema().params().iter().map(|s| s.param.key()));
-    let unknown = opts.unknown_flags(&known);
-    if !unknown.is_empty() {
-        return Err(format!(
-            "unknown flags: --{} (see `carq-cli gen describe {}`)",
-            unknown.join(", --"),
-            generator.name
-        ));
-    }
+    opts.refuse_unknown(&known, Some(&format!("gen describe {}", generator.name)))?;
     let assignments = parse_assignments(&generator, opts)?;
-    let scenario = vanet_gen::instantiate(generator.name, &assignments, parse_seed(opts)?)
-        .map_err(|e| e.to_string())?;
+    let seed = opts.seed("seed", DEFAULT_SEED)?;
+    let scenario =
+        vanet_gen::instantiate(generator.name, &assignments, seed).map_err(|e| e.to_string())?;
     let text = vanet_gen::encode(scenario.identity());
     match opts.get("out") {
         Some(path) => {

@@ -27,7 +27,6 @@
 use std::process::ExitCode;
 
 mod analyze;
-mod campaign;
 mod chaos;
 mod cli;
 mod commands;

@@ -9,12 +9,8 @@
 
 use std::ops::Range;
 
-use vanet_scenarios::{round_seed, ScenarioRegistry, SweepPoint};
-use vanet_trace::TraceFrame;
-
-use crate::cli::Options;
-use crate::commands::parse_seed;
-use crate::gen_cmd::resolve_scenario;
+use crate::cli::{Options, DEFAULT_SEED};
+use crate::gen_cmd::{scenario_flag, ConfiguredScenario};
 
 /// Parses `--rounds` as `A..B` (end-exclusive) or `N` (meaning `0..N`).
 fn parse_round_range(raw: &str) -> Result<Range<u32>, String> {
@@ -32,46 +28,20 @@ fn parse_round_range(raw: &str) -> Result<Range<u32>, String> {
 /// `carq-cli trace --scenario NAME|FILE [--rounds A..B] [--seed S] --out
 /// FILE`.
 pub fn trace_cmd(opts: &Options) -> Result<String, String> {
-    let unknown = opts.unknown_flags(&["scenario", "rounds", "seed", "out"]);
-    if !unknown.is_empty() {
-        return Err(format!("unknown flags: --{}", unknown.join(", --")));
-    }
-    let registry = ScenarioRegistry::builtin();
-    let Some(reference) = opts.get("scenario") else {
-        return Err(format!(
-            "trace needs --scenario NAME (known: {}) or a generated scenario file",
-            registry.names().join(", ")
-        ));
-    };
+    opts.refuse_unknown(&["scenario", "rounds", "seed", "out"], None)?;
+    let reference = scenario_flag(opts, "trace")?;
     let Some(out) = opts.get("out") else {
         return Err(
             "trace needs --out FILE (binary CARQTRM1; a .jsonl extension writes JSONL)".into()
         );
     };
-    let source = resolve_scenario(&registry, reference)?;
-    let scenario = source.scenario(&registry);
-    let run = scenario.configure(&SweepPoint::empty()).map_err(|e| e.to_string())?;
+    let scenario = ConfiguredScenario::new(opts, reference, None)?;
     let range = parse_round_range(opts.get("rounds").unwrap_or("1"))?;
-    let seed = parse_seed(opts)?;
+    let seed = opts.seed("seed", DEFAULT_SEED)?;
     // Each frame carries its own round number and round seed, so a replayed
     // analysis needs nothing else.
-    if range.end > run.rounds() {
-        return Err(format!(
-            "--rounds {}..{} is out of range (`{}` has {} round(s), 0-based)",
-            range.start,
-            range.end,
-            scenario.name(),
-            run.rounds()
-        ));
-    }
-    let frames: Vec<TraceFrame> = range
-        .clone()
-        .map(|round| {
-            let frame_seed = round_seed(seed, round);
-            let (_, records) = run.run_round_traced(round, frame_seed);
-            TraceFrame { round, seed: frame_seed, records }
-        })
-        .collect();
+    let given = format!("--rounds {}..{}", range.start, range.end);
+    let frames = scenario.frames(range.clone(), &given, seed)?;
     let total: usize = frames.iter().map(|f| f.records.len()).sum();
     if out.ends_with(".jsonl") {
         let mut text = String::new();
@@ -92,7 +62,7 @@ pub fn trace_cmd(opts: &Options) -> Result<String, String> {
     Ok(format!(
         "{out}: {total} trace record(s) of `{}` rounds {}..{} in {} frame(s), master seed \
          {seed:#x}\n",
-        scenario.name(),
+        scenario.name,
         range.start,
         range.end,
         frames.len()

@@ -15,13 +15,13 @@
 
 use std::fmt::Write as _;
 
-use vanet_scenarios::{round_seed, Param, ScenarioRegistry, ScenarioRun, SweepPoint};
+use vanet_scenarios::{round_seed, ScenarioRun};
 use vanet_stats::RoundReport;
 use vanet_trace::TraceRecord;
 
-use crate::cli::Options;
-use crate::commands::parse_seed;
+use crate::cli::{Options, DEFAULT_SEED};
 use crate::failure::CliFailure;
+use crate::gen_cmd::{scenario_flag, ConfiguredScenario};
 
 /// One failed check, tagged with the round it happened in.
 struct Finding {
@@ -126,41 +126,17 @@ fn verify_rounds(
 /// failed *checks* — exit 1 — while flag and setup problems stay usage
 /// errors (exit 2).
 pub fn verify_cmd(opts: &Options) -> Result<(), CliFailure> {
-    let unknown = opts.unknown_flags(&["scenario", "rounds", "seed", "strategy"]);
-    if !unknown.is_empty() {
-        return Err(format!("unknown flags: --{}", unknown.join(", --")).into());
-    }
-    let registry = ScenarioRegistry::builtin();
-    let Some(reference) = opts.get("scenario") else {
-        return Err(format!(
-            "verify needs --scenario NAME (known: {}) or a generated scenario file",
-            registry.names().join(", ")
-        )
-        .into());
-    };
+    opts.refuse_unknown(&["scenario", "rounds", "seed", "strategy"], None)?;
     // Registered names and `carq-cli gen emit` scenario files both resolve.
-    let source = crate::gen_cmd::resolve_scenario(&registry, reference)?;
-    let scenario = source.scenario(&registry);
-    let name = scenario.name();
     // The recovery strategy is the one point override verify accepts: the
     // invariant catalogue is strategy-generic, so each rival scheme must
     // hold up under the same checks as the paper's C-ARQ.
-    let (point, configuration) =
-        match crate::cli::strategy_override(scenario.schema(), opts, "strategy")? {
-            Some(value) => {
-                (SweepPoint::new(vec![(Param::Strategy, value)]), format!("strategy {value}"))
-            }
-            None => (SweepPoint::empty(), "base configuration".to_string()),
-        };
-    let run = scenario.configure(&point).map_err(|e| e.to_string())?;
-    let rounds: u32 = opts.get_parsed("rounds", run.rounds())?;
-    if rounds == 0 {
-        return Err("--rounds must be positive".into());
-    }
-    let rounds = rounds.min(run.rounds());
-    let seed = parse_seed(opts)?;
+    let scenario = ConfiguredScenario::new(opts, scenario_flag(opts, "verify")?, Some("strategy"))?;
+    let (name, configuration) = (&scenario.name, &scenario.configuration);
+    let rounds = scenario.rounds(opts)?;
+    let seed = opts.seed("seed", DEFAULT_SEED)?;
     eprintln!("verify: {name}: {rounds} round(s), {configuration}, seed {seed:#x}");
-    let (records_total, coverage, findings) = verify_rounds(run.as_ref(), seed, rounds);
+    let (records_total, coverage, findings) = verify_rounds(scenario.run.as_ref(), seed, rounds);
     for finding in &findings {
         eprintln!(
             "verify: round {}: {} violated: {}",
@@ -297,8 +273,9 @@ mod tests {
 
     #[test]
     fn coverage_sums_across_rounds_in_catalogue_order() {
-        let registry = ScenarioRegistry::builtin();
-        let run = registry.get("urban").unwrap().configure(&SweepPoint::empty()).unwrap();
+        let registry = vanet_scenarios::ScenarioRegistry::builtin();
+        let point = vanet_scenarios::SweepPoint::empty();
+        let run = registry.get("urban").unwrap().configure(&point).unwrap();
         let (records_total, coverage, findings) = verify_rounds(run.as_ref(), 0x2008_1cdc, 2);
         assert!(findings.is_empty(), "urban rounds are invariant-clean");
         assert!(records_total > 0);

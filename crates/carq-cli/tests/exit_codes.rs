@@ -10,11 +10,129 @@
 //!
 //! The contract is documented in `docs/RESILIENCE.md`.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
 
 fn carq(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_carq-cli")).args(args).output().unwrap()
+}
+
+/// Refused invocations whose exit code and standard error
+/// `tests/golden/cli_errors.txt` pins byte for byte: every unknown-flag
+/// site, every positive-count check given 0, bad seeds and formats, missing
+/// sources, out-of-range rounds, an unknown scenario, and the flags that
+/// belong to the other planner. Each fails before it writes anything, so
+/// the unused output paths are never created.
+const CLI_ERRORS: &[&str] = &[
+    // Unknown flags, one invocation per command that checks them.
+    "scenario run urban --bogus 1",
+    "sweep run --preset urban-platoon --bogus 1",
+    "sweep run --scenario urban",
+    "fleet shard --preset urban-platoon --bogus 1",
+    "fleet worker --bogus 1",
+    "fleet merge --bogus 1",
+    "fleet run --preset urban-platoon --bogus 1",
+    "cache stats --bogus 1",
+    "table1 --bogus 1",
+    "fig reception --bogus 1",
+    "analyze latency --bogus 1",
+    "analyze timeline --bogus 1",
+    "analyze diff --bogus 1",
+    "verify --bogus 1",
+    "trace --bogus 1",
+    "campaign plan --generator grid-city --bogus 1",
+    "campaign run --generator grid-city --bogus 1",
+    "chaos --preset urban-platoon --bogus 1",
+    "chaos --generator grid-city --bogus 1",
+    "gen emit grid-city --bogus 1",
+    // Positive counts, given 0.
+    "sweep run --preset urban-platoon --rounds 0",
+    "fleet shard --preset urban-platoon --shards 0 --out-dir /tmp/carq-cli-golden-unused",
+    "fleet shard --preset urban-platoon --shards 2 --rounds 0 --out-dir /tmp/carq-cli-golden-unused",
+    "fleet shard --preset urban-platoon --shards 2 --round-chunk 0 --out-dir /tmp/carq-cli-golden-unused",
+    "fleet run --preset urban-platoon --workers 0",
+    "table1 --rounds 0",
+    "fig recovery --rounds 0",
+    "verify --scenario urban --rounds 0",
+    "analyze latency --scenario urban --rounds 0",
+    "analyze latency --preset strategy-compare --rounds 0",
+    "campaign plan --generator grid-city --replicas 0",
+    "campaign plan --generator grid-city --shards 0 --out-dir /tmp/carq-cli-golden-unused",
+    "campaign plan --generator grid-city --rounds 0 --out-dir /tmp/carq-cli-golden-unused",
+    "campaign run --generator grid-city --workers 0",
+    "chaos --preset urban-platoon --workers 0",
+    "chaos --generator grid-city --replicas 0",
+    "fleet run --preset urban-platoon --workers 2 --worker-timeout 0",
+    // Seeds and formats.
+    "sweep run --preset urban-platoon --seed zz",
+    "verify --scenario urban --seed zz",
+    "chaos --preset strategy-compare --rounds 1 --fault-seed zz",
+    "sweep run --preset urban-platoon --format xml",
+    "fleet run --preset urban-platoon --workers 2 --format xml",
+    "campaign run --generator grid-city --workers 2 --format xml",
+    "analyze latency --scenario urban --format xml",
+    // Missing sources.
+    "verify",
+    "trace --out /tmp/carq-cli-golden-unused.trc",
+    "analyze latency",
+    "analyze timeline --node 1",
+    "analyze diff",
+    "fleet shard --shards 2 --out-dir /tmp/carq-cli-golden-unused",
+    "fleet run --workers 2",
+    "campaign plan --out-dir /tmp/carq-cli-golden-unused",
+    "campaign run --workers 2",
+    "chaos",
+    // Rounds outside the scenario's budget.
+    "trace --scenario urban --rounds 0..99 --out /tmp/carq-cli-golden-unused.trc",
+    "analyze timeline --scenario urban --node 1 --round 99",
+    "analyze diff --scenario urban --round 99",
+    // Scenario references and their overrides.
+    "verify --scenario mars",
+    "trace --scenario mars --out /tmp/carq-cli-golden-unused.trc",
+    "analyze latency --scenario mars",
+    "verify --scenario urban --strategy psychic",
+    "analyze diff --scenario urban --against psychic",
+    "analyze latency --preset strategy-compare --strategy no-coop",
+    // Each planner refuses the other's source.
+    "fleet run --generator grid-city",
+    "fleet shard --generator grid-city",
+    "campaign run --preset urban-platoon",
+    "campaign run --generator grid-city --preset urban-platoon",
+    "chaos --preset urban-platoon --generator grid-city",
+];
+
+fn cli_errors_golden() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/cli_errors.txt")
+}
+
+/// One `CLI_ERRORS` case as the golden records it: the command line, the
+/// exit code and the standard error, then a blank line.
+fn render_cli_error(case: &str) -> String {
+    let out = carq(&case.split_whitespace().collect::<Vec<_>>());
+    let code = out.status.code().map_or_else(|| "signal".to_string(), |c| c.to_string());
+    format!("$ carq-cli {case}\nexit {code}\n{}\n", String::from_utf8_lossy(&out.stderr))
+}
+
+#[test]
+fn refusals_match_the_cli_errors_golden() {
+    let path = cli_errors_golden();
+    let golden = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+    let rendered: Vec<String> = CLI_ERRORS.iter().map(|case| render_cli_error(case)).collect();
+    for block in &rendered {
+        assert!(golden.contains(block.as_str()), "not in the golden:\n{block}");
+    }
+    assert_eq!(rendered.concat(), golden, "the golden holds other cases or another order");
+}
+
+/// Re-records `tests/golden/cli_errors.txt` from the current binary:
+/// `cargo test --release -p carq-cli --test exit_codes -- --ignored
+/// record_cli_errors_golden`.
+#[test]
+#[ignore = "records the golden instead of checking it"]
+fn record_cli_errors_golden() {
+    let rendered: String = CLI_ERRORS.iter().map(|case| render_cli_error(case)).collect();
+    std::fs::write(cli_errors_golden(), rendered).unwrap();
 }
 
 fn temp_dir(tag: &str) -> PathBuf {

@@ -207,11 +207,6 @@ impl CarqNode {
         self.id
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &CarqConfig {
-        &self.config
-    }
-
     /// The current protocol phase.
     pub fn phase(&self) -> Phase {
         self.phase

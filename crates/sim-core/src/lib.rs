@@ -60,6 +60,6 @@ pub mod sim;
 pub mod time;
 
 pub use queue::{EventQueue, ScheduledEvent};
-pub use rng::{fnv1a64, fnv1a64_chain, fnv1a64_chain4, RngDirectory, SeedableStream, StreamRng};
+pub use rng::{fnv1a64, fnv1a64_chain, fnv1a64_chain4, StreamRng};
 pub use sim::{Model, RunOutcome, Scheduler, Simulation};
 pub use time::{SimDuration, SimTime};

@@ -284,63 +284,6 @@ impl RngCore for StreamRng {
     }
 }
 
-/// Convenience trait for things that can hand out derived RNG streams.
-pub trait SeedableStream {
-    /// Returns the stream registered under `label`, creating it on first use.
-    fn stream(&mut self, label: &str) -> &mut StreamRng;
-}
-
-/// A directory of named RNG streams sharing one master seed.
-///
-/// # Examples
-///
-/// ```
-/// use sim_core::{RngDirectory, SeedableStream};
-/// use rand::Rng;
-///
-/// let mut dir = RngDirectory::new(1234);
-/// let x: f64 = dir.stream("fading").gen();
-/// let y: f64 = dir.stream("fading").gen();
-/// assert_ne!(x, y); // successive draws from the same stream advance it
-/// ```
-#[derive(Debug, Clone)]
-pub struct RngDirectory {
-    master_seed: u64,
-    streams: Vec<(String, StreamRng)>,
-}
-
-impl RngDirectory {
-    /// Creates a directory deriving all streams from `master_seed`.
-    pub fn new(master_seed: u64) -> Self {
-        RngDirectory { master_seed, streams: Vec::new() }
-    }
-
-    /// The master seed.
-    pub fn master_seed(&self) -> u64 {
-        self.master_seed
-    }
-
-    /// Number of streams created so far.
-    pub fn len(&self) -> usize {
-        self.streams.len()
-    }
-
-    /// Whether no stream has been created yet.
-    pub fn is_empty(&self) -> bool {
-        self.streams.is_empty()
-    }
-}
-
-impl SeedableStream for RngDirectory {
-    fn stream(&mut self, label: &str) -> &mut StreamRng {
-        if let Some(idx) = self.streams.iter().position(|(l, _)| l == label) {
-            return &mut self.streams[idx].1;
-        }
-        self.streams.push((label.to_owned(), StreamRng::derive(self.master_seed, label)));
-        &mut self.streams.last_mut().expect("just pushed").1
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -361,20 +304,6 @@ mod tests {
         let mut b = StreamRng::derive(99, "y");
         let same = (0..16).filter(|_| a.next_u64() == b.next_u64()).count();
         assert!(same < 2, "streams with different labels should be independent");
-    }
-
-    #[test]
-    fn directory_returns_same_stream_for_same_label() {
-        let mut dir = RngDirectory::new(5);
-        let first: u64 = dir.stream("a").next_u64();
-        // Fresh derivation of the same label from the same seed would repeat
-        // the first draw; the directory must instead return the advanced stream.
-        let second: u64 = dir.stream("a").next_u64();
-        assert_ne!(first, second);
-        assert_eq!(dir.len(), 1);
-        dir.stream("b");
-        assert_eq!(dir.len(), 2);
-        assert!(!dir.is_empty());
     }
 
     #[test]

@@ -462,7 +462,7 @@ pub fn plan_units(
         return Err(FleetError::Invalid("round chunk must be positive".into()));
     }
     let mut units = Vec::new();
-    for (index, point) in spec.enumerate_points() {
+    for (index, point) in spec.expand().into_iter().enumerate() {
         match round_chunk {
             None => units.push(WorkUnit { point, round_range: None }),
             Some(chunk) => {
@@ -489,8 +489,8 @@ pub fn plan_units(
 }
 
 /// Strides `items` across `count` buckets (item `i` lands in bucket
-/// `i % count`), the same deterministic assignment as `SweepSpec::shard`.
-/// Trailing buckets may be empty.
+/// `i % count`, so uneven per-item costs spread evenly). Trailing buckets
+/// may be empty.
 pub fn stride_units<T>(items: Vec<T>, count: usize) -> Vec<Vec<T>> {
     assert!(count > 0, "shard count must be positive");
     let mut shards: Vec<Vec<T>> = (0..count).map(|_| Vec::new()).collect();
@@ -560,24 +560,24 @@ mod tests {
     }
 
     #[test]
-    fn striding_agrees_with_sweep_spec_shard() {
-        // `SweepSpec::shard` is the public spec-level partition API;
-        // `plan_units` + `stride_units` is the unit-level generalisation
-        // the planner uses (it also carries round ranges). Without
-        // chunking the two must assign every point to the same shard —
-        // this test pins the shared `i % count` invariant so the
-        // implementations cannot drift apart.
+    fn striding_agrees_with_the_preset_planner() {
+        // `plan_units` + `stride_units` is the unit-level partition the
+        // planner uses (it also carries round ranges). Without chunking,
+        // point `i` lands in shard `i % count`, the rule this test pins
+        // against `ShardPlan::for_preset`.
         let preset = presets::find("urban-platoon").unwrap();
         let (scenario, spec) = preset.build(0xA11CE, 2);
+        let points = spec.expand();
         let units = plan_units(scenario.as_ref(), &spec, None).unwrap();
         for count in 1..=5 {
             let strided = stride_units(units.clone(), count);
             let planned = ShardPlan::for_preset("urban-platoon", 0xA11CE, 2, count, None).unwrap();
             for (index, shard_units) in strided.iter().enumerate() {
-                let via_spec: Vec<SweepPoint> = spec.shard(index, count).expand();
+                let via_stride: Vec<SweepPoint> =
+                    points.iter().skip(index).step_by(count).cloned().collect();
                 let via_units: Vec<SweepPoint> =
                     shard_units.iter().map(|u| u.point.clone()).collect();
-                assert_eq!(via_units, via_spec, "shard {index}/{count} diverged");
+                assert_eq!(via_units, via_stride, "shard {index}/{count} diverged");
                 assert_eq!(preset_units(&planned.shards[index]), shard_units.as_slice());
             }
         }

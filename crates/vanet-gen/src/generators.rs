@@ -20,6 +20,7 @@ use sim_core::{SimTime, StreamRng};
 use vanet_geo::{kmh_to_ms, Point, Polyline};
 use vanet_mac::MediumConfig;
 use vanet_radio::{Building, ObstacleMap};
+use vanet_scenarios::registry::normalize;
 use vanet_scenarios::{Param, ParamError, ParamSchema, ParamSpec, ParamValue, SweepPoint};
 
 use crate::blueprint::{Blueprint, CarPlan};
@@ -149,21 +150,25 @@ impl Generator {
     }
 }
 
-/// Lookup is forgiving about separators and case, mirroring the scenario
-/// registry (`grid-city`, `grid_city` and `GridCity` all resolve).
-fn normalize(name: &str) -> String {
-    name.chars().filter(|c| *c != '-' && *c != '_').flat_map(char::to_lowercase).collect()
-}
+/// A generator's builder.
+type Build = fn() -> Generator;
+
+/// The catalogue: each generator's name and its builder, in presentation
+/// order, so a lookup builds only the generator it names.
+const CATALOGUE: [(&str, Build); 3] =
+    [("grid-city", grid_city), ("highway-flow", highway_flow), ("platoon-merge", platoon_merge)];
 
 /// Every generator in the catalogue, in presentation order.
 pub fn all() -> Vec<Generator> {
-    vec![grid_city(), highway_flow(), platoon_merge()]
+    CATALOGUE.iter().map(|(_, build)| build()).collect()
 }
 
-/// Finds a generator by name (separator- and case-insensitive).
+/// Finds a generator by name, forgiving about separators and case like
+/// the scenario registry (`grid-city`, `grid_city` and `GridCity` all
+/// resolve).
 pub fn find(name: &str) -> Option<Generator> {
     let wanted = normalize(name);
-    all().into_iter().find(|g| normalize(g.name) == wanted)
+    CATALOGUE.iter().find(|(known, _)| normalize(known) == wanted).map(|(_, build)| build())
 }
 
 /// [`find`], or [`GenError::UnknownGenerator`].
@@ -553,6 +558,9 @@ mod tests {
         let generators = all();
         let names: Vec<&str> = generators.iter().map(|g| g.name).collect();
         assert_eq!(names, vec!["grid-city", "highway-flow", "platoon-merge"]);
+        for (name, build) in CATALOGUE {
+            assert_eq!(build().name, name, "the catalogue names what it builds");
+        }
         for g in &generators {
             assert!(!g.description.is_empty());
             assert_eq!(g.schema().scenario(), g.name);

@@ -39,7 +39,7 @@ pub mod point;
 pub mod polyline;
 pub mod roads;
 
-pub use mobility::{DriverProfile, MobilityModel, PathMobility, PlatoonMobility, StaticPosition};
+pub use mobility::{DriverProfile, MobilityModel, PathMobility, PlatoonMobility};
 pub use point::Point;
 pub use polyline::Polyline;
 pub use roads::{

@@ -12,7 +12,6 @@
 //! * [`PlatoonMobility`] — a convoy of vehicles on the same path, each with a
 //!   [`DriverProfile`] controlling its nominal headway, speed jitter and how
 //!   much it bunches up behind the leader at corners.
-//! * [`StaticPosition`] — a fixed node (the AP).
 
 use std::cell::Cell;
 
@@ -38,29 +37,6 @@ pub trait MobilityModel: std::fmt::Debug {
         let before = self.position_at(SimTime::from_secs_f64((t.as_secs_f64() - dt).max(0.0)));
         let after = self.position_at(SimTime::from_secs_f64(t.as_secs_f64() + dt));
         before.distance_to(after) / (2.0 * dt)
-    }
-}
-
-/// A node that never moves — used for road-side access points.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct StaticPosition {
-    /// The fixed position.
-    pub position: Point,
-}
-
-impl StaticPosition {
-    /// Creates a static node at `position`.
-    pub fn new(position: Point) -> Self {
-        StaticPosition { position }
-    }
-}
-
-impl MobilityModel for StaticPosition {
-    fn position_at(&self, _t: SimTime) -> Point {
-        self.position
-    }
-    fn speed_at(&self, _t: SimTime) -> f64 {
-        0.0
     }
 }
 
@@ -393,14 +369,6 @@ mod tests {
 
     fn line() -> Polyline {
         Polyline::open(vec![Point::new(0.0, 0.0), Point::new(1_000.0, 0.0)])
-    }
-
-    #[test]
-    fn static_node_never_moves() {
-        let ap = StaticPosition::new(Point::new(10.0, 20.0));
-        assert_eq!(ap.position_at(SimTime::ZERO), Point::new(10.0, 20.0));
-        assert_eq!(ap.position_at(SimTime::from_secs(100)), Point::new(10.0, 20.0));
-        assert_eq!(ap.speed_at(SimTime::from_secs(5)), 0.0);
     }
 
     #[test]

@@ -348,11 +348,6 @@ impl RadioChannel {
         RadioChannel { config, field, fading, shadowing_ceiling_db, fading_ceiling_db }
     }
 
-    /// The configuration this channel was built from.
-    pub fn config(&self) -> &RadioConfig {
-        &self.config
-    }
-
     /// The largest shadowing (dB) the field can add to any link:
     /// σ · amplitude · 24, 27.71 dB at σ = 4 dB (0 without shadowing). No
     /// [`LinkState::shadowing_db`] exceeds it.

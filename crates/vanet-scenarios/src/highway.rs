@@ -269,11 +269,6 @@ impl HighwayScenario {
         HighwayScenario::new(HighwayConfig::drive_thru_reference())
     }
 
-    /// The base configuration `configure` overrides.
-    pub fn base(&self) -> &HighwayConfig {
-        &self.base
-    }
-
     /// The configuration a point runs.
     pub fn config_for(&self, point: &SweepPoint) -> Result<HighwayConfig, ParamError> {
         self.schema.validate(point)?;
@@ -352,11 +347,6 @@ impl HighwayRun {
         assert!(config.ap_rate_pps > 0.0, "rate must be positive");
         let invariants = PassInvariants::of(&config);
         HighwayRun { config, invariants }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &HighwayConfig {
-        &self.config
     }
 }
 

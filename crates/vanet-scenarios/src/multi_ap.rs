@@ -172,11 +172,6 @@ impl MultiApScenario {
         MultiApScenario::new(MultiApConfig::default_download())
     }
 
-    /// The base configuration `configure` overrides.
-    pub fn base(&self) -> &MultiApConfig {
-        &self.base
-    }
-
     /// The configuration a point runs. The drive-by parameters share the
     /// highway scenario's override logic; only `FileBlocks` and the
     /// AP-visit budget are this scenario's own.
@@ -238,11 +233,6 @@ impl MultiApRun {
         assert!(config.pass.ap_rate_pps > 0.0, "rate must be positive");
         let invariants = PassInvariants::of(&config.pass);
         MultiApRun { config, invariants }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &MultiApConfig {
-        &self.config
     }
 
     /// Folds the per-visit reports (in visit order) into per-car outcomes:

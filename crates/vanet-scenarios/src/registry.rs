@@ -23,9 +23,11 @@ impl std::fmt::Debug for ScenarioRegistry {
     }
 }
 
-/// Lookup is forgiving about separators (`multi-ap`, `multi_ap` and
-/// `multiap` all resolve) but never about the name itself.
-fn normalize(name: &str) -> String {
+/// A name as lookups compare it: forgiving about separators and case
+/// (`multi-ap`, `multi_ap` and `MultiAp` all resolve) but never about the
+/// name itself. The scenario registry and the world-generator catalogue
+/// both look names up through it.
+pub fn normalize(name: &str) -> String {
     name.chars().filter(|c| *c != '-' && *c != '_').flat_map(char::to_lowercase).collect()
 }
 

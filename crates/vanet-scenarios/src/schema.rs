@@ -423,14 +423,16 @@ impl ParamSchema {
 
     /// The **canonical configuration** `point` resolves to: every declared
     /// parameter with its assigned-or-default value in declaration order,
-    /// rendered losslessly ([`ParamValue::canonical`]) — except
-    /// [round-neutral](ParamSpec::round_neutral) parameters, which are
-    /// skipped.
+    /// as [`ParamSpec::check`] holds it (an integer given for a float
+    /// parameter widens), rendered losslessly ([`ParamValue::canonical`]) —
+    /// except [round-neutral](ParamSpec::round_neutral) parameters, which
+    /// are skipped.
     ///
     /// Two points with the same canonical configuration run **identical
     /// physics** per round, however they were spelled: explicit defaults,
-    /// omitted defaults, extra unknown parameters (not declared here) and
-    /// differing round budgets all resolve to the same string. The sweep
+    /// omitted defaults, integers for floats, extra unknown parameters (not
+    /// declared here) and differing round budgets all resolve to the same
+    /// string. A value the check refuses renders as given. The sweep
     /// engine derives per-point seeds from this string and the round cache
     /// keys on it, so equal configurations share seeds, reports and cache
     /// entries across sweeps, grid positions and spec edits.
@@ -442,6 +444,7 @@ impl ParamSchema {
                 continue;
             }
             let value = point.get(spec.param).unwrap_or(spec.default);
+            let value = spec.check(self.scenario, value).unwrap_or(value);
             if spec.default_transparent && value == spec.default {
                 continue;
             }
@@ -687,6 +690,10 @@ mod tests {
         // Parameters outside the schema are ignored.
         let with_extra = SweepPoint::new(vec![(Param::FileBlocks, ParamValue::Int(9))]);
         assert_eq!(s.canonical_config(&with_extra), s.canonical_config(&SweepPoint::empty()));
+        // An integer for a float renders as the float the check widens it
+        // to, also where it equals the default.
+        let int_speed = SweepPoint::new(vec![(Param::SpeedKmh, ParamValue::Int(20))]);
+        assert_eq!(s.canonical_config(&int_speed), canon);
     }
 
     #[test]

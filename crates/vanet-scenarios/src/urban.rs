@@ -207,11 +207,6 @@ impl UrbanScenario {
         UrbanScenario::new(UrbanConfig::paper_testbed())
     }
 
-    /// The base configuration `configure` overrides.
-    pub fn base(&self) -> &UrbanConfig {
-        &self.base
-    }
-
     /// The configuration a point runs: the base with the point's overrides.
     /// Callers outside `configure` (tests) can inspect it.
     pub fn config_for(&self, point: &SweepPoint) -> Result<UrbanConfig, ParamError> {
@@ -333,11 +328,6 @@ impl UrbanRun {
         }
         let invariants = UrbanInvariants::of(&config);
         UrbanRun { config, invariants }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &UrbanConfig {
-        &self.config
     }
 
     /// The model one round simulates at `seed`, emitting into `sink`, and

@@ -3,16 +3,15 @@
 //! The recovery-latency analysis in `vanet-analysis` produces one sample per
 //! repaired packet; what the paper's argument needs from those samples is a
 //! *distribution* (the rival ARQ schemes trade tails, not means). This
-//! module holds the generic carrier: a sorted sample with percentile,
-//! histogram and summary views, all deterministic functions of the input
-//! multiset.
+//! module holds the generic carrier: a sorted sample with percentile and
+//! summary views, all deterministic functions of the input multiset.
 
 use serde::{Deserialize, Serialize};
 
 use crate::summary::{mean, Percentiles};
 
 /// A sample distribution: values sorted ascending, queried for percentiles
-/// and fixed-width histograms.
+/// and the mean.
 ///
 /// Construction sorts once; every view after that is read-only, so the same
 /// sample always renders the same tables regardless of the order the samples
@@ -20,17 +19,6 @@ use crate::summary::{mean, Percentiles};
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct Distribution {
     sorted: Vec<f64>,
-}
-
-/// One fixed-width histogram bucket of a [`Distribution`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Bucket {
-    /// Inclusive lower edge.
-    pub lo: f64,
-    /// Exclusive upper edge (inclusive for the last bucket).
-    pub hi: f64,
-    /// Samples falling in `[lo, hi)`.
-    pub count: usize,
 }
 
 impl Distribution {
@@ -75,35 +63,6 @@ impl Distribution {
         }
         Some(Percentiles::of(&self.sorted))
     }
-
-    /// Splits the sample range into `buckets` fixed-width bins and counts
-    /// samples per bin; the last bin's upper edge is inclusive so `max`
-    /// always lands somewhere. Empty when the distribution is empty or
-    /// `buckets` is zero. A single-valued sample yields one bucket holding
-    /// everything.
-    pub fn histogram(&self, buckets: usize) -> Vec<Bucket> {
-        if self.sorted.is_empty() || buckets == 0 {
-            return Vec::new();
-        }
-        let lo = self.sorted[0];
-        let hi = self.sorted[self.sorted.len() - 1];
-        if hi == lo {
-            return vec![Bucket { lo, hi, count: self.sorted.len() }];
-        }
-        let width = (hi - lo) / buckets as f64;
-        let mut out: Vec<Bucket> = (0..buckets)
-            .map(|i| Bucket {
-                lo: lo + width * i as f64,
-                hi: lo + width * (i + 1) as f64,
-                count: 0,
-            })
-            .collect();
-        for &v in &self.sorted {
-            let idx = (((v - lo) / width) as usize).min(buckets - 1);
-            out[idx].count += 1;
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -128,23 +87,6 @@ mod tests {
         assert!(d.is_empty());
         assert_eq!(d.percentiles(), None);
         assert_eq!(d.mean(), 0.0);
-        assert!(d.histogram(4).is_empty());
-    }
-
-    #[test]
-    fn histogram_covers_the_range() {
-        let d = Distribution::from_samples([0.0, 1.0, 2.0, 3.0, 4.0, 4.0, 8.0]);
-        let h = d.histogram(4);
-        assert_eq!(h.len(), 4);
-        assert_eq!(h.iter().map(|b| b.count).sum::<usize>(), d.count());
-        assert_eq!(h[0].lo, 0.0);
-        assert_eq!(h[3].hi, 8.0);
-        // The max lands in the last (inclusive) bucket.
-        assert!(h[3].count >= 1);
-        // Degenerate single-valued sample collapses to one bucket.
-        let flat = Distribution::from_samples([7.0, 7.0, 7.0]);
-        assert_eq!(flat.histogram(5), vec![Bucket { lo: 7.0, hi: 7.0, count: 3 }]);
-        assert!(d.histogram(0).is_empty());
     }
 
     #[test]

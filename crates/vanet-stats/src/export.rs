@@ -69,12 +69,6 @@ pub fn render_series_csv(names: &[&str], series: &[Vec<SeriesPoint>]) -> String 
     out
 }
 
-/// Converts a series into `(packet_index, probability)` rows — handy for
-/// plotting tools and assertions in integration tests.
-pub fn series_to_rows(series: &[SeriesPoint]) -> Vec<(u32, f64)> {
-    series.iter().map(|p| (p.packet_index, p.probability)).collect()
-}
-
 /// One cell of a [`RecordTable`].
 ///
 /// Floats are rendered with a fixed number of decimals so that exports are
@@ -303,12 +297,6 @@ mod tests {
     #[should_panic(expected = "one name per series")]
     fn csv_requires_matching_name_count() {
         let _ = render_series_csv(&["a"], &[]);
-    }
-
-    #[test]
-    fn rows_conversion() {
-        let rows = series_to_rows(&points(&[0.5, 1.0]));
-        assert_eq!(rows, vec![(0, 0.5), (1, 1.0)]);
     }
 
     fn sample_table() -> RecordTable {

@@ -11,9 +11,8 @@
 //! * [`report`] — the carriers every scenario shares: the per-round
 //!   [`RoundReport`] and the per-point aggregated [`PointSummary`].
 //! * [`summary`] — mean / standard deviation helpers.
-//! * [`distribution`] — a sorted-sample carrier with percentile and
-//!   histogram views, the shape the trace-driven recovery-latency analysis
-//!   reports.
+//! * [`distribution`] — a sorted-sample carrier with percentile views,
+//!   the shape the trace-driven recovery-latency analysis reports.
 //! * [`table`] — the Table-1 generator (per-car packets transmitted, lost
 //!   before cooperation, lost after cooperation, with standard deviations).
 //! * [`series`] — per-packet reception-probability series for Figures 3–5
@@ -67,8 +66,8 @@ pub mod summary;
 pub mod table;
 
 pub use codec::CodecError;
-pub use distribution::{Bucket, Distribution};
-pub use export::{render_series_csv, render_table1, series_to_rows, CellValue, RecordTable};
+pub use distribution::Distribution;
+pub use export::{render_series_csv, render_table1, CellValue, RecordTable};
 pub use observation::{FlowCounts, FlowObservation, RoundResult};
 pub use report::{counter_total, into_round_results, PointSummary, RoundReport};
 pub use series::{joint_series, reception_series, recovery_series, SeriesPoint};

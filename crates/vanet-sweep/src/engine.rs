@@ -688,6 +688,22 @@ mod tests {
     }
 
     #[test]
+    fn an_integer_speed_is_the_same_urban_point_as_its_float() {
+        // `speed_kmh` is a float; an integer for it runs the same physics,
+        // so it must get the same canonical configuration and point seed.
+        use vanet_scenarios::{Scenario, SweepPoint, UrbanScenario};
+        let urban = UrbanScenario::paper_testbed();
+        let canonical = |value| {
+            let point = SweepPoint::new(vec![(Param::SpeedKmh, value)]);
+            urban.schema().canonical_config(&point)
+        };
+        let (int, float) = (canonical(ParamValue::Int(30)), canonical(ParamValue::Float(30.0)));
+        assert_eq!(int, float);
+        assert!(float.contains(";speed_kmh=f403e000000000000"), "{float}");
+        assert_eq!(point_seed(0x2008_1cdc, &int), point_seed(0x2008_1cdc, &float));
+    }
+
+    #[test]
     fn equal_configs_share_seeds_across_grid_positions() {
         // The same configuration at a different position in a different
         // spec keeps its seed — the property that makes widened and

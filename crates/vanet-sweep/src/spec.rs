@@ -81,41 +81,6 @@ impl SweepSpec {
         points.extend(self.extra_points.iter().cloned());
         points
     }
-
-    /// The expanded points paired with their expansion indices — the
-    /// enumeration shard planners and progress reporters consume.
-    pub fn enumerate_points(&self) -> Vec<(usize, SweepPoint)> {
-        self.expand().into_iter().enumerate().collect()
-    }
-
-    /// The `index`-th of `count` **strided** shards of this spec: a new
-    /// spec with the same master seed whose explicit points are every
-    /// `count`-th expansion point starting at `index` (point `i` lands in
-    /// shard `i % count`, so uneven per-point costs spread evenly).
-    ///
-    /// Because point seeds are content-addressed ([`point_seed`] derives
-    /// from the canonical configuration, not the grid position), running
-    /// the shards separately — in any order, on any machine — simulates
-    /// exactly the rounds the unsharded sweep would, with identical seeds
-    /// and therefore identical reports. That is the foundation the
-    /// `vanet-fleet` crate builds multi-process sweeps on. A shard may be
-    /// empty when `count` exceeds the point count; executors skip it.
-    ///
-    /// [`point_seed`]: crate::engine::point_seed
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count` is zero or `index` is not below `count`.
-    #[must_use]
-    pub fn shard(&self, index: usize, count: usize) -> SweepSpec {
-        assert!(count > 0, "shard count must be positive");
-        assert!(index < count, "shard index {index} out of range for {count} shard(s)");
-        SweepSpec {
-            master_seed: self.master_seed,
-            axes: Vec::new(),
-            extra_points: self.expand().into_iter().skip(index).step_by(count).collect(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -195,43 +160,5 @@ mod tests {
     #[should_panic(expected = "already has an axis")]
     fn duplicate_axis_rejected() {
         let _ = SweepSpec::new(1).axis(Param::NCars, ints(&[1])).axis(Param::NCars, ints(&[2]));
-    }
-
-    #[test]
-    fn shards_stride_the_expansion_and_cover_it_exactly() {
-        let spec = SweepSpec::new(0xFEE7)
-            .axis(Param::SpeedKmh, floats(&[10.0, 20.0]))
-            .axis(Param::NCars, ints(&[2, 3, 4]))
-            .point(SweepPoint::new(vec![(Param::SpeedKmh, ParamValue::Float(99.0))]));
-        let points = spec.expand();
-        assert_eq!(points.len(), 7);
-        assert_eq!(spec.enumerate_points().len(), 7);
-        assert_eq!(spec.enumerate_points()[6].0, 6);
-
-        for count in 1..=9 {
-            let shards: Vec<SweepSpec> = (0..count).map(|i| spec.shard(i, count)).collect();
-            for shard in &shards {
-                assert_eq!(shard.master_seed, spec.master_seed);
-                assert!(shard.axes.is_empty(), "shards carry explicit points only");
-            }
-            // Interleaving the shards back together restores the expansion.
-            let mut restored = vec![None; points.len()];
-            for (index, shard) in shards.iter().enumerate() {
-                for (offset, point) in shard.expand().into_iter().enumerate() {
-                    restored[index + offset * count] = Some(point);
-                }
-            }
-            let restored: Vec<SweepPoint> = restored.into_iter().map(Option::unwrap).collect();
-            assert_eq!(restored, points, "{count} shard(s) must cover the expansion");
-        }
-        // More shards than points: the tail shards are empty, not an error.
-        assert!(spec.shard(8, 9).is_empty());
-        assert_eq!(spec.shard(0, 1).expand(), points);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn shard_index_out_of_range_rejected() {
-        let _ = SweepSpec::new(1).axis(Param::NCars, ints(&[1])).shard(2, 2);
     }
 }
